@@ -26,10 +26,9 @@ from .measures import MeasureSpec, trajectory_partition_entropy
 from .decompose import decompose_mca, nilpotent_tower
 from .spectral import (LinearRuleDual, cesaro_randomization, diffusion_report,
                        dual_action)
-from .specs import (ExperimentConfig, load_experiment, parse_character,
-                    parse_measure, parse_probe)
-
-STATE_CAP_DEFAULT = 10**7
+from .specs import (ExperimentConfig, _need, load_experiment,
+                    parse_character, parse_measure, parse_probe)
+from .util import STATE_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +144,12 @@ def cmd_group(cfg: ExperimentConfig, run: Run, args) -> None:
           f"nilpotent: {report['nilpotent']}")
 
 
-def _fibre_flag_rows(dec):
+def _fibre_flag_rows(dec, cap: int):
     """(c-word labels..., left, right) per fibre, lexicographic order."""
     C = dec.h_rule.group
     rows = []
     for word, rule_c in sorted(dec.fibre_table().items()):
-        flags = permutativity(rule_c)
+        flags = permutativity(rule_c, cap)
         rows.append([" ".join(C.labels[c] for c in word),
                      flags.left, flags.right])
     return rows
@@ -202,7 +201,7 @@ def cmd_decompose(cfg: ExperimentConfig, run: Run, args) -> None:
     _write_json(run.add("decomposition_report.json"), report)
     _write_csv(run.add("fibre_flags.csv"),
                ["c_word", "left_permutative", "right_permutative"],
-               _fibre_flag_rows(dec))
+               _fibre_flag_rows(dec, args.cap_states))
     run.verify("recompose_check", bool(dec.verified))
     print(f"decomposition over |A|={A.order}, |C|={dec.h_rule.group.order}; "
           f"verified: {bool(dec.verified)}")
@@ -211,12 +210,12 @@ def cmd_decompose(cfg: ExperimentConfig, run: Run, args) -> None:
 def cmd_permute(cfg: ExperimentConfig, run: Run, args) -> None:
     if cfg.rule is None:
         raise SpecError("config: permute needs a rule")
-    flags = permutativity(cfg.rule)
+    flags = permutativity(cfg.rule, args.cap_states)
     rows = [["-", flags.left, flags.right]]
     if cfg.frame is not None:
         dec = decompose_mca(cfg.rule, cfg.frame, cap=args.cap_states)
         run.verify("recompose_check", bool(dec.verified))
-        rows.extend(_fibre_flag_rows(dec))
+        rows.extend(_fibre_flag_rows(dec, args.cap_states))
     _write_csv(run.add("permute.csv"),
                ["c_word", "left_permutative", "right_permutative"], rows)
     run.verify("permutativity_computed", True)
@@ -294,9 +293,10 @@ def cmd_randomize(cfg: ExperimentConfig, run: Run, args) -> None:
                             "frame")
         both = cfg.param("measures")
         lam = parse_measure(cfg.frame.a_group.order,
-                            _spec_field(both, "lambda"), "measures.lambda")
+                            _need(both, "lambda", "config.measures"),
+                            "measures.lambda")
         nu = parse_measure(quot_group.order,
-                           _spec_field(both, "nu"), "measures.nu")
+                           _need(both, "nu", "config.measures"), "measures.nu")
         init = (lam, nu)
     else:
         init = parse_measure(cfg.group.order,
@@ -337,12 +337,6 @@ def cmd_randomize(cfg: ExperimentConfig, run: Run, args) -> None:
           f"({last_tv.mode})")
 
 
-def _spec_field(obj, key):
-    if not isinstance(obj, dict) or key not in obj:
-        raise SpecError(f"config.measures: missing field {key!r}")
-    return obj[key]
-
-
 # ---------------------------------------------------------------------------
 
 _COMMANDS = {
@@ -361,12 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multiplicative cellular automata experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     env_workers = os.environ.get("MCA_LAB_WORKERS")
+    try:
+        workers = int(env_workers) if env_workers else 1
+    except ValueError:
+        raise SpecError(f"MCA_LAB_WORKERS: need an integer, "
+                        f"got {env_workers!r}") from None
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--workers", type=int,
-                       default=int(env_workers) if env_workers else 1)
+        p.add_argument("--workers", type=int, default=workers)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--cap-states", dest="cap_states", type=int,
                        default=None)
@@ -374,11 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_experiment(args.config)
         if args.cap_states is None:  # flag beats config beats default
-            cap = cfg.param("cap_states", STATE_CAP_DEFAULT)
+            cap = cfg.param("cap_states", STATE_CAP)
             if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
                 raise SpecError("config.cap_states: need a positive integer")
             args.cap_states = cap

@@ -24,8 +24,9 @@ from .pseudo import (
     star_compose,
     star_decompose,
 )
-from .rules import Config, McaRule, NhcaSequence, apply_window, eval_local, local_table
-from .util import STATE_CAP, check_cap, iter_words
+from .rules import (Config, McaRule, NhcaSequence, apply_window, eval_local,
+                    local_table, step_cells)
+from .util import STATE_CAP, check_cap, digit_planes, index_word, iter_words
 
 __all__ = [
     "SkewDecomposition",
@@ -151,11 +152,11 @@ def decompose_mca(rule: McaRule, frame: PseudoFrame,
                      bias_c, one_sided=rule.one_sided)
     B, C, sigma = frame.B, frame.C, frame.sigma
     error_map: dict[tuple[int, ...], int] = {}
-    for w in iter_words(C.order, rule.width):
+    h_vals = local_table(h_rule, cap).tolist()
+    for w, h_val in zip(iter_words(C.order, rule.width), h_vals):
         acc = sigma[bias_c]
         for (pos, _), sp in zip(rule.factors, splits):
             acc = B.mul(acc, sigma[sp.h(w[pos - rule.v_lo])])
-        h_val = eval_local(h_rule, w)
         e_val = B.mul(acc, B.inv(sigma[h_val]))
         if e_val not in frame.A:
             raise FrameError("error term escaped the subgroup")
@@ -174,38 +175,39 @@ def recompose_check(dec: SkewDecomposition, rule: McaRule | None = None) -> Reco
     """Exhaustively compare the decomposition against the original rule.
 
     Rebuilds each fibre from the stored parts, so tampering with any of
-    them (e.g. the error map) is caught; returns the first mismatch as a
-    witness instead of raising.
+    them (e.g. the error map) is caught; compares local tables and returns
+    the first mismatch (c-word order, then a-word order, quotient before
+    fibre) as a witness instead of raising.
     """
     rule = rule if rule is not None else dec.rule
     fr = dec.frame
     A, C = fr.a_group, fr.C
     width = rule.width
-    rule_tbl = local_table(rule)
-    h_tbl = local_table(dec.h_rule)
-    for w in iter_words(C.order, width):
+    a_words = digit_planes(np.arange(A.order ** width), A.order, width)
+    c_words = digit_planes(np.arange(C.order ** width), C.order, width)
+    h_out = local_table(dec.h_rule)
+    for ci, w in enumerate(c_words.tolist()):
+        w = tuple(w)
         try:
             fib = dec.fibre(w)
         except KeyError:
             return RecomposeReport(False, {"c_word": w, "reason": "missing error term"})
-        h_idx = 0
-        for c in w:
-            h_idx = h_idx * C.order + c
-        h_out = int(h_tbl[h_idx])
-        for u in iter_words(A.order, width):
-            b_idx = 0
-            for a, c in zip(u, w):
-                b_idx = b_idx * fr.B.order + star_compose(fr, a, c)
-            a_out, c_out = star_decompose(fr, int(rule_tbl[b_idx]))
-            if c_out != h_out:
+        # the rule on a*c for every a-word, split back into its two parts
+        b_out = step_cells(rule, fr.b_of[a_words, w], rule.v_lo)[:, 0]
+        a_out, c_out = fr.a_part[b_out], fr.c_part[b_out]
+        fib_out = local_table(fib)
+        bad_c = c_out != h_out[ci]
+        bad = np.flatnonzero(bad_c | (fib_out != a_out))
+        if bad.size:
+            ai = int(bad[0])
+            u = index_word(ai, A.order, width)
+            if bad_c[ai]:
                 return RecomposeReport(False, {
                     "c_word": w, "a_word": u, "part": "quotient",
-                    "expected": c_out, "got": h_out})
-            got = eval_local(fib, u)
-            if got != a_out:
-                return RecomposeReport(False, {
-                    "c_word": w, "a_word": u, "part": "fibre",
-                    "expected": a_out, "got": got})
+                    "expected": int(c_out[ai]), "got": int(h_out[ci])})
+            return RecomposeReport(False, {
+                "c_word": w, "a_word": u, "part": "fibre",
+                "expected": int(a_out[ai]), "got": int(fib_out[ai])})
     return RecomposeReport(True)
 
 

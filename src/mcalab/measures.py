@@ -2,9 +2,11 @@
 
 Measures on length-ℓ windows are stored as integer numerators over one
 common denominator, so push-forward and marginalization are exact; only
-the final entropy evaluation leaves the rationals.  Bipermutative rules
-admit closed-form entropies (overlap × shift entropy), which the
-trajectory-enumeration functions cross-check at finite horizon.
+the final entropy evaluation leaves the rationals.  Every exhaustive path
+takes one route: digit planes of the word indices, local-table steps
+(``rules.step_cells``), then integer weights summed by image word.
+Bipermutative rules admit closed-form entropies (overlap × shift entropy),
+which the trajectory-enumeration functions cross-check at finite horizon.
 """
 from __future__ import annotations
 
@@ -12,21 +14,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import McaLabError, NotPermutativeError, WindowError
 from .groups import FiniteGroup
-from .rules import (
-    Config,
-    McaRule,
-    NhcaSequence,
-    apply_window,
-    is_bipermutative,
-    local_table,
-)
-from .util import STATE_CAP, check_cap, digit_planes, iter_words
+from .rules import Config, McaRule, NhcaSequence, is_bipermutative, step_cells
+from .util import STATE_CAP, check_cap, digit_planes, index_word, word_index
 
 __all__ = [
     "WindowMeasure",
@@ -42,41 +37,65 @@ __all__ = [
     "star_product_measure",
 ]
 
-_INT64_SAFE = 2 ** 62
+# Most words per pass of the push-forward/trajectory kernel; bounds its memory.
+_CHUNK = 1 << 16
 
 
-def _overlaps(op) -> tuple[int, int]:
-    """(left, right) overlap of any local family, from its neighborhood."""
-    return -min(op.v_lo, 0), max(0, op.v_hi)
+def _weight_dtype(den: int):
+    """int64 while weights (each at most ``den``) stay below 2**62, else object."""
+    return np.int64 if den < 2 ** 62 else object
 
 
-@dataclass(frozen=True)
+def _frozen(num: np.ndarray) -> np.ndarray:
+    """Make a freshly built array, and every array it views, read-only."""
+    a = num
+    while isinstance(a, np.ndarray):
+        a.setflags(write=False)
+        a = a.base
+    return num
+
+
+@dataclass(frozen=True, eq=False)
 class WindowMeasure:
     """A probability vector over all words on a window of cells [lo..hi).
 
     Probabilities are ``num[i] / den`` with word ``i`` in big-endian index
-    order; they are exact and sum to 1.  ``group`` is optional — only the
-    alphabet size matters for measure arithmetic.
+    order; they are exact and sum to 1.  ``num`` is a read-only integer
+    array: int64 while ``den < 2**62``, Python ints (object dtype) above.
+    ``group`` is optional — only the alphabet size matters for measure
+    arithmetic.
     """
 
     size: int
     lo: int
     hi: int
-    num: tuple[int, ...]
+    num: np.ndarray
     den: int
     group: FiniteGroup | None = None
 
     def __post_init__(self):
         if self.hi < self.lo:
             raise WindowError(f"bad window [{self.lo}..{self.hi})")
-        object.__setattr__(self, "num", tuple(int(x) for x in self.num))
-        if len(self.num) != self.size ** self.length:
+        # keep the caller's array only if nothing writable can change it
+        owner = self.num
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        try:
+            num = (np.asarray if owner is None else np.array)(
+                self.num, dtype=_weight_dtype(self.den))
+        except OverflowError:
+            raise McaLabError("weights must sum exactly to the denominator") from None
+        if num.shape != (self.size ** self.length,):
             raise McaLabError(
-                f"need {self.size ** self.length} weights, got {len(self.num)}")
-        if self.den <= 0 or any(x < 0 for x in self.num):
+                f"need {self.size ** self.length} weights, got {num.size}")
+        if self.den <= 0 or (num < 0).any():
             raise McaLabError("weights must be nonnegative with positive denominator")
-        if sum(self.num) != self.den:
+        # entries in [0, den] cannot wrap an int64 sum below 2**63 in total
+        exact = None if num.size * self.den < 2 ** 63 else object
+        if (num > self.den).any() or num.sum(dtype=exact) != self.den:
             raise McaLabError("weights must sum exactly to the denominator")
+        num.setflags(write=False)
+        object.__setattr__(self, "num", num)
 
     @property
     def length(self) -> int:
@@ -86,74 +105,57 @@ class WindowMeasure:
     def uniform(cls, size: int, lo: int, hi: int,
                 group: FiniteGroup | None = None) -> "WindowMeasure":
         n = size ** (hi - lo)
-        return cls(size, lo, hi, (1,) * n, n, group)
+        return cls(size, lo, hi,
+                   np.broadcast_to(_frozen(np.ones(1, np.int64)), (n,)), n, group)
 
     @classmethod
     def point_mass(cls, size: int, lo: int, word: Sequence[int],
                    group: FiniteGroup | None = None) -> "WindowMeasure":
-        hi = lo + len(word)
-        idx = 0
-        for x in word:
-            idx = idx * size + x
-        num = [0] * size ** len(word)
-        num[idx] = 1
-        return cls(size, lo, hi, tuple(num), 1, group)
+        num = np.zeros(size ** len(word), dtype=np.int64)
+        num[word_index(word, size)] = 1
+        return cls(size, lo, lo + len(word), _frozen(num), 1, group)
 
     def prob(self, word_or_index: Union[int, Sequence[int]]) -> Fraction:
-        if isinstance(word_or_index, int):
-            idx = word_or_index
-        else:
-            idx = 0
-            for x in word_or_index:
-                idx = idx * self.size + x
-        return Fraction(self.num[idx], self.den)
+        idx = (word_or_index if isinstance(word_or_index, int)
+               else word_index(word_or_index, self.size))
+        return Fraction(int(self.num[idx]), self.den)
 
     def probs(self) -> list[Fraction]:
-        return [Fraction(n, self.den) for n in self.num]
+        return [Fraction(n, self.den) for n in self.num.tolist()]
 
     def marginal(self, lo: int, hi: int) -> "WindowMeasure":
         """Restriction to a sub-window (sums out the other cells)."""
         if not (self.lo <= lo <= hi <= self.hi):
             raise WindowError(f"[{lo}..{hi}) is not inside [{self.lo}..{self.hi})")
         s = self.size
-        tail = s ** (self.hi - hi)
         keep = s ** (hi - lo)
-        out = [0] * keep
-        if self.den < _INT64_SAFE:
-            arr = np.asarray(self.num, dtype=np.int64)
-            idx = (np.arange(len(arr), dtype=np.int64) // tail) % keep
-            acc = np.zeros(keep, dtype=np.int64)
-            np.add.at(acc, idx, arr)
-            out = [int(x) for x in acc]
-        else:
-            for i, n in enumerate(self.num):
-                out[(i // tail) % keep] += n
-        return WindowMeasure(s, lo, hi, tuple(out), self.den, self.group)
+        num = self.num.reshape(-1, keep, s ** (self.hi - hi)).sum(axis=(0, 2))
+        return WindowMeasure(s, lo, hi, _frozen(num), self.den, self.group)
 
     def entropy_bits(self) -> float:
         """Shannon entropy in bits (0·log 0 = 0), from exact weights."""
-        acc = math.fsum(n * math.log2(n) for n in self.num if n)
+        acc = math.fsum(n * math.log2(n) for n in self.num.tolist() if n)
         return math.log2(self.den) - acc / self.den
 
     def tv_from_uniform(self) -> Fraction:
         """Exact total-variation distance to the uniform vector."""
         m = len(self.num)
-        total = sum(abs(n * m - self.den) for n in self.num)
+        total = sum(abs(n * m - self.den) for n in self.num.tolist())
         return Fraction(total, 2 * self.den * m)
 
     def is_uniform(self) -> bool:
-        return len(set(self.num)) == 1
+        return bool((self.num == self.num[0]).all())
 
     def same_distribution(self, other: "WindowMeasure") -> bool:
         """Exact equality of probability vectors (windows must agree)."""
         if (self.size, self.lo, self.hi) != (other.size, other.lo, other.hi):
             return False
         return all(a * other.den == b * self.den
-                   for a, b in zip(self.num, other.num))
+                   for a, b in zip(self.num.tolist(), other.num.tolist()))
 
     def sorted_probabilities(self) -> tuple[Fraction, ...]:
         """The probability multiset — invariant of partition equivalence."""
-        return tuple(sorted(Fraction(n, self.den) for n in self.num))
+        return tuple(sorted(Fraction(n, self.den) for n in self.num.tolist()))
 
 
 class MeasureSpec:
@@ -228,10 +230,21 @@ class MeasureSpec:
         check_cap(self.size ** n, cap, "window measure")
         if self.kind == "uniform":
             return WindowMeasure.uniform(self.size, lo, hi, group)
-        weights = [self.word_weight(w) for w in iter_words(self.size, n)]
-        den = math.lcm(*(w.denominator for w in weights)) if weights else 1
-        num = tuple(int(w * den) for w in weights)
-        return WindowMeasure(self.size, lo, hi, num, den, group)
+        # integer cell weights, one digit plane at a time; a Bernoulli cell
+        # is a chain whose transition rows all equal its distribution
+        rows = (self.transition if self.kind == "markov"
+                else (self.probs,) * self.size)
+        d0 = math.lcm(*(p.denominator for p in self.probs))
+        d1 = math.lcm(*(p.denominator for row in rows for p in row))
+        den = d0 * d1 ** (n - 1) if n else 1
+        dtype = _weight_dtype(den)
+        num = np.array([int(p * d0) for p in self.probs] if n else [1], dtype=dtype)
+        step = np.array([[int(p * d1) for p in row] for row in rows], dtype=dtype)
+        for _ in range(n - 1):
+            num = (num.reshape(-1, self.size, 1) * step).ravel()
+        # lowest common denominator of the word probabilities
+        g = math.gcd(den, int(np.gcd.reduce(num)))
+        return WindowMeasure(self.size, lo, hi, _frozen(num // g), den // g, group)
 
     def shift_entropy_bits(self) -> float:
         """Entropy rate of the shift in bits per cell, in closed form."""
@@ -292,48 +305,51 @@ def push_forward(op: Union[McaRule, NhcaSequence], m: WindowMeasure,
     out_lo, out_hi = m.lo - op.v_lo, m.hi - op.v_hi
     if out_lo > out_hi:
         raise WindowError("window too narrow for the rule")
-    s = m.size
-    n_in, n_out = m.length, out_hi - out_lo
-    check_cap(s ** n_in, cap, "push-forward")
-    idx_map = _image_index_map(op, m.lo, n_in, n_out, cap)
-    out_size = s ** n_out
-    if m.den < _INT64_SAFE:
-        arr = np.asarray(m.num, dtype=np.int64)
-        if m.is_uniform():
-            counts = np.bincount(idx_map, minlength=out_size)
-            acc = counts * int(m.num[0])
-        else:
-            acc = np.zeros(out_size, dtype=np.int64)
-            np.add.at(acc, idx_map, arr)
-        out_num = tuple(int(x) for x in acc)
-    else:
-        out = [0] * out_size
-        for i, n in enumerate(m.num):
+    check_cap(m.size ** m.length, cap, "push-forward")
+    num = _observed_weights(m, [op], [(m.lo, m.lo), (out_lo, out_hi)], cap)
+    return WindowMeasure(m.size, out_lo, out_hi, _frozen(num), m.den, group)
+
+
+def _observed_weights(m: WindowMeasure, steps: Sequence, windows: Sequence,
+                      cap: int) -> np.ndarray:
+    """Weight of every observation word, summed over the input words of m.
+
+    Indexed by observation word (see :func:`_observation_keys`), exact in
+    the dtype of ``m.num``.
+    """
+    acc = np.zeros(m.size ** sum(hi - lo for lo, hi in windows), dtype=m.num.dtype)
+    for rows, key in _observation_keys(m, steps, windows, cap):
+        np.add.at(acc, key, m.num[rows])
+    return acc
+
+
+def _observation_keys(m: WindowMeasure, steps: Sequence, windows: Sequence,
+                      cap: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Observation word of each input word of m, a chunk of words at a time.
+
+    Each input word runs through ``steps``; ``windows[n] = (lo, hi)`` names
+    the cells appended to its observation after n steps.  Yields the chunk
+    of input word indices and the big-endian index of each observation.
+    """
+    s, length = m.size, m.length
+    # a chunk fixes the leading cells and runs through every tail word
+    low = 0
+    while low < length and s ** (low + 1) <= _CHUNK:
+        low += 1
+    tail = digit_planes(np.arange(s ** low), s, low).astype(np.min_scalar_type(s - 1))
+    for head in range(s ** (length - low)):
+        cells, lo = np.empty((len(tail), length), dtype=tail.dtype), m.lo
+        cells[:, :length - low] = index_word(head, s, length - low)
+        cells[:, length - low:] = tail
+        key = np.zeros(len(tail), dtype=np.int64)
+        for n, (w_lo, w_hi) in enumerate(windows):
             if n:
-                out[int(idx_map[i])] += n
-        out_num = tuple(out)
-    return WindowMeasure(s, out_lo, out_hi, out_num, m.den, group)
-
-
-def _image_index_map(op, in_lo: int, n_in: int, n_out: int,
-                     cap: int) -> np.ndarray:
-    """Big-endian word index of the image, for every input word index."""
-    s = op.group.order
-    total = s ** n_in
-    check_cap(total, cap, "image index map")
-    digits = digit_planes(np.arange(total, dtype=np.int64), s, n_in)
-    out_lo = in_lo - op.v_lo
-    out = np.zeros(total, dtype=np.int64)
-    width = op.v_hi - op.v_lo + 1
-    for j in range(n_out):
-        cell = out_lo + j
-        rule = op if isinstance(op, McaRule) else op.rule_at(cell)
-        tbl = local_table(rule, cap)
-        code = np.zeros(total, dtype=np.int64)
-        for t in range(width):
-            code = code * s + digits[cell + op.v_lo - in_lo + t]
-        out = out * s + tbl[code]
-    return out
+                cells = step_cells(steps[n - 1], cells, lo, cap)
+                lo -= steps[n - 1].v_lo
+            for x in range(w_lo, w_hi):
+                key *= s
+                key += cells[:, x - lo]
+        yield slice(head * len(tail), (head + 1) * len(tail)), key
 
 
 def _step_list(op, n_steps: int) -> list:
@@ -351,12 +367,11 @@ def _step_list(op, n_steps: int) -> list:
     return steps
 
 
-def trajectory_joint_distribution(op, spec: MeasureSpec, n_steps: int,
-                                  cap: int = STATE_CAP) -> dict[tuple[int, ...], Fraction]:
-    """Joint law of the cells [-L..R) observed at times 0..n_steps-1.
+def _trajectory_setup(op, spec: MeasureSpec, n_steps: int, cap: int):
+    """(input law on [-NL..NR), steps, observed windows) of a trajectory.
 
-    Keys are the concatenated observations (time-major); enumeration runs
-    over the generating input window [-nL..nR).
+    Cells [-L..R) are observed at times 0..N-1, time-major, so the
+    observation words are as long as the input words.
     """
     steps = _step_list(op, max(n_steps - 1, 0))
     if steps:
@@ -366,25 +381,27 @@ def trajectory_joint_distribution(op, spec: MeasureSpec, n_steps: int,
     else:
         raise McaLabError("need a rule object, not a list, when no step is applied")
     group = first.group
-    s = group.order
-    L, R = _overlaps(first)
+    if spec.size != group.order:
+        raise McaLabError("measure alphabet does not match the rule's group")
+    L, R = first.left_overlap, first.right_overlap
     lo, hi = -n_steps * L, n_steps * R
-    n_in = hi - lo
-    check_cap(s ** n_in, cap, "trajectory enumeration")
-    joint: dict[tuple[int, ...], Fraction] = {}
-    for w in iter_words(s, n_in):
-        p = spec.word_weight(w)
-        if not p:
-            continue
-        cfg = Config(group, lo, w)
-        obs: list[int] = []
-        for n in range(n_steps):
-            obs.extend(cfg.word[-L - cfg.lo: R - cfg.lo])
-            if n + 1 < n_steps:
-                cfg = apply_window(steps[n], cfg)
-        key = tuple(obs)
-        joint[key] = joint.get(key, Fraction(0)) + p
-    return joint
+    check_cap(group.order ** (hi - lo), cap, "trajectory enumeration")
+    return spec.window_measure(lo, hi, group, cap), steps, [(-L, R)] * n_steps
+
+
+def trajectory_joint_distribution(op, spec: MeasureSpec, n_steps: int,
+                                  cap: int = STATE_CAP) -> dict[tuple[int, ...], Fraction]:
+    """Joint law of the cells [-L..R) observed at times 0..n_steps-1.
+
+    Keys are the concatenated observations (time-major); enumeration runs
+    over the generating input window [-nL..nR).
+    """
+    m, steps, windows = _trajectory_setup(op, spec, n_steps, cap)
+    s, length, den = m.size, m.length, m.den
+    num = _observed_weights(m, steps, windows, cap)
+    del m  # only one weight array stays alive while the dict grows
+    return {index_word(int(i), s, length): Fraction(int(num[i]), den)
+            for i in np.flatnonzero(num)}
 
 
 def trajectory_partition_entropy(op, spec: MeasureSpec, n_steps: int,
@@ -393,75 +410,22 @@ def trajectory_partition_entropy(op, spec: MeasureSpec, n_steps: int,
 
     For bipermutative rules this equals the entropy of the input marginal
     on [-NL..NR) (the two partitions are equivalent).  Uniform measures
-    with a single rule take a vectorized counting path; everything else
-    enumerates words with exact weights.
+    with a single rule count outcomes in numpy; everything else takes the
+    exact weights of the joint law.
     """
-    if isinstance(op, McaRule) and spec.kind == "uniform":
-        return _uniform_trajectory_entropy(op, n_steps, cap)
-    return partition_entropy(trajectory_joint_distribution(op, spec, n_steps, cap))
-
-
-def _uniform_trajectory_entropy(rule: McaRule, n_steps: int, cap: int) -> float:
-    s = rule.group.order
-    L, R = _overlaps(rule)
-    n_in = n_steps * (L + R)
-    if n_in == 0:
-        return 0.0
-    total = s ** n_in
-    check_cap(total, cap, "trajectory enumeration")
-    width = rule.width
-    tbl = local_table(rule, cap)
-    hits = np.zeros(total, dtype=np.uint8)
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cells = digit_planes(idx, s, n_in)
-        lo = -n_steps * L
-        sig = np.zeros(len(idx), dtype=np.int64)
-        for n in range(n_steps):
-            for x in range(-L, R):
-                sig = sig * s + cells[x - lo]
-            if n + 1 < n_steps:
-                new_lo = lo - rule.v_lo
-                new_len = len(cells) - rule.spread
-                nxt = []
-                for j in range(new_len):
-                    code = np.zeros(len(idx), dtype=np.int64)
-                    base = new_lo + j + rule.v_lo - lo
-                    for t in range(width):
-                        code = code * s + cells[base + t]
-                    nxt.append(tbl[code])
-                cells, lo = nxt, new_lo
-        hits[sig] = 1
-    distinct = int(np.count_nonzero(hits))
-    if distinct == total:
+    if not (isinstance(op, McaRule) and spec.kind == "uniform"):
+        return partition_entropy(trajectory_joint_distribution(op, spec, n_steps, cap))
+    m, steps, windows = _trajectory_setup(op, spec, n_steps, cap)
+    hits = np.zeros(len(m.num), dtype=bool)
+    for _, key in _observation_keys(m, steps, windows, cap):
+        hits[key] = True
+    if hits.all():
         # trajectory map is a bijection on the generating window, so the
-        # joint is uniform over all `total` outcomes
-        return n_in * math.log2(s)
-    check_cap(total, 1 << 24, "non-bijective trajectory counting")
-    counts = np.zeros(total, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cells = digit_planes(idx, s, n_in)
-        lo = -n_steps * L
-        sig = np.zeros(len(idx), dtype=np.int64)
-        for n in range(n_steps):
-            for x in range(-L, R):
-                sig = sig * s + cells[x - lo]
-            if n + 1 < n_steps:
-                new_lo = lo - rule.v_lo
-                new_len = len(cells) - rule.spread
-                nxt = []
-                for j in range(new_len):
-                    code = np.zeros(len(idx), dtype=np.int64)
-                    base = new_lo + j + rule.v_lo - lo
-                    for t in range(width):
-                        code = code * s + cells[base + t]
-                    nxt.append(tbl[code])
-                cells, lo = nxt, new_lo
-        counts += np.bincount(sig, minlength=total)
-    nz = counts[counts > 0].astype(np.float64)
-    p = nz / float(total)
+        # joint is uniform over all outcomes
+        return m.length * math.log2(m.size)
+    check_cap(len(m.num), 1 << 24, "non-bijective trajectory counting")
+    counts = _observed_weights(m, steps, windows, cap)
+    p = counts[counts > 0].astype(np.float64) / float(len(counts))
     return float(-(p * np.log2(p)).sum())
 
 
@@ -484,8 +448,7 @@ def formula_entropy(rule: Union[McaRule, NhcaSequence], spec: MeasureSpec,
     else:
         warnings.warn("measure invariance under the rule is assumed, not checked",
                       stacklevel=2)
-    left, right = _overlaps(rule)
-    return (left + right) * spec.shift_entropy_bits()
+    return rule.overlap * spec.shift_entropy_bits()
 
 
 def skew_entropy(v_overlap: int, w_overlap: int,
@@ -508,22 +471,19 @@ def fibre_trajectory_entropy(dec, lambda_spec: MeasureSpec,
     from .decompose import fibre_nhca, fibre_step_sequence  # avoid cycle
 
     rule = dec.rule
-    L, R = _overlaps(rule)
-    lo, hi = -n_steps * L, n_steps * R
+    lo, hi = -n_steps * rule.left_overlap, n_steps * rule.right_overlap
     C = dec.frame.C
     check_cap(dec.frame.B.order ** (hi - lo), cap, "fibrewise enumeration")
+    nu = nu_spec.window_measure(lo, hi, C, cap)
     acc = []
-    for w in iter_words(C.order, hi - lo):
-        p = nu_spec.word_weight(w)
-        if not p:
-            continue
-        c_cfg = Config(C, lo, w)
+    for i in np.flatnonzero(nu.num).tolist():
+        c_cfg = Config(C, lo, index_word(i, C.order, hi - lo))
         if n_steps > 1:
             op = fibre_step_sequence(dec, c_cfg, n_steps - 1)
         else:
             op = fibre_nhca(dec, c_cfg, c_cfg.lo - rule.v_lo, c_cfg.hi - rule.v_hi)
-        acc.append(float(p) * trajectory_partition_entropy(op, lambda_spec,
-                                                           n_steps, cap))
+        p = int(nu.num[i]) / nu.den
+        acc.append(p * trajectory_partition_entropy(op, lambda_spec, n_steps, cap))
     return math.fsum(acc)
 
 
@@ -533,22 +493,8 @@ def product_measure(a: WindowMeasure, b: WindowMeasure) -> WindowMeasure:
     Both factors must live on the same window; the pair (x, y) is encoded
     as x·|b-alphabet| + y.
     """
-    if (a.lo, a.hi) != (b.lo, b.hi):
-        raise WindowError("product factors must share the window")
-    size = a.size * b.size
-    n = a.length
-    num = [0] * size ** n
-    for i, wa in enumerate(iter_words(a.size, n)):
-        if not a.num[i]:
-            continue
-        for j, wb in enumerate(iter_words(b.size, n)):
-            if not b.num[j]:
-                continue
-            idx = 0
-            for x, y in zip(wa, wb):
-                idx = idx * size + (x * b.size + y)
-            num[idx] = a.num[i] * b.num[j]
-    return WindowMeasure(size, a.lo, a.hi, tuple(num), a.den * b.den)
+    pairs = np.arange(a.size * b.size).reshape(a.size, b.size)
+    return _paired_product(a, b, pairs, None)
 
 
 def star_product_measure(frame, a: WindowMeasure, c: WindowMeasure) -> WindowMeasure:
@@ -557,21 +503,25 @@ def star_product_measure(frame, a: WindowMeasure, c: WindowMeasure) -> WindowMea
     Cellwise, the pair (x, y) becomes the group element x⋆y, giving a
     measure on words over B; exact.
     """
-    from .pseudo import star_compose
+    return _paired_product(a, c, frame.b_of, frame.B)
 
+
+def _paired_product(a: WindowMeasure, c: WindowMeasure, pairs: np.ndarray,
+                    group: FiniteGroup | None) -> WindowMeasure:
+    """Independent product of two measures on one window, paired cellwise.
+
+    ``pairs[x, y]`` is the symbol of the cell pair (x, y), a bijection onto
+    ``range(pairs.size)``.  A paired word weighs a.num times c.num of its
+    two coordinate words; one gather moves the outer product into place.
+    """
     if (a.lo, a.hi) != (c.lo, c.hi):
         raise WindowError("product factors must share the window")
-    B = frame.B
-    n = a.length
-    num = [0] * B.order ** n
-    for i, wa in enumerate(iter_words(a.size, n)):
-        if not a.num[i]:
-            continue
-        for j, wc in enumerate(iter_words(c.size, n)):
-            if not c.num[j]:
-                continue
-            idx = 0
-            for x, y in zip(wa, wc):
-                idx = idx * B.order + star_compose(frame, x, y)
-            num[idx] = a.num[i] * c.num[j]
-    return WindowMeasure(B.order, a.lo, a.hi, tuple(num), a.den * c.den, B)
+    n, den = a.length, a.den * c.den
+    joint = np.multiply.outer(a.num, c.num, dtype=_weight_dtype(den))
+    joint = joint.reshape((a.size,) * n + (c.size,) * n)
+    # the (x, y) pair behind each symbol, broadcast along its own cell axis
+    xs, ys = np.divmod(np.argsort(pairs, axis=None), pairs.shape[1])
+    index = tuple(v.reshape([-1 if u == t else 1 for u in range(n)])
+                  for v in (xs, ys) for t in range(n))
+    num = np.reshape(joint[index], -1)
+    return WindowMeasure(pairs.size, a.lo, a.hi, _frozen(num), den, group)

@@ -39,8 +39,36 @@ __all__ = [
 ]
 
 
+class _Neighborhood:
+    """Window geometry of a rule family reading cells ``v_lo..v_hi``.
+
+    One-sided overlap conventions: L and R are never negative.
+    """
+
+    @property
+    def width(self) -> int:
+        return self.v_hi - self.v_lo + 1
+
+    @property
+    def left_overlap(self) -> int:
+        return -min(self.v_lo, 0)
+
+    @property
+    def right_overlap(self) -> int:
+        return max(0, self.v_hi)
+
+    @property
+    def overlap(self) -> int:
+        """V = L + R, the per-step information width."""
+        return self.left_overlap + self.right_overlap
+
+    @property
+    def spread(self) -> int:
+        return self.v_hi - self.v_lo
+
+
 @dataclass(eq=False)
-class McaRule:
+class McaRule(_Neighborhood):
     """Local rule: bias times an ordered product of endomorphism factors.
 
     ``factors`` is an ordered list of (position, coefficient) pairs with
@@ -69,28 +97,6 @@ class McaRule:
                 raise TableInvalidError("rule coefficient acts on the wrong group")
         if not (0 <= self.bias < self.group.order):
             raise TableInvalidError(f"bias {self.bias} outside group")
-
-    # window geometry (one-sided overlap conventions: L and R never negative)
-    @property
-    def width(self) -> int:
-        return self.v_hi - self.v_lo + 1
-
-    @property
-    def left_overlap(self) -> int:
-        return -min(self.v_lo, 0)
-
-    @property
-    def right_overlap(self) -> int:
-        return max(0, self.v_hi)
-
-    @property
-    def overlap(self) -> int:
-        """V = L + R, the per-step information width."""
-        return self.left_overlap + self.right_overlap
-
-    @property
-    def spread(self) -> int:
-        return self.v_hi - self.v_lo
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,7 @@ class Config:
 
 
 @dataclass(eq=False)
-class NhcaSequence:
+class NhcaSequence(_Neighborhood):
     """A nonhomogeneous CA: one local rule per cell, shared window shape."""
 
     group: FiniteGroup
@@ -185,9 +191,33 @@ def local_table(rule: McaRule, cap: int = STATE_CAP) -> np.ndarray:
     table = rule.group.table
     for pos, coeff in rule.factors:
         img = np.asarray(coeff.image_of, dtype=np.int64)
-        out = table[out, img[planes[pos - rule.v_lo]]]
+        out = table[out, img[planes[:, pos - rule.v_lo]]]
     rule._table = out
     rule._table.setflags(write=False)
+    return out
+
+
+def step_cells(op: LocalFamily, cells: np.ndarray, lo: int,
+               cap: int = STATE_CAP) -> np.ndarray:
+    """One synchronous step on integer words, by local-table lookups.
+
+    The last axis of ``cells`` holds cells [lo..lo+k); the result holds
+    their image on [lo - v_lo .. lo + k - v_hi), other axes unchanged.  A
+    nonhomogeneous family looks each output cell up in its own rule's table.
+    """
+    s = op.group.order
+    k = cells.shape[-1] - op.spread
+    if k < 0:
+        raise WindowError(f"block of {cells.shape[-1]} cells is narrower than the rule")
+    codes = np.zeros(cells.shape[:-1] + (k,), dtype=np.int64)
+    for t in range(op.width):
+        codes *= s
+        codes += cells[..., t:t + k]
+    if isinstance(op, McaRule):
+        return local_table(op, cap).take(codes)
+    out = np.empty_like(codes)
+    for j in range(k):
+        out[..., j] = local_table(op.rule_at(lo - op.v_lo + j), cap).take(codes[..., j])
     return out
 
 
@@ -272,7 +302,7 @@ def is_homomorphic_local(rule: McaRule, cap: int = STATE_CAP) -> bool:
     T = G.table
     for t, phi in enumerate(maps):
         img = np.asarray(phi.image_of, dtype=np.int64)
-        recon = T[recon, img[planes[t]]]
+        recon = T[recon, img[planes[:, t]]]
     return bool(np.array_equal(recon, tbl))
 
 
@@ -297,7 +327,7 @@ def extract_eca_coefficients(rule: McaRule, cap: int = STATE_CAP) -> list[GroupM
             recon = np.zeros(size, dtype=np.int64)
             for t in ordering:
                 img = np.asarray(maps[t].image_of, dtype=np.int64)
-                recon = G.table[recon, img[planes[t]]]
+                recon = G.table[recon, img[planes[:, t]]]
             if not np.array_equal(recon, tbl):
                 raise TableInvalidError(
                     f"coefficient product disagrees under ordering {ordering}")

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import McaLabError, NotAbelianError, NotCentralError, WindowError
 from .groups import AbelianCoords, FiniteGroup, GroupMap, abelian_invariants
 from .measures import MeasureSpec, WindowMeasure, push_forward, star_product_measure
-from .rules import Config, McaRule, apply_window, local_table
+from .rules import Config, McaRule, step_cells
 from .util import STATE_CAP, check_cap, digit_planes, iter_words
 
 __all__ = [
@@ -173,18 +173,31 @@ def fourier_coefficient(chi: Character, m: WindowMeasure,
         coords = abelian_invariants(m.group)
     if coords is None and chi.support:
         raise McaLabError("no coordinate system available for the alphabet")
-    for cell, _ in chi.support:
+    tabs = chi.cell_values(coords) if chi.support else {}
+    return _pairing(tabs, chi.phase, m, cap)
+
+
+def _pairing(tabs: dict[int, np.ndarray], phase: complex, m: WindowMeasure,
+             cap: int) -> complex:
+    """Σ_w m[w]·phase·Π_cell tabs[cell][w_cell], summed in word-index order.
+
+    ``tabs`` maps a cell to its complex values over the alphabet; each
+    weight is the correctly rounded float of num/den.
+    """
+    for cell in tabs:
         if not (m.lo <= cell < m.hi):
             raise WindowError(f"support cell {cell} outside [{m.lo}..{m.hi})")
     total = m.size ** m.length
     check_cap(total, cap, "fourier sum")
-    tabs = chi.cell_values(coords) if chi.support else {}
-    vals = np.full(total, chi.phase, dtype=np.complex128)
+    vals = np.full(total, phase, dtype=np.complex128)
     if tabs:
         digits = digit_planes(np.arange(total, dtype=np.int64), m.size, m.length)
         for cell, tab in tabs.items():
-            vals *= tab[digits[cell - m.lo]]
-    weights = np.asarray([float(Fraction(n, m.den)) for n in m.num])
+            vals *= tab[digits[:, cell - m.lo]]
+    # one float division rounds correctly only while num and den are exact
+    # in binary64; past 2**53 divide the Python ints instead
+    weights = (m.num / m.den if m.den <= 2 ** 53
+               else np.array([n / m.den for n in m.num.tolist()], dtype=np.float64))
     return complex((vals * weights).sum())
 
 
@@ -386,28 +399,25 @@ def fibre_rank_independence(dec, split, alpha: Character, j: int,
     check_cap(C.order ** n_in, cap, "fibre rank independence")
     lin_rank = relative_diffusion_rank(split, alpha, j)
     gens = coords.generators
+    # row 0 is the zero word; row 1 + m·|gens| + gi has generator gi at cell m
+    probes = np.zeros((1 + n_in * len(gens), n_in), dtype=np.int64)
+    for m in range(n_in):
+        probes[1 + m * len(gens): 1 + (m + 1) * len(gens), m] = gens
     ranks = set()
     for w in iter_words(C.order, n_in):
-        c_cfg = Config(C, in_lo, w)
-        steps = fibre_step_sequence(dec, c_cfg, j)
-
-        def composite(a_word):
-            cfg = Config(A, in_lo, a_word)
-            for st in steps:
-                cfg = apply_window(st, cfg)
-            return [cfg.at(k) for k in cells]
-
-        base = composite([0] * n_in)
+        outs, lo = probes, in_lo
+        for st in fibre_step_sequence(dec, Config(C, in_lo, w), j):
+            outs = step_cells(st, outs, lo)
+            lo -= st.v_lo
+        outs = outs[:, [k - lo for k in cells]].tolist()
         rank = 0
         for m in range(n_in):
             # coefficient tuple of (alpha ∘ composite) at input cell m, by
             # exact finite differences along each generator direction
             coeff = []
-            for gi, g in enumerate(gens):
-                probe = [0] * n_in
-                probe[m] = g
+            for gi in range(len(gens)):
                 diff = [A.mul(y, A.inv(b))
-                        for y, b in zip(composite(probe), base)]
+                        for y, b in zip(outs[1 + m * len(gens) + gi], outs[0])]
                 num = Fraction(0)
                 for (_, ctup), d in zip(alpha.support, diff):
                     t = coords.to_tuple[d]
@@ -448,11 +458,13 @@ def harmonic_mixing_profile(spec: MeasureSpec, r_max: int,
 
         coords = abelian_invariants(make_cyclic(spec.size))
     nz = _nonzero_tuples(coords.orders)
+    tables = {coeff: Character.make(coords, {0: coeff}).cell_values()[0]
+              for coeff in nz}
     if spec.kind in ("uniform", "bernoulli"):
         probs = [float(p) for p in spec.cell_distribution()]
         best = 0.0
         for coeff in nz:
-            tab = _coeff_table(coords, coeff)
+            tab = tables[coeff]
             best = max(best, float(abs(sum(p * t for p, t in zip(probs, tab)))))
         return [1.0] + [best ** r for r in range(1, r_max + 1)]
     if spec.kind != "markov":
@@ -469,25 +481,15 @@ def harmonic_mixing_profile(spec: MeasureSpec, r_max: int,
             if combo[0] != 0:
                 continue  # shift invariance: anchor the first support cell
             for assignment in itertools.product(nz, repeat=r):
-                vec = pi * _coeff_table(coords, assignment[0])
+                vec = pi * tables[assignment[0]]
                 prev = combo[0]
                 for cell, coeff in zip(combo[1:], assignment[1:]):
                     vec = vec @ np.linalg.matrix_power(T, cell - prev)
-                    vec = vec * _coeff_table(coords, coeff)
+                    vec = vec * tables[coeff]
                     prev = cell
                 best = max(best, float(abs(vec.sum())))
         out.append(best)
     return out
-
-
-def _coeff_table(coords: AbelianCoords, coeff: tuple[int, ...]) -> np.ndarray:
-    vals = np.empty(coords.group.order, dtype=np.complex128)
-    for g in range(coords.group.order):
-        t = coords.to_tuple[g]
-        angle = 2.0 * math.pi * math.fsum(
-            c * a / n for c, a, n in zip(coeff, t, coords.orders))
-        vals[g] = cmath.exp(1j * angle)
-    return vals
 
 
 # -- Cesàro randomization experiments -----------------------------------------
@@ -651,7 +653,7 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
         for i, (probe, (tabs, phase)) in enumerate(zip(probes, tables)):
             if fast[i] is not None:
                 continue
-            val = abs(_probe_on_measure(tabs, phase, cur, cap_states))
+            val = abs(_pairing(tabs, phase, cur, cap_states))
             cesaro[i] += val
             cesaro_n[i] += 1
             rows_by_probe[i].append(ProbeRow(
@@ -729,21 +731,6 @@ def _initial_measure(init, frame, group: FiniteGroup, lo: int, hi: int,
     return star_product_measure(frame, ma, mc)
 
 
-def _probe_on_measure(tabs: dict[int, np.ndarray], phase: complex,
-                      m: WindowMeasure, cap: int) -> complex:
-    total = m.size ** m.length
-    check_cap(total, cap, "probe evaluation")
-    vals = np.full(total, phase, dtype=np.complex128)
-    if tabs:
-        digits = digit_planes(np.arange(total, dtype=np.int64), m.size, m.length)
-        for cell, tab in tabs.items():
-            if not (m.lo <= cell < m.hi):
-                raise WindowError(f"probe cell {cell} outside [{m.lo}..{m.hi})")
-            vals *= tab[digits[cell - m.lo]]
-    weights = np.asarray([float(Fraction(x, m.den)) for x in m.num])
-    return complex((vals * weights).sum())
-
-
 def _sample_words(spec_pair, frame, group: FiniteGroup, length: int,
                   rng: np.random.Generator, count: int) -> np.ndarray:
     """Sample initial words (count × length int64) from the initial law."""
@@ -781,11 +768,9 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
     """One Monte-Carlo checkpoint: sample, evolve n steps, measure."""
     group = rule.group
     s = group.order
-    tbl = local_table(rule)
     in_lo = out_lo + n * rule.v_lo
     in_hi = out_hi + n * rule.v_hi
     length = in_hi - in_lo
-    width = rule.width
     chunk = 1 << 14
 
     def run_chunk(ci: int) -> tuple:
@@ -794,12 +779,8 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(n, ci)))
         words = _sample_words(init, frame, group, length, rng, m)
-        for _ in range(n):
-            k = words.shape[1] - rule.spread
-            codes = np.zeros((m, k), dtype=np.int64)
-            for t in range(width):
-                codes = codes * s + words[:, t:t + k]
-            words = tbl[codes]
+        for step in range(n):
+            words = step_cells(rule, words, in_lo - step * rule.v_lo)
         probe_sums = []
         for tabs, phase in tables:
             vals = np.full(m, phase, dtype=np.complex128)

@@ -38,13 +38,15 @@ def iter_words(base: int, length: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(base), repeat=length)
 
 
-def digit_planes(indices: np.ndarray, base: int, length: int) -> list[np.ndarray]:
-    """Per-cell digits of an array of word indices, leftmost cell first."""
-    planes: list[np.ndarray] = []
-    for t in range(length):
-        shift = base ** (length - 1 - t)
-        planes.append((indices // shift) % base)
-    return planes
+def digit_planes(indices: np.ndarray, base: int, length: int) -> np.ndarray:
+    """Digits of word indices, shape ``indices.shape + (length,)``.
+
+    The last axis holds the cells, leftmost cell first.
+    """
+    shifts = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    digits = np.asarray(indices, dtype=np.int64)[..., None] // shifts
+    digits %= base
+    return digits
 
 
 def check_cap(size: int, cap: int, what: str) -> None:

@@ -1,0 +1,103 @@
+"""Scalar reference implementations of the exhaustive window paths.
+
+Each walks the words of a window one at a time through the public scalar
+evaluator (``eval_local`` / ``apply_window`` / ``star_compose`` /
+``MeasureSpec.word_weight``), independently of the table-lookup kernel the
+library uses.  Property tests compare the two.
+"""
+from fractions import Fraction
+
+from mcalab import (Config, McaRule, NhcaSequence, RecomposeReport,
+                    apply_window, eval_local, star_compose, star_decompose)
+from mcalab.util import iter_words, word_index
+
+
+def push_forward_oracle(op, m) -> list[int]:
+    """Numerators of the one-step image of ``m`` (same denominator)."""
+    out_len = m.length - (op.v_hi - op.v_lo)
+    out = [0] * m.size ** out_len
+    for i, w in enumerate(iter_words(m.size, m.length)):
+        n = int(m.num[i])
+        if n:
+            img = apply_window(op, Config(op.group, m.lo, w))
+            out[word_index(img.word, m.size)] += n
+    return out
+
+
+def marginal_oracle(m, lo: int, hi: int) -> list[int]:
+    out = [0] * m.size ** (hi - lo)
+    for i, w in enumerate(iter_words(m.size, m.length)):
+        out[word_index(w[lo - m.lo: hi - m.lo], m.size)] += int(m.num[i])
+    return out
+
+
+def product_oracle(a, b) -> list[int]:
+    """Numerators of the independent product, pair (x, y) -> x·|b| + y."""
+    size = a.size * b.size
+    num = [0] * size ** a.length
+    for i, wa in enumerate(iter_words(a.size, a.length)):
+        for j, wb in enumerate(iter_words(b.size, b.length)):
+            idx = word_index([x * b.size + y for x, y in zip(wa, wb)], size)
+            num[idx] = int(a.num[i]) * int(b.num[j])
+    return num
+
+
+def star_product_oracle(frame, a, c) -> list[int]:
+    """Numerators of the fibre × base product carried onto B."""
+    B = frame.B.order
+    num = [0] * B ** a.length
+    for i, wa in enumerate(iter_words(a.size, a.length)):
+        for j, wc in enumerate(iter_words(c.size, c.length)):
+            idx = word_index([star_compose(frame, x, y) for x, y in zip(wa, wc)], B)
+            num[idx] = int(a.num[i]) * int(c.num[j])
+    return num
+
+
+def trajectory_oracle(op, spec, n_steps: int) -> dict[tuple[int, ...], Fraction]:
+    """Joint law of cells [-L..R) at times 0..n_steps-1, word by word."""
+    if isinstance(op, (McaRule, NhcaSequence)):
+        steps, first = [op] * max(n_steps - 1, 0), op
+    else:
+        steps, first = list(op), op[0]
+    L, R = first.left_overlap, first.right_overlap
+    lo, hi = -n_steps * L, n_steps * R
+    joint: dict[tuple[int, ...], Fraction] = {}
+    for w in iter_words(first.group.order, hi - lo):
+        p = spec.word_weight(w)
+        if not p:
+            continue
+        cfg = Config(first.group, lo, w)
+        obs: list[int] = []
+        for n in range(n_steps):
+            obs.extend(cfg.word[-L - cfg.lo: R - cfg.lo])
+            if n + 1 < n_steps:
+                cfg = apply_window(steps[n], cfg)
+        key = tuple(obs)
+        joint[key] = joint.get(key, Fraction(0)) + p
+    return joint
+
+
+def recompose_oracle(dec, rule=None) -> RecomposeReport:
+    """Pair-by-pair recomposition: the first mismatch is the witness."""
+    rule = rule if rule is not None else dec.rule
+    fr = dec.frame
+    A, C = fr.a_group, fr.C
+    for w in iter_words(C.order, rule.width):
+        try:
+            fib = dec.fibre(w)
+        except KeyError:
+            return RecomposeReport(False, {"c_word": w, "reason": "missing error term"})
+        h_out = eval_local(dec.h_rule, w)
+        for u in iter_words(A.order, rule.width):
+            b_word = [star_compose(fr, a, c) for a, c in zip(u, w)]
+            a_out, c_out = star_decompose(fr, eval_local(rule, b_word))
+            if c_out != h_out:
+                return RecomposeReport(False, {
+                    "c_word": w, "a_word": u, "part": "quotient",
+                    "expected": c_out, "got": h_out})
+            got = eval_local(fib, u)
+            if got != a_out:
+                return RecomposeReport(False, {
+                    "c_word": w, "a_word": u, "part": "fibre",
+                    "expected": a_out, "got": got})
+    return RecomposeReport(True)

@@ -1,7 +1,9 @@
 """End-to-end runs of the command-line driver against temp directories."""
 import csv
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -229,3 +231,62 @@ def test_workers_default_comes_from_environment(monkeypatch):
     monkeypatch.delenv("MCA_LAB_WORKERS")
     args = build_parser().parse_args(["group", "--config", "x"])
     assert args.workers == 1
+
+
+def test_workers_environment_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MCA_LAB_WORKERS", "abc")
+    cfgp = write_config(tmp_path, {"group": {"kind": "quaternion"}})
+    assert main(["group", "--config", cfgp, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "MCA_LAB_WORKERS" in err
+    assert "Traceback" not in err
+
+
+def test_permute_honours_cap_states(tmp_path, capsys):
+    # the width-4 rule over Z/5 x| Z/4 has a 20^4 = 160000-word local table
+    rule = {"neighborhood": [0, 3], "one_sided": True,
+            "factors": [{"pos": p, "coeff": "identity"}
+                        for p in (3, 0, 0, 0, 2, 1, 1)]}
+    cfgp = write_config(tmp_path, {"group": Z20_GROUP, "rule": rule})
+    assert main(["permute", "--config", cfgp, "--out", str(tmp_path),
+                 "--cap-states", "100"]) == 2
+    assert "160000 states exceed cap 100" in capsys.readouterr().err
+
+
+def test_factor_measures_must_be_an_object(tmp_path, capsys):
+    cfgp = write_config(tmp_path, {
+        "group": Z20_GROUP, "rule": X1_RULE,
+        "frame": {"subgroup": [4 * a for a in range(5)]},
+        "measures": [{"kind": "uniform"}, {"kind": "uniform"}],
+        "n_max": 1})
+    assert main(["randomize", "--config", cfgp, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config.measures: expected an object, got list" in err
+
+
+# The README's command-line examples, keyed as in perfbench/digests.json.
+README_EXAMPLES = [
+    ("readme/g", "group", "group_quaternion.json", []),
+    ("readme/t", "decompose", "tower_quaternion.json", []),
+    ("readme/d", "decompose", "decompose_metacyclic.json", []),
+    ("readme/p", "permute", "decompose_metacyclic.json", []),
+    ("readme/e", "entropy", "entropy_xor.json", []),
+    ("readme/f", "diffuse", "diffuse_xor.json", []),
+    ("readme/r", "randomize", "randomize_xor.json", []),
+    ("readme/rm", "randomize", "randomize_metacyclic.json",
+     ["--cap-states", "200000"]),
+]
+
+
+def test_readme_examples_match_pinned_digests(tmp_path, monkeypatch):
+    """Every README example writes byte-identical outputs (manifest aside)."""
+    monkeypatch.delenv("MCA_LAB_WORKERS", raising=False)
+    root = Path(__file__).resolve().parent.parent
+    pins = read_json(root / "perfbench" / "digests.json")["digests"]
+    for key, command, config, extra in README_EXAMPLES:
+        out = tmp_path / key.replace("/", "_")
+        assert main([command, "--config", str(root / "demos" / "configs" / config),
+                     "--out", str(out), *extra]) == 0, key
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+        assert got == pins[key], key

@@ -1,0 +1,231 @@
+"""The table-lookup window kernel against the scalar oracles in ``oracles``.
+
+Every exhaustive path (push-forward, marginal, the two product measures,
+trajectory laws, recomposition) is compared exactly with a word-by-word
+enumeration through ``eval_local``/``apply_window``/``star_compose``, on
+random rules over Q8, Z/5⋊Z/4 and S3 = Z/3⋊Z/2.
+"""
+import math
+from fractions import Fraction
+from functools import cache
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mcalab import (GroupMap, McaRule, MeasureSpec, NhcaSequence, Subgroup,
+                    WindowMeasure, center, decompose_mca,
+                    enumerate_endomorphisms, make_cyclic, make_frame,
+                    make_quaternion, make_semidirect, partition_entropy,
+                    product_measure, push_forward, recompose_check,
+                    star_product_measure, trajectory_joint_distribution,
+                    trajectory_partition_entropy)
+from mcalab.util import iter_words
+
+from oracles import (marginal_oracle, product_oracle, push_forward_oracle,
+                     recompose_oracle, star_product_oracle, trajectory_oracle)
+
+# oracle loops stay under this many words per example
+MAX_WORDS = 8000
+
+
+@cache
+def group(name):
+    if name == "Q8":
+        return make_quaternion()
+    if name == "Z5:Z4":
+        return make_semidirect(make_cyclic(5), make_cyclic(4),
+                               [[pow(2, c, 5) * a % 5 for a in range(5)]
+                                for c in range(4)])
+    return make_semidirect(make_cyclic(3), make_cyclic(2),
+                           [[0, 1, 2], [0, 2, 1]])
+
+
+@cache
+def frame(name):
+    G = group(name)
+    if name == "Q8":
+        return make_frame(G, center(G))
+    # the normal cyclic factor, at indices a·|acting| in normal-major layout
+    step = 4 if name == "Z5:Z4" else 2
+    return make_frame(G, Subgroup(G, list(range(0, G.order, step))))
+
+
+@cache
+def coefficients(name, inner_only):
+    """Endomorphisms, or only conjugations (which keep every normal subgroup)."""
+    G = group(name)
+    if inner_only:
+        return [GroupMap(G, G, [G.conjugate(g, x) for x in G.elements()], True)
+                for g in G.elements()]
+    return enumerate_endomorphisms(G)
+
+
+def max_len(order):
+    return int(math.log(MAX_WORDS) / math.log(order) + 1e-9)
+
+
+group_names = st.sampled_from(["Q8", "Z5:Z4", "S3"])
+
+
+@st.composite
+def rules(draw, name, v_lo, v_hi, inner_only=False):
+    G = group(name)
+    coeffs = coefficients(name, inner_only)
+    factors = [(draw(st.integers(v_lo, v_hi)), draw(st.sampled_from(coeffs)))
+               for _ in range(draw(st.integers(1, 4)))]
+    return McaRule(G, v_lo, v_hi, factors, draw(st.integers(0, G.order - 1)))
+
+
+@st.composite
+def neighborhoods(draw, max_width):
+    v_lo = draw(st.integers(-1, 0))
+    return v_lo, v_lo + draw(st.integers(1, max_width)) - 1
+
+
+def random_weights(seed, size, scale=1):
+    """Nonnegative integer weights with a positive sum, times ``scale``."""
+    rng = np.random.default_rng(seed)
+    w = [int(x) * scale for x in rng.integers(0, 4, size)]
+    w[int(rng.integers(size))] += scale
+    return w
+
+
+def random_measure(seed, size, lo, length, scale=1):
+    num = random_weights(seed, size ** length, scale)
+    return WindowMeasure(size, lo, lo + length, tuple(num), sum(num))
+
+
+def nhca(draw, name, v_lo, v_hi, cells):
+    pool = [draw(rules(name, v_lo, v_hi)) for _ in range(2)]
+    return NhcaSequence(group(name), v_lo, v_hi,
+                        {m: pool[draw(st.integers(0, 1))] for m in cells})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), group_names, st.integers(0, 2**32 - 1), st.booleans())
+def test_push_forward_matches_oracle(data, name, seed, nonhomogeneous):
+    G = group(name)
+    v_lo, v_hi = data.draw(neighborhoods(max_len(G.order)))
+    length = data.draw(st.integers(v_hi - v_lo + 1, max_len(G.order)))
+    m = random_measure(seed, G.order, data.draw(st.integers(-2, 2)), length)
+    out_cells = range(m.lo - v_lo, m.hi - v_hi)
+    op = (nhca(data.draw, name, v_lo, v_hi, out_cells) if nonhomogeneous
+          else data.draw(rules(name, v_lo, v_hi)))
+    out = push_forward(op, m)
+    assert (out.lo, out.hi, out.den) == (out_cells.start, out_cells.stop, m.den)
+    assert out.num.tolist() == push_forward_oracle(op, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), group_names, st.integers(0, 2**32 - 1))
+def test_products_match_oracle(data, name, seed):
+    fr = frame(name)
+    A, C = fr.a_group.order, fr.C.order
+    length = data.draw(st.integers(0, max_len(fr.B.order)))
+    lo = data.draw(st.integers(-2, 2))
+    a = random_measure(seed, A, lo, length)
+    c = random_measure(seed + 1, C, lo, length)
+    prod = product_measure(a, c)
+    assert (prod.size, prod.den) == (A * C, a.den * c.den)
+    assert prod.num.tolist() == product_oracle(a, c)
+    star = star_product_measure(fr, a, c)
+    assert (star.size, star.den, star.group) == (fr.B.order, a.den * c.den, fr.B)
+    assert star.num.tolist() == star_product_oracle(fr, a, c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), group_names, st.integers(0, 2**32 - 1),
+       st.sampled_from(["rule", "nhca steps", "uniform rule"]))
+def test_trajectory_law_matches_oracle(data, name, seed, kind):
+    G = group(name)
+    v_lo, v_hi = data.draw(neighborhoods(3))
+    overlap = -min(v_lo, 0) + max(0, v_hi)
+    longest = max_len(G.order) // overlap if overlap else 3
+    lo_steps = 2 if kind == "nhca steps" else 1
+    if longest < lo_steps:
+        return
+    n_steps = data.draw(st.integers(lo_steps, min(longest, 3)))
+    if kind == "uniform rule":
+        spec = MeasureSpec("uniform", G.order)
+    else:
+        w = random_weights(seed, G.order)
+        spec = MeasureSpec("bernoulli", G.order,
+                           probs=[Fraction(x, sum(w)) for x in w])
+    if kind == "nhca steps":
+        op, lo, hi = [], -n_steps * -min(v_lo, 0), n_steps * max(0, v_hi)
+        for _ in range(n_steps - 1):
+            op.append(nhca(data.draw, name, v_lo, v_hi, range(lo - v_lo, hi - v_hi)))
+            lo, hi = lo - v_lo, hi - v_hi
+    else:
+        op = data.draw(rules(name, v_lo, v_hi))
+    want = trajectory_oracle(op, spec, n_steps)
+    assert trajectory_joint_distribution(op, spec, n_steps) == want
+    got = trajectory_partition_entropy(op, spec, n_steps)
+    if kind == "uniform rule":
+        assert math.isclose(got, partition_entropy(want), rel_tol=1e-12,
+                            abs_tol=1e-12)
+    else:
+        assert got == partition_entropy(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), group_names, st.sampled_from(["none", "error term", "missing",
+                                                "other rule"]))
+def test_recompose_witness_matches_oracle(data, name, tamper):
+    fr = frame(name)
+    v_lo, v_hi = data.draw(neighborhoods(min(3, max_len(fr.B.order))))
+    dec = decompose_mca(data.draw(rules(name, v_lo, v_hi, inner_only=True)), fr)
+    rule = None
+    if tamper == "other rule":
+        rule = data.draw(rules(name, v_lo, v_hi, inner_only=True))
+    elif tamper != "none":
+        key = data.draw(st.sampled_from(sorted(dec.error_map)))
+        if tamper == "missing":
+            del dec.error_map[key]
+        else:
+            shift = data.draw(st.integers(1, fr.a_group.order - 1))
+            dec.error_map[key] = (dec.error_map[key] + shift) % fr.a_group.order
+    got, want = recompose_check(dec, rule), recompose_oracle(dec, rule)
+    assert (got.ok, got.witness) == (want.ok, want.witness)
+    if tamper in ("error term", "missing"):
+        assert not got.ok
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), group_names, st.integers(0, 2**32 - 1))
+def test_object_weights_marginal_and_push_forward(data, name, seed):
+    """Denominators at or above 2**62 keep Python-int weights, still exact."""
+    G = group(name)
+    v_lo, v_hi = data.draw(neighborhoods(max_len(G.order)))
+    length = data.draw(st.integers(v_hi - v_lo + 1, max_len(G.order)))
+    m = random_measure(seed, G.order, 0, length, scale=2**62 + 2**31 + 1)
+    assert m.num.dtype == object and m.den >= 2**62
+    lo = data.draw(st.integers(0, length))
+    hi = data.draw(st.integers(lo, length))
+    sub = m.marginal(lo, hi)
+    assert sub.den == m.den and sub.num.tolist() == marginal_oracle(m, lo, hi)
+    op = data.draw(rules(name, v_lo, v_hi))
+    out = push_forward(op, m)
+    assert out.num.dtype == object
+    assert out.num.tolist() == push_forward_oracle(op, m)
+
+
+HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.booleans())
+def test_window_weights_match_word_weights(seed, length, markov):
+    """Integer cell weights give word_weight on every word, over the lcm."""
+    if markov:
+        spec = MeasureSpec("markov", 2,
+                           transition=[[HALF, HALF], [QUARTER, 3 * QUARTER]],
+                           initial=[Fraction(1, 3), Fraction(2, 3)])
+    else:
+        w = random_weights(seed, 3)
+        spec = MeasureSpec("bernoulli", 3, probs=[Fraction(x, sum(w)) for x in w])
+    m = spec.window_measure(1, 1 + length)
+    want = [spec.word_weight(word) for word in iter_words(spec.size, length)]
+    assert m.probs() == want
+    assert m.den == math.lcm(*(p.denominator for p in want))

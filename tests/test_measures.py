@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from mcalab import (Config, GroupMap, McaLabError, McaRule, MeasureSpec,
                     push_forward, skew_entropy, star_compose,
                     star_product_measure, trajectory_joint_distribution,
                     trajectory_partition_entropy)
+
+from oracles import trajectory_oracle
 
 HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
 
@@ -41,6 +44,23 @@ def test_point_mass_measure():
     assert m.prob((2, 0, 1)) == 1
     assert m.entropy_bits() == 0.0
     assert m.tv_from_uniform() == 1 - Fraction(1, 64)
+
+
+def test_measure_weights_are_private_and_read_only():
+    """The caller's arrays stay writable and cannot change the weights."""
+    base = np.array([1, 2, 3, 2, 0], dtype=np.int64)
+    view = base[1:]
+    view.setflags(write=False)
+    for num in (base[1:], view):
+        m = WindowMeasure(2, 0, 2, num, 7)
+        base[1] = 6
+        assert m.num.tolist() == [2, 3, 2, 0]
+        assert not m.num.flags.writeable
+        base[1] = 2
+    assert base.flags.writeable
+    owned = np.array([3, 4], dtype=np.int64)
+    owned.setflags(write=False)
+    assert WindowMeasure(2, 0, 1, owned, 7).num is owned
 
 
 def test_marginal_matches_spec_window():
@@ -104,7 +124,7 @@ def test_uniform_trajectory_fast_path_agrees_with_enumeration():
     rule = xor_rule()
     spec = MeasureSpec("uniform", 2)
     fast = trajectory_partition_entropy(rule, spec, 3)
-    slow = partition_entropy(trajectory_joint_distribution(rule, spec, 3))
+    slow = partition_entropy(trajectory_oracle(rule, spec, 3))
     assert fast == pytest.approx(slow, abs=1e-12)
     assert fast == pytest.approx(3.0, abs=1e-12)  # right overlap 1, N = 3
 

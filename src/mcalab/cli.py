@@ -389,6 +389,10 @@ def main(argv=None) -> int:
     except McaLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'allocation failed'} "
+              "(try a lower --cap-states)", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,10 +11,12 @@ shrinking window with an optional seeded Monte-Carlo extension.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -57,15 +59,20 @@ class Character:
     ``support`` maps cell index to a nonzero coefficient tuple against the
     cyclic orders in ``invariants``; evaluation multiplies
     exp(2πi Σ cᵢaᵢ/nᵢ) over the support.  ``phase`` carries the constant of
-    an affine character (1 for a plain character).
+    an affine character (1 for a plain character).  ``_trusted`` skips
+    the support checks, for ``dual_action``'s own output only.
     """
 
     invariants: tuple[int, ...]
     support: tuple[tuple[int, tuple[int, ...]], ...]
     phase: complex = 1.0 + 0j
     coords: AbelianCoords | None = field(default=None, compare=False)
+    _: KW_ONLY
+    _trusted: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _trusted: bool):
+        if _trusted:
+            return
         seen = set()
         for cell, coeff in self.support:
             if cell in seen:
@@ -102,22 +109,26 @@ class Character:
 
     def cell_values(self, coords: AbelianCoords | None = None
                     ) -> dict[int, np.ndarray]:
-        """Per-cell complex value table over group-element indices."""
+        """Per-cell complex value table over group-element indices.
+
+        Cells with the same coefficient tuple share one read-only table.
+        """
+        coords = self._checked_coords(coords)
+        tables: dict[tuple[int, ...], np.ndarray] = {}
+        out = {}
+        for cell, coeff in self.support:
+            if coeff not in tables:
+                tables[coeff] = _value_table(coords, coeff)
+            out[cell] = tables[coeff]
+        return out
+
+    def _checked_coords(self, coords: AbelianCoords | None) -> AbelianCoords:
         coords = coords or self.coords
         if coords is None:
             raise McaLabError("character needs coordinates to evaluate")
         if coords.orders != self.invariants:
             raise McaLabError("coordinate system does not match the character")
-        out = {}
-        for cell, coeff in self.support:
-            vals = np.empty(coords.group.order, dtype=np.complex128)
-            for g in range(coords.group.order):
-                t = coords.to_tuple[g]
-                angle = 2.0 * math.pi * math.fsum(
-                    c * a / n for c, a, n in zip(coeff, t, self.invariants))
-                vals[g] = cmath.exp(1j * angle)
-            out[cell] = vals
-        return out
+        return coords
 
     def eval_word(self, lo: int, word: Sequence[int],
                   coords: AbelianCoords | None = None) -> complex:
@@ -131,6 +142,18 @@ class Character:
         return val
 
 
+def _value_table(coords: AbelianCoords, coeff: tuple[int, ...]) -> np.ndarray:
+    """exp(2πi Σ cᵢaᵢ/nᵢ) over group-element indices, read-only."""
+    vals = np.empty(coords.group.order, dtype=np.complex128)
+    for g in range(coords.group.order):
+        t = coords.to_tuple[g]
+        angle = 2.0 * math.pi * math.fsum(
+            c * a / n for c, a, n in zip(coeff, t, coords.orders))
+        vals[g] = cmath.exp(1j * angle)
+    vals.flags.writeable = False
+    return vals
+
+
 def _nonzero_tuples(orders: tuple[int, ...]) -> list[tuple[int, ...]]:
     out = list(iter_words_mixed(orders))
     return [t for t in out if any(t)]
@@ -138,15 +161,11 @@ def _nonzero_tuples(orders: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def iter_words_mixed(orders: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All coefficient tuples against mixed cyclic orders, lex order."""
-    import itertools
-
     yield from itertools.product(*(range(n) for n in orders))
 
 
 def characters_of(A: FiniteGroup, lo: int, hi: int) -> Iterator[Character]:
     """All characters supported inside [lo..hi), by rank then lex order."""
-    import itertools
-
     if not A.is_abelian:
         raise NotAbelianError("characters need an abelian group")
     coords = abelian_invariants(A)
@@ -207,14 +226,18 @@ def bernoulli_fourier(chi: Character, cell_dist: Sequence,
 
     ``cell_dist`` is the single-cell distribution over group-element
     indices.  Equals ``fourier_coefficient`` on any containing window.
+    Each distinct coefficient tuple is paired with ``cell_dist`` once; the
+    factors are folded in support order.
     """
-    coords = coords or chi.coords
-    if coords is None:
-        raise McaLabError("character needs coordinates to evaluate")
+    coords = chi._checked_coords(coords)
     probs = [float(p) for p in cell_dist]
+    factors: dict[tuple[int, ...], complex] = {}
     val = chi.phase
-    for _, tab in chi.cell_values(coords).items():
-        val *= complex(sum(p * t for p, t in zip(probs, tab)))
+    for _, coeff in chi.support:
+        if coeff not in factors:
+            tab = _value_table(coords, coeff)
+            factors[coeff] = complex(sum(p * t for p, t in zip(probs, tab)))
+        val *= factors[coeff]
     return val
 
 
@@ -226,24 +249,6 @@ def _endo_matrix(coords: AbelianCoords, endo: GroupMap) -> tuple[tuple[int, ...]
     cols = [coords.to_tuple[endo(g)] for g in coords.generators]
     d = len(coords.orders)
     return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-
-
-def _dual_coeff(coords: AbelianCoords, matrix, coeff: tuple[int, ...]
-                ) -> tuple[int, ...]:
-    """Coefficient tuple of chi_coeff ∘ endo, by exact integer division."""
-    orders = coords.orders
-    if not orders:
-        return ()
-    big = orders[-1]
-    out = []
-    for j, nj in enumerate(orders):
-        t = sum(c * matrix[i][j] * (big // orders[i])
-                for i, c in enumerate(coeff))
-        step = big // nj
-        if t % step:
-            raise McaLabError("dual coefficient is not integral; bad matrix")
-        out.append((t // step) % nj)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -281,33 +286,83 @@ class LinearRuleDual:
     def positions(self) -> tuple[int, ...]:
         return tuple(pos for pos, _ in self.matrices)
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(positions, weights, divisors, orders) as arrays, for ``dual_action``.
+
+        With big the largest order, block p of the d × (P·d) weights is
+        W[i, j] = matrix_p[i][j] · (big // orders[i]); a coefficient row
+        times W is integral exactly where column j divides by big //
+        orders[j], the divisor.
+        """
+        orders = self.coords.orders
+        d = len(orders)
+        scale = np.array([orders[-1] // n for n in orders], dtype=np.int64)
+        weights = np.concatenate(
+            [np.asarray(matrix, dtype=np.int64).reshape(d, d) * scale[:, None]
+             for _, matrix in self.matrices], axis=1)
+        return (np.array(self.positions(), dtype=np.int64), weights,
+                np.tile(scale, len(self.matrices)), np.array(orders, dtype=np.int64))
+
 
 def dual_action(dual: LinearRuleDual, chi: Character) -> Character:
     """Coefficients of chi ∘ rule: mass at cell k spreads to cells k+v.
 
     The convention matches <chi, push_forward(rule, m)> ==
     <dual_action(dual, chi), m>; the bias contributes one phase factor
-    chi_k(bias) per support cell.
+    chi_k(bias) per support cell, folded in support order.  The step itself
+    is integer array arithmetic on the support's coefficient rows: one
+    product with the weights of every position, a shifted add into the
+    target rows, one reduction mod the orders.
     """
     coords = dual.coords
-    if chi.invariants != coords.orders:
+    orders = coords.orders
+    if chi.invariants != orders:
         raise McaLabError("character and dual rule have different invariants")
-    acc: dict[int, list[int]] = {}
+    factors: dict[tuple[int, ...], complex] = {}
     phase = chi.phase
-    for cell, coeff in chi.support:
-        angle = 2.0 * math.pi * math.fsum(
-            c * b / n for c, b, n in zip(coeff, dual.bias_coords, coords.orders))
-        phase *= cmath.exp(1j * angle)
-        for v, matrix in dual.matrices:
-            add = _dual_coeff(coords, matrix, coeff)
-            if not any(add):
-                continue
-            tgt = acc.setdefault(cell + v, [0] * len(coords.orders))
-            for i, (a, n) in enumerate(zip(add, coords.orders)):
-                tgt[i] = (tgt[i] + a) % n
-    support = tuple((cell, tuple(t)) for cell, t in sorted(acc.items())
-                    if any(t))
-    return Character(coords.orders, support, phase, coords)
+    for _, coeff in chi.support:
+        if coeff not in factors:
+            angle = 2.0 * math.pi * math.fsum(
+                c * b / n for c, b, n in zip(coeff, dual.bias_coords, orders))
+            factors[coeff] = cmath.exp(1j * angle)
+        phase *= factors[coeff]
+    if not chi.support or not dual.matrices:
+        return Character(orders, (), phase, coords, _trusted=True)
+    positions, weights, steps, order_arr = dual._arrays
+    d = len(orders)
+    cells, tuples = zip(*chi.support)
+    cells = np.array(cells, dtype=np.int64)
+    try:
+        coeffs = np.fromiter(itertools.chain.from_iterable(tuples),
+                             dtype=np.int64, count=len(cells) * d)
+    except OverflowError:  # a directly built character past int64
+        coeffs = np.fromiter((c % n for t in tuples for c, n in zip(t, orders)),
+                             dtype=np.int64, count=len(cells) * d)
+    coeffs = coeffs.reshape(len(cells), d)
+    # reduced rows keep the products small; reducing moves a product by
+    # multiples of big only, which change neither its divisibility nor its
+    # quotient mod the orders
+    prod = (coeffs % order_arr) @ weights
+    if (prod % steps).any():
+        raise McaLabError("dual coefficient is not integral; bad matrix")
+    adds = (prod // steps).reshape(len(cells), len(positions), d)
+    targets = cells[:, None] + positions
+    lo = int(targets.min())
+    span = int(targets.max()) + 1 - lo
+    if span <= 4 * targets.size + 4096:
+        rows, idx = np.arange(lo, lo + span), targets - lo
+    else:  # far-apart cells: one row per distinct target cell
+        rows, idx = np.unique(targets, return_inverse=True)
+        idx = idx.reshape(targets.shape)
+    acc = np.zeros((len(rows), d), dtype=np.int64)
+    for p in range(len(positions)):
+        # support cells are distinct, so one position hits each row once
+        acc[idx[:, p]] += adds[:, p]
+    acc %= order_arr
+    keep = np.flatnonzero(acc.any(axis=1))
+    support = tuple(zip(rows[keep].tolist(), map(tuple, acc[keep].tolist())))
+    return Character(orders, support, phase, coords, _trusted=True)
 
 
 @dataclass
@@ -458,8 +513,7 @@ def harmonic_mixing_profile(spec: MeasureSpec, r_max: int,
 
         coords = abelian_invariants(make_cyclic(spec.size))
     nz = _nonzero_tuples(coords.orders)
-    tables = {coeff: Character.make(coords, {0: coeff}).cell_values()[0]
-              for coeff in nz}
+    tables = {coeff: _value_table(coords, coeff) for coeff in nz}
     if spec.kind in ("uniform", "bernoulli"):
         probs = [float(p) for p in spec.cell_distribution()]
         best = 0.0
@@ -469,8 +523,6 @@ def harmonic_mixing_profile(spec: MeasureSpec, r_max: int,
         return [1.0] + [best ** r for r in range(1, r_max + 1)]
     if spec.kind != "markov":
         raise McaLabError(f"no mixing profile for kind {spec.kind!r}")
-    import itertools
-
     pi = np.asarray([float(p) for p in spec.probs])
     T = np.asarray([[float(p) for p in row] for row in spec.transition])
     out = [1.0]

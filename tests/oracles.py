@@ -3,12 +3,17 @@
 Each walks the words of a window one at a time through the public scalar
 evaluator (``eval_local`` / ``apply_window`` / ``star_compose`` /
 ``MeasureSpec.word_weight``), independently of the table-lookup kernel the
-library uses.  Property tests compare the two.
+library uses.  ``dual_action_oracle`` steps a character one support cell
+and one position at a time in Python integers.  Property tests compare
+each with the library.
 """
+import cmath
+import math
 from fractions import Fraction
 
-from mcalab import (Config, McaRule, NhcaSequence, RecomposeReport,
-                    apply_window, eval_local, star_compose, star_decompose)
+from mcalab import (Character, Config, McaLabError, McaRule, NhcaSequence,
+                    RecomposeReport, apply_window, eval_local, star_compose,
+                    star_decompose)
 from mcalab.util import iter_words, word_index
 
 
@@ -101,3 +106,43 @@ def recompose_oracle(dec, rule=None) -> RecomposeReport:
                     "c_word": w, "a_word": u, "part": "fibre",
                     "expected": a_out, "got": got})
     return RecomposeReport(True)
+
+
+def _dual_coeff(coords, matrix, coeff: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficient tuple of chi_coeff ∘ endo, by exact integer division."""
+    orders = coords.orders
+    if not orders:
+        return ()
+    big = orders[-1]
+    out = []
+    for j, nj in enumerate(orders):
+        t = sum(c * matrix[i][j] * (big // orders[i])
+                for i, c in enumerate(coeff))
+        step = big // nj
+        if t % step:
+            raise McaLabError("dual coefficient is not integral; bad matrix")
+        out.append((t // step) % nj)
+    return tuple(out)
+
+
+def dual_action_oracle(dual, chi):
+    """One dual step, support cell by support cell, position by position."""
+    coords = dual.coords
+    if chi.invariants != coords.orders:
+        raise McaLabError("character and dual rule have different invariants")
+    acc: dict[int, list[int]] = {}
+    phase = chi.phase
+    for cell, coeff in chi.support:
+        angle = 2.0 * math.pi * math.fsum(
+            c * b / n for c, b, n in zip(coeff, dual.bias_coords, coords.orders))
+        phase *= cmath.exp(1j * angle)
+        for v, matrix in dual.matrices:
+            add = _dual_coeff(coords, matrix, coeff)
+            if not any(add):
+                continue
+            tgt = acc.setdefault(cell + v, [0] * len(coords.orders))
+            for i, (a, n) in enumerate(zip(add, coords.orders)):
+                tgt[i] = (tgt[i] + a) % n
+    support = tuple((cell, tuple(t)) for cell, t in sorted(acc.items())
+                    if any(t))
+    return Character(coords.orders, support, phase, coords)

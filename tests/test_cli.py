@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mcalab import cli
 from mcalab.cli import build_parser, main
 
 DOUBLING_MOD7 = [[(pow(2, c, 7) * a) % 7 for a in range(7)] for c in range(3)]
@@ -262,6 +263,17 @@ def test_factor_measures_must_be_an_object(tmp_path, capsys):
     assert main(["randomize", "--config", cfgp, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error: config.measures: expected an object, got list" in err
+
+
+def test_out_of_memory_exits_2_without_traceback(tmp_path, monkeypatch, capsys):
+    def exhausted(cfg, run, args):
+        raise MemoryError
+    monkeypatch.setitem(cli._COMMANDS, "group", exhausted)
+    cfgp = write_config(tmp_path, {"group": {"kind": "quaternion"}})
+    assert main(["group", "--config", cfgp, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: out of memory" in err and "--cap-states" in err
+    assert "Traceback" not in err
 
 
 # The README's command-line examples, keyed as in perfbench/digests.json.

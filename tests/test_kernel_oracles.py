@@ -3,7 +3,8 @@
 Every exhaustive path (push-forward, marginal, the two product measures,
 trajectory laws, recomposition) is compared exactly with a word-by-word
 enumeration through ``eval_local``/``apply_window``/``star_compose``, on
-random rules over Q8, Z/5⋊Z/4 and S3 = Z/3⋊Z/2.
+random rules over Q8, Z/5⋊Z/4 and S3 = Z/3⋊Z/2.  The array dual action
+is compared bit for bit with a cell-by-cell step on abelian groups.
 """
 import math
 from fractions import Fraction
@@ -13,17 +14,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcalab import (GroupMap, McaRule, MeasureSpec, NhcaSequence, Subgroup,
-                    WindowMeasure, center, decompose_mca,
-                    enumerate_endomorphisms, make_cyclic, make_frame,
-                    make_quaternion, make_semidirect, partition_entropy,
-                    product_measure, push_forward, recompose_check,
-                    star_product_measure, trajectory_joint_distribution,
+from mcalab import (Character, GroupMap, LinearRuleDual, McaRule, MeasureSpec,
+                    NhcaSequence, Subgroup, WindowMeasure, center,
+                    decompose_mca, diffusion_report, dual_action,
+                    enumerate_endomorphisms, make_cyclic, make_direct_sum,
+                    make_frame, make_quaternion, make_semidirect,
+                    partition_entropy, product_measure, push_forward,
+                    recompose_check, star_product_measure,
+                    trajectory_joint_distribution,
                     trajectory_partition_entropy)
 from mcalab.util import iter_words
 
-from oracles import (marginal_oracle, product_oracle, push_forward_oracle,
-                     recompose_oracle, star_product_oracle, trajectory_oracle)
+from oracles import (dual_action_oracle, marginal_oracle, product_oracle,
+                     push_forward_oracle, recompose_oracle,
+                     star_product_oracle, trajectory_oracle)
 
 # oracle loops stay under this many words per example
 MAX_WORDS = 8000
@@ -229,3 +233,59 @@ def test_window_weights_match_word_weights(seed, length, markov):
     want = [spec.word_weight(word) for word in iter_words(spec.size, length)]
     assert m.probs() == want
     assert m.den == math.lcm(*(p.denominator for p in want))
+
+
+ABELIAN = {"Z4": (4,), "Z2+Z4": (2, 4), "Z3+Z3": (3, 3), "Z2+Z2+Z2": (2, 2, 2)}
+
+
+@cache
+def abelian_endomorphisms(name):
+    G = make_direct_sum(list(ABELIAN[name]))
+    return G, enumerate_endomorphisms(G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(sorted(ABELIAN)))
+def test_dual_action_matches_oracle(data, name):
+    """30 dual steps agree with the cell-by-cell oracle, phase bits included."""
+    G, endos = abelian_endomorphisms(name)
+    v_lo = data.draw(st.integers(-2, 0))
+    v_hi = data.draw(st.integers(v_lo, v_lo + 2))
+    # up to four factors on at most three positions, so positions repeat
+    factors = [(data.draw(st.integers(v_lo, v_hi)), data.draw(st.sampled_from(endos)))
+               for _ in range(data.draw(st.integers(1, 4)))]
+    rule = McaRule(G, v_lo, v_hi, factors, data.draw(st.integers(0, G.order - 1)))
+    dual = LinearRuleDual.from_rule(rule)
+    orders = dual.coords.orders
+    # unreduced coefficients (one past int64), signed-zero phases, and a
+    # far cell that a dense row span could not hold
+    support = []
+    for cell in data.draw(st.lists(st.sampled_from([-3, -1, 0, 1, 2, 5, 10**12]),
+                                   unique=True, max_size=3)):
+        coeff = tuple(data.draw(st.integers(-2 * n, 3 * n) | st.just(2**70 + 1))
+                      for n in orders)
+        if any(c % n for c, n in zip(coeff, orders)):
+            support.append((cell, coeff))
+    phase = complex(data.draw(st.sampled_from([1.0, -1.0, 0.6, -0.0])),
+                    data.draw(st.sampled_from([0.0, -0.0, 0.8])))
+    chi = Character(orders, tuple(support), phase, dual.coords)
+    got, want, ranks = chi, chi, [chi.rank]
+    for _ in range(30):
+        got, want = dual_action(dual, got), dual_action_oracle(dual, want)
+        assert got.support == want.support
+        assert got.phase == want.phase
+        assert repr(got.phase) == repr(want.phase)  # the signs of zeros too
+        ranks.append(want.rank)
+    assert diffusion_report(dual, chi, 30).ranks == ranks
+
+
+def test_dual_action_phase_keeps_every_factor_at_zero_bias():
+    """Each factor is then 1+0j, which still flips the signs of zero parts."""
+    G, _ = abelian_endomorphisms("Z4")
+    ident = GroupMap.identity(G)
+    dual = LinearRuleDual.from_rule(McaRule(G, -1, 1, [(-1, ident), (1, ident)]))
+    assert not any(dual.bias_coords)
+    for phase in (complex(1.0, -0.0), complex(-0.0, -0.0), complex(-1.0, 0.0)):
+        chi = Character.make(dual.coords, {0: (1,), 2: (3,)}, phase)
+        got, want = dual_action(dual, chi), dual_action_oracle(dual, chi)
+        assert repr(got.phase) == repr(want.phase)

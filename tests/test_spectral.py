@@ -6,13 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mcalab import (Character, GroupMap, LinearRuleDual, McaRule, MeasureSpec,
-                    Probe, WindowMeasure, abelian_invariants,
+from mcalab import (Character, GroupMap, LinearRuleDual, McaLabError, McaRule,
+                    MeasureSpec, Probe, WindowMeasure, abelian_invariants,
                     bernoulli_fourier, central_split, cesaro_randomization,
                     characters_of, decompose_mca, diffusion_report,
                     dual_action, fibre_rank_independence, fourier_coefficient,
-                    harmonic_mixing_profile, make_cyclic, push_forward,
-                    relative_diffusion_rank, star_product_measure)
+                    harmonic_mixing_profile, make_cyclic, make_direct_sum,
+                    push_forward, relative_diffusion_rank,
+                    star_product_measure)
+from mcalab import spectral
 
 
 def xor_rule():
@@ -51,12 +53,16 @@ def test_characters_have_modulus_one_on_point_masses():
 
 
 def test_bernoulli_fourier_factorizes_the_window_sum():
-    spec = bern(5, 8, 4)
     coords = abelian_invariants(make_cyclic(4))
-    chi = Character.make(coords, {0: (1,), 1: (3,)})
-    direct = fourier_coefficient(chi, spec.window_measure(0, 2))
-    assert bernoulli_fourier(chi, spec.cell_distribution()) == pytest.approx(
-        direct, abs=1e-14)
+    # the skewed law tells (1,) from (3,); cells 0 and 2 share a tuple
+    skewed = MeasureSpec("bernoulli", 4, probs=[Fraction(1, 2), Fraction(1, 4),
+                                                Fraction(1, 8), Fraction(1, 8)])
+    for spec, supp in [(bern(5, 8, 4), {0: (1,), 1: (3,)}),
+                       (skewed, {0: (1,), 1: (3,), 2: (1,)})]:
+        chi = Character.make(coords, supp)
+        direct = fourier_coefficient(chi, spec.window_measure(0, len(supp)))
+        assert bernoulli_fourier(chi, spec.cell_distribution()) == pytest.approx(
+            direct, abs=1e-14)
 
 
 def test_dual_action_satisfies_the_pairing_identity():
@@ -73,6 +79,53 @@ def test_dual_action_satisfies_the_pairing_identity():
         lhs = fourier_coefficient(chi, pushed)
         rhs = fourier_coefficient(dual_action(dual, chi), m)
         assert lhs == pytest.approx(rhs, abs=1e-13)
+
+
+def test_dual_action_rejects_a_matrix_that_is_not_integral():
+    coords = abelian_invariants(make_direct_sum([2, 4]))
+    assert coords.orders == (2, 4)
+    # column 0 sends the order-2 generator to an element of order 4
+    dual = LinearRuleDual(coords, ((0, ((1, 0), (1, 1))),), (0, 0))
+    with pytest.raises(McaLabError, match="not integral"):
+        dual_action(dual, Character.make(coords, {0: (0, 1)}))
+
+
+def test_dual_action_rejects_a_character_of_another_group():
+    dual = LinearRuleDual.from_rule(xor_rule())
+    chi = Character.make(abelian_invariants(make_cyclic(4)), {0: (1,)})
+    with pytest.raises(McaLabError, match="different invariants"):
+        dual_action(dual, chi)
+
+
+def test_character_construction_checks_its_support():
+    with pytest.raises(McaLabError, match="duplicate support cell 0"):
+        Character((4,), ((0, (1,)), (0, (2,))))
+    with pytest.raises(McaLabError, match="wrong arity"):
+        Character((4,), ((0, (1, 1)),))
+    with pytest.raises(McaLabError, match="must be nonzero"):
+        Character((4,), ((3, (8,)),))
+
+
+def test_dual_chains_call_the_module_level_dual_action_once_per_step(
+        monkeypatch):
+    """perfbench's tracer times the dual chain by wrapping this one name."""
+    calls = []
+    step = spectral.dual_action
+
+    def counted(dual, chi):
+        calls.append(chi.rank)
+        return step(dual, chi)
+
+    monkeypatch.setattr(spectral, "dual_action", counted)
+    rule = xor_rule()
+    dual = LinearRuleDual.from_rule(rule)
+    chi = Character.make(abelian_invariants(rule.group), {0: (1,)})
+    diffusion_report(dual, chi, 64)
+    assert len(calls) == 64
+    calls.clear()
+    report = cesaro_randomization(rule, bern(9, 10), 8, [Probe("x", chi)])
+    assert len(calls) == 8
+    assert [r.n for r in report.probe_rows] == list(range(9))
 
 
 def digit_sum(j):

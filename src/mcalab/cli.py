@@ -390,7 +390,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory: {exc or 'allocation failed'} "
+        print(f"error: out of memory: {str(exc) or 'allocation failed'} "
               "(try a lower --cap-states)", file=sys.stderr)
         return 2
 

@@ -109,18 +109,9 @@ class Character:
 
     def cell_values(self, coords: AbelianCoords | None = None
                     ) -> dict[int, np.ndarray]:
-        """Per-cell complex value table over group-element indices.
-
-        Cells with the same coefficient tuple share one read-only table.
-        """
+        """Per-cell complex value table over group-element indices."""
         coords = self._checked_coords(coords)
-        tables: dict[tuple[int, ...], np.ndarray] = {}
-        out = {}
-        for cell, coeff in self.support:
-            if coeff not in tables:
-                tables[coeff] = _value_table(coords, coeff)
-            out[cell] = tables[coeff]
-        return out
+        return {cell: _value_table(coords, coeff) for cell, coeff in self.support}
 
     def _checked_coords(self, coords: AbelianCoords | None) -> AbelianCoords:
         coords = coords or self.coords
@@ -143,14 +134,13 @@ class Character:
 
 
 def _value_table(coords: AbelianCoords, coeff: tuple[int, ...]) -> np.ndarray:
-    """exp(2πi Σ cᵢaᵢ/nᵢ) over group-element indices, read-only."""
+    """exp(2πi Σ cᵢaᵢ/nᵢ) over group-element indices."""
     vals = np.empty(coords.group.order, dtype=np.complex128)
     for g in range(coords.group.order):
         t = coords.to_tuple[g]
         angle = 2.0 * math.pi * math.fsum(
             c * a / n for c, a, n in zip(coeff, t, coords.orders))
         vals[g] = cmath.exp(1j * angle)
-    vals.flags.writeable = False
     return vals
 
 
@@ -347,14 +337,9 @@ def dual_action(dual: LinearRuleDual, chi: Character) -> Character:
     if (prod % steps).any():
         raise McaLabError("dual coefficient is not integral; bad matrix")
     adds = (prod // steps).reshape(len(cells), len(positions), d)
-    targets = cells[:, None] + positions
-    lo = int(targets.min())
-    span = int(targets.max()) + 1 - lo
-    if span <= 4 * targets.size + 4096:
-        rows, idx = np.arange(lo, lo + span), targets - lo
-    else:  # far-apart cells: one row per distinct target cell
-        rows, idx = np.unique(targets, return_inverse=True)
-        idx = idx.reshape(targets.shape)
+    # one row per distinct target cell, in ascending cell order
+    rows, idx = np.unique(cells[:, None] + positions, return_inverse=True)
+    idx = idx.reshape(len(cells), len(positions))
     acc = np.zeros((len(rows), d), dtype=np.int64)
     for p in range(len(positions)):
         # support cells are distinct, so one position hits each row once

@@ -272,7 +272,7 @@ def test_out_of_memory_exits_2_without_traceback(tmp_path, monkeypatch, capsys):
     cfgp = write_config(tmp_path, {"group": {"kind": "quaternion"}})
     assert main(["group", "--config", cfgp, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "error: out of memory" in err and "--cap-states" in err
+    assert "error: out of memory: allocation failed (try a lower --cap-states)" in err
     assert "Traceback" not in err
 
 

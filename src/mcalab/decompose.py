@@ -51,8 +51,10 @@ class SkewDecomposition:
 
     ``h_rule`` is the induced rule over C.  For a window word ``w`` over C,
     :meth:`fibre` assembles the affine fibre rule over A from the stored
-    per-factor splits and ``error_map`` — fibres are rebuilt on demand so a
-    corrupted part shows up in recomposition checks.
+    per-factor splits and ``error_map``.  Each fibre is built once and
+    memoized under ``(c_word, error_map[c_word])``, so a changed error term
+    rebuilds its fibre and a deleted one raises, and recomposition checks
+    still catch either.
     """
 
     frame: PseudoFrame
@@ -64,6 +66,7 @@ class SkewDecomposition:
     error_map: dict[tuple[int, ...], int]
     verified: bool = False
     _conj_cache: dict[int, GroupMap] = field(default_factory=dict, repr=False)
+    _fibre_cache: dict[tuple, McaRule] = field(default_factory=dict, repr=False)
 
     def _conj_by(self, b_elem: int) -> GroupMap:
         """Conjugation by a B element, restricted to A (A is normal)."""
@@ -88,6 +91,11 @@ class SkewDecomposition:
         rule = self.rule
         if len(c_word) != rule.width:
             raise WindowError(f"fibre word needs {rule.width} cells")
+        c_word = tuple(c_word)
+        err = self.error_map[c_word]
+        key = (c_word, err)
+        if key in self._fibre_cache:
+            return self._fibre_cache[key]
         sigma = fr.sigma
         running = sigma[self.bias_c]
         phis: list[GroupMap] = []
@@ -98,7 +106,6 @@ class SkewDecomposition:
             phis.append(conj.compose(sp.f))
             consts.append(conj(sp.gprime(c_val)))
             running = B.mul(running, sigma[sp.h(c_val)])
-        err = self.error_map[tuple(c_word)]
         # normalize f_bias*phi_0(.)k_0*...*phi_{I-1}(.)k_{I-1}*err into
         # bias * prod phi'_i(.) with phi'_i = T_i^-1 phi_i T_i,
         # T_i = k_i k_{i+1} ... k_{I-1} err  (ascending suffix products).
@@ -114,8 +121,10 @@ class SkewDecomposition:
             new_factors.append((pos, conj_t))
         new_factors.reverse()
         bias = A.mul(self.bias_a, suffix)
-        return McaRule(A, rule.v_lo, rule.v_hi, new_factors, bias,
-                       one_sided=rule.one_sided)
+        fib = McaRule(A, rule.v_lo, rule.v_hi, new_factors, bias,
+                      one_sided=rule.one_sided)
+        self._fibre_cache[key] = fib
+        return fib
 
     def fibre_table(self) -> dict[tuple[int, ...], McaRule]:
         """Dense map of every quotient window word to its fibre rule."""

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import McaLabError, NotPermutativeError, WindowError
 from .groups import FiniteGroup
 from .rules import Config, McaRule, NhcaSequence, is_bipermutative, step_cells
-from .util import STATE_CAP, check_cap, digit_planes, index_word, word_index
+from .util import (STATE_CAP, cell_dtype, check_cap, digit_planes, index_word,
+                   word_index)
 
 __all__ = [
     "WindowMeasure",
@@ -336,7 +337,7 @@ def _observation_keys(m: WindowMeasure, steps: Sequence, windows: Sequence,
     low = 0
     while low < length and s ** (low + 1) <= _CHUNK:
         low += 1
-    tail = digit_planes(np.arange(s ** low), s, low).astype(np.min_scalar_type(s - 1))
+    tail = digit_planes(np.arange(s ** low), s, low).astype(cell_dtype(s))
     for head in range(s ** (length - low)):
         cells, lo = np.empty((len(tail), length), dtype=tail.dtype), m.lo
         cells[:, :length - low] = index_word(head, s, length - low)

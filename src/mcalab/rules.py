@@ -20,7 +20,8 @@ from .errors import (
     WindowError,
 )
 from .groups import FiniteGroup, GroupMap
-from .util import STATE_CAP, check_cap, digit_planes, iter_words, word_index
+from .util import (STATE_CAP, cell_dtype, check_cap, digit_planes, iter_words,
+                   word_index)
 
 __all__ = [
     "McaRule",
@@ -177,23 +178,24 @@ def eval_local(rule: McaRule, word: Sequence[int]) -> int:
 def local_table(rule: McaRule, cap: int = STATE_CAP) -> np.ndarray:
     """Dense lookup of the local map over all |B|**width window words.
 
-    Indexed big-endian (leftmost window cell most significant).  Cached on
-    the rule.
+    Indexed big-endian (leftmost window cell most significant).  Values are
+    in the group's cell dtype (:func:`util.cell_dtype`, uint8 for every
+    group of order at most 256).  Cached on the rule, read-only.
     """
     if rule._table is not None:
         return rule._table
     B = rule.group.order
     size = B ** rule.width
     check_cap(size, cap, "local rule table")
-    idx = np.arange(size, dtype=np.int64)
-    planes = digit_planes(idx, B, rule.width)
-    out = np.full(size, rule.bias, dtype=np.int64)
-    table = rule.group.table
+    dtype = cell_dtype(B)
+    planes = digit_planes(np.arange(size, dtype=np.int64), B, rule.width)
+    out = np.full(size, rule.bias, dtype=dtype)
+    table = rule.group.table.astype(dtype)
     for pos, coeff in rule.factors:
-        img = np.asarray(coeff.image_of, dtype=np.int64)
+        img = np.asarray(coeff.image_of, dtype=dtype)
         out = table[out, img[planes[:, pos - rule.v_lo]]]
+    out.setflags(write=False)
     rule._table = out
-    rule._table.setflags(write=False)
     return out
 
 
@@ -202,22 +204,29 @@ def step_cells(op: LocalFamily, cells: np.ndarray, lo: int,
     """One synchronous step on integer words, by local-table lookups.
 
     The last axis of ``cells`` holds cells [lo..lo+k); the result holds
-    their image on [lo - v_lo .. lo + k - v_hi), other axes unchanged.  A
-    nonhomogeneous family looks each output cell up in its own rule's table.
+    their image on [lo - v_lo .. lo + k - v_hi), other axes unchanged, in
+    the group's cell dtype whatever the integer dtype of ``cells``.  Window
+    codes are built in the smallest signed integer type that holds
+    |B|**width (int16 for Q8 at width 4).  A nonhomogeneous family looks
+    each output cell up in its own rule's table.
     """
     s = op.group.order
     k = cells.shape[-1] - op.spread
     if k < 0:
         raise WindowError(f"block of {cells.shape[-1]} cells is narrower than the rule")
-    codes = np.zeros(cells.shape[:-1] + (k,), dtype=np.int64)
-    for t in range(op.width):
+    rules = [op] if isinstance(op, McaRule) else [
+        op.rule_at(lo - op.v_lo + j) for j in range(k)]
+    tables = [local_table(r, cap) for r in rules]
+    # a signed type reaching -(s**width) holds every code 0 .. s**width - 1
+    codes = cells[..., 0:k].astype(np.min_scalar_type(-(s ** op.width)))
+    for t in range(1, op.width):
         codes *= s
         codes += cells[..., t:t + k]
     if isinstance(op, McaRule):
-        return local_table(op, cap).take(codes)
-    out = np.empty_like(codes)
-    for j in range(k):
-        out[..., j] = local_table(op.rule_at(lo - op.v_lo + j), cap).take(codes[..., j])
+        return tables[0].take(codes)
+    out = np.empty(codes.shape, dtype=cell_dtype(s))
+    for j, table in enumerate(tables):
+        out[..., j] = table.take(codes[..., j])
     return out
 
 

@@ -26,7 +26,7 @@ from .errors import McaLabError, NotAbelianError, NotCentralError, WindowError
 from .groups import AbelianCoords, FiniteGroup, GroupMap, abelian_invariants
 from .measures import MeasureSpec, WindowMeasure, push_forward, star_product_measure
 from .rules import Config, McaRule, step_cells
-from .util import STATE_CAP, check_cap, digit_planes, iter_words
+from .util import STATE_CAP, cell_dtype, check_cap, digit_planes, iter_words
 
 __all__ = [
     "Character",
@@ -768,20 +768,38 @@ def _initial_measure(init, frame, group: FiniteGroup, lo: int, hi: int,
     return star_product_measure(frame, ma, mc)
 
 
+def _draw(rng: np.random.Generator, p: np.ndarray, count: int,
+          dtype: np.dtype) -> np.ndarray:
+    """``rng.choice(len(p), size=count, p=p)``, the same draws, in ``dtype``.
+
+    ``Generator.choice`` bins ``rng.random(count)`` against the cdf
+    ``p.cumsum() / p.cumsum()[-1]`` with ``searchsorted(side="right")``,
+    which is the number of cdf edges at or below each draw; counting them
+    edge by edge in ``dtype`` is faster for small alphabets.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(count)
+    out = np.zeros(count, dtype=dtype)
+    for edge in cdf[:-1]:       # the last edge is 1.0, above every draw
+        out += u >= edge
+    return out
+
+
 def _sample_words(spec_pair, frame, group: FiniteGroup, length: int,
                   rng: np.random.Generator, count: int) -> np.ndarray:
-    """Sample initial words (count × length int64) from the initial law."""
+    """Sample initial words (count × length, the group's cell dtype)."""
+    dtype = cell_dtype(group.order)
 
     def sample_spec(spec: MeasureSpec, size: int) -> np.ndarray:
+        if spec.size != size:
+            raise McaLabError("initial measure alphabet mismatch")
+        p = np.asarray([float(x) for x in spec.probs])
         if spec.kind in ("uniform", "bernoulli"):
-            p = np.asarray([float(x) for x in spec.probs])
-            p = p / p.sum()
-            flat = rng.choice(size, size=count * length, p=p)
-            return flat.reshape(count, length).astype(np.int64)
+            return _draw(rng, p / p.sum(), count * length, dtype).reshape(count, length)
         # markov: sample column by column
-        out = np.empty((count, length), dtype=np.int64)
-        start = np.asarray([float(x) for x in spec.probs])
-        out[:, 0] = rng.choice(size, size=count, p=start / start.sum())
+        out = np.empty((count, length), dtype=dtype)
+        out[:, 0] = _draw(rng, p / p.sum(), count, dtype)
         T = np.asarray([[float(x) for x in row] for row in spec.transition])
         T = T / T.sum(axis=1, keepdims=True)
         for j in range(1, length):
@@ -795,8 +813,7 @@ def _sample_words(spec_pair, frame, group: FiniteGroup, length: int,
     lam, nu = spec_pair
     a = sample_spec(lam, frame.a_group.order)
     c = sample_spec(nu, frame.C.order)
-    star = np.asarray(frame.b_of, dtype=np.int64)
-    return star[a, c]
+    return np.asarray(frame.b_of, dtype=dtype)[a, c]
 
 
 def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,

@@ -38,6 +38,14 @@ def iter_words(base: int, length: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(base), repeat=length)
 
 
+def cell_dtype(order: int) -> np.dtype:
+    """Smallest unsigned dtype holding every element index of a group.
+
+    uint8 for every group of order at most 256.
+    """
+    return np.min_scalar_type(order - 1)
+
+
 def digit_planes(indices: np.ndarray, base: int, length: int) -> np.ndarray:
     """Digits of word indices, shape ``indices.shape + (length,)``.
 

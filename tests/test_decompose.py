@@ -11,8 +11,8 @@ import pytest
 from mcalab import (Config, GroupMap, McaRule, NotCentralError,
                     NotInvariantError, apply_window, central_split,
                     decompose_mca, eval_local, fibre_nhca,
-                    fibre_step_sequence, generated_subgroup, make_frame,
-                    nilpotent_tower, recompose_check, star_compose,
+                    fibre_step_sequence, generated_subgroup, local_table,
+                    make_frame, nilpotent_tower, recompose_check, star_compose,
                     star_decompose, tower_apply, tower_eval)
 
 
@@ -83,6 +83,20 @@ def test_corrupted_error_map_fails_with_witness(x2_rule, z20_frame):
     report = recompose_check(dec)
     assert not report
     assert report.witness is not None
+
+
+def test_fibre_is_built_once_per_error_term(x2_rule, z20_frame):
+    dec = decompose_mca(x2_rule, z20_frame)
+    key = next(iter(dec.error_map))
+    fib = dec.fibre(key)
+    assert dec.fibre(key) is fib
+    dec.error_map[key] = (dec.error_map[key] + 1) % dec.frame.a_group.order
+    rebuilt = dec.fibre(key)
+    assert rebuilt is not fib
+    assert local_table(rebuilt).tolist() != local_table(fib).tolist()
+    del dec.error_map[key]
+    with pytest.raises(KeyError):
+        dec.fibre(key)
 
 
 def test_decompose_rejects_non_invariant_coefficient(q8, q8_labels):

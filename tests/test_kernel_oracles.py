@@ -14,15 +14,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcalab import (Character, GroupMap, LinearRuleDual, McaRule, MeasureSpec,
-                    NhcaSequence, Subgroup, WindowMeasure, center,
-                    decompose_mca, diffusion_report, dual_action,
-                    enumerate_endomorphisms, make_cyclic, make_direct_sum,
-                    make_frame, make_quaternion, make_semidirect,
-                    partition_entropy, product_measure, push_forward,
-                    recompose_check, star_product_measure,
+from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
+                    MeasureSpec, NhcaSequence, Subgroup, WindowMeasure,
+                    apply_window, center, decompose_mca, diffusion_report,
+                    dual_action, enumerate_endomorphisms, make_cyclic,
+                    make_direct_sum, make_frame, make_quaternion,
+                    make_semidirect, partition_entropy, product_measure,
+                    push_forward, recompose_check, star_product_measure,
                     trajectory_joint_distribution,
                     trajectory_partition_entropy)
+from mcalab.rules import step_cells
 from mcalab.util import iter_words
 
 from oracles import (dual_action_oracle, marginal_oracle, product_oracle,
@@ -119,6 +120,25 @@ def test_push_forward_matches_oracle(data, name, seed, nonhomogeneous):
     out = push_forward(op, m)
     assert (out.lo, out.hi, out.den) == (out_cells.start, out_cells.stop, m.den)
     assert out.num.tolist() == push_forward_oracle(op, m)
+
+
+def test_step_cells_matches_oracle_from_any_integer_dtype():
+    # |Z/6|**6 = 46656 > 2**15, so the window codes need int32
+    G = make_cyclic(6)
+    endos = enumerate_endomorphisms(G)
+    rule_a = McaRule(G, -2, 3, [(p, endos[(p + 2) % len(endos)])
+                                for p in range(-2, 4)], 1)
+    rule_b = McaRule(G, -2, 3, [(3, endos[1]), (-2, endos[5]), (0, endos[2])])
+    words = np.random.default_rng(0).integers(0, 6, (200, 9))
+    nonhomogeneous = NhcaSequence(G, -2, 3, {m: (rule_a, rule_b)[m % 2]
+                                              for m in range(2, 6)})
+    for op in (rule_a, nonhomogeneous):
+        want = [list(apply_window(op, Config(G, 0, w)).word)
+                for w in words.tolist()]
+        for cells in (words, words.astype(np.uint8)):
+            got = step_cells(op, cells, 0)
+            assert got.dtype == np.uint8
+            assert got.tolist() == want
 
 
 @settings(max_examples=30, deadline=None)

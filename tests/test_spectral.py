@@ -250,17 +250,63 @@ def test_monte_carlo_rows_are_reproducible(quat_rule3, q8_center_frame):
     probe = Probe("a", Character.make(coords, {0: (1,)}))
     spec = MeasureSpec("bernoulli", 8,
                        probs=[Fraction(3, 16)] * 4 + [Fraction(1, 16)] * 4)
+    samples = (1 << 14) + 1500          # two chunks, the second one partial
     kw = dict(probes=[probe], frame=q8_center_frame, cap_states=8 ** 4,
-              mc_samples=1500, seed=11)
+              mc_samples=samples, seed=11)
     first = cesaro_randomization(quat_rule3, spec, 4, **kw)
     second = cesaro_randomization(quat_rule3, spec, 4, **kw)
+    threaded = cesaro_randomization(quat_rule3, spec, 4, workers=2, **kw)
     assert first.n_exact == 1
-    assert first.probe_rows == second.probe_rows
-    assert first.tv_rows == second.tv_rows
+    assert first.probe_rows == second.probe_rows == threaded.probe_rows
+    assert first.tv_rows == second.tv_rows == threaded.tv_rows
     modes = {r.n: r.mode for r in first.probe_rows}
     assert modes[0] == modes[1] == "exact"
     assert modes[2] == modes[4] == "mc"
-    assert all(r.samples == 1500 for r in first.probe_rows if r.mode == "mc")
+    assert all(r.samples == samples for r in first.probe_rows if r.mode == "mc")
+
+
+def test_sampled_words_are_the_draws_of_generator_choice(q8_center_frame):
+    count, length = 300, 7
+
+    def choice(rng, spec):
+        p = np.asarray([float(x) for x in spec.probs])
+        flat = rng.choice(spec.size, size=count * length, p=p / p.sum())
+        return flat.reshape(count, length)
+
+    laws = {2: [1, 3], 4: [0, 2, 1, 0], 8: [3] * 4 + [1] * 4,
+            20: [0, 1, 2, 3, 0] * 4}
+    for size, weights in laws.items():
+        spec = MeasureSpec("bernoulli", size,
+                           probs=[Fraction(w, sum(weights)) for w in weights])
+        got = spectral._sample_words(spec, None, make_cyclic(size), length,
+                                     np.random.default_rng(3), count)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, choice(np.random.default_rng(3), spec))
+    fr = q8_center_frame
+    lam, nu = bern(7, 10), bern(4, 10, size=4)
+    got = spectral._sample_words((lam, nu), fr, fr.B, length,
+                                 np.random.default_rng(5), count)
+    rng = np.random.default_rng(5)
+    a, c = choice(rng, lam), choice(rng, nu)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, fr.b_of[a, c])
+
+
+def test_markov_monte_carlo_tv_matches_the_stationary_law():
+    # the shift keeps a stationary chain, so every TV row is ½·Σ|π_i − ½|
+    Z2 = make_cyclic(2)
+    shift = McaRule(Z2, 0, 1, [(1, GroupMap.identity(Z2))])
+    half, sixth = Fraction(1, 2), Fraction(1, 6)
+    spec = MeasureSpec("markov", 2, transition=[[half, half], [sixth, 5 * sixth]],
+                       initial=[Fraction(1, 4), Fraction(3, 4)])
+    kw = dict(cap_states=2 ** 3, mc_samples=4000, seed=5)
+    first = cesaro_randomization(shift, spec, 16, **kw)
+    second = cesaro_randomization(shift, spec, 16, **kw)
+    mc = [r for r in first.tv_rows if r.mode == "mc"]
+    assert [r.n for r in mc] == [4, 8, 16]
+    for row in mc:
+        assert abs(row.tv_distance - 0.25) <= 5 * row.stderr
+    assert first.tv_rows == second.tv_rows
 
 
 def probe_pairing(probe, frame, group, m):

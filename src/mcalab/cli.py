@@ -22,10 +22,9 @@ from .errors import McaLabError, SpecError
 from .groups import (FiniteGroup, abelian_invariants, center,
                      commutator_subgroup, is_nilpotent, upper_central_series)
 from .rules import permutativity
-from .measures import MeasureSpec, trajectory_partition_entropy
+from .measures import trajectory_partition_entropy
 from .decompose import decompose_mca, nilpotent_tower
-from .spectral import (LinearRuleDual, cesaro_randomization, diffusion_report,
-                       dual_action)
+from .spectral import LinearRuleDual, cesaro_randomization, diffusion_report
 from .specs import (ExperimentConfig, _need, load_experiment,
                     parse_character, parse_measure, parse_probe)
 from .util import STATE_CAP
@@ -63,6 +62,24 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     for row in rows:
         w.writerow([_fmt(x) for x in row])
     path.write_text(buf.getvalue())
+
+
+def _int_param(cfg: ExperimentConfig, key: str, default=None, least: int | None = 1,
+               many: bool = False):
+    """``config.<key>`` as an integer ≥ ``least``, or a list of them with ``many``.
+
+    ``least=None`` sets no bound, and booleans are not integers here.  Any
+    other value is a config error naming the key.
+    """
+    val = cfg.param(key, default)
+    items = val if many and isinstance(val, list) else [val]
+    if (many and not isinstance(val, list)) or not all(
+            isinstance(x, int) and not isinstance(x, bool)
+            and (least is None or x >= least) for x in items):
+        kind = {0: "non-negative integer", 1: "positive integer", None: "integer"}[least]
+        need = f"a list of {kind}s" if many else f"a {kind}"
+        raise SpecError(f"config.{key}: need {need}")
+    return val
 
 
 def _write_json(path: Path, obj) -> None:
@@ -229,9 +246,7 @@ def cmd_entropy(cfg: ExperimentConfig, run: Run, args) -> None:
     spec = parse_measure(cfg.group.order,
                          cfg.param("measure") or {"kind": "uniform"},
                          "measure")
-    n_max = cfg.param("n_max")
-    if not isinstance(n_max, int) or n_max < 1:
-        raise SpecError("config.n_max: need a positive integer")
+    n_max = _int_param(cfg, "n_max")
     marginal = trajectory_partition_entropy(cfg.rule, spec, 1,
                                             cap=args.cap_states)
     rows = []
@@ -253,10 +268,9 @@ def cmd_diffuse(cfg: ExperimentConfig, run: Run, args) -> None:
     if alpha_spec is None:
         raise SpecError("config.alpha: diffuse needs a seed character")
     chi = parse_character(cfg.group, alpha_spec, "alpha")
-    j_max = cfg.param("j_max")
-    if not isinstance(j_max, int) or j_max < 1:
-        raise SpecError("config.j_max: need a positive integer")
-    thresholds = tuple(cfg.param("thresholds", [2, 4, 10]))
+    j_max = _int_param(cfg, "j_max")
+    thresholds = tuple(_int_param(cfg, "thresholds", [2, 4, 10], least=None,
+                                  many=True))
     dual = LinearRuleDual.from_rule(cfg.rule)
     rep = diffusion_report(dual, chi, j_max, thresholds=thresholds)
     _write_csv(run.add("diffuse.csv"), ["j", "rank"],
@@ -276,9 +290,7 @@ def cmd_diffuse(cfg: ExperimentConfig, run: Run, args) -> None:
 def cmd_randomize(cfg: ExperimentConfig, run: Run, args) -> None:
     if cfg.rule is None:
         raise SpecError("config: randomize needs a rule")
-    n_max = cfg.param("n_max")
-    if not isinstance(n_max, int) or n_max < 1:
-        raise SpecError("config.n_max: need a positive integer")
+    n_max = _int_param(cfg, "n_max")
     dec = None
     fibre_group = cfg.group if cfg.group.is_abelian else None
     quot_group = None
@@ -308,10 +320,11 @@ def cmd_randomize(cfg: ExperimentConfig, run: Run, args) -> None:
     run.extra["seed"] = seed  # record the effective seed, flag or config
     rep = cesaro_randomization(
         cfg.rule, init, n_max, probes=probes, frame=cfg.frame, dec=dec,
-        tv_cells=int(cfg.param("tv_cells", 1)),
+        tv_cells=_int_param(cfg, "tv_cells", 1),
         cap_states=args.cap_states,
-        mc_samples=int(cfg.param("mc_samples", 0)),
-        mc_checkpoints=cfg.param("mc_checkpoints"),
+        mc_samples=_int_param(cfg, "mc_samples", 0, least=0),
+        mc_checkpoints=(None if cfg.param("mc_checkpoints") is None
+                        else _int_param(cfg, "mc_checkpoints", many=True)),
         seed=seed, workers=args.workers)
     header = ["n", "probe_id", "coef_abs", "cesaro_mean", "tv_distance",
               "cesaro_tv", "mode", "samples", "stderr"]
@@ -376,10 +389,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = load_experiment(args.config)
         if args.cap_states is None:  # flag beats config beats default
-            cap = cfg.param("cap_states", STATE_CAP)
-            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-                raise SpecError("config.cap_states: need a positive integer")
-            args.cap_states = cap
+            args.cap_states = _int_param(cfg, "cap_states", STATE_CAP)
         run = Run(args, args.command)
         _COMMANDS[args.command](cfg, run, args)
         return run.finish(args)

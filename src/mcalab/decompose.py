@@ -24,8 +24,8 @@ from .pseudo import (
     star_compose,
     star_decompose,
 )
-from .rules import (Config, McaRule, NhcaSequence, apply_window, eval_local,
-                    local_table, step_cells)
+from .rules import (Config, McaRule, NhcaSequence, _merge_positions,
+                    apply_window, eval_local, local_table, step_cells)
 from .util import STATE_CAP, check_cap, digit_planes, index_word, iter_words
 
 __all__ = [
@@ -279,33 +279,22 @@ def central_split(rule: McaRule, frame: PseudoFrame,
     if dec is None:
         dec = decompose_mca(rule, frame, cap)
     A = frame.a_group
-    per_pos: dict[int, GroupMap] = {}
-    for (pos, _), sp in zip(rule.factors, dec.factor_splits):
-        prev = per_pos.get(pos)
-        if prev is None:
-            per_pos[pos] = sp.f
-        else:
-            images = [A.mul(prev(x), sp.f(x)) for x in A.elements()]
-            per_pos[pos] = GroupMap(A, A, images, True, _trusted=True)
+    per_pos = _merge_positions(A, [(pos, sp.f) for (pos, _), sp
+                                   in zip(rule.factors, dec.factor_splits)])
     lin_rule = McaRule(A, rule.v_lo, rule.v_hi, sorted(per_pos.items()),
                        0, one_sided=rule.one_sided)
+    lin_tbl = local_table(lin_rule, cap)
     block_map: dict[tuple[int, ...], int] = {}
     for w in iter_words(frame.C.order, rule.width):
-        val = dec.bias_a
-        val = A.mul(val, dec.error_map[w])
+        val = A.mul(dec.bias_a, dec.error_map[w])
         for (pos, _), sp in zip(rule.factors, dec.factor_splits):
             val = A.mul(val, sp.gprime(w[pos - rule.v_lo]))
         block_map[w] = val
-    split = CentralSplit(frame=frame, h_rule=dec.h_rule, lin_rule=lin_rule,
-                         linear_coeffs=per_pos, block_map=block_map)
-    # verify fibre == linear + block on every input
-    lin_tbl = local_table(lin_rule, cap)
-    a_table = A.table
-    for w in iter_words(frame.C.order, rule.width):
-        fib_tbl = local_table(dec.fibre(w), cap)
-        if not np.array_equal(fib_tbl, a_table[lin_tbl, block_map[w]]):
+        # verify fibre == linear + block on every input
+        if not np.array_equal(local_table(dec.fibre(w), cap), A.table[lin_tbl, val]):
             raise FrameError(f"central split disagrees with fibre at {w}")
-    return split
+    return CentralSplit(frame=frame, h_rule=dec.h_rule, lin_rule=lin_rule,
+                        linear_coeffs=per_pos, block_map=block_map)
 
 
 # -- nilpotent towers --------------------------------------------------------
@@ -394,23 +383,12 @@ def tower_eval(tower: NilpotentTower, word: tuple[int, ...]) -> int:
 
 
 def tower_apply(tower: NilpotentTower, config: Config) -> Config:
-    """One synchronous step computed through the tower (window shrinks)."""
-
-    def level_apply(k: int, cfg: Config) -> Config:
-        rule = tower.rule
-        if k == len(tower.levels):
-            return apply_window(tower.tail_rule, cfg)
-        lev = tower.levels[k]
-        pairs = [star_decompose(lev.frame, b) for b in cfg.word]
-        a_cfg = Config(lev.frame.a_group, cfg.offset, [p[0] for p in pairs])
-        c_cfg = Config(lev.frame.C, cfg.offset, [p[1] for p in pairs])
-        lo, hi = cfg.lo - rule.v_lo, cfg.hi - rule.v_hi
-        fibres = fibre_nhca(lev.decomposition, c_cfg, lo, hi)
-        a_out = apply_window(fibres, a_cfg)
-        c_out = level_apply(k + 1, c_cfg)
-        assert (a_out.lo, a_out.hi) == (c_out.lo, c_out.hi)
-        word = [star_compose(lev.frame, a, c)
-                for a, c in zip(a_out.word, c_out.word)]
-        return Config(lev.frame.B, a_out.lo, word)
-
-    return level_apply(0, config)
+    """One synchronous step, each output cell by :func:`tower_eval` (window shrinks)."""
+    rule = tower.rule
+    out_lo, out_hi = config.lo - rule.v_lo, config.hi - rule.v_hi
+    if out_lo > out_hi:
+        raise WindowError(f"block of {len(config.word)} cells is narrower than the rule")
+    word = [tower_eval(tower, config.word[m + rule.v_lo - config.offset:
+                                          m + rule.v_hi + 1 - config.offset])
+            for m in range(out_lo, out_hi)]
+    return Config(rule.group, out_lo, word)

@@ -154,10 +154,6 @@ class WindowMeasure:
         return all(a * other.den == b * self.den
                    for a, b in zip(self.num.tolist(), other.num.tolist()))
 
-    def sorted_probabilities(self) -> tuple[Fraction, ...]:
-        """The probability multiset — invariant of partition equivalence."""
-        return tuple(sorted(Fraction(n, self.den) for n in self.num.tolist()))
-
 
 class MeasureSpec:
     """Analytic description of a shift-invariant measure on full sequences.

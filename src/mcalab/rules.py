@@ -14,14 +14,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    CapExceededError,
     NotPermutativeError,
     TableInvalidError,
     WindowError,
 )
 from .groups import FiniteGroup, GroupMap
-from .util import (STATE_CAP, cell_dtype, check_cap, digit_planes, iter_words,
-                   word_index)
+from .util import STATE_CAP, cell_dtype, check_cap, digit_planes
 
 __all__ = [
     "McaRule",
@@ -126,11 +124,6 @@ class Config:
         if not (self.lo <= cell < self.hi):
             raise WindowError(f"cell {cell} outside [{self.lo}..{self.hi})")
         return self.word[cell - self.offset]
-
-    def restrict(self, lo: int, hi: int) -> "Config":
-        if lo < self.lo or hi > self.hi or lo > hi:
-            raise WindowError(f"window [{lo}..{hi}) not inside [{self.lo}..{self.hi})")
-        return Config(self.group, lo, self.word[lo - self.offset: hi - self.offset])
 
 
 @dataclass(eq=False)
@@ -252,13 +245,26 @@ def apply_periodic(op: LocalFamily, config: Config) -> Config:
     n = len(config.word)
     if n == 0:
         raise WindowError("periodic block must be nonempty")
-    word = []
-    for t in range(n):
-        m = config.offset + t
-        rule = _rule_at(op, m)
-        window = [config.word[(t + v) % n] for v in range(op.v_lo, op.v_hi + 1)]
-        word.append(eval_local(rule, window))
-    return Config(config.group, config.offset, word)
+    # wrapped onto cells offset + v_lo .. offset + n + v_hi, the block maps onto itself
+    wrapped = [config.word[t % n] for t in range(op.v_lo, n + op.v_hi)]
+    return apply_window(op, Config(config.group, config.offset + op.v_lo, wrapped))
+
+
+def _merge_positions(group: FiniteGroup, factors: Iterable[tuple[int, GroupMap]]
+                     ) -> dict[int, GroupMap]:
+    """One map per position: its factors multiplied pointwise, in order.
+
+    An endomorphism when the factors' images commute (over an abelian group).
+    """
+    merged: dict[int, GroupMap] = {}
+    for pos, coeff in factors:
+        prev = merged.get(pos)
+        if prev is None:
+            merged[pos] = coeff
+        else:
+            images = [group.mul(prev(x), coeff(x)) for x in group.elements()]
+            merged[pos] = GroupMap(group, group, images, True, _trusted=True)
+    return merged
 
 
 # -- endomorphic local maps --------------------------------------------------
@@ -303,16 +309,16 @@ def is_homomorphic_local(rule: McaRule, cap: int = STATE_CAP) -> bool:
                 for y in G.elements():
                     if G.mul(maps[i](x), maps[j](y)) != G.mul(maps[j](y), maps[i](x)):
                         return False
-    size = G.order ** rule.width
-    check_cap(size, cap, "homomorphism check")
-    tbl = local_table(rule, cap)
-    recon = np.zeros(size, dtype=np.int64)
-    planes = digit_planes(np.arange(size, dtype=np.int64), G.order, rule.width)
-    T = G.table
-    for t, phi in enumerate(maps):
-        img = np.asarray(phi.image_of, dtype=np.int64)
-        recon = T[recon, img[planes[:, t]]]
-    return bool(np.array_equal(recon, tbl))
+    check_cap(G.order ** rule.width, cap, "homomorphism check")
+    recon = _product_table(rule, maps, range(rule.width), cap)
+    return bool(np.array_equal(recon, local_table(rule, cap)))
+
+
+def _product_table(rule: McaRule, maps: list[GroupMap], ordering: Iterable[int],
+                   cap: int) -> np.ndarray:
+    """Local table of the product of per-position maps, taken in ``ordering``."""
+    factors = [(rule.v_lo + t, maps[t]) for t in ordering]
+    return local_table(McaRule(rule.group, rule.v_lo, rule.v_hi, factors), cap)
 
 
 def extract_eca_coefficients(rule: McaRule, cap: int = STATE_CAP) -> list[GroupMap]:
@@ -326,18 +332,11 @@ def extract_eca_coefficients(rule: McaRule, cap: int = STATE_CAP) -> list[GroupM
         raise TableInvalidError("local map is not a homomorphism")
     maps = _per_position_maps(rule, cap)
     assert maps is not None
-    G = rule.group
     if rule.width <= 5:
         import itertools
         tbl = local_table(rule, cap)
-        size = G.order ** rule.width
-        planes = digit_planes(np.arange(size, dtype=np.int64), G.order, rule.width)
         for ordering in itertools.permutations(range(rule.width)):
-            recon = np.zeros(size, dtype=np.int64)
-            for t in ordering:
-                img = np.asarray(maps[t].image_of, dtype=np.int64)
-                recon = G.table[recon, img[planes[:, t]]]
-            if not np.array_equal(recon, tbl):
+            if not np.array_equal(_product_table(rule, maps, ordering, cap), tbl):
                 raise TableInvalidError(
                     f"coefficient product disagrees under ordering {ordering}")
     return maps

@@ -17,7 +17,6 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .errors import McaLabError, NotAbelianError, NotCentralError, WindowError
 from .groups import AbelianCoords, FiniteGroup, GroupMap, abelian_invariants
 from .measures import MeasureSpec, WindowMeasure, push_forward, star_product_measure
-from .rules import Config, McaRule, step_cells
+from .rules import Config, McaRule, _merge_positions, step_cells
 from .util import STATE_CAP, cell_dtype, check_cap, digit_planes, iter_words
 
 __all__ = [
@@ -98,9 +97,6 @@ class Character:
     def rank(self) -> int:
         return len(self.support)
 
-    def support_map(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.support)
-
     def cells(self) -> tuple[int, ...]:
         return tuple(cell for cell, _ in self.support)
 
@@ -121,17 +117,6 @@ class Character:
             raise McaLabError("coordinate system does not match the character")
         return coords
 
-    def eval_word(self, lo: int, word: Sequence[int],
-                  coords: AbelianCoords | None = None) -> complex:
-        """Value at one configuration word starting at cell ``lo``."""
-        tabs = self.cell_values(coords)
-        val = self.phase
-        for cell, tab in tabs.items():
-            if not (lo <= cell < lo + len(word)):
-                raise WindowError(f"support cell {cell} outside the word")
-            val *= tab[word[cell - lo]]
-        return val
-
 
 def _value_table(coords: AbelianCoords, coeff: tuple[int, ...]) -> np.ndarray:
     """exp(2πi Σ cᵢaᵢ/nᵢ) over group-element indices."""
@@ -145,13 +130,8 @@ def _value_table(coords: AbelianCoords, coeff: tuple[int, ...]) -> np.ndarray:
 
 
 def _nonzero_tuples(orders: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out = list(iter_words_mixed(orders))
-    return [t for t in out if any(t)]
-
-
-def iter_words_mixed(orders: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All coefficient tuples against mixed cyclic orders, lex order."""
-    yield from itertools.product(*(range(n) for n in orders))
+    """Nonzero coefficient tuples against mixed cyclic orders, lex order."""
+    return [t for t in itertools.product(*(range(n) for n in orders)) if any(t)]
 
 
 def characters_of(A: FiniteGroup, lo: int, hi: int) -> Iterator[Character]:
@@ -261,14 +241,7 @@ class LinearRuleDual:
         if not A.is_abelian:
             raise NotAbelianError("dual form needs an abelian group")
         coords = abelian_invariants(A)
-        combined: dict[int, GroupMap] = {}
-        for pos, coeff in rule.factors:
-            prev = combined.get(pos)
-            if prev is None:
-                combined[pos] = coeff
-            else:
-                images = [A.mul(prev(x), coeff(x)) for x in A.elements()]
-                combined[pos] = GroupMap(A, A, images, True, _trusted=True)
+        combined = _merge_positions(A, rule.factors)
         mats = tuple((pos, _endo_matrix(coords, endo))
                      for pos, endo in sorted(combined.items()))
         return cls(coords, mats, coords.to_tuple[rule.bias])
@@ -350,6 +323,14 @@ def dual_action(dual: LinearRuleDual, chi: Character) -> Character:
     return Character(orders, support, phase, coords, _trusted=True)
 
 
+def _orbit(dual: LinearRuleDual, chi: Character, steps: int) -> Iterator[Character]:
+    """chi and its first ``steps`` images, one ``dual_action`` call per image."""
+    yield chi
+    for _ in range(steps):
+        chi = dual_action(dual, chi)
+        yield chi
+
+
 @dataclass
 class DiffusionReport:
     """Rank trajectory of a character under iterated dual action."""
@@ -373,11 +354,7 @@ def diffusion_report(dual: LinearRuleDual, chi: Character, j_max: int,
     trail records that fraction at doubling prefixes, as evidence (never
     an assertion) of diffusion in density.
     """
-    ranks = [chi.rank]
-    cur = chi
-    for _ in range(j_max):
-        cur = dual_action(dual, cur)
-        ranks.append(cur.rank)
+    ranks = [c.rank for c in _orbit(dual, chi, j_max)]
     report = DiffusionReport(ranks, tuple(thresholds), {}, {})
     for r in report.thresholds:
         report.densities[r] = report.density(r)
@@ -400,10 +377,7 @@ def relative_diffusion_rank(split, alpha: Character, j: int) -> int:
     if not split.frame.a_is_central:
         raise NotCentralError("relative diffusion rank needs the central case")
     dual = LinearRuleDual.from_rule(split.lin_rule)
-    cur = alpha
-    for _ in range(j):
-        cur = dual_action(dual, cur)
-    return cur.rank
+    return [c.rank for c in _orbit(dual, alpha, j)][-1]
 
 
 @dataclass
@@ -421,7 +395,8 @@ def fibre_rank_independence(dec, split, alpha: Character, j: int,
     Builds the j-step fibre composite for every quotient word on the
     needed window, extracts its linear part by finite differences (exact
     group arithmetic), and compares the resulting character ranks to the
-    linear-rule prediction.
+    linear-rule prediction.  As in ``dual_action``, alpha is read from
+    integer coefficient rows scaled to the largest invariant order, big.
     """
     from .decompose import fibre_step_sequence
 
@@ -439,6 +414,13 @@ def fibre_rank_independence(dec, split, alpha: Character, j: int,
     check_cap(C.order ** n_in, cap, "fibre rank independence")
     lin_rank = relative_diffusion_rank(split, alpha, j)
     gens = coords.generators
+    orders = coords.orders
+    big = max(orders, default=1)
+    divisors = np.array([big // n for n in orders], dtype=np.int64)
+    weights = np.array([[c % n * (big // n) for c, n in zip(ctup, orders)]
+                        for _, ctup in alpha.support],
+                       dtype=np.int64).reshape(len(cells), len(orders))
+    to_tuple = np.array(coords.to_tuple, dtype=np.int64).reshape(A.order, len(orders))
     # row 0 is the zero word; row 1 + m·|gens| + gi has generator gi at cell m
     probes = np.zeros((1 + n_in * len(gens), n_in), dtype=np.int64)
     for m in range(n_in):
@@ -449,27 +431,15 @@ def fibre_rank_independence(dec, split, alpha: Character, j: int,
         for st in fibre_step_sequence(dec, Config(C, in_lo, w), j):
             outs = step_cells(st, outs, lo)
             lo -= st.v_lo
-        outs = outs[:, [k - lo for k in cells]].tolist()
-        rank = 0
-        for m in range(n_in):
-            # coefficient tuple of (alpha ∘ composite) at input cell m, by
-            # exact finite differences along each generator direction
-            coeff = []
-            for gi in range(len(gens)):
-                diff = [A.mul(y, A.inv(b))
-                        for y, b in zip(outs[1 + m * len(gens) + gi], outs[0])]
-                num = Fraction(0)
-                for (_, ctup), d in zip(alpha.support, diff):
-                    t = coords.to_tuple[d]
-                    num += sum(Fraction(c * a, o) for c, a, o in
-                               zip(ctup, t, coords.orders))
-                scaled = (num % 1) * coords.orders[gi]
-                if scaled.denominator != 1:
-                    raise McaLabError("fibre composite is not affine-linear")
-                coeff.append(int(scaled) % coords.orders[gi])
-            if any(coeff):
-                rank += 1
-        ranks.add(rank)
+        outs = outs[:, [k - lo for k in cells]]
+        # big·alpha(y·b⁻¹) mod big at each input cell m and generator gi; it
+        # is coefficient gi of (alpha ∘ composite) at m times big // n_gi
+        diffs = A.table[outs[1:], A.inverse[outs[0]]]
+        vals = (to_tuple[diffs] * weights).sum(axis=(1, 2)) % big
+        vals = vals.reshape(n_in, len(gens))
+        if (vals % divisors).any():
+            raise McaLabError("fibre composite is not affine-linear")
+        ranks.add(int(np.count_nonzero(vals.any(axis=1))))
     ranks_seen = tuple(sorted(ranks))
     one = len(ranks_seen) == 1
     return FibreRankCheck(rank=ranks_seen[0] if one else -1,
@@ -498,16 +468,14 @@ def harmonic_mixing_profile(spec: MeasureSpec, r_max: int,
 
         coords = abelian_invariants(make_cyclic(spec.size))
     nz = _nonzero_tuples(coords.orders)
-    tables = {coeff: _value_table(coords, coeff) for coeff in nz}
     if spec.kind in ("uniform", "bernoulli"):
-        probs = [float(p) for p in spec.cell_distribution()]
-        best = 0.0
-        for coeff in nz:
-            tab = tables[coeff]
-            best = max(best, float(abs(sum(p * t for p, t in zip(probs, tab)))))
+        dist = spec.cell_distribution()
+        chars = [Character(coords.orders, ((0, c),), coords=coords) for c in nz]
+        best = max((abs(bernoulli_fourier(chi, dist)) for chi in chars), default=0.0)
         return [1.0] + [best ** r for r in range(1, r_max + 1)]
     if spec.kind != "markov":
         raise McaLabError(f"no mixing profile for kind {spec.kind!r}")
+    tables = {coeff: _value_table(coords, coeff) for coeff in nz}
     pi = np.asarray([float(p) for p in spec.probs])
     T = np.asarray([[float(p) for p in row] for row in spec.transition])
     out = [1.0]
@@ -669,14 +637,12 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
         if path is None:
             continue
         dual, chi, dist = path
-        cur_chi, acc = chi, 0.0
-        for n in range(n_max + 1):
+        acc = 0.0
+        for n, cur_chi in enumerate(_orbit(dual, chi, n_max)):
             val = abs(bernoulli_fourier(cur_chi, dist))
             acc += val
             rows_by_probe[i].append(ProbeRow(n, probe.probe_id, val,
                                              acc / (n + 1), "exact", 0, 0.0))
-            if n < n_max:
-                cur_chi = dual_action(dual, cur_chi)
     # exact measure chain: TV always, probes without a dual path
     in_lo = out_lo + n_exact * rule.v_lo
     in_hi = out_hi + n_exact * rule.v_hi

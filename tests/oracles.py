@@ -4,17 +4,22 @@ Each walks the words of a window one at a time through the public scalar
 evaluator (``eval_local`` / ``apply_window`` / ``star_compose`` /
 ``MeasureSpec.word_weight``), independently of the table-lookup kernel the
 library uses.  ``dual_action_oracle`` steps a character one support cell
-and one position at a time in Python integers.  Property tests compare
-each with the library.
+and one position at a time in Python integers.  ``fibre_rank_oracle``
+reads each finite difference of a fibre composite as a sum of
+``Fraction``s.  Property tests compare each with the library.
 """
 import cmath
 import math
 from fractions import Fraction
 
-from mcalab import (Character, Config, McaLabError, McaRule, NhcaSequence,
-                    RecomposeReport, apply_window, eval_local, star_compose,
-                    star_decompose)
-from mcalab.util import iter_words, word_index
+import numpy as np
+
+from mcalab import (Character, Config, FibreRankCheck, McaLabError, McaRule,
+                    NhcaSequence, RecomposeReport, abelian_invariants,
+                    apply_window, eval_local, fibre_step_sequence,
+                    relative_diffusion_rank, star_compose, star_decompose)
+from mcalab.rules import step_cells
+from mcalab.util import STATE_CAP, check_cap, iter_words, word_index
 
 
 def push_forward_oracle(op, m) -> list[int]:
@@ -146,3 +151,58 @@ def dual_action_oracle(dual, chi):
     support = tuple((cell, tuple(t)) for cell, t in sorted(acc.items())
                     if any(t))
     return Character(coords.orders, support, phase, coords)
+
+
+def fibre_rank_oracle(dec, split, alpha, j: int, cap: int = STATE_CAP):
+    """``fibre_rank_independence`` with each alpha summed in ``Fraction``s."""
+    rule = dec.rule
+    frame = dec.frame
+    A, C = frame.a_group, frame.C
+    coords = abelian_invariants(A)
+    if alpha.invariants != coords.orders:
+        raise McaLabError("probe does not match the fibre group invariants")
+    cells = alpha.cells()
+    out_lo = min(cells) if cells else 0
+    out_hi = (max(cells) + 1) if cells else 1
+    in_lo, in_hi = out_lo + j * rule.v_lo, out_hi + j * rule.v_hi
+    n_in = in_hi - in_lo
+    check_cap(C.order ** n_in, cap, "fibre rank independence")
+    lin_rank = relative_diffusion_rank(split, alpha, j)
+    gens = coords.generators
+    # row 0 is the zero word; row 1 + m·|gens| + gi has generator gi at cell m
+    probes = np.zeros((1 + n_in * len(gens), n_in), dtype=np.int64)
+    for m in range(n_in):
+        probes[1 + m * len(gens): 1 + (m + 1) * len(gens), m] = gens
+    ranks = set()
+    for w in iter_words(C.order, n_in):
+        outs, lo = probes, in_lo
+        for st in fibre_step_sequence(dec, Config(C, in_lo, w), j):
+            outs = step_cells(st, outs, lo)
+            lo -= st.v_lo
+        outs = outs[:, [k - lo for k in cells]].tolist()
+        rank = 0
+        for m in range(n_in):
+            # coefficient tuple of (alpha ∘ composite) at input cell m, by
+            # exact finite differences along each generator direction
+            coeff = []
+            for gi in range(len(gens)):
+                diff = [A.mul(y, A.inv(b))
+                        for y, b in zip(outs[1 + m * len(gens) + gi], outs[0])]
+                num = Fraction(0)
+                for (_, ctup), d in zip(alpha.support, diff):
+                    t = coords.to_tuple[d]
+                    num += sum(Fraction(c * a, o) for c, a, o in
+                               zip(ctup, t, coords.orders))
+                scaled = (num % 1) * coords.orders[gi]
+                if scaled.denominator != 1:
+                    raise McaLabError("fibre composite is not affine-linear")
+                coeff.append(int(scaled) % coords.orders[gi])
+            if any(coeff):
+                rank += 1
+        ranks.add(rank)
+    ranks_seen = tuple(sorted(ranks))
+    one = len(ranks_seen) == 1
+    return FibreRankCheck(rank=ranks_seen[0] if one else -1,
+                          linear_rank=lin_rank,
+                          all_equal=one and ranks_seen[0] == lin_rank,
+                          ranks_seen=ranks_seen)

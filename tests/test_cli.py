@@ -216,6 +216,24 @@ def test_cap_states_config_field_honored_unless_flag_given(tmp_path):
     assert read_json(out2 / "manifest.json")["n_exact"] == 6
 
 
+# (command, config keys beside XOR_CONFIG, the key named in the error)
+MALFORMED_PARAMS = [
+    ("randomize", {"n_max": 2, "tv_cells": "x"}, "tv_cells"),
+    ("randomize", {"n_max": 2, "tv_cells": 0}, "tv_cells"),
+    ("randomize", {"n_max": 2, "mc_samples": "abc"}, "mc_samples"),
+    ("randomize", {"n_max": 2, "mc_samples": -1}, "mc_samples"),
+    ("randomize", {"n_max": 2, "mc_checkpoints": ["a"]}, "mc_checkpoints"),
+    ("randomize", {"n_max": 2, "mc_checkpoints": [0]}, "mc_checkpoints"),
+    ("randomize", {"n_max": 2, "mc_checkpoints": 4}, "mc_checkpoints"),
+    ("randomize", {"n_max": True}, "n_max"),
+    ("entropy", {"n_max": True}, "n_max"),
+    ("diffuse", {"alpha": {"0": [1]}, "j_max": 4, "thresholds": ["a"]}, "thresholds"),
+    ("diffuse", {"alpha": {"0": [1]}, "j_max": 4, "thresholds": 3}, "thresholds"),
+    ("diffuse", {"alpha": {"0": [1]}, "j_max": True}, "j_max"),
+    ("group", {"cap_states": True}, "cap_states"),
+]
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     cfgp = write_config(tmp_path, {"group": {"kind": "cyclic", "n": 2}})
     assert main(["entropy", "--config", cfgp,
@@ -223,6 +241,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     missing = str(tmp_path / "nope.json")
     assert main(["group", "--config", missing, "--out", str(tmp_path)]) == 2
+    for command, params, key in MALFORMED_PARAMS:
+        cfgp = write_config(tmp_path, {**XOR_CONFIG, **params})
+        assert main([command, "--config", cfgp, "--out", str(tmp_path)]) == 2, params
+        err = capsys.readouterr().err
+        assert f"config error: config.{key}: " in err and "Traceback" not in err
 
 
 def test_workers_default_comes_from_environment(monkeypatch):

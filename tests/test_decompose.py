@@ -9,7 +9,7 @@ import itertools
 import pytest
 
 from mcalab import (Config, GroupMap, McaRule, NotCentralError,
-                    NotInvariantError, apply_window, central_split,
+                    NotInvariantError, WindowError, apply_window, central_split,
                     decompose_mca, eval_local, fibre_nhca,
                     fibre_step_sequence, generated_subgroup, local_table,
                     make_frame, nilpotent_tower, recompose_check, star_compose,
@@ -193,6 +193,15 @@ def test_tower_apply_matches_direct_application(quat_rule4, q8):
     via_tower = tower_apply(tower, cfg)
     assert via_tower.lo == direct.lo
     assert via_tower.word == direct.word
+
+
+def test_tower_apply_shrinks_the_block_like_apply_window(quat_rule4, q8):
+    tower = nilpotent_tower(quat_rule4)
+    with pytest.raises(WindowError):
+        tower_apply(tower, Config(q8, 0, (3, 0)))
+    # exactly spread cells leave an empty block at lo - v_lo
+    out = tower_apply(tower, Config(q8, 5, (3, 0, 7)))
+    assert (out.lo, out.word) == (5 - quat_rule4.v_lo, ())
 
 
 def test_tower_on_abelian_group_is_flat():

@@ -4,21 +4,24 @@ Every exhaustive path (push-forward, marginal, the two product measures,
 trajectory laws, recomposition) is compared exactly with a word-by-word
 enumeration through ``eval_local``/``apply_window``/``star_compose``, on
 random rules over Q8, Z/5⋊Z/4 and S3 = Z/3⋊Z/2.  The array dual action
-is compared bit for bit with a cell-by-cell step on abelian groups.
+is compared bit for bit with a cell-by-cell step on abelian groups, and
+the integer fibre ranks with a ``Fraction`` finite-difference reading.
 """
 import math
 from fractions import Fraction
 from functools import cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
                     MeasureSpec, NhcaSequence, Subgroup, WindowMeasure,
-                    apply_window, center, decompose_mca, diffusion_report,
-                    dual_action, enumerate_endomorphisms, make_cyclic,
-                    make_direct_sum, make_frame, make_quaternion,
+                    abelian_invariants, apply_window, center, central_split,
+                    decompose_mca, diffusion_report, dual_action,
+                    enumerate_endomorphisms, fibre_rank_independence,
+                    make_cyclic, make_direct_sum, make_frame, make_quaternion,
                     make_semidirect, partition_entropy, product_measure,
                     push_forward, recompose_check, star_product_measure,
                     trajectory_joint_distribution,
@@ -26,8 +29,8 @@ from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
 from mcalab.rules import step_cells
 from mcalab.util import iter_words
 
-from oracles import (dual_action_oracle, marginal_oracle, product_oracle,
-                     push_forward_oracle, recompose_oracle,
+from oracles import (dual_action_oracle, fibre_rank_oracle, marginal_oracle,
+                     product_oracle, push_forward_oracle, recompose_oracle,
                      star_product_oracle, trajectory_oracle)
 
 # oracle loops stay under this many words per example
@@ -309,3 +312,49 @@ def test_dual_action_phase_keeps_every_factor_at_zero_bias():
         chi = Character.make(dual.coords, {0: (1,), 2: (3,)}, phase)
         got, want = dual_action(dual, chi), dual_action_oracle(dual, chi)
         assert repr(got.phase) == repr(want.phase)
+
+
+# central frames over Z/2⊕Z/4 (indices a·4 + b) by the members of A, and Q8's
+# centre; A = B gives the trivial quotient and mixed orders (2, 4)
+CENTRAL_FRAMES = {"Z2+Z4/Z4": [0, 1, 2, 3], "Z2+Z4/Z2+Z2": [0, 2, 4, 6],
+                  "Z2+Z4/Z2": [0, 2], "Z2+Z4/Z2+Z4": list(range(8)),
+                  "Q8/centre": None}
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(CENTRAL_FRAMES))
+def test_fibre_ranks_match_fraction_oracle(name, j):
+    """Every ``FibreRankCheck`` field equals the ``Fraction`` reading."""
+    if name == "Q8/centre":
+        G = make_quaternion()
+        fr = make_frame(G, center(G))
+        endos = [GroupMap.identity(G), GroupMap(G, G, [0, 1, 4, 5, 6, 7, 2, 3], True),
+                 GroupMap(G, G, [0, 1, 3, 2, 6, 7, 4, 5], True)]
+    else:
+        G = make_direct_sum([2, 4])
+        members = CENTRAL_FRAMES[name]
+        fr = make_frame(G, Subgroup(G, members))
+        endos = [e for e in enumerate_endomorphisms(G)
+                 if all(e(x) in members for x in members)]
+    # repeated and negative positions; a quotient of order 4 gets a
+    # narrower window so that j = 2 stays at 4**4 base words
+    v_hi = 0 if fr.C.order == 4 else 1
+    rule = McaRule(G, -1, v_hi, [(-1, endos[-1]), (0, endos[len(endos) // 3]),
+                                 (v_hi, endos[len(endos) // 2]), (-1, endos[1]),
+                                 (0, endos[0]), (-1, endos[0])], 3)
+    dec = decompose_mca(rule, fr)
+    split = central_split(rule, fr, dec=dec)
+    coords = abelian_invariants(fr.a_group)
+    orders = coords.orders
+    # trivial; one cell; the largest order alone; two cells with negative
+    # and unreduced coefficients
+    alphas = [Character(orders, (), 1.0 + 0j, coords),
+              Character.make(coords, {1: [1] * len(orders)}),
+              Character.make(coords, {0: [0] * (len(orders) - 1) + [1]}),
+              Character(orders, ((-1, tuple(-1 for _ in orders)),
+                                 (0, tuple(n + 1 for n in orders))), 1.0 + 0j, coords)]
+    for alpha in alphas:
+        got = fibre_rank_independence(dec, split, alpha, j)
+        want = fibre_rank_oracle(dec, split, alpha, j)
+        assert (got.rank, got.linear_rank, got.all_equal, got.ranks_seen) == (
+            want.rank, want.linear_rank, want.all_equal, want.ranks_seen)

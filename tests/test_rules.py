@@ -94,6 +94,21 @@ def test_apply_periodic_commutes_with_rotation():
     assert out_rot.word == out.word[1:] + out.word[:1]
 
 
+@pytest.mark.parametrize("coeffs, v_lo, word", [
+    ([2, 3], 1, (0, 3, 1, 4, 2, 2)),          # window excludes cell 0
+    ([1, 4, 2, 3, 1], -2, (4, 1, 3)),         # window wider than the block
+    ([3, 2], -1, (2,)),
+])
+def test_apply_periodic_matches_the_modular_formula(coeffs, v_lo, word):
+    rule = linear_rule(5, coeffs, v_lo=v_lo, bias=1)
+    n = len(word)
+    out = apply_periodic(rule, Config(rule.group, 7, word))
+    want = tuple(eval_local(rule, [word[(t + v) % n]
+                                   for v in range(rule.v_lo, rule.v_hi + 1)])
+                 for t in range(n))
+    assert (out.lo, out.word) == (7, want)
+
+
 def test_nhca_per_cell_rules():
     G = make_cyclic(2)
     ident = GroupMap.identity(G)

@@ -8,160 +8,16 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    GroupMap,
-    CharSeries,
-    AbelianCoords,
-    make_cyclic,
-    make_direct_sum,
-    make_quaternion,
-    make_semidirect,
-    from_table,
-    serialize_group,
-    generated_subgroup,
-    center,
-    commutator_subgroup,
-    enumerate_endomorphisms,
-    enumerate_automorphisms,
-    is_fully_characteristic,
-    quotient,
-    upper_central_series,
-    is_nilpotent,
-    abelian_invariants,
-)
+from . import decompose, errors, groups, measures, pseudo, rules, specs, spectral
+from .groups import *
+from .pseudo import *
+from .rules import *
+from .decompose import *
+from .measures import *
+from .spectral import *
+from .specs import *
+from .errors import *
 
-from .pseudo import (
-    PseudoFrame,
-    SplitEndo,
-    make_frame,
-    star_compose,
-    star_decompose,
-    conj_auto,
-    cocycle_zeta,
-    is_polymorph,
-    split_endo,
-)
-from .rules import (
-    McaRule,
-    Config,
-    NhcaSequence,
-    PermutativityFlags,
-    eval_local,
-    local_table,
-    apply_window,
-    apply_periodic,
-    is_homomorphic_local,
-    extract_eca_coefficients,
-    permutativity,
-    is_bipermutative,
-    filling_solve,
-)
-from .decompose import (
-    SkewDecomposition,
-    RecomposeReport,
-    CentralSplit,
-    TowerLevel,
-    NilpotentTower,
-    decompose_mca,
-    recompose_check,
-    central_split,
-    nilpotent_tower,
-    tower_eval,
-    tower_apply,
-    fibre_nhca,
-    fibre_step_sequence,
-)
-from .measures import (
-    WindowMeasure,
-    MeasureSpec,
-    partition_entropy,
-    push_forward,
-    trajectory_joint_distribution,
-    trajectory_partition_entropy,
-    formula_entropy,
-    skew_entropy,
-    fibre_trajectory_entropy,
-    product_measure,
-    star_product_measure,
-)
-from .spectral import (
-    Character,
-    LinearRuleDual,
-    DiffusionReport,
-    FibreRankCheck,
-    Probe,
-    ProbeRow,
-    TvRow,
-    RandomizationReport,
-    characters_of,
-    fourier_coefficient,
-    bernoulli_fourier,
-    dual_action,
-    diffusion_report,
-    relative_diffusion_rank,
-    fibre_rank_independence,
-    harmonic_mixing_profile,
-    cesaro_randomization,
-)
-from .specs import (
-    ExperimentConfig,
-    parse_group,
-    parse_endo,
-    parse_rule,
-    parse_measure,
-    parse_frame,
-    parse_character,
-    parse_probe,
-    load_experiment,
-    resolve_element,
-)
-from .errors import (
-    McaLabError,
-    SpecError,
-    FrameError,
-    WindowError,
-    CapExceededError,
-    NotAbelianError,
-    NotCentralError,
-    NotInvariantError,
-    NotNormalError,
-    NotPermutativeError,
-    TableInvalidError,
-)
-
-__all__ = [
-    "FiniteGroup", "Subgroup", "GroupMap", "CharSeries", "AbelianCoords",
-    "make_cyclic", "make_direct_sum", "make_quaternion", "make_semidirect",
-    "from_table", "serialize_group", "generated_subgroup", "center",
-    "commutator_subgroup", "enumerate_endomorphisms", "enumerate_automorphisms",
-    "is_fully_characteristic", "quotient", "upper_central_series",
-    "is_nilpotent", "abelian_invariants",
-    "PseudoFrame", "SplitEndo", "make_frame", "star_compose", "star_decompose",
-    "conj_auto", "cocycle_zeta", "is_polymorph", "split_endo",
-    "McaRule", "Config", "NhcaSequence", "PermutativityFlags",
-    "eval_local", "local_table", "apply_window", "apply_periodic",
-    "is_homomorphic_local", "extract_eca_coefficients", "permutativity",
-    "is_bipermutative", "filling_solve",
-    "SkewDecomposition", "RecomposeReport", "CentralSplit", "TowerLevel",
-    "NilpotentTower", "decompose_mca", "recompose_check", "central_split",
-    "nilpotent_tower", "tower_eval", "tower_apply", "fibre_nhca",
-    "fibre_step_sequence",
-    "WindowMeasure", "MeasureSpec", "partition_entropy", "push_forward",
-    "trajectory_joint_distribution", "trajectory_partition_entropy",
-    "formula_entropy", "skew_entropy", "fibre_trajectory_entropy",
-    "product_measure", "star_product_measure",
-    "Character", "LinearRuleDual", "DiffusionReport", "FibreRankCheck",
-    "Probe", "ProbeRow", "TvRow", "RandomizationReport", "characters_of",
-    "fourier_coefficient", "bernoulli_fourier", "dual_action",
-    "diffusion_report", "relative_diffusion_rank", "fibre_rank_independence",
-    "harmonic_mixing_profile", "cesaro_randomization",
-    "ExperimentConfig", "parse_group", "parse_endo", "parse_rule",
-    "parse_measure", "parse_frame", "parse_character", "parse_probe",
-    "load_experiment", "resolve_element",
-    "McaLabError", "SpecError", "FrameError", "WindowError", "NotNormalError",
-    "CapExceededError", "NotAbelianError", "NotCentralError",
-    "NotInvariantError", "NotPermutativeError", "TableInvalidError",
-    "__version__",
-]
+__all__ = [*groups.__all__, *pseudo.__all__, *rules.__all__,
+           *decompose.__all__, *measures.__all__, *spectral.__all__,
+           *specs.__all__, *errors.__all__, "__version__"]

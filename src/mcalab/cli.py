@@ -25,7 +25,7 @@ from .rules import permutativity
 from .measures import trajectory_partition_entropy
 from .decompose import decompose_mca, nilpotent_tower
 from .spectral import LinearRuleDual, cesaro_randomization, diffusion_report
-from .specs import (ExperimentConfig, _need, load_experiment,
+from .specs import (ExperimentConfig, _is_int, _need, load_experiment,
                     parse_character, parse_measure, parse_probe)
 from .util import STATE_CAP
 
@@ -74,12 +74,18 @@ def _int_param(cfg: ExperimentConfig, key: str, default=None, least: int | None 
     val = cfg.param(key, default)
     items = val if many and isinstance(val, list) else [val]
     if (many and not isinstance(val, list)) or not all(
-            isinstance(x, int) and not isinstance(x, bool)
-            and (least is None or x >= least) for x in items):
+            _is_int(x) and (least is None or x >= least) for x in items):
         kind = {0: "non-negative integer", 1: "positive integer", None: "integer"}[least]
         need = f"a list of {kind}s" if many else f"a {kind}"
         raise SpecError(f"config.{key}: need {need}")
     return val
+
+
+def _measure_param(cfg: ExperimentConfig, key: str):
+    """``config.<key>`` as a measure on the rule group; absent or null is uniform."""
+    obj = cfg.param(key)
+    return parse_measure(cfg.group.order,
+                         {"kind": "uniform"} if obj is None else obj, key)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -243,9 +249,7 @@ def cmd_permute(cfg: ExperimentConfig, run: Run, args) -> None:
 def cmd_entropy(cfg: ExperimentConfig, run: Run, args) -> None:
     if cfg.rule is None:
         raise SpecError("config: entropy needs a rule")
-    spec = parse_measure(cfg.group.order,
-                         cfg.param("measure") or {"kind": "uniform"},
-                         "measure")
+    spec = _measure_param(cfg, "measure")
     n_max = _int_param(cfg, "n_max")
     marginal = trajectory_partition_entropy(cfg.rule, spec, 1,
                                             cap=args.cap_states)
@@ -311,12 +315,15 @@ def cmd_randomize(cfg: ExperimentConfig, run: Run, args) -> None:
                            _need(both, "nu", "config.measures"), "measures.nu")
         init = (lam, nu)
     else:
-        init = parse_measure(cfg.group.order,
-                             cfg.param("init") or {"kind": "uniform"},
-                             "init")
+        init = _measure_param(cfg, "init")
+    probe_specs = cfg.param("probes")
+    if not isinstance(probe_specs, (list, type(None))):
+        raise SpecError("config.probes: need a list of probe objects")
     probes = [parse_probe(p, f"probes[{i}]", fibre_group, quot_group)
-              for i, p in enumerate(cfg.param("probes", []))]
-    seed = args.seed if args.seed is not None else cfg.param("seed")
+              for i, p in enumerate(probe_specs or [])]
+    seed = args.seed
+    if seed is None and cfg.param("seed") is not None:
+        seed = _int_param(cfg, "seed", least=0)
     run.extra["seed"] = seed  # record the effective seed, flag or config
     rep = cesaro_randomization(
         cfg.rule, init, n_max, probes=probes, frame=cfg.frame, dec=dec,
@@ -387,6 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.seed is not None and args.seed < 0:
+            raise SpecError("--seed: need a non-negative integer")
         cfg = load_experiment(args.config)
         if args.cap_states is None:  # flag beats config beats default
             args.cap_states = _int_param(cfg, "cap_states", STATE_CAP)

@@ -364,8 +364,7 @@ def _extreme_bijective(rule: McaRule, side: str, cap: int) -> bool:
     return bool(np.array_equal(sorted_vals, np.broadcast_to(np.arange(B), cols.shape)))
 
 
-def permutativity(op: LocalFamily, cap: int = STATE_CAP,
-                  cells: Iterable[int] | None = None) -> PermutativityFlags:
+def permutativity(op: LocalFamily, cap: int = STATE_CAP) -> PermutativityFlags:
     """Left/right permutativity flags following the overlap convention.
 
     Left-permutativity requires L > 0 (the window genuinely reaches left of
@@ -376,7 +375,7 @@ def permutativity(op: LocalFamily, cap: int = STATE_CAP,
     if isinstance(op, McaRule):
         rules: list[McaRule] = [op]
     else:
-        rules = [op.rule_at(m) for m in (cells if cells is not None else sorted(op.rules))]
+        rules = list(op.rules.values())
         if not rules:
             raise WindowError("no cells to test")
     left = all(r.left_overlap > 0 and _extreme_bijective(r, "left", cap) for r in rules)
@@ -387,8 +386,7 @@ def permutativity(op: LocalFamily, cap: int = STATE_CAP,
 def is_bipermutative(op: LocalFamily, cap: int = STATE_CAP) -> bool:
     """Permutative on both overlap sides (right side only for one-sided rules)."""
     flags = permutativity(op, cap)
-    one_sided = op.one_sided if isinstance(op, McaRule) else op.one_sided
-    return flags.right if one_sided else (flags.left and flags.right)
+    return flags.right if op.one_sided else (flags.left and flags.right)
 
 
 def _solve_cell(rule: McaRule, window: list[int | None], free_slot: int,

@@ -7,6 +7,7 @@ rather than at a traceback.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +22,28 @@ from .rules import McaRule
 from .measures import MeasureSpec
 from .spectral import Character, Probe
 
+__all__ = [
+    "ExperimentConfig",
+    "parse_group",
+    "parse_endo",
+    "parse_rule",
+    "parse_measure",
+    "parse_frame",
+    "parse_character",
+    "parse_probe",
+    "load_experiment",
+    "resolve_element",
+]
+
+
+@contextmanager
+def _field(where: str):
+    """Re-raise any failure inside the block as a SpecError naming ``where``."""
+    try:
+        yield
+    except Exception as exc:
+        raise SpecError(f"{where}: {exc}") from exc
+
 
 def _need(obj: dict, key: str, where: str) -> Any:
     if not isinstance(obj, dict):
@@ -32,6 +55,19 @@ def _need(obj: dict, key: str, where: str) -> Any:
 
 def _opt(obj: dict, key: str, default=None) -> Any:
     return obj.get(key, default) if isinstance(obj, dict) else default
+
+
+def _is_int(val) -> bool:
+    """A JSON integer; booleans are not integers here."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _flag(obj: dict, key: str, where: str) -> bool:
+    """An optional JSON boolean field, false when absent."""
+    val = _opt(obj, key, False)
+    if not isinstance(val, bool):
+        raise SpecError(f"{where}.{key}: need true or false")
+    return val
 
 
 def resolve_element(group: FiniteGroup, val, where: str) -> int:
@@ -59,13 +95,13 @@ def parse_group(obj: dict, where: str = "group") -> FiniteGroup:
     kind = _need(obj, "kind", where)
     if kind == "cyclic":
         n = _need(obj, "n", where)
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise SpecError(f"{where}.n: need a positive integer")
         return make_cyclic(n)
     if kind == "direct_sum":
         orders = _need(obj, "orders", where)
         if (not isinstance(orders, list) or not orders
-                or not all(isinstance(k, int) and k >= 1 for k in orders)):
+                or not all(_is_int(k) and k >= 1 for k in orders)):
             raise SpecError(f"{where}.orders: need a nonempty list of "
                             "positive integers")
         return make_direct_sum(orders)
@@ -79,16 +115,12 @@ def parse_group(obj: dict, where: str = "group") -> FiniteGroup:
             raise SpecError(f"{where}.action: need one automorphism "
                             f"image-array per acting element "
                             f"({acting.order} expected)")
-        try:
+        with _field(f"{where}.action"):
             return make_semidirect(normal, acting, action)
-        except Exception as exc:
-            raise SpecError(f"{where}.action: {exc}") from exc
     if kind == "table":
         table = _need(obj, "table", where)
-        try:
+        with _field(f"{where}.table"):
             return from_table(table, _opt(obj, "labels"))
-        except Exception as exc:
-            raise SpecError(f"{where}.table: {exc}") from exc
     raise SpecError(f"{where}.kind: unknown group kind {kind!r}")
 
 
@@ -105,7 +137,7 @@ def parse_endo(group: FiniteGroup, obj, where: str) -> GroupMap:
                         True)
     if "power" in obj:
         k = obj["power"]
-        if not isinstance(k, int):
+        if not _is_int(k):
             raise SpecError(f"{where}.power: need an integer exponent")
         if not group.is_abelian:
             raise SpecError(f"{where}.power: power maps are endomorphisms "
@@ -118,10 +150,8 @@ def parse_endo(group: FiniteGroup, obj, where: str) -> GroupMap:
             raise SpecError(f"{where}.images: need {group.order} entries")
         imgs = [resolve_element(group, v, f"{where}.images[{i}]")
                 for i, v in enumerate(images)]
-        try:
+        with _field(f"{where}.images"):
             return GroupMap(group, group, imgs, True)
-        except Exception as exc:
-            raise SpecError(f"{where}.images: {exc}") from exc
     raise SpecError(f"{where}: unknown endomorphism spec "
                     f"(want identity/conj/power/images)")
 
@@ -129,7 +159,7 @@ def parse_endo(group: FiniteGroup, obj, where: str) -> GroupMap:
 def parse_rule(group: FiniteGroup, obj: dict, where: str = "rule") -> McaRule:
     hood = _need(obj, "neighborhood", where)
     if (not isinstance(hood, list) or len(hood) != 2
-            or not all(isinstance(v, int) for v in hood)):
+            or not all(map(_is_int, hood))):
         raise SpecError(f"{where}.neighborhood: need [v_lo, v_hi]")
     factors = _need(obj, "factors", where)
     if not isinstance(factors, list) or not factors:
@@ -137,33 +167,30 @@ def parse_rule(group: FiniteGroup, obj: dict, where: str = "rule") -> McaRule:
     pairs = []
     for i, f in enumerate(factors):
         pos = _need(f, "pos", f"{where}.factors[{i}]")
-        if not isinstance(pos, int):
+        if not _is_int(pos):
             raise SpecError(f"{where}.factors[{i}].pos: need an integer")
         coeff = parse_endo(group, _need(f, "coeff", f"{where}.factors[{i}]"),
                            f"{where}.factors[{i}].coeff")
         pairs.append((pos, coeff))
     bias = resolve_element(group, _opt(obj, "bias", 0), f"{where}.bias")
-    one_sided = bool(_opt(obj, "one_sided", False))
-    try:
+    one_sided = _flag(obj, "one_sided", where)
+    with _field(where):
         return McaRule(group, hood[0], hood[1], pairs, bias=bias,
                        one_sided=one_sided)
-    except Exception as exc:
-        raise SpecError(f"{where}: {exc}") from exc
 
 
 def _as_fraction(val, where: str) -> Fraction:
-    """Probabilities as "9/10" / "0.9" strings, [num, den] pairs, or ints."""
-    try:
+    """Probabilities as "9/10" / "0.9" strings, [num, den] integer pairs, or ints."""
+    with _field(where):
         if isinstance(val, str):
             return Fraction(val)
-        if isinstance(val, list) and len(val) == 2:
-            return Fraction(int(val[0]), int(val[1]))
-        if isinstance(val, int) and not isinstance(val, bool):
+        if isinstance(val, list) and len(val) == 2 and all(map(_is_int, val)):
+            return Fraction(val[0], val[1])
+        if _is_int(val):
             return Fraction(val)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"{where}: {exc}") from exc
     raise SpecError(f"{where}: probabilities must be exact — use a string "
-                    "like \"9/10\" or \"0.9\", or a [num, den] pair")
+                    "like \"9/10\" or \"0.9\", or a [num, den] pair of "
+                    "integers")
 
 
 def parse_measure(size: int, obj: dict, where: str = "measure") -> MeasureSpec:
@@ -176,10 +203,8 @@ def parse_measure(size: int, obj: dict, where: str = "measure") -> MeasureSpec:
             raise SpecError(f"{where}.probs: need {size} probabilities")
         vals = [_as_fraction(p, f"{where}.probs[{i}]")
                 for i, p in enumerate(probs)]
-        try:
+        with _field(where):
             return MeasureSpec("bernoulli", size, probs=vals)
-        except Exception as exc:
-            raise SpecError(f"{where}: {exc}") from exc
     if kind == "markov":
         trans = _need(obj, "transition", where)
         if (not isinstance(trans, list) or len(trans) != size
@@ -193,10 +218,8 @@ def parse_measure(size: int, obj: dict, where: str = "measure") -> MeasureSpec:
             raise SpecError(f"{where}.initial: need {size} probabilities")
         pi = [_as_fraction(p, f"{where}.initial[{i}]")
               for i, p in enumerate(init)]
-        try:
+        with _field(where):
             return MeasureSpec("markov", size, transition=rows, initial=pi)
-        except Exception as exc:
-            raise SpecError(f"{where}: {exc}") from exc
     raise SpecError(f"{where}.kind: unknown measure kind {kind!r}")
 
 
@@ -207,10 +230,8 @@ def parse_frame(B: FiniteGroup, obj: dict, where: str = "frame") -> PseudoFrame:
     elif isinstance(sub, list):
         members = [resolve_element(B, v, f"{where}.subgroup[{i}]")
                    for i, v in enumerate(sub)]
-        try:
+        with _field(f"{where}.subgroup"):
             A = Subgroup(B, members)
-        except Exception as exc:
-            raise SpecError(f"{where}.subgroup: {exc}") from exc
     else:
         raise SpecError(f"{where}.subgroup: need \"center\" or a member list")
     section = _opt(obj, "section", "canonical")
@@ -221,10 +242,8 @@ def parse_frame(B: FiniteGroup, obj: dict, where: str = "frame") -> PseudoFrame:
                for i, v in enumerate(section)]
     else:
         raise SpecError(f"{where}.section: need \"canonical\" or a rep list")
-    try:
+    with _field(where):
         return make_frame(B, A, sec)
-    except Exception as exc:
-        raise SpecError(f"{where}: {exc}") from exc
 
 
 def parse_character(group: FiniteGroup, obj: dict, where: str) -> Character:
@@ -232,10 +251,8 @@ def parse_character(group: FiniteGroup, obj: dict, where: str) -> Character:
     if not isinstance(obj, dict) or not obj:
         raise SpecError(f"{where}: need a nonempty object "
                         "mapping cell to coefficient list")
-    try:
+    with _field(where):
         coords = abelian_invariants(group)
-    except Exception as exc:
-        raise SpecError(f"{where}: {exc}") from exc
     support: dict[int, tuple[int, ...]] = {}
     for key, coeffs in obj.items():
         try:
@@ -244,17 +261,15 @@ def parse_character(group: FiniteGroup, obj: dict, where: str) -> Character:
             raise SpecError(f"{where}: cell key {key!r} is not an "
                             "integer") from None
         if (not isinstance(coeffs, list)
-                or not all(isinstance(c, int) for c in coeffs)):
+                or not all(map(_is_int, coeffs))):
             raise SpecError(f"{where}[{key}]: need a list of integer "
                             "coefficients")
         if len(coeffs) != len(coords.orders):
             raise SpecError(f"{where}[{key}]: need {len(coords.orders)} "
                             f"coefficients (one per invariant factor)")
         support[cell] = tuple(coeffs)
-    try:
+    with _field(where):
         return Character.make(coords, support)
-    except Exception as exc:
-        raise SpecError(f"{where}: {exc}") from exc
 
 
 def parse_probe(obj: dict, where: str,
@@ -336,7 +351,7 @@ def load_experiment(source) -> ExperimentConfig:
     frame = None
     if "frame" in obj:
         frame = parse_frame(group, obj["frame"])
-    use_tower = bool(_opt(obj, "tower", False))
+    use_tower = _flag(obj, "tower", "config")
     if use_tower and frame is not None:
         raise SpecError("config: give either frame or tower, not both")
     params = {k: v for k, v in obj.items()

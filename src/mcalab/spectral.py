@@ -452,13 +452,12 @@ def fibre_rank_independence(dec, split, alpha: Character, j: int,
 
 
 def harmonic_mixing_profile(spec: MeasureSpec, r_max: int,
-                            group: FiniteGroup | None = None,
-                            gap_pad: int = 2) -> list[float]:
+                            group: FiniteGroup | None = None) -> list[float]:
     """Max |<chi, μ>| per character rank r ≤ r_max (decay ⇒ mixing evidence).
 
     Bernoulli: the single-cell maximum to the r-th power (exact
     factorization).  Markov: exact transfer-matrix products over all
-    supports inside a window of r + gap_pad cells, which bounds the gap
+    supports inside a window of r + 2 cells, which bounds the gap
     structure at desk scale.
     """
     if group is not None:
@@ -480,7 +479,7 @@ def harmonic_mixing_profile(spec: MeasureSpec, r_max: int,
     T = np.asarray([[float(p) for p in row] for row in spec.transition])
     out = [1.0]
     for r in range(1, r_max + 1):
-        window = r + gap_pad
+        window = r + 2
         best = 0.0
         for combo in itertools.combinations(range(window), r):
             if combo[0] != 0:
@@ -607,6 +606,8 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
     Monte-Carlo rows (``mc_samples`` > 0) at deterministic chunk-seeded
     checkpoints.
     """
+    if tv_cells < 1:
+        raise McaLabError(f"tv_cells: need a positive integer, got {tv_cells}")
     group = rule.group
     cells = sorted({c for p in probes for c in p.cells()} | set(range(tv_cells)))
     out_lo, out_hi = min(cells), max(cells) + 1

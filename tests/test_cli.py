@@ -1,4 +1,5 @@
 """End-to-end runs of the command-line driver against temp directories."""
+import copy
 import csv
 import hashlib
 import json
@@ -216,21 +217,38 @@ def test_cap_states_config_field_honored_unless_flag_given(tmp_path):
     assert read_json(out2 / "manifest.json")["n_exact"] == 6
 
 
-# (command, config keys beside XOR_CONFIG, the key named in the error)
+# (command, config keys beside XOR_CONFIG, the field named in the error)
 MALFORMED_PARAMS = [
-    ("randomize", {"n_max": 2, "tv_cells": "x"}, "tv_cells"),
-    ("randomize", {"n_max": 2, "tv_cells": 0}, "tv_cells"),
-    ("randomize", {"n_max": 2, "mc_samples": "abc"}, "mc_samples"),
-    ("randomize", {"n_max": 2, "mc_samples": -1}, "mc_samples"),
-    ("randomize", {"n_max": 2, "mc_checkpoints": ["a"]}, "mc_checkpoints"),
-    ("randomize", {"n_max": 2, "mc_checkpoints": [0]}, "mc_checkpoints"),
-    ("randomize", {"n_max": 2, "mc_checkpoints": 4}, "mc_checkpoints"),
-    ("randomize", {"n_max": True}, "n_max"),
-    ("entropy", {"n_max": True}, "n_max"),
-    ("diffuse", {"alpha": {"0": [1]}, "j_max": 4, "thresholds": ["a"]}, "thresholds"),
-    ("diffuse", {"alpha": {"0": [1]}, "j_max": 4, "thresholds": 3}, "thresholds"),
-    ("diffuse", {"alpha": {"0": [1]}, "j_max": True}, "j_max"),
-    ("group", {"cap_states": True}, "cap_states"),
+    ("randomize", {"n_max": 2, "tv_cells": "x"}, "config.tv_cells"),
+    ("randomize", {"n_max": 2, "tv_cells": 0}, "config.tv_cells"),
+    ("randomize", {"n_max": 2, "mc_samples": "abc"}, "config.mc_samples"),
+    ("randomize", {"n_max": 2, "mc_samples": -1}, "config.mc_samples"),
+    ("randomize", {"n_max": 2, "mc_checkpoints": ["a"]}, "config.mc_checkpoints"),
+    ("randomize", {"n_max": 2, "mc_checkpoints": [0]}, "config.mc_checkpoints"),
+    ("randomize", {"n_max": 2, "mc_checkpoints": 4}, "config.mc_checkpoints"),
+    ("randomize", {"n_max": True}, "config.n_max"),
+    ("entropy", {"n_max": True}, "config.n_max"),
+    ("diffuse", {"alpha": {"0": [1]}, "j_max": 4, "thresholds": ["a"]}, "config.thresholds"),
+    ("diffuse", {"alpha": {"0": [1]}, "j_max": 4, "thresholds": 3}, "config.thresholds"),
+    ("diffuse", {"alpha": {"0": [1]}, "j_max": True}, "config.j_max"),
+    ("group", {"cap_states": True}, "config.cap_states"),
+    ("randomize", {"n_max": 2, "probes": 5}, "config.probes"),
+    ("randomize", {"n_max": 2, "probes": {}}, "config.probes"),
+    *[("randomize", {"n_max": 2, "mc_samples": 4, "seed": seed}, "config.seed")
+      for seed in ("abc", 1.5, -3, True, [1, 2])],
+    *[("randomize", {"n_max": 2, "init": {"kind": "bernoulli",
+                                          "probs": [pair, "1/2"]}}, "init.probs[0]")
+      for pair in ([[1], 2], [1.5, 2], [True, 2])],
+    *[("randomize", {"n_max": 2, "init": init}, "init") for init in ([], 0)],
+    ("entropy", {"n_max": 1, "measure": []}, "measure"),
+    ("decompose", {"tower": "no"}, "config.tower"),
+    ("permute", {"rule": {**XOR_CONFIG["rule"], "one_sided": "false"}},
+     "rule.one_sided"),
+    ("permute", {"rule": {**XOR_CONFIG["rule"], "neighborhood": [False, 1]}},
+     "rule.neighborhood"),
+    ("permute", {"rule": {**XOR_CONFIG["rule"], "factors": [
+        {"pos": True, "coeff": "identity"}]}}, "rule.factors[0].pos"),
+    ("group", {"group": {"kind": "cyclic", "n": True}}, "group.n"),
 ]
 
 
@@ -241,11 +259,26 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     missing = str(tmp_path / "nope.json")
     assert main(["group", "--config", missing, "--out", str(tmp_path)]) == 2
-    for command, params, key in MALFORMED_PARAMS:
+    for command, params, where in MALFORMED_PARAMS:
         cfgp = write_config(tmp_path, {**XOR_CONFIG, **params})
         assert main([command, "--config", cfgp, "--out", str(tmp_path)]) == 2, params
         err = capsys.readouterr().err
-        assert f"config error: config.{key}: " in err and "Traceback" not in err
+        assert f"config error: {where}: " in err and "Traceback" not in err
+    cfgp = write_config(tmp_path, {**XOR_CONFIG, "n_max": 2, "mc_samples": 4})
+    assert main(["randomize", "--config", cfgp, "--out", str(tmp_path),
+                 "--seed", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --seed: " in err and "Traceback" not in err
+
+
+def test_absent_or_null_measure_means_uniform(tmp_path):
+    outputs = []
+    for init in ({}, {"init": None}, {"init": {"kind": "uniform"}}):
+        out = tmp_path / str(len(outputs))
+        cfgp = write_config(tmp_path, {**XOR_CONFIG, "n_max": 3, **init})
+        assert main(["randomize", "--config", cfgp, "--out", str(out)]) == 0
+        outputs.append((out / "randomize.csv").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_workers_default_comes_from_environment(monkeypatch):
@@ -325,3 +358,37 @@ def test_readme_examples_match_pinned_digests(tmp_path, monkeypatch):
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.iterdir()) if p.name != "manifest.json"}
         assert got == pins[key], key
+
+
+# Exact rows end at n = 3 (2^(1+n) window words against cap_states 16), so
+# the seed reaches the Monte-Carlo rows at n = 4 and 6.
+FUZZ_BASE = {**XOR_CONFIG, "init": {"kind": "bernoulli", "probs": ["3/4", "1/4"]},
+             "probes": [{"id": "a", "alpha": {"0": [1]}}], "n_max": 6,
+             "tv_cells": 1, "cap_states": 16, "mc_samples": 64, "seed": 0}
+FUZZ_PATHS = [(key,) for key in FUZZ_BASE] + [
+    ("rule", "neighborhood"), ("rule", "one_sided"), ("rule", "bias"),
+    ("rule", "factors", 0, "pos"), ("rule", "factors", 0, "coeff"),
+    ("init", "kind"), ("init", "probs", 0), ("probes", 0, "id"),
+    ("probes", 0, "alpha")]
+FUZZ_VALUES = [None, True, -1, 0, 1.5, "x", [], {}, [[1]], [1.5, 2]]
+
+
+@pytest.mark.filterwarnings("ignore:some exponent sum shares a factor")
+def test_randomize_never_ends_in_a_traceback(tmp_path, capsys):
+    for path in FUZZ_PATHS:
+        for value in FUZZ_VALUES:
+            cfg = copy.deepcopy(FUZZ_BASE)
+            node = cfg
+            for step in path[:-1]:
+                node = node[step]
+            node[path[-1]] = value
+            cfgp = write_config(tmp_path, cfg)
+            try:
+                code = main(["randomize", "--config", cfgp, "--out", str(tmp_path)])
+            except Exception as exc:
+                pytest.fail(f"{path} = {value!r} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 2), (path, value)
+            if code == 2:
+                assert err.count("\n") == 1, (path, value, err)
+                assert err.startswith(("config error:", "error:")), (path, value, err)

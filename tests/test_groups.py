@@ -199,3 +199,17 @@ def test_semidirect_trivial_action_is_direct_product():
                         [[0, 1, 2], [0, 1, 2]])
     assert G.is_abelian
     assert tuple(abelian_invariants(G).orders) == (6,)
+
+
+def test_from_table_moves_the_identity_to_index_zero(q8):
+    swap = [3, 1, 2, 0, 4, 5, 6, 7]           # relabel: swap elements 0 and 3
+    table = [[0] * 8 for _ in range(8)]
+    for x in range(8):
+        for y in range(8):
+            table[swap[x]][swap[y]] = swap[q8.mul(x, y)]
+    labels = [q8.labels[swap[x]] for x in range(8)]
+    G = from_table(table, labels)
+    assert G.order == 8 and is_nilpotent(G)
+    # every label stays on its element, and the identity is back at slot 0
+    assert list(G.labels) == list(q8.labels)
+    assert all(G.mul(x, y) == q8.mul(x, y) for x in range(8) for y in range(8))

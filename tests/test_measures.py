@@ -166,6 +166,14 @@ def test_fibre_entropy_obeys_the_chain_rule(x1_rule, z20_frame):
     assert rel == pytest.approx(4 * math.log2(5), abs=1e-9)
 
 
+def test_fibre_entropy_at_one_step_is_the_window_entropy(x1_rule, z20_frame):
+    dec = decompose_mca(x1_rule, z20_frame)
+    lam = MeasureSpec("bernoulli", 5, probs=[Fraction(k, 15) for k in range(1, 6)])
+    rel = fibre_trajectory_entropy(dec, lam, MeasureSpec("uniform", 4), 1)
+    window = lam.window_measure(-x1_rule.left_overlap, x1_rule.right_overlap)
+    assert rel == pytest.approx(window.entropy_bits(), abs=1e-9)
+
+
 def test_product_measure_is_independent():
     a = bern_point_nine().window_measure(0, 2)
     b = WindowMeasure.uniform(3, 0, 2)

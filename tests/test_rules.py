@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcalab import (Config, GroupMap, McaRule, NhcaSequence,
-                    TableInvalidError, WindowError, apply_periodic,
+                    PermutativityFlags, TableInvalidError, WindowError,
+                    apply_periodic,
                     apply_window, eval_local, extract_eca_coefficients,
                     filling_solve, is_bipermutative, is_homomorphic_local,
                     local_table, make_cyclic, permutativity)
 
 
-def linear_rule(n, coeffs, v_lo=0, bias=0, one_sided=False):
-    """sum_i coeffs[i] * x_{v_lo + i}  over Z/n."""
-    G = make_cyclic(n)
+def linear_rule(n, coeffs, v_lo=0, bias=0, one_sided=False, G=None):
+    """sum_i coeffs[i] * x_{v_lo + i}  over Z/n (or over the given G = Z/n)."""
+    G = G or make_cyclic(n)
     factors = [(v_lo + i, GroupMap(G, G, [(k * x) % n for x in range(n)],
                                    True))
                for i, k in enumerate(coeffs)]
@@ -204,3 +205,37 @@ def test_filling_solve_unique_against_brute_force():
                  rule, Config(rule.group, 0, w)).word == (1, 0)]
     assert len(brute) == 1
     assert got.word == brute[0]
+
+
+def test_permutativity_of_a_sequence_is_the_conjunction_over_cells():
+    G = make_cyclic(5)
+    rules = {0: linear_rule(5, [1, 2, 3], v_lo=-1, G=G),
+             1: linear_rule(5, [2, 0, 4], v_lo=-1, G=G),
+             2: linear_rule(5, [3, 1, 1], v_lo=-1, G=G)}
+    seq = NhcaSequence(G, -1, 1, rules)
+    per_rule = [permutativity(r) for r in rules.values()]
+    assert permutativity(seq) == PermutativityFlags(
+        left=all(f.left for f in per_rule), right=all(f.right for f in per_rule))
+    assert is_bipermutative(seq)
+    # a zero left coefficient at one cell clears the left flag of the family
+    broken = NhcaSequence(G, -1, 1, {**rules, 3: linear_rule(5, [0, 1, 1], v_lo=-1, G=G)})
+    assert permutativity(broken) == PermutativityFlags(left=False, right=True)
+    assert not is_bipermutative(broken)
+    empty = NhcaSequence(G, -1, 1, {})
+    with pytest.raises(WindowError):
+        permutativity(empty)
+    with pytest.raises(WindowError):
+        is_bipermutative(empty)
+
+
+@settings(max_examples=40, deadline=None)
+@given(target=st.lists(st.integers(0, 2), min_size=1, max_size=5),
+       seed=st.tuples(st.integers(0, 2), st.integers(0, 2)), data=st.data())
+def test_filling_solve_solves_leftward_from_an_interior_seed(target, seed, data):
+    rule = linear_rule(3, [1, 2, 1], v_lo=-1)  # bipermutative, L = R = 1
+    j = data.draw(st.integers(0, len(target) - 1))
+    full = filling_solve(rule, Config(rule.group, 0, tuple(target)),
+                         Config(rule.group, j - 1, seed))
+    assert (full.lo, full.hi) == (-1, len(target) + 1)
+    assert apply_window(rule, full).word == tuple(target)
+    assert full.word[j: j + 2] == seed

@@ -212,6 +212,15 @@ def test_cesaro_from_haar_stays_at_haar():
     assert all(r.tv_distance == 0.0 for r in report.tv_rows)
 
 
+def test_cesaro_rejects_an_empty_tv_window():
+    rule = xor_rule()
+    probe = Probe("x", Character.make(abelian_invariants(rule.group), {0: (1,)}))
+    for probes in ((), (probe,)):
+        with pytest.raises(McaLabError, match="tv_cells"):
+            cesaro_randomization(rule, MeasureSpec("uniform", 2), 3, probes,
+                                 tv_cells=0)
+
+
 def test_fast_dual_rows_match_push_forward_pairing():
     rule = xor_rule()
     spec = bern(9, 10)

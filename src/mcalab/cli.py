@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -335,19 +336,11 @@ def cmd_randomize(cfg: ExperimentConfig, run: Run, args) -> None:
         seed=seed, workers=args.workers)
     header = ["n", "probe_id", "coef_abs", "cesaro_mean", "tv_distance",
               "cesaro_tv", "mode", "samples", "stderr"]
-    rows = []
-    probe_by_n: dict[int, list] = {}
-    for r in rep.probe_rows:
-        probe_by_n.setdefault(r.n, []).append(r)
-    tv_by_n = {r.n: r for r in rep.tv_rows}
-    for n in sorted(set(probe_by_n) | set(tv_by_n)):
-        if n in tv_by_n:
-            t = tv_by_n[n]
-            rows.append([n, "", "", "", t.tv_distance, t.cesaro_tv,
-                         t.mode, t.samples, t.stderr])
-        for r in probe_by_n.get(n, ()):
-            rows.append([n, r.probe_id, r.coef_abs, r.cesaro_mean, "", "",
-                         r.mode, r.samples, r.stderr])
+    rows = [[t.n, "", "", "", t.tv_distance, t.cesaro_tv, t.mode, t.samples,
+             t.stderr] for t in rep.tv_rows]
+    rows += [[r.n, r.probe_id, r.coef_abs, r.cesaro_mean, "", "", r.mode,
+              r.samples, r.stderr] for r in rep.probe_rows]
+    rows.sort(key=lambda row: row[0])  # stable: each n's TV row, then its probes
     _write_csv(run.add("randomize.csv"), header, rows)
     run.verify("randomization_computed", True)
     run.extra["n_exact"] = rep.n_exact
@@ -393,15 +386,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if args.seed is not None and args.seed < 0:
-            raise SpecError("--seed: need a non-negative integer")
-        cfg = load_experiment(args.config)
-        if args.cap_states is None:  # flag beats config beats default
-            args.cap_states = _int_param(cfg, "cap_states", STATE_CAP)
-        run = Run(args, args.command)
-        _COMMANDS[args.command](cfg, run, args)
-        return run.finish(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            args = build_parser().parse_args(argv)
+            if args.seed is not None and args.seed < 0:
+                raise SpecError("--seed: need a non-negative integer")
+            cfg = load_experiment(args.config)
+            if args.cap_states is None:  # flag beats config beats default
+                args.cap_states = _int_param(cfg, "cap_states", STATE_CAP)
+            run = Run(args, args.command)
+            _COMMANDS[args.command](cfg, run, args)
+            return run.finish(args)
     except SpecError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

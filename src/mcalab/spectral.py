@@ -358,15 +358,15 @@ def diffusion_report(dual: LinearRuleDual, chi: Character, j_max: int,
     report = DiffusionReport(ranks, tuple(thresholds), {}, {})
     for r in report.thresholds:
         report.densities[r] = report.density(r)
-        trail = []
-        m = 1
-        while m <= j_max:
-            trail.append((m, report.density(r, m)))
-            m *= 2
-        if trail and trail[-1][0] != j_max:
-            trail.append((j_max, report.density(r)))
-        report.density_trail[r] = trail
+        report.density_trail[r] = [(m, report.density(r, m))
+                                   for m in _doubling(j_max)]
     return report
+
+
+def _doubling(n: int) -> list[int]:
+    """1, 2, 4, … up to n, then n itself when it is not a power of two."""
+    powers = [1 << k for k in range(max(n, 0).bit_length())]
+    return powers if not powers or powers[-1] == n else powers + [n]
 
 
 # -- relative diffusion (central case) ----------------------------------------
@@ -522,23 +522,17 @@ class Probe:
     def value_tables(self, group: FiniteGroup, frame
                      ) -> tuple[dict[int, np.ndarray], complex]:
         """(per-cell complex tables over group-element indices, phase)."""
+        if frame is None and self.phi is not None:
+            raise McaLabError("quotient probe needs a frame")
+        parts = ([(self.alpha, np.arange(group.order))] if frame is None
+                 else [(self.alpha, frame.a_part), (self.phi, frame.c_part)])
         tables: dict[int, np.ndarray] = {}
-
-        def fold(chi: Character, part):
+        for chi, part in parts:
             if chi is None:
-                return
+                continue
             for cell, tab in chi.cell_values().items():
-                col = np.asarray([tab[part(b)] for b in range(group.order)])
                 tables[cell] = tables.get(cell, np.ones(group.order,
-                                                        dtype=np.complex128)) * col
-
-        if frame is None:
-            if self.phi is not None:
-                raise McaLabError("quotient probe needs a frame")
-            fold(self.alpha, lambda b: b)
-        else:
-            fold(self.alpha, lambda b: frame.a_index(frame.a_part[b]))
-            fold(self.phi, lambda b: frame.c_part[b])
+                                                        dtype=np.complex128)) * tab[part]
         phase = (self.alpha.phase if self.alpha else 1.0) * (
             self.phi.phase if self.phi else 1.0)
         return tables, complex(phase)
@@ -604,7 +598,8 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
     is i.i.d. (abelian rules; quotient probes with ``dec``); everything
     else gets exact rows while the window fits the state cap, then
     Monte-Carlo rows (``mc_samples`` > 0) at deterministic chunk-seeded
-    checkpoints.
+    checkpoints.  Past ``n_exact`` the Cesàro columns average the rows
+    present, exact and MC, not every n ≤ N (ROADMAP item 1).
     """
     if tv_cells < 1:
         raise McaLabError(f"tv_cells: need a positive integer, got {tv_cells}")
@@ -631,75 +626,59 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
                           "order; the density-one randomization hypothesis "
                           "fails", stacklevel=2)
     fast = [_dual_fast_path(rule, init, probe, dec) for probe in probes]
-    tables = [p.value_tables(group, frame) for p in probes]
-    rows_by_probe: dict[int, list[ProbeRow]] = {i: [] for i in range(len(probes))}
+    # one series of (n, value, mode, samples, stderr) per probe, one for TV
+    series: list[list[tuple]] = [[] for _ in probes]
+    tv_series: list[tuple] = []
     # factorized dual rows cover every n up to n_max
-    for i, (probe, path) in enumerate(zip(probes, fast)):
+    for rows, path in zip(series, fast):
         if path is None:
             continue
         dual, chi, dist = path
-        acc = 0.0
         for n, cur_chi in enumerate(_orbit(dual, chi, n_max)):
-            val = abs(bernoulli_fourier(cur_chi, dist))
-            acc += val
-            rows_by_probe[i].append(ProbeRow(n, probe.probe_id, val,
-                                             acc / (n + 1), "exact", 0, 0.0))
+            rows.append((n, abs(bernoulli_fourier(cur_chi, dist)), "exact", 0, 0.0))
     # exact measure chain: TV always, probes without a dual path
+    slow = [(rows, probe.value_tables(group, frame))
+            for rows, probe, path in zip(series, probes, fast) if path is None]
     in_lo = out_lo + n_exact * rule.v_lo
     in_hi = out_hi + n_exact * rule.v_hi
     mu = _initial_measure(init, frame, group, in_lo, in_hi, cap_states)
-    tv_rows: list[TvRow] = []
-    cesaro: dict[int, float] = {i: 0.0 for i in range(len(probes))}
-    cesaro_n: dict[int, int] = {i: 0 for i in range(len(probes))}
-    tv_sum, tv_count = 0.0, 0
     cur = mu
     for n in range(n_exact + 1):
-        for i, (probe, (tabs, phase)) in enumerate(zip(probes, tables)):
-            if fast[i] is not None:
-                continue
-            val = abs(_pairing(tabs, phase, cur, cap_states))
-            cesaro[i] += val
-            cesaro_n[i] += 1
-            rows_by_probe[i].append(ProbeRow(
-                n, probe.probe_id, val, cesaro[i] / cesaro_n[i],
-                "exact", 0, 0.0))
+        for rows, (tabs, phase) in slow:
+            rows.append((n, abs(_pairing(tabs, phase, cur, cap_states)),
+                         "exact", 0, 0.0))
         tv = float(cur.marginal(out_lo, out_lo + tv_cells).tv_from_uniform())
-        tv_sum += tv
-        tv_count += 1
-        tv_rows.append(TvRow(n, tv, tv_sum / tv_count, "exact", 0, 0.0))
+        tv_series.append((n, tv, "exact", 0, 0.0))
         if n < n_exact:
             cur = push_forward(rule, cur, cap_states)
-    if mc_samples > 0 and n_max > n_exact:
-        if mc_checkpoints is None:
-            mc_checkpoints = []
-            m = 1
-            while m <= n_max:
-                if m > n_exact:
-                    mc_checkpoints.append(m)
-                m *= 2
-            if n_max not in mc_checkpoints:
-                mc_checkpoints.append(n_max)
-        mc_tables = [t for t, f in zip(tables, fast) if f is None]
-        mc_index = [i for i, f in enumerate(fast) if f is None]
-        for n in sorted(set(int(m) for m in mc_checkpoints)):
-            if n <= n_exact or n > n_max:
-                continue
-            stats = _mc_step(rule, init, frame, n, out_lo, out_hi, tv_cells,
-                             mc_tables, mc_samples, seed or 0, workers)
-            for i, (mean_abs, se) in zip(mc_index, stats["probes"]):
-                cesaro[i] += mean_abs
-                cesaro_n[i] += 1
-                rows_by_probe[i].append(ProbeRow(
-                    n, probes[i].probe_id, mean_abs,
-                    cesaro[i] / cesaro_n[i], "mc", mc_samples, se))
-            tv, tv_se = stats["tv"]
-            tv_sum += tv
-            tv_count += 1
-            tv_rows.append(TvRow(n, tv, tv_sum / tv_count, "mc",
-                                 mc_samples, tv_se))
-    probe_rows = [row for i in range(len(probes)) for row in rows_by_probe[i]]
+    if mc_samples > 0:
+        checkpoints = {int(m) for m in (_doubling(n_max) if mc_checkpoints is None
+                                        else mc_checkpoints)}
+        for n in sorted(m for m in checkpoints if n_exact < m <= n_max):
+            probe_stats, (tv, tv_se) = _mc_step(
+                rule, init, frame, n, out_lo, out_hi, tv_cells,
+                [tab for _, tab in slow], mc_samples, seed or 0, workers)
+            for (rows, _), (mean_abs, se) in zip(slow, probe_stats):
+                rows.append((n, mean_abs, "mc", mc_samples, se))
+            tv_series.append((n, tv, "mc", mc_samples, tv_se))
+    probe_rows = [ProbeRow(n, probe.probe_id, *rest)
+                  for probe, rows in zip(probes, series)
+                  for n, *rest in _with_cesaro(rows)]
     probe_rows.sort(key=lambda r: (r.n, r.probe_id))
+    tv_rows = [TvRow(*row) for row in _with_cesaro(tv_series)]
     return RandomizationReport(probe_rows, tv_rows, n_exact, coprime, seed)
+
+
+def _with_cesaro(series: list[tuple]) -> Iterator[tuple]:
+    """(n, value, running mean, mode, samples, stderr) for each row in order.
+
+    The mean is over the rows present, so past ``n_exact`` it pools the exact
+    rows with the MC checkpoints: not every n ≤ N (ROADMAP item 1).
+    """
+    total = 0.0
+    for k, (n, value, *rest) in enumerate(series, 1):
+        total += value
+        yield (n, value, total / k, *rest)
 
 
 def _dual_fast_path(rule: McaRule, init, probe: Probe, dec):
@@ -785,7 +764,7 @@ def _sample_words(spec_pair, frame, group: FiniteGroup, length: int,
 
 def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
              tv_cells: int, tables: list[tuple[dict[int, np.ndarray], complex]],
-             samples: int, seed: int, workers: int) -> dict:
+             samples: int, seed: int, workers: int) -> tuple:
     """One Monte-Carlo checkpoint: sample, evolve n steps, measure."""
     group = rule.group
     s = group.order
@@ -835,4 +814,4 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
     unif = 1.0 / len(phat)
     tv = 0.5 * float(np.abs(phat - unif).sum())
     tv_se = 0.5 * float(np.sqrt(phat * (1 - phat) / samples).sum())
-    return {"probes": probe_stats, "tv": (tv, tv_se)}
+    return probe_stats, (tv, tv_se)

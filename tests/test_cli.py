@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from mcalab import cli
+from mcalab import cli, fourier_coefficient
 from mcalab.cli import build_parser, main
+from mcalab.specs import load_experiment, parse_character, parse_measure
 
 DOUBLING_MOD7 = [[(pow(2, c, 7) * a) % 7 for a in range(7)] for c in range(3)]
 DOUBLING_MOD5 = [[(pow(2, c, 5) * a) % 5 for a in range(5)] for c in range(4)]
@@ -199,6 +200,39 @@ def test_randomize_with_factor_measures(tmp_path):
     assert modes == {"exact"}  # quotient probe rides the factorized dual
     manifest = read_json(tmp_path / "manifest.json")
     assert manifest["verification"]["recompose_check"] is True
+
+
+def test_randomize_alpha_probe_on_a_frame_off_the_first_indices(tmp_path):
+    # A = Z/5 sits at B-indices 0, 4, 8, 12, 16 of Z/5 ⋊ Z/4, so a probe
+    # table indexed by A-index must not be read as one indexed by B-element
+    root = Path(__file__).resolve().parent.parent
+    cfg = read_json(root / "demos" / "configs" / "randomize_metacyclic.json")
+    lam = {"kind": "bernoulli", "probs": ["1/2", "1/4", "1/8", "1/16", "1/16"]}
+    cfg["measures"]["lambda"] = lam
+    cfg.update(probes=[{"id": "a", "alpha": {"0": [1]}}], n_max=2)
+    cfgp = write_config(tmp_path, cfg)
+    assert main(["randomize", "--config", cfgp, "--out", str(tmp_path),
+                 "--cap-states", "200000"]) == 0
+    row0 = next(r for r in read_csv(tmp_path / "randomize.csv")
+                if r[:2] == ["0", "a"])
+    A = load_experiment(cfgp).frame.a_group
+    alpha = parse_character(A, {"0": [1]}, "alpha")
+    m = parse_measure(A.order, lam, "lambda").window_measure(0, 1, A)
+    assert float(row0[2]) == pytest.approx(abs(fourier_coefficient(alpha, m)),
+                                           abs=1e-12)
+
+
+def test_randomize_prints_a_library_warning_as_one_line(tmp_path, capsys):
+    cfgp = write_config(tmp_path, {
+        **XOR_CONFIG,
+        "rule": {"neighborhood": [0, 1], "one_sided": True,
+                 "factors": [{"pos": 1, "coeff": "identity"}] * 2},
+        "n_max": 2})
+    assert main(["randomize", "--config", cfgp, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: some exponent sum shares a factor with the group order; "
+        "the density-one randomization hypothesis fails\n")
+    assert read_json(tmp_path / "manifest.json")["coprimality_ok"] is False
 
 
 def test_cap_states_config_field_honored_unless_flag_given(tmp_path):

@@ -156,6 +156,19 @@ def test_rank_density_at_desk_scale():
     assert report.ranks[511] == 2 ** 9
 
 
+@pytest.mark.parametrize("j_max, points", [
+    (0, []), (1, [1]), (7, [1, 2, 4, 7]), (64, [1, 2, 4, 8, 16, 32, 64]),
+    (100, [1, 2, 4, 8, 16, 32, 64, 100])])
+def test_density_trail_doubles_then_ends_at_j_max(j_max, points):
+    rule = xor_rule()
+    dual = LinearRuleDual.from_rule(rule)
+    chi = Character.make(abelian_invariants(rule.group), {0: (1,)})
+    report = diffusion_report(dual, chi, j_max, thresholds=(2, 4))
+    for r in (2, 4):
+        assert report.density_trail[r] == [(m, report.density(r, m))
+                                           for m in points]
+
+
 def test_relative_diffusion_ranks_on_the_central_split(quat_rule4,
                                                        q8_center_frame):
     split = central_split(quat_rule4, q8_center_frame)
@@ -202,6 +215,14 @@ def test_markov_profile_decays_for_a_mixing_chain():
     assert profile[4] < profile[1] / 4
 
 
+def assert_running_means(rows, value, mean):
+    """Rows n = 0, 1, …: each ``mean`` is the plain mean of ``value`` over 0..n."""
+    values = [getattr(r, value) for r in rows]
+    for k, row in enumerate(rows):
+        assert row.n == k
+        assert getattr(row, mean) == sum(values[:k + 1]) / (k + 1)
+
+
 def test_cesaro_from_haar_stays_at_haar():
     rule = xor_rule()
     coords = abelian_invariants(rule.group)
@@ -243,6 +264,8 @@ def test_fast_dual_rows_match_push_forward_pairing():
         # single-cell total variation is half the coefficient here
         assert report.tv_rows[row.n].tv_distance == pytest.approx(
             row.coef_abs / 2, abs=1e-12)
+    assert_running_means(report.probe_rows, "coef_abs", "cesaro_mean")
+    assert_running_means(report.tv_rows, "tv_distance", "cesaro_tv")
 
 
 def test_cesaro_warns_on_shared_exponent_factor():
@@ -316,6 +339,31 @@ def test_markov_monte_carlo_tv_matches_the_stationary_law():
     for row in mc:
         assert abs(row.tv_distance - 0.25) <= 5 * row.stderr
     assert first.tv_rows == second.tv_rows
+
+
+# The shift from a Markov start has no dual path; cap 2^3 ends the exact
+# rows at n = 2, since the window has 1 + n cells.
+@pytest.mark.parametrize("n_max, checkpoints, mc_ns", [
+    (2, None, []), (16, None, [4, 8, 16]), (12, None, [4, 8, 12]),
+    (12, [12, 3, 3, 40, 1, 2, 7, 7, 12], [3, 7, 12])])
+def test_monte_carlo_rows_sit_at_the_checkpoints_past_the_exact_range(
+        n_max, checkpoints, mc_ns):
+    Z2 = make_cyclic(2)
+    shift = McaRule(Z2, 0, 1, [(1, GroupMap.identity(Z2))])
+    spec = MeasureSpec("markov", 2,
+                       transition=[[Fraction(1, 2), Fraction(1, 2)],
+                                   [Fraction(1, 6), Fraction(5, 6)]],
+                       initial=[Fraction(1, 4), Fraction(3, 4)])
+    probe = Probe("x", Character.make(abelian_invariants(Z2), {0: (1,)}))
+    report = cesaro_randomization(shift, spec, n_max, [probe], cap_states=2 ** 3,
+                                  mc_samples=64, mc_checkpoints=checkpoints,
+                                  seed=3)
+    assert report.n_exact == 2
+    for rows in (report.tv_rows, report.probe_rows):
+        assert [r.n for r in rows if r.mode == "exact"] == [0, 1, 2]
+        assert [r.n for r in rows if r.mode == "mc"] == mc_ns
+    assert_running_means(report.probe_rows[:3], "coef_abs", "cesaro_mean")
+    assert_running_means(report.tv_rows[:3], "tv_distance", "cesaro_tv")
 
 
 def probe_pairing(probe, frame, group, m):

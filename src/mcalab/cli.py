@@ -26,8 +26,9 @@ from .rules import permutativity
 from .measures import trajectory_partition_entropy
 from .decompose import decompose_mca, nilpotent_tower
 from .spectral import LinearRuleDual, cesaro_randomization, diffusion_report
-from .specs import (ExperimentConfig, _is_int, _need, load_experiment,
-                    parse_character, parse_measure, parse_probe)
+from .specs import (ExperimentConfig, _is_int, _need, _read_config,
+                    load_experiment, parse_character, parse_measure,
+                    parse_probe)
 from .util import STATE_CAP
 
 
@@ -96,11 +97,12 @@ def _write_json(path: Path, obj) -> None:
 class Run:
     """Collects outputs and verification statuses, then writes the manifest."""
 
-    def __init__(self, args, command: str):
+    def __init__(self, args, command: str, config: bytes):
         self.out = Path(args.out)
         self.out.mkdir(parents=True, exist_ok=True)
         self.command = command
         self.config_path = Path(args.config)
+        self.config_sha256 = hashlib.sha256(config).hexdigest()
         self.started = datetime.datetime.now(datetime.timezone.utc)
         self.outputs: list[str] = []
         self.verification: dict[str, bool] = {}
@@ -118,11 +120,10 @@ class Run:
         return all(self.verification.values())
 
     def finish(self, args) -> int:
-        digest = hashlib.sha256(self.config_path.read_bytes()).hexdigest()
         manifest = {
             "command": self.command,
             "config": str(self.config_path),
-            "config_sha256": digest,
+            "config_sha256": self.config_sha256,
             "tool_version": __version__,
             "started_at": self.started.isoformat(),
             "finished_at": datetime.datetime.now(
@@ -392,16 +393,17 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             if args.seed is not None and args.seed < 0:
                 raise SpecError("--seed: need a non-negative integer")
-            cfg = load_experiment(args.config)
+            config = _read_config(args.config)  # read once: parsed and hashed
+            cfg = load_experiment(config)
             if args.cap_states is None:  # flag beats config beats default
                 args.cap_states = _int_param(cfg, "cap_states", STATE_CAP)
-            run = Run(args, args.command)
+            run = Run(args, args.command, config)
             _COMMANDS[args.command](cfg, run, args)
             return run.finish(args)
     except SpecError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except McaLabError as exc:
+    except (McaLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

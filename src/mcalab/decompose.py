@@ -16,16 +16,9 @@ import numpy as np
 
 from .errors import FrameError, NotCentralError, WindowError
 from .groups import FiniteGroup, GroupMap, abelian_invariants, center
-from .pseudo import (
-    PseudoFrame,
-    SplitEndo,
-    make_frame,
-    split_endo,
-    star_compose,
-    star_decompose,
-)
+from .pseudo import PseudoFrame, SplitEndo, make_frame, split_endo, star_decompose
 from .rules import (Config, McaRule, NhcaSequence, _merge_positions,
-                    apply_window, eval_local, local_table, step_cells)
+                    local_table, step_cells)
 from .util import STATE_CAP, check_cap, digit_planes, index_word, iter_words
 
 __all__ = [
@@ -38,8 +31,6 @@ __all__ = [
     "recompose_check",
     "central_split",
     "nilpotent_tower",
-    "tower_eval",
-    "tower_apply",
     "fibre_nhca",
     "fibre_step_sequence",
 ]
@@ -141,6 +132,11 @@ class RecomposeReport:
         return self.ok
 
 
+def _fibre_tables(dec: SkewDecomposition, c_words, cap: int) -> np.ndarray:
+    """Local tables of the fibres over ``c_words``, stacked in that order."""
+    return np.stack([local_table(dec.fibre(w), cap) for w in c_words])
+
+
 def decompose_mca(rule: McaRule, frame: PseudoFrame,
                   cap: int = STATE_CAP) -> SkewDecomposition:
     """Split a rule through a frame; exhaustively verified before return.
@@ -159,17 +155,17 @@ def decompose_mca(rule: McaRule, frame: PseudoFrame,
     h_rule = McaRule(frame.C, rule.v_lo, rule.v_hi,
                      [(pos, sp.h) for (pos, _), sp in zip(rule.factors, splits)],
                      bias_c, one_sided=rule.one_sided)
-    B, C, sigma = frame.B, frame.C, frame.sigma
-    error_map: dict[tuple[int, ...], int] = {}
-    h_vals = local_table(h_rule, cap).tolist()
-    for w, h_val in zip(iter_words(C.order, rule.width), h_vals):
-        acc = sigma[bias_c]
-        for (pos, _), sp in zip(rule.factors, splits):
-            acc = B.mul(acc, sigma[sp.h(w[pos - rule.v_lo])])
-        e_val = B.mul(acc, B.inv(sigma[h_val]))
-        if e_val not in frame.A:
-            raise FrameError("error term escaped the subgroup")
-        error_map[w] = frame.a_index(e_val)
+    B, C, sigma = frame.B, frame.C, np.asarray(frame.sigma)
+    words = digit_planes(np.arange(C.order ** rule.width), C.order, rule.width)
+    # sigma(bias_c) * prod_i sigma(h_i(c_i)) * sigma(h(c))^-1 on every word c
+    e_val = np.full(len(words), sigma[bias_c])
+    for (pos, _), sp in zip(rule.factors, splits):
+        h_val = np.asarray(sp.h.image_of)[words[:, pos - rule.v_lo]]
+        e_val = B.table[e_val, sigma[h_val]]
+    e_val = B.table[e_val, B.inverse[sigma[local_table(h_rule, cap)]]]
+    if frame.c_part[e_val].any():
+        raise FrameError("error term escaped the subgroup")
+    error_map = dict(zip(map(tuple, words.tolist()), frame.a_part[e_val].tolist()))
     dec = SkewDecomposition(frame=frame, rule=rule, h_rule=h_rule,
                             bias_a=bias_a, bias_c=bias_c,
                             factor_splits=splits, error_map=error_map)
@@ -246,7 +242,8 @@ def fibre_step_sequence(dec: SkewDecomposition, c_config: Config,
         if lo > hi:
             raise WindowError("quotient configuration too narrow for the step count")
         out.append(fibre_nhca(dec, cur, lo, hi))
-        cur = apply_window(dec.h_rule, cur)
+        cur = Config(cur.group, lo, step_cells(
+            dec.h_rule, np.array(cur.word, dtype=np.int64), cur.lo).tolist())
     return out
 
 
@@ -278,21 +275,24 @@ def central_split(rule: McaRule, frame: PseudoFrame,
         raise NotCentralError("central split needs a central frame subgroup")
     if dec is None:
         dec = decompose_mca(rule, frame, cap)
-    A = frame.a_group
+    A, C = frame.a_group, frame.C
     per_pos = _merge_positions(A, [(pos, sp.f) for (pos, _), sp
                                    in zip(rule.factors, dec.factor_splits)])
     lin_rule = McaRule(A, rule.v_lo, rule.v_hi, sorted(per_pos.items()),
                        0, one_sided=rule.one_sided)
     lin_tbl = local_table(lin_rule, cap)
-    block_map: dict[tuple[int, ...], int] = {}
-    for w in iter_words(frame.C.order, rule.width):
-        val = A.mul(dec.bias_a, dec.error_map[w])
-        for (pos, _), sp in zip(rule.factors, dec.factor_splits):
-            val = A.mul(val, sp.gprime(w[pos - rule.v_lo]))
-        block_map[w] = val
-        # verify fibre == linear + block on every input
-        if not np.array_equal(local_table(dec.fibre(w), cap), A.table[lin_tbl, val]):
-            raise FrameError(f"central split disagrees with fibre at {w}")
+    words = digit_planes(np.arange(C.order ** rule.width), C.order, rule.width)
+    keys = list(map(tuple, words.tolist()))
+    block = A.table[dec.bias_a, [dec.error_map[w] for w in keys]]
+    for (pos, _), sp in zip(rule.factors, dec.factor_splits):
+        gp_val = np.asarray(sp.gprime.image_of)[words[:, pos - rule.v_lo]]
+        block = A.table[block, gp_val]
+    # verify fibre == linear + block on every input
+    linear_plus_block = A.table[lin_tbl[None, :], block[:, None]]
+    bad = (_fibre_tables(dec, keys, cap) != linear_plus_block).any(axis=1)
+    if bad.any():
+        raise FrameError(f"central split disagrees with fibre at {keys[bad.argmax()]}")
+    block_map = dict(zip(keys, block.tolist()))
     return CentralSplit(frame=frame, h_rule=dec.h_rule, lin_rule=lin_rule,
                         linear_coeffs=per_pos, block_map=block_map)
 
@@ -357,38 +357,18 @@ def nilpotent_tower(rule: McaRule, cap: int = STATE_CAP) -> NilpotentTower:
     tower = NilpotentTower(rule=rule, levels=levels, tail_rule=cur,
                            is_complete=complete, factor_invariants=invariants)
     check_cap(rule.group.order ** rule.width, cap, "tower verification")
-    tbl = local_table(rule, cap)
-    B = rule.group
-    for idx, word in enumerate(iter_words(B.order, rule.width)):
-        if tower_eval(tower, word) != int(tbl[idx]):
-            raise FrameError(f"tower recomposition fails on window word {word}")
+    # compose the local table from the tail up: level k sends the word a*c
+    # to fibre_c(a) * h(c), reading h off the table of the level above
+    tbl = local_table(cur, cap)
+    for lev in reversed(levels):
+        fr, width = lev.frame, rule.width
+        words = digit_planes(np.arange(fr.B.order ** width), fr.B.order, width)
+        a_idx = np.ravel_multi_index(fr.a_part[words].T, (fr.a_group.order,) * width)
+        c_idx = np.ravel_multi_index(fr.c_part[words].T, (fr.C.order,) * width)
+        fibres = _fibre_tables(lev.decomposition, iter_words(fr.C.order, width), cap)
+        tbl = fr.b_of[fibres[c_idx, a_idx], tbl[c_idx]]
+    bad = np.flatnonzero(tbl != local_table(rule, cap))
+    if bad.size:
+        word = index_word(int(bad[0]), rule.group.order, rule.width)
+        raise FrameError(f"tower recomposition fails on window word {word}")
     return tower
-
-
-def tower_eval(tower: NilpotentTower, word: tuple[int, ...]) -> int:
-    """Evaluate the original local map through the tower levels."""
-
-    def level_eval(k: int, w: tuple[int, ...]) -> int:
-        if k == len(tower.levels):
-            return eval_local(tower.tail_rule, w)
-        lev = tower.levels[k]
-        pairs = [star_decompose(lev.frame, b) for b in w]
-        a_word = tuple(p[0] for p in pairs)
-        c_word = tuple(p[1] for p in pairs)
-        a_out = eval_local(lev.decomposition.fibre(c_word), a_word)
-        c_out = level_eval(k + 1, c_word)
-        return star_compose(lev.frame, a_out, c_out)
-
-    return level_eval(0, word)
-
-
-def tower_apply(tower: NilpotentTower, config: Config) -> Config:
-    """One synchronous step, each output cell by :func:`tower_eval` (window shrinks)."""
-    rule = tower.rule
-    out_lo, out_hi = config.lo - rule.v_lo, config.hi - rule.v_hi
-    if out_lo > out_hi:
-        raise WindowError(f"block of {len(config.word)} cells is narrower than the rule")
-    word = [tower_eval(tower, config.word[m + rule.v_lo - config.offset:
-                                          m + rule.v_hi + 1 - config.offset])
-            for m in range(out_lo, out_hi)]
-    return Config(rule.group, out_lo, word)

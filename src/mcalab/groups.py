@@ -56,6 +56,7 @@ class FiniteGroup:
     The table is an ``order x order`` integer array with
     ``table[a, b] = a*b``.  Instances are immutable by convention; all
     derived data (inverses, abelianness, element orders) is cached.
+    ``labels`` are distinct strings, ``str(k)`` for element k by default.
     """
 
     def __init__(self, table: np.ndarray, labels: list[str] | None = None, *, _validated: bool = False):
@@ -72,9 +73,11 @@ class FiniteGroup:
             inv[a] = hits[0]
         self.inverse: np.ndarray = inv
         self.inverse.setflags(write=False)
-        if labels is not None and len(labels) != self.order:
-            raise TableInvalidError(f"expected {self.order} labels, got {len(labels)}")
-        self.labels: list[str] | None = list(labels) if labels is not None else None
+        labels = [str(k) for k in range(self.order)] if labels is None else list(labels)
+        if (len(labels) != self.order or len(set(labels)) != self.order
+                or not all(isinstance(s, str) for s in labels)):
+            raise TableInvalidError(f"labels must be {self.order} distinct strings")
+        self.labels: list[str] = labels
         self._orders: list[int] | None = None
         self._abelian: bool | None = None
 
@@ -114,7 +117,7 @@ class FiniteGroup:
         return range(self.order)
 
     def label(self, a: int) -> str:
-        return self.labels[a] if self.labels is not None else str(a)
+        return self.labels[a]
 
     def element_order(self, a: int) -> int:
         if self._orders is None:
@@ -294,8 +297,7 @@ class Subgroup:
         for i, a in enumerate(embed):
             for j, b in enumerate(embed):
                 table[i, j] = back[self.parent.mul(a, b)]
-        labels = [self.parent.label(p) for p in embed] if self.parent.labels else None
-        return FiniteGroup(table, labels), embed
+        return FiniteGroup(table, [self.parent.label(p) for p in embed]), embed
 
     def is_normal(self) -> bool:
         G = self.parent
@@ -466,7 +468,7 @@ def serialize_group(G: FiniteGroup) -> dict:
     return {
         "order": G.order,
         "table": [int(x) for x in G.table.reshape(-1)],
-        "labels": list(G.labels) if G.labels is not None else None,
+        "labels": list(G.labels),
     }
 
 
@@ -609,8 +611,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
     for i, a in enumerate(reps):
         for j, b in enumerate(reps):
             table[i, j] = coset_of[G.mul(a, b)]
-    labels = [f"[{G.label(r)}]" for r in reps] if G.labels else None
-    Q = FiniteGroup(table, labels)
+    Q = FiniteGroup(table, [f"[{G.label(r)}]" for r in reps])
     pi = GroupMap(G, Q, coset_of, True, _trusted=True)
     return Q, pi
 

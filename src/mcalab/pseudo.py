@@ -9,7 +9,7 @@ trivial.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,14 +59,12 @@ class PseudoFrame:
     c_part: np.ndarray
     is_semidirect: bool
     a_is_central: bool
-    _a_index: dict[int, int] = field(default_factory=dict)
 
     def a_index(self, b_elem: int) -> int:
         """A-index of a B-element known to lie in A."""
-        try:
-            return self._a_index[b_elem]
-        except KeyError:
+        if not 0 <= b_elem < self.B.order or self.c_part[b_elem] != 0:
             raise FrameError(f"element {b_elem} is not in the distinguished subgroup")
+        return int(self.a_part[b_elem])
 
 
 def make_frame(B: FiniteGroup, A: Subgroup, section: list[int] | None = None) -> PseudoFrame:
@@ -91,7 +89,6 @@ def make_frame(B: FiniteGroup, A: Subgroup, section: list[int] | None = None) ->
             if not (0 <= s < B.order) or pi(s) != c:
                 raise FrameError(f"section[{c}] = {s} is not in coset {c}")
     a_group, a_embed = A.as_group()
-    a_index = {p: i for i, p in enumerate(a_embed)}
     b_of = np.empty((A.order, C.order), dtype=np.int64)
     seen = np.zeros(B.order, dtype=bool)
     a_part = np.empty(B.order, dtype=np.int64)
@@ -112,7 +109,7 @@ def make_frame(B: FiniteGroup, A: Subgroup, section: list[int] | None = None) ->
     return PseudoFrame(
         B=B, A=A, C=C, pi=pi, a_group=a_group, a_embed=a_embed,
         sigma=tuple(sigma), b_of=b_of, a_part=a_part, c_part=c_part,
-        is_semidirect=semidirect, a_is_central=central, _a_index=a_index)
+        is_semidirect=semidirect, a_is_central=central)
 
 
 def star_compose(frame: PseudoFrame, a: int, c: int) -> int:

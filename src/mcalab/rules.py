@@ -19,7 +19,7 @@ from .errors import (
     WindowError,
 )
 from .groups import FiniteGroup, GroupMap
-from .util import STATE_CAP, cell_dtype, check_cap, digit_planes
+from .util import STATE_CAP, cell_dtype, check_cap, digit_planes, word_index
 
 __all__ = [
     "McaRule",
@@ -276,13 +276,11 @@ def _per_position_maps(rule: McaRule, cap: int) -> list[GroupMap] | None:
     Returns None unless each is an endomorphism.
     """
     G = rule.group
+    table = local_table(rule, cap)
     maps = []
-    for pos in range(rule.v_lo, rule.v_hi + 1):
-        images = []
-        for b in G.elements():
-            word = [0] * rule.width
-            word[pos - rule.v_lo] = b
-            images.append(eval_local(rule, word))
+    for t in range(rule.width):
+        # the word with b at window cell t and the identity elsewhere
+        images = table[np.arange(G.order) * G.order ** (rule.width - 1 - t)]
         try:
             maps.append(GroupMap(G, G, images, True))
         except TableInvalidError:
@@ -297,19 +295,20 @@ def is_homomorphic_local(rule: McaRule, cap: int = STATE_CAP) -> bool:
     per-position slices are endomorphisms with pairwise commuting images
     and their ordered product reconstructs the map on every window word.
     """
-    if rule.bias != 0 and eval_local(rule, [0] * rule.width) != 0:
+    G = rule.group
+    check_cap(G.order ** rule.width, cap, "homomorphism check")
+    if local_table(rule, cap)[0] != 0:
         return False
     maps = _per_position_maps(rule, cap)
     if maps is None:
         return False
-    G = rule.group
+    images = [np.asarray(m.image_of) for m in maps]
     for i in range(len(maps)):
         for j in range(i + 1, len(maps)):
-            for x in G.elements():
-                for y in G.elements():
-                    if G.mul(maps[i](x), maps[j](y)) != G.mul(maps[j](y), maps[i](x)):
-                        return False
-    check_cap(G.order ** rule.width, cap, "homomorphism check")
+            # maps[i](x) * maps[j](y) == maps[j](y) * maps[i](x) for all x, y
+            if not np.array_equal(G.table[np.ix_(images[i], images[j])],
+                                  G.table[np.ix_(images[j], images[i])].T):
+                return False
     recon = _product_table(rule, maps, range(rule.width), cap)
     return bool(np.array_equal(recon, local_table(rule, cap)))
 
@@ -391,17 +390,15 @@ def is_bipermutative(op: LocalFamily, cap: int = STATE_CAP) -> bool:
 
 def _solve_cell(rule: McaRule, window: list[int | None], free_slot: int,
                 target: int, cell_name: int) -> int:
-    """Unique value of window[free_slot] making eval_local hit target."""
-    G = rule.group
-    hits = []
-    for cand in G.elements():
-        window[free_slot] = cand
-        if eval_local(rule, window) == target:  # type: ignore[arg-type]
-            hits.append(cand)
+    """Unique value of window[free_slot] whose window word maps to target."""
+    B = rule.group.order
+    window[free_slot] = 0
+    words = word_index(window, B) + np.arange(B) * B ** (rule.width - 1 - free_slot)
+    hits = np.flatnonzero(local_table(rule)[words] == target)
     if len(hits) != 1:
         raise NotPermutativeError(
             f"cell {cell_name}: {len(hits)} completions instead of 1")
-    return hits[0]
+    return int(hits[0])
 
 
 def filling_solve(op: LocalFamily, target: Config, seed: Config) -> Config:
@@ -446,9 +443,7 @@ def filling_solve(op: LocalFamily, target: Config, seed: Config) -> Config:
     assert all(v is not None for v in cells)
     result = Config(target.group, lo, cells)  # type: ignore[arg-type]
     # sanity: the filled block maps onto the target
-    for m in range(J, K):
-        rule = _rule_at(op, m)
-        window = result.word[m + rule.v_lo - lo: m + rule.v_hi + 1 - lo]
-        if eval_local(rule, window) != target.at(m):
-            raise NotPermutativeError("internal: filled block does not map to target")
+    block = np.array(result.word[J + op.v_lo - lo: K + op.v_hi - lo], dtype=np.int64)
+    if tuple(step_cells(op, block, J + op.v_lo).tolist()) != target.word:
+        raise NotPermutativeError("internal: filled block does not map to target")
     return result

@@ -260,6 +260,8 @@ def parse_character(group: FiniteGroup, obj: dict, where: str) -> Character:
         except ValueError:
             raise SpecError(f"{where}: cell key {key!r} is not an "
                             "integer") from None
+        if cell in support:
+            raise SpecError(f"{where}: cell key {key!r} names cell {cell} again")
         if (not isinstance(coeffs, list)
                 or not all(map(_is_int, coeffs))):
             raise SpecError(f"{where}[{key}]: need a list of integer "
@@ -320,19 +322,28 @@ _KNOWN_KEYS = {"group", "rule", "frame", "tower", "measure", "measures",
                "cap_states", "seed"}
 
 
+def _read_config(path) -> bytes:
+    """The bytes of a config file, which must be UTF-8 text."""
+    try:
+        data = Path(path).read_bytes()
+        data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise SpecError(f"config: cannot read {str(path)!r}: {reason}") from None
+    return data
+
+
 def load_experiment(source) -> ExperimentConfig:
-    """Parse a config from a path, JSON text, or an already-decoded dict."""
+    """Parse a config from a file path, its bytes, JSON text or a decoded dict;
+    a ``str`` is JSON text when it starts with ``{`` after blanks, else a path."""
     if isinstance(source, dict):
         obj = source
     else:
-        path = Path(str(source))
-        if path.exists():
-            text = path.read_text()
-        elif path.suffix == ".json":
-            # a missing .json path is a typo, not inline JSON text
-            raise SpecError(f"config: no such file {source!r}")
+        if isinstance(source, str) and source.lstrip().startswith("{"):
+            text = source
         else:
-            text = str(source)
+            data = source if isinstance(source, bytes) else _read_config(source)
+            text = data.decode("utf-8")
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:

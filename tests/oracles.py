@@ -6,7 +6,9 @@ evaluator (``eval_local`` / ``apply_window`` / ``star_compose`` /
 library uses.  ``dual_action_oracle`` steps a character one support cell
 and one position at a time in Python integers.  ``fibre_rank_oracle``
 reads each finite difference of a fibre composite as a sum of
-``Fraction``s.  Property tests compare each with the library.
+``Fraction``s.  ``tower_eval``/``tower_apply`` evaluate a rule through
+its nilpotent tower level by level, one window word at a time.  Property
+tests compare each with the library.
 """
 import cmath
 import math
@@ -15,9 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from mcalab import (Character, Config, FibreRankCheck, McaLabError, McaRule,
-                    NhcaSequence, RecomposeReport, abelian_invariants,
-                    apply_window, eval_local, fibre_step_sequence,
-                    relative_diffusion_rank, star_compose, star_decompose)
+                    NhcaSequence, RecomposeReport, WindowError,
+                    abelian_invariants, apply_window, eval_local,
+                    fibre_step_sequence, relative_diffusion_rank, star_compose,
+                    star_decompose)
 from mcalab.rules import step_cells
 from mcalab.util import STATE_CAP, check_cap, iter_words, word_index
 
@@ -206,3 +209,32 @@ def fibre_rank_oracle(dec, split, alpha, j: int, cap: int = STATE_CAP):
                           linear_rank=lin_rank,
                           all_equal=one and ranks_seen[0] == lin_rank,
                           ranks_seen=ranks_seen)
+
+
+def tower_eval(tower, word: tuple[int, ...]) -> int:
+    """Evaluate the original local map through the tower levels."""
+
+    def level_eval(k: int, w: tuple[int, ...]) -> int:
+        if k == len(tower.levels):
+            return eval_local(tower.tail_rule, w)
+        lev = tower.levels[k]
+        pairs = [star_decompose(lev.frame, b) for b in w]
+        a_word = tuple(p[0] for p in pairs)
+        c_word = tuple(p[1] for p in pairs)
+        a_out = eval_local(lev.decomposition.fibre(c_word), a_word)
+        c_out = level_eval(k + 1, c_word)
+        return star_compose(lev.frame, a_out, c_out)
+
+    return level_eval(0, word)
+
+
+def tower_apply(tower, config: Config) -> Config:
+    """One synchronous step, each output cell by :func:`tower_eval` (window shrinks)."""
+    rule = tower.rule
+    out_lo, out_hi = config.lo - rule.v_lo, config.hi - rule.v_hi
+    if out_lo > out_hi:
+        raise WindowError(f"block of {len(config.word)} cells is narrower than the rule")
+    word = [tower_eval(tower, config.word[m + rule.v_lo - config.offset:
+                                          m + rule.v_hi + 1 - config.offset])
+            for m in range(out_lo, out_hi)]
+    return Config(rule.group, out_lo, word)

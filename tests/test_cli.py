@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mcalab import cli, fourier_coefficient
+from mcalab import cli, fourier_coefficient, make_quaternion
 from mcalab.cli import build_parser, main
 from mcalab.specs import load_experiment, parse_character, parse_measure
 
@@ -62,6 +62,8 @@ def test_group_report_on_quaternion(tmp_path, capsys):
     assert manifest["command"] == "group"
     assert manifest["outputs"] == ["group_report.json"]
     assert all(manifest["verification"].values())
+    assert manifest["config_sha256"] == hashlib.sha256(
+        Path(cfgp).read_bytes()).hexdigest()
     assert "order 8" in capsys.readouterr().out
 
 
@@ -283,6 +285,12 @@ MALFORMED_PARAMS = [
     ("permute", {"rule": {**XOR_CONFIG["rule"], "factors": [
         {"pos": True, "coeff": "identity"}]}}, "rule.factors[0].pos"),
     ("group", {"group": {"kind": "cyclic", "n": True}}, "group.n"),
+    *[("group", {"group": {"table": [[0, 1], [1, 0]], "labels": labels}},
+       "group.table") for labels in ([0, 1], ["e", "e"], ["e"])],
+    ("permute", {"group": {"table": [[0, 1], [1, 0]]},
+                 "rule": {**XOR_CONFIG["rule"], "bias": "a"}}, "rule.bias"),
+    *[("diffuse", {"alpha": alpha, "j_max": 2}, "alpha")
+      for alpha in ({"1": [1], " 1": [0]}, {"1": [1], "01": [1]})],
 ]
 
 
@@ -293,16 +301,55 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     missing = str(tmp_path / "nope.json")
     assert main(["group", "--config", missing, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config: cannot read ")
     for command, params, where in MALFORMED_PARAMS:
         cfgp = write_config(tmp_path, {**XOR_CONFIG, **params})
         assert main([command, "--config", cfgp, "--out", str(tmp_path)]) == 2, params
         err = capsys.readouterr().err
-        assert f"config error: {where}: " in err and "Traceback" not in err
+        assert err.startswith(f"config error: {where}: ") and err.count("\n") == 1, err
     cfgp = write_config(tmp_path, {**XOR_CONFIG, "n_max": 2, "mc_samples": 4})
     assert main(["randomize", "--config", cfgp, "--out", str(tmp_path),
                  "--seed", "-3"]) == 2
     err = capsys.readouterr().err
     assert "config error: --seed: " in err and "Traceback" not in err
+    # --config names a file: a directory, bytes that are not UTF-8 and JSON
+    # text (short, or longer than a file name may be) are unreadable configs
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"group": {"kind": "cyclic", "n": 2}, "seed": "\xe9"}')
+    inline = json.dumps({"group": {"kind": "cyclic", "n": 3}})
+    long_inline = json.dumps({"group": {"kind": "cyclic", "n": 3},
+                              "thresholds": list(range(100))})
+    fresh = tmp_path / "fresh"
+    for config in (str(tmp_path), str(latin1), inline, long_inline):
+        assert main(["group", "--config", config, "--out", str(fresh)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: cannot read ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not fresh.exists()
+    # --out naming an existing file
+    out_file = tmp_path / "taken"
+    out_file.write_text("")
+    cfgp = write_config(tmp_path, {"group": {"kind": "cyclic", "n": 2}})
+    assert main(["group", "--config", cfgp, "--out", str(out_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out_file) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_table_group_without_labels_is_labelled_by_index(tmp_path):
+    """The same as the quaternion config, but with only the group's table."""
+    table = [[int(x) for x in row] for row in make_quaternion().table]
+    cfgp = write_config(tmp_path, {"group": {"table": table}, "frame": {
+        "subgroup": "center"}, "rule": QUAT_WIDE_RULE})
+    assert main(["group", "--config", cfgp, "--out", str(tmp_path)]) == 0
+    report = read_json(tmp_path / "group_report.json")
+    assert report["labels"] == [str(k) for k in range(8)]
+    assert report["center"] == ["0", "1"]
+    assert main(["permute", "--config", cfgp, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "permute.csv").read_text().splitlines()
+    # one row per quotient word, its cosets named by their least members
+    assert len(rows) == 2 + 4 ** 4
+    assert [r.split(",")[0] for r in rows[2:4]] == ["[0] [0] [0] [0]", "[0] [0] [0] [2]"]
 
 
 def test_absent_or_null_measure_means_uniform(tmp_path):

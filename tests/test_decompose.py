@@ -5,15 +5,18 @@ truth; closed-form checks against hand-derived fibre formulas live in the
 acceptance suite.
 """
 import itertools
+import re
 
 import pytest
 
-from mcalab import (Config, GroupMap, McaRule, NotCentralError,
+from mcalab import decompose
+from mcalab import (Config, FrameError, GroupMap, McaRule, NotCentralError,
                     NotInvariantError, WindowError, apply_window, central_split,
                     decompose_mca, eval_local, fibre_nhca,
                     fibre_step_sequence, generated_subgroup, local_table,
                     make_frame, nilpotent_tower, recompose_check, star_compose,
-                    star_decompose, tower_apply, tower_eval)
+                    star_decompose)
+from oracles import tower_apply, tower_eval
 
 
 @pytest.fixture(scope="module")
@@ -135,13 +138,14 @@ def test_fibre_nhca_matches_full_rule(x1_dec, x1_rule, z20_frame):
 
 def test_fibre_step_sequence_tracks_quotient_evolution(x1_dec):
     c_cfg = Config(x1_dec.h_rule.group, 0, (1, 0, 2, 3, 1, 0, 2))
-    steps = fibre_step_sequence(x1_dec, c_cfg, 2)
-    assert len(steps) == 2
-    evolved = apply_window(x1_dec.h_rule, c_cfg)
-    # step 2's rule at cell m is the fibre of the evolved quotient word
-    m = evolved.lo
-    w = tuple(evolved.word[m - evolved.lo + v] for v in range(3))
-    assert steps[1].rules[m].bias == x1_dec.fibre(w).bias
+    steps = fibre_step_sequence(x1_dec, c_cfg, 3)
+    assert [sorted(st.rules) for st in steps] == [[0, 1, 2, 3, 4], [0, 1, 2], [0]]
+    # step n's rule at cell m is the fibre of the n-times evolved quotient word
+    evolved = c_cfg
+    for st in steps:
+        for m, rule in st.rules.items():
+            assert rule is x1_dec.fibre(tuple(evolved.at(m + v) for v in range(3)))
+        evolved = apply_window(x1_dec.h_rule, evolved)
 
 
 # --- central splits and towers ----------------------------------------------
@@ -202,6 +206,39 @@ def test_tower_apply_shrinks_the_block_like_apply_window(quat_rule4, q8):
     # exactly spread cells leave an empty block at lo - v_lo
     out = tower_apply(tower, Config(q8, 5, (3, 0, 7)))
     assert (out.lo, out.word) == (5 - quat_rule4.v_lo, ())
+
+
+def test_tower_check_names_the_first_failing_window_word(monkeypatch, quat_rule4):
+    """A first-level quotient rule with bias 1 moves every word's image."""
+    real = decompose.decompose_mca
+    levels = []
+
+    def tampered(rule, frame, cap):
+        dec = real(rule, frame, cap)
+        if not levels:
+            h = dec.h_rule
+            dec.h_rule = McaRule(h.group, h.v_lo, h.v_hi, h.factors, bias=1,
+                                 one_sided=h.one_sided)
+        levels.append(dec)
+        return dec
+
+    monkeypatch.setattr(decompose, "decompose_mca", tampered)
+    with pytest.raises(FrameError, match=re.escape(
+            "tower recomposition fails on window word (0, 0, 0, 0)")):
+        nilpotent_tower(quat_rule4)
+    assert levels
+
+
+def test_central_split_names_the_first_fibre_that_disagrees(quat_rule4, q8_center_frame):
+    dec = decompose_mca(quat_rule4, q8_center_frame)
+    for w in [(3, 3, 3, 3), (0, 1, 2, 3)]:
+        # the fibre with its bias flipped in the order-2 centre
+        fib = dec.fibre(w)
+        dec._fibre_cache[(w, dec.error_map[w])] = McaRule(
+            fib.group, fib.v_lo, fib.v_hi, fib.factors, bias=1 - fib.bias)
+    with pytest.raises(FrameError, match=re.escape(
+            "central split disagrees with fibre at (0, 1, 2, 3)")):
+        central_split(quat_rule4, q8_center_frame, dec=dec)
 
 
 def test_tower_on_abelian_group_is_flat():

@@ -26,6 +26,7 @@ from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
                     push_forward, recompose_check, star_product_measure,
                     trajectory_joint_distribution,
                     trajectory_partition_entropy)
+from mcalab import spectral
 from mcalab.rules import step_cells
 from mcalab.util import iter_words
 
@@ -321,10 +322,9 @@ CENTRAL_FRAMES = {"Z2+Z4/Z4": [0, 1, 2, 3], "Z2+Z4/Z2+Z2": [0, 2, 4, 6],
                   "Q8/centre": None}
 
 
-@pytest.mark.parametrize("j", [0, 1, 2])
-@pytest.mark.parametrize("name", sorted(CENTRAL_FRAMES))
-def test_fibre_ranks_match_fraction_oracle(name, j):
-    """Every ``FibreRankCheck`` field equals the ``Fraction`` reading."""
+@cache
+def fibre_rank_case(name):
+    """(decomposition, central split, alphas) for one entry of CENTRAL_FRAMES."""
     if name == "Q8/centre":
         G = make_quaternion()
         fr = make_frame(G, center(G))
@@ -353,8 +353,30 @@ def test_fibre_ranks_match_fraction_oracle(name, j):
               Character.make(coords, {0: [0] * (len(orders) - 1) + [1]}),
               Character(orders, ((-1, tuple(-1 for _ in orders)),
                                  (0, tuple(n + 1 for n in orders))), 1.0 + 0j, coords)]
+    return dec, split, alphas
+
+
+def assert_fibre_ranks_match(name, j):
+    dec, split, alphas = fibre_rank_case(name)
     for alpha in alphas:
         got = fibre_rank_independence(dec, split, alpha, j)
         want = fibre_rank_oracle(dec, split, alpha, j)
         assert (got.rank, got.linear_rank, got.all_equal, got.ranks_seen) == (
             want.rank, want.linear_rank, want.all_equal, want.ranks_seen)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(CENTRAL_FRAMES))
+def test_fibre_ranks_match_fraction_oracle(name, j):
+    """Every ``FibreRankCheck`` field equals the ``Fraction`` reading."""
+    assert_fibre_ranks_match(name, j)
+
+
+@pytest.mark.parametrize("chunk", [1, 40])
+def test_fibre_ranks_match_fraction_oracle_across_batches(monkeypatch, chunk):
+    """Quotient words run in batches of at most ``_CHUNK`` probe rows; a
+    bound of 1 or 40 rows splits every case with j > 0 into many batches."""
+    monkeypatch.setattr(spectral, "_CHUNK", chunk)
+    for name in sorted(CENTRAL_FRAMES):
+        for j in (0, 1, 2):
+            assert_fibre_ranks_match(name, j)

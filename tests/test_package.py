@@ -1,5 +1,8 @@
-"""The package namespace: each public name is declared once, in its module."""
+"""The package namespace: each public name is declared once, in its module,
+and the scalar local-map evaluator stays inside ``rules``."""
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +22,21 @@ def test_package_exports_exactly_the_modules_public_names():
     assert set(namespace) - {"__builtins__"} == union
     with pytest.raises(mcalab.InvalidOrderError):
         mcalab.make_cyclic(0)
+
+
+def test_only_rules_names_the_scalar_evaluator():
+    """Every other module evaluates local maps through ``local_table`` or
+    ``step_cells``; ``eval_local``/``apply_window`` remain test oracles."""
+    scalar = {"eval_local", "apply_window"}
+    offenders = []
+    for path in sorted(Path(mcalab.__file__).parent.glob("*.py")):
+        if path.name == "rules.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
+                    else None)
+            if name in scalar:
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert not offenders

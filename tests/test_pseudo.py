@@ -18,6 +18,15 @@ def test_star_bijection_round_trip(q8_center_frame):
     assert seen == set(frame.B.elements())
 
 
+def test_a_index_inverts_the_embedding_and_rejects_the_rest(z20):
+    # Z/5 ⋊ Z/4 by its normal Z/5, whose members 0, 4, ..., 16 are not 0..4
+    frame = make_frame(z20, Subgroup(z20, [4 * a for a in range(5)]))
+    assert [frame.a_index(b) for b in frame.a_embed] == list(range(5))
+    for b in (-4, -1, 1, 5, 19, 20):
+        with pytest.raises(FrameError, match=f"element {b} is not in"):
+            frame.a_index(b)
+
+
 def test_canonical_section_is_minimal_representative(q8_center_frame, q8):
     frame = q8_center_frame
     for c in frame.C.elements():

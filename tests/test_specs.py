@@ -1,11 +1,12 @@
 """Config parsing: construction round trips and diagnostic quality."""
+import json
 from fractions import Fraction
 
 import pytest
 
-from mcalab import (SpecError, eval_local, load_experiment, parse_endo,
-                    parse_frame, parse_group, parse_measure, parse_probe,
-                    parse_rule, resolve_element)
+from mcalab import (SpecError, eval_local, load_experiment, parse_character,
+                    parse_endo, parse_frame, parse_group, parse_measure,
+                    parse_probe, parse_rule, resolve_element)
 
 
 def test_parse_cyclic_group():
@@ -145,6 +146,30 @@ def test_parse_probe_character_arity(q8):
         parse_probe({"id": "p", "phi": {"0": [1]}}, "p", quotient_group=V4)
     with pytest.raises(SpecError):
         parse_probe({"id": "p", "alpha": {"0": [1]}}, "p", fibre_group=q8)
+
+
+def test_parse_character_rejects_a_cell_given_twice():
+    Z4 = parse_group({"kind": "cyclic", "n": 4})
+    for spec, again in (({"1": [1], " 1": [0]}, "' 1'"),
+                        ({"1": [1], "01": [2]}, "'01'")):
+        with pytest.raises(SpecError, match=f"alpha: cell key {again} names cell 1 again"):
+            parse_character(Z4, spec, "alpha")
+    assert parse_character(Z4, {"1": [1], "-1": [2]}, "alpha").rank == 2
+
+
+def test_load_experiment_reads_text_and_files_without_probing(tmp_path):
+    """Long JSON text is parsed, never taken for a file name; a path that
+    does not exist is a config error whatever it looks like."""
+    text = json.dumps({"group": {"kind": "cyclic", "n": 3},
+                       "thresholds": list(range(100))})
+    assert len(text) > 255 and load_experiment(text).group.order == 3
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    for source in (path, str(path), path.read_bytes()):
+        assert load_experiment(source).param("thresholds") == list(range(100))
+    for missing in (tmp_path / "nope.json", "group", "[1]"):
+        with pytest.raises(SpecError, match="config: cannot read "):
+            load_experiment(missing)
 
 
 def test_load_experiment_from_text_and_dict():

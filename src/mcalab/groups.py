@@ -457,7 +457,8 @@ def from_table(table, labels: list[str] | None = None) -> FiniteGroup:
             for y in range(n):
                 new[perm[x], perm[y]] = perm[table[x, y]]
         table = new
-        if labels is not None:
+        # a list of the wrong length is left for FiniteGroup to reject
+        if labels is not None and len(labels) == n:
             labels = list(labels)
             labels[0], labels[ident] = labels[ident], labels[0]
     return FiniteGroup(table, labels)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -273,20 +274,65 @@ def partition_entropy(dist) -> float:
     """Shannon entropy in bits of a distribution in any common shape.
 
     Accepts a WindowMeasure, a mapping to weights, or a bare weight
-    sequence; weights may be Fractions, ints, or floats and need not be
-    normalized (they are divided by their sum).
+    sequence.  Weights may be ints (numpy's too), Fractions or finite
+    floats and need not be normalized: each is divided by their exact sum.
+    A float weight counts as the exact binary value it holds.  Equal
+    weights are grouped (see :func:`_grouped_entropy`), so the cost grows
+    with the number of distinct weights, and the result is the exact sum
+    of every outcome's -p·log2(p) rounded once.
     """
     if isinstance(dist, WindowMeasure):
         return dist.entropy_bits()
-    values = list(dist.values()) if isinstance(dist, Mapping) else list(dist)
-    if not values:
+    values = dist.values() if isinstance(dist, Mapping) else dist
+    # group on exact ratios: hashing a Fraction costs ten times more
+    ratios = Counter(map(_ratio, values))
+    if not ratios:
         return 0.0
-    total = sum(values)
+    return _grouped_entropy(ratios.keys(), ratios.values())
+
+
+def _ratio(v) -> tuple[int, int]:
+    """Lowest-terms (numerator, denominator) of an exact or float weight."""
+    try:
+        return v.as_integer_ratio()
+    except AttributeError:
+        # numpy integer scalars lack the method, and a Fraction of one keeps
+        # numpy parts, which wrap at 2**63
+        f = Fraction(v)
+        return int(f.numerator), int(f.denominator)
+
+
+# Every finite float is a whole multiple of 2**-1074, the least subnormal.
+_FLOAT_ULP_EXP = 1074
+
+
+def _grouped_entropy(ratios: Iterable[tuple[int, int]],
+                     counts: Iterable[int]) -> float:
+    """Entropy in bits of a law with ``counts[i]`` outcomes of weight ``ratios[i]``.
+
+    ``ratios`` holds (numerator, denominator) pairs with positive
+    denominators; weights need not be normalized.  Each term p·log2(p) is
+    computed once, with p the float nearest to the weight over the exact
+    total, as ``float(Fraction)`` gives it.  The terms are added ``count``
+    times exactly, in units of 2**-1074, and the sum is rounded once.  That
+    is bit for bit ``-math.fsum`` over every outcome's term, since both
+    round the same exact sum once, half to even.
+    """
+    groups = [(n, d, int(k)) for (n, d), k in zip(ratios, counts)]
+    by_den: dict[int, int] = {}
+    for n, d, k in groups:
+        by_den[d] = by_den.get(d, 0) + n * k
+    total = sum(Fraction(n, d) for d, n in by_den.items())
     if total <= 0:
         raise McaLabError("entropy needs positive total weight")
-    probs = [float(Fraction(v) / total) if not isinstance(v, float) else v / total
-             for v in values]
-    return -math.fsum(p * math.log2(p) for p in probs if p)
+    acc = 0
+    for n, d, k in groups:
+        # int / int is correctly rounded, so p == float(Fraction(n, d) / total)
+        p = n * total.denominator / (d * total.numerator)
+        if p:
+            m, e = (p * math.log2(p)).as_integer_ratio()
+            acc += (m * k) << (_FLOAT_ULP_EXP + 1 - e.bit_length())
+    return -(acc / (1 << _FLOAT_ULP_EXP))
 
 
 def push_forward(op: Union[McaRule, NhcaSequence], m: WindowMeasure,
@@ -390,15 +436,27 @@ def trajectory_joint_distribution(op, spec: MeasureSpec, n_steps: int,
                                   cap: int = STATE_CAP) -> dict[tuple[int, ...], Fraction]:
     """Joint law of the cells [-L..R) observed at times 0..n_steps-1.
 
-    Keys are the concatenated observations (time-major); enumeration runs
-    over the generating input window [-nL..nR).
+    Keys are the concatenated observations (time-major), in ascending
+    word-index order; enumeration runs over the generating input window
+    [-nL..nR).  Words of equal weight share one ``Fraction``.
     """
     m, steps, windows = _trajectory_setup(op, spec, n_steps, cap)
     s, length, den = m.size, m.length, m.den
     num = _observed_weights(m, steps, windows, cap)
     del m  # only one weight array stays alive while the dict grows
-    return {index_word(int(i), s, length): Fraction(int(num[i]), den)
-            for i in np.flatnonzero(num)}
+    idx = np.flatnonzero(num)
+    # one Fraction per distinct weight, shared by every word that has it
+    weights, which = np.unique(num[idx], return_inverse=True)
+    probs = [Fraction(w, den) for w in weights.tolist()]
+    joint: dict[tuple[int, ...], Fraction] = {}
+    # a chunk of words at a time, one list per cell: zip builds each key
+    # tuple directly, and no list per word or digit plane of every word exists
+    for start in range(0, len(idx), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        cells = digit_planes(idx[part], s, length).T.tolist()
+        keys = zip(*cells) if length else [()] * len(idx[part])
+        joint.update(zip(keys, map(probs.__getitem__, which[part].tolist())))
+    return joint
 
 
 def trajectory_partition_entropy(op, spec: MeasureSpec, n_steps: int,
@@ -407,8 +465,9 @@ def trajectory_partition_entropy(op, spec: MeasureSpec, n_steps: int,
 
     For bipermutative rules this equals the entropy of the input marginal
     on [-NL..NR) (the two partitions are equivalent).  Uniform measures
-    with a single rule count outcomes in numpy; everything else takes the
-    exact weights of the joint law.
+    with a single rule count outcomes in numpy.  Everything else takes the
+    exact weights of the joint law, grouped by distinct weight, and returns
+    their exactly summed entropy terms rounded once (:func:`partition_entropy`).
     """
     if not (isinstance(op, McaRule) and spec.kind == "uniform"):
         return partition_entropy(trajectory_joint_distribution(op, spec, n_steps, cap))

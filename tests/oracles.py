@@ -7,11 +7,14 @@ library uses.  ``dual_action_oracle`` steps a character one support cell
 and one position at a time in Python integers.  ``fibre_rank_oracle``
 reads each finite difference of a fibre composite as a sum of
 ``Fraction``s.  ``tower_eval``/``tower_apply`` evaluate a rule through
-its nilpotent tower level by level, one window word at a time.  Property
-tests compare each with the library.
+its nilpotent tower level by level, one window word at a time.
+``partition_entropy_oracle`` divides every outcome's weight by the exact
+total and sums the terms with ``math.fsum``.  Property tests compare each
+with the library.
 """
 import cmath
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +91,20 @@ def trajectory_oracle(op, spec, n_steps: int) -> dict[tuple[int, ...], Fraction]
         key = tuple(obs)
         joint[key] = joint.get(key, Fraction(0)) + p
     return joint
+
+
+def partition_entropy_oracle(dist) -> float:
+    """Entropy in bits of a weight mapping or sequence, one outcome at a time."""
+    values = list(dist.values()) if isinstance(dist, Mapping) else list(dist)
+    if not values:
+        return 0.0
+    # numpy scalars as Python numbers: a Fraction keeps numpy parts, which wrap
+    exact = [Fraction(v.item() if isinstance(v, np.generic) else v) for v in values]
+    total = sum(exact)
+    if total <= 0:
+        raise McaLabError("entropy needs positive total weight")
+    probs = [float(v / total) for v in exact]
+    return -math.fsum(p * math.log2(p) for p in probs if p)
 
 
 def recompose_oracle(dec, rule=None) -> RecomposeReport:

@@ -12,6 +12,7 @@ from mcalab import cli, fourier_coefficient, make_quaternion
 from mcalab.cli import build_parser, main
 from mcalab.specs import load_experiment, parse_character, parse_measure
 
+ROOT = Path(__file__).resolve().parent.parent
 DOUBLING_MOD7 = [[(pow(2, c, 7) * a) % 7 for a in range(7)] for c in range(3)]
 DOUBLING_MOD5 = [[(pow(2, c, 5) * a) % 5 for a in range(5)] for c in range(4)]
 
@@ -207,8 +208,7 @@ def test_randomize_with_factor_measures(tmp_path):
 def test_randomize_alpha_probe_on_a_frame_off_the_first_indices(tmp_path):
     # A = Z/5 sits at B-indices 0, 4, 8, 12, 16 of Z/5 ⋊ Z/4, so a probe
     # table indexed by A-index must not be read as one indexed by B-element
-    root = Path(__file__).resolve().parent.parent
-    cfg = read_json(root / "demos" / "configs" / "randomize_metacyclic.json")
+    cfg = read_json(ROOT / "demos" / "configs" / "randomize_metacyclic.json")
     lam = {"kind": "bernoulli", "probs": ["1/2", "1/4", "1/8", "1/16", "1/16"]}
     cfg["measures"]["lambda"] = lam
     cfg.update(probes=[{"id": "a", "alpha": {"0": [1]}}], n_max=2)
@@ -287,6 +287,8 @@ MALFORMED_PARAMS = [
     ("group", {"group": {"kind": "cyclic", "n": True}}, "group.n"),
     *[("group", {"group": {"table": [[0, 1], [1, 0]], "labels": labels}},
        "group.table") for labels in ([0, 1], ["e", "e"], ["e"])],
+    ("group", {"group": {"table": [[1, 0], [0, 1]], "labels": ["a"]}},
+     "group.table"),
     ("permute", {"group": {"table": [[0, 1], [1, 0]]},
                  "rule": {**XOR_CONFIG["rule"], "bias": "a"}}, "rule.bias"),
     *[("diffuse", {"alpha": alpha, "j_max": 2}, "alpha")
@@ -427,18 +429,32 @@ README_EXAMPLES = [
 ]
 
 
+def pinned_digests():
+    return read_json(ROOT / "perfbench" / "digests.json")["digests"]
+
+
+def output_digests(out):
+    """SHA-256 of every output file in ``out`` but the manifest."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
 def test_readme_examples_match_pinned_digests(tmp_path, monkeypatch):
     """Every README example writes byte-identical outputs (manifest aside)."""
     monkeypatch.delenv("MCA_LAB_WORKERS", raising=False)
-    root = Path(__file__).resolve().parent.parent
-    pins = read_json(root / "perfbench" / "digests.json")["digests"]
+    pins = pinned_digests()
     for key, command, config, extra in README_EXAMPLES:
         out = tmp_path / key.replace("/", "_")
-        assert main([command, "--config", str(root / "demos" / "configs" / config),
+        assert main([command, "--config", str(ROOT / "demos" / "configs" / config),
                      "--out", str(out), *extra]) == 0, key
-        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(out.iterdir()) if p.name != "manifest.json"}
-        assert got == pins[key], key
+        assert output_digests(out) == pins[key], key
+
+
+def test_bernoulli_entropy_matches_pinned_digest(tmp_path):
+    """Non-uniform entropy through the exact joint law; README's example is uniform."""
+    config = ROOT / "perfbench" / "configs" / "entropy_metacyclic.json"
+    assert main(["entropy", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert output_digests(tmp_path) == pinned_digests()["entropy_metacyclic"]
 
 
 # Exact rows end at n = 3 (2^(1+n) window words against cap_states 16), so

@@ -56,6 +56,10 @@ def test_invalid_table_rejected():
          [4, 3, 1, 2, 0]]
     with pytest.raises(TableInvalidError):
         from_table(t)
+    # too few labels, whether or not the identity comes first
+    for table in ([[0, 1], [1, 0]], [[1, 0], [0, 1]]):
+        with pytest.raises(TableInvalidError, match="labels must be 2 distinct strings"):
+            from_table(table, ["a"])
 
 
 def test_direct_sum_layout():

@@ -14,16 +14,22 @@ from mcalab import (Config, GroupMap, McaLabError, McaRule, MeasureSpec,
                     push_forward, skew_entropy, star_compose,
                     star_product_measure, trajectory_joint_distribution,
                     trajectory_partition_entropy)
+from mcalab import measures
 
-from oracles import trajectory_oracle
+from oracles import partition_entropy_oracle, trajectory_oracle
 
 HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
 
 
-def xor_rule():
-    G = make_cyclic(2)
+def sum_rule(n):
+    """x_0 + x_1 on Z/n."""
+    G = make_cyclic(n)
     ident = GroupMap.identity(G)
     return McaRule(G, 0, 1, [(0, ident), (1, ident)], one_sided=True)
+
+
+def xor_rule():
+    return sum_rule(2)
 
 
 def bern_point_nine():
@@ -118,6 +124,11 @@ def test_trajectory_joint_is_a_distribution():
     joint = trajectory_joint_distribution(xor_rule(), bern_point_nine(), 3)
     assert sum(joint.values()) == 1
     assert all(len(k) == 3 for k in joint)
+    # a rule with no overlap observes no cell: one empty outcome
+    G = make_cyclic(2)
+    copy = McaRule(G, 0, 0, [(0, GroupMap.identity(G))], one_sided=True)
+    for n in (0, 2):
+        assert trajectory_joint_distribution(copy, bern_point_nine(), n) == {(): 1}
 
 
 def test_uniform_trajectory_fast_path_agrees_with_enumeration():
@@ -199,6 +210,67 @@ def test_star_product_measure_lands_on_cosets(z20_frame):
 def test_partition_entropy_accepts_plain_weights():
     assert partition_entropy([1, 1, 2]) == pytest.approx(1.5, abs=1e-12)
     assert partition_entropy({"a": Fraction(1, 2), "b": Fraction(1, 2)}) == 1.0
+    # every weight type, numpy scalars included, gives the oracle's bits
+    floats = [0.1, 0.2, 0.7, 0.1]
+    for weights in ([1, 2, 1], [True, True], [Fraction(1, 3), Fraction(2, 3)],
+                    floats, [np.int64(1), np.int64(2), np.int64(1)],
+                    [np.float64(x) for x in floats],
+                    [1, Fraction(1, 2), 0.25, np.int64(3), True],
+                    [np.int64(7), np.float64(0.3), Fraction(1, 3)]):
+        assert repr(partition_entropy(weights)) == repr(
+            partition_entropy_oracle(weights)), weights
+    # a float weight is the exact binary value it holds
+    assert repr(partition_entropy(floats)) == repr(
+        partition_entropy([Fraction(x) for x in floats]))
+    # one outcome: -fsum of a single 0.0 term
+    for dist in ([5], {"only": Fraction(3, 7)}, [0, 2, 0]):
+        assert repr(partition_entropy(dist)) == repr(
+            partition_entropy_oracle(dist)) == "-0.0"
+
+
+# distinct weights of one law: ints and Fractions, equal values merged
+distinct_weights = st.lists(
+    st.one_of(st.integers(0, 40), st.fractions(0, 5, max_denominator=12)),
+    min_size=1, max_size=6, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(distinct_weights, st.data(), st.booleans())
+def test_partition_entropy_matches_oracle(distinct, data, as_mapping):
+    """One term per distinct weight changes no bit, zero's sign included."""
+    weights = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    dist = {f"w{i}": w for i, w in enumerate(weights)} if as_mapping else weights
+    if not sum(weights):
+        with pytest.raises(McaLabError, match="positive total"):
+            partition_entropy(dist)
+        return
+    assert repr(partition_entropy(dist)) == repr(partition_entropy_oracle(dist))
+
+
+def test_trajectory_law_past_int64_weights():
+    """A window denominator of at least 2**62 keeps Python-int weights."""
+    q = 2 ** 61 - 1
+    rule = sum_rule(3)
+    spec = MeasureSpec("bernoulli", 3,
+                       probs=[Fraction(1, q), Fraction(5, q), Fraction(q - 6, q)])
+    assert spec.window_measure(0, 3).num.dtype == object
+    want = trajectory_oracle(rule, spec, 3)
+    joint = trajectory_joint_distribution(rule, spec, 3)
+    assert joint == want and list(joint) == sorted(joint)
+    assert repr(trajectory_partition_entropy(rule, spec, 3)) == repr(
+        partition_entropy_oracle(want))
+
+
+@pytest.mark.parametrize("chunk", [1, 40])
+def test_trajectory_law_is_independent_of_the_chunk(monkeypatch, chunk):
+    rule = sum_rule(3)
+    spec = MeasureSpec("bernoulli", 3,
+                       probs=[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+    want = trajectory_joint_distribution(rule, spec, 4)   # 81 words
+    assert want == trajectory_oracle(rule, spec, 4)
+    monkeypatch.setattr(measures, "_CHUNK", chunk)
+    joint = trajectory_joint_distribution(rule, spec, 4)
+    assert joint == want and list(joint) == list(want) == sorted(joint)
 
 
 @settings(max_examples=40, deadline=None)

@@ -319,6 +319,8 @@ def make_cyclic(n: int) -> FiniteGroup:
     """Z/n with addition; element k has label str(k)."""
     if not isinstance(n, int) or n <= 0:
         raise InvalidOrderError(f"cyclic order must be a positive integer, got {n!r}")
+    if n > 4096:
+        raise SizeLimitError(f"cyclic group of order {n} exceeds table limit")
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(table, [str(k) for k in range(n)], _validated=True)

@@ -22,8 +22,7 @@ import numpy as np
 from .errors import McaLabError, NotPermutativeError, WindowError
 from .groups import FiniteGroup
 from .rules import Config, McaRule, NhcaSequence, is_bipermutative, step_cells
-from .util import (STATE_CAP, cell_dtype, check_cap, digit_planes, index_word,
-                   word_index)
+from .util import STATE_CAP, cell_dtype, check_cap, digit_planes, index_word
 
 __all__ = [
     "WindowMeasure",
@@ -46,6 +45,13 @@ _CHUNK = 1 << 16
 def _weight_dtype(den: int):
     """int64 while weights (each at most ``den``) stay below 2**62, else object."""
     return np.int64 if den < 2 ** 62 else object
+
+
+def _window_length(lo: int, hi: int) -> int:
+    """Number of cells in [lo..hi); a reversed window is a WindowError."""
+    if hi < lo:
+        raise WindowError(f"bad window [{lo}..{hi})")
+    return hi - lo
 
 
 def _frozen(num: np.ndarray) -> np.ndarray:
@@ -76,8 +82,7 @@ class WindowMeasure:
     group: FiniteGroup | None = None
 
     def __post_init__(self):
-        if self.hi < self.lo:
-            raise WindowError(f"bad window [{self.lo}..{self.hi})")
+        _window_length(self.lo, self.hi)
         # keep the caller's array only if nothing writable can change it
         owner = self.num
         while isinstance(owner, np.ndarray) and not owner.flags.writeable:
@@ -106,24 +111,9 @@ class WindowMeasure:
     @classmethod
     def uniform(cls, size: int, lo: int, hi: int,
                 group: FiniteGroup | None = None) -> "WindowMeasure":
-        n = size ** (hi - lo)
+        n = size ** _window_length(lo, hi)
         return cls(size, lo, hi,
                    np.broadcast_to(_frozen(np.ones(1, np.int64)), (n,)), n, group)
-
-    @classmethod
-    def point_mass(cls, size: int, lo: int, word: Sequence[int],
-                   group: FiniteGroup | None = None) -> "WindowMeasure":
-        num = np.zeros(size ** len(word), dtype=np.int64)
-        num[word_index(word, size)] = 1
-        return cls(size, lo, lo + len(word), _frozen(num), 1, group)
-
-    def prob(self, word_or_index: Union[int, Sequence[int]]) -> Fraction:
-        idx = (word_or_index if isinstance(word_or_index, int)
-               else word_index(word_or_index, self.size))
-        return Fraction(int(self.num[idx]), self.den)
-
-    def probs(self) -> list[Fraction]:
-        return [Fraction(n, self.den) for n in self.num.tolist()]
 
     def marginal(self, lo: int, hi: int) -> "WindowMeasure":
         """Restriction to a sub-window (sums out the other cells)."""
@@ -136,8 +126,7 @@ class WindowMeasure:
 
     def entropy_bits(self) -> float:
         """Shannon entropy in bits (0·log 0 = 0), from exact weights."""
-        acc = math.fsum(n * math.log2(n) for n in self.num.tolist() if n)
-        return math.log2(self.den) - acc / self.den
+        return _weights_entropy(self.num, self.den)
 
     def tv_from_uniform(self) -> Fraction:
         """Exact total-variation distance to the uniform vector."""
@@ -147,13 +136,6 @@ class WindowMeasure:
 
     def is_uniform(self) -> bool:
         return bool((self.num == self.num[0]).all())
-
-    def same_distribution(self, other: "WindowMeasure") -> bool:
-        """Exact equality of probability vectors (windows must agree)."""
-        if (self.size, self.lo, self.hi) != (other.size, other.lo, other.hi):
-            return False
-        return all(a * other.den == b * self.den
-                   for a, b in zip(self.num.tolist(), other.num.tolist()))
 
 
 class MeasureSpec:
@@ -207,24 +189,10 @@ class MeasureSpec:
     def cell_distribution(self) -> tuple[Fraction, ...]:
         return self.probs
 
-    def word_weight(self, word: Sequence[int]) -> Fraction:
-        """Exact probability of one finite word."""
-        if self.kind == "markov":
-            if not word:
-                return Fraction(1)
-            p = self.probs[word[0]]
-            for a, b in zip(word, word[1:]):
-                p *= self.transition[a][b]
-            return p
-        p = Fraction(1)
-        for x in word:
-            p *= self.probs[x]
-        return p
-
     def window_measure(self, lo: int, hi: int,
                        group: FiniteGroup | None = None,
                        cap: int = STATE_CAP) -> WindowMeasure:
-        n = hi - lo
+        n = _window_length(lo, hi)
         check_cap(self.size ** n, cap, "window measure")
         if self.kind == "uniform":
             return WindowMeasure.uniform(self.size, lo, hi, group)
@@ -249,25 +217,14 @@ class MeasureSpec:
         if self.kind == "uniform":
             return math.log2(self.size)
         if self.kind == "bernoulli":
-            return _entropy_of(self.probs)
-        acc = 0.0
-        for pi, row in zip(self.probs, self.transition):
-            if pi:
-                acc += float(pi) * _entropy_of(row)
-        return acc
+            return partition_entropy(self.probs)
+        return math.fsum(float(pi) * partition_entropy(row)
+                         for pi, row in zip(self.probs, self.transition) if pi)
 
     def is_uniform(self) -> bool:
         return all(p == Fraction(1, self.size) for p in self.probs) and (
             self.kind != "markov"
             or all(row == self.probs for row in self.transition))
-
-
-def _entropy_of(probs: Iterable[Fraction]) -> float:
-    acc = 0.0
-    for p in probs:
-        if p:
-            acc -= float(p) * (math.log2(p.numerator) - math.log2(p.denominator))
-    return acc
 
 
 def partition_entropy(dist) -> float:
@@ -276,10 +233,11 @@ def partition_entropy(dist) -> float:
     Accepts a WindowMeasure, a mapping to weights, or a bare weight
     sequence.  Weights may be ints (numpy's too), Fractions or finite
     floats and need not be normalized: each is divided by their exact sum.
-    A float weight counts as the exact binary value it holds.  Equal
-    weights are grouped (see :func:`_grouped_entropy`), so the cost grows
+    A float weight counts as the exact binary value it holds.  Every shape
+    groups equal weights (see :func:`_grouped_entropy`), so the cost grows
     with the number of distinct weights, and the result is the exact sum
-    of every outcome's -p·log2(p) rounded once.
+    of every outcome's -p·log2(p) rounded once: the same bits for a
+    WindowMeasure as for its list of probabilities.
     """
     if isinstance(dist, WindowMeasure):
         return dist.entropy_bits()
@@ -333,6 +291,12 @@ def _grouped_entropy(ratios: Iterable[tuple[int, int]],
             m, e = (p * math.log2(p)).as_integer_ratio()
             acc += (m * k) << (_FLOAT_ULP_EXP + 1 - e.bit_length())
     return -(acc / (1 << _FLOAT_ULP_EXP))
+
+
+def _weights_entropy(num: np.ndarray, den: int) -> float:
+    """Entropy in bits of the integer weights ``num`` over ``den``, grouped."""
+    weights, counts = np.unique(num, return_counts=True)
+    return _grouped_entropy([(w, den) for w in weights.tolist()], counts.tolist())
 
 
 def push_forward(op: Union[McaRule, NhcaSequence], m: WindowMeasure,
@@ -402,10 +366,7 @@ def _step_list(op, n_steps: int) -> list:
         steps = list(op)
         if len(steps) != n_steps:
             raise McaLabError(f"need {n_steps} steps, got {len(steps)}")
-    if not steps:
-        return steps
-    shape = (steps[0].v_lo, steps[0].v_hi)
-    if any((st.v_lo, st.v_hi) != shape for st in steps):
+    if len({(st.v_lo, st.v_hi) for st in steps}) > 1:
         raise WindowError("all steps must share the same neighborhood")
     return steps
 
@@ -464,12 +425,16 @@ def trajectory_partition_entropy(op, spec: MeasureSpec, n_steps: int,
     """Entropy in bits of the time-0..N-1 trajectory observations.
 
     For bipermutative rules this equals the entropy of the input marginal
-    on [-NL..NR) (the two partitions are equivalent).  Uniform measures
-    with a single rule count outcomes in numpy.  Everything else takes the
-    exact weights of the joint law, grouped by distinct weight, and returns
-    their exactly summed entropy terms rounded once (:func:`partition_entropy`).
+    on [-NL..NR) (the two partitions are equivalent).  ``op`` is a rule,
+    an NHCA or a list of ``n_steps - 1`` steps.  A uniform measure counts
+    the preimages of each outcome in numpy; when every outcome is hit once
+    the trajectory map is a bijection and the result is the closed form
+    length·log2(size).  Any other measure takes the exact joint law
+    (:func:`trajectory_joint_distribution`).  Both non-closed routes return
+    the exact sum of the per-outcome terms rounded once, one term per
+    distinct weight (:func:`partition_entropy`).
     """
-    if not (isinstance(op, McaRule) and spec.kind == "uniform"):
+    if spec.kind != "uniform":
         return partition_entropy(trajectory_joint_distribution(op, spec, n_steps, cap))
     m, steps, windows = _trajectory_setup(op, spec, n_steps, cap)
     hits = np.zeros(len(m.num), dtype=bool)
@@ -480,9 +445,7 @@ def trajectory_partition_entropy(op, spec: MeasureSpec, n_steps: int,
         # joint is uniform over all outcomes
         return m.length * math.log2(m.size)
     check_cap(len(m.num), 1 << 24, "non-bijective trajectory counting")
-    counts = _observed_weights(m, steps, windows, cap)
-    p = counts[counts > 0].astype(np.float64) / float(len(counts))
-    return float(-(p * np.log2(p)).sum())
+    return _weights_entropy(_observed_weights(m, steps, windows, cap), m.den)
 
 
 def formula_entropy(rule: Union[McaRule, NhcaSequence], spec: MeasureSpec,

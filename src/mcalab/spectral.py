@@ -602,7 +602,7 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
     else gets exact rows while the window fits the state cap, then
     Monte-Carlo rows (``mc_samples`` > 0) at deterministic chunk-seeded
     checkpoints.  Past ``n_exact`` the Cesàro columns average the rows
-    present, exact and MC, not every n ≤ N (ROADMAP item 1).
+    present, exact and MC, not every n ≤ N (ROADMAP item 2).
     """
     if tv_cells < 1:
         raise McaLabError(f"tv_cells: need a positive integer, got {tv_cells}")
@@ -676,7 +676,7 @@ def _with_cesaro(series: list[tuple]) -> Iterator[tuple]:
     """(n, value, running mean, mode, samples, stderr) for each row in order.
 
     The mean is over the rows present, so past ``n_exact`` it pools the exact
-    rows with the MC checkpoints: not every n ≤ N (ROADMAP item 1).
+    rows with the MC checkpoints: not every n ≤ N (ROADMAP item 2).
     """
     total = 0.0
     for k, (n, value, *rest) in enumerate(series, 1):

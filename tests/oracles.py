@@ -1,16 +1,17 @@
 """Scalar reference implementations of the exhaustive window paths.
 
-Each walks the words of a window one at a time through the public scalar
-evaluator (``eval_local`` / ``apply_window`` / ``star_compose`` /
-``MeasureSpec.word_weight``), independently of the table-lookup kernel the
-library uses.  ``dual_action_oracle`` steps a character one support cell
-and one position at a time in Python integers.  ``fibre_rank_oracle``
+Each walks the words of a window one at a time through a scalar evaluator
+(``eval_local`` / ``apply_window`` / ``star_compose`` / :func:`word_weight`),
+independently of the table-lookup kernel the library uses.
+``dual_action_oracle`` steps a character one support cell and one
+position at a time in Python integers.  ``fibre_rank_oracle``
 reads each finite difference of a fibre composite as a sum of
 ``Fraction``s.  ``tower_eval``/``tower_apply`` evaluate a rule through
 its nilpotent tower level by level, one window word at a time.
 ``partition_entropy_oracle`` divides every outcome's weight by the exact
 total and sums the terms with ``math.fsum``.  Property tests compare each
-with the library.
+with the library.  ``point_mass``, ``prob``, ``probs`` and
+``same_distribution`` build and read window measures one word at a time.
 """
 import cmath
 import math
@@ -20,12 +21,53 @@ from fractions import Fraction
 import numpy as np
 
 from mcalab import (Character, Config, FibreRankCheck, McaLabError, McaRule,
-                    NhcaSequence, RecomposeReport, WindowError,
+                    NhcaSequence, RecomposeReport, WindowError, WindowMeasure,
                     abelian_invariants, apply_window, eval_local,
                     fibre_step_sequence, relative_diffusion_rank, star_compose,
                     star_decompose)
 from mcalab.rules import step_cells
 from mcalab.util import STATE_CAP, check_cap, iter_words, word_index
+
+
+def point_mass(size: int, lo: int, word, group=None) -> WindowMeasure:
+    """The measure of weight 1 on ``word``, placed at cell ``lo``."""
+    num = np.zeros(size ** len(word), dtype=np.int64)
+    num[word_index(word, size)] = 1
+    return WindowMeasure(size, lo, lo + len(word), num, 1, group)
+
+
+def prob(m, word_or_index) -> Fraction:
+    """Probability of one word (or big-endian word index) under ``m``."""
+    idx = (word_or_index if isinstance(word_or_index, int)
+           else word_index(word_or_index, m.size))
+    return Fraction(int(m.num[idx]), m.den)
+
+
+def probs(m) -> list[Fraction]:
+    """Every word's probability under ``m``, in word-index order."""
+    return [Fraction(n, m.den) for n in m.num.tolist()]
+
+
+def same_distribution(m, other) -> bool:
+    """Exact equality of two probability vectors on the same window."""
+    if (m.size, m.lo, m.hi) != (other.size, other.lo, other.hi):
+        return False
+    return probs(m) == probs(other)
+
+
+def word_weight(spec, word) -> Fraction:
+    """Exact probability of one finite word under a ``MeasureSpec``."""
+    if spec.kind == "markov":
+        if not word:
+            return Fraction(1)
+        p = spec.probs[word[0]]
+        for a, b in zip(word, word[1:]):
+            p *= spec.transition[a][b]
+        return p
+    p = Fraction(1)
+    for x in word:
+        p *= spec.probs[x]
+    return p
 
 
 def push_forward_oracle(op, m) -> list[int]:
@@ -79,7 +121,7 @@ def trajectory_oracle(op, spec, n_steps: int) -> dict[tuple[int, ...], Fraction]
     lo, hi = -n_steps * L, n_steps * R
     joint: dict[tuple[int, ...], Fraction] = {}
     for w in iter_words(first.group.order, hi - lo):
-        p = spec.word_weight(w)
+        p = word_weight(spec, w)
         if not p:
             continue
         cfg = Config(first.group, lo, w)

@@ -470,22 +470,76 @@ FUZZ_PATHS = [(key,) for key in FUZZ_BASE] + [
 FUZZ_VALUES = [None, True, -1, 0, 1.5, "x", [], {}, [[1]], [1.5, 2]]
 
 
+def with_field(cfg, path, value):
+    """A copy of ``cfg`` with the field at ``path`` set to ``value``."""
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return cfg
+
+
+def assert_ends_in_one_line(tmp_path, capsys, command, cfg, case):
+    """Exit 0, or exit 2 with exactly one named error line on stderr."""
+    cfgp = write_config(tmp_path, cfg)
+    try:
+        code = main([command, "--config", cfgp, "--out", str(tmp_path)])
+    except Exception as exc:
+        pytest.fail(f"{case} raised {exc!r}")
+    err = capsys.readouterr().err
+    assert code in (0, 2), case
+    if code == 2:
+        assert err.count("\n") == 1, (case, err)
+        assert err.startswith(("config error:", "error:")), (case, err)
+
+
 @pytest.mark.filterwarnings("ignore:some exponent sum shares a factor")
 def test_randomize_never_ends_in_a_traceback(tmp_path, capsys):
     for path in FUZZ_PATHS:
         for value in FUZZ_VALUES:
-            cfg = copy.deepcopy(FUZZ_BASE)
-            node = cfg
-            for step in path[:-1]:
-                node = node[step]
-            node[path[-1]] = value
-            cfgp = write_config(tmp_path, cfg)
-            try:
-                code = main(["randomize", "--config", cfgp, "--out", str(tmp_path)])
-            except Exception as exc:
-                pytest.fail(f"{path} = {value!r} raised {exc!r}")
-            err = capsys.readouterr().err
-            assert code in (0, 2), (path, value)
-            if code == 2:
-                assert err.count("\n") == 1, (path, value, err)
-                assert err.startswith(("config error:", "error:")), (path, value, err)
+            assert_ends_in_one_line(tmp_path, capsys, "randomize",
+                                    with_field(FUZZ_BASE, path, value), (path, value))
+
+
+HUGE = 10 ** 30
+ENTROPY_BASE = {**XOR_CONFIG, "measure": {"kind": "bernoulli", "probs": ["3/4", "1/4"]},
+                "n_max": 3, "cap_states": 64}
+
+
+def markov(transition, initial):
+    return {"kind": "markov", "transition": transition, "initial": initial}
+
+
+# A huge rule.neighborhood is left out: the run sizes its window as a
+# Python integer power before any cap can refuse it.
+ENTROPY_FUZZ = [(("measure",), v) for v in [
+    markov([["1/2", "1/2"], ["1/4", "3/4"]], ["1/2", "1/2"]),  # not stationary
+    markov([["1", "0"], ["1", "0"]], ["1", "0"]),  # a state of probability 0
+    markov([["0", "1"], ["1", "0"]], ["1/2", "1/2"]),
+    markov([["1/2", "1/2"]], ["1/2", "1/2"]),
+    markov([["1/2", "1/2"], ["1/2", "1/2"]], ["1"]),
+    markov([["3/2", "-1/2"], ["1/2", "1/2"]], ["1/2", "1/2"]),
+    {"kind": "bernoulli", "probs": ["1"]},
+    {"kind": "bernoulli", "probs": ["1/3"] * 3},
+    {"kind": "bernoulli", "probs": ["1", "0"]},
+    {"kind": "bernoulli", "probs": ["3/2", "-1/2"]},
+    {"kind": "bernoulli", "probs": [True, False]},
+    {"kind": "bernoulli", "probs": [HUGE, 0]},
+    {"kind": "uniform"}, {"kind": "x"}, True, 5]] + [
+    (("n_max",), v) for v in (-1, 0, True, 1.5, HUGE, 2 ** 63)] + [
+    (("cap_states",), v) for v in (-1, 0, True, 1, HUGE)] + [
+    (("rule", "neighborhood"), [1, 0]), (("rule", "neighborhood"), [True, 1]),
+    (("rule", "one_sided"), 5)] + [
+    (("rule", "factors", 0, "pos"), v) for v in (-1, True, HUGE)] + [
+    (("rule", "factors", 0, "coeff"), {"power": v}) for v in (-1, True, HUGE)] + [
+    (("rule", "bias"), v) for v in (-1, True, HUGE)] + [
+    (("group", "n"), v) for v in (-1, 0, True, 3, HUGE)] + [
+    (("group",), {"kind": "direct_sum", "orders": v}) for v in ([2, True], [HUGE])] + [
+    (("group",), {"kind": "quaternion"})]
+
+
+def test_entropy_never_ends_in_a_traceback(tmp_path, capsys):
+    for path, value in ENTROPY_FUZZ:
+        assert_ends_in_one_line(tmp_path, capsys, "entropy",
+                                with_field(ENTROPY_BASE, path, value), (path, value))

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcalab import (FiniteGroup, GroupMap, Subgroup, TableInvalidError,
+from mcalab import (FiniteGroup, GroupMap, SizeLimitError, Subgroup,
+                    TableInvalidError,
                     abelian_invariants, center, commutator_subgroup,
                     enumerate_automorphisms, enumerate_endomorphisms,
                     from_table, generated_subgroup, is_fully_characteristic,
@@ -42,6 +43,13 @@ def test_cyclic_orders():
     assert G.element_order(1) == 12
     assert G.element_order(4) == 3
     assert G.exponent() == 12
+
+
+def test_cyclic_order_past_the_table_limit_is_refused():
+    """Like a direct sum, Z/n builds an n × n table only up to order 4096."""
+    for n in (4097, 10 ** 30):
+        with pytest.raises(SizeLimitError, match="exceeds table limit"):
+            make_cyclic(n)
 
 
 def test_invalid_table_rejected():

@@ -31,9 +31,9 @@ from mcalab.rules import step_cells
 from mcalab.util import iter_words
 
 from oracles import (dual_action_oracle, fibre_rank_oracle, marginal_oracle,
-                     partition_entropy_oracle, product_oracle,
+                     partition_entropy_oracle, probs, product_oracle,
                      push_forward_oracle, recompose_oracle,
-                     star_product_oracle, trajectory_oracle)
+                     star_product_oracle, trajectory_oracle, word_weight)
 
 # oracle loops stay under this many words per example
 MAX_WORDS = 8000
@@ -255,8 +255,8 @@ def test_window_weights_match_word_weights(seed, length, markov):
         w = random_weights(seed, 3)
         spec = MeasureSpec("bernoulli", 3, probs=[Fraction(x, sum(w)) for x in w])
     m = spec.window_measure(1, 1 + length)
-    want = [spec.word_weight(word) for word in iter_words(spec.size, length)]
-    assert m.probs() == want
+    want = [word_weight(spec, word) for word in iter_words(spec.size, length)]
+    assert probs(m) == want
     assert m.den == math.lcm(*(p.denominator for p in want))
 
 

@@ -1,6 +1,8 @@
 """Exact window measures, push-forwards, and entropy computations."""
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcalab import (Config, GroupMap, McaLabError, McaRule, MeasureSpec,
-                    NotPermutativeError, WindowError, WindowMeasure,
+                    NhcaSequence, NotPermutativeError, WindowError, WindowMeasure,
                     decompose_mca, fibre_trajectory_entropy, formula_entropy,
                     make_cyclic, partition_entropy, product_measure,
                     push_forward, skew_entropy, star_compose,
@@ -16,9 +18,11 @@ from mcalab import (Config, GroupMap, McaLabError, McaRule, MeasureSpec,
                     trajectory_partition_entropy)
 from mcalab import measures
 
-from oracles import partition_entropy_oracle, trajectory_oracle
+from oracles import (partition_entropy_oracle, point_mass, prob, probs,
+                     same_distribution, trajectory_oracle)
 
 HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def sum_rule(n):
@@ -39,15 +43,15 @@ def bern_point_nine():
 def test_uniform_window_measure():
     m = WindowMeasure.uniform(3, -1, 2)
     assert m.length == 3
-    assert all(p == Fraction(1, 27) for p in m.probs())
+    assert all(p == Fraction(1, 27) for p in probs(m))
     assert m.entropy_bits() == pytest.approx(3 * math.log2(3), abs=1e-12)
     assert m.tv_from_uniform() == 0
     assert m.is_uniform()
 
 
 def test_point_mass_measure():
-    m = WindowMeasure.point_mass(4, 0, [2, 0, 1])
-    assert m.prob((2, 0, 1)) == 1
+    m = point_mass(4, 0, [2, 0, 1])
+    assert prob(m, (2, 0, 1)) == 1
     assert m.entropy_bits() == 0.0
     assert m.tv_from_uniform() == 1 - Fraction(1, 64)
 
@@ -73,17 +77,27 @@ def test_marginal_matches_spec_window():
     spec = bern_point_nine()
     m = spec.window_measure(0, 4)
     sub = m.marginal(1, 3)
-    assert sub.same_distribution(spec.window_measure(1, 3))
-    assert sub.prob((0, 1)) == Fraction(9, 100)
+    assert same_distribution(sub, spec.window_measure(1, 3))
+    assert prob(sub, (0, 1)) == Fraction(9, 100)
+
+
+def test_reversed_windows_raise_window_error():
+    """A window [3..1) is named before any size is computed from it."""
+    for make in (lambda: MeasureSpec("uniform", 2).window_measure(3, 1),
+                 lambda: bern_point_nine().window_measure(3, 1),
+                 lambda: WindowMeasure.uniform(2, 3, 1),
+                 lambda: WindowMeasure(2, 3, 1, [1], 1)):
+        with pytest.raises(WindowError, match=r"^bad window \[3\.\.1\)$"):
+            make()
 
 
 def test_push_forward_xor_bernoulli():
     m = bern_point_nine().window_measure(0, 2)
     out = push_forward(xor_rule(), m)
     assert (out.lo, out.hi) == (0, 1)
-    assert out.prob((0,)) == Fraction(82, 100)
-    assert out.prob((1,)) == Fraction(18, 100)
-    assert sum(out.probs()) == 1
+    assert prob(out, (0,)) == Fraction(82, 100)
+    assert prob(out, (1,)) == Fraction(18, 100)
+    assert sum(probs(out)) == 1
 
 
 def test_push_forward_window_geometry():
@@ -190,21 +204,21 @@ def test_product_measure_is_independent():
     b = WindowMeasure.uniform(3, 0, 2)
     prod = product_measure(a, b)
     assert prod.size == 6
-    assert sum(prod.probs()) == 1
+    assert sum(probs(prod)) == 1
     # pair (x, y) encodes as x*3 + y cellwise
     word = (0 * 3 + 1, 1 * 3 + 2)
-    assert prod.prob(word) == a.prob((0, 1)) * b.prob((1, 2))
+    assert prob(prod, word) == prob(a, (0, 1)) * prob(b, (1, 2))
 
 
 def test_star_product_measure_lands_on_cosets(z20_frame):
     frame = z20_frame
-    a = WindowMeasure.point_mass(5, 0, [2], frame.a_group)
+    a = point_mass(5, 0, [2], frame.a_group)
     c = WindowMeasure.uniform(4, 0, 1, frame.C)
     m = star_product_measure(frame, a, c)
     assert m.size == frame.B.order
     for cc in range(4):
-        assert m.prob((star_compose(frame, 2, cc),)) == Fraction(1, 4)
-    assert sum(m.probs()) == 1
+        assert prob(m, (star_compose(frame, 2, cc),)) == Fraction(1, 4)
+    assert sum(probs(m)) == 1
 
 
 def test_partition_entropy_accepts_plain_weights():
@@ -247,6 +261,57 @@ def test_partition_entropy_matches_oracle(distinct, data, as_mapping):
     assert repr(partition_entropy(dist)) == repr(partition_entropy_oracle(dist))
 
 
+def test_window_entropy_is_the_oracle_sum():
+    """A WindowMeasure gives the bits of its own probability list."""
+    sixths = MeasureSpec("bernoulli", 3, probs=[HALF, Fraction(1, 3), Fraction(1, 6)])
+    q = 2 ** 61 - 1
+    wide = MeasureSpec("bernoulli", 3, probs=[Fraction(q // 3, q), Fraction(q // 4, q),
+                                              Fraction(q - q // 3 - q // 4, q)])
+    windows = [sixths.window_measure(0, 4), sixths.window_measure(0, 6),
+               wide.window_measure(0, 2)]
+    assert windows[-1].num.dtype == object and windows[-1].den >= 2 ** 62
+    for m in windows:
+        want = repr(partition_entropy_oracle(probs(m)))
+        assert repr(partition_entropy(m)) == repr(m.entropy_bits()) == want
+        assert repr(partition_entropy(probs(m))) == want
+
+
+def test_shift_entropy_is_the_oracle_sum():
+    config = json.loads((ROOT / "perfbench" / "configs"
+                         / "entropy_metacyclic.json").read_text())
+    laws = [[HALF, Fraction(1, 3), Fraction(1, 6)],
+            [Fraction(7, 10), Fraction(3, 10)],
+            [Fraction(p) for p in config["measure"]["probs"]]]
+    for law in laws:
+        spec = MeasureSpec("bernoulli", len(law), probs=law)
+        assert repr(spec.shift_entropy_bits()) == repr(partition_entropy_oracle(law))
+
+
+def scaled_sum_rule(G, k):
+    """k·x_{-1} + k·x_1 on the cyclic group G."""
+    times_k = GroupMap(G, G, [k * x % G.order for x in G.elements()], True)
+    return McaRule(G, -1, 1, [(-1, times_k), (1, times_k)])
+
+
+def test_uniform_trajectory_count_is_the_oracle_sum(monkeypatch):
+    """Rules, NHCAs and step lists under a uniform law count preimages."""
+    z6, z9 = make_cyclic(6), make_cyclic(9)
+    doubled = scaled_sum_rule(z6, 2)
+    # x_{-2} is seen only through 2·x_{-2}: not a bijection on trajectories
+    nhca = NhcaSequence(z6, -1, 1, {-1: doubled, 0: scaled_sum_rule(z6, 1)})
+    cases = [(doubled, 6), (scaled_sum_rule(z9, 3), 9), (nhca, 6), ([nhca], 6)]
+    wants = [partition_entropy_oracle(trajectory_oracle(op, MeasureSpec("uniform", s), 2))
+             for op, s in cases]
+
+    def joint_law(*args):
+        raise AssertionError("a uniform law built the joint law")
+
+    monkeypatch.setattr(measures, "trajectory_joint_distribution", joint_law)
+    for (op, s), want in zip(cases, wants):
+        got = trajectory_partition_entropy(op, MeasureSpec("uniform", s), 2)
+        assert repr(got) == repr(want), (op, s)
+
+
 def test_trajectory_law_past_int64_weights():
     """A window denominator of at least 2**62 keeps Python-int weights."""
     q = 2 ** 61 - 1
@@ -280,8 +345,8 @@ def test_push_forward_conserves_mass(k, use_collapsing):
     ident = GroupMap.identity(G)
     double = GroupMap(G, G, [G.power(x, 2) for x in G.elements()], True)
     rule = McaRule(G, 0, 1, [(0, ident), (1, double if use_collapsing else ident)])
-    probs = [Fraction(k, 16), Fraction(8 - k, 16), Fraction(3, 16),
+    cells = [Fraction(k, 16), Fraction(8 - k, 16), Fraction(3, 16),
              Fraction(5, 16)]
-    m = MeasureSpec("bernoulli", 4, probs=probs).window_measure(0, 3, G)
+    m = MeasureSpec("bernoulli", 4, probs=cells).window_measure(0, 3, G)
     out = push_forward(rule, m)
-    assert sum(out.probs()) == 1
+    assert sum(probs(out)) == 1

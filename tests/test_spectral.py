@@ -16,6 +16,8 @@ from mcalab import (Character, GroupMap, LinearRuleDual, McaLabError, McaRule,
                     star_product_measure)
 from mcalab import spectral
 
+from oracles import point_mass, prob
+
 
 def xor_rule():
     G = make_cyclic(2)
@@ -47,7 +49,7 @@ def test_nontrivial_characters_vanish_on_haar():
 
 def test_characters_have_modulus_one_on_point_masses():
     G = make_cyclic(3)
-    m = WindowMeasure.point_mass(3, 0, [2, 1], G)
+    m = point_mass(3, 0, [2, 1], G)
     for chi in characters_of(G, 0, 2):
         assert abs(fourier_coefficient(chi, m)) == pytest.approx(1.0, abs=1e-12)
 
@@ -372,7 +374,7 @@ def probe_pairing(probe, frame, group, m):
     total = 0j
     for idx, w in enumerate(itertools.product(range(m.size),
                                               repeat=m.length)):
-        p = m.prob(idx)
+        p = prob(m, idx)
         if not p:
             continue
         val = phase

@@ -374,6 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     except ValueError:
         raise SpecError(f"MCA_LAB_WORKERS: need an integer, "
                         f"got {env_workers!r}") from None
+    if workers < 1:
+        raise SpecError(f"MCA_LAB_WORKERS: need a positive integer, "
+                        f"got {env_workers!r}")
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
@@ -393,6 +396,8 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             if args.seed is not None and args.seed < 0:
                 raise SpecError("--seed: need a non-negative integer")
+            if args.workers < 1:
+                raise SpecError("--workers: need a positive integer")
             config = _read_config(args.config)  # read once: parsed and hashed
             cfg = load_experiment(config)
             if args.cap_states is None:  # flag beats config beats default

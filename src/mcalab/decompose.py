@@ -149,7 +149,7 @@ def decompose_mca(rule: McaRule, frame: PseudoFrame,
     """
     if rule.group is not frame.B:
         raise FrameError("rule and frame act on different groups")
-    check_cap(frame.B.order ** rule.width, cap, "decomposition verification")
+    check_cap(frame.B.order, rule.width, cap, "decomposition verification")
     bias_a, bias_c = star_decompose(frame, rule.bias)
     splits = [split_endo(frame, coeff) for _, coeff in rule.factors]
     h_rule = McaRule(frame.C, rule.v_lo, rule.v_hi,
@@ -356,7 +356,7 @@ def nilpotent_tower(rule: McaRule, cap: int = STATE_CAP) -> NilpotentTower:
         invariants.append(abelian_invariants(cur.group).orders)
     tower = NilpotentTower(rule=rule, levels=levels, tail_rule=cur,
                            is_complete=complete, factor_invariants=invariants)
-    check_cap(rule.group.order ** rule.width, cap, "tower verification")
+    check_cap(rule.group.order, rule.width, cap, "tower verification")
     # compose the local table from the tail up: level k sends the word a*c
     # to fibre_c(a) * h(c), reading h off the table of the level above
     tbl = local_table(cur, cap)

@@ -193,7 +193,7 @@ class MeasureSpec:
                        group: FiniteGroup | None = None,
                        cap: int = STATE_CAP) -> WindowMeasure:
         n = _window_length(lo, hi)
-        check_cap(self.size ** n, cap, "window measure")
+        check_cap(self.size, n, cap, "window measure")
         if self.kind == "uniform":
             return WindowMeasure.uniform(self.size, lo, hi, group)
         # integer cell weights, one digit plane at a time; a Bernoulli cell
@@ -312,7 +312,7 @@ def push_forward(op: Union[McaRule, NhcaSequence], m: WindowMeasure,
     out_lo, out_hi = m.lo - op.v_lo, m.hi - op.v_hi
     if out_lo > out_hi:
         raise WindowError("window too narrow for the rule")
-    check_cap(m.size ** m.length, cap, "push-forward")
+    check_cap(m.size, m.length, cap, "push-forward")
     num = _observed_weights(m, [op], [(m.lo, m.lo), (out_lo, out_hi)], cap)
     return WindowMeasure(m.size, out_lo, out_hi, _frozen(num), m.den, group)
 
@@ -389,7 +389,7 @@ def _trajectory_setup(op, spec: MeasureSpec, n_steps: int, cap: int):
         raise McaLabError("measure alphabet does not match the rule's group")
     L, R = first.left_overlap, first.right_overlap
     lo, hi = -n_steps * L, n_steps * R
-    check_cap(group.order ** (hi - lo), cap, "trajectory enumeration")
+    check_cap(group.order, hi - lo, cap, "trajectory enumeration")
     return spec.window_measure(lo, hi, group, cap), steps, [(-L, R)] * n_steps
 
 
@@ -444,7 +444,7 @@ def trajectory_partition_entropy(op, spec: MeasureSpec, n_steps: int,
         # trajectory map is a bijection on the generating window, so the
         # joint is uniform over all outcomes
         return m.length * math.log2(m.size)
-    check_cap(len(m.num), 1 << 24, "non-bijective trajectory counting")
+    check_cap(m.size, m.length, 1 << 24, "non-bijective trajectory counting")
     return _weights_entropy(_observed_weights(m, steps, windows, cap), m.den)
 
 
@@ -492,7 +492,7 @@ def fibre_trajectory_entropy(dec, lambda_spec: MeasureSpec,
     rule = dec.rule
     lo, hi = -n_steps * rule.left_overlap, n_steps * rule.right_overlap
     C = dec.frame.C
-    check_cap(dec.frame.B.order ** (hi - lo), cap, "fibrewise enumeration")
+    check_cap(dec.frame.B.order, hi - lo, cap, "fibrewise enumeration")
     nu = nu_spec.window_measure(lo, hi, C, cap)
     acc = []
     for i in np.flatnonzero(nu.num).tolist():

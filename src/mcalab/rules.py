@@ -178,8 +178,8 @@ def local_table(rule: McaRule, cap: int = STATE_CAP) -> np.ndarray:
     if rule._table is not None:
         return rule._table
     B = rule.group.order
+    check_cap(B, rule.width, cap, "local rule table")
     size = B ** rule.width
-    check_cap(size, cap, "local rule table")
     dtype = cell_dtype(B)
     planes = digit_planes(np.arange(size, dtype=np.int64), B, rule.width)
     out = np.full(size, rule.bias, dtype=dtype)
@@ -296,7 +296,7 @@ def is_homomorphic_local(rule: McaRule, cap: int = STATE_CAP) -> bool:
     and their ordered product reconstructs the map on every window word.
     """
     G = rule.group
-    check_cap(G.order ** rule.width, cap, "homomorphism check")
+    check_cap(G.order, rule.width, cap, "homomorphism check")
     if local_table(rule, cap)[0] != 0:
         return False
     maps = _per_position_maps(rule, cap)

@@ -25,7 +25,7 @@ from .errors import McaLabError, NotAbelianError, NotCentralError, WindowError
 from .groups import AbelianCoords, FiniteGroup, GroupMap, abelian_invariants
 from .measures import (_CHUNK, MeasureSpec, WindowMeasure, push_forward,
                        star_product_measure)
-from .rules import McaRule, _merge_positions, step_cells
+from .rules import McaRule, _merge_positions, local_table, step_cells
 from .util import STATE_CAP, cell_dtype, check_cap, digit_planes
 
 __all__ = [
@@ -177,8 +177,8 @@ def _pairing(tabs: dict[int, np.ndarray], phase: complex, m: WindowMeasure,
     for cell in tabs:
         if not (m.lo <= cell < m.hi):
             raise WindowError(f"support cell {cell} outside [{m.lo}..{m.hi})")
+    check_cap(m.size, m.length, cap, "fourier sum")
     total = m.size ** m.length
-    check_cap(total, cap, "fourier sum")
     vals = np.full(total, phase, dtype=np.complex128)
     if tabs:
         digits = digit_planes(np.arange(total, dtype=np.int64), m.size, m.length)
@@ -411,7 +411,7 @@ def fibre_rank_independence(dec, split, alpha: Character, j: int,
     out_hi = (max(cells) + 1) if cells else 1
     in_lo, in_hi = out_lo + j * rule.v_lo, out_hi + j * rule.v_hi
     n_in = in_hi - in_lo
-    check_cap(C.order ** n_in, cap, "fibre rank independence")
+    check_cap(C.order, n_in, cap, "fibre rank independence")
     lin_rank = relative_diffusion_rank(split, alpha, j)
     gens = coords.generators
     orders = coords.orders
@@ -614,11 +614,13 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
     n_exact = -1
     for n in range(n_max + 1):
         width = (out_hi - out_lo) + n * spread
-        if group.order ** width > cap_states:
+        # as in util.check_cap: past cap.bit_length() cells, refuse unpowered
+        if (group.order > 1 and width > cap_states.bit_length()
+                or group.order ** width > cap_states):
             break
         n_exact = n
     if n_exact < 0:
-        check_cap(group.order ** (out_hi - out_lo), cap_states,
+        check_cap(group.order, out_hi - out_lo, cap_states,
                   "randomization output window")
     exps = _exponent_sums(rule)
     coprime = None
@@ -711,7 +713,7 @@ def _initial_measure(init, frame, group: FiniteGroup, lo: int, hi: int,
     lam, nu = init
     if frame is None:
         raise McaLabError("a (λ, ν) pair needs a frame")
-    check_cap(group.order ** (hi - lo), cap, "initial product measure")
+    check_cap(group.order, hi - lo, cap, "initial product measure")
     ma = lam.window_measure(lo, hi, frame.a_group, cap)
     mc = nu.window_measure(lo, hi, frame.C, cap)
     return star_product_measure(frame, ma, mc)
@@ -762,19 +764,31 @@ def _sample_words(spec_pair, frame, group: FiniteGroup, length: int,
     lam, nu = spec_pair
     a = sample_spec(lam, frame.a_group.order)
     c = sample_spec(nu, frame.C.order)
-    return np.asarray(frame.b_of, dtype=dtype)[a, c]
+    # one flat lookup of b_of at a·|C| + c; the index type also holds |C|
+    # itself, which the cell dtype misses when A is trivial and |B| is 256
+    idx = a.astype(np.min_scalar_type(group.order), copy=False)
+    idx *= frame.C.order
+    idx += c
+    return np.asarray(frame.b_of, dtype=dtype).ravel().take(idx)
 
 
 def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
              tv_cells: int, tables: list[tuple[dict[int, np.ndarray], complex]],
              samples: int, seed: int, workers: int) -> tuple:
-    """One Monte-Carlo checkpoint: sample, evolve n steps, measure."""
+    """One Monte-Carlo checkpoint: sample, evolve n steps, measure.
+
+    Samples are drawn in chunks of 2**14, each from its own
+    ``SeedSequence(entropy=seed, spawn_key=(n, chunk))`` stream, and each
+    chunk is evolved in row blocks of at most ``_CHUNK`` cells, so the rows
+    are the same for any ``workers``.
+    """
     group = rule.group
     s = group.order
     in_lo = out_lo + n * rule.v_lo
     in_hi = out_hi + n * rule.v_hi
     length = in_hi - in_lo
     chunk = 1 << 14
+    local_table(rule)   # refuse a rule too wide to step before sampling
 
     def run_chunk(ci: int) -> tuple:
         lo_i = ci * chunk
@@ -782,8 +796,16 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(n, ci)))
         words = _sample_words(init, frame, group, length, rng, m)
-        for step in range(n):
-            words = step_cells(rule, words, in_lo - step * rule.v_lo)
+        # rows evolve independently, so each block of at most _CHUNK cells
+        # runs all n steps while its cells and codes stay in cache
+        rows = max(1, _CHUNK // length)
+        out = np.empty((m, out_hi - out_lo), dtype=words.dtype)
+        for r in range(0, m, rows):
+            block = words[r:r + rows]
+            for step in range(n):
+                block = step_cells(rule, block, in_lo - step * rule.v_lo)
+            out[r:r + rows] = block
+        words = out
         probe_sums = []
         for tabs, phase in tables:
             vals = np.full(m, phase, dtype=np.complex128)

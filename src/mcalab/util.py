@@ -57,8 +57,16 @@ def digit_planes(indices: np.ndarray, base: int, length: int) -> np.ndarray:
     return digits
 
 
-def check_cap(size: int, cap: int, what: str) -> None:
+def check_cap(base: int, length: int, cap: int, what: str) -> None:
+    """Refuse ``base ** length`` states above ``cap``.
+
+    Past ``cap.bit_length()`` cells any base of at least 2 is over the cap,
+    so the power is refused without being computed.
+    """
     from .errors import CapExceededError
 
+    if base > 1 and length > cap.bit_length():
+        raise CapExceededError(f"{what}: {base}**{length} states exceed cap {cap}")
+    size = base ** length
     if size > cap:
         raise CapExceededError(f"{what}: {size} states exceed cap {cap}")

@@ -228,7 +228,7 @@ def fibre_rank_oracle(dec, split, alpha, j: int, cap: int = STATE_CAP):
     out_hi = (max(cells) + 1) if cells else 1
     in_lo, in_hi = out_lo + j * rule.v_lo, out_hi + j * rule.v_hi
     n_in = in_hi - in_lo
-    check_cap(C.order ** n_in, cap, "fibre rank independence")
+    check_cap(C.order, n_in, cap, "fibre rank independence")
     lin_rank = relative_diffusion_rank(split, alpha, j)
     gens = coords.generators
     # row 0 is the zero word; row 1 + m·|gens| + gi has generator gi at cell m

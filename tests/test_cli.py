@@ -382,6 +382,23 @@ def test_workers_environment_must_be_an_integer(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("env, flag, name", [
+    (None, "0", "--workers"), (None, "-3", "--workers"),
+    ("0", None, "MCA_LAB_WORKERS"), ("-2", None, "MCA_LAB_WORKERS")])
+def test_workers_below_one_are_refused(tmp_path, monkeypatch, capsys, env, flag, name):
+    if env is None:
+        monkeypatch.delenv("MCA_LAB_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("MCA_LAB_WORKERS", env)
+    cfgp = write_config(tmp_path, {"group": {"kind": "quaternion"}})
+    extra = [] if flag is None else ["--workers", flag]
+    assert main(["group", "--config", cfgp, "--out", str(tmp_path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name}: need a positive integer")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_permute_honours_cap_states(tmp_path, capsys):
     # the width-4 rule over Z/5 x| Z/4 has a 20^4 = 160000-word local table
     rule = {"neighborhood": [0, 3], "one_sided": True,
@@ -481,7 +498,10 @@ def with_field(cfg, path, value):
 
 
 def assert_ends_in_one_line(tmp_path, capsys, command, cfg, case):
-    """Exit 0, or exit 2 with exactly one named error line on stderr."""
+    """Exit 0, or exit 2 with exactly one named error line on stderr.
+
+    Returns the exit code and the stderr text.
+    """
     cfgp = write_config(tmp_path, cfg)
     try:
         code = main([command, "--config", cfgp, "--out", str(tmp_path)])
@@ -492,6 +512,7 @@ def assert_ends_in_one_line(tmp_path, capsys, command, cfg, case):
     if code == 2:
         assert err.count("\n") == 1, (case, err)
         assert err.startswith(("config error:", "error:")), (case, err)
+    return code, err
 
 
 @pytest.mark.filterwarnings("ignore:some exponent sum shares a factor")
@@ -500,6 +521,12 @@ def test_randomize_never_ends_in_a_traceback(tmp_path, capsys):
         for value in FUZZ_VALUES:
             assert_ends_in_one_line(tmp_path, capsys, "randomize",
                                     with_field(FUZZ_BASE, path, value), (path, value))
+    # a rule too wide to step is refused before its window is sampled
+    for neighborhood in ([0, 2000], [0, HUGE]):
+        cfg = with_field(FUZZ_BASE, ("rule", "neighborhood"), neighborhood)
+        code, err = assert_ends_in_one_line(tmp_path, capsys, "randomize", cfg,
+                                            neighborhood)
+        assert code == 2 and len(err) < 100 and "2**" in err, err
 
 
 HUGE = 10 ** 30
@@ -511,8 +538,6 @@ def markov(transition, initial):
     return {"kind": "markov", "transition": transition, "initial": initial}
 
 
-# A huge rule.neighborhood is left out: the run sizes its window as a
-# Python integer power before any cap can refuse it.
 ENTROPY_FUZZ = [(("measure",), v) for v in [
     markov([["1/2", "1/2"], ["1/4", "3/4"]], ["1/2", "1/2"]),  # not stationary
     markov([["1", "0"], ["1", "0"]], ["1", "0"]),  # a state of probability 0
@@ -543,3 +568,9 @@ def test_entropy_never_ends_in_a_traceback(tmp_path, capsys):
     for path, value in ENTROPY_FUZZ:
         assert_ends_in_one_line(tmp_path, capsys, "entropy",
                                 with_field(ENTROPY_BASE, path, value), (path, value))
+    # the cap refuses a wide window before its state count is computed
+    for neighborhood in ([0, 2000], [0, HUGE]):
+        cfg = with_field(ENTROPY_BASE, ("rule", "neighborhood"), neighborhood)
+        code, err = assert_ends_in_one_line(tmp_path, capsys, "entropy", cfg,
+                                            neighborhood)
+        assert code == 2 and len(err) < 100 and "2**" in err, err

@@ -299,6 +299,35 @@ def test_monte_carlo_rows_are_reproducible(quat_rule3, q8_center_frame):
     assert all(r.samples == samples for r in first.probe_rows if r.mode == "mc")
 
 
+@pytest.mark.parametrize("budget", [1, 10 ** 9])
+def test_monte_carlo_rows_ignore_row_blocks_and_threads(
+        monkeypatch, quat_rule3, quat_rule4, q8_center_frame, budget):
+    """A block budget of 1 cell evolves one row per block, 10**9 one block
+    per chunk; either way, serial or threaded, the rows are the default's."""
+    frame = q8_center_frame
+    A, C = frame.a_group, frame.C
+    alpha = Character.make(abelian_invariants(A), {0: (1,)})
+    spec = MeasureSpec("bernoulli", 8,
+                       probs=[Fraction(3, 16)] * 4 + [Fraction(1, 16)] * 4)
+    both = Probe("s", alpha, Character.make(abelian_invariants(C), {0: (1, 0)}))
+    runs = [  # the two-chunk Q8 case above, then a (λ, ν) pair on the frame
+        (quat_rule3, spec, dict(probes=[Probe("a", alpha)], cap_states=8 ** 4,
+                                mc_samples=(1 << 14) + 1500, seed=11)),
+        (quat_rule4, (bern(7, 10), bern(4, 10, size=4)),
+         dict(probes=[both], cap_states=8 ** 4, mc_samples=3000, seed=5))]
+    # n_max 2: one Monte-Carlo checkpoint keeps the one-row blocks quick
+    want = [cesaro_randomization(rule, init, 2, frame=frame, **kw)
+            for rule, init, kw in runs]
+    monkeypatch.setattr(spectral, "_CHUNK", budget)
+    for (rule, init, kw), ref in zip(runs, want):
+        assert any(r.mode == "mc" for r in ref.probe_rows)
+        for workers in (1, 2):
+            got = cesaro_randomization(rule, init, 2, frame=frame,
+                                       workers=workers, **kw)
+            assert got.probe_rows == ref.probe_rows
+            assert got.tv_rows == ref.tv_rows
+
+
 def test_sampled_words_are_the_draws_of_generator_choice(q8_center_frame):
     count, length = 300, 7
 

@@ -327,11 +327,12 @@ def cmd_randomize(cfg: ExperimentConfig, run: Run, args) -> None:
     if seed is None and cfg.param("seed") is not None:
         seed = _int_param(cfg, "seed", least=0)
     run.extra["seed"] = seed  # record the effective seed, flag or config
+    mc_samples = _int_param(cfg, "mc_samples", 0, least=0)
     rep = cesaro_randomization(
         cfg.rule, init, n_max, probes=probes, frame=cfg.frame, dec=dec,
         tv_cells=_int_param(cfg, "tv_cells", 1),
         cap_states=args.cap_states,
-        mc_samples=_int_param(cfg, "mc_samples", 0, least=0),
+        mc_samples=mc_samples,
         mc_checkpoints=(None if cfg.param("mc_checkpoints") is None
                         else _int_param(cfg, "mc_checkpoints", many=True)),
         seed=seed, workers=args.workers)
@@ -347,6 +348,11 @@ def cmd_randomize(cfg: ExperimentConfig, run: Run, args) -> None:
     run.extra["n_exact"] = rep.n_exact
     run.extra["coprimality_ok"] = rep.coprimality_ok
     last_tv = rep.tv_rows[-1]
+    run.extra["n_reached"] = last_tv.n  # the last TV row, exact or MC
+    if last_tv.n < n_max:
+        print(f"warning: TV rows stop at n={last_tv.n}, short of n_max {n_max} "
+              f"(cap_states {args.cap_states}, mc_samples {mc_samples})",
+              file=sys.stderr)
     print(f"n_exact {rep.n_exact}; final cesaro TV {last_tv.cesaro_tv:.6f} "
           f"({last_tv.mode})")
 

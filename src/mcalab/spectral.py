@@ -15,7 +15,7 @@ import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -25,7 +25,7 @@ from .errors import McaLabError, NotAbelianError, NotCentralError, WindowError
 from .groups import AbelianCoords, FiniteGroup, GroupMap, abelian_invariants
 from .measures import (_CHUNK, MeasureSpec, WindowMeasure, push_forward,
                        star_product_measure)
-from .rules import McaRule, _merge_positions, local_table, step_cells
+from .rules import McaRule, _merge_positions, step_cells
 from .util import STATE_CAP, cell_dtype, check_cap, digit_planes
 
 __all__ = [
@@ -52,36 +52,82 @@ __all__ = [
 # -- characters ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Character:
     """A character of A^(window) with finite support, times a fixed phase.
 
     ``support`` maps cell index to a nonzero coefficient tuple against the
     cyclic orders in ``invariants``; evaluation multiplies
     exp(2πi Σ cᵢaᵢ/nᵢ) over the support.  ``phase`` carries the constant of
-    an affine character (1 for a plain character).  ``_trusted`` skips
-    the support checks, for ``dual_action``'s own output only.
+    an affine character (1 for a plain character).
+
+    A character built from tuples keeps them as given.  One that
+    ``dual_action`` returns holds coefficient rows instead: ascending int64
+    cells and a rank × d int64 matrix reduced mod the orders.  Its
+    ``support`` is a tuple view built on first read, so a chain that reads
+    only ``rank`` never builds one.  Equality and hashing compare
+    (invariants, support, phase), never ``coords``.
     """
 
-    invariants: tuple[int, ...]
-    support: tuple[tuple[int, tuple[int, ...]], ...]
-    phase: complex = 1.0 + 0j
-    coords: AbelianCoords | None = field(default=None, compare=False)
-    _: KW_ONLY
-    _trusted: InitVar[bool] = False
+    __slots__ = ("invariants", "phase", "coords", "_support", "_cells", "_coeffs")
 
-    def __post_init__(self, _trusted: bool):
-        if _trusted:
-            return
+    def __init__(self, invariants: tuple[int, ...],
+                 support: tuple[tuple[int, tuple[int, ...]], ...],
+                 phase: complex = 1.0 + 0j, coords: AbelianCoords | None = None):
         seen = set()
-        for cell, coeff in self.support:
+        for cell, coeff in support:
             if cell in seen:
                 raise McaLabError(f"duplicate support cell {cell}")
             seen.add(cell)
-            if len(coeff) != len(self.invariants):
+            if len(coeff) != len(invariants):
                 raise McaLabError("coefficient tuple has wrong arity")
-            if all(c % n == 0 for c, n in zip(coeff, self.invariants)):
+            if all(c % n == 0 for c, n in zip(coeff, invariants)):
                 raise McaLabError("support tuples must be nonzero")
+        self._set(invariants=invariants, phase=phase, coords=coords,
+                  _support=support, _cells=None, _coeffs=None)
+
+    @classmethod
+    def _from_rows(cls, invariants: tuple[int, ...], cells: np.ndarray,
+                   coeffs: np.ndarray, phase: complex,
+                   coords: AbelianCoords | None) -> "Character":
+        """The character on ascending distinct ``cells`` with nonzero reduced
+        ``coeffs`` rows; both arrays are frozen and owned from here on."""
+        cells.setflags(write=False)
+        coeffs.setflags(write=False)
+        chi = cls.__new__(cls)
+        chi._set(invariants=invariants, phase=phase, coords=coords,
+                 _support=None, _cells=cells, _coeffs=coeffs)
+        return chi
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Character is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return (Character, (self.invariants, self.support, self.phase, self.coords))
+
+    def _key(self) -> tuple:
+        return (self.invariants, self.support, self.phase)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"Character(invariants={self.invariants!r}, "
+                f"support={self.support!r}, phase={self.phase!r})")
+
+    @property
+    def support(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        if self._support is None:
+            self._set(_support=_support_tuple(self._cells, self._coeffs))
+        return self._support
 
     @classmethod
     def make(cls, coords: AbelianCoords, support: dict[int, Sequence[int]],
@@ -96,13 +142,13 @@ class Character:
 
     @property
     def rank(self) -> int:
-        return len(self.support)
+        return len(self._support if self._cells is None else self._cells)
 
     def cells(self) -> tuple[int, ...]:
         return tuple(cell for cell, _ in self.support)
 
     def is_trivial(self) -> bool:
-        return not self.support
+        return self.rank == 0
 
     def cell_values(self, coords: AbelianCoords | None = None
                     ) -> dict[int, np.ndarray]:
@@ -117,6 +163,12 @@ class Character:
         if coords.orders != self.invariants:
             raise McaLabError("coordinate system does not match the character")
         return coords
+
+
+def _support_tuple(cells: np.ndarray, coeffs: np.ndarray
+                   ) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The ``support`` view of coefficient rows: ((cell, coefficients), …)."""
+    return tuple(zip(cells.tolist(), map(tuple, coeffs.tolist())))
 
 
 def _value_table(coords: AbelianCoords, coeff: tuple[int, ...]) -> np.ndarray:
@@ -251,22 +303,37 @@ class LinearRuleDual:
         return tuple(pos for pos, _ in self.matrices)
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(positions, weights, divisors, orders) as arrays, for ``dual_action``.
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(positions, weights, orders) as arrays, for ``dual_action``.
 
-        With big the largest order, block p of the d × (P·d) weights is
-        W[i, j] = matrix_p[i][j] · (big // orders[i]); a coefficient row
-        times W is integral exactly where column j divides by big //
-        orders[j], the divisor.
+        ``weights[p]`` is the d × d matrix W[i, j] = matrix_p[i][j] ·
+        orders[j] / orders[i], so a coefficient row times it is the row's
+        image at position p.  That division is exact for every row exactly
+        when it is exact for every entry, which a bad matrix fails.
         """
         orders = self.coords.orders
         d = len(orders)
+        # scale[i] = big // orders[i] for big the largest order, and
+        # W = M · scale[i] / scale[j]
         scale = np.array([orders[-1] // n for n in orders], dtype=np.int64)
-        weights = np.concatenate(
-            [np.asarray(matrix, dtype=np.int64).reshape(d, d) * scale[:, None]
-             for _, matrix in self.matrices], axis=1)
-        return (np.array(self.positions(), dtype=np.int64), weights,
-                np.tile(scale, len(self.matrices)), np.array(orders, dtype=np.int64))
+        weights = np.array([matrix for _, matrix in self.matrices],
+                           dtype=np.int64).reshape(-1, d, d) * scale[:, None]
+        if (weights % scale).any():
+            raise McaLabError("dual coefficient is not integral; bad matrix")
+        return (np.array(self.positions(), dtype=np.int64), weights // scale,
+                np.array(orders, dtype=np.int64))
+
+    @cached_property
+    def _bias_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(radix, factors): ``factors[row @ radix]`` is chi_k(bias) for a
+        reduced coefficient row, over all |A| rows in mixed-radix order."""
+        orders = self.coords.orders
+        radix = np.array([math.prod(orders[i + 1:]) for i in range(len(orders))],
+                         dtype=np.int64)
+        rows = itertools.product(*(range(n) for n in orders))
+        factors = np.array([_bias_factor(row, self.bias_coords, orders)
+                            for row in rows], dtype=np.complex128)
+        return radix, factors
 
 
 def dual_action(dual: LinearRuleDual, chi: Character) -> Character:
@@ -275,53 +342,61 @@ def dual_action(dual: LinearRuleDual, chi: Character) -> Character:
     The convention matches <chi, push_forward(rule, m)> ==
     <dual_action(dual, chi), m>; the bias contributes one phase factor
     chi_k(bias) per support cell, folded in support order.  The step itself
-    is integer array arithmetic on the support's coefficient rows: one
-    product with the weights of every position, a shifted add into the
-    target rows, one reduction mod the orders.
+    is integer array arithmetic on the coefficient rows: one product with
+    the weights of every position, one sort of the target cells, a summed
+    add into each distinct target, one reduction mod the orders.  A
+    character built from tuples folds them as given (they may be
+    unreduced) and is converted to rows here; later steps stay in rows.
     """
     coords = dual.coords
     orders = coords.orders
     if chi.invariants != orders:
         raise McaLabError("character and dual rule have different invariants")
-    factors: dict[tuple[int, ...], complex] = {}
-    phase = chi.phase
-    for _, coeff in chi.support:
-        if coeff not in factors:
-            angle = 2.0 * math.pi * math.fsum(
-                c * b / n for c, b, n in zip(coeff, dual.bias_coords, orders))
-            factors[coeff] = cmath.exp(1j * angle)
-        phase *= factors[coeff]
-    if not chi.support or not dual.matrices:
-        return Character(orders, (), phase, coords, _trusted=True)
-    positions, weights, steps, order_arr = dual._arrays
     d = len(orders)
-    cells, tuples = zip(*chi.support)
-    cells = np.array(cells, dtype=np.int64)
-    try:
-        coeffs = np.fromiter(itertools.chain.from_iterable(tuples),
-                             dtype=np.int64, count=len(cells) * d)
-    except OverflowError:  # a directly built character past int64
-        coeffs = np.fromiter((c % n for t in tuples for c, n in zip(t, orders)),
-                             dtype=np.int64, count=len(cells) * d)
-    coeffs = coeffs.reshape(len(cells), d)
-    # reduced rows keep the products small; reducing moves a product by
-    # multiples of big only, which change neither its divisibility nor its
-    # quotient mod the orders
-    prod = (coeffs % order_arr) @ weights
-    if (prod % steps).any():
-        raise McaLabError("dual coefficient is not integral; bad matrix")
-    adds = (prod // steps).reshape(len(cells), len(positions), d)
+    if chi._cells is None:
+        factors: dict[tuple[int, ...], complex] = {}
+        phase = chi.phase
+        for _, coeff in chi.support:
+            if coeff not in factors:
+                factors[coeff] = _bias_factor(coeff, dual.bias_coords, orders)
+            phase *= factors[coeff]
+        items = sorted(chi.support)
+        cells = np.array([cell for cell, _ in items], dtype=np.int64)
+        # reduced as Python integers, so entries past int64 fit
+        coeffs = np.array([[c % n for c, n in zip(coeff, orders)]
+                           for _, coeff in items],
+                          dtype=np.int64).reshape(len(items), d)
+    else:
+        cells, coeffs = chi._cells, chi._coeffs
+        radix, table = dual._bias_table
+        # one product at a time, left to right, as the loop above
+        phase = math.prod(table[coeffs @ radix].tolist(), start=chi.phase)
+    if not len(cells) or not dual.matrices:
+        return Character._from_rows(orders, np.empty(0, dtype=np.int64),
+                                    np.empty((0, d), dtype=np.int64), phase, coords)
+    positions, weights, order_arr = dual._arrays
+    # position-major: entry p·rank + k is support cell k moved by position p
+    targets = (cells + positions[:, None]).ravel()
+    adds = (coeffs @ weights).reshape(-1, d)
     # one row per distinct target cell, in ascending cell order
-    rows, idx = np.unique(cells[:, None] + positions, return_inverse=True)
-    idx = idx.reshape(len(cells), len(positions))
-    acc = np.zeros((len(rows), d), dtype=np.int64)
-    for p in range(len(positions)):
-        # support cells are distinct, so one position hits each row once
-        acc[idx[:, p]] += adds[:, p]
+    by_cell = targets.argsort(kind="stable")
+    targets = targets[by_cell]
+    first = np.empty(len(targets), dtype=bool)
+    first[0] = True
+    np.not_equal(targets[1:], targets[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    acc = np.add.reduceat(adds[by_cell], starts)
     acc %= order_arr
-    keep = np.flatnonzero(acc.any(axis=1))
-    support = tuple(zip(rows[keep].tolist(), map(tuple, acc[keep].tolist())))
-    return Character(orders, support, phase, coords, _trusted=True)
+    keep = np.bitwise_or.reduce(acc, axis=1).nonzero()[0]
+    return Character._from_rows(orders, targets[starts[keep]], acc[keep],
+                                phase, coords)
+
+
+def _bias_factor(coeff: Sequence[int], bias: Sequence[int],
+                 orders: Sequence[int]) -> complex:
+    """chi_k(bias) = exp(2πi Σ cᵢbᵢ/nᵢ) for one coefficient tuple."""
+    angle = 2.0 * math.pi * math.fsum(c * b / n for c, b, n in zip(coeff, bias, orders))
+    return cmath.exp(1j * angle)
 
 
 def _orbit(dual: LinearRuleDual, chi: Character, steps: int) -> Iterator[Character]:
@@ -357,10 +432,14 @@ def diffusion_report(dual: LinearRuleDual, chi: Character, j_max: int,
     """
     ranks = [c.rank for c in _orbit(dual, chi, j_max)]
     report = DiffusionReport(ranks, tuple(thresholds), {}, {})
+    upto, marks = len(ranks) - 1, _doubling(j_max)
     for r in report.thresholds:
-        report.densities[r] = report.density(r)
-        report.density_trail[r] = [(m, report.density(r, m))
-                                   for m in _doubling(j_max)]
+        # hits[m] counts 1 ≤ j ≤ m with rank > r; each density is the same
+        # int / int division as ``DiffusionReport.density``
+        hits = list(itertools.accumulate((rank > r for rank in ranks[1:]),
+                                         initial=0))
+        report.densities[r] = hits[upto] / upto if upto else 0.0
+        report.density_trail[r] = [(m, hits[m] / m) for m in marks]
     return report
 
 
@@ -662,7 +741,8 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
         for n in sorted(m for m in checkpoints if n_exact < m <= n_max):
             probe_stats, (tv, tv_se) = _mc_step(
                 rule, init, frame, n, out_lo, out_hi, tv_cells,
-                [tab for _, tab in slow], mc_samples, seed or 0, workers)
+                [tab for _, tab in slow], mc_samples, seed or 0, workers,
+                cap_states)
             for (rows, _), (mean_abs, se) in zip(slow, probe_stats):
                 rows.append((n, mean_abs, "mc", mc_samples, se))
             tv_series.append((n, tv, "mc", mc_samples, tv_se))
@@ -774,7 +854,7 @@ def _sample_words(spec_pair, frame, group: FiniteGroup, length: int,
 
 def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
              tv_cells: int, tables: list[tuple[dict[int, np.ndarray], complex]],
-             samples: int, seed: int, workers: int) -> tuple:
+             samples: int, seed: int, workers: int, cap: int) -> tuple:
     """One Monte-Carlo checkpoint: sample, evolve n steps, measure.
 
     Samples are drawn in chunks of 2**14, each from its own
@@ -788,7 +868,9 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
     in_hi = out_hi + n * rule.v_hi
     length = in_hi - in_lo
     chunk = 1 << 14
-    local_table(rule)   # refuse a rule too wide to step before sampling
+    # refuse a rule too wide to step before sampling, under the run's cap
+    # even when the rule's table is already cached
+    check_cap(s, rule.width, cap, "local rule table")
 
     def run_chunk(ci: int) -> tuple:
         lo_i = ci * chunk
@@ -803,7 +885,7 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
         for r in range(0, m, rows):
             block = words[r:r + rows]
             for step in range(n):
-                block = step_cells(rule, block, in_lo - step * rule.v_lo)
+                block = step_cells(rule, block, in_lo - step * rule.v_lo, cap)
             out[r:r + rows] = block
         words = out
         probe_sums = []

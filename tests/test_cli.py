@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from mcalab import cli, fourier_coefficient, make_quaternion
+from mcalab import (CapExceededError, MeasureSpec, cesaro_randomization, cli,
+                    fourier_coefficient, make_quaternion)
 from mcalab.cli import build_parser, main
+from mcalab.rules import local_table
 from mcalab.specs import load_experiment, parse_character, parse_measure
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -527,6 +529,49 @@ def test_randomize_never_ends_in_a_traceback(tmp_path, capsys):
         code, err = assert_ends_in_one_line(tmp_path, capsys, "randomize", cfg,
                                             neighborhood)
         assert code == 2 and len(err) < 100 and "2**" in err, err
+
+
+def test_randomize_records_n_reached_and_warns_when_short(tmp_path, capsys):
+    """The manifest names the last TV row's n; below n_max, one stderr line."""
+    def run(cfg, key, *extra):
+        out = tmp_path / key
+        assert main(["randomize", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out), *extra]) == 0
+        return read_json(out / "manifest.json"), capsys.readouterr()
+
+    metacyclic = read_json(ROOT / "demos" / "configs" / "randomize_metacyclic.json")
+    manifest, std = run(metacyclic, "short", "--cap-states", "200000")
+    assert (manifest["n_exact"], manifest["n_reached"]) == (1, 1)
+    assert std.err == ("warning: TV rows stop at n=1, short of n_max 8 "
+                       "(cap_states 200000, mc_samples 0)\n")
+    assert std.out.startswith("n_exact 1; final cesaro TV ")
+    # Monte-Carlo rows reach n_max through the default checkpoints 4 and 6,
+    # and stop at 4 when the checkpoints end there
+    manifest, std = run(FUZZ_BASE, "mc")
+    assert (manifest["n_exact"], manifest["n_reached"], std.err) == (3, 6, "")
+    manifest, std = run({**FUZZ_BASE, "mc_checkpoints": [4]}, "mc4")
+    assert manifest["n_reached"] == 4
+    assert std.err == ("warning: TV rows stop at n=4, short of n_max 6 "
+                       "(cap_states 16, mc_samples 64)\n")
+
+
+def test_monte_carlo_steps_honour_the_run_cap(tmp_path, capsys):
+    """A local table within the default cap but over ``cap_states`` is
+    refused on the MC path, even once the rule has cached it."""
+    cfg = with_field(FUZZ_BASE, ("rule", "neighborhood"), [0, 4])
+    code, err = assert_ends_in_one_line(tmp_path, capsys, "randomize", cfg,
+                                        "width 5 at cap 16")
+    assert (code, err) == (2, "error: local rule table: 32 states exceed cap 16\n")
+    # 2**5 table words fit a cap of 32, and the MC rows then run to n_max
+    code, _ = assert_ends_in_one_line(tmp_path, capsys, "randomize",
+                                      {**cfg, "cap_states": 32}, "cap 32")
+    assert code == 0
+    assert read_json(tmp_path / "manifest.json")["n_reached"] == 6
+    rule = load_experiment(write_config(tmp_path, cfg)).rule
+    local_table(rule)
+    with pytest.raises(CapExceededError, match="exceed cap 16"):
+        cesaro_randomization(rule, MeasureSpec("uniform", 2), 6, cap_states=16,
+                             mc_samples=64)
 
 
 HUGE = 10 ** 30

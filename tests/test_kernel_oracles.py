@@ -316,6 +316,43 @@ def test_dual_action_phase_keeps_every_factor_at_zero_bias():
         assert repr(got.phase) == repr(want.phase)
 
 
+def biased_chain_case():
+    """(dual, seed) on Z/2⊕Z/4: three positions, a mixing middle
+    endomorphism and bias (0, 3), so every support cell folds a factor
+    other than 1 into the phase."""
+    G, endos = abelian_endomorphisms("Z2+Z4")
+    ident = GroupMap.identity(G)
+    dual = LinearRuleDual.from_rule(
+        McaRule(G, -1, 1, [(-1, ident), (0, endos[5]), (1, ident)], 3))
+    assert any(dual.bias_coords)
+    return dual, Character.make(dual.coords, {0: (1, 1)}, complex(0.6, -0.0))
+
+
+def test_long_biased_chain_matches_oracle():
+    """200 steps of coefficient rows, past rank 64, against the tuple oracle."""
+    dual, chi = biased_chain_case()
+    got = want = chi
+    for _ in range(200):
+        got, want = dual_action(dual, got), dual_action_oracle(dual, want)
+        assert got.rank == want.rank
+        assert got.support == want.support
+        assert got.phase == want.phase
+        assert repr(got.phase) == repr(want.phase)
+    assert max(c.rank for c in spectral._orbit(dual, chi, 200)) > 64
+
+
+def test_chain_character_equals_its_tuple_rebuild():
+    """A character holding rows and one rebuilt from its support compare
+    and hash alike, and ``coords`` takes no part."""
+    dual, chi = biased_chain_case()
+    for got in spectral._orbit(dual, chi, 40):
+        rebuilt = Character(got.invariants, got.support, got.phase, dual.coords)
+        assert got == rebuilt and rebuilt == got
+        assert hash(got) == hash(rebuilt)
+        assert got == Character(got.invariants, got.support, got.phase)
+        assert got != Character(got.invariants, got.support, -got.phase)
+
+
 # central frames over Z/2⊕Z/4 (indices a·4 + b) by the members of A, and Q8's
 # centre; A = B gives the trivial quotient and mixed orders (2, 4)
 CENTRAL_FRAMES = {"Z2+Z4/Z4": [0, 1, 2, 3], "Z2+Z4/Z2+Z2": [0, 2, 4, 6],

@@ -130,6 +130,35 @@ def test_dual_chains_call_the_module_level_dual_action_once_per_step(
     assert [r.n for r in report.probe_rows] == list(range(9))
 
 
+def test_diffusion_ranks_never_build_support_tuples(monkeypatch):
+    """The dual chain steps coefficient rows and ``rank`` reads their
+    length, so 4096 xor steps run with the tuple view unavailable."""
+    def refuse(cells, coeffs):
+        raise AssertionError("support tuple built")
+
+    monkeypatch.setattr(spectral, "_support_tuple", refuse)
+    rule = xor_rule()
+    chi = Character.make(abelian_invariants(rule.group), {0: (1,)})
+    report = diffusion_report(LinearRuleDual.from_rule(rule), chi, 4096)
+    assert report.densities[10] == 3797 / 4096
+    with pytest.raises(AssertionError, match="support tuple built"):
+        dual_action(LinearRuleDual.from_rule(rule), chi).support
+
+
+@pytest.mark.parametrize("j_max", [0, 1, 300])
+def test_density_trail_matches_density_at_every_mark(j_max):
+    """The one-pass counts give the bits ``DiffusionReport.density`` does."""
+    rule = xor_rule()
+    chi = Character.make(abelian_invariants(rule.group), {0: (1,)})
+    report = diffusion_report(LinearRuleDual.from_rule(rule), chi, j_max,
+                              thresholds=(0, 2, 4, 10))
+    for r in report.thresholds:
+        assert repr(report.densities[r]) == repr(report.density(r))
+        assert [m for m, _ in report.density_trail[r]] == spectral._doubling(j_max)
+        for m, value in report.density_trail[r]:
+            assert repr(value) == repr(report.density(r, m))
+
+
 def digit_sum(j):
     return bin(j).count("1")
 

@@ -119,8 +119,10 @@ class Run:
     def ok(self) -> bool:
         return all(self.verification.values())
 
-    def finish(self, args) -> int:
+    def finish(self, args, error: str | None = None) -> int:
+        """Write the manifest; ``error`` is the stderr line of a failed run."""
         manifest = {
+            "status": "ok" if error is None else "error",
             "command": self.command,
             "config": str(self.config_path),
             "config_sha256": self.config_sha256,
@@ -135,10 +137,13 @@ class Run:
             "verification": self.verification,
             **self.extra,
         }
-        for name in self.outputs:
-            p = self.out / name
-            if not p.exists() or p.stat().st_size == 0:
-                raise McaLabError(f"output {name} missing or empty")
+        if error is not None:
+            manifest["error"] = error
+        else:
+            for name in self.outputs:
+                p = self.out / name
+                if not p.exists() or p.stat().st_size == 0:
+                    raise McaLabError(f"output {name} missing or empty")
         _write_json(self.out / "manifest.json", manifest)
         return 0 if self.ok else 1
 
@@ -395,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    run = None
     try:
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(
@@ -412,15 +418,21 @@ def main(argv=None) -> int:
             _COMMANDS[args.command](cfg, run, args)
             return run.finish(args)
     except SpecError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        line = f"config error: {exc}"
     except (McaLabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        line = f"error: {exc}"
     except MemoryError as exc:
-        print(f"error: out of memory: {str(exc) or 'allocation failed'} "
-              "(try a lower --cap-states)", file=sys.stderr)
-        return 2
+        line = (f"error: out of memory: {str(exc) or 'allocation failed'} "
+                "(try a lower --cap-states)")
+    print(line, file=sys.stderr)
+    if run is not None:
+        # a failed run still leaves a manifest saying why; a manifest that
+        # cannot be written leaves the one stderr line
+        try:
+            run.finish(args, error=line)
+        except OSError:
+            pass
+    return 2
 
 
 if __name__ == "__main__":

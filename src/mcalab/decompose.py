@@ -198,7 +198,7 @@ def recompose_check(dec: SkewDecomposition, rule: McaRule | None = None) -> Reco
         except KeyError:
             return RecomposeReport(False, {"c_word": w, "reason": "missing error term"})
         # the rule on a*c for every a-word, split back into its two parts
-        b_out = step_cells(rule, fr.b_of[a_words, w], rule.v_lo)[:, 0]
+        b_out = step_cells(rule, fr.b_of[a_words, w].T, rule.v_lo)[0]
         a_out, c_out = fr.a_part[b_out], fr.c_part[b_out]
         fib_out = local_table(fib)
         bad_c = c_out != h_out[ci]

@@ -343,20 +343,23 @@ def _observation_keys(m: WindowMeasure, steps: Sequence, windows: Sequence,
     low = 0
     while low < length and s ** (low + 1) <= _CHUNK:
         low += 1
-    tail = digit_planes(np.arange(s ** low), s, low).astype(cell_dtype(s))
+    # cell-major: tail[t] is cell t of every tail word
+    tail = np.ascontiguousarray(digit_planes(np.arange(s ** low), s, low).T,
+                                dtype=cell_dtype(s))
+    words = s ** low
     for head in range(s ** (length - low)):
-        cells, lo = np.empty((len(tail), length), dtype=tail.dtype), m.lo
-        cells[:, :length - low] = index_word(head, s, length - low)
-        cells[:, length - low:] = tail
-        key = np.zeros(len(tail), dtype=np.int64)
+        cells, lo = np.empty((length, words), dtype=tail.dtype), m.lo
+        cells[:length - low] = np.array(index_word(head, s, length - low))[:, None]
+        cells[length - low:] = tail
+        key = np.zeros(words, dtype=np.int64)
         for n, (w_lo, w_hi) in enumerate(windows):
             if n:
                 cells = step_cells(steps[n - 1], cells, lo, cap)
                 lo -= steps[n - 1].v_lo
             for x in range(w_lo, w_hi):
                 key *= s
-                key += cells[:, x - lo]
-        yield slice(head * len(tail), (head + 1) * len(tail)), key
+                key += cells[x - lo]
+        yield slice(head * words, (head + 1) * words), key
 
 
 def _step_list(op, n_steps: int) -> list:

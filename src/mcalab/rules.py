@@ -82,6 +82,7 @@ class McaRule(_Neighborhood):
     bias: int = 0
     one_sided: bool = False
     _table: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _code_table: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.v_lo > self.v_hi:
@@ -192,34 +193,51 @@ def local_table(rule: McaRule, cap: int = STATE_CAP) -> np.ndarray:
     return out
 
 
+def _code_table(rule: McaRule, code: np.dtype, cap: int) -> np.ndarray:
+    """:func:`local_table` in the code dtype, converted once and cached."""
+    table = local_table(rule, cap)
+    if rule._code_table is None:
+        rule._code_table = table.astype(code)
+        rule._code_table.setflags(write=False)
+    return rule._code_table
+
+
 def step_cells(op: LocalFamily, cells: np.ndarray, lo: int,
                cap: int = STATE_CAP) -> np.ndarray:
     """One synchronous step on integer words, by local-table lookups.
 
-    The last axis of ``cells`` holds cells [lo..lo+k); the result holds
-    their image on [lo - v_lo .. lo + k - v_hi), other axes unchanged, in
-    the group's cell dtype whatever the integer dtype of ``cells``.  Window
-    codes are built in the smallest signed integer type that holds
-    |B|**width (int16 for Q8 at width 4).  A nonhomogeneous family looks
-    each output cell up in its own rule's table.
+    Axis 0 of ``cells`` is the cell axis: ``cells[t]`` holds cell lo+t of
+    every word, so each cell is one contiguous plane.  The result holds
+    the image cells [lo - v_lo .. lo + k - v_hi) on axis 0, other axes
+    unchanged.  Window codes and the result are in the code dtype, the
+    smallest signed integer type that holds |B|**width (int16 for Q8 at
+    width 4): input of any integer dtype is converted once, and a chain of
+    steps fed its own output never casts or copies.  Codes are looked up
+    in a code-dtype copy of the local table, cached on the rule; a
+    nonhomogeneous family looks each output cell up in its own rule's.
     """
-    s = op.group.order
-    k = cells.shape[-1] - op.spread
+    s, width = op.group.order, op.width
+    k = len(cells) - op.spread
     if k < 0:
-        raise WindowError(f"block of {cells.shape[-1]} cells is narrower than the rule")
+        raise WindowError(f"block of {len(cells)} cells is narrower than the rule")
     rules = [op] if isinstance(op, McaRule) else [
         op.rule_at(lo - op.v_lo + j) for j in range(k)]
-    tables = [local_table(r, cap) for r in rules]
     # a signed type reaching -(s**width) holds every code 0 .. s**width - 1
-    codes = cells[..., 0:k].astype(np.min_scalar_type(-(s ** op.width)))
-    for t in range(1, op.width):
-        codes *= s
-        codes += cells[..., t:t + k]
+    code = np.min_scalar_type(-(s ** width))
+    tables = [_code_table(r, code, cap) for r in rules]
+    cells = np.ascontiguousarray(cells, dtype=code)
+    # codes of width 2w from two of width w, then Horner for the rest
+    codes, w = cells, 1
+    while 2 * w <= width:
+        codes = codes[:len(codes) - w] * s ** w + codes[w:]
+        w *= 2
+    for t in range(w, width):
+        codes = codes[:-1] * s + cells[t:t + len(codes) - 1]
     if isinstance(op, McaRule):
         return tables[0].take(codes)
-    out = np.empty(codes.shape, dtype=cell_dtype(s))
+    out = np.empty(codes.shape, dtype=code)
     for j, table in enumerate(tables):
-        out[..., j] = table.take(codes[..., j])
+        out[j] = table.take(codes[j])
     return out
 
 

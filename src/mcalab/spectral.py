@@ -417,7 +417,10 @@ class DiffusionReport:
     density_trail: dict[int, list[tuple[int, float]]]
 
     def density(self, threshold: int, j_up: int | None = None) -> float:
-        upto = len(self.ranks) - 1 if j_up is None else j_up
+        j_max = len(self.ranks) - 1
+        upto = j_max if j_up is None else j_up
+        if not 0 <= upto <= j_max:
+            raise McaLabError(f"j_up {upto} outside 0..{j_max}")
         hits = sum(1 for j in range(1, upto + 1) if self.ranks[j] > threshold)
         return hits / upto if upto else 0.0
 
@@ -509,11 +512,12 @@ def fibre_rank_independence(dec, split, alpha: Character, j: int,
     for start in range(0, C.order ** n_in, batch):
         c_words = digit_planes(np.arange(start, min(start + batch, C.order ** n_in)),
                                C.order, n_in)
-        outs, lo = frame.b_of[probes, c_words[:, None, :]], in_lo
+        # cell-major: outs[m, c, p] is cell in_lo + m of probe p over word c
+        outs, lo = frame.b_of[probes.T[:, None, :], c_words.T[:, :, None]], in_lo
         for _ in range(j):
             outs = step_cells(rule, outs, lo, cap)
             lo -= rule.v_lo
-        outs = frame.a_part[outs[..., [k - lo for k in cells]]]
+        outs = frame.a_part[outs[[k - lo for k in cells]].transpose(1, 2, 0)]
         # big·alpha(y·b⁻¹) mod big at each input cell m and generator gi; it
         # is coefficient gi of (alpha ∘ composite) at m times big // n_gi
         diffs = A.table[outs[:, 1:], A.inverse[outs[:, :1]]]
@@ -810,10 +814,15 @@ def _draw(rng: np.random.Generator, p: np.ndarray, count: int,
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(count)
     out = np.zeros(count, dtype=dtype)
-    for edge in cdf[:-1]:       # the last edge is 1.0, above every draw
-        out += u >= edge
+    # the draws come in cache-sized pieces of one reused buffer; PCG64
+    # yields the same stream piece by piece as in one call
+    u = np.empty(min(count, _CHUNK))
+    for start in range(0, count, _CHUNK):
+        part = out[start:start + _CHUNK]
+        draws = rng.random(out=u[:len(part)])
+        for edge in cdf[:-1]:   # the last edge is 1.0, above every draw
+            part += draws >= edge
     return out
 
 
@@ -859,8 +868,8 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
 
     Samples are drawn in chunks of 2**14, each from its own
     ``SeedSequence(entropy=seed, spawn_key=(n, chunk))`` stream, and each
-    chunk is evolved in row blocks of at most ``_CHUNK`` cells, so the rows
-    are the same for any ``workers``.
+    chunk is evolved in cell-major blocks of at most ``_CHUNK`` cells, so
+    the rows are the same for any ``workers``.
     """
     group = rule.group
     s = group.order
@@ -879,14 +888,14 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
             np.random.SeedSequence(entropy=seed, spawn_key=(n, ci)))
         words = _sample_words(init, frame, group, length, rng, m)
         # rows evolve independently, so each block of at most _CHUNK cells
-        # runs all n steps while its cells and codes stay in cache
+        # runs all n steps cell-major while its planes stay in cache
         rows = max(1, _CHUNK // length)
         out = np.empty((m, out_hi - out_lo), dtype=words.dtype)
         for r in range(0, m, rows):
-            block = words[r:r + rows]
+            block = words[r:r + rows].T
             for step in range(n):
                 block = step_cells(rule, block, in_lo - step * rule.v_lo, cap)
-            out[r:r + rows] = block
+            out[r:r + rows] = block.T
         words = out
         probe_sums = []
         for tabs, phase in tables:

@@ -237,11 +237,11 @@ def fibre_rank_oracle(dec, split, alpha, j: int, cap: int = STATE_CAP):
         probes[1 + m * len(gens): 1 + (m + 1) * len(gens), m] = gens
     ranks = set()
     for w in iter_words(C.order, n_in):
-        outs, lo = probes, in_lo
+        outs, lo = probes.T, in_lo
         for st in fibre_step_sequence(dec, Config(C, in_lo, w), j):
             outs = step_cells(st, outs, lo)
             lo -= st.v_lo
-        outs = outs[:, [k - lo for k in cells]].tolist()
+        outs = outs[[k - lo for k in cells]].T.tolist()
         rank = 0
         for m in range(n_in):
             # coefficient tuple of (alpha ∘ composite) at input cell m, by

@@ -574,6 +574,22 @@ def test_monte_carlo_steps_honour_the_run_cap(tmp_path, capsys):
                              mc_samples=64)
 
 
+def test_a_failed_run_leaves_a_manifest_naming_its_error(tmp_path, capsys):
+    """Past config loading, exit 2 still writes the manifest, with the line."""
+    cfg = with_field(FUZZ_BASE, ("rule", "neighborhood"), [0, 4])
+    code, err = assert_ends_in_one_line(tmp_path, capsys, "randomize", cfg,
+                                        "width 5 at cap 16")
+    manifest = read_json(tmp_path / "manifest.json")
+    assert code == 2
+    assert (manifest["status"], manifest["error"]) == ("error", err.rstrip("\n"))
+    assert (manifest["command"], manifest["cap_states"]) == ("randomize", 16)
+    code, _ = assert_ends_in_one_line(tmp_path, capsys, "randomize",
+                                      {**cfg, "cap_states": 32}, "cap 32")
+    manifest = read_json(tmp_path / "manifest.json")
+    assert (code, manifest["status"]) == (0, "ok")
+    assert "error" not in manifest
+
+
 HUGE = 10 ** 30
 ENTROPY_BASE = {**XOR_CONFIG, "measure": {"kind": "bernoulli", "probs": ["3/4", "1/4"]},
                 "n_max": 3, "cap_states": 64}

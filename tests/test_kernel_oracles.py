@@ -27,6 +27,7 @@ from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
                     trajectory_joint_distribution,
                     trajectory_partition_entropy)
 from mcalab import spectral
+from mcalab.errors import WindowError
 from mcalab.rules import step_cells
 from mcalab.util import iter_words
 
@@ -141,9 +142,62 @@ def test_step_cells_matches_oracle_from_any_integer_dtype():
         want = [list(apply_window(op, Config(G, 0, w)).word)
                 for w in words.tolist()]
         for cells in (words, words.astype(np.uint8)):
-            got = step_cells(op, cells, 0)
-            assert got.dtype == np.uint8
-            assert got.tolist() == want
+            got = step_cells(op, cells.T, 0)
+            assert got.dtype == np.int32
+            assert got.T.tolist() == want
+
+
+def random_rule(G, v_lo, v_hi, rng):
+    """A rule with 1..5 endomorphism factors at random window positions."""
+    endos = enumerate_endomorphisms(G)
+    factors = [(int(rng.integers(v_lo, v_hi + 1)), endos[rng.integers(len(endos))])
+               for _ in range(int(rng.integers(1, 6)))]
+    return McaRule(G, v_lo, v_hi, factors, int(rng.integers(G.order)))
+
+
+# (group, window, code dtype): widths 2, 3, 5 and 6 leave a Horner
+# remainder after the doublings, width 4 is doublings only
+KERNEL_CASES = [
+    ("Z/2", (0, 1), np.int8), ("Z/2", (-1, 1), np.int8),
+    ("Z/2", (-2, 2), np.int8), ("Z/2", (-2, 3), np.int8),
+    ("Q8", (-1, 1), np.int16), ("Q8", (-1, 2), np.int16),
+    ("Z/6", (0, 4), np.int16), ("Z/6", (-2, 3), np.int32)]
+
+
+@pytest.mark.parametrize("name, window, code", KERNEL_CASES)
+@pytest.mark.parametrize("nonhomogeneous", [False, True])
+def test_cell_major_step_cells_matches_apply_window(name, window, code,
+                                                    nonhomogeneous):
+    G = make_quaternion() if name == "Q8" else make_cyclic(int(name[2:]))
+    (v_lo, v_hi), lo, steps = window, -3, 5
+    rng = np.random.default_rng(G.order * 100 + v_hi - v_lo)
+    width = v_hi - v_lo + 1
+    words = rng.integers(0, G.order, (40, steps * (width - 1) + 2))
+    if nonhomogeneous:
+        pool = [random_rule(G, v_lo, v_hi, rng) for _ in range(3)]
+        op = NhcaSequence(G, v_lo, v_hi, {m: pool[m % 3] for m in range(-10, 40)})
+    else:
+        op = random_rule(G, v_lo, v_hi, rng)
+    chains = [Config(G, lo, w) for w in words.tolist()]
+    want = []
+    for _ in range(steps):
+        chains = [apply_window(op, c) for c in chains]
+        want.append([list(c.word) for c in chains])
+    # cell-major blocks: uint8 and int64, contiguous and transposed views
+    for cells in (np.ascontiguousarray(words.T, dtype=np.uint8),
+                  np.ascontiguousarray(words.T), words.T,
+                  words.astype(np.uint8).T):
+        out_lo = lo
+        for n in range(steps):
+            cells = step_cells(op, cells, out_lo)
+            out_lo -= v_lo
+            assert cells.dtype == code and cells.flags.c_contiguous
+            assert cells.T.tolist() == want[n]
+    # a 1-D block is one word
+    assert step_cells(op, words[0], lo).tolist() == want[0][0]
+    with pytest.raises(WindowError, match="narrower than the rule"):
+        step_cells(op, words.T[:width - 2], lo)
+    assert step_cells(op, words.T[:width - 1], lo).shape == (0, len(words))
 
 
 @settings(max_examples=30, deadline=None)

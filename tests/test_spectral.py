@@ -159,6 +159,17 @@ def test_density_trail_matches_density_at_every_mark(j_max):
             assert repr(value) == repr(report.density(r, m))
 
 
+def test_density_refuses_a_horizon_outside_the_report():
+    rule = xor_rule()
+    chi = Character.make(abelian_invariants(rule.group), {0: (1,)})
+    report = diffusion_report(LinearRuleDual.from_rule(rule), chi, 16)
+    assert report.density(2, 16) == report.density(2)
+    assert report.density(2, 0) == 0.0
+    for j_up in (17, -3):
+        with pytest.raises(McaLabError, match=rf"j_up {j_up} outside 0\.\.16"):
+            report.density(2, j_up)
+
+
 def digit_sum(j):
     return bin(j).count("1")
 
@@ -357,10 +368,39 @@ def test_monte_carlo_rows_ignore_row_blocks_and_threads(
             assert got.tv_rows == ref.tv_rows
 
 
+def test_monte_carlo_steps_feed_each_output_back_uncast(monkeypatch, quat_rule4,
+                                                       q8_center_frame):
+    """Past a chain's first step, ``step_cells`` gets its own output back:
+    C-contiguous cell planes in the code dtype, so no step casts or copies."""
+    step_cells, chains, last = spectral.step_cells, [], [None]
+
+    def spy(rule, cells, *args):
+        if cells is last[0]:
+            assert np.ascontiguousarray(cells, dtype=np.int16) is cells
+            chains[-1].append(len(cells))
+        else:
+            chains.append([len(cells)])
+        last[0] = step_cells(rule, cells, *args)
+        return last[0]
+
+    monkeypatch.setattr(spectral, "step_cells", spy)
+    lam, nu = bern(7, 10), bern(4, 10, size=4)
+    report = cesaro_randomization(quat_rule4, (lam, nu), 16,
+                                  frame=q8_center_frame, cap_states=4096,
+                                  mc_samples=3000, seed=2026)
+    assert report.n_exact == 1
+    # one chain of n steps per block, whose axis 0 holds the 1 + 3n input
+    # cells and shrinks by the spread 3 each step; several blocks at n = 16
+    for chain in chains:
+        assert chain == [1 + 3 * n for n in range(len(chain), 0, -1)]
+    lengths = [len(chain) for chain in chains]
+    assert set(lengths) == {2, 4, 8, 16} and lengths.count(16) > 1
+
+
 def test_sampled_words_are_the_draws_of_generator_choice(q8_center_frame):
     count, length = 300, 7
 
-    def choice(rng, spec):
+    def choice(rng, spec, count=count):
         p = np.asarray([float(x) for x in spec.probs])
         flat = rng.choice(spec.size, size=count * length, p=p / p.sum())
         return flat.reshape(count, length)
@@ -374,6 +414,11 @@ def test_sampled_words_are_the_draws_of_generator_choice(q8_center_frame):
                                      np.random.default_rng(3), count)
         assert got.dtype == np.uint8
         assert np.array_equal(got, choice(np.random.default_rng(3), spec))
+    # more draws than one piece of the draw buffer holds
+    many = 2 * spectral._CHUNK // length + 5
+    got = spectral._sample_words(spec, None, make_cyclic(20), length,
+                                 np.random.default_rng(4), many)
+    assert np.array_equal(got, choice(np.random.default_rng(4), spec, many))
     fr = q8_center_frame
     lam, nu = bern(7, 10), bern(4, 10, size=4)
     got = spectral._sample_words((lam, nu), fr, fr.B, length,

@@ -21,8 +21,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import McaLabError, NotAbelianError, NotCentralError, WindowError
-from .groups import AbelianCoords, FiniteGroup, GroupMap, abelian_invariants
+from .errors import (CapExceededError, McaLabError, NotAbelianError,
+                     NotCentralError, WindowError)
+from .groups import (AbelianCoords, FiniteGroup, GroupMap, abelian_invariants,
+                     make_cyclic)
 from .measures import (_CHUNK, MeasureSpec, WindowMeasure, push_forward,
                        star_product_measure)
 from .rules import McaRule, _merge_positions, step_cells
@@ -60,12 +62,12 @@ class Character:
     exp(2πi Σ cᵢaᵢ/nᵢ) over the support.  ``phase`` carries the constant of
     an affine character (1 for a plain character).
 
-    A character built from tuples keeps them as given.  One that
-    ``dual_action`` returns holds coefficient rows instead: ascending int64
-    cells and a rank × d int64 matrix reduced mod the orders.  Its
-    ``support`` is a tuple view built on first read, so a chain that reads
-    only ``rank`` never builds one.  Equality and hashing compare
-    (invariants, support, phase), never ``coords``.
+    Every character holds coefficient rows: ascending int64 cells and a
+    rank × d int64 matrix reduced mod the orders, however it was built, so
+    it equals its ``Character.make`` twin.  ``support`` is a tuple view of
+    the rows built on first read, so a chain that reads only ``rank`` never
+    builds one.  Equality and hashing compare (invariants, support, phase),
+    never ``coords``.
     """
 
     __slots__ = ("invariants", "phase", "coords", "_support", "_cells", "_coeffs")
@@ -74,33 +76,43 @@ class Character:
                  support: tuple[tuple[int, tuple[int, ...]], ...],
                  phase: complex = 1.0 + 0j, coords: AbelianCoords | None = None):
         seen = set()
+        items = []
         for cell, coeff in support:
             if cell in seen:
                 raise McaLabError(f"duplicate support cell {cell}")
             seen.add(cell)
             if len(coeff) != len(invariants):
                 raise McaLabError("coefficient tuple has wrong arity")
-            if all(c % n == 0 for c, n in zip(coeff, invariants)):
+            # reduced as Python integers, so entries past int64 fit
+            coeff = tuple(c % n for c, n in zip(coeff, invariants))
+            if not any(coeff):
                 raise McaLabError("support tuples must be nonzero")
-        self._set(invariants=invariants, phase=phase, coords=coords,
-                  _support=support, _cells=None, _coeffs=None)
+            if not -2 ** 63 <= cell < 2 ** 63:
+                raise McaLabError(f"support cell {cell} is outside int64")
+            items.append((cell, coeff))
+        items.sort()
+        coeffs = np.array([coeff for _, coeff in items], dtype=np.int64)
+        self._adopt(invariants, np.array([cell for cell, _ in items], dtype=np.int64),
+                    coeffs.reshape(len(items), len(invariants)), phase, coords)
 
     @classmethod
     def _from_rows(cls, invariants: tuple[int, ...], cells: np.ndarray,
                    coeffs: np.ndarray, phase: complex,
                    coords: AbelianCoords | None) -> "Character":
         """The character on ascending distinct ``cells`` with nonzero reduced
-        ``coeffs`` rows; both arrays are frozen and owned from here on."""
+        ``coeffs`` rows; both arrays are owned from here on."""
+        return cls.__new__(cls)._adopt(invariants, cells, coeffs, phase, coords)
+
+    def _adopt(self, invariants: tuple[int, ...], cells: np.ndarray,
+               coeffs: np.ndarray, phase: complex,
+               coords: AbelianCoords | None) -> "Character":
+        """Freeze the rows and fill every slot; ``support`` waits for a read."""
         cells.setflags(write=False)
         coeffs.setflags(write=False)
-        chi = cls.__new__(cls)
-        chi._set(invariants=invariants, phase=phase, coords=coords,
-                 _support=None, _cells=cells, _coeffs=coeffs)
-        return chi
-
-    def _set(self, **values) -> None:
-        for name, value in values.items():
+        for name, value in zip(self.__slots__,
+                               (invariants, phase, coords, None, cells, coeffs)):
             object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Character is immutable; cannot set {name!r}")
@@ -126,26 +138,25 @@ class Character:
     @property
     def support(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         if self._support is None:
-            self._set(_support=_support_tuple(self._cells, self._coeffs))
+            object.__setattr__(self, "_support",
+                               _support_tuple(self._cells, self._coeffs))
         return self._support
 
     @classmethod
     def make(cls, coords: AbelianCoords, support: dict[int, Sequence[int]],
              phase: complex = 1.0 + 0j) -> "Character":
+        """The character of ``support`` with its all-zero cells dropped."""
         orders = coords.orders
-        items = []
-        for cell in sorted(support):
-            coeff = tuple(c % n for c, n in zip(support[cell], orders))
-            if any(coeff):
-                items.append((cell, coeff))
-        return cls(orders, tuple(items), phase, coords)
+        items = tuple((cell, coeff) for cell, coeff in support.items()
+                      if any(c % n for c, n in zip(coeff, orders)))
+        return cls(orders, items, phase, coords)
 
     @property
     def rank(self) -> int:
-        return len(self._support if self._cells is None else self._cells)
+        return len(self._cells)
 
     def cells(self) -> tuple[int, ...]:
-        return tuple(cell for cell, _ in self.support)
+        return tuple(self._cells.tolist())
 
     def is_trivial(self) -> bool:
         return self.rank == 0
@@ -325,14 +336,16 @@ class LinearRuleDual:
 
     @cached_property
     def _bias_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(radix, factors): ``factors[row @ radix]`` is chi_k(bias) for a
-        reduced coefficient row, over all |A| rows in mixed-radix order."""
-        orders = self.coords.orders
+        """(radix, factors): ``factors[row @ radix]`` is chi_row(bias), the
+        value of character ``bias`` at the element with coordinates ``row``,
+        for every reduced coefficient row in mixed-radix order."""
+        coords = self.coords
+        orders = coords.orders
         radix = np.array([math.prod(orders[i + 1:]) for i in range(len(orders))],
                          dtype=np.int64)
-        rows = itertools.product(*(range(n) for n in orders))
-        factors = np.array([_bias_factor(row, self.bias_coords, orders)
-                            for row in rows], dtype=np.complex128)
+        factors = np.empty(coords.group.order, dtype=np.complex128)
+        factors[np.array(coords.to_tuple, dtype=np.int64) @ radix] = _value_table(
+            coords, self.bias_coords)
         return radix, factors
 
 
@@ -341,40 +354,30 @@ def dual_action(dual: LinearRuleDual, chi: Character) -> Character:
 
     The convention matches <chi, push_forward(rule, m)> ==
     <dual_action(dual, chi), m>; the bias contributes one phase factor
-    chi_k(bias) per support cell, folded in support order.  The step itself
-    is integer array arithmetic on the coefficient rows: one product with
-    the weights of every position, one sort of the target cells, a summed
-    add into each distinct target, one reduction mod the orders.  A
-    character built from tuples folds them as given (they may be
-    unreduced) and is converted to rows here; later steps stay in rows.
+    chi_k(bias) per support cell, folded in support order from a table
+    over all reduced rows.  The step itself is integer array arithmetic on
+    the coefficient rows: one product with the weights of every position,
+    one sort of the target cells, a summed add into each distinct target,
+    one reduction mod the orders.  A step whose target cells would leave
+    int64 is refused.
     """
     coords = dual.coords
     orders = coords.orders
     if chi.invariants != orders:
         raise McaLabError("character and dual rule have different invariants")
     d = len(orders)
-    if chi._cells is None:
-        factors: dict[tuple[int, ...], complex] = {}
-        phase = chi.phase
-        for _, coeff in chi.support:
-            if coeff not in factors:
-                factors[coeff] = _bias_factor(coeff, dual.bias_coords, orders)
-            phase *= factors[coeff]
-        items = sorted(chi.support)
-        cells = np.array([cell for cell, _ in items], dtype=np.int64)
-        # reduced as Python integers, so entries past int64 fit
-        coeffs = np.array([[c % n for c, n in zip(coeff, orders)]
-                           for _, coeff in items],
-                          dtype=np.int64).reshape(len(items), d)
-    else:
-        cells, coeffs = chi._cells, chi._coeffs
-        radix, table = dual._bias_table
-        # one product at a time, left to right, as the loop above
-        phase = math.prod(table[coeffs @ radix].tolist(), start=chi.phase)
+    cells, coeffs = chi._cells, chi._coeffs
+    radix, table = dual._bias_table
+    # one product at a time, left to right, in support order
+    phase = math.prod(table[coeffs @ radix].tolist(), start=chi.phase)
     if not len(cells) or not dual.matrices:
         return Character._from_rows(orders, np.empty(0, dtype=np.int64),
                                     np.empty((0, d), dtype=np.int64), phase, coords)
     positions, weights, order_arr = dual._arrays
+    # cells ascend, so these two ends bound every target cell
+    lo, hi = int(cells[0]) + int(positions.min()), int(cells[-1]) + int(positions.max())
+    if lo < -2 ** 63 or hi >= 2 ** 63:
+        raise McaLabError(f"dual step moves support to cells {lo}..{hi}, outside int64")
     # position-major: entry p·rank + k is support cell k moved by position p
     targets = (cells + positions[:, None]).ravel()
     adds = (coeffs @ weights).reshape(-1, d)
@@ -390,13 +393,6 @@ def dual_action(dual: LinearRuleDual, chi: Character) -> Character:
     keep = np.bitwise_or.reduce(acc, axis=1).nonzero()[0]
     return Character._from_rows(orders, targets[starts[keep]], acc[keep],
                                 phase, coords)
-
-
-def _bias_factor(coeff: Sequence[int], bias: Sequence[int],
-                 orders: Sequence[int]) -> complex:
-    """chi_k(bias) = exp(2πi Σ cᵢbᵢ/nᵢ) for one coefficient tuple."""
-    angle = 2.0 * math.pi * math.fsum(c * b / n for c, b, n in zip(coeff, bias, orders))
-    return cmath.exp(1j * angle)
 
 
 def _orbit(dual: LinearRuleDual, chi: Character, steps: int) -> Iterator[Character]:
@@ -479,8 +475,8 @@ def fibre_rank_independence(dec, split, alpha: Character, j: int,
     steps of the rule on the star words a*c, run for batches of c at once.
     Its linear part comes from finite differences (exact group arithmetic)
     and its character ranks are compared to the linear-rule prediction.
-    As in ``dual_action``, alpha is read from integer coefficient rows
-    scaled to the largest invariant order, big.
+    As in ``dual_action``, alpha is read from its integer coefficient rows,
+    here scaled to the largest invariant order, big.
     """
     rule = dec.rule
     frame = dec.frame
@@ -499,9 +495,7 @@ def fibre_rank_independence(dec, split, alpha: Character, j: int,
     orders = coords.orders
     big = max(orders, default=1)
     divisors = np.array([big // n for n in orders], dtype=np.int64)
-    weights = np.array([[c % n * (big // n) for c, n in zip(ctup, orders)]
-                        for _, ctup in alpha.support],
-                       dtype=np.int64).reshape(len(cells), len(orders))
+    weights = alpha._coeffs * divisors
     to_tuple = np.array(coords.to_tuple, dtype=np.int64).reshape(A.order, len(orders))
     # row 0 is the zero word; row 1 + m·|gens| + gi has generator gi at cell m
     probes = np.zeros((1 + n_in * len(gens), n_in), dtype=np.int64)
@@ -546,12 +540,7 @@ def harmonic_mixing_profile(spec: MeasureSpec, r_max: int,
     supports inside a window of r + 2 cells, which bounds the gap
     structure at desk scale.
     """
-    if group is not None:
-        coords = abelian_invariants(group)
-    else:
-        from .groups import make_cyclic
-
-        coords = abelian_invariants(make_cyclic(spec.size))
+    coords = abelian_invariants(group if group is not None else make_cyclic(spec.size))
     nz = _nonzero_tuples(coords.orders)
     if spec.kind in ("uniform", "bernoulli"):
         dist = spec.cell_distribution()
@@ -599,11 +588,8 @@ class Probe:
     phi: Character | None = None
 
     def cells(self) -> tuple[int, ...]:
-        cells = set()
-        for chi in (self.alpha, self.phi):
-            if chi is not None:
-                cells.update(chi.cells())
-        return tuple(sorted(cells))
+        return tuple(sorted({cell for chi in (self.alpha, self.phi) if chi is not None
+                             for cell in chi.cells()}))
 
     def value_tables(self, group: FiniteGroup, frame
                      ) -> tuple[dict[int, np.ndarray], complex]:
@@ -693,18 +679,16 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
     cells = sorted({c for p in probes for c in p.cells()} | set(range(tv_cells)))
     out_lo, out_hi = min(cells), max(cells) + 1
     spread = rule.spread
+    check_cap(group.order, out_hi - out_lo, cap_states, "randomization output window")
     # exact horizon: largest n whose input window enumeration fits the cap
     n_exact = -1
     for n in range(n_max + 1):
-        width = (out_hi - out_lo) + n * spread
-        # as in util.check_cap: past cap.bit_length() cells, refuse unpowered
-        if (group.order > 1 and width > cap_states.bit_length()
-                or group.order ** width > cap_states):
+        try:
+            check_cap(group.order, (out_hi - out_lo) + n * spread, cap_states,
+                      "exact horizon")
+        except CapExceededError:
             break
         n_exact = n
-    if n_exact < 0:
-        check_cap(group.order, out_hi - out_lo, cap_states,
-                  "randomization output window")
     exps = _exponent_sums(rule)
     coprime = None
     if exps is not None:

@@ -294,7 +294,8 @@ MALFORMED_PARAMS = [
     ("permute", {"group": {"table": [[0, 1], [1, 0]]},
                  "rule": {**XOR_CONFIG["rule"], "bias": "a"}}, "rule.bias"),
     *[("diffuse", {"alpha": alpha, "j_max": 2}, "alpha")
-      for alpha in ({"1": [1], " 1": [0]}, {"1": [1], "01": [1]})],
+      for alpha in ({"1": [1], " 1": [0]}, {"1": [1], "01": [1]},
+                    {"100000000000000000000": [1]})],
 ]
 
 

@@ -336,8 +336,8 @@ def test_dual_action_matches_oracle(data, name):
     rule = McaRule(G, v_lo, v_hi, factors, data.draw(st.integers(0, G.order - 1)))
     dual = LinearRuleDual.from_rule(rule)
     orders = dual.coords.orders
-    # unreduced coefficients (one past int64), signed-zero phases, and a
-    # far cell that a dense row span could not hold
+    # unreduced coefficients (one past int64) that the constructor reduces,
+    # signed-zero phases, and a far cell that a dense row span could not hold
     support = []
     for cell in data.draw(st.lists(st.sampled_from([-3, -1, 0, 1, 2, 5, 10**12]),
                                    unique=True, max_size=3)):

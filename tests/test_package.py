@@ -1,5 +1,6 @@
 """The package namespace: each public name is declared once, in its module,
-and the scalar local-map evaluator stays inside ``rules``."""
+the scalar local-map evaluator stays inside ``rules``, and character rows
+inside ``spectral``."""
 import ast
 import importlib
 from pathlib import Path
@@ -39,4 +40,19 @@ def test_only_rules_names_the_scalar_evaluator():
                     else None)
             if name in scalar:
                 offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert not offenders
+
+
+def test_only_spectral_reads_character_rows():
+    """``Character``'s coefficient rows stay behind ``spectral``: nothing
+    else in the library or the benchmark harness reads them."""
+    root = Path(__file__).resolve().parents[1]
+    offenders = []
+    for path in sorted([*(root / "src").rglob("*.py"),
+                        *(root / "perfbench").rglob("*.py")]):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_cells", "_coeffs"):
+                offenders.append(f"{path.relative_to(root)}:{node.lineno} {node.attr}")
     assert not offenders

@@ -108,6 +108,74 @@ def test_character_construction_checks_its_support():
         Character((4,), ((3, (8,)),))
 
 
+def test_character_refuses_cells_outside_int64():
+    coords = abelian_invariants(make_cyclic(2))
+    for cell in (2 ** 63, -2 ** 63 - 1, 10 ** 20):
+        with pytest.raises(McaLabError, match=f"support cell {cell} is outside int64"):
+            Character((2,), ((0, (1,)), (cell, (1,))))
+        with pytest.raises(McaLabError, match=f"support cell {cell} is outside int64"):
+            Character.make(coords, {cell: (1,)})
+    for cell in (2 ** 63 - 1, -2 ** 63):
+        assert Character.make(coords, {cell: (1,)}).cells() == (cell,)
+
+
+def test_dual_action_refuses_a_step_past_int64():
+    Z2 = make_cyclic(2)
+    coords = abelian_invariants(Z2)
+    ident = GroupMap.identity(Z2)
+    right = LinearRuleDual.from_rule(xor_rule())
+    left = LinearRuleDual.from_rule(McaRule(Z2, -1, 0, [(-1, ident), (0, ident)]))
+    top = Character.make(coords, {0: (1,), 2 ** 63 - 1: (1,)})
+    bottom = Character.make(coords, {-2 ** 63: (1,), 5: (1,)})
+    for dual, chi in ((right, top), (left, bottom)):
+        with pytest.raises(McaLabError, match="outside int64"):
+            dual_action(dual, chi)
+    # each rule moves the other's extreme cell back toward zero
+    assert dual_action(left, top).cells() == (-1, 0, 2 ** 63 - 2, 2 ** 63 - 1)
+    assert dual_action(right, bottom).cells() == (-2 ** 63, -2 ** 63 + 1, 5, 6)
+
+
+def test_tuple_built_characters_equal_their_make_twins():
+    """The constructor reduces and sorts its tuples: unsorted, unreduced and
+    past-int64 input gives the character ``make`` builds from the reduced
+    dict, and 30 dual steps from each agree to the last bit."""
+    G = make_direct_sum([2, 4])
+    coords = abelian_invariants(G)
+    ident = GroupMap.identity(G)
+    rule = McaRule(G, -1, 1, [(-1, ident), (0, ident), (1, ident), (1, ident)],
+                   coords.index_of[(1, 3)])
+    dual = LinearRuleDual.from_rule(rule)
+    phase = complex(0.6, -0.0)
+    built = Character(coords.orders, ((7, (2 ** 70 + 1, -1)), (-3, (5, 2 ** 66 + 2)),
+                                      (2, (-4, 6))), phase, coords)
+    twin = Character.make(coords, {7: (1, 3), -3: (1, 2), 2: (0, 2)}, phase)
+    assert built == twin and hash(built) == hash(twin)
+    assert built.support == twin.support == ((-3, (1, 2)), (2, (0, 2)), (7, (1, 3)))
+    assert repr(built) == repr(twin)
+    for _ in range(30):
+        built, twin = dual_action(dual, built), dual_action(dual, twin)
+        assert built == twin
+        assert repr(built) == repr(twin)  # the phase bits too
+
+
+def test_tuple_built_characters_step_without_the_support_view(monkeypatch):
+    """A character built from tuples already holds coefficient rows, so a
+    dual chain from it never reads ``support``."""
+    rule = xor_rule()
+    coords = abelian_invariants(rule.group)
+    dual = LinearRuleDual.from_rule(rule)
+    want = diffusion_report(dual, Character.make(coords, {0: (1,), 3: (1,)}), 30)
+
+    def refuse(self):
+        raise AssertionError("support read")
+
+    chi = Character((2,), ((3, (1,)), (0, (3,))), 1.0 + 0j, coords)
+    monkeypatch.setattr(Character, "support", property(refuse))
+    assert diffusion_report(dual, chi, 30).ranks == want.ranks
+    with pytest.raises(AssertionError, match="support read"):
+        chi.support
+
+
 def test_dual_chains_call_the_module_level_dual_action_once_per_step(
         monkeypatch):
     """perfbench's tracer times the dual chain by wrapping this one name."""
@@ -464,6 +532,9 @@ def test_monte_carlo_rows_sit_at_the_checkpoints_past_the_exact_range(
                                   mc_samples=64, mc_checkpoints=checkpoints,
                                   seed=3)
     assert report.n_exact == 2
+    # one state under 2^(1 + 2·1) stops the exact rows at n = 1
+    assert cesaro_randomization(shift, spec, n_max, [probe],
+                                cap_states=2 ** 3 - 1).n_exact == 1
     for rows in (report.tv_rows, report.probe_rows):
         assert [r.n for r in rows if r.mode == "exact"] == [0, 1, 2]
         assert [r.n for r in rows if r.mode == "mc"] == mc_ns

@@ -34,7 +34,6 @@ __all__ = [
     "formula_entropy",
     "skew_entropy",
     "fibre_trajectory_entropy",
-    "product_measure",
     "star_product_measure",
 ]
 
@@ -509,31 +508,12 @@ def fibre_trajectory_entropy(dec, lambda_spec: MeasureSpec,
     return math.fsum(acc)
 
 
-def product_measure(a: WindowMeasure, b: WindowMeasure) -> WindowMeasure:
-    """Independent product on the paired alphabet (a-symbol, b-symbol).
-
-    Both factors must live on the same window; the pair (x, y) is encoded
-    as x·|b-alphabet| + y.
-    """
-    pairs = np.arange(a.size * b.size).reshape(a.size, b.size)
-    return _paired_product(a, b, pairs, None)
-
-
 def star_product_measure(frame, a: WindowMeasure, c: WindowMeasure) -> WindowMeasure:
     """Product of fibre and base measures, carried onto the big group.
 
-    Cellwise, the pair (x, y) becomes the group element x⋆y, giving a
-    measure on words over B; exact.
-    """
-    return _paired_product(a, c, frame.b_of, frame.B)
-
-
-def _paired_product(a: WindowMeasure, c: WindowMeasure, pairs: np.ndarray,
-                    group: FiniteGroup | None) -> WindowMeasure:
-    """Independent product of two measures on one window, paired cellwise.
-
-    ``pairs[x, y]`` is the symbol of the cell pair (x, y), a bijection onto
-    ``range(pairs.size)``.  A paired word weighs a.num times c.num of its
+    Both factors must live on the same window.  Cellwise, the pair (x, y)
+    becomes the group element x⋆y = ``frame.b_of[x, y]``, giving a measure
+    on words over B; exact.  A star word weighs a.num times c.num of its
     two coordinate words; one gather moves the outer product into place.
     """
     if (a.lo, a.hi) != (c.lo, c.hi):
@@ -541,9 +521,9 @@ def _paired_product(a: WindowMeasure, c: WindowMeasure, pairs: np.ndarray,
     n, den = a.length, a.den * c.den
     joint = np.multiply.outer(a.num, c.num, dtype=_weight_dtype(den))
     joint = joint.reshape((a.size,) * n + (c.size,) * n)
-    # the (x, y) pair behind each symbol, broadcast along its own cell axis
-    xs, ys = np.divmod(np.argsort(pairs, axis=None), pairs.shape[1])
+    # the (x, y) pair behind each element of B, broadcast along its own cell axis
+    xs, ys = np.divmod(np.argsort(frame.b_of, axis=None), frame.C.order)
     index = tuple(v.reshape([-1 if u == t else 1 for u in range(n)])
                   for v in (xs, ys) for t in range(n))
     num = np.reshape(joint[index], -1)
-    return WindowMeasure(pairs.size, a.lo, a.hi, _frozen(num), den, group)
+    return WindowMeasure(frame.B.order, a.lo, a.hi, _frozen(num), den, frame.B)

@@ -13,13 +13,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    NotPermutativeError,
-    TableInvalidError,
-    WindowError,
-)
+from .errors import TableInvalidError, WindowError
 from .groups import FiniteGroup, GroupMap
-from .util import STATE_CAP, cell_dtype, check_cap, digit_planes, word_index
+from .util import STATE_CAP, cell_dtype, check_cap, digit_planes
 
 __all__ = [
     "McaRule",
@@ -29,12 +25,8 @@ __all__ = [
     "eval_local",
     "local_table",
     "apply_window",
-    "apply_periodic",
-    "is_homomorphic_local",
-    "extract_eca_coefficients",
     "permutativity",
     "is_bipermutative",
-    "filling_solve",
 ]
 
 
@@ -154,10 +146,6 @@ class NhcaSequence(_Neighborhood):
 LocalFamily = McaRule | NhcaSequence
 
 
-def _rule_at(op: LocalFamily, m: int) -> McaRule:
-    return op if isinstance(op, McaRule) else op.rule_at(m)
-
-
 def eval_local(rule: McaRule, word: Sequence[int]) -> int:
     """Apply the local map to a window word (index 0 = cell v_lo)."""
     if len(word) != rule.width:
@@ -252,20 +240,10 @@ def apply_window(op: LocalFamily, config: Config) -> Config:
         raise WindowError(f"block of {len(config.word)} cells is narrower than the rule")
     word = []
     for m in range(out_lo, out_hi):
-        rule = _rule_at(op, m)
+        rule = op if isinstance(op, McaRule) else op.rule_at(m)
         window = config.word[m + v_lo - config.offset: m + v_hi + 1 - config.offset]
         word.append(eval_local(rule, window))
     return Config(config.group, out_lo, word)
-
-
-def apply_periodic(op: LocalFamily, config: Config) -> Config:
-    """One step with cell indices taken modulo the block length."""
-    n = len(config.word)
-    if n == 0:
-        raise WindowError("periodic block must be nonempty")
-    # wrapped onto cells offset + v_lo .. offset + n + v_hi, the block maps onto itself
-    wrapped = [config.word[t % n] for t in range(op.v_lo, n + op.v_hi)]
-    return apply_window(op, Config(config.group, config.offset + op.v_lo, wrapped))
 
 
 def _merge_positions(group: FiniteGroup, factors: Iterable[tuple[int, GroupMap]]
@@ -283,80 +261,6 @@ def _merge_positions(group: FiniteGroup, factors: Iterable[tuple[int, GroupMap]]
             images = [group.mul(prev(x), coeff(x)) for x in group.elements()]
             merged[pos] = GroupMap(group, group, images, True, _trusted=True)
     return merged
-
-
-# -- endomorphic local maps --------------------------------------------------
-
-
-def _per_position_maps(rule: McaRule, cap: int) -> list[GroupMap] | None:
-    """Candidate per-position coefficients g_v = g(identity,...,b,...,identity).
-
-    Returns None unless each is an endomorphism.
-    """
-    G = rule.group
-    table = local_table(rule, cap)
-    maps = []
-    for t in range(rule.width):
-        # the word with b at window cell t and the identity elsewhere
-        images = table[np.arange(G.order) * G.order ** (rule.width - 1 - t)]
-        try:
-            maps.append(GroupMap(G, G, images, True))
-        except TableInvalidError:
-            return None
-    return maps
-
-
-def is_homomorphic_local(rule: McaRule, cap: int = STATE_CAP) -> bool:
-    """Whether the local map B^width -> B is a group homomorphism.
-
-    Uses the factorization criterion: the map is a homomorphism iff its
-    per-position slices are endomorphisms with pairwise commuting images
-    and their ordered product reconstructs the map on every window word.
-    """
-    G = rule.group
-    check_cap(G.order, rule.width, cap, "homomorphism check")
-    if local_table(rule, cap)[0] != 0:
-        return False
-    maps = _per_position_maps(rule, cap)
-    if maps is None:
-        return False
-    images = [np.asarray(m.image_of) for m in maps]
-    for i in range(len(maps)):
-        for j in range(i + 1, len(maps)):
-            # maps[i](x) * maps[j](y) == maps[j](y) * maps[i](x) for all x, y
-            if not np.array_equal(G.table[np.ix_(images[i], images[j])],
-                                  G.table[np.ix_(images[j], images[i])].T):
-                return False
-    recon = _product_table(rule, maps, range(rule.width), cap)
-    return bool(np.array_equal(recon, local_table(rule, cap)))
-
-
-def _product_table(rule: McaRule, maps: list[GroupMap], ordering: Iterable[int],
-                   cap: int) -> np.ndarray:
-    """Local table of the product of per-position maps, taken in ``ordering``."""
-    factors = [(rule.v_lo + t, maps[t]) for t in ordering]
-    return local_table(McaRule(rule.group, rule.v_lo, rule.v_hi, factors), cap)
-
-
-def extract_eca_coefficients(rule: McaRule, cap: int = STATE_CAP) -> list[GroupMap]:
-    """Per-position coefficients of an endomorphic local map.
-
-    Raises unless the map is a homomorphism; re-verifies the product
-    reconstruction in every factor ordering (images commute, so all
-    orderings must agree) when the window is small enough to enumerate.
-    """
-    if not is_homomorphic_local(rule, cap):
-        raise TableInvalidError("local map is not a homomorphism")
-    maps = _per_position_maps(rule, cap)
-    assert maps is not None
-    if rule.width <= 5:
-        import itertools
-        tbl = local_table(rule, cap)
-        for ordering in itertools.permutations(range(rule.width)):
-            if not np.array_equal(_product_table(rule, maps, ordering, cap), tbl):
-                raise TableInvalidError(
-                    f"coefficient product disagrees under ordering {ordering}")
-    return maps
 
 
 # -- permutativity -----------------------------------------------------------
@@ -404,64 +308,3 @@ def is_bipermutative(op: LocalFamily, cap: int = STATE_CAP) -> bool:
     """Permutative on both overlap sides (right side only for one-sided rules)."""
     flags = permutativity(op, cap)
     return flags.right if op.one_sided else (flags.left and flags.right)
-
-
-def _solve_cell(rule: McaRule, window: list[int | None], free_slot: int,
-                target: int, cell_name: int) -> int:
-    """Unique value of window[free_slot] whose window word maps to target."""
-    B = rule.group.order
-    window[free_slot] = 0
-    words = word_index(window, B) + np.arange(B) * B ** (rule.width - 1 - free_slot)
-    hits = np.flatnonzero(local_table(rule)[words] == target)
-    if len(hits) != 1:
-        raise NotPermutativeError(
-            f"cell {cell_name}: {len(hits)} completions instead of 1")
-    return int(hits[0])
-
-
-def filling_solve(op: LocalFamily, target: Config, seed: Config) -> Config:
-    """Extend a seed block to the unique preimage of a target block.
-
-    For a (bi)permutative family with overlaps L, R: given the target d on
-    [J..K) and a seed on [j-L .. j+R) for some j in [J..K), there is exactly
-    one configuration on [J-L .. K+R) extending the seed whose image is d.
-    Solving rightward pins cell m+R from d_m (right-permutativity); solving
-    leftward pins cell m-L (left-permutativity, needed only when j > J).
-    """
-    some_rule = _rule_at(op, target.lo)
-    L, R = some_rule.left_overlap, some_rule.right_overlap
-    J, K = target.lo, target.hi
-    if K <= J:
-        raise WindowError("target block must be nonempty")
-    j = seed.lo + L
-    if seed.hi - seed.lo != L + R or not (J <= j < K):
-        raise WindowError(
-            f"seed must cover [j-{L} .. j+{R}) for some j in [{J}..{K})")
-    lo, hi = J - L, K + R
-    cells: list[int | None] = [None] * (hi - lo)
-    for t, val in enumerate(seed.word):
-        cells[seed.lo + t - lo] = val
-    # rightward: output cell m determines input cell m+R
-    for m in range(j, K):
-        rule = _rule_at(op, m)
-        if rule.right_overlap <= 0 or not _extreme_bijective(rule, "right", STATE_CAP):
-            raise NotPermutativeError(f"rule at cell {m} is not right-permutative")
-        window = cells[m + rule.v_lo - lo: m + rule.v_hi + 1 - lo]
-        free = rule.width - 1          # cell m + v_hi = m + R
-        val = _solve_cell(rule, list(window), free, target.at(m), m + R)
-        cells[m + R - lo] = val
-    # leftward: output cell m determines input cell m-L
-    for m in range(j - 1, J - 1, -1):
-        rule = _rule_at(op, m)
-        if rule.left_overlap <= 0 or not _extreme_bijective(rule, "left", STATE_CAP):
-            raise NotPermutativeError(f"rule at cell {m} is not left-permutative")
-        window = cells[m + rule.v_lo - lo: m + rule.v_hi + 1 - lo]
-        val = _solve_cell(rule, list(window), 0, target.at(m), m - L)
-        cells[m - L - lo] = val
-    assert all(v is not None for v in cells)
-    result = Config(target.group, lo, cells)  # type: ignore[arg-type]
-    # sanity: the filled block maps onto the target
-    block = np.array(result.word[J + op.v_lo - lo: K + op.v_hi - lo], dtype=np.int64)
-    if tuple(step_cells(op, block, J + op.v_lo).tolist()) != target.word:
-        raise NotPermutativeError("internal: filled block does not map to target")
-    return result

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,8 +24,7 @@ import numpy as np
 
 from .errors import (CapExceededError, McaLabError, NotAbelianError,
                      NotCentralError, WindowError)
-from .groups import (AbelianCoords, FiniteGroup, GroupMap, abelian_invariants,
-                     make_cyclic)
+from .groups import AbelianCoords, FiniteGroup, GroupMap, abelian_invariants
 from .measures import (_CHUNK, MeasureSpec, WindowMeasure, push_forward,
                        star_product_measure)
 from .rules import McaRule, _merge_positions, step_cells
@@ -32,8 +32,6 @@ from .util import STATE_CAP, cell_dtype, check_cap, digit_planes
 
 __all__ = [
     "Character",
-    "characters_of",
-    "fourier_coefficient",
     "bernoulli_fourier",
     "LinearRuleDual",
     "dual_action",
@@ -42,7 +40,6 @@ __all__ = [
     "relative_diffusion_rank",
     "fibre_rank_independence",
     "FibreRankCheck",
-    "harmonic_mixing_profile",
     "Probe",
     "ProbeRow",
     "TvRow",
@@ -78,11 +75,16 @@ class Character:
         seen = set()
         items = []
         for cell, coeff in support:
+            if not _is_integer(cell):
+                raise McaLabError(f"support cell {cell!r} is not an integer")
             if cell in seen:
                 raise McaLabError(f"duplicate support cell {cell}")
             seen.add(cell)
             if len(coeff) != len(invariants):
                 raise McaLabError("coefficient tuple has wrong arity")
+            if not all(map(_is_integer, coeff)):
+                raise McaLabError(f"coefficients {tuple(coeff)!r} at cell {cell} "
+                                  "are not all integers")
             # reduced as Python integers, so entries past int64 fit
             coeff = tuple(c % n for c, n in zip(coeff, invariants))
             if not any(coeff):
@@ -176,6 +178,11 @@ class Character:
         return coords
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is refused although it is one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _support_tuple(cells: np.ndarray, coeffs: np.ndarray
                    ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The ``support`` view of coefficient rows: ((cell, coefficients), …)."""
@@ -193,43 +200,6 @@ def _value_table(coords: AbelianCoords, coeff: tuple[int, ...]) -> np.ndarray:
     return vals
 
 
-def _nonzero_tuples(orders: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Nonzero coefficient tuples against mixed cyclic orders, lex order."""
-    return [t for t in itertools.product(*(range(n) for n in orders)) if any(t)]
-
-
-def characters_of(A: FiniteGroup, lo: int, hi: int) -> Iterator[Character]:
-    """All characters supported inside [lo..hi), by rank then lex order."""
-    if not A.is_abelian:
-        raise NotAbelianError("characters need an abelian group")
-    coords = abelian_invariants(A)
-    nz = _nonzero_tuples(coords.orders)
-    cells = range(lo, hi)
-    yield Character(coords.orders, (), 1.0 + 0j, coords)
-    for r in range(1, hi - lo + 1):
-        for combo in itertools.combinations(cells, r):
-            for assignment in itertools.product(nz, repeat=r):
-                yield Character(coords.orders, tuple(zip(combo, assignment)),
-                                1.0 + 0j, coords)
-
-
-def fourier_coefficient(chi: Character, m: WindowMeasure,
-                        coords: AbelianCoords | None = None,
-                        cap: int = STATE_CAP) -> complex:
-    """<chi, m> = Σ_w m[w]·chi(w), summed exactly then rounded once.
-
-    The support must sit inside the measure window.  Cells outside the
-    support integrate out for free (character value ignores them).
-    """
-    coords = coords or chi.coords
-    if coords is None and m.group is not None:
-        coords = abelian_invariants(m.group)
-    if coords is None and chi.support:
-        raise McaLabError("no coordinate system available for the alphabet")
-    tabs = chi.cell_values(coords) if chi.support else {}
-    return _pairing(tabs, chi.phase, m, cap)
-
-
 def _pairing(tabs: dict[int, np.ndarray], phase: complex, m: WindowMeasure,
              cap: int) -> complex:
     """Σ_w m[w]·phase·Π_cell tabs[cell][w_cell], summed in word-index order.
@@ -242,11 +212,9 @@ def _pairing(tabs: dict[int, np.ndarray], phase: complex, m: WindowMeasure,
             raise WindowError(f"support cell {cell} outside [{m.lo}..{m.hi})")
     check_cap(m.size, m.length, cap, "fourier sum")
     total = m.size ** m.length
-    vals = np.full(total, phase, dtype=np.complex128)
-    if tabs:
-        digits = digit_planes(np.arange(total, dtype=np.int64), m.size, m.length)
-        for cell, tab in tabs.items():
-            vals *= tab[digits[:, cell - m.lo]]
+    digits = (digit_planes(np.arange(total, dtype=np.int64), m.size, m.length)
+              if tabs else np.empty((total, 0), dtype=np.int64))
+    vals = _probe_values(tabs, phase, digits, m.lo)
     # one float division rounds correctly only while num and den are exact
     # in binary64; past 2**53 divide the Python ints instead
     weights = (m.num / m.den if m.den <= 2 ** 53
@@ -254,14 +222,24 @@ def _pairing(tabs: dict[int, np.ndarray], phase: complex, m: WindowMeasure,
     return complex((vals * weights).sum())
 
 
+def _probe_values(tabs: dict[int, np.ndarray], phase: complex, words: np.ndarray,
+                  lo: int) -> np.ndarray:
+    """phase·Π_cell tabs[cell][word's cell] for each row of ``words``, whose
+    column t holds cell lo + t."""
+    vals = np.full(len(words), phase, dtype=np.complex128)
+    for cell, tab in tabs.items():
+        vals *= tab[words[:, cell - lo]]
+    return vals
+
+
 def bernoulli_fourier(chi: Character, cell_dist: Sequence,
                       coords: AbelianCoords | None = None) -> complex:
     """<chi, μ> for an i.i.d. product measure, via per-cell factorization.
 
     ``cell_dist`` is the single-cell distribution over group-element
-    indices.  Equals ``fourier_coefficient`` on any containing window.
-    Each distinct coefficient tuple is paired with ``cell_dist`` once; the
-    factors are folded in support order.
+    indices.  Equals the window sum Σ_w μ[w]·chi(w) on any window that
+    contains the support.  Each distinct coefficient tuple is paired with
+    ``cell_dist`` once; the factors are folded in support order.
     """
     coords = chi._checked_coords(coords)
     probs = [float(p) for p in cell_dist]
@@ -528,49 +506,6 @@ def fibre_rank_independence(dec, split, alpha: Character, j: int,
                           ranks_seen=ranks_seen)
 
 
-# -- harmonic mixing ----------------------------------------------------------
-
-
-def harmonic_mixing_profile(spec: MeasureSpec, r_max: int,
-                            group: FiniteGroup | None = None) -> list[float]:
-    """Max |<chi, μ>| per character rank r ≤ r_max (decay ⇒ mixing evidence).
-
-    Bernoulli: the single-cell maximum to the r-th power (exact
-    factorization).  Markov: exact transfer-matrix products over all
-    supports inside a window of r + 2 cells, which bounds the gap
-    structure at desk scale.
-    """
-    coords = abelian_invariants(group if group is not None else make_cyclic(spec.size))
-    nz = _nonzero_tuples(coords.orders)
-    if spec.kind in ("uniform", "bernoulli"):
-        dist = spec.cell_distribution()
-        chars = [Character(coords.orders, ((0, c),), coords=coords) for c in nz]
-        best = max((abs(bernoulli_fourier(chi, dist)) for chi in chars), default=0.0)
-        return [1.0] + [best ** r for r in range(1, r_max + 1)]
-    if spec.kind != "markov":
-        raise McaLabError(f"no mixing profile for kind {spec.kind!r}")
-    tables = {coeff: _value_table(coords, coeff) for coeff in nz}
-    pi = np.asarray([float(p) for p in spec.probs])
-    T = np.asarray([[float(p) for p in row] for row in spec.transition])
-    out = [1.0]
-    for r in range(1, r_max + 1):
-        window = r + 2
-        best = 0.0
-        for combo in itertools.combinations(range(window), r):
-            if combo[0] != 0:
-                continue  # shift invariance: anchor the first support cell
-            for assignment in itertools.product(nz, repeat=r):
-                vec = pi * tables[assignment[0]]
-                prev = combo[0]
-                for cell, coeff in zip(combo[1:], assignment[1:]):
-                    vec = vec @ np.linalg.matrix_power(T, cell - prev)
-                    vec = vec * tables[coeff]
-                    prev = cell
-                best = max(best, float(abs(vec.sum())))
-        out.append(best)
-    return out
-
-
 # -- Cesàro randomization experiments -----------------------------------------
 
 
@@ -787,6 +722,10 @@ def _initial_measure(init, frame, group: FiniteGroup, lo: int, hi: int,
     return star_product_measure(frame, ma, mc)
 
 
+# Most uniform draws per piece of ``_draw``'s reused buffer.
+_DRAW_PIECE = 1 << 16
+
+
 def _draw(rng: np.random.Generator, p: np.ndarray, count: int,
           dtype: np.dtype) -> np.ndarray:
     """``rng.choice(len(p), size=count, p=p)``, the same draws, in ``dtype``.
@@ -801,9 +740,9 @@ def _draw(rng: np.random.Generator, p: np.ndarray, count: int,
     out = np.zeros(count, dtype=dtype)
     # the draws come in cache-sized pieces of one reused buffer; PCG64
     # yields the same stream piece by piece as in one call
-    u = np.empty(min(count, _CHUNK))
-    for start in range(0, count, _CHUNK):
-        part = out[start:start + _CHUNK]
+    u = np.empty(min(count, _DRAW_PIECE))
+    for start in range(0, count, _DRAW_PIECE):
+        part = out[start:start + _DRAW_PIECE]
         draws = rng.random(out=u[:len(part)])
         for edge in cdf[:-1]:   # the last edge is 1.0, above every draw
             part += draws >= edge
@@ -883,9 +822,7 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
         words = out
         probe_sums = []
         for tabs, phase in tables:
-            vals = np.full(m, phase, dtype=np.complex128)
-            for cell, tab in tabs.items():
-                vals *= tab[words[:, cell - out_lo]]
+            vals = _probe_values(tabs, phase, words, out_lo)
             probe_sums.append((vals.sum(), (vals.real ** 2).sum(),
                                (vals.imag ** 2).sum()))
         tv_idx = np.zeros(m, dtype=np.int64)

@@ -7,7 +7,7 @@ the all-zero word has index 0.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -17,16 +17,8 @@ STATE_CAP = 10**7
 ENUMERATION_CAP = 64
 
 
-def word_index(word: Sequence[int], base: int) -> int:
-    """Big-endian index of ``word`` over ``range(base)``."""
-    idx = 0
-    for w in word:
-        idx = idx * base + w
-    return idx
-
-
 def index_word(idx: int, base: int, length: int) -> tuple[int, ...]:
-    """Inverse of :func:`word_index`."""
+    """The ``length``-cell word of big-endian index ``idx`` over ``range(base)``."""
     out = [0] * length
     for t in range(length - 1, -1, -1):
         idx, out[t] = divmod(idx, base)

@@ -1,4 +1,5 @@
-"""Scalar reference implementations of the exhaustive window paths.
+"""Scalar reference implementations of the exhaustive window paths, and
+the functions that only tests call.
 
 Each walks the words of a window one at a time through a scalar evaluator
 (``eval_local`` / ``apply_window`` / ``star_compose`` / :func:`word_weight`),
@@ -10,23 +11,37 @@ reads each finite difference of a fibre composite as a sum of
 its nilpotent tower level by level, one window word at a time.
 ``partition_entropy_oracle`` divides every outcome's weight by the exact
 total and sums the terms with ``math.fsum``.  Property tests compare each
-with the library.  ``point_mass``, ``prob``, ``probs`` and
+with the library.  ``point_mass``, ``prob``, ``probs``, ``word_index`` and
 ``same_distribution`` build and read window measures one word at a time.
+The paper's endomorphism test (``is_homomorphic_local``,
+``extract_eca_coefficients``), ``filling_solve``, ``characters_of``, the
+window sum ``fourier_coefficient`` and ``harmonic_mixing_profile`` check
+the library's permutativity, dual action and ``bernoulli_fourier``.
 """
 import cmath
+import functools
+import itertools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
 
-from mcalab import (Character, Config, FibreRankCheck, McaLabError, McaRule,
-                    NhcaSequence, RecomposeReport, WindowError, WindowMeasure,
-                    abelian_invariants, apply_window, eval_local,
-                    fibre_step_sequence, relative_diffusion_rank, star_compose,
+from mcalab import (Character, Config, FibreRankCheck, GroupMap, McaLabError,
+                    McaRule, NhcaSequence, NotAbelianError,
+                    NotPermutativeError, RecomposeReport, TableInvalidError,
+                    WindowError, WindowMeasure, abelian_invariants,
+                    apply_window, bernoulli_fourier, eval_local,
+                    fibre_step_sequence, local_table, make_cyclic,
+                    permutativity, relative_diffusion_rank, star_compose,
                     star_decompose)
 from mcalab.rules import step_cells
-from mcalab.util import STATE_CAP, check_cap, iter_words, word_index
+from mcalab.util import STATE_CAP, check_cap, digit_planes, iter_words
+
+
+def word_index(word, base: int) -> int:
+    """Big-endian index of ``word`` over ``range(base)`` (``util.index_word``'s inverse)."""
+    return functools.reduce(lambda idx, w: idx * base + w, word, 0)
 
 
 def point_mass(size: int, lo: int, word, group=None) -> WindowMeasure:
@@ -87,17 +102,6 @@ def marginal_oracle(m, lo: int, hi: int) -> list[int]:
     for i, w in enumerate(iter_words(m.size, m.length)):
         out[word_index(w[lo - m.lo: hi - m.lo], m.size)] += int(m.num[i])
     return out
-
-
-def product_oracle(a, b) -> list[int]:
-    """Numerators of the independent product, pair (x, y) -> x·|b| + y."""
-    size = a.size * b.size
-    num = [0] * size ** a.length
-    for i, wa in enumerate(iter_words(a.size, a.length)):
-        for j, wb in enumerate(iter_words(b.size, b.length)):
-            idx = word_index([x * b.size + y for x, y in zip(wa, wb)], size)
-            num[idx] = int(a.num[i]) * int(b.num[j])
-    return num
 
 
 def star_product_oracle(frame, a, c) -> list[int]:
@@ -297,3 +301,224 @@ def tower_apply(tower, config: Config) -> Config:
                                           m + rule.v_hi + 1 - config.offset])
             for m in range(out_lo, out_hi)]
     return Config(rule.group, out_lo, word)
+
+
+# -- the paper's endomorphism test and preimage filling ------------------------
+
+
+def _per_position_maps(rule: McaRule, cap: int) -> list[GroupMap] | None:
+    """Candidate per-position coefficients g_v = g(identity,...,b,...,identity).
+
+    Returns None unless each is an endomorphism.
+    """
+    G = rule.group
+    table = local_table(rule, cap)
+    maps = []
+    for t in range(rule.width):
+        # the word with b at window cell t and the identity elsewhere
+        images = table[np.arange(G.order) * G.order ** (rule.width - 1 - t)]
+        try:
+            maps.append(GroupMap(G, G, images, True))
+        except TableInvalidError:
+            return None
+    return maps
+
+
+def _product_table(rule: McaRule, maps: list[GroupMap], ordering, cap: int) -> np.ndarray:
+    """Local table of the product of per-position maps, taken in ``ordering``."""
+    factors = [(rule.v_lo + t, maps[t]) for t in ordering]
+    return local_table(McaRule(rule.group, rule.v_lo, rule.v_hi, factors), cap)
+
+
+def is_homomorphic_local(rule: McaRule, cap: int = STATE_CAP) -> bool:
+    """Whether the local map B^width -> B is a group homomorphism.
+
+    Uses the factorization criterion: the map is a homomorphism iff its
+    per-position slices are endomorphisms with pairwise commuting images
+    and their ordered product reconstructs the map on every window word.
+    """
+    G = rule.group
+    check_cap(G.order, rule.width, cap, "homomorphism check")
+    if local_table(rule, cap)[0] != 0:
+        return False
+    maps = _per_position_maps(rule, cap)
+    if maps is None:
+        return False
+    images = [np.asarray(m.image_of) for m in maps]
+    for i in range(len(maps)):
+        for j in range(i + 1, len(maps)):
+            # maps[i](x) * maps[j](y) == maps[j](y) * maps[i](x) for all x, y
+            if not np.array_equal(G.table[np.ix_(images[i], images[j])],
+                                  G.table[np.ix_(images[j], images[i])].T):
+                return False
+    recon = _product_table(rule, maps, range(rule.width), cap)
+    return bool(np.array_equal(recon, local_table(rule, cap)))
+
+
+def extract_eca_coefficients(rule: McaRule, cap: int = STATE_CAP) -> list[GroupMap]:
+    """Per-position coefficients of an endomorphic local map.
+
+    Raises unless the map is a homomorphism; re-verifies the product
+    reconstruction in every factor ordering (images commute, so all
+    orderings must agree) when the window is small enough to enumerate.
+    """
+    if not is_homomorphic_local(rule, cap):
+        raise TableInvalidError("local map is not a homomorphism")
+    maps = _per_position_maps(rule, cap)
+    assert maps is not None
+    if rule.width <= 5:
+        tbl = local_table(rule, cap)
+        for ordering in itertools.permutations(range(rule.width)):
+            if not np.array_equal(_product_table(rule, maps, ordering, cap), tbl):
+                raise TableInvalidError(
+                    f"coefficient product disagrees under ordering {ordering}")
+    return maps
+
+
+def _solve_cell(rule: McaRule, window: list[int | None], free_slot: int,
+                target: int, cell_name: int) -> int:
+    """Unique value of window[free_slot] whose window word maps to target."""
+    B = rule.group.order
+    window[free_slot] = 0
+    words = word_index(window, B) + np.arange(B) * B ** (rule.width - 1 - free_slot)
+    hits = np.flatnonzero(local_table(rule)[words] == target)
+    if len(hits) != 1:
+        raise NotPermutativeError(
+            f"cell {cell_name}: {len(hits)} completions instead of 1")
+    return int(hits[0])
+
+
+def filling_solve(op, target: Config, seed: Config) -> Config:
+    """Extend a seed block to the unique preimage of a target block.
+
+    For a (bi)permutative family with overlaps L, R: given the target d on
+    [J..K) and a seed on [j-L .. j+R) for some j in [J..K), there is exactly
+    one configuration on [J-L .. K+R) extending the seed whose image is d.
+    Solving rightward pins cell m+R from d_m (right-permutativity); solving
+    leftward pins cell m-L (left-permutativity, needed only when j > J).
+    """
+    def rule_at(m: int) -> McaRule:
+        return op if isinstance(op, McaRule) else op.rule_at(m)
+
+    some_rule = rule_at(target.lo)
+    L, R = some_rule.left_overlap, some_rule.right_overlap
+    J, K = target.lo, target.hi
+    if K <= J:
+        raise WindowError("target block must be nonempty")
+    j = seed.lo + L
+    if seed.hi - seed.lo != L + R or not (J <= j < K):
+        raise WindowError(
+            f"seed must cover [j-{L} .. j+{R}) for some j in [{J}..{K})")
+    lo, hi = J - L, K + R
+    cells: list[int | None] = [None] * (hi - lo)
+    for t, val in enumerate(seed.word):
+        cells[seed.lo + t - lo] = val
+    # rightward: output cell m determines input cell m+R
+    for m in range(j, K):
+        rule = rule_at(m)
+        if not permutativity(rule).right:
+            raise NotPermutativeError(f"rule at cell {m} is not right-permutative")
+        window = cells[m + rule.v_lo - lo: m + rule.v_hi + 1 - lo]
+        free = rule.width - 1          # cell m + v_hi = m + R
+        val = _solve_cell(rule, list(window), free, target.at(m), m + R)
+        cells[m + R - lo] = val
+    # leftward: output cell m determines input cell m-L
+    for m in range(j - 1, J - 1, -1):
+        rule = rule_at(m)
+        if not permutativity(rule).left:
+            raise NotPermutativeError(f"rule at cell {m} is not left-permutative")
+        window = cells[m + rule.v_lo - lo: m + rule.v_hi + 1 - lo]
+        val = _solve_cell(rule, list(window), 0, target.at(m), m - L)
+        cells[m - L - lo] = val
+    assert all(v is not None for v in cells)
+    result = Config(target.group, lo, cells)
+    # sanity: the filled block maps onto the target
+    block = np.array(result.word[J + op.v_lo - lo: K + op.v_hi - lo], dtype=np.int64)
+    if tuple(step_cells(op, block, J + op.v_lo).tolist()) != target.word:
+        raise NotPermutativeError("internal: filled block does not map to target")
+    return result
+
+
+# -- characters, window Fourier sums and mixing profiles -----------------------
+
+
+def _nonzero_tuples(orders: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Nonzero coefficient tuples against mixed cyclic orders, lex order."""
+    return [t for t in itertools.product(*(range(n) for n in orders)) if any(t)]
+
+
+def characters_of(A, lo: int, hi: int):
+    """All characters supported inside [lo..hi), by rank then lex order."""
+    if not A.is_abelian:
+        raise NotAbelianError("characters need an abelian group")
+    coords = abelian_invariants(A)
+    nz = _nonzero_tuples(coords.orders)
+    yield Character(coords.orders, (), 1.0 + 0j, coords)
+    for r in range(1, hi - lo + 1):
+        for combo in itertools.combinations(range(lo, hi), r):
+            for assignment in itertools.product(nz, repeat=r):
+                yield Character(coords.orders, tuple(zip(combo, assignment)),
+                                1.0 + 0j, coords)
+
+
+def fourier_coefficient(chi: Character, m: WindowMeasure, coords=None,
+                        cap: int = STATE_CAP) -> complex:
+    """<chi, m> = Σ_w m[w]·chi(w) over every word of the window, which must
+    hold the support; each weight is the correctly rounded float of its
+    ``Fraction``."""
+    coords = coords or chi.coords
+    if coords is None and m.group is not None:
+        coords = abelian_invariants(m.group)
+    tabs = chi.cell_values(coords) if chi.support else {}
+    for cell in tabs:
+        if not (m.lo <= cell < m.hi):
+            raise WindowError(f"support cell {cell} outside [{m.lo}..{m.hi})")
+    check_cap(m.size, m.length, cap, "fourier sum")
+    total = m.size ** m.length
+    digits = digit_planes(np.arange(total, dtype=np.int64), m.size, m.length)
+    vals = np.full(total, chi.phase, dtype=np.complex128)
+    for cell, tab in tabs.items():
+        vals *= tab[digits[:, cell - m.lo]]
+    weights = np.array([float(p) for p in probs(m)], dtype=np.float64)
+    return complex((vals * weights).sum())
+
+
+def harmonic_mixing_profile(spec, r_max: int, group=None) -> list[float]:
+    """Max |<chi, μ>| per character rank r ≤ r_max (decay ⇒ mixing evidence).
+
+    Bernoulli: the single-cell maximum to the r-th power (exact
+    factorization).  Markov: exact transfer-matrix products over all
+    supports inside a window of r + 2 cells, which bounds the gap
+    structure at desk scale.
+    """
+    coords = abelian_invariants(group if group is not None else make_cyclic(spec.size))
+    nz = _nonzero_tuples(coords.orders)
+    chars = {coeff: Character(coords.orders, ((0, coeff),), coords=coords)
+             for coeff in nz}
+    if spec.kind in ("uniform", "bernoulli"):
+        dist = spec.cell_distribution()
+        best = max((abs(bernoulli_fourier(chi, dist)) for chi in chars.values()),
+                   default=0.0)
+        return [1.0] + [best ** r for r in range(1, r_max + 1)]
+    if spec.kind != "markov":
+        raise McaLabError(f"no mixing profile for kind {spec.kind!r}")
+    tables = {coeff: chi.cell_values()[0] for coeff, chi in chars.items()}
+    pi = np.asarray([float(p) for p in spec.probs])
+    T = np.asarray([[float(p) for p in row] for row in spec.transition])
+    out = [1.0]
+    for r in range(1, r_max + 1):
+        window = r + 2
+        best = 0.0
+        for combo in itertools.combinations(range(window), r):
+            if combo[0] != 0:
+                continue  # shift invariance: anchor the first support cell
+            for assignment in itertools.product(nz, repeat=r):
+                vec = pi * tables[assignment[0]]
+                prev = combo[0]
+                for cell, coeff in zip(combo[1:], assignment[1:]):
+                    vec = vec @ np.linalg.matrix_power(T, cell - prev)
+                    vec = vec * tables[coeff]
+                    prev = cell
+                best = max(best, float(abs(vec.sum())))
+        out.append(best)
+    return out

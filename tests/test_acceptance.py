@@ -15,16 +15,15 @@ import pytest
 
 from mcalab import (Character, GroupMap, McaRule, MeasureSpec, Probe,
                     WindowMeasure, abelian_invariants, cesaro_randomization,
-                    characters_of, cocycle_zeta, decompose_mca,
-                    diffusion_report, dual_action, eval_local,
-                    fourier_coefficient, harmonic_mixing_profile,
-                    is_nilpotent, LinearRuleDual, make_cyclic,
-                    make_direct_sum, permutativity, push_forward,
+                    cocycle_zeta, decompose_mca, diffusion_report,
+                    dual_action, eval_local, is_nilpotent, LinearRuleDual,
+                    make_cyclic, make_direct_sum, permutativity, push_forward,
                     recompose_check, skew_entropy, split_endo, star_compose,
                     star_decompose, trajectory_joint_distribution,
                     trajectory_partition_entropy, upper_central_series)
 
-from oracles import probs
+from oracles import (characters_of, fourier_coefficient,
+                     harmonic_mixing_profile, probs)
 
 
 def test_criterion_01_quaternion_central_series(q8):

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from mcalab import (CapExceededError, MeasureSpec, cesaro_randomization, cli,
-                    fourier_coefficient, make_quaternion)
+                    make_quaternion)
 from mcalab.cli import build_parser, main
 from mcalab.rules import local_table
 from mcalab.specs import load_experiment, parse_character, parse_measure
+
+from oracles import fourier_coefficient
 
 ROOT = Path(__file__).resolve().parent.parent
 DOUBLING_MOD7 = [[(pow(2, c, 7) * a) % 7 for a in range(7)] for c in range(3)]

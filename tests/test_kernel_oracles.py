@@ -1,6 +1,6 @@
 """The table-lookup window kernel against the scalar oracles in ``oracles``.
 
-Every exhaustive path (push-forward, marginal, the two product measures,
+Every exhaustive path (push-forward, marginal, the star product measure,
 trajectory laws, recomposition) is compared exactly with a word-by-word
 enumeration through ``eval_local``/``apply_window``/``star_compose``, on
 random rules over Q8, Z/5⋊Z/4 and S3 = Z/3⋊Z/2.  The array dual action
@@ -22,7 +22,7 @@ from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
                     decompose_mca, diffusion_report, dual_action,
                     enumerate_endomorphisms, fibre_rank_independence,
                     make_cyclic, make_direct_sum, make_frame, make_quaternion,
-                    make_semidirect, product_measure, push_forward,
+                    make_semidirect, push_forward,
                     recompose_check, star_product_measure,
                     trajectory_joint_distribution,
                     trajectory_partition_entropy)
@@ -32,7 +32,7 @@ from mcalab.rules import step_cells
 from mcalab.util import iter_words
 
 from oracles import (dual_action_oracle, fibre_rank_oracle, marginal_oracle,
-                     partition_entropy_oracle, probs, product_oracle,
+                     partition_entropy_oracle, probs,
                      push_forward_oracle, recompose_oracle,
                      star_product_oracle, trajectory_oracle, word_weight)
 
@@ -209,9 +209,6 @@ def test_products_match_oracle(data, name, seed):
     lo = data.draw(st.integers(-2, 2))
     a = random_measure(seed, A, lo, length)
     c = random_measure(seed + 1, C, lo, length)
-    prod = product_measure(a, c)
-    assert (prod.size, prod.den) == (A * C, a.den * c.den)
-    assert prod.num.tolist() == product_oracle(a, c)
     star = star_product_measure(fr, a, c)
     assert (star.size, star.den, star.group) == (fr.B.order, a.den * c.den, fr.B)
     assert star.num.tolist() == star_product_oracle(fr, a, c)

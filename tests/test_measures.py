@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mcalab import (Config, GroupMap, McaLabError, McaRule, MeasureSpec,
                     NhcaSequence, NotPermutativeError, WindowError, WindowMeasure,
                     decompose_mca, fibre_trajectory_entropy, formula_entropy,
-                    make_cyclic, partition_entropy, product_measure,
+                    make_cyclic, partition_entropy,
                     push_forward, skew_entropy, star_compose,
                     star_product_measure, trajectory_joint_distribution,
                     trajectory_partition_entropy)
@@ -197,17 +197,6 @@ def test_fibre_entropy_at_one_step_is_the_window_entropy(x1_rule, z20_frame):
     rel = fibre_trajectory_entropy(dec, lam, MeasureSpec("uniform", 4), 1)
     window = lam.window_measure(-x1_rule.left_overlap, x1_rule.right_overlap)
     assert rel == pytest.approx(window.entropy_bits(), abs=1e-9)
-
-
-def test_product_measure_is_independent():
-    a = bern_point_nine().window_measure(0, 2)
-    b = WindowMeasure.uniform(3, 0, 2)
-    prod = product_measure(a, b)
-    assert prod.size == 6
-    assert sum(probs(prod)) == 1
-    # pair (x, y) encodes as x*3 + y cellwise
-    word = (0 * 3 + 1, 1 * 3 + 2)
-    assert prob(prod, word) == prob(a, (0, 1)) * prob(b, (1, 2))
 
 
 def test_star_product_measure_lands_on_cosets(z20_frame):

@@ -1,8 +1,9 @@
 """The package namespace: each public name is declared once, in its module,
-the scalar local-map evaluator stays inside ``rules``, and character rows
-inside ``spectral``."""
+and each public function is reached outside the tests; the scalar evaluator
+stays inside ``rules``, and character rows inside ``spectral``."""
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import mcalab
 
 MODULES = ("groups", "pseudo", "rules", "decompose", "measures", "spectral",
            "specs", "errors")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_package_exports_exactly_the_modules_public_names():
@@ -46,13 +48,54 @@ def test_only_rules_names_the_scalar_evaluator():
 def test_only_spectral_reads_character_rows():
     """``Character``'s coefficient rows stay behind ``spectral``: nothing
     else in the library or the benchmark harness reads them."""
-    root = Path(__file__).resolve().parents[1]
     offenders = []
-    for path in sorted([*(root / "src").rglob("*.py"),
-                        *(root / "perfbench").rglob("*.py")]):
+    for path in sorted([*(ROOT / "src").rglob("*.py"),
+                        *(ROOT / "perfbench").rglob("*.py")]):
         if path.name == "spectral.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and node.attr in ("_cells", "_coeffs"):
-                offenders.append(f"{path.relative_to(root)}:{node.lineno} {node.attr}")
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.attr}")
     assert not offenders
+
+
+
+
+def _names_used(tree: ast.AST, strings: bool = False) -> set[str]:
+    """Names, attributes and imported names in ``tree``; with ``strings``,
+    also the parts of each dotted-identifier string, such as a name the
+    benchmark tracer wraps."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+            used.add(node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute) else node.name)
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and all(part.isidentifier() for part in node.value.split("."))):
+            used.update(node.value.split("."))
+    return used
+
+
+def test_every_public_function_is_reached_outside_the_tests():
+    """Each function in a module's ``__all__`` is reached from ``demos/``,
+    ``perfbench/`` or ``src/`` code outside the public functions; a reference
+    inside one counts once that function is reached, so test-only API
+    cannot grow back, alone or in a chain.  Classes are exempt: they are the
+    types reachable functions return."""
+    package = Path(mcalab.__file__).parent
+    public = {name for name in mcalab.__all__
+              if inspect.isfunction(getattr(mcalab, name))}
+    reached, bodies = set(), {}
+    for path in [*(ROOT / "demos").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        reached |= _names_used(ast.parse(path.read_text()), strings=True)
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name in public:
+                bodies[node.name] = _names_used(node)
+            else:
+                reached |= _names_used(node)
+    while any(not bodies[name] <= reached for name in public & reached):
+        for name in public & reached:
+            reached |= bodies[name]
+    unreached = sorted(public - reached)
+    assert not unreached, f"only tests reach {unreached}"

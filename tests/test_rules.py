@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from mcalab import (Config, GroupMap, McaRule, NhcaSequence,
                     PermutativityFlags, TableInvalidError, WindowError,
-                    apply_periodic,
-                    apply_window, eval_local, extract_eca_coefficients,
-                    filling_solve, is_bipermutative, is_homomorphic_local,
-                    local_table, make_cyclic, permutativity)
+                    apply_window, eval_local, is_bipermutative, local_table,
+                    make_cyclic, permutativity)
+
+from oracles import (extract_eca_coefficients, filling_solve,
+                     is_homomorphic_local)
 
 
 def linear_rule(n, coeffs, v_lo=0, bias=0, one_sided=False, G=None):
@@ -84,30 +85,6 @@ def test_apply_window_shrinks_to_empty():
     rule = linear_rule(2, [1, 1, 1])
     out = apply_window(rule, Config(rule.group, 0, (1, 0)))
     assert out.word == ()
-
-
-def test_apply_periodic_commutes_with_rotation():
-    rule = linear_rule(5, [2, 3], v_lo=-1)
-    word = (0, 3, 1, 4, 2, 2)
-    out = apply_periodic(rule, Config(rule.group, 0, word))
-    rot = word[1:] + word[:1]
-    out_rot = apply_periodic(rule, Config(rule.group, 0, rot))
-    assert out_rot.word == out.word[1:] + out.word[:1]
-
-
-@pytest.mark.parametrize("coeffs, v_lo, word", [
-    ([2, 3], 1, (0, 3, 1, 4, 2, 2)),          # window excludes cell 0
-    ([1, 4, 2, 3, 1], -2, (4, 1, 3)),         # window wider than the block
-    ([3, 2], -1, (2,)),
-])
-def test_apply_periodic_matches_the_modular_formula(coeffs, v_lo, word):
-    rule = linear_rule(5, coeffs, v_lo=v_lo, bias=1)
-    n = len(word)
-    out = apply_periodic(rule, Config(rule.group, 7, word))
-    want = tuple(eval_local(rule, [word[(t + v) % n]
-                                   for v in range(rule.v_lo, rule.v_hi + 1)])
-                 for t in range(n))
-    assert (out.lo, out.word) == (7, want)
 
 
 def test_nhca_per_cell_rules():

@@ -9,14 +9,14 @@ import pytest
 from mcalab import (Character, GroupMap, LinearRuleDual, McaLabError, McaRule,
                     MeasureSpec, Probe, WindowMeasure, abelian_invariants,
                     bernoulli_fourier, central_split, cesaro_randomization,
-                    characters_of, decompose_mca, diffusion_report,
-                    dual_action, fibre_rank_independence, fourier_coefficient,
-                    harmonic_mixing_profile, make_cyclic, make_direct_sum,
+                    decompose_mca, diffusion_report, dual_action,
+                    fibre_rank_independence, make_cyclic, make_direct_sum,
                     push_forward, relative_diffusion_rank,
                     star_product_measure)
 from mcalab import spectral
 
-from oracles import point_mass, prob
+from oracles import (characters_of, fourier_coefficient,
+                     harmonic_mixing_profile, point_mass, prob)
 
 
 def xor_rule():
@@ -106,6 +106,18 @@ def test_character_construction_checks_its_support():
         Character((4,), ((0, (1, 1)),))
     with pytest.raises(McaLabError, match="must be nonzero"):
         Character((4,), ((3, (8,)),))
+
+
+def test_character_refuses_cells_and_coefficients_that_are_not_integers():
+    # a float or bool cell would land on cell 1, and a float coefficient
+    # would be truncated to 1
+    for cell in (1.5, True):
+        with pytest.raises(McaLabError, match=f"support cell {cell} is not an integer"):
+            Character((2,), ((cell, (1,)),))
+    for coeff in (1.5, True):
+        with pytest.raises(McaLabError, match="are not all integers"):
+            Character((4,), ((0, (coeff,)),))
+    assert Character((4,), ((np.int64(3), (np.int64(3),)),)) == Character((4,), ((3, (3,)),))
 
 
 def test_character_refuses_cells_outside_int64():
@@ -483,7 +495,7 @@ def test_sampled_words_are_the_draws_of_generator_choice(q8_center_frame):
         assert got.dtype == np.uint8
         assert np.array_equal(got, choice(np.random.default_rng(3), spec))
     # more draws than one piece of the draw buffer holds
-    many = 2 * spectral._CHUNK // length + 5
+    many = 2 * spectral._DRAW_PIECE // length + 5
     got = spectral._sample_words(spec, None, make_cyclic(20), length,
                                  np.random.default_rng(4), many)
     assert np.array_equal(got, choice(np.random.default_rng(4), spec, many))

@@ -209,7 +209,9 @@ class MeasureSpec:
             num = (num.reshape(-1, self.size, 1) * step).ravel()
         # lowest common denominator of the word probabilities
         g = math.gcd(den, int(np.gcd.reduce(num)))
-        return WindowMeasure(self.size, lo, hi, _frozen(num // g), den // g, group)
+        if g > 1:
+            num //= g
+        return WindowMeasure(self.size, lo, hi, _frozen(num), den // g, group)
 
     def shift_entropy_bits(self) -> float:
         """Entropy rate of the shift in bits per cell, in closed form."""
@@ -329,6 +331,18 @@ def _observed_weights(m: WindowMeasure, steps: Sequence, windows: Sequence,
     return acc
 
 
+def _tail_cells(size: int, length: int) -> int:
+    """Most trailing cells whose words fit in one chunk of ``_CHUNK`` words.
+
+    A chunk of a ``length``-cell window fixes the other, leading cells and
+    runs through every word of these tail cells.
+    """
+    low = 0
+    while low < length and size ** (low + 1) <= _CHUNK:
+        low += 1
+    return low
+
+
 def _observation_keys(m: WindowMeasure, steps: Sequence, windows: Sequence,
                       cap: int) -> Iterator[tuple[slice, np.ndarray]]:
     """Observation word of each input word of m, a chunk of words at a time.
@@ -338,10 +352,7 @@ def _observation_keys(m: WindowMeasure, steps: Sequence, windows: Sequence,
     of input word indices and the big-endian index of each observation.
     """
     s, length = m.size, m.length
-    # a chunk fixes the leading cells and runs through every tail word
-    low = 0
-    while low < length and s ** (low + 1) <= _CHUNK:
-        low += 1
+    low = _tail_cells(s, length)
     # cell-major: tail[t] is cell t of every tail word
     tail = np.ascontiguousarray(digit_planes(np.arange(s ** low), s, low).T,
                                 dtype=cell_dtype(s))
@@ -511,19 +522,39 @@ def fibre_trajectory_entropy(dec, lambda_spec: MeasureSpec,
 def star_product_measure(frame, a: WindowMeasure, c: WindowMeasure) -> WindowMeasure:
     """Product of fibre and base measures, carried onto the big group.
 
-    Both factors must live on the same window.  Cellwise, the pair (x, y)
-    becomes the group element x⋆y = ``frame.b_of[x, y]``, giving a measure
-    on words over B; exact.  A star word weighs a.num times c.num of its
-    two coordinate words; one gather moves the outer product into place.
+    Both factors must live on the same window, ``a`` over the frame's A and
+    ``c`` over its C.  Cellwise, the pair (x, y) becomes the group element
+    x⋆y = ``frame.b_of[x, y]``, giving a measure on words over B; exact.  A
+    star word weighs a.num times c.num of its two coordinate words.  The
+    output is filled in place a chunk at a time: a chunk fixes the leading
+    cells, and the coordinate-word indices of the tail words, computed
+    once, are shifted by the leading cells' offsets.
     """
     if (a.lo, a.hi) != (c.lo, c.hi):
         raise WindowError("product factors must share the window")
+    A, C, B = frame.a_group.order, frame.C.order, frame.B.order
+    if (a.size, c.size) != (A, C):
+        raise McaLabError(f"star product needs factors over |A| = {A} and "
+                          f"|C| = {C}, got sizes {a.size} and {c.size}")
     n, den = a.length, a.den * c.den
-    joint = np.multiply.outer(a.num, c.num, dtype=_weight_dtype(den))
-    joint = joint.reshape((a.size,) * n + (c.size,) * n)
-    # the (x, y) pair behind each element of B, broadcast along its own cell axis
-    xs, ys = np.divmod(np.argsort(frame.b_of, axis=None), frame.C.order)
-    index = tuple(v.reshape([-1 if u == t else 1 for u in range(n)])
-                  for v in (xs, ys) for t in range(n))
-    num = np.reshape(joint[index], -1)
-    return WindowMeasure(frame.B.order, a.lo, a.hi, _frozen(num), den, frame.B)
+    dtype = _weight_dtype(den)
+    low = _tail_cells(B, n)
+    tail_x, tail_y = _coordinate_indices(frame, low)
+    head_x, head_y = _coordinate_indices(frame, n - low)
+    words = B ** low
+    num = np.empty(B ** n, dtype=dtype)
+    for head, (hx, hy) in enumerate(zip((head_x * A ** low).tolist(),
+                                        (head_y * C ** low).tolist())):
+        np.multiply(a.num[tail_x + hx], c.num[tail_y + hy],
+                    out=num[head * words:(head + 1) * words], dtype=dtype)
+    return WindowMeasure(B, a.lo, a.hi, _frozen(num), den, frame.B)
+
+
+def _coordinate_indices(frame, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the A-word and of the C-word behind each B-word of ``cells``
+    cells, in B-word index order."""
+    x = y = np.zeros(1, dtype=np.int64)
+    for _ in range(cells):
+        x = (x[:, None] * frame.a_group.order + frame.a_part).ravel()
+        y = (y[:, None] * frame.C.order + frame.c_part).ravel()
+    return x, y

@@ -205,21 +205,27 @@ def _pairing(tabs: dict[int, np.ndarray], phase: complex, m: WindowMeasure,
     """Σ_w m[w]·phase·Π_cell tabs[cell][w_cell], summed in word-index order.
 
     ``tabs`` maps a cell to its complex values over the alphabet; each
-    weight is the correctly rounded float of num/den.
+    weight is the correctly rounded float of num/den.  The cells of every
+    word are held in the cell dtype, and the weights multiply the probe
+    values in place before the one sum.
     """
     for cell in tabs:
         if not (m.lo <= cell < m.hi):
             raise WindowError(f"support cell {cell} outside [{m.lo}..{m.hi})")
     check_cap(m.size, m.length, cap, "fourier sum")
-    total = m.size ** m.length
-    digits = (digit_planes(np.arange(total, dtype=np.int64), m.size, m.length)
-              if tabs else np.empty((total, 0), dtype=np.int64))
-    vals = _probe_values(tabs, phase, digits, m.lo)
+    s, length = m.size, m.length
+    # digits[w_0, …, w_{ℓ-1}, t] = w_t: cell t's digit runs along axis t
+    digits = np.empty((s,) * length + (length,), dtype=cell_dtype(s))
+    for t in range(length):
+        digits[..., t] = np.arange(s, dtype=digits.dtype).reshape(
+            [-1 if u == t else 1 for u in range(length)])
+    vals = _probe_values(tabs, phase, digits.reshape(s ** length, length), m.lo)
     # one float division rounds correctly only while num and den are exact
     # in binary64; past 2**53 divide the Python ints instead
     weights = (m.num / m.den if m.den <= 2 ** 53
                else np.array([n / m.den for n in m.num.tolist()], dtype=np.float64))
-    return complex((vals * weights).sum())
+    vals *= weights
+    return complex(vals.sum())
 
 
 def _probe_values(tabs: dict[int, np.ndarray], phase: complex, words: np.ndarray,

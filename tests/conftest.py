@@ -1,8 +1,26 @@
 """Shared groups, rules, and frames used across the test modules."""
+import tracemalloc
+
 import pytest
 
 from mcalab import (GroupMap, McaRule, Subgroup, center, make_frame,
                     make_quaternion, make_semidirect, make_cyclic)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak bytes traced while it ran)``.
+
+    numpy reports its array buffers to ``tracemalloc``, so the peak counts
+    every array the call allocates, whatever the host; memory alive before
+    the call is not counted.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def doubling_action(n: int, order: int) -> list[list[int]]:

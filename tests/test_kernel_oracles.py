@@ -26,7 +26,7 @@ from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
                     recompose_check, star_product_measure,
                     trajectory_joint_distribution,
                     trajectory_partition_entropy)
-from mcalab import spectral
+from mcalab import measures, spectral
 from mcalab.errors import WindowError
 from mcalab.rules import step_cells
 from mcalab.util import iter_words
@@ -200,18 +200,36 @@ def test_cell_major_step_cells_matches_apply_window(name, window, code,
     assert step_cells(op, words.T[:width - 1], lo).shape == (0, len(words))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data(), group_names, st.integers(0, 2**32 - 1))
-def test_products_match_oracle(data, name, seed):
+def assert_product_matches_oracle(data, name, seed, scale=1):
     fr = frame(name)
     A, C = fr.a_group.order, fr.C.order
     length = data.draw(st.integers(0, max_len(fr.B.order)))
     lo = data.draw(st.integers(-2, 2))
-    a = random_measure(seed, A, lo, length)
+    a = random_measure(seed, A, lo, length, scale)
     c = random_measure(seed + 1, C, lo, length)
     star = star_product_measure(fr, a, c)
     assert (star.size, star.den, star.group) == (fr.B.order, a.den * c.den, fr.B)
+    assert star.num.dtype == (object if star.den >= 2**62 else np.int64)
     assert star.num.tolist() == star_product_oracle(fr, a, c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), group_names, st.integers(0, 2**32 - 1))
+def test_products_match_oracle(data, name, seed):
+    assert_product_matches_oracle(data, name, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@settings(max_examples=30, deadline=None)
+@given(st.data(), group_names, st.integers(0, 2**32 - 1), st.booleans())
+def test_products_match_oracle_across_chunks(chunk, data, name, seed, big):
+    """A chunk of one word, or of 7 (no power of any |B|), fills the star
+    product in many pieces; a fibre factor whose denominator passes 2**62
+    takes the same route in Python ints."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_CHUNK", chunk)
+        assert_product_matches_oracle(data, name, seed,
+                                      2**62 + 2**31 + 1 if big else 1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -18,10 +18,12 @@ from mcalab import (Config, GroupMap, McaLabError, McaRule, MeasureSpec,
                     trajectory_partition_entropy)
 from mcalab import measures
 
+from conftest import traced_peak
 from oracles import (partition_entropy_oracle, point_mass, prob, probs,
                      same_distribution, trajectory_oracle)
 
 HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
+EIGHTH = Fraction(1, 8)
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -208,6 +210,36 @@ def test_star_product_measure_lands_on_cosets(z20_frame):
     for cc in range(4):
         assert prob(m, (star_compose(frame, 2, cc),)) == Fraction(1, 4)
     assert sum(probs(m)) == 1
+
+
+@pytest.mark.parametrize("sizes", [(4, 5), (4, 4), (5, 5), (6, 4)])
+def test_star_product_refuses_factors_over_the_wrong_alphabet(z20_frame, sizes):
+    a, c = (WindowMeasure.uniform(size, 0, 2) for size in sizes)
+    with pytest.raises(McaLabError, match=rf"\|A\| = 5 and \|C\| = 4, "
+                                          rf"got sizes {sizes[0]} and {sizes[1]}"):
+        star_product_measure(z20_frame, a, c)
+
+
+def test_star_product_holds_one_full_window(z20_frame):
+    """The metacyclic demo's laws on its widest exact window (20^5 words):
+    past its output the star product allocates only chunk-sized scratch
+    and the validation's masks."""
+    frame = z20_frame
+    a = MeasureSpec("uniform", 5).window_measure(0, 5, frame.a_group)
+    c = MeasureSpec("bernoulli", 4, probs=[HALF, QUARTER, EIGHTH, EIGHTH]
+                    ).window_measure(0, 5, frame.C)
+    m, peak = traced_peak(star_product_measure, frame, a, c)
+    assert (m.num.dtype, m.num.size, m.den) == (np.int64, 20 ** 5, 40 ** 5)
+    assert peak <= 1.25 * m.num.nbytes
+
+
+def test_bernoulli_window_holds_one_full_window(z20):
+    """A 20-symbol Bernoulli window of 5 cells: no copy of the weights is
+    made to divide them by their gcd."""
+    spec = MeasureSpec("bernoulli", 20, probs=[Fraction(k, 210) for k in range(1, 21)])
+    m, peak = traced_peak(spec.window_measure, 0, 5, z20)
+    assert (m.num.dtype, m.num.size, m.den) == (np.int64, 20 ** 5, 210 ** 5)
+    assert peak <= 1.25 * m.num.nbytes
 
 
 def test_partition_entropy_accepts_plain_weights():

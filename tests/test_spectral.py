@@ -14,7 +14,9 @@ from mcalab import (Character, GroupMap, LinearRuleDual, McaLabError, McaRule,
                     push_forward, relative_diffusion_rank,
                     star_product_measure)
 from mcalab import spectral
+from mcalab.util import STATE_CAP
 
+from conftest import traced_peak
 from oracles import (characters_of, fourier_coefficient,
                      harmonic_mixing_profile, point_mass, prob)
 
@@ -601,3 +603,22 @@ def test_product_probe_composes_fibre_and_base_decay(quat_rule4,
     assert gaps[0] == pytest.approx(0.16, abs=1e-12)
     assert gaps[1] <= 0.01
     assert gaps[2] <= gaps[1]
+
+
+def test_pairing_holds_cell_digits(z20, z20_frame):
+    """A probe on two cells against a product law on the metacyclic demo's
+    widest exact window (20^5 words): the digits of every word take the
+    cell dtype and the weights multiply the values in place, so the traced
+    peak stays under 150 MB, and the sum keeps every bit."""
+    frame = z20_frame
+    halves = [Fraction(1, 2 ** k) for k in (1, 2, 3, 4, 4)]
+    lam = MeasureSpec("bernoulli", 5, probs=halves)
+    nu = MeasureSpec("bernoulli", 4, probs=halves[:2] + [Fraction(1, 8)] * 2)
+    m = star_product_measure(frame, lam.window_measure(0, 5, frame.a_group),
+                             nu.window_measure(0, 5, frame.C))
+    alpha = Character.make(abelian_invariants(frame.a_group), {0: (1,)})
+    phi = Character.make(abelian_invariants(frame.C), {1: (1,)})
+    tabs, phase = Probe("s", alpha, phi).value_tables(z20, frame)
+    value, peak = traced_peak(spectral._pairing, tabs, phase, m, STATE_CAP)
+    assert peak <= 150 * 2 ** 20
+    assert repr(value) == "(0.13994646222712306+0.13625701868971637j)"

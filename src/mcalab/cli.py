@@ -26,10 +26,10 @@ from .rules import permutativity
 from .measures import trajectory_partition_entropy
 from .decompose import decompose_mca, nilpotent_tower
 from .spectral import LinearRuleDual, cesaro_randomization, diffusion_report
-from .specs import (ExperimentConfig, _is_int, _need, _read_config,
+from .specs import (ExperimentConfig, _need, _read_config,
                     load_experiment, parse_character, parse_measure,
                     parse_probe)
-from .util import STATE_CAP
+from .util import STATE_CAP, is_integer
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def _int_param(cfg: ExperimentConfig, key: str, default=None, least: int | None 
     val = cfg.param(key, default)
     items = val if many and isinstance(val, list) else [val]
     if (many and not isinstance(val, list)) or not all(
-            _is_int(x) and (least is None or x >= least) for x in items):
+            is_integer(x) and (least is None or x >= least) for x in items):
         kind = {0: "non-negative integer", 1: "positive integer", None: "integer"}[least]
         need = f"a list of {kind}s" if many else f"a {kind}"
         raise SpecError(f"config.{key}: need {need}")

@@ -105,10 +105,7 @@ class SkewDecomposition:
         for (pos, _), phi, k in zip(reversed(rule.factors), reversed(phis),
                                     reversed(consts)):
             suffix = A.mul(k, suffix)
-            inv_s = A.inv(suffix)
-            conj_t = GroupMap(
-                A, A, [A.mul(A.mul(inv_s, phi(x)), suffix) for x in A.elements()],
-                True, _trusted=True)
+            conj_t = self._conj_by(fr.a_embed[A.inv(suffix)]).compose(phi)
             new_factors.append((pos, conj_t))
         new_factors.reverse()
         bias = A.mul(self.bias_a, suffix)
@@ -362,9 +359,7 @@ def nilpotent_tower(rule: McaRule, cap: int = STATE_CAP) -> NilpotentTower:
     tbl = local_table(cur, cap)
     for lev in reversed(levels):
         fr, width = lev.frame, rule.width
-        words = digit_planes(np.arange(fr.B.order ** width), fr.B.order, width)
-        a_idx = np.ravel_multi_index(fr.a_part[words].T, (fr.a_group.order,) * width)
-        c_idx = np.ravel_multi_index(fr.c_part[words].T, (fr.C.order,) * width)
+        a_idx, c_idx = fr.word_indices(width)
         fibres = _fibre_tables(lev.decomposition, iter_words(fr.C.order, width), cap)
         tbl = fr.b_of[fibres[c_idx, a_idx], tbl[c_idx]]
     bad = np.flatnonzero(tbl != local_table(rule, cap))

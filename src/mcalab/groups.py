@@ -1,9 +1,10 @@
 """Finite groups as explicit multiplication tables.
 
 Elements are integer indices ``0..order-1`` with the identity always at
-index 0 (constructors relabel if needed).  Tables are validated exhaustively
-on construction: closure, associativity, identity, inverses, and the row/
-column permutation property, with error messages naming the first witness.
+index 0 (constructors relabel if needed).  Every table is validated on
+construction: closure, identity, the row/column permutation property (hence
+inverses) and associativity by Light's test, with error messages naming a
+witness.  Derived tables are gathers of their parent's table.
 """
 from __future__ import annotations
 
@@ -59,19 +60,14 @@ class FiniteGroup:
     ``labels`` are distinct strings, ``str(k)`` for element k by default.
     """
 
-    def __init__(self, table: np.ndarray, labels: list[str] | None = None, *, _validated: bool = False):
+    def __init__(self, table: np.ndarray, labels: list[str] | None = None):
         table = np.asarray(table, dtype=np.int64)
-        if not _validated:
-            _validate_table(table)
+        _validate_table(table)
         self.order: int = int(table.shape[0])
         self.table: np.ndarray = table
         self.table.setflags(write=False)
         self.identity_index: int = 0
-        inv = np.empty(self.order, dtype=np.int64)
-        for a in range(self.order):
-            hits = np.flatnonzero(table[a] == 0)
-            inv[a] = hits[0]
-        self.inverse: np.ndarray = inv
+        self.inverse: np.ndarray = (table == 0).argmax(axis=1)
         self.inverse.setflags(write=False)
         labels = [str(k) for k in range(self.order)] if labels is None else list(labels)
         if (len(labels) != self.order or len(set(labels)) != self.order
@@ -147,7 +143,8 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _validate_table(table: np.ndarray) -> None:
+def _check_entries(table: np.ndarray) -> None:
+    """A nonempty square table of entries in 0..n-1."""
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise TableInvalidError(f"table must be square, got shape {table.shape}")
     n = table.shape[0]
@@ -155,24 +152,52 @@ def _validate_table(table: np.ndarray) -> None:
         raise InvalidOrderError("group order must be positive")
     if table.min() < 0 or table.max() >= n:
         bad = np.argwhere((table < 0) | (table >= n))[0]
-        raise TableInvalidError(f"entry at {tuple(bad)} is outside 0..{n-1}")
-    # rows and columns are permutations (Latin square)
+        raise TableInvalidError(f"entry at {tuple(bad.tolist())} is outside 0..{n-1}")
+
+
+def _validate_table(table: np.ndarray) -> None:
+    _check_entries(table)
+    n = table.shape[0]
+    # rows and columns are permutations (Latin square); the first bad
+    # index is reported, its row before its column
     ar = np.arange(n)
-    for a in range(n):
-        if not np.array_equal(np.sort(table[a]), ar):
-            raise TableInvalidError(f"row {a} is not a permutation")
-        if not np.array_equal(np.sort(table[:, a]), ar):
-            raise TableInvalidError(f"column {a} is not a permutation")
+    bad_row = (np.sort(table, axis=1) != ar).any(axis=1)
+    bad_col = (np.sort(table, axis=0) != ar[:, None]).any(axis=0)
+    if (bad_row | bad_col).any():
+        a = int((bad_row | bad_col).argmax())
+        raise TableInvalidError(
+            f"{'row' if bad_row[a] else 'column'} {a} is not a permutation")
     # identity at index 0
     if not (np.array_equal(table[0], ar) and np.array_equal(table[:, 0], ar)):
         raise TableInvalidError("index 0 is not a two-sided identity")
-    # associativity: table[table[x,y],z] == table[x,table[y,z]]
-    left = table[table]            # left[x,y,z] = (x*y)*z
-    right = table[:, table]        # right[x,y,z] = x*(y*z)
-    if not np.array_equal(left, right):
-        x, y, z = np.argwhere(left != right)[0]
-        raise TableInvalidError(f"associativity fails at ({x},{y},{z})")
+    # Light's associativity test: the g with (x*g)*z == x*(g*z) for all x, z
+    # are closed under products, so it suffices to check a set of g whose
+    # products reach every element.  The set grows from the least element
+    # not yet reached; the reached part is then a subgroup, so each new g
+    # at least doubles it and at most log2(n) checks of n*n entries run.
+    gens: list[int] = []
+    reached = _reached(table, gens)
+    while not reached.all():
+        g = int(reached.argmin())
+        bad = table[table[:, g]] != table[:, table[g]]   # (x*g)*z != x*(g*z)
+        if bad.any():
+            x, z = np.argwhere(bad)[0]
+            raise TableInvalidError(f"associativity fails at ({x},{g},{z})")
+        gens.append(g)
+        reached = _reached(table, gens)
     # inverses exist because rows are permutations and identity exists.
+
+
+def _reached(table: np.ndarray, gens: list[int]) -> np.ndarray:
+    """Mask of the elements reached from the identity by multiplying by
+    ``gens`` on the right (breadth first)."""
+    reached = np.arange(len(table)) == 0
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        before = reached.copy()
+        reached[table[np.ix_(frontier, np.asarray(gens, dtype=np.int64))]] = True
+        frontier = np.flatnonzero(reached & ~before)
+    return reached
 
 
 # -- maps ------------------------------------------------------------------
@@ -266,15 +291,22 @@ class Subgroup:
         ms = tuple(sorted(set(int(m) for m in members)))
         if not ms or ms[0] != 0:
             raise TableInvalidError("subgroup must contain the identity")
-        mset = set(ms)
-        for a in ms:
-            if parent.inv(a) not in mset:
-                raise TableInvalidError(f"subgroup not closed under inverse at {a}")
-            for b in ms:
-                if parent.mul(a, b) not in mset:
-                    raise TableInvalidError(f"subgroup not closed at ({a},{b})")
+        idx = np.array(ms)
+        mask = np.zeros(parent.order, dtype=bool)
+        mask[idx] = True
+        # the first bad member, its inverse checked before its products
+        bad_inv = ~mask[parent.inverse[idx]]
+        bad_mul = ~mask[parent.table[np.ix_(idx, idx)]]
+        bad = bad_inv | bad_mul.any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            if bad_inv[i]:
+                raise TableInvalidError(f"subgroup not closed under inverse at {ms[i]}")
+            raise TableInvalidError(
+                f"subgroup not closed at ({ms[i]},{ms[int(bad_mul[i].argmax())]})")
         self.members = ms
-        self._member_set = mset
+        self._member_set = set(ms)
+        self._mask = mask
 
     @property
     def order(self) -> int:
@@ -291,18 +323,19 @@ class Subgroup:
         members are sorted and contain 0.
         """
         embed = list(self.members)
-        back = {p: i for i, p in enumerate(embed)}
-        n = len(embed)
-        table = np.empty((n, n), dtype=np.int64)
-        for i, a in enumerate(embed):
-            for j, b in enumerate(embed):
-                table[i, j] = back[self.parent.mul(a, b)]
+        back = np.zeros(self.parent.order, dtype=np.int64)
+        back[embed] = np.arange(len(embed))
+        table = back[self.parent.table[np.ix_(embed, embed)]]
         return FiniteGroup(table, [self.parent.label(p) for p in embed]), embed
 
-    def is_normal(self) -> bool:
+    def _escapes(self) -> np.ndarray:
+        """``[g, i]`` is True where g * members[i] * g^-1 leaves the subgroup."""
         G = self.parent
-        return all(G.conjugate(g, x) in self._member_set
-                   for g in G.elements() for x in self.members)
+        conj = G.table[G.table[:, self.members], G.inverse[:, None]]
+        return ~self._mask[conj]
+
+    def is_normal(self) -> bool:
+        return not self._escapes().any()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subgroup) and other.parent is self.parent
@@ -323,7 +356,7 @@ def make_cyclic(n: int) -> FiniteGroup:
         raise SizeLimitError(f"cyclic group of order {n} exceeds table limit")
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table, [str(k) for k in range(n)], _validated=True)
+    return FiniteGroup(table, [str(k) for k in range(n)])
 
 
 def make_direct_sum(orders: list[int]) -> FiniteGroup:
@@ -338,14 +371,12 @@ def make_direct_sum(orders: list[int]) -> FiniteGroup:
         total *= n
     if total > 4096:
         raise SizeLimitError(f"direct sum of order {total} exceeds table limit")
-    tuples = list(itertools.product(*[range(n) for n in orders]))
-    index = {t: i for i, t in enumerate(tuples)}
-    table = np.empty((total, total), dtype=np.int64)
-    for i, s in enumerate(tuples):
-        for j, t in enumerate(tuples):
-            table[i, j] = index[tuple((a + b) % n for a, b, n in zip(s, t, orders))]
-    labels = ["(" + ",".join(map(str, t)) + ")" for t in tuples]
-    return FiniteGroup(table, labels, _validated=True)
+    digits = np.unravel_index(np.arange(total), orders)
+    table = np.ravel_multi_index(
+        tuple((d[:, None] + d[None, :]) % n for d, n in zip(digits, orders)), orders)
+    labels = ["(" + ",".join(map(str, t)) + ")"
+              for t in itertools.product(*[range(n) for n in orders])]
+    return FiniteGroup(table, labels)
 
 
 _QUAT_LABELS = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
@@ -390,6 +421,9 @@ def make_semidirect(normal: FiniteGroup, acting: FiniteGroup,
     the assignment c -> c* must be a homomorphism into the automorphisms.
     Product: (a1,c1)(a2,c2) = (a1 * c1*a2, c1*c2).
     """
+    na, nc = normal.order, acting.order
+    if na * nc > 4096:
+        raise SizeLimitError(f"semidirect product of order {na * nc} exceeds table limit")
     if len(action) != acting.order:
         raise InvalidActionError(
             f"need one automorphism per acting element, got {len(action)}")
@@ -404,24 +438,15 @@ def make_semidirect(normal: FiniteGroup, acting: FiniteGroup,
         autos.append(phi)
     if autos[0].image_of != tuple(range(normal.order)):
         raise InvalidActionError("action of the identity must be the identity map")
-    for c1 in acting.elements():
-        for c2 in acting.elements():
-            composed = autos[c1].compose(autos[c2])
-            if composed.image_of != autos[acting.mul(c1, c2)].image_of:
-                raise InvalidActionError(
-                    f"action is not a homomorphism at ({c1},{c2})")
-    nc = acting.order
-    total = normal.order * nc
-    table = np.empty((total, total), dtype=np.int64)
-    for a1 in normal.elements():
-        for c1 in acting.elements():
-            i = a1 * nc + c1
-            act = autos[c1]
-            for a2 in normal.elements():
-                row_a = normal.mul(a1, act(a2))
-                base = row_a * nc
-                for c2 in acting.elements():
-                    table[i, a2 * nc + c2] = base + acting.mul(c1, c2)
+    act = np.array([phi.image_of for phi in autos], dtype=np.int64)
+    # act[c1, act[c2, a]] == act[c1*c2, a] for every a
+    bad = (act[:, act] != act[acting.table]).any(axis=2)
+    if bad.any():
+        c1, c2 = np.argwhere(bad)[0]
+        raise InvalidActionError(f"action is not a homomorphism at ({c1},{c2})")
+    # table[(a1, c1), (a2, c2)] with axes (a1, c1, a2, c2)
+    table = (normal.table[:, act][..., None] * nc
+             + acting.table[None, :, None, :]).reshape(na * nc, na * nc)
     labels = [f"({normal.label(a)}|{acting.label(c)})"
               for a in normal.elements() for c in acting.elements()]
     return FiniteGroup(table, labels)
@@ -440,25 +465,17 @@ def from_table(table, labels: list[str] | None = None) -> FiniteGroup:
             raise TableInvalidError(
                 f"flat table length {table.size} is not a perfect square")
         table = table.reshape(n, n)
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise TableInvalidError(f"table must be square, got shape {table.shape}")
+    _check_entries(table)
     n = table.shape[0]
     ar = np.arange(n)
-    ident = None
-    for e in range(n):
-        if np.array_equal(table[e], ar) and np.array_equal(table[:, e], ar):
-            ident = e
-            break
-    if ident is None:
+    idents = np.flatnonzero((table == ar).all(axis=1) & (table == ar[:, None]).all(axis=0))
+    if not idents.size:
         raise TableInvalidError("no two-sided identity element")
+    ident = int(idents[0])
     if ident != 0:
         perm = ar.copy()
         perm[[0, ident]] = perm[[ident, 0]]   # swap identity to slot 0
-        new = np.empty_like(table)
-        for x in range(n):
-            for y in range(n):
-                new[perm[x], perm[y]] = perm[table[x, y]]
-        table = new
+        table = perm[table[np.ix_(perm, perm)]]   # perm is an involution
         # a list of the wrong length is left for FiniteGroup to reject
         if labels is not None and len(labels) == n:
             labels = list(labels)
@@ -479,26 +496,12 @@ def serialize_group(G: FiniteGroup) -> dict:
 
 
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
-    """Closure of a generating set (BFS over left multiplication)."""
-    seen = {0}
-    frontier = [0]
-    gens = [int(g) for g in gens]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = G.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return Subgroup(G, sorted(seen))
+    """Closure of a generating set (BFS over right multiplication)."""
+    return Subgroup(G, np.flatnonzero(_reached(G.table, [int(g) for g in gens])))
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    members = [a for a in G.elements()
-               if all(G.mul(a, b) == G.mul(b, a) for b in G.elements())]
-    return Subgroup(G, members)
+    return Subgroup(G, np.flatnonzero((G.table == G.table.T).all(axis=1)))
 
 
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
@@ -597,24 +600,16 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
     """
     if N.parent is not G:
         raise NotNormalError("subgroup belongs to a different group")
-    if not N.is_normal():
-        bad = next((g, x) for g in G.elements() for x in N.members
-                   if G.conjugate(g, x) not in N)
-        raise NotNormalError(f"subgroup is not normal: witness {bad}")
-    coset_of = [-1] * G.order
-    reps: list[int] = []
-    for x in G.elements():
-        if coset_of[x] == -1:
-            idx = len(reps)
-            reps.append(x)
-            for m in N.members:
-                coset_of[G.mul(x, m)] = idx
-    k = len(reps)
-    table = np.empty((k, k), dtype=np.int64)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            table[i, j] = coset_of[G.mul(a, b)]
-    Q = FiniteGroup(table, [f"[{G.label(r)}]" for r in reps])
+    escapes = N._escapes()
+    if escapes.any():
+        g, i = np.argwhere(escapes)[0]
+        raise NotNormalError(f"subgroup is not normal: witness {(int(g), N.members[i])}")
+    # each coset xN is named by its least member
+    least = G.table[:, N.members].min(axis=1)
+    reps = np.flatnonzero(least == np.arange(G.order))
+    coset_of = np.searchsorted(reps, least)
+    table = coset_of[G.table[np.ix_(reps, reps)]]
+    Q = FiniteGroup(table, [f"[{G.label(r)}]" for r in reps.tolist()])
     pi = GroupMap(G, Q, coset_of, True, _trusted=True)
     return Q, pi
 

@@ -539,8 +539,8 @@ def star_product_measure(frame, a: WindowMeasure, c: WindowMeasure) -> WindowMea
     n, den = a.length, a.den * c.den
     dtype = _weight_dtype(den)
     low = _tail_cells(B, n)
-    tail_x, tail_y = _coordinate_indices(frame, low)
-    head_x, head_y = _coordinate_indices(frame, n - low)
+    tail_x, tail_y = frame.word_indices(low)
+    head_x, head_y = frame.word_indices(n - low)
     words = B ** low
     num = np.empty(B ** n, dtype=dtype)
     for head, (hx, hy) in enumerate(zip((head_x * A ** low).tolist(),
@@ -548,13 +548,3 @@ def star_product_measure(frame, a: WindowMeasure, c: WindowMeasure) -> WindowMea
         np.multiply(a.num[tail_x + hx], c.num[tail_y + hy],
                     out=num[head * words:(head + 1) * words], dtype=dtype)
     return WindowMeasure(B, a.lo, a.hi, _frozen(num), den, frame.B)
-
-
-def _coordinate_indices(frame, cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the A-word and of the C-word behind each B-word of ``cells``
-    cells, in B-word index order."""
-    x = y = np.zeros(1, dtype=np.int64)
-    for _ in range(cells):
-        x = (x[:, None] * frame.a_group.order + frame.a_part).ravel()
-        y = (y[:, None] * frame.C.order + frame.c_part).ravel()
-    return x, y

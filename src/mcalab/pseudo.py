@@ -66,6 +66,15 @@ class PseudoFrame:
             raise FrameError(f"element {b_elem} is not in the distinguished subgroup")
         return int(self.a_part[b_elem])
 
+    def word_indices(self, cells: int) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the A-word and of the C-word behind each B-word of
+        ``cells`` cells, in B-word index order."""
+        x = y = np.zeros(1, dtype=np.int64)
+        for _ in range(cells):
+            x = (x[:, None] * self.a_group.order + self.a_part).ravel()
+            y = (y[:, None] * self.C.order + self.c_part).ravel()
+        return x, y
+
 
 def make_frame(B: FiniteGroup, A: Subgroup, section: list[int] | None = None) -> PseudoFrame:
     """Build the frame for B = A * C.

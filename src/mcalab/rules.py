@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import TableInvalidError, WindowError
 from .groups import FiniteGroup, GroupMap
-from .util import STATE_CAP, cell_dtype, check_cap, digit_planes
+from .util import STATE_CAP, check_cap, digit_planes
 
 __all__ = [
     "McaRule",
@@ -74,7 +74,6 @@ class McaRule(_Neighborhood):
     bias: int = 0
     one_sided: bool = False
     _table: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _code_table: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.v_lo > self.v_hi:
@@ -161,15 +160,16 @@ def local_table(rule: McaRule, cap: int = STATE_CAP) -> np.ndarray:
     """Dense lookup of the local map over all |B|**width window words.
 
     Indexed big-endian (leftmost window cell most significant).  Values are
-    in the group's cell dtype (:func:`util.cell_dtype`, uint8 for every
-    group of order at most 256).  Cached on the rule, read-only.
+    in the code dtype of :func:`step_cells`, the smallest signed integer
+    type that holds every window code 0 .. |B|**width - 1, so the kernel
+    looks codes up in this one table.  Cached on the rule, read-only.
     """
     if rule._table is not None:
         return rule._table
     B = rule.group.order
     check_cap(B, rule.width, cap, "local rule table")
     size = B ** rule.width
-    dtype = cell_dtype(B)
+    dtype = np.min_scalar_type(-size)
     planes = digit_planes(np.arange(size, dtype=np.int64), B, rule.width)
     out = np.full(size, rule.bias, dtype=dtype)
     table = rule.group.table.astype(dtype)
@@ -179,15 +179,6 @@ def local_table(rule: McaRule, cap: int = STATE_CAP) -> np.ndarray:
     out.setflags(write=False)
     rule._table = out
     return out
-
-
-def _code_table(rule: McaRule, code: np.dtype, cap: int) -> np.ndarray:
-    """:func:`local_table` in the code dtype, converted once and cached."""
-    table = local_table(rule, cap)
-    if rule._code_table is None:
-        rule._code_table = table.astype(code)
-        rule._code_table.setflags(write=False)
-    return rule._code_table
 
 
 def step_cells(op: LocalFamily, cells: np.ndarray, lo: int,
@@ -201,7 +192,7 @@ def step_cells(op: LocalFamily, cells: np.ndarray, lo: int,
     smallest signed integer type that holds |B|**width (int16 for Q8 at
     width 4): input of any integer dtype is converted once, and a chain of
     steps fed its own output never casts or copies.  Codes are looked up
-    in a code-dtype copy of the local table, cached on the rule; a
+    in the rule's :func:`local_table`, which is in the same dtype; a
     nonhomogeneous family looks each output cell up in its own rule's.
     """
     s, width = op.group.order, op.width
@@ -212,7 +203,7 @@ def step_cells(op: LocalFamily, cells: np.ndarray, lo: int,
         op.rule_at(lo - op.v_lo + j) for j in range(k)]
     # a signed type reaching -(s**width) holds every code 0 .. s**width - 1
     code = np.min_scalar_type(-(s ** width))
-    tables = [_code_table(r, code, cap) for r in rules]
+    tables = [local_table(r, cap) for r in rules]
     cells = np.ascontiguousarray(cells, dtype=code)
     # codes of width 2w from two of width w, then Horner for the rest
     codes, w = cells, 1

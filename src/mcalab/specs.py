@@ -21,6 +21,7 @@ from .pseudo import PseudoFrame, make_frame
 from .rules import McaRule
 from .measures import MeasureSpec
 from .spectral import Character, Probe
+from .util import is_integer
 
 __all__ = [
     "ExperimentConfig",
@@ -57,11 +58,6 @@ def _opt(obj: dict, key: str, default=None) -> Any:
     return obj.get(key, default) if isinstance(obj, dict) else default
 
 
-def _is_int(val) -> bool:
-    """A JSON integer; booleans are not integers here."""
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
 def _flag(obj: dict, key: str, where: str) -> bool:
     """An optional JSON boolean field, false when absent."""
     val = _opt(obj, key, False)
@@ -95,13 +91,13 @@ def parse_group(obj: dict, where: str = "group") -> FiniteGroup:
     kind = _need(obj, "kind", where)
     if kind == "cyclic":
         n = _need(obj, "n", where)
-        if not _is_int(n) or n < 1:
+        if not is_integer(n) or n < 1:
             raise SpecError(f"{where}.n: need a positive integer")
         return make_cyclic(n)
     if kind == "direct_sum":
         orders = _need(obj, "orders", where)
         if (not isinstance(orders, list) or not orders
-                or not all(_is_int(k) and k >= 1 for k in orders)):
+                or not all(is_integer(k) and k >= 1 for k in orders)):
             raise SpecError(f"{where}.orders: need a nonempty list of "
                             "positive integers")
         return make_direct_sum(orders)
@@ -137,7 +133,7 @@ def parse_endo(group: FiniteGroup, obj, where: str) -> GroupMap:
                         True)
     if "power" in obj:
         k = obj["power"]
-        if not _is_int(k):
+        if not is_integer(k):
             raise SpecError(f"{where}.power: need an integer exponent")
         if not group.is_abelian:
             raise SpecError(f"{where}.power: power maps are endomorphisms "
@@ -159,7 +155,7 @@ def parse_endo(group: FiniteGroup, obj, where: str) -> GroupMap:
 def parse_rule(group: FiniteGroup, obj: dict, where: str = "rule") -> McaRule:
     hood = _need(obj, "neighborhood", where)
     if (not isinstance(hood, list) or len(hood) != 2
-            or not all(map(_is_int, hood))):
+            or not all(map(is_integer, hood))):
         raise SpecError(f"{where}.neighborhood: need [v_lo, v_hi]")
     factors = _need(obj, "factors", where)
     if not isinstance(factors, list) or not factors:
@@ -167,7 +163,7 @@ def parse_rule(group: FiniteGroup, obj: dict, where: str = "rule") -> McaRule:
     pairs = []
     for i, f in enumerate(factors):
         pos = _need(f, "pos", f"{where}.factors[{i}]")
-        if not _is_int(pos):
+        if not is_integer(pos):
             raise SpecError(f"{where}.factors[{i}].pos: need an integer")
         coeff = parse_endo(group, _need(f, "coeff", f"{where}.factors[{i}]"),
                            f"{where}.factors[{i}].coeff")
@@ -184,9 +180,9 @@ def _as_fraction(val, where: str) -> Fraction:
     with _field(where):
         if isinstance(val, str):
             return Fraction(val)
-        if isinstance(val, list) and len(val) == 2 and all(map(_is_int, val)):
+        if isinstance(val, list) and len(val) == 2 and all(map(is_integer, val)):
             return Fraction(val[0], val[1])
-        if _is_int(val):
+        if is_integer(val):
             return Fraction(val)
     raise SpecError(f"{where}: probabilities must be exact — use a string "
                     "like \"9/10\" or \"0.9\", or a [num, den] pair of "
@@ -263,7 +259,7 @@ def parse_character(group: FiniteGroup, obj: dict, where: str) -> Character:
         if cell in support:
             raise SpecError(f"{where}: cell key {key!r} names cell {cell} again")
         if (not isinstance(coeffs, list)
-                or not all(map(_is_int, coeffs))):
+                or not all(map(is_integer, coeffs))):
             raise SpecError(f"{where}[{key}]: need a list of integer "
                             "coefficients")
         if len(coeffs) != len(coords.orders):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from .groups import AbelianCoords, FiniteGroup, GroupMap, abelian_invariants
 from .measures import (_CHUNK, MeasureSpec, WindowMeasure, push_forward,
                        star_product_measure)
 from .rules import McaRule, _merge_positions, step_cells
-from .util import STATE_CAP, cell_dtype, check_cap, digit_planes
+from .util import STATE_CAP, cell_dtype, check_cap, digit_planes, is_integer
 
 __all__ = [
     "Character",
@@ -75,14 +74,14 @@ class Character:
         seen = set()
         items = []
         for cell, coeff in support:
-            if not _is_integer(cell):
+            if not is_integer(cell):
                 raise McaLabError(f"support cell {cell!r} is not an integer")
             if cell in seen:
                 raise McaLabError(f"duplicate support cell {cell}")
             seen.add(cell)
             if len(coeff) != len(invariants):
                 raise McaLabError("coefficient tuple has wrong arity")
-            if not all(map(_is_integer, coeff)):
+            if not all(map(is_integer, coeff)):
                 raise McaLabError(f"coefficients {tuple(coeff)!r} at cell {cell} "
                                   "are not all integers")
             # reduced as Python integers, so entries past int64 fit
@@ -176,11 +175,6 @@ class Character:
         if coords.orders != self.invariants:
             raise McaLabError("coordinate system does not match the character")
         return coords
-
-
-def _is_integer(value) -> bool:
-    """An int or a numpy integer; a bool is refused although it is one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _support_tuple(cells: np.ndarray, coeffs: np.ndarray

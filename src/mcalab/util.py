@@ -7,6 +7,7 @@ the all-zero word has index 0.
 from __future__ import annotations
 
 import itertools
+import numbers
 from typing import Iterator
 
 import numpy as np
@@ -15,6 +16,11 @@ import numpy as np
 STATE_CAP = 10**7
 # Default cap on group order for exhaustive endomorphism enumeration.
 ENUMERATION_CAP = 64
+
+
+def is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is refused although it is one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def index_word(idx: int, base: int, length: int) -> tuple[int, ...]:

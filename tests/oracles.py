@@ -4,6 +4,9 @@ the functions that only tests call.
 Each walks the words of a window one at a time through a scalar evaluator
 (``eval_local`` / ``apply_window`` / ``star_compose`` / :func:`word_weight`),
 independently of the table-lookup kernel the library uses.
+``is_group_table`` checks the group axioms on a table by the exhaustive
+scan over all n**3 triples (``associativity_failures``) that the library's
+validator replaces with Light's test.
 ``dual_action_oracle`` steps a character one support cell and one
 position at a time in Python integers.  ``fibre_rank_oracle``
 reads each finite difference of a fibre composite as a sum of
@@ -37,6 +40,28 @@ from mcalab import (Character, Config, FibreRankCheck, GroupMap, McaLabError,
                     star_decompose)
 from mcalab.rules import step_cells
 from mcalab.util import STATE_CAP, check_cap, digit_planes, iter_words
+
+
+def associativity_failures(table) -> np.ndarray:
+    """``bad[x, y, z]`` is True where (x*y)*z != x*(y*z), over every triple
+    of a square table with entries 0..n-1."""
+    table = np.asarray(table, dtype=np.int64)
+    return table[table] != table[:, table]
+
+
+def is_group_table(table) -> bool:
+    """A square table of entries 0..n-1 whose rows and columns are
+    permutations, with a two-sided identity, associative on every triple."""
+    table = np.asarray(table, dtype=np.int64)
+    n = len(table)
+    if table.shape != (n, n) or n == 0 or table.min() < 0 or table.max() >= n:
+        return False
+    ar = np.arange(n)
+    latin = all(np.array_equal(np.sort(table[a]), ar)
+                and np.array_equal(np.sort(table[:, a]), ar) for a in range(n))
+    identity = any(np.array_equal(table[e], ar) and np.array_equal(table[:, e], ar)
+                   for e in range(n))
+    return latin and identity and not associativity_failures(table).any()
 
 
 def word_index(word, base: int) -> int:

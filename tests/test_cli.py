@@ -289,6 +289,9 @@ MALFORMED_PARAMS = [
     ("permute", {"rule": {**XOR_CONFIG["rule"], "factors": [
         {"pos": True, "coeff": "identity"}]}}, "rule.factors[0].pos"),
     ("group", {"group": {"kind": "cyclic", "n": True}}, "group.n"),
+    ("group", {"group": {"kind": "semidirect", "normal": {"kind": "cyclic", "n": 64},
+                         "acting": {"kind": "cyclic", "n": 128},
+                         "action": [list(range(64))] * 128}}, "group.action"),
     *[("group", {"group": {"table": [[0, 1], [1, 0]], "labels": labels}},
        "group.table") for labels in ([0, 1], ["e", "e"], ["e"])],
     ("group", {"group": {"table": [[1, 0], [0, 1]], "labels": ["a"]}},
@@ -341,6 +344,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out_file) in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_group_report_on_an_order_1024_direct_sum(tmp_path):
+    cfgp = write_config(tmp_path, {"group": {"kind": "direct_sum", "orders": [32, 32]}})
+    assert main(["group", "--config", cfgp, "--out", str(tmp_path)]) == 0
+    report = read_json(tmp_path / "group_report.json")
+    assert report["order"] == 1024 and report["abelian_invariants"] == [32, 32]
+    assert len(report["upper_central_series"]) == 2
 
 
 def test_a_table_group_without_labels_is_labelled_by_index(tmp_path):

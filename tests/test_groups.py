@@ -5,6 +5,7 @@ elements, small enough to finish instantly, checked against the library's
 cleverer implementations.
 """
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from mcalab import (FiniteGroup, GroupMap, SizeLimitError, Subgroup,
                     is_nilpotent, make_cyclic, make_direct_sum,
                     make_quaternion, make_semidirect, quotient,
                     serialize_group, upper_central_series)
-from conftest import doubling_action
+from conftest import doubling_action, traced_peak
+from oracles import associativity_failures, is_group_table
 
 
 def brute_endomorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -64,10 +66,83 @@ def test_invalid_table_rejected():
          [4, 3, 1, 2, 0]]
     with pytest.raises(TableInvalidError):
         from_table(t)
+    # entries out of range are refused before the identity is moved to 0,
+    # so a -1 cannot wrap onto the last element
+    for bad in (-1, 3):
+        with pytest.raises(TableInvalidError, match=r"entry at \(0, 0\) is outside 0..2"):
+            from_table([[bad, 0, 1], [0, 1, 2], [1, 2, 0]])
     # too few labels, whether or not the identity comes first
     for table in ([[0, 1], [1, 0]], [[1, 0], [0, 1]]):
         with pytest.raises(TableInvalidError, match="labels must be 2 distinct strings"):
             from_table(table, ["a"])
+
+
+def reduced_latin_squares(n: int):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+    square = [list(range(n))] + [[r] + [None] * (n - 1) for r in range(1, n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield np.array(square)
+            return
+        r, c = cells[k]
+        used = set(square[r][:c]) | {square[i][c] for i in range(r)}
+        for v in range(n):
+            if v not in used:
+                square[r][c] = v
+                yield from fill(k + 1)
+        square[r][c] = None
+
+    return list(fill(0))
+
+
+def test_validator_accepts_exactly_what_the_exhaustive_scan_accepts(q8, z20):
+    """Light's test against all n**3 triples: every reduced Latin square of
+    order at most 5 (13 groups among 63 loops), each of them times Z/2, and
+    the fixture groups with and without their elements renamed.  In a
+    product, element 1 = (e, 1) associates with everything, so a test that
+    stopped after the first generator would pass every such loop.  A
+    refused table names a triple on which it fails."""
+    squares = [reduced_latin_squares(n) for n in range(1, 6)]
+    assert [len(s) for s in squares] == [1, 1, 1, 4, 56]
+    tables = [t for s in squares for t in s]
+    z2 = make_cyclic(2).table
+    tables += [(t[:, None, :, None] * 2 + z2[None, :, None, :]).reshape(2 * len(t), -1)
+               for t in tables]
+    rng = np.random.default_rng(0)
+    for G in (q8, z20, make_direct_sum([2, 4])):
+        perm = rng.permutation(G.order)        # the identity moves off index 0
+        renamed = np.empty_like(G.table)
+        renamed[np.ix_(perm, perm)] = perm[G.table]
+        tables += [G.table, renamed]
+    accepted = 0
+    for table in tables:
+        try:
+            from_table(table)
+        except TableInvalidError as exc:
+            assert not is_group_table(table)
+            triple = re.fullmatch(r"associativity fails at \((\d+),(\d+),(\d+)\)", str(exc))
+            assert triple, exc
+            assert associativity_failures(table)[tuple(map(int, triple.groups()))]
+        else:
+            assert is_group_table(table)
+            accepted += 1
+    assert accepted == 13 + 13 + 6
+
+
+def test_validation_of_an_order_1024_table_stays_quadratic():
+    """The exhaustive scan would build (n, n, n) arrays, 8 GiB at n = 1024;
+    Light's test checks n*n entries per generator."""
+    series, peak = traced_peak(lambda: upper_central_series(make_direct_sum([32, 32])))
+    assert [sg.order for sg in series.chain] == [1, 1024]
+    assert peak <= 64 * 2 ** 20
+
+
+def test_semidirect_order_past_the_table_limit_is_refused():
+    with pytest.raises(SizeLimitError,
+                       match="semidirect product of order 8192 exceeds table limit"):
+        make_semidirect(make_cyclic(64), make_cyclic(128), [list(range(64))] * 128)
 
 
 def test_direct_sum_layout():

@@ -27,6 +27,11 @@ def test_package_exports_exactly_the_modules_public_names():
         mcalab.make_cyclic(0)
 
 
+def test_every_group_table_is_validated():
+    """``FiniteGroup`` takes a table and labels, and no knob to skip validation."""
+    assert list(inspect.signature(mcalab.FiniteGroup).parameters) == ["table", "labels"]
+
+
 def test_only_rules_names_the_scalar_evaluator():
     """Every other module evaluates local maps through ``local_table`` or
     ``step_cells``; ``eval_local``/``apply_window`` remain test oracles."""

@@ -1,6 +1,7 @@
 """Local rules: evaluation, window geometry, permutativity, filling."""
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from mcalab import (Config, GroupMap, McaRule, NhcaSequence,
                     PermutativityFlags, TableInvalidError, WindowError,
                     apply_window, eval_local, is_bipermutative, local_table,
                     make_cyclic, permutativity)
+from mcalab.rules import step_cells
 
 from oracles import (extract_eca_coefficients, filling_solve,
                      is_homomorphic_local)
@@ -70,6 +72,17 @@ def test_local_table_matches_eval():
     s, w = 3, rule.width
     for idx, word in enumerate(itertools.product(range(s), repeat=w)):
         assert tbl[idx] == eval_local(rule, list(word))
+
+
+def test_a_stepped_rule_caches_one_local_table():
+    """The kernel looks codes up in the rule's local table itself, which is
+    built once, in the code dtype."""
+    rule = linear_rule(3, [1, 2, 1], bias=1)
+    step_cells(rule, np.zeros((5, 2), dtype=np.int64), 0)
+    cached = [name for name, val in vars(rule).items() if isinstance(val, np.ndarray)]
+    assert cached == ["_table"]
+    assert local_table(rule) is rule._table
+    assert rule._table.dtype == np.min_scalar_type(-(3 ** 3))
 
 
 def test_apply_window_geometry():

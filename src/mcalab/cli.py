@@ -26,9 +26,9 @@ from .rules import permutativity
 from .measures import trajectory_partition_entropy
 from .decompose import decompose_mca, nilpotent_tower
 from .spectral import LinearRuleDual, cesaro_randomization, diffusion_report
-from .specs import (ExperimentConfig, _need, _read_config,
-                    load_experiment, parse_character, parse_measure,
-                    parse_probe)
+from .specs import (ExperimentConfig, load_experiment, parse_character,
+                    parse_measure, parse_measure_pair, parse_probe,
+                    read_config)
 from .util import STATE_CAP, is_integer
 
 
@@ -170,7 +170,7 @@ def cmd_group(cfg: ExperimentConfig, run: Run, args) -> None:
     }
     _write_json(run.add("group_report.json"), report)
     run.verify("group_constructed", True)
-    print(f"order {G.order}; center {report['center']}; "
+    print(f"order {G.order}; center order {len(report['center'])}; "
           f"nilpotent: {report['nilpotent']}")
 
 
@@ -213,14 +213,11 @@ def cmd_decompose(cfg: ExperimentConfig, run: Run, args) -> None:
         raise SpecError("config: decompose needs a frame (or tower: true)")
     dec = decompose_mca(cfg.rule, cfg.frame, cap=args.cap_states)
     A = cfg.frame.a_group
-    fibres = []
-    for word, rule_a in sorted(dec.fibre_table().items()):
-        fibres.append({
-            "c_word": [dec.h_rule.group.labels[c] for c in word],
-            "bias": A.labels[rule_a.bias],
-            "coeffs": [{"pos": p, "images": list(map(int, m.image_of))}
-                       for p, m in rule_a.factors],
-        })
+    fibres = [{"c_word": [dec.h_rule.group.labels[c] for c in word],
+               "bias": A.labels[rule_a.bias],
+               "coeffs": [{"pos": p, "images": list(map(int, m.image_of))}
+                          for p, m in rule_a.factors]}
+              for word, rule_a in sorted(dec.fibre_table().items())]
     report = {
         "quotient_rule": _rule_json(dec.h_rule),
         "fibres": fibres,
@@ -314,13 +311,8 @@ def cmd_randomize(cfg: ExperimentConfig, run: Run, args) -> None:
         if cfg.frame is None:
             raise SpecError("config.measures: per-factor measures need a "
                             "frame")
-        both = cfg.param("measures")
-        lam = parse_measure(cfg.frame.a_group.order,
-                            _need(both, "lambda", "config.measures"),
-                            "measures.lambda")
-        nu = parse_measure(quot_group.order,
-                           _need(both, "nu", "config.measures"), "measures.nu")
-        init = (lam, nu)
+        init = parse_measure_pair(cfg.param("measures"),
+                                  cfg.frame.a_group.order, quot_group.order)
     else:
         init = _measure_param(cfg, "init")
     probe_specs = cfg.param("probes")
@@ -410,7 +402,7 @@ def main(argv=None) -> int:
                 raise SpecError("--seed: need a non-negative integer")
             if args.workers < 1:
                 raise SpecError("--workers: need a positive integer")
-            config = _read_config(args.config)  # read once: parsed and hashed
+            config = read_config(args.config)  # read once: parsed and hashed
             cfg = load_experiment(config)
             if args.cap_states is None:  # flag beats config beats default
                 args.cap_states = _int_param(cfg, "cap_states", STATE_CAP)

@@ -3,8 +3,9 @@
 If every coefficient of a rule over B leaves the frame subgroup A invariant,
 the CA factors as a skew product: a quotient CA over C = B/A driving, fibre
 by fibre, an affine nonhomogeneous CA over A.  The fibre local maps are
-assembled from the per-coefficient splits in closed form and cross-checked
-exhaustively against direct evaluation (the two paths must agree exactly).
+assembled from the per-coefficient splits in closed form, for every
+quotient word in one array pass, and cross-checked exhaustively against
+the rule's local table (the two must agree exactly).
 Iterating on the upper central series yields a tower that bottoms out in an
 abelian CA exactly when the group is nilpotent.
 """
@@ -17,8 +18,8 @@ import numpy as np
 from .errors import FrameError, NotCentralError, WindowError
 from .groups import FiniteGroup, GroupMap, abelian_invariants, center
 from .pseudo import PseudoFrame, SplitEndo, make_frame, split_endo, star_decompose
-from .rules import (Config, McaRule, NhcaSequence, _merge_positions,
-                    local_table, step_cells)
+from .rules import (Config, McaRule, NhcaSequence, _local_tables,
+                    _merge_positions, local_table, step_cells)
 from .util import STATE_CAP, check_cap, digit_planes, index_word, iter_words
 
 __all__ = [
@@ -40,12 +41,13 @@ __all__ = [
 class SkewDecomposition:
     """A rule over B split into quotient rule, fibre maps, and error terms.
 
-    ``h_rule`` is the induced rule over C.  For a window word ``w`` over C,
-    :meth:`fibre` assembles the affine fibre rule over A from the stored
-    per-factor splits and ``error_map``.  Each fibre is built once and
-    memoized under ``(c_word, error_map[c_word])``, so a changed error term
-    rebuilds its fibre and a deleted one raises, and recomposition checks
-    still catch either.
+    ``h_rule`` is the induced rule over C.  The fibre over a window word
+    ``w`` over C is an affine rule over A, assembled from the stored
+    per-factor splits and ``error_map[w]``.  :func:`recompose_check` builds
+    every fibre in one array pass and keeps the rows, which :meth:`fibre`
+    reads; each fibre rule is memoized under ``(c_word, error_map[c_word])``,
+    so a changed error term rebuilds its fibre and a deleted one raises,
+    and recomposition checks still catch either.
     """
 
     frame: PseudoFrame
@@ -56,29 +58,13 @@ class SkewDecomposition:
     factor_splits: list[SplitEndo]
     error_map: dict[tuple[int, ...], int]
     verified: bool = False
-    _conj_cache: dict[int, GroupMap] = field(default_factory=dict, repr=False)
+    _rows: tuple | None = field(default=None, repr=False)
     _fibre_cache: dict[tuple, McaRule] = field(default_factory=dict, repr=False)
 
-    def _conj_by(self, b_elem: int) -> GroupMap:
-        """Conjugation by a B element, restricted to A (A is normal)."""
-        got = self._conj_cache.get(b_elem)
-        if got is None:
-            fr = self.frame
-            images = [fr.a_index(fr.B.conjugate(b_elem, a_b)) for a_b in fr.a_embed]
-            got = GroupMap(fr.a_group, fr.a_group, images, True, _trusted=True)
-            self._conj_cache[b_elem] = got
-        return got
-
     def fibre(self, c_word: tuple[int, ...]) -> McaRule:
-        """Affine fibre rule over A for one quotient window word.
-
-        The rule over B evaluated on a*c splits as
-        ``f_bias * prod_i Conj_{S_i}(f_i(a) * g'_i(c_i)) * error(c)`` where
-        S_i is the running product of section values; this is renormalized
-        into bias-times-endomorphism-product form by conjugating each factor
-        with its ascending suffix of constants.
-        """
-        fr, A, B = self.frame, self.frame.a_group, self.frame.B
+        """Affine fibre rule over A for one quotient window word, with its
+        local table: the kept row while it was built with the word's
+        current error term, else the word built alone the same way."""
         rule = self.rule
         if len(c_word) != rule.width:
             raise WindowError(f"fibre word needs {rule.width} cells")
@@ -87,30 +73,16 @@ class SkewDecomposition:
         key = (c_word, err)
         if key in self._fibre_cache:
             return self._fibre_cache[key]
-        sigma = fr.sigma
-        running = sigma[self.bias_c]
-        phis: list[GroupMap] = []
-        consts: list[int] = []
-        for (pos, _), sp in zip(rule.factors, self.factor_splits):
-            c_val = c_word[pos - rule.v_lo]
-            conj = self._conj_by(running)
-            phis.append(conj.compose(sp.f))
-            consts.append(conj(sp.gprime(c_val)))
-            running = B.mul(running, sigma[sp.h(c_val)])
-        # normalize f_bias*phi_0(.)k_0*...*phi_{I-1}(.)k_{I-1}*err into
-        # bias * prod phi'_i(.) with phi'_i = T_i^-1 phi_i T_i,
-        # T_i = k_i k_{i+1} ... k_{I-1} err  (ascending suffix products).
-        suffix = err
-        new_factors = []
-        for (pos, _), phi, k in zip(reversed(rule.factors), reversed(phis),
-                                    reversed(consts)):
-            suffix = A.mul(k, suffix)
-            conj_t = self._conj_by(fr.a_embed[A.inv(suffix)]).compose(phi)
-            new_factors.append((pos, conj_t))
-        new_factors.reverse()
-        bias = A.mul(self.bias_a, suffix)
-        fib = McaRule(A, rule.v_lo, rule.v_hi, new_factors, bias,
-                      one_sided=rule.one_sided)
+        rows = self._rows
+        row = int(np.ravel_multi_index(c_word, (self.frame.C.order,) * rule.width))
+        if rows is None or rows[0][row] != err:
+            rows, row = _fibre_rows(self, np.array([c_word]), [err]), 0
+        _, bias, images, tables = rows
+        A = self.frame.a_group
+        factors = [(pos, GroupMap(A, A, img, True, _trusted=True))
+                   for (pos, _), img in zip(rule.factors, images[:, row].tolist())]
+        fib = McaRule(A, rule.v_lo, rule.v_hi, factors, int(bias[row]),
+                      one_sided=rule.one_sided, _table=tables[row])
         self._fibre_cache[key] = fib
         return fib
 
@@ -118,6 +90,43 @@ class SkewDecomposition:
         """Dense map of every quotient window word to its fibre rule."""
         return {w: self.fibre(w)
                 for w in iter_words(self.frame.C.order, self.rule.width)}
+
+
+def _fibre_rows(dec: SkewDecomposition, c_words: np.ndarray, errs: list[int]):
+    """``(errs, bias, images, tables)`` of the fibres over ``c_words``.
+
+    Row r holds the fibre over ``c_words[r]`` with error term ``errs[r]``:
+    its bias, its normalized factor images (axis 1 of ``images``) and its
+    local table in the code dtype.  The rule over B on a*c splits as
+    ``f_bias * prod_i Conj_{S_i}(f_i(a) * g'_i(c_i)) * error(c)`` where S_i
+    is the running product of section values; this is renormalized into
+    bias-times-endomorphism-product form by conjugating each factor with
+    its ascending suffix of constants.  Only the factors are looped over;
+    each step gathers over every word at once.
+    """
+    fr, rule = dec.frame, dec.rule
+    A, B = fr.a_group, fr.B
+    a_embed, sigma = np.asarray(fr.a_embed), np.asarray(fr.sigma)
+    # conj[b, a]: the A-index of b * a * b^-1 (A is normal)
+    conj = fr.a_part[B.table[B.table[:, a_embed], B.inverse[:, None]]]
+    running = np.full(len(c_words), sigma[dec.bias_c])
+    phis, consts = [], []
+    for (pos, _), sp in zip(rule.factors, dec.factor_splits):
+        c_val = c_words[:, pos - rule.v_lo]
+        phis.append(conj[running[:, None], np.asarray(sp.f.image_of)])
+        consts.append(conj[running, np.asarray(sp.gprime.image_of)[c_val]])
+        running = B.table[running, sigma[np.asarray(sp.h.image_of)[c_val]]]
+    # normalize f_bias*phi_0(.)k_0*...*phi_{I-1}(.)k_{I-1}*err into
+    # bias * prod phi'_i(.) with phi'_i = T_i^-1 phi_i T_i,
+    # T_i = k_i k_{i+1} ... k_{I-1} err  (ascending suffix products).
+    suffix = np.asarray(errs, dtype=np.int64)
+    images = np.empty((len(phis), len(c_words), A.order), dtype=np.int64)
+    for i in reversed(range(len(phis))):
+        suffix = A.table[consts[i], suffix]
+        images[i] = np.take_along_axis(conj[a_embed[A.inverse[suffix]]], phis[i], 1)
+    bias = A.table[dec.bias_a, suffix]
+    return list(errs), bias, images, _local_tables(A, rule.width, bias, [
+        (pos - rule.v_lo, img) for (pos, _), img in zip(rule.factors, images)])
 
 
 @dataclass
@@ -139,10 +148,11 @@ def decompose_mca(rule: McaRule, frame: PseudoFrame,
     """Split a rule through a frame; exhaustively verified before return.
 
     Every coefficient must leave the frame subgroup invariant (checked by
-    the per-coefficient splits).  Verification evaluates the original rule
-    on all |B|**width window words and compares both components against the
-    quotient rule and the assembled fibre rules — a mismatch means an
-    internal error and raises.
+    the per-coefficient splits).  Verification (:func:`recompose_check`)
+    reads the original rule on all |B|**width window words and compares
+    both components against the quotient rule and the assembled fibres —
+    a mismatch means an internal error and raises.  The fibres it builds
+    are kept, so no fibre rule is made until one is asked for.
     """
     if rule.group is not frame.B:
         raise FrameError("rule and frame act on different groups")
@@ -154,14 +164,13 @@ def decompose_mca(rule: McaRule, frame: PseudoFrame,
                      bias_c, one_sided=rule.one_sided)
     B, C, sigma = frame.B, frame.C, np.asarray(frame.sigma)
     words = digit_planes(np.arange(C.order ** rule.width), C.order, rule.width)
-    # sigma(bias_c) * prod_i sigma(h_i(c_i)) * sigma(h(c))^-1 on every word c
+    # sigma(bias_c) * prod_i sigma(h_i(c_i)) * sigma(h(c))^-1 on every word c,
+    # in A since h(c) = bias_c * prod_i h_i(c_i)
     e_val = np.full(len(words), sigma[bias_c])
     for (pos, _), sp in zip(rule.factors, splits):
         h_val = np.asarray(sp.h.image_of)[words[:, pos - rule.v_lo]]
         e_val = B.table[e_val, sigma[h_val]]
     e_val = B.table[e_val, B.inverse[sigma[local_table(h_rule, cap)]]]
-    if frame.c_part[e_val].any():
-        raise FrameError("error term escaped the subgroup")
     error_map = dict(zip(map(tuple, words.tolist()), frame.a_part[e_val].tolist()))
     dec = SkewDecomposition(frame=frame, rule=rule, h_rule=h_rule,
                             bias_a=bias_a, bias_c=bias_c,
@@ -176,40 +185,40 @@ def decompose_mca(rule: McaRule, frame: PseudoFrame,
 def recompose_check(dec: SkewDecomposition, rule: McaRule | None = None) -> RecomposeReport:
     """Exhaustively compare the decomposition against the original rule.
 
-    Rebuilds each fibre from the stored parts, so tampering with any of
-    them (e.g. the error map) is caught; compares local tables and returns
-    the first mismatch (c-word order, then a-word order, quotient before
-    fibre) as a witness instead of raising.
+    Rebuilds every fibre from the stored parts in one array pass, so
+    tampering with any of them (e.g. the error map) is caught, and keeps
+    them for :meth:`SkewDecomposition.fibre` if no error term is missing.
+    The rule's local table, split into its parts through
+    :meth:`PseudoFrame.word_indices`, is compared with the quotient and
+    fibre tables in one gather; the first mismatch (c-word order, then
+    a-word order, quotient before fibre) is returned as a witness instead
+    of raising.
     """
     rule = rule if rule is not None else dec.rule
-    fr = dec.frame
+    fr, width = dec.frame, dec.rule.width
     A, C = fr.a_group, fr.C
-    width = rule.width
-    a_words = digit_planes(np.arange(A.order ** width), A.order, width)
     c_words = digit_planes(np.arange(C.order ** width), C.order, width)
-    h_out = local_table(dec.h_rule)
-    for ci, w in enumerate(c_words.tolist()):
-        w = tuple(w)
-        try:
-            fib = dec.fibre(w)
-        except KeyError:
-            return RecomposeReport(False, {"c_word": w, "reason": "missing error term"})
-        # the rule on a*c for every a-word, split back into its two parts
-        b_out = step_cells(rule, fr.b_of[a_words, w].T, rule.v_lo)[0]
-        a_out, c_out = fr.a_part[b_out], fr.c_part[b_out]
-        fib_out = local_table(fib)
-        bad_c = c_out != h_out[ci]
-        bad = np.flatnonzero(bad_c | (fib_out != a_out))
-        if bad.size:
-            ai = int(bad[0])
-            u = index_word(ai, A.order, width)
-            if bad_c[ai]:
-                return RecomposeReport(False, {
-                    "c_word": w, "a_word": u, "part": "quotient",
-                    "expected": int(c_out[ai]), "got": int(h_out[ci])})
-            return RecomposeReport(False, {
-                "c_word": w, "a_word": u, "part": "fibre",
-                "expected": int(a_out[ai]), "got": int(fib_out[ai])})
+    errs = [dec.error_map.get(w) for w in map(tuple, c_words.tolist())]
+    stop = errs.index(None) if None in errs else len(errs)
+    rows = _fibre_rows(dec, c_words, [e or 0 for e in errs])
+    if stop == len(errs):
+        dec._rows = rows
+    b_out = local_table(rule)
+    a_idx, c_idx = fr.word_indices(width)
+    h_out, fib_out = local_table(dec.h_rule)[c_idx], rows[3][c_idx, a_idx]
+    bad_c = fr.c_part[b_out] != h_out
+    bad = np.flatnonzero((bad_c | (fr.a_part[b_out] != fib_out)) & (c_idx < stop))
+    if bad.size:
+        j = bad[np.argmin(c_idx[bad] * A.order ** width + a_idx[bad])]
+        part, split, got = (("quotient", fr.c_part, h_out) if bad_c[j]
+                            else ("fibre", fr.a_part, fib_out))
+        return RecomposeReport(False, {
+            "c_word": tuple(c_words[c_idx[j]].tolist()),
+            "a_word": index_word(int(a_idx[j]), A.order, width), "part": part,
+            "expected": int(split[b_out[j]]), "got": int(got[j])})
+    if stop < len(errs):
+        return RecomposeReport(False, {"c_word": tuple(c_words[stop].tolist()),
+                                       "reason": "missing error term"})
     return RecomposeReport(True)
 
 
@@ -217,10 +226,9 @@ def fibre_nhca(dec: SkewDecomposition, c_config: Config,
                out_lo: int, out_hi: int) -> NhcaSequence:
     """Fibre rules along a fixed quotient configuration, one per output cell."""
     rule = dec.rule
-    rules = {}
-    for m in range(out_lo, out_hi):
-        w = tuple(c_config.at(m + v) for v in range(rule.v_lo, rule.v_hi + 1))
-        rules[m] = dec.fibre(w)
+    cells = range(rule.v_lo, rule.v_hi + 1)
+    rules = {m: dec.fibre(tuple(c_config.at(m + v) for v in cells))
+             for m in range(out_lo, out_hi)}
     return NhcaSequence(dec.frame.a_group, rule.v_lo, rule.v_hi, rules,
                         one_sided=rule.one_sided)
 

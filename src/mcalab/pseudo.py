@@ -98,23 +98,15 @@ def make_frame(B: FiniteGroup, A: Subgroup, section: list[int] | None = None) ->
             if not (0 <= s < B.order) or pi(s) != c:
                 raise FrameError(f"section[{c}] = {s} is not in coset {c}")
     a_group, a_embed = A.as_group()
-    b_of = np.empty((A.order, C.order), dtype=np.int64)
-    seen = np.zeros(B.order, dtype=bool)
+    # a * sigma(c) lies in coset c, so (a, c) -> a * sigma(c) is a bijection
+    b_of = B.table[np.ix_(a_embed, sigma)]
     a_part = np.empty(B.order, dtype=np.int64)
     c_part = np.empty(B.order, dtype=np.int64)
-    for i, a in enumerate(a_embed):
-        for c in C.elements():
-            b = B.mul(a, sigma[c])
-            if seen[b]:
-                raise FrameError(f"star map is not a bijection at (a={a}, c={c})")
-            seen[b] = True
-            b_of[i, c] = b
-            a_part[b] = i
-            c_part[b] = c
-    semidirect = all(
-        B.mul(sigma[c1], sigma[c2]) == sigma[C.mul(c1, c2)]
-        for c1 in C.elements() for c2 in C.elements())
-    central = all(B.mul(a, b) == B.mul(b, a) for a in A.members for b in B.elements())
+    a_part[b_of] = np.arange(A.order)[:, None]
+    c_part[b_of] = np.arange(C.order)
+    semidirect = np.array_equal(B.table[np.ix_(sigma, sigma)], np.asarray(sigma)[C.table])
+    members = np.asarray(A.members)
+    central = np.array_equal(B.table[members], B.table[:, members].T)
     return PseudoFrame(
         B=B, A=A, C=C, pi=pi, a_group=a_group, a_embed=a_embed,
         sigma=tuple(sigma), b_of=b_of, a_part=a_part, c_part=c_part,
@@ -133,16 +125,9 @@ def star_decompose(frame: PseudoFrame, b: int) -> tuple[int, int]:
 
 def conj_auto(frame: PseudoFrame, c: int) -> GroupMap:
     """The automorphism c* of A: a -> sigma(c) a sigma(c)^-1."""
-    B = frame.B
-    s = frame.sigma[c]
-    images = []
-    for a_b in frame.a_embed:
-        y = B.conjugate(s, a_b)
-        if y not in frame.A:
-            raise NotInvariantError(
-                f"conjugation by section of {c} leaves the subgroup: {a_b} -> {y}")
-        images.append(frame.a_index(y))
-    return GroupMap(frame.a_group, frame.a_group, images, True)
+    B, s = frame.B, frame.sigma[c]
+    conj = B.table[B.table[s, frame.a_embed], B.inverse[s]]  # in A: A is normal
+    return GroupMap(frame.a_group, frame.a_group, frame.a_part[conj], True)
 
 
 def cocycle_zeta(frame: PseudoFrame, c1: int, c2: int) -> int:
@@ -156,10 +141,8 @@ def cocycle_zeta(frame: PseudoFrame, c1: int, c2: int) -> int:
                       stacklevel=2)
     B, C = frame.B, frame.C
     prod = B.mul(frame.sigma[c1], frame.sigma[c2])
-    z = B.mul(B.inv(frame.sigma[C.mul(c1, c2)]), prod)
-    if z not in frame.A:
-        raise FrameError(f"cocycle value {z} escaped the subgroup")
-    return frame.a_index(z)
+    # a_index refuses a value outside A
+    return frame.a_index(B.mul(B.inv(frame.sigma[C.mul(c1, c2)]), prod))
 
 
 def is_polymorph(frame: PseudoFrame, cap: int = ENUMERATION_CAP) -> bool:
@@ -211,27 +194,24 @@ def split_endo(frame: PseudoFrame, g: GroupMap) -> SplitEndo:
         raise FrameError("endomorphism must act on the frame's group")
     if not g.is_homomorphism:
         raise FrameError("split requires a homomorphism")
-    for a_b in frame.a_embed:
-        if g(a_b) not in frame.A:
-            raise NotInvariantError(
-                f"map does not leave the subgroup invariant: {a_b} -> {g(a_b)}")
-    f = GroupMap(frame.a_group, frame.a_group,
-                 [frame.a_index(g(a_b)) for a_b in frame.a_embed], True)
+    img = np.asarray(g.image_of)
+    on_a, on_sigma = img[frame.a_embed], img[list(frame.sigma)]
+    bad = np.flatnonzero(frame.c_part[on_a])
+    if bad.size:
+        a_b = frame.a_embed[bad[0]]
+        raise NotInvariantError(
+            f"map does not leave the subgroup invariant: {a_b} -> {g(a_b)}")
+    f = GroupMap(frame.a_group, frame.a_group, frame.a_part[on_a], True)
     # induced quotient map: h(pi(b)) = pi(g(b)); well-defined by invariance
-    h_images = [frame.pi(g(frame.sigma[c])) for c in C.elements()]
-    h = GroupMap(C, C, h_images, True)
-    gp_images = []
-    for c in C.elements():
-        val = B.mul(g(frame.sigma[c]), B.inv(frame.sigma[h(c)]))
-        if val not in frame.A:
-            raise FrameError(f"correction term at {c} escaped the subgroup")
-        gp_images.append(frame.a_index(val))
-    gprime = GroupMap(C, frame.a_group, gp_images, False)
+    h = GroupMap(C, C, frame.c_part[on_sigma], True)
+    # g(sigma(c)) lies in coset h(c), so the correction lies in A
+    sigma_h = np.asarray(frame.sigma)[list(h.image_of)]
+    gprime = GroupMap(C, frame.a_group,
+                      frame.a_part[B.table[on_sigma, B.inverse[sigma_h]]], False)
     # defining identity, all |A| x |C| inputs
-    for a in frame.a_group.elements():
-        for c in C.elements():
-            lhs = g(star_compose(frame, a, c))
-            rhs = star_compose(frame, frame.a_group.mul(f(a), gprime(c)), h(c))
-            if lhs != rhs:
-                raise FrameError(f"split identity fails at (a={a}, c={c})")
+    rhs = frame.b_of[frame.a_group.table[np.ix_(f.image_of, gprime.image_of)],
+                     list(h.image_of)]
+    bad = np.argwhere(img[frame.b_of] != rhs)
+    if bad.size:
+        raise FrameError(f"split identity fails at (a={bad[0, 0]}, c={bad[0, 1]})")
     return SplitEndo(frame=frame, f=f, h=h, gprime=gprime)

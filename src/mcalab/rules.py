@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import TableInvalidError, WindowError
 from .groups import FiniteGroup, GroupMap
-from .util import STATE_CAP, check_cap, digit_planes
+from .util import STATE_CAP, check_cap
 
 __all__ = [
     "McaRule",
@@ -164,20 +164,35 @@ def local_table(rule: McaRule, cap: int = STATE_CAP) -> np.ndarray:
     type that holds every window code 0 .. |B|**width - 1, so the kernel
     looks codes up in this one table.  Cached on the rule, read-only.
     """
-    if rule._table is not None:
-        return rule._table
-    B = rule.group.order
-    check_cap(B, rule.width, cap, "local rule table")
-    size = B ** rule.width
-    dtype = np.min_scalar_type(-size)
-    planes = digit_planes(np.arange(size, dtype=np.int64), B, rule.width)
-    out = np.full(size, rule.bias, dtype=dtype)
-    table = rule.group.table.astype(dtype)
-    for pos, coeff in rule.factors:
-        img = np.asarray(coeff.image_of, dtype=dtype)
-        out = table[out, img[planes[:, pos - rule.v_lo]]]
+    if rule._table is None:
+        check_cap(rule.group.order, rule.width, cap, "local rule table")
+        rule._table = _local_tables(rule.group, rule.width, [rule.bias], [
+            (pos - rule.v_lo, [coeff.image_of]) for pos, coeff in rule.factors])[0]
+    return rule._table
+
+
+def _local_tables(group: FiniteGroup, width: int, bias,
+                  factors: Sequence[tuple[int, Sequence]]) -> np.ndarray:
+    """Row r: the local table, as in :func:`local_table` and read-only, of
+    the rule with bias ``bias[r]`` and factors ``(cell, images[r])``, cell 0
+    leftmost.
+
+    Each factor is one gather in the flattened group table, its images
+    broadcast along its cell's axis of a (rules,) + (|G|,)*width array.
+    """
+    s, n = group.order, len(bias)
+    code = np.min_scalar_type(-(s ** width))
+    # an index x*s + y into the flattened table must fit as well
+    idx = np.promote_types(code, np.min_scalar_type(-(s * s)))
+    table = group.table.astype(idx).ravel()
+    out = np.asarray(bias, dtype=idx).reshape((n,) + (1,) * width)
+    for cell, images in factors:
+        shape = [n] + [1] * width
+        shape[1 + cell] = s
+        out = table.take(out * s + np.asarray(images, dtype=idx).reshape(shape))
+    out = np.broadcast_to(out, (n,) + (s,) * width).reshape(n, s ** width)
+    out = out.astype(code, copy=False)
     out.setflags(write=False)
-    rule._table = out
     return out
 
 
@@ -246,11 +261,9 @@ def _merge_positions(group: FiniteGroup, factors: Iterable[tuple[int, GroupMap]]
     merged: dict[int, GroupMap] = {}
     for pos, coeff in factors:
         prev = merged.get(pos)
-        if prev is None:
-            merged[pos] = coeff
-        else:
-            images = [group.mul(prev(x), coeff(x)) for x in group.elements()]
-            merged[pos] = GroupMap(group, group, images, True, _trusted=True)
+        merged[pos] = coeff if prev is None else GroupMap(
+            group, group, group.table[prev.image_of, coeff.image_of], True,
+            _trusted=True)
     return merged
 
 
@@ -267,13 +280,10 @@ def _extreme_bijective(rule: McaRule, side: str, cap: int) -> bool:
     """Exhaustive bijectivity of the local map in its extreme window cell."""
     B = rule.group.order
     tbl = local_table(rule, cap)
-    if side == "left":
-        view = tbl.reshape(B, -1)       # leftmost cell is the most significant digit
-        cols = view.T                   # each row of cols: outputs as left cell varies
-    else:
-        cols = tbl.reshape(-1, B)       # rightmost cell is least significant
-    sorted_vals = np.sort(cols, axis=1)
-    return bool(np.array_equal(sorted_vals, np.broadcast_to(np.arange(B), cols.shape)))
+    # each row: the outputs as the leftmost (most significant) or the
+    # rightmost (least significant) cell varies
+    cols = tbl.reshape(B, -1).T if side == "left" else tbl.reshape(-1, B)
+    return bool((np.sort(cols, axis=1) == np.arange(B)).all())
 
 
 def permutativity(op: LocalFamily, cap: int = STATE_CAP) -> PermutativityFlags:

@@ -29,9 +29,11 @@ __all__ = [
     "parse_endo",
     "parse_rule",
     "parse_measure",
+    "parse_measure_pair",
     "parse_frame",
     "parse_character",
     "parse_probe",
+    "read_config",
     "load_experiment",
     "resolve_element",
 ]
@@ -219,6 +221,14 @@ def parse_measure(size: int, obj: dict, where: str = "measure") -> MeasureSpec:
     raise SpecError(f"{where}.kind: unknown measure kind {kind!r}")
 
 
+def parse_measure_pair(obj: dict, a_size: int,
+                       c_size: int) -> tuple[MeasureSpec, MeasureSpec]:
+    """The ``measures`` field: a law ``lambda`` over A and ``nu`` over C."""
+    where = "config.measures"
+    return (parse_measure(a_size, _need(obj, "lambda", where), "measures.lambda"),
+            parse_measure(c_size, _need(obj, "nu", where), "measures.nu"))
+
+
 def parse_frame(B: FiniteGroup, obj: dict, where: str = "frame") -> PseudoFrame:
     sub = _need(obj, "subgroup", where)
     if sub == "center":
@@ -318,7 +328,7 @@ _KNOWN_KEYS = {"group", "rule", "frame", "tower", "measure", "measures",
                "cap_states", "seed"}
 
 
-def _read_config(path) -> bytes:
+def read_config(path) -> bytes:
     """The bytes of a config file, which must be UTF-8 text."""
     try:
         data = Path(path).read_bytes()
@@ -338,7 +348,7 @@ def load_experiment(source) -> ExperimentConfig:
         if isinstance(source, str) and source.lstrip().startswith("{"):
             text = source
         else:
-            data = source if isinstance(source, bytes) else _read_config(source)
+            data = source if isinstance(source, bytes) else read_config(source)
             text = data.decode("utf-8")
         try:
             obj = json.loads(text)

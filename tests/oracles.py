@@ -12,6 +12,8 @@ position at a time in Python integers.  ``fibre_rank_oracle``
 reads each finite difference of a fibre composite as a sum of
 ``Fraction``s.  ``tower_eval``/``tower_apply`` evaluate a rule through
 its nilpotent tower level by level, one window word at a time.
+``fibre_oracle`` assembles one fibre rule of a skew decomposition with a
+``GroupMap.compose`` per factor, one quotient word at a time.
 ``partition_entropy_oracle`` divides every outcome's weight by the exact
 total and sums the terms with ``math.fsum``.  Property tests compare each
 with the library.  ``point_mass``, ``prob``, ``probs``, ``word_index`` and
@@ -176,6 +178,40 @@ def partition_entropy_oracle(dist) -> float:
         raise McaLabError("entropy needs positive total weight")
     probs = [float(v / total) for v in exact]
     return -math.fsum(p * math.log2(p) for p in probs if p)
+
+
+def fibre_oracle(dec, c_word) -> McaRule:
+    """The fibre rule over ``c_word``, assembled by composing maps.
+
+    The rule over B on a*c is
+    ``f_bias * prod_i Conj_{S_i}(f_i(a) * g'_i(c_i)) * error(c)`` with S_i
+    the running product of section values; conjugating each factor by its
+    ascending suffix of constants brings it to bias times a product of
+    endomorphisms of A.
+    """
+    fr, rule = dec.frame, dec.rule
+    A, B = fr.a_group, fr.B
+
+    def conj_by(b):
+        images = [fr.a_index(B.conjugate(b, a_b)) for a_b in fr.a_embed]
+        return GroupMap(A, A, images, True)
+
+    running = fr.sigma[dec.bias_c]
+    phis, consts = [], []
+    for (pos, _), sp in zip(rule.factors, dec.factor_splits):
+        c_val = c_word[pos - rule.v_lo]
+        conj = conj_by(running)
+        phis.append(conj.compose(sp.f))
+        consts.append(conj(sp.gprime(c_val)))
+        running = B.mul(running, fr.sigma[sp.h(c_val)])
+    suffix = dec.error_map[tuple(c_word)]
+    factors = []
+    for (pos, _), phi, k in zip(reversed(rule.factors), reversed(phis),
+                                reversed(consts)):
+        suffix = A.mul(k, suffix)
+        factors.append((pos, conj_by(fr.a_embed[A.inv(suffix)]).compose(phi)))
+    return McaRule(A, rule.v_lo, rule.v_hi, factors[::-1],
+                   A.mul(dec.bias_a, suffix), one_sided=rule.one_sided)
 
 
 def recompose_oracle(dec, rule=None) -> RecomposeReport:

@@ -1,4 +1,5 @@
 """End-to-end runs of the command-line driver against temp directories."""
+import ast
 import copy
 import csv
 import hashlib
@@ -346,6 +347,24 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_group_summary_prints_the_order_of_the_center(tmp_path, capsys):
+    """The stdout line names the center's order; the report lists its members."""
+    cfgp = write_config(tmp_path, {"group": {"kind": "direct_sum", "orders": [2, 3]}})
+    assert main(["group", "--config", cfgp, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "order 6; center order 6; nilpotent: True\n"
+    assert len(read_json(tmp_path / "group_report.json")["center"]) == 6
+
+
+def test_cli_imports_no_private_name_from_specs():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module in ("specs", "mcalab.specs")
+                for alias in node.names]
+    assert "load_experiment" in imported
+    assert not [name for name in imported if name.startswith("_")]
+
+
 def test_group_report_on_an_order_1024_direct_sum(tmp_path):
     cfgp = write_config(tmp_path, {"group": {"kind": "direct_sum", "orders": [32, 32]}})
     assert main(["group", "--config", cfgp, "--out", str(tmp_path)]) == 0
@@ -435,6 +454,22 @@ def test_factor_measures_must_be_an_object(tmp_path, capsys):
     assert main(["randomize", "--config", cfgp, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error: config.measures: expected an object, got list" in err
+
+
+@pytest.mark.parametrize("measures, message", [
+    ({"nu": {"kind": "uniform"}}, "config.measures: missing field 'lambda'"),
+    ({"lambda": {"kind": "uniform"}}, "config.measures: missing field 'nu'"),
+    ({"lambda": {"kind": "uniform"}, "nu": {"kind": "x"}},
+     "measures.nu.kind: unknown measure kind 'x'"),
+])
+def test_factor_measures_name_the_missing_or_bad_law(tmp_path, capsys, measures,
+                                                     message):
+    cfgp = write_config(tmp_path, {
+        "group": Z20_GROUP, "rule": X1_RULE,
+        "frame": {"subgroup": [4 * a for a in range(5)]},
+        "measures": measures, "n_max": 1})
+    assert main(["randomize", "--config", cfgp, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_out_of_memory_exits_2_without_traceback(tmp_path, monkeypatch, capsys):

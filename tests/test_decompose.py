@@ -102,6 +102,22 @@ def test_fibre_is_built_once_per_error_term(x2_rule, z20_frame):
         dec.fibre(key)
 
 
+def test_decompose_makes_no_rule_per_fibre(monkeypatch, quat_rule4, q8_center_frame):
+    """Verification builds the fibres as arrays: the quotient rule is the
+    only rule made, and no map is composed."""
+    made, composed = [], []
+    post_init, compose = McaRule.__post_init__, GroupMap.compose
+    monkeypatch.setattr(McaRule, "__post_init__",
+                        lambda self: (made.append(self), post_init(self))[1])
+    monkeypatch.setattr(GroupMap, "compose",
+                        lambda self, inner: (composed.append(inner),
+                                             compose(self, inner))[1])
+    dec = decompose_mca(quat_rule4, q8_center_frame)
+    assert dec.verified
+    assert len(made) == 1 and made[0] is dec.h_rule
+    assert composed == []
+
+
 def test_decompose_rejects_non_invariant_coefficient(q8, q8_labels):
     # A = <i> is not preserved by the i <-> j swap
     A = generated_subgroup(q8, [q8_labels["i"]])

@@ -22,7 +22,7 @@ from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
                     decompose_mca, diffusion_report, dual_action,
                     enumerate_endomorphisms, fibre_rank_independence,
                     make_cyclic, make_direct_sum, make_frame, make_quaternion,
-                    make_semidirect, push_forward,
+                    local_table, make_semidirect, push_forward,
                     recompose_check, star_product_measure,
                     trajectory_joint_distribution,
                     trajectory_partition_entropy)
@@ -31,7 +31,8 @@ from mcalab.errors import WindowError
 from mcalab.rules import step_cells
 from mcalab.util import iter_words
 
-from oracles import (dual_action_oracle, fibre_rank_oracle, marginal_oracle,
+from oracles import (dual_action_oracle, fibre_oracle, fibre_rank_oracle,
+                     marginal_oracle,
                      partition_entropy_oracle, probs,
                      push_forward_oracle, recompose_oracle,
                      star_product_oracle, trajectory_oracle, word_weight)
@@ -288,6 +289,33 @@ def test_recompose_witness_matches_oracle(data, name, tamper):
     assert (got.ok, got.witness) == (want.ok, want.witness)
     if tamper in ("error term", "missing"):
         assert not got.ok
+
+
+def assert_fibres_match_oracle(dec):
+    for w in iter_words(dec.frame.C.order, dec.rule.width):
+        got, want = dec.fibre(w), fibre_oracle(dec, w)
+        assert (got.bias, got.factors) == (want.bias, want.factors)
+        assert local_table(got).dtype == local_table(want).dtype
+        assert local_table(got).tolist() == local_table(want).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), group_names)
+def test_fibres_match_oracle(data, name):
+    """Every fibre of the one-pass builder equals the composed-map oracle,
+    over central (Q8) and non-central frames, and again after an error
+    term changes: built alone, then rebuilt with the rest by a check."""
+    fr = frame(name)
+    v_lo, v_hi = data.draw(neighborhoods(min(3, max_len(fr.B.order))))
+    dec = decompose_mca(data.draw(rules(name, v_lo, v_hi, inner_only=True)), fr)
+    assert_fibres_match_oracle(dec)
+    key = data.draw(st.sampled_from(sorted(dec.error_map)))
+    shift = data.draw(st.integers(1, fr.a_group.order - 1))
+    dec.error_map[key] = (dec.error_map[key] + shift) % fr.a_group.order
+    assert_fibres_match_oracle(dec)
+    assert not recompose_check(dec)
+    dec._fibre_cache.clear()
+    assert_fibres_match_oracle(dec)
 
 
 @settings(max_examples=20, deadline=None)

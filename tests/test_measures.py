@@ -1,6 +1,10 @@
 """Exact window measures, push-forwards, and entropy computations."""
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -371,3 +375,31 @@ def test_push_forward_conserves_mass(k, use_collapsing):
     m = MeasureSpec("bernoulli", 4, probs=cells).window_measure(0, 3, G)
     out = push_forward(rule, m)
     assert sum(probs(out)) == 1
+
+
+def test_entropy_routes_leave_numpy_ma_unimported():
+    """Neither entropy route imports ``numpy.ma``: numpy 2.4 imports it on a
+    bare ``np.unique``, which ``measures`` never calls (each of its calls
+    asks for counts or inverse indices)."""
+    code = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from mcalab import (GroupMap, McaRule, MeasureSpec, make_cyclic,
+                            trajectory_partition_entropy)
+        G = make_cyclic(4)
+        double = GroupMap(G, G, [0, 2, 0, 2], True)
+        rule = McaRule(G, 0, 1, [(0, double), (1, double)])
+        law = MeasureSpec("bernoulli", 4, probs=[Fraction(1, 2), Fraction(1, 4),
+                                                 Fraction(1, 8), Fraction(1, 8)])
+        for spec in (MeasureSpec("uniform", 4), law):
+            print(trajectory_partition_entropy(rule, spec, 2))
+        print("numpy.ma" in sys.modules)
+    """)
+    src = str(Path(measures.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    # 3 bits: 2x0 + 2x1 takes two values, so the uniform route is not the
+    # bijective closed form (4 bits)
+    assert out[0] == "3.0" and float(out[1]) < 3.5
+    assert out[2] == "False"

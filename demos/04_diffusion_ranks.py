@@ -33,13 +33,13 @@ idq = GroupMap.identity(Q8)
 wide = McaRule(Q8, 0, 3, [(3, idq)] + [(0, idq)] * 3 + [(2, idq)] * 5
                + [(1, idq)] * 3)
 frame = make_frame(Q8, center(Q8))
-split = central_split(wide, frame)
+dec = decompose_mca(wide, frame)
+split = central_split(wide, frame, dec=dec)
 alpha = Character.make(abelian_invariants(frame.a_group), {0: (1,)})
 print("\nrelative ranks over the center:",
       [relative_diffusion_rank(split, alpha, j) for j in range(3)])
 
 # independence from the driving word, checked exhaustively at j = 1
-dec = decompose_mca(wide, frame)
 check = fibre_rank_independence(dec, split, alpha, 1)
 print(f"fibre ranks across all driving words: {check.ranks_seen} "
       f"(linear prediction {check.linear_rank}, agree: {check.all_equal})")

@@ -11,7 +11,9 @@ abelian CA exactly when the group is nilpotent.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,11 +45,11 @@ class SkewDecomposition:
 
     ``h_rule`` is the induced rule over C.  The fibre over a window word
     ``w`` over C is an affine rule over A, assembled from the stored
-    per-factor splits and ``error_map[w]``.  :func:`recompose_check` builds
-    every fibre in one array pass and keeps the rows, which :meth:`fibre`
-    reads; each fibre rule is memoized under ``(c_word, error_map[c_word])``,
-    so a changed error term rebuilds its fibre and a deleted one raises,
-    and recomposition checks still catch either.
+    per-factor splits and ``error_map[w]``.  The error map is read-only: a
+    changed term is a :func:`dataclasses.replace` copy, which starts
+    unverified and with no fibres built.  Every fibre is built at once, by
+    :func:`recompose_check` or the first time a fibre is asked for, and
+    :meth:`fibre` makes each fibre rule once from its row.
     """
 
     frame: PseudoFrame
@@ -56,35 +58,35 @@ class SkewDecomposition:
     bias_a: int
     bias_c: int
     factor_splits: list[SplitEndo]
-    error_map: dict[tuple[int, ...], int]
-    verified: bool = False
-    _rows: tuple | None = field(default=None, repr=False)
-    _fibre_cache: dict[tuple, McaRule] = field(default_factory=dict, repr=False)
+    error_map: Mapping[tuple[int, ...], int]
+    verified: bool = field(default=False, init=False)
+    _batch: tuple | None = field(default=None, init=False, repr=False)
+    _rules: dict[int, McaRule] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self.error_map = MappingProxyType(dict(self.error_map))
+
+    def _fibres(self) -> tuple:
+        if self._batch is None:
+            self._batch = _fibre_rows(self)
+        return self._batch
 
     def fibre(self, c_word: tuple[int, ...]) -> McaRule:
         """Affine fibre rule over A for one quotient window word, with its
-        local table: the kept row while it was built with the word's
-        current error term, else the word built alone the same way."""
+        local table, made once from its row of the fibre batch."""
         rule = self.rule
         if len(c_word) != rule.width:
             raise WindowError(f"fibre word needs {rule.width} cells")
-        c_word = tuple(c_word)
-        err = self.error_map[c_word]
-        key = (c_word, err)
-        if key in self._fibre_cache:
-            return self._fibre_cache[key]
-        rows = self._rows
+        self.error_map[tuple(c_word)]  # a word with no error term raises here
         row = int(np.ravel_multi_index(c_word, (self.frame.C.order,) * rule.width))
-        if rows is None or rows[0][row] != err:
-            rows, row = _fibre_rows(self, np.array([c_word]), [err]), 0
-        _, bias, images, tables = rows
-        A = self.frame.a_group
-        factors = [(pos, GroupMap(A, A, img, True, _trusted=True))
-                   for (pos, _), img in zip(rule.factors, images[:, row].tolist())]
-        fib = McaRule(A, rule.v_lo, rule.v_hi, factors, int(bias[row]),
-                      one_sided=rule.one_sided, _table=tables[row])
-        self._fibre_cache[key] = fib
-        return fib
+        if row not in self._rules:
+            bias, images, tables = self._fibres()
+            A = self.frame.a_group
+            factors = [(pos, GroupMap(A, A, img, True, _trusted=True)) for (pos, _), img
+                       in zip(rule.factors, images[:, row].tolist())]
+            self._rules[row] = McaRule(A, rule.v_lo, rule.v_hi, factors, int(bias[row]),
+                                       one_sided=rule.one_sided, _table=tables[row])
+        return self._rules[row]
 
     def fibre_table(self) -> dict[tuple[int, ...], McaRule]:
         """Dense map of every quotient window word to its fibre rule."""
@@ -92,12 +94,13 @@ class SkewDecomposition:
                 for w in iter_words(self.frame.C.order, self.rule.width)}
 
 
-def _fibre_rows(dec: SkewDecomposition, c_words: np.ndarray, errs: list[int]):
-    """``(errs, bias, images, tables)`` of the fibres over ``c_words``.
+def _fibre_rows(dec: SkewDecomposition):
+    """``(bias, images, tables)`` of the fibres over every quotient word.
 
-    Row r holds the fibre over ``c_words[r]`` with error term ``errs[r]``:
-    its bias, its normalized factor images (axis 1 of ``images``) and its
-    local table in the code dtype.  The rule over B on a*c splits as
+    Row r holds the fibre over the word of index r: its bias, its
+    normalized factor images (axis 1 of ``images``) and its local table in
+    the code dtype; a word with no error term is built with term 0.  The
+    rule over B on a*c splits as
     ``f_bias * prod_i Conj_{S_i}(f_i(a) * g'_i(c_i)) * error(c)`` where S_i
     is the running product of section values; this is renormalized into
     bias-times-endomorphism-product form by conjugating each factor with
@@ -106,6 +109,7 @@ def _fibre_rows(dec: SkewDecomposition, c_words: np.ndarray, errs: list[int]):
     """
     fr, rule = dec.frame, dec.rule
     A, B = fr.a_group, fr.B
+    c_words = digit_planes(np.arange(fr.C.order ** rule.width), fr.C.order, rule.width)
     a_embed, sigma = np.asarray(fr.a_embed), np.asarray(fr.sigma)
     # conj[b, a]: the A-index of b * a * b^-1 (A is normal)
     conj = fr.a_part[B.table[B.table[:, a_embed], B.inverse[:, None]]]
@@ -119,13 +123,14 @@ def _fibre_rows(dec: SkewDecomposition, c_words: np.ndarray, errs: list[int]):
     # normalize f_bias*phi_0(.)k_0*...*phi_{I-1}(.)k_{I-1}*err into
     # bias * prod phi'_i(.) with phi'_i = T_i^-1 phi_i T_i,
     # T_i = k_i k_{i+1} ... k_{I-1} err  (ascending suffix products).
-    suffix = np.asarray(errs, dtype=np.int64)
+    suffix = np.array([dec.error_map.get(w, 0) for w in map(tuple, c_words.tolist())],
+                      dtype=np.int64)
     images = np.empty((len(phis), len(c_words), A.order), dtype=np.int64)
     for i in reversed(range(len(phis))):
         suffix = A.table[consts[i], suffix]
         images[i] = np.take_along_axis(conj[a_embed[A.inverse[suffix]]], phis[i], 1)
     bias = A.table[dec.bias_a, suffix]
-    return list(errs), bias, images, _local_tables(A, rule.width, bias, [
+    return bias, images, _local_tables(A, rule.width, bias, [
         (pos - rule.v_lo, img) for (pos, _), img in zip(rule.factors, images)])
 
 
@@ -136,11 +141,6 @@ class RecomposeReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _fibre_tables(dec: SkewDecomposition, c_words, cap: int) -> np.ndarray:
-    """Local tables of the fibres over ``c_words``, stacked in that order."""
-    return np.stack([local_table(dec.fibre(w), cap) for w in c_words])
 
 
 def decompose_mca(rule: McaRule, frame: PseudoFrame,
@@ -185,10 +185,11 @@ def decompose_mca(rule: McaRule, frame: PseudoFrame,
 def recompose_check(dec: SkewDecomposition, rule: McaRule | None = None) -> RecomposeReport:
     """Exhaustively compare the decomposition against the original rule.
 
-    Rebuilds every fibre from the stored parts in one array pass, so
-    tampering with any of them (e.g. the error map) is caught, and keeps
-    them for :meth:`SkewDecomposition.fibre` if no error term is missing.
-    The rule's local table, split into its parts through
+    Rebuilds every fibre from the stored parts in one array pass, so a
+    changed or missing error term in a copy is caught, and keeps them for
+    :meth:`SkewDecomposition.fibre`.  The rule (by default the
+    decomposed one) must act on the frame's group with the same width.
+    Its local table, split into its parts through
     :meth:`PseudoFrame.word_indices`, is compared with the quotient and
     fibre tables in one gather; the first mismatch (c-word order, then
     a-word order, quotient before fibre) is returned as a witness instead
@@ -196,16 +197,17 @@ def recompose_check(dec: SkewDecomposition, rule: McaRule | None = None) -> Reco
     """
     rule = rule if rule is not None else dec.rule
     fr, width = dec.frame, dec.rule.width
+    if rule.group is not fr.B:
+        raise FrameError("rule and frame act on different groups")
+    if rule.width != width:
+        raise WindowError(f"rule width {rule.width} differs from {width}")
     A, C = fr.a_group, fr.C
-    c_words = digit_planes(np.arange(C.order ** width), C.order, width)
-    errs = [dec.error_map.get(w) for w in map(tuple, c_words.tolist())]
-    stop = errs.index(None) if None in errs else len(errs)
-    rows = _fibre_rows(dec, c_words, [e or 0 for e in errs])
-    if stop == len(errs):
-        dec._rows = rows
+    stop = next((i for i, w in enumerate(iter_words(C.order, width))
+                 if w not in dec.error_map), C.order ** width)
+    dec._batch = _fibre_rows(dec)
     b_out = local_table(rule)
     a_idx, c_idx = fr.word_indices(width)
-    h_out, fib_out = local_table(dec.h_rule)[c_idx], rows[3][c_idx, a_idx]
+    h_out, fib_out = local_table(dec.h_rule)[c_idx], dec._batch[2][c_idx, a_idx]
     bad_c = fr.c_part[b_out] != h_out
     bad = np.flatnonzero((bad_c | (fr.a_part[b_out] != fib_out)) & (c_idx < stop))
     if bad.size:
@@ -213,11 +215,11 @@ def recompose_check(dec: SkewDecomposition, rule: McaRule | None = None) -> Reco
         part, split, got = (("quotient", fr.c_part, h_out) if bad_c[j]
                             else ("fibre", fr.a_part, fib_out))
         return RecomposeReport(False, {
-            "c_word": tuple(c_words[c_idx[j]].tolist()),
+            "c_word": index_word(int(c_idx[j]), C.order, width),
             "a_word": index_word(int(a_idx[j]), A.order, width), "part": part,
             "expected": int(split[b_out[j]]), "got": int(got[j])})
-    if stop < len(errs):
-        return RecomposeReport(False, {"c_word": tuple(c_words[stop].tolist()),
+    if stop < C.order ** width:
+        return RecomposeReport(False, {"c_word": index_word(stop, C.order, width),
                                        "reason": "missing error term"})
     return RecomposeReport(True)
 
@@ -285,16 +287,12 @@ def central_split(rule: McaRule, frame: PseudoFrame,
                                    in zip(rule.factors, dec.factor_splits)])
     lin_rule = McaRule(A, rule.v_lo, rule.v_hi, sorted(per_pos.items()),
                        0, one_sided=rule.one_sided)
+    # over a central A no suffix conjugates: each fibre's bias, bias_a *
+    # err(c) * prod_i g'_i(c_i), is its block; check fibre == linear + block
+    block, _, tables = dec._fibres()
     lin_tbl = local_table(lin_rule, cap)
-    words = digit_planes(np.arange(C.order ** rule.width), C.order, rule.width)
-    keys = list(map(tuple, words.tolist()))
-    block = A.table[dec.bias_a, [dec.error_map[w] for w in keys]]
-    for (pos, _), sp in zip(rule.factors, dec.factor_splits):
-        gp_val = np.asarray(sp.gprime.image_of)[words[:, pos - rule.v_lo]]
-        block = A.table[block, gp_val]
-    # verify fibre == linear + block on every input
-    linear_plus_block = A.table[lin_tbl[None, :], block[:, None]]
-    bad = (_fibre_tables(dec, keys, cap) != linear_plus_block).any(axis=1)
+    bad = (tables != A.table[lin_tbl[None, :], block[:, None]]).any(axis=1)
+    keys = list(iter_words(C.order, rule.width))
     if bad.any():
         raise FrameError(f"central split disagrees with fibre at {keys[bad.argmax()]}")
     block_map = dict(zip(keys, block.tolist()))
@@ -368,8 +366,7 @@ def nilpotent_tower(rule: McaRule, cap: int = STATE_CAP) -> NilpotentTower:
     for lev in reversed(levels):
         fr, width = lev.frame, rule.width
         a_idx, c_idx = fr.word_indices(width)
-        fibres = _fibre_tables(lev.decomposition, iter_words(fr.C.order, width), cap)
-        tbl = fr.b_of[fibres[c_idx, a_idx], tbl[c_idx]]
+        tbl = fr.b_of[lev.decomposition._fibres()[2][c_idx, a_idx], tbl[c_idx]]
     bad = np.flatnonzero(tbl != local_table(rule, cap))
     if bad.size:
         word = index_word(int(bad[0]), rule.group.order, rule.width)

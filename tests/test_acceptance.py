@@ -9,6 +9,7 @@ desk-scale values at j <= 512 and N = 256.
 """
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -265,7 +266,7 @@ def test_criterion_12_negative_controls(x2_rule, z20_frame):
     # (iii) corruption is caught with a witness
     dec = decompose_mca(x2_rule, z20_frame)
     key = next(iter(dec.error_map))
-    dec.error_map[key] = (dec.error_map[key] + 2) % 5
+    dec = replace(dec, error_map={**dec.error_map, key: (dec.error_map[key] + 2) % 5})
     verdict = recompose_check(dec)
     assert not verdict
     assert verdict.witness is not None

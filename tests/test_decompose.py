@@ -6,6 +6,7 @@ acceptance suite.
 """
 import itertools
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -14,8 +15,8 @@ from mcalab import (Config, FrameError, GroupMap, McaRule, NotCentralError,
                     NotInvariantError, WindowError, apply_window, central_split,
                     decompose_mca, eval_local, fibre_nhca,
                     fibre_step_sequence, generated_subgroup, local_table,
-                    make_frame, nilpotent_tower, recompose_check, star_compose,
-                    star_decompose)
+                    make_cyclic, make_frame, nilpotent_tower, recompose_check,
+                    star_compose, star_decompose)
 from oracles import tower_apply, tower_eval
 
 
@@ -82,7 +83,8 @@ def test_recompose_reconstructs_rule(x1_dec, x1_rule, z20_frame):
 def test_corrupted_error_map_fails_with_witness(x2_rule, z20_frame):
     dec = decompose_mca(x2_rule, z20_frame)
     key = next(iter(dec.error_map))
-    dec.error_map[key] = (dec.error_map[key] + 1) % dec.frame.a_group.order
+    dec = replace(dec, error_map={
+        **dec.error_map, key: (dec.error_map[key] + 1) % dec.frame.a_group.order})
     report = recompose_check(dec)
     assert not report
     assert report.witness is not None
@@ -93,13 +95,27 @@ def test_fibre_is_built_once_per_error_term(x2_rule, z20_frame):
     key = next(iter(dec.error_map))
     fib = dec.fibre(key)
     assert dec.fibre(key) is fib
-    dec.error_map[key] = (dec.error_map[key] + 1) % dec.frame.a_group.order
-    rebuilt = dec.fibre(key)
+    changed = replace(dec, error_map={
+        **dec.error_map, key: (dec.error_map[key] + 1) % dec.frame.a_group.order})
+    rebuilt = changed.fibre(key)
     assert rebuilt is not fib
     assert local_table(rebuilt).tolist() != local_table(fib).tolist()
-    del dec.error_map[key]
+    missing = replace(dec, error_map={w: e for w, e in dec.error_map.items() if w != key})
     with pytest.raises(KeyError):
-        dec.fibre(key)
+        missing.fibre(key)
+
+
+def test_error_map_is_read_only_and_a_copy_starts_unverified(x2_rule, z20_frame):
+    dec = decompose_mca(x2_rule, z20_frame)
+    key = next(iter(dec.error_map))
+    with pytest.raises(TypeError):
+        dec.error_map[key] = 0
+    changed = replace(dec, error_map={
+        **dec.error_map, key: (dec.error_map[key] + 1) % dec.frame.a_group.order})
+    assert dec.verified and not changed.verified
+    assert changed.error_map[key] != dec.error_map[key]
+    with pytest.raises(TypeError):
+        changed.error_map[key] = 0
 
 
 def test_decompose_makes_no_rule_per_fibre(monkeypatch, quat_rule4, q8_center_frame):
@@ -116,6 +132,23 @@ def test_decompose_makes_no_rule_per_fibre(monkeypatch, quat_rule4, q8_center_fr
     assert dec.verified
     assert len(made) == 1 and made[0] is dec.h_rule
     assert composed == []
+    made.clear()
+    tower = nilpotent_tower(quat_rule4)
+    assert made == [r for lev in tower.levels
+                    for r in (lev.decomposition.h_rule, lev.split.lin_rule)]
+    assert len(made) == 2 and composed == []
+
+
+def test_recompose_check_refuses_a_rule_of_another_group_or_width(x1_dec, z20):
+    ident = GroupMap.identity(z20)
+    wider = McaRule(z20, 0, 3, [(v, ident) for v in range(4)], one_sided=True)
+    with pytest.raises(WindowError, match="rule width 4 differs"):
+        recompose_check(x1_dec, wider)
+    Z20 = make_cyclic(20)
+    cyclic = McaRule(Z20, 0, 2, [(v, GroupMap.identity(Z20)) for v in range(3)],
+                     one_sided=True)
+    with pytest.raises(FrameError, match="different groups"):
+        recompose_check(x1_dec, cyclic)
 
 
 def test_decompose_rejects_non_invariant_coefficient(q8, q8_labels):
@@ -245,20 +278,27 @@ def test_tower_check_names_the_first_failing_window_word(monkeypatch, quat_rule4
     assert levels
 
 
-def test_central_split_names_the_first_fibre_that_disagrees(quat_rule4, q8_center_frame):
+def test_central_split_names_the_first_fibre_that_disagrees(monkeypatch, quat_rule4,
+                                                           q8_center_frame):
     dec = decompose_mca(quat_rule4, q8_center_frame)
-    for w in [(3, 3, 3, 3), (0, 1, 2, 3)]:
-        # the fibre with its bias flipped in the order-2 centre
-        fib = dec.fibre(w)
-        dec._fibre_cache[(w, dec.error_map[w])] = McaRule(
-            fib.group, fib.v_lo, fib.v_hi, fib.factors, bias=1 - fib.bias)
+    real = decompose._fibre_rows
+
+    def flipped(dec):
+        # one output flipped in the order-2 centre, in the fibres over
+        # (3, 3, 3, 3) and (0, 1, 2, 3)
+        bias, images, tables = real(dec)
+        tables = tables.copy()
+        for row in [int("3333", 4), int("0123", 4)]:
+            tables[row, 0] = 1 - tables[row, 0]
+        return bias, images, tables
+
+    monkeypatch.setattr(decompose, "_fibre_rows", flipped)
     with pytest.raises(FrameError, match=re.escape(
             "central split disagrees with fibre at (0, 1, 2, 3)")):
-        central_split(quat_rule4, q8_center_frame, dec=dec)
+        central_split(quat_rule4, q8_center_frame, dec=replace(dec))
 
 
 def test_tower_on_abelian_group_is_flat():
-    from mcalab import make_cyclic
     G = make_cyclic(6)
     ident = GroupMap.identity(G)
     rule = McaRule(G, 0, 1, [(0, ident), (1, ident)])

@@ -64,6 +64,20 @@ def test_only_spectral_reads_character_rows():
     assert not offenders
 
 
+def test_only_decompose_reads_the_fibre_batch():
+    """A decomposition's fibre batch stays behind ``decompose``: everything
+    else reads fibres through ``SkewDecomposition.fibre``."""
+    offenders = []
+    for path in sorted([*(ROOT / "src").rglob("*.py"),
+                        *(ROOT / "perfbench").rglob("*.py")]):
+        if path.name == "decompose.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_batch", "_fibres"):
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.attr}")
+    assert not offenders
+
+
 
 
 def _names_used(tree: ast.AST, strings: bool = False) -> set[str]:

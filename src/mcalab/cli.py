@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .errors import McaLabError, SpecError
 from .groups import (FiniteGroup, abelian_invariants, center,
-                     commutator_subgroup, is_nilpotent, upper_central_series)
+                     commutator_subgroup, upper_central_series)
 from .rules import permutativity
 from .measures import trajectory_partition_entropy
 from .decompose import decompose_mca, nilpotent_tower
@@ -162,7 +162,7 @@ def cmd_group(cfg: ExperimentConfig, run: Run, args) -> None:
             G, commutator_subgroup(G).members),
         "upper_central_series": [_subgroup_labels(G, sg.members)
                                  for sg in series.chain],
-        "nilpotent": is_nilpotent(G),
+        "nilpotent": series.reaches_group,
         "series_factor_invariants": [list(t)
                                      for t in series.factor_invariants],
         "abelian_invariants": (list(abelian_invariants(G).orders)

@@ -22,6 +22,8 @@ The paper's endomorphism test (``is_homomorphic_local``,
 ``extract_eca_coefficients``), ``filling_solve``, ``characters_of``, the
 window sum ``fourier_coefficient`` and ``harmonic_mixing_profile`` check
 the library's permutativity, dual action and ``bernoulli_fourier``.
+``sample_words_oracle`` draws a Monte-Carlo chunk of star words with
+whole-chunk ``Generator.choice`` draws and one ``b_of[a, c]`` gather.
 """
 import cmath
 import functools
@@ -583,3 +585,32 @@ def harmonic_mixing_profile(spec, r_max: int, group=None) -> list[float]:
                 best = max(best, float(abs(vec.sum())))
         out.append(best)
     return out
+
+
+def _spec_words(spec, rng: np.random.Generator, count: int,
+                length: int) -> np.ndarray:
+    """count × length draws of ``spec``: i.i.d. cells in one
+    ``Generator.choice`` call; a Markov chain column by column."""
+    p = np.asarray([float(x) for x in spec.probs])
+    p /= p.sum()
+    if spec.kind in ("uniform", "bernoulli"):
+        return rng.choice(spec.size, size=count * length, p=p).reshape(count, length)
+    out = np.empty((count, length), dtype=np.int64)
+    out[:, 0] = rng.choice(spec.size, size=count, p=p)
+    T = np.asarray([[float(x) for x in row] for row in spec.transition])
+    T = T / T.sum(axis=1, keepdims=True)
+    for j in range(1, length):
+        u = rng.random(count)
+        cum = np.cumsum(T[out[:, j - 1]], axis=1)
+        out[:, j] = np.minimum((u[:, None] > cum).sum(axis=1), spec.size - 1)
+    return out
+
+
+def sample_words_oracle(spec_pair, frame, rng: np.random.Generator,
+                        count: int, length: int) -> np.ndarray:
+    """The star words of a (λ, ν) pair: all of λ's draws, then all of ν's,
+    each over the whole chunk, mapped (a, c) -> b by one ``b_of[a, c]``."""
+    lam, nu = spec_pair
+    a = _spec_words(lam, rng, count, length)
+    c = _spec_words(nu, rng, count, length)
+    return np.asarray(frame.b_of)[a, c]

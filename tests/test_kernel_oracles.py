@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
@@ -35,6 +35,7 @@ from mcalab.util import iter_words
 from oracles import (dual_action_oracle, fibre_oracle, fibre_rank_oracle,
                      marginal_oracle,
                      partition_entropy_oracle, probs,
+                     sample_words_oracle,
                      push_forward_oracle, recompose_oracle,
                      star_product_oracle, trajectory_oracle, word_weight)
 
@@ -519,3 +520,49 @@ def test_fibre_ranks_match_fraction_oracle_across_batches(monkeypatch, chunk):
     for name in sorted(CENTRAL_FRAMES):
         for j in (0, 1, 2):
             assert_fibre_ranks_match(name, j)
+
+
+def law(kind: str, size: int, weights: list[int], stay: int) -> MeasureSpec:
+    """A law on ``size`` symbols: weights give the cell (stationary) law; a
+    Markov chain stays put with chance stay/4, else redraws from it."""
+    w = weights[:size] if any(weights[:size]) else [1] * size
+    pi = [Fraction(x, sum(w)) for x in w]
+    if kind == "uniform":
+        return MeasureSpec("uniform", size)
+    if kind == "bernoulli":
+        return MeasureSpec("bernoulli", size, probs=pi)
+    s = Fraction(stay, 4)
+    T = [[s * (i == j) + (1 - s) * pi[j] for j in range(size)] for i in range(size)]
+    return MeasureSpec("markov", size, transition=T, initial=pi)
+
+
+KINDS = st.sampled_from(["uniform", "bernoulli", "markov"])
+WEIGHTS = st.lists(st.integers(0, 5), min_size=5, max_size=5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(frame_name=st.sampled_from(["q8_center_frame", "z20_frame"]),
+       kinds=st.tuples(KINDS, KINDS), weights=st.tuples(WEIGHTS, WEIGHTS),
+       stays=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       count=st.integers(1, 600), length=st.integers(1, 600),
+       seed=st.integers(0, 2 ** 32 - 1))
+# count·length of 3.1 and 4.6 pieces of the draw buffer
+@example(frame_name="q8_center_frame", kinds=("bernoulli", "markov"),
+         weights=([7, 3, 0, 0, 0], [4, 3, 2, 1, 0]), stays=(1, 2),
+         count=331, length=619, seed=5)
+@example(frame_name="z20_frame", kinds=("markov", "bernoulli"),
+         weights=([1, 0, 2, 0, 3], [0, 1, 1, 2, 0]), stays=(3, 0),
+         count=509, length=593, seed=6)
+def test_sampled_star_words_match_whole_chunk_oracle(
+        request, frame_name, kinds, weights, stays, count, length, seed):
+    """The streamed pair sampler gives the whole-chunk sampler's words bit
+    for bit, whatever the laws and however the pieces fall."""
+    frame = request.getfixturevalue(frame_name)
+    pair = tuple(law(kind, group.order, w, stay) for kind, group, w, stay
+                 in zip(kinds, (frame.a_group, frame.C), weights, stays))
+    got = spectral._sample_words(pair, frame, frame.B, length,
+                                 np.random.default_rng(seed), count)
+    want = sample_words_oracle(pair, frame, np.random.default_rng(seed),
+                               count, length)
+    assert got.dtype == np.uint8 and got.shape == (count, length)
+    assert np.array_equal(got, want)

@@ -511,6 +511,17 @@ def test_sampled_words_are_the_draws_of_generator_choice(q8_center_frame):
     assert np.array_equal(got, fr.b_of[a, c])
 
 
+def test_star_word_sampling_holds_two_cell_arrays(q8_center_frame):
+    # one Monte-Carlo chunk of the skew_mc run: λ's words and the output
+    # are the only chunk-sized arrays; the ν draws and the (a, c) -> b
+    # index live in fixed piece buffers
+    fr, count, length = q8_center_frame, 1 << 14, 193
+    words, peak = traced_peak(spectral._sample_words, (bern(7, 10), bern(4, 10, size=4)),
+                              fr, fr.B, length, np.random.default_rng(0), count)
+    assert words.shape == (count, length)
+    assert peak <= 2 * words.size + 2 * 2 ** 20
+
+
 def test_markov_monte_carlo_tv_matches_the_stationary_law():
     # the shift keeps a stationary chain, so every TV row is ½·Σ|π_i − ½|
     Z2 = make_cyclic(2)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from math import gcd
 
 import numpy as np
 
@@ -24,7 +22,7 @@ from .errors import (
     SizeLimitError,
     TableInvalidError,
 )
-from .util import ENUMERATION_CAP
+from .util import ENUMERATION_CAP, is_integer
 
 __all__ = [
     "FiniteGroup",
@@ -58,11 +56,13 @@ class FiniteGroup:
     ``table[a, b] = a*b``.  Instances are immutable by convention; all
     derived data (inverses, abelianness, element orders) is cached.
     ``labels`` are distinct strings, ``str(k)`` for element k by default.
+    The generating set the table was validated with is the one every
+    structural query reads.
     """
 
     def __init__(self, table: np.ndarray, labels: list[str] | None = None):
         table = np.asarray(table, dtype=np.int64)
-        _validate_table(table)
+        self._gens: np.ndarray = np.asarray(_validate_table(table), dtype=np.int64)
         self.order: int = int(table.shape[0])
         self.table: np.ndarray = table
         self.table.setflags(write=False)
@@ -74,7 +74,7 @@ class FiniteGroup:
                 or not all(isinstance(s, str) for s in labels)):
             raise TableInvalidError(f"labels must be {self.order} distinct strings")
         self.labels: list[str] = labels
-        self._orders: list[int] | None = None
+        self._orders: np.ndarray | None = None
         self._abelian: bool | None = None
 
     # -- basic operations -------------------------------------------------
@@ -86,9 +86,8 @@ class FiniteGroup:
         return int(self.inverse[a])
 
     def power(self, a: int, k: int) -> int:
-        """a**k for any integer k (negative powers via the inverse)."""
-        if k < 0:
-            a, k = self.inv(a), -k
+        """a**k for any integer k (negative powers via the order of a)."""
+        k %= self.element_order(a)
         out = 0
         base = a
         while k:
@@ -102,33 +101,29 @@ class FiniteGroup:
         """g * x * g^-1."""
         return self.mul(self.mul(g, x), self.inv(g))
 
-    def prod(self, xs) -> int:
-        """Ordered product of a sequence of elements (empty product = identity)."""
-        out = 0
-        for x in xs:
-            out = self.mul(out, x)
-        return out
-
     def elements(self) -> range:
         return range(self.order)
 
     def label(self, a: int) -> str:
         return self.labels[a]
 
-    def element_order(self, a: int) -> int:
+    def _element_orders(self) -> np.ndarray:
+        """Order of every element; the k-th power of all elements is one
+        gather of the (k-1)-th."""
         if self._orders is None:
-            self._orders = [0] * self.order
-        if self._orders[a] == 0:
-            k, x = 1, a
-            while x != 0:
-                x = self.mul(x, a)
-                k += 1
-            self._orders[a] = k
-        return self._orders[a]
+            ar = np.arange(self.order)
+            self._orders = np.zeros(self.order, dtype=np.int64)
+            power, k = ar, 1
+            while not self._orders.all():
+                self._orders[(power == 0) & (self._orders == 0)] = k
+                power, k = self.table[power, ar], k + 1
+        return self._orders
+
+    def element_order(self, a: int) -> int:
+        return int(self._element_orders()[a])
 
     def exponent(self) -> int:
-        return reduce(lambda acc, a: acc * self.element_order(a) // gcd(acc, self.element_order(a)),
-                      self.elements(), 1)
+        return int(np.lcm.reduce(self._element_orders()))
 
     @property
     def is_abelian(self) -> bool:
@@ -155,7 +150,8 @@ def _check_entries(table: np.ndarray) -> None:
         raise TableInvalidError(f"entry at {tuple(bad.tolist())} is outside 0..{n-1}")
 
 
-def _validate_table(table: np.ndarray) -> None:
+def _validate_table(table: np.ndarray) -> list[int]:
+    """Check the group axioms; return the generators Light's test checked."""
     _check_entries(table)
     n = table.shape[0]
     # rows and columns are permutations (Latin square); the first bad
@@ -172,32 +168,46 @@ def _validate_table(table: np.ndarray) -> None:
         raise TableInvalidError("index 0 is not a two-sided identity")
     # Light's associativity test: the g with (x*g)*z == x*(g*z) for all x, z
     # are closed under products, so it suffices to check a set of g whose
-    # products reach every element.  The set grows from the least element
-    # not yet reached; the reached part is then a subgroup, so each new g
-    # at least doubles it and at most log2(n) checks of n*n entries run.
-    gens: list[int] = []
-    reached = _reached(table, gens)
-    while not reached.all():
-        g = int(reached.argmin())
+    # products reach every element.
+    gens = _generators(table)
+    for g in gens:
         bad = table[table[:, g]] != table[:, table[g]]   # (x*g)*z != x*(g*z)
         if bad.any():
             x, z = np.argwhere(bad)[0]
             raise TableInvalidError(f"associativity fails at ({x},{g},{z})")
-        gens.append(g)
-        reached = _reached(table, gens)
     # inverses exist because rows are permutations and identity exists.
+    return gens
 
 
-def _reached(table: np.ndarray, gens: list[int]) -> np.ndarray:
-    """Mask of the elements reached from the identity by multiplying by
-    ``gens`` on the right (breadth first)."""
-    reached = np.arange(len(table)) == 0
-    frontier = np.flatnonzero(reached)
+def _generators(table: np.ndarray) -> list[int]:
+    """Elements whose products reach every element, grown from the least
+    element not yet reached.  In a group the reached part is a subgroup,
+    so each new element at least doubles it: at most log2(n) elements."""
+    gens: list[int] = []
+    reached = _extend(table, gens, gens) >= 0
+    while not reached.all():
+        gens.append(int(reached.argmin()))
+        reached = _extend(table, gens, gens) >= 0
+    return gens
+
+
+def _extend(table: np.ndarray, gens, images) -> np.ndarray | None:
+    """The homomorphism on the subgroup generated by ``gens`` that sends
+    them to ``images`` (-1 off that subgroup), or None if there is none:
+    f(x*g) = f(x)*f(g), set breadth first and checked on every edge.  With
+    ``images = gens`` it is the identity on the elements ``gens`` reach."""
+    f = np.full(len(table), -1, dtype=np.int64)
+    f[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        before = reached.copy()
-        reached[table[np.ix_(frontier, np.asarray(gens, dtype=np.int64))]] = True
-        frontier = np.flatnonzero(reached & ~before)
-    return reached
+        xs = table[np.ix_(frontier, gens)]
+        ys = table[np.ix_(f[frontier], images)]
+        unset = f == -1
+        f[xs] = np.where(unset[xs], ys, f[xs])
+        if (f[xs] != ys).any():
+            return None
+        frontier = np.flatnonzero(unset & (f != -1))
+    return f
 
 
 # -- maps ------------------------------------------------------------------
@@ -279,6 +289,15 @@ def _check_hom(source: FiniteGroup, target: FiniteGroup, images) -> None:
 # -- subgroups -------------------------------------------------------------
 
 
+def _elements(G: FiniteGroup, xs, what: str) -> list[int]:
+    """``xs`` as a list of ints, refusing anything that is not an element."""
+    xs = list(xs)
+    bad = [x for x in xs if not is_integer(x) or not 0 <= x < G.order]
+    if bad:
+        raise TableInvalidError(f"{what} {bad[0]} is not an element index 0..{G.order - 1}")
+    return [int(x) for x in xs]
+
+
 @dataclass(eq=False)
 class Subgroup:
     """A subgroup given by its sorted member indices inside ``parent``."""
@@ -288,7 +307,7 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, members):
         self.parent = parent
-        ms = tuple(sorted(set(int(m) for m in members)))
+        ms = tuple(sorted(set(_elements(parent, members, "subgroup member"))))
         if not ms or ms[0] != 0:
             raise TableInvalidError("subgroup must contain the identity")
         idx = np.array(ms)
@@ -305,7 +324,6 @@ class Subgroup:
             raise TableInvalidError(
                 f"subgroup not closed at ({ms[i]},{ms[int(bad_mul[i].argmax())]})")
         self.members = ms
-        self._member_set = set(ms)
         self._mask = mask
 
     @property
@@ -313,7 +331,7 @@ class Subgroup:
         return len(self.members)
 
     def __contains__(self, x: int) -> bool:
-        return x in self._member_set
+        return 0 <= x < self.parent.order and bool(self._mask[x])
 
     def as_group(self) -> tuple[FiniteGroup, list[int]]:
         """Reindex the subgroup as its own FiniteGroup.
@@ -366,51 +384,28 @@ def make_direct_sum(orders: list[int]) -> FiniteGroup:
     for n in orders:
         if not isinstance(n, int) or n <= 0:
             raise InvalidOrderError(f"factor orders must be positive integers, got {n!r}")
-    total = 1
-    for n in orders:
-        total *= n
+    total = math.prod(orders)
     if total > 4096:
         raise SizeLimitError(f"direct sum of order {total} exceeds table limit")
-    digits = np.unravel_index(np.arange(total), orders)
-    table = np.ravel_multi_index(
-        tuple((d[:, None] + d[None, :]) % n for d, n in zip(digits, orders)), orders)
+    # one factor at a time: the new factor is the least significant digit
+    table = np.zeros((1, 1), dtype=np.int64)
+    for n in orders:
+        cyclic = np.add.outer(np.arange(n), np.arange(n)) % n
+        size = len(table) * n
+        table = (table[:, None, :, None] * n + cyclic[None, :, None, :]).reshape(size, size)
     labels = ["(" + ",".join(map(str, t)) + ")"
               for t in itertools.product(*[range(n) for n in orders])]
     return FiniteGroup(table, labels)
 
 
-_QUAT_LABELS = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-
 def make_quaternion() -> FiniteGroup:
     """The quaternion group of order 8, elements ordered 1,-1,i,-i,j,-j,k,-k."""
-    # represent q = (sign, axis) with axis in {1, i, j, k}
-    def split(q):  # index -> (sign, axis) with axis 0..3
-        return (1 if q % 2 == 0 else -1), q // 2
-
-    def join(sign, axis):
-        return axis * 2 + (0 if sign == 1 else 1)
-
-    # axis multiplication: axis_mul[a][b] = (sign, axis) for a*b
-    # axes: 0 = 1, 1 = i, 2 = j, 3 = k
-    axis_mul = {}
-    for a in range(4):
-        axis_mul[(0, a)] = (1, a)
-        axis_mul[(a, 0)] = (1, a)
-    for a in (1, 2, 3):
-        axis_mul[(a, a)] = (-1, 0)          # i*i = j*j = k*k = -1
-    cyc = {(1, 2): 3, (2, 3): 1, (3, 1): 2}  # i*j=k, j*k=i, k*i=j
-    for (a, b), c in cyc.items():
-        axis_mul[(a, b)] = (1, c)
-        axis_mul[(b, a)] = (-1, c)
-    table = np.empty((8, 8), dtype=np.int64)
-    for p in range(8):
-        sp, ap = split(p)
-        for q in range(8):
-            sq, aq = split(q)
-            sm, am = axis_mul[(ap, aq)]
-            table[p, q] = join(sp * sq * sm, am)
-    return FiniteGroup(table, list(_QUAT_LABELS))
+    # element 2*axis + sign with axes 1, i, j, k = 0..3 and sign 1 for -1:
+    # axes multiply as xor (i*j = k, i*i = 1) up to the sign neg[axis, axis]
+    neg = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    axis, sign = np.divmod(np.arange(8), 2)
+    table = 2 * (axis[:, None] ^ axis) + (sign[:, None] ^ sign ^ neg[np.ix_(axis, axis)])
+    return FiniteGroup(table, ["1", "-1", "i", "-i", "j", "-j", "k", "-k"])
 
 
 def make_semidirect(normal: FiniteGroup, acting: FiniteGroup,
@@ -497,85 +492,55 @@ def serialize_group(G: FiniteGroup) -> dict:
 
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
     """Closure of a generating set (BFS over right multiplication)."""
-    return Subgroup(G, np.flatnonzero(_reached(G.table, [int(g) for g in gens])))
+    gens = _elements(G, gens, "generator")
+    return Subgroup(G, np.flatnonzero(_extend(G.table, gens, gens) >= 0))
 
 
 def center(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, np.flatnonzero((G.table == G.table.T).all(axis=1)))
 
 
+def _commutators(G: FiniteGroup, xs: np.ndarray) -> np.ndarray:
+    """``[x, s] = x s x^-1 s^-1`` for every x in ``xs`` and generator s."""
+    T, inv, S = G.table, G.inverse, G._gens
+    return T[T[np.ix_(xs, S)], T[np.ix_(inv[xs], inv[S])]]
+
+
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
-    comms = {G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
-             for a in G.elements() for b in G.elements()}
-    return generated_subgroup(G, sorted(comms))
-
-
-def _generating_set(G: FiniteGroup) -> list[int]:
-    """Greedy generating set: repeatedly add the element whose addition
-    generates the largest extension (smallest index breaks ties)."""
-    gens: list[int] = []
-    current = {0}
-    while len(current) < G.order:
-        best_g, best_size, best_set = -1, 0, None
-        for g in G.elements():
-            if g in current:
-                continue
-            sub = generated_subgroup(G, gens + [g])
-            if len(sub.members) > best_size:
-                best_g, best_size, best_set = g, len(sub.members), set(sub.members)
-        gens.append(best_g)
-        current = best_set
-    return gens
-
-
-def _close_partial_hom(G: FiniteGroup, assign: dict[int, int]) -> dict[int, int] | None:
-    """Close a partial map under products; None on contradiction.
-
-    On success the returned dict is multiplicative on its (subgroup) domain.
-    """
-    m = dict(assign)
-    changed = True
-    while changed:
-        changed = False
-        dom = list(m.items())
-        for x, fx in dom:
-            for y, fy in dom:
-                xy = G.mul(x, y)
-                v = G.mul(fx, fy)
-                got = m.get(xy)
-                if got is None:
-                    m[xy] = v
-                    changed = True
-                elif got != v:
-                    return None
-    return m
+    """Normal closure of the commutators of the generating set: close
+    under products, then add one conjugate by a generator that escapes.
+    Each round at least doubles the subgroup."""
+    T, S = G.table, G._gens
+    gens = _commutators(G, S).ravel()
+    while True:
+        reached = _extend(T, gens, gens) >= 0
+        conj = T[T[np.ix_(S, np.flatnonzero(reached))], G.inverse[S][:, None]]
+        escaped = conj[~reached[conj]]
+        if not escaped.size:
+            return Subgroup(G, np.flatnonzero(reached))
+        gens = np.append(gens, escaped[0])
 
 
 def enumerate_endomorphisms(G: FiniteGroup, cap: int = ENUMERATION_CAP) -> list[GroupMap]:
-    """All endomorphisms of G, in lexicographic order of generator images.
-
-    Exhaustive search over images of a greedy generating set with
-    consistent-prefix pruning; refuses groups larger than ``cap``.
-    """
+    """All endomorphisms of G, in lexicographic order of the images of
+    the generating set G was validated with: an exhaustive search over
+    those images with consistent-prefix pruning.  Refuses orders past ``cap``."""
     if G.order > cap:
         raise SizeLimitError(f"group order {G.order} exceeds enumeration cap {cap}")
-    gens = _generating_set(G)
+    gens = G._gens.tolist()
     results: list[GroupMap] = []
 
-    def extend(idx: int, partial: dict[int, int]) -> None:
-        if idx == len(gens):
-            images = tuple(partial[x] for x in G.elements())
-            results.append(GroupMap(G, G, images, True, _trusted=True))
+    def extend(images: list[int]) -> None:
+        f = _extend(G.table, gens[:len(images)], images)
+        if f is None:
             return
-        g = gens[idx]
+        if len(images) == len(gens):
+            results.append(GroupMap(G, G, f, True, _trusted=True))
+            return
         for img in G.elements():
-            nxt = dict(partial)
-            nxt[g] = img
-            closed = _close_partial_hom(G, nxt)
-            if closed is not None:
-                extend(idx + 1, closed)
+            extend(images + [img])
 
-    extend(0, {0: 0})
+    extend([])
     return results
 
 
@@ -604,14 +569,21 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
     if escapes.any():
         g, i = np.argwhere(escapes)[0]
         raise NotNormalError(f"subgroup is not normal: witness {(int(g), N.members[i])}")
-    # each coset xN is named by its least member
-    least = G.table[:, N.members].min(axis=1)
-    reps = np.flatnonzero(least == np.arange(G.order))
-    coset_of = np.searchsorted(reps, least)
-    table = coset_of[G.table[np.ix_(reps, reps)]]
+    reps, coset_of, table = _cosets(G, np.arange(G.order), N.members)
     Q = FiniteGroup(table, [f"[{G.label(r)}]" for r in reps.tolist()])
     pi = GroupMap(G, Q, coset_of, True, _trusted=True)
     return Q, pi
+
+
+def _cosets(G: FiniteGroup, members: np.ndarray, normal):
+    """The cosets xN of x in ``members`` (a sorted subgroup containing the
+    normal subgroup N), each named by its least member, ascending:
+    ``(reps, coset index of every element of members, coset table)``."""
+    least = G.table[np.ix_(members, normal)].min(axis=1)
+    reps = members[least == members]
+    coset_of = np.zeros(G.order, dtype=np.int64)
+    coset_of[members] = np.searchsorted(reps, least)
+    return reps, coset_of, coset_of[G.table[np.ix_(reps, reps)]]
 
 
 @dataclass
@@ -623,31 +595,31 @@ class CharSeries:
     factor_invariants: list[tuple[int, ...]] = field(default_factory=list)
 
     @property
-    def terminal(self) -> Subgroup:
-        return self.chain[-1]
-
-    @property
     def reaches_group(self) -> bool:
-        return self.terminal.order == self.group.order
+        return self.chain[-1].order == self.group.order
 
 
 def upper_central_series(G: FiniteGroup) -> CharSeries:
     """Ascending chain {e} = Z0 <= Z1 <= ... with Z_{k+1}/Z_k = Z(G/Z_k).
 
-    Stops when the chain stabilizes; for nilpotent groups the last entry is
-    G itself.  Records the abelian invariants of each factor Z_k/Z_{k-1}.
+    Z_{k+1} is the set of x with [x, s] in Z_k for every generator s, read
+    off one table of those commutators.  Stops when the chain stabilizes;
+    for nilpotent groups the last entry is G itself.  Records the abelian
+    invariants of each factor Z_k/Z_{k-1}.
     """
+    comms = _commutators(G, np.arange(G.order))
     chain = [Subgroup(G, [0])]
     invariants: list[tuple[int, ...]] = []
-    while chain[-1].order < G.order:
-        Q, pi = quotient(G, chain[-1])
-        zq = center(Q)
-        members = sorted(x for x in G.elements() if pi(x) in zq)
-        if len(members) == chain[-1].order:
-            break   # series stabilized below G: not nilpotent
-        factor_group, _ = zq.as_group()
-        invariants.append(abelian_invariants(factor_group).orders)
+    lower = np.arange(G.order) == 0
+    while True:
+        upper = lower[comms].all(axis=1)
+        if upper.sum() == chain[-1].order:
+            break   # series stabilized (below G if G is not nilpotent)
+        members = np.flatnonzero(upper)
+        factor = FiniteGroup(_cosets(G, members, chain[-1].members)[2])
+        invariants.append(abelian_invariants(factor).orders)
         chain.append(Subgroup(G, members))
+        lower = upper
     return CharSeries(G, chain, invariants)
 
 
@@ -681,13 +653,13 @@ def _peel_abelian(G: FiniteGroup) -> tuple[list[int], list[int]]:
     """Greedy maximal-order generator peeling; orders come out descending."""
     if G.order == 1:
         return [], []
-    g = max(G.elements(), key=lambda x: (G.element_order(x), -x))
+    g = int(G._element_orders().argmax())   # the least of largest order
     m = G.element_order(g)
     Q, pi = quotient(G, generated_subgroup(G, [g]))
     q_orders, q_gens = _peel_abelian(Q)
     gens = [g]
     for mi, qg in zip(q_orders, q_gens):
-        h = next(x for x in G.elements() if pi(x) == qg)
+        h = pi.image_of.index(qg)
         # adjust h by a power of g so that its order drops to mi:
         # h^mi lies in <g>, say g^s with mi | s; then (h * g^{-s/mi})^mi = e.
         hm = G.power(h, mi)
@@ -706,14 +678,12 @@ def abelian_invariants(A: FiniteGroup) -> AbelianCoords:
     orders_desc, gens_desc = _peel_abelian(A)
     orders = tuple(reversed(orders_desc))
     gens = tuple(reversed(gens_desc))
-    to_tuple: list[tuple[int, ...] | None] = [None] * A.order
-    index_of: dict[tuple[int, ...], int] = {}
-    for coeffs in itertools.product(*[range(n) for n in orders]):
-        x = A.prod(A.power(g, c) for g, c in zip(gens, coeffs))
-        if to_tuple[x] is not None:
-            raise NotAbelianError("internal: peeled generators not independent")
-        to_tuple[x] = coeffs
-        index_of[coeffs] = x
-    if any(t is None for t in to_tuple):
-        raise NotAbelianError("internal: peeled generators do not span")
-    return AbelianCoords(A, orders, gens, tuple(to_tuple), index_of)
+    # the element of every coefficient tuple, in itertools.product order
+    elems = np.zeros(1, dtype=np.int64)
+    for g, n in zip(gens, orders):
+        elems = A.table[elems[:, None], [A.power(g, c) for c in range(n)]].ravel()
+    if not np.array_equal(np.sort(elems), np.arange(A.order)):
+        raise NotAbelianError("internal: peeled generators are not a basis")
+    coeffs = list(itertools.product(*[range(n) for n in orders]))
+    to_tuple = tuple(coeffs[i] for i in np.argsort(elems))
+    return AbelianCoords(A, orders, gens, to_tuple, dict(zip(coeffs, elems.tolist())))

@@ -87,7 +87,7 @@ def make_frame(B: FiniteGroup, A: Subgroup, section: list[int] | None = None) ->
         raise FrameError("subgroup belongs to a different group")
     C, pi = quotient(B, A)
     if section is None:
-        sigma = [min(x for x in B.elements() if pi(x) == c) for c in C.elements()]
+        sigma = np.flatnonzero(B.table[:, A.members].min(axis=1) == np.arange(B.order)).tolist()
     else:
         if len(section) != C.order:
             raise FrameError(f"section needs {C.order} entries, got {len(section)}")

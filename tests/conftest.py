@@ -1,10 +1,12 @@
 """Shared groups, rules, and frames used across the test modules."""
+import itertools
 import tracemalloc
 
 import pytest
 
-from mcalab import (GroupMap, McaRule, Subgroup, center, make_frame,
-                    make_quaternion, make_semidirect, make_cyclic)
+from mcalab import (GroupMap, McaRule, Subgroup, center, from_table,
+                    make_cyclic, make_direct_sum, make_frame, make_quaternion,
+                    make_semidirect)
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -26,6 +28,43 @@ def traced_peak(fn, *args, **kwargs):
 def doubling_action(n: int, order: int) -> list[list[int]]:
     """Z/order acting on Z/n with c acting as multiplication by 2^c."""
     return [[(pow(2, c, n) * a) % n for a in range(n)] for c in range(order)]
+
+
+def dihedral(n: int):
+    """D_2n = Z/n x| Z/2, the generator of Z/2 acting by inversion."""
+    return make_semidirect(make_cyclic(n), make_cyclic(2),
+                           [list(range(n)), [(-a) % n for a in range(n)]])
+
+
+def heisenberg(p: int):
+    """(Z/p)^2 x| Z/p with c.(a1, a2) = (a1 + c*a2, a2); (a1, a2) has
+    index a1*p + a2 in the direct sum."""
+    action = [[((a // p + c * (a % p)) % p) * p + a % p for a in range(p * p)]
+              for c in range(p)]
+    return make_semidirect(make_direct_sum([p, p]), make_cyclic(p), action)
+
+
+def quaternion16():
+    """Generalized quaternion <a, b | a^8, b^2 = a^4, b a b^-1 = a^-1>,
+    given by its table; a^i b^j has index 2i + j."""
+    table = [[0] * 16 for _ in range(16)]
+    for i, j, k, l in itertools.product(range(8), range(2), range(8), range(2)):
+        # b^j a^k = a^(+-k) b^j, and b^2 = a^4
+        exp = i + (-k if j else k) + (4 if j and l else 0)
+        table[2 * i + j][2 * k + l] = 2 * (exp % 8) + (j + l) % 2
+    return from_table(table)
+
+
+# name -> (group, upper central series factor invariants or None if the
+# group is not nilpotent, order of the derived subgroup)
+KNOWN_STRUCTURE = {
+    "D12": (lambda: dihedral(6), None, 3),
+    "D16": (lambda: dihedral(8), [(2,), (2,), (2, 2)], 4),
+    "D32": (lambda: dihedral(16), [(2,), (2,), (2,), (2, 2)], 8),
+    "Q16": (quaternion16, [(2,), (2,), (2, 2)], 4),
+    "Heisenberg mod 3": (lambda: heisenberg(3), [(3,), (3, 3)], 3),
+    "Heisenberg mod 5": (lambda: heisenberg(5), [(5,), (5, 5)], 5),
+}
 
 
 @pytest.fixture(scope="session")

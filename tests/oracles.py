@@ -6,7 +6,11 @@ Each walks the words of a window one at a time through a scalar evaluator
 independently of the table-lookup kernel the library uses.
 ``is_group_table`` checks the group axioms on a table by the exhaustive
 scan over all n**3 triples (``associativity_failures``) that the library's
-validator replaces with Light's test.
+validator replaces with Light's test.  ``commutator_subgroup_oracle``
+generates the subgroup from all n**2 commutators, and
+``upper_central_series_oracle`` builds each level as the preimage of the
+centre of a quotient table, where the library reads both off the
+generating set.
 ``dual_action_oracle`` steps a character one support cell and one
 position at a time in Python integers.  ``fibre_rank_oracle``
 reads each finite difference of a fibre composite as a sum of
@@ -36,12 +40,13 @@ import numpy as np
 
 from mcalab import (Character, Config, FibreRankCheck, GroupMap, McaLabError,
                     McaRule, NhcaSequence, NotAbelianError,
-                    NotPermutativeError, RecomposeReport, TableInvalidError,
-                    WindowError, WindowMeasure, abelian_invariants,
-                    apply_window, bernoulli_fourier, eval_local,
-                    fibre_step_sequence, local_table, make_cyclic,
-                    permutativity, relative_diffusion_rank, star_compose,
-                    star_decompose)
+                    NotPermutativeError, RecomposeReport, Subgroup,
+                    TableInvalidError, WindowError, WindowMeasure,
+                    abelian_invariants, apply_window, bernoulli_fourier,
+                    center, eval_local,
+                    fibre_step_sequence, generated_subgroup, local_table,
+                    make_cyclic, permutativity, quotient,
+                    relative_diffusion_rank, star_compose, star_decompose)
 from mcalab.rules import step_cells
 from mcalab.util import STATE_CAP, check_cap, digit_planes, iter_words
 
@@ -66,6 +71,28 @@ def is_group_table(table) -> bool:
     identity = any(np.array_equal(table[e], ar) and np.array_equal(table[:, e], ar)
                    for e in range(n))
     return latin and identity and not associativity_failures(table).any()
+
+
+def commutator_subgroup_oracle(G) -> tuple[int, ...]:
+    """Members of the subgroup generated by every commutator [a, b]."""
+    comms = {G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
+             for a in G.elements() for b in G.elements()}
+    return generated_subgroup(G, sorted(comms)).members
+
+
+def upper_central_series_oracle(G) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Members of each Z_k and the invariants of each factor Z_k/Z_{k-1}:
+    Z_{k+1} is the preimage of the centre of the quotient table G/Z_k."""
+    chain, invariants = [(0,)], []
+    while len(chain[-1]) < G.order:
+        Q, pi = quotient(G, Subgroup(G, chain[-1]))
+        zq = center(Q)
+        members = tuple(x for x in G.elements() if pi(x) in zq)
+        if len(members) == len(chain[-1]):
+            break   # stabilized below G: not nilpotent
+        invariants.append(abelian_invariants(zq.as_group()[0]).orders)
+        chain.append(members)
+    return chain, invariants
 
 
 def word_index(word, base: int) -> int:

@@ -5,6 +5,7 @@ elements, small enough to finish instantly, checked against the library's
 cleverer implementations.
 """
 import itertools
+import math
 import re
 
 import numpy as np
@@ -12,16 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcalab import (FiniteGroup, GroupMap, SizeLimitError, Subgroup,
+from mcalab import (FiniteGroup, GroupMap, McaRule, SizeLimitError, Subgroup,
                     TableInvalidError,
                     abelian_invariants, center, commutator_subgroup,
                     enumerate_automorphisms, enumerate_endomorphisms,
                     from_table, generated_subgroup, is_fully_characteristic,
                     is_nilpotent, make_cyclic, make_direct_sum,
-                    make_quaternion, make_semidirect, quotient,
+                    make_quaternion, make_semidirect, nilpotent_tower, quotient,
                     serialize_group, upper_central_series)
-from conftest import doubling_action, traced_peak
-from oracles import associativity_failures, is_group_table
+from conftest import KNOWN_STRUCTURE, doubling_action, traced_peak
+from oracles import (associativity_failures, commutator_subgroup_oracle,
+                     is_group_table, upper_central_series_oracle)
 
 
 def brute_endomorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -208,6 +210,8 @@ def test_quotient_coset_labeling_is_minimal_representative(q8):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_endomorphism_enumeration_matches_brute_force(n):
+    """The set of endomorphisms; their order follows the generating set the
+    group was validated with, so only the sorted lists are compared."""
     G = make_cyclic(n)
     got = sorted(tuple(e.image_of) for e in enumerate_endomorphisms(G))
     assert got == sorted(brute_endomorphisms(G))
@@ -219,6 +223,15 @@ def test_endomorphism_enumeration_v4_brute():
     assert got == sorted(brute_endomorphisms(G))
     # Aut(V4) = S3
     assert len(enumerate_automorphisms(G)) == 6
+
+
+def test_endomorphisms_come_in_order_of_the_generators_images(q8):
+    """The search runs over the images of the validator's generating set
+    (here -1, i, j), each endomorphism once."""
+    gens = q8._gens.tolist()
+    assert [q8.labels[g] for g in gens] == ["-1", "i", "j"]
+    keys = [tuple(e.image_of[g] for g in gens) for e in enumerate_endomorphisms(q8)]
+    assert keys == sorted(set(keys))
 
 
 def test_quaternion_automorphism_count(q8):
@@ -300,3 +313,89 @@ def test_from_table_moves_the_identity_to_index_zero(q8):
     # every label stays on its element, and the identity is back at slot 0
     assert list(G.labels) == list(q8.labels)
     assert all(G.mul(x, y) == q8.mul(x, y) for x in range(8) for y in range(8))
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_STRUCTURE))
+def test_series_and_derived_subgroup_of_groups_with_known_structure(name):
+    """D_2^k has class k-1 with factors Z/2, ..., Z/2, (Z/2)^2, as does
+    generalized Q16; a Heisenberg group mod p has Z/p, then (Z/p)^2.  D12
+    has centre Z/2 and a centreless quotient S3.  A width-3 product rule
+    peels into a tower with the same factors."""
+    build, factors, derived = KNOWN_STRUCTURE[name]
+    G = build()
+    series = upper_central_series(G)
+    assert commutator_subgroup(G).order == derived
+    if factors is None:
+        assert [sg.order for sg in series.chain] == [1, 2]
+        assert not series.reaches_group
+        return
+    assert series.reaches_group and series.factor_invariants == factors
+    ident = GroupMap.identity(G)
+    rule = McaRule(G, 0, 2, [(0, ident), (1, ident), (2, ident)])
+    assert nilpotent_tower(rule).factor_invariants == factors
+
+
+def unit_power_semidirect(n: int, m: int, u: int) -> FiniteGroup:
+    """Z/n x| Z/m with c acting as multiplication by u^c (u^m = 1 mod n)."""
+    return make_semidirect(make_cyclic(n), make_cyclic(m),
+                           [[pow(u, c, n) * a % n for a in range(n)] for c in range(m)])
+
+
+@st.composite
+def small_groups(draw) -> FiniteGroup:
+    """A direct sum of cyclic groups or a unit-power semidirect product, of
+    order at most 200."""
+    if draw(st.booleans()):
+        orders = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)
+                      .filter(lambda o: math.prod(o) <= 200))
+        return make_direct_sum(orders)
+    n = draw(st.integers(2, 50))
+    m = draw(st.integers(1, 200 // n))
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1 and pow(u, m, n) == 1]
+    return unit_power_semidirect(n, m, draw(st.sampled_from(units)))
+
+
+def assert_structure_matches_oracles(G: FiniteGroup) -> None:
+    series = upper_central_series(G)
+    chain, factors = upper_central_series_oracle(G)
+    assert [sg.members for sg in series.chain] == chain
+    assert series.factor_invariants == factors
+    assert commutator_subgroup(G).members == commutator_subgroup_oracle(G)
+    orders = [next(k for k in range(1, G.order + 1) if G.power(x, k) == 0)
+              for x in G.elements()]
+    assert [G.element_order(x) for x in G.elements()] == orders
+    assert G.exponent() == math.lcm(*orders)
+
+
+@given(small_groups())
+@settings(max_examples=40, deadline=None)
+def test_series_and_commutators_match_the_quotient_oracles(G):
+    assert_structure_matches_oracles(G)
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_STRUCTURE))
+def test_known_structure_matches_the_quotient_oracles(name):
+    assert_structure_matches_oracles(KNOWN_STRUCTURE[name][0]())
+
+
+def test_direct_sum_table_is_built_one_factor_at_a_time():
+    """One int64 n x n array per factor peaked at 11 times the table's
+    bytes for [2]*10; the running broadcast keeps the validator's peak."""
+    G, peak = traced_peak(make_direct_sum, [2] * 10)
+    assert peak <= 4 * G.table.nbytes
+    orders = [2, 3, 4]
+    digits = np.unravel_index(np.arange(24), orders)
+    want = np.ravel_multi_index(
+        tuple((d[:, None] + d[None, :]) % n for d, n in zip(digits, orders)), orders)
+    assert np.array_equal(make_direct_sum(orders).table, want)
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda G: Subgroup(G, [0, 8]), "subgroup member 8 "),
+    (lambda G: Subgroup(G, [0, -7]), "subgroup member -7 "),
+    (lambda G: Subgroup(G, [0, 1.5]), "subgroup member 1.5 "),
+    (lambda G: generated_subgroup(G, [9]), "generator 9 "),
+], ids=["past the order", "negative", "not an integer", "generator past the order"])
+def test_a_non_element_is_refused_by_name(q8, build, named):
+    with pytest.raises(TableInvalidError, match=f"^{re.escape(named)}is not an element"):
+        build(q8)

@@ -34,6 +34,12 @@ def test_canonical_section_is_minimal_representative(q8_center_frame, q8):
         assert frame.sigma[c] == min(coset)
 
 
+def test_canonical_section_of_a_non_central_subgroup(z20):
+    frame = make_frame(z20, Subgroup(z20, [4 * a for a in range(5)]))
+    assert list(frame.sigma) == [min(b for b in z20.elements() if frame.pi(b) == c)
+                                 for c in frame.C.elements()] == [0, 1, 2, 3]
+
+
 def test_canonical_q8_section_is_one_i_j_k(q8_center_frame, q8):
     labels = [q8.labels[s] for s in q8_center_frame.sigma]
     assert labels == ["1", "i", "j", "k"]

@@ -4,7 +4,10 @@ Elements are integer indices ``0..order-1`` with the identity always at
 index 0 (constructors relabel if needed).  Every table is validated on
 construction: closure, identity, the row/column permutation property (hence
 inverses) and associativity by Light's test, with error messages naming a
-witness.  Derived tables are gathers of their parent's table.
+witness.  Derived tables are gathers of their parent's table.  The
+structural queries (commutator subgroup, upper central series, abelian
+invariants) work inside the group's own table and build no other: a coset
+of a normal subgroup is named by its least member, as in ``quotient``.
 """
 from __future__ import annotations
 
@@ -108,15 +111,8 @@ class FiniteGroup:
         return self.labels[a]
 
     def _element_orders(self) -> np.ndarray:
-        """Order of every element; the k-th power of all elements is one
-        gather of the (k-1)-th."""
         if self._orders is None:
-            ar = np.arange(self.order)
-            self._orders = np.zeros(self.order, dtype=np.int64)
-            power, k = ar, 1
-            while not self._orders.all():
-                self._orders[(power == 0) & (self._orders == 0)] = k
-                power, k = self.table[power, ar], k + 1
+            self._orders = _orders_mod(self.table, np.arange(self.order), [0])
         return self._orders
 
     def element_order(self, a: int) -> int:
@@ -136,6 +132,19 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
+
+
+def _orders_mod(T: np.ndarray, xs: np.ndarray, normal) -> np.ndarray:
+    """For each x in ``xs`` the least e >= 1 with x^e in the normal
+    subgroup ``normal``; the k-th powers are one gather of the (k-1)-th."""
+    inside = np.zeros(len(T), dtype=bool)
+    inside[normal] = True
+    orders = np.zeros(len(xs), dtype=np.int64)
+    power, k = xs, 1
+    while not orders.all():
+        orders[inside[power] & (orders == 0)] = k
+        power, k = T[power, xs], k + 1
+    return orders
 
 
 def _check_entries(table: np.ndarray) -> None:
@@ -569,21 +578,12 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
     if escapes.any():
         g, i = np.argwhere(escapes)[0]
         raise NotNormalError(f"subgroup is not normal: witness {(int(g), N.members[i])}")
-    reps, coset_of, table = _cosets(G, np.arange(G.order), N.members)
-    Q = FiniteGroup(table, [f"[{G.label(r)}]" for r in reps.tolist()])
-    pi = GroupMap(G, Q, coset_of, True, _trusted=True)
-    return Q, pi
-
-
-def _cosets(G: FiniteGroup, members: np.ndarray, normal):
-    """The cosets xN of x in ``members`` (a sorted subgroup containing the
-    normal subgroup N), each named by its least member, ascending:
-    ``(reps, coset index of every element of members, coset table)``."""
-    least = G.table[np.ix_(members, normal)].min(axis=1)
-    reps = members[least == members]
-    coset_of = np.zeros(G.order, dtype=np.int64)
-    coset_of[members] = np.searchsorted(reps, least)
-    return reps, coset_of, coset_of[G.table[np.ix_(reps, reps)]]
+    least = G.table[:, N.members].min(axis=1)
+    reps = np.flatnonzero(least == np.arange(G.order))
+    coset_of = np.searchsorted(reps, least)
+    Q = FiniteGroup(coset_of[G.table[np.ix_(reps, reps)]],
+                    [f"[{G.label(r)}]" for r in reps.tolist()])
+    return Q, GroupMap(G, Q, coset_of, True, _trusted=True)
 
 
 @dataclass
@@ -616,8 +616,7 @@ def upper_central_series(G: FiniteGroup) -> CharSeries:
         if upper.sum() == chain[-1].order:
             break   # series stabilized (below G if G is not nilpotent)
         members = np.flatnonzero(upper)
-        factor = FiniteGroup(_cosets(G, members, chain[-1].members)[2])
-        invariants.append(abelian_invariants(factor).orders)
+        invariants.append(tuple(_peel(G, members, np.flatnonzero(lower))[0]))
         chain.append(Subgroup(G, members))
         lower = upper
     return CharSeries(G, chain, invariants)
@@ -649,35 +648,38 @@ class AbelianCoords:
         return len(self.orders)
 
 
-def _peel_abelian(G: FiniteGroup) -> tuple[list[int], list[int]]:
-    """Greedy maximal-order generator peeling; orders come out descending."""
-    if G.order == 1:
+def _peel(G: FiniteGroup, members: np.ndarray, normal) -> tuple[list[int], list[int]]:
+    """Greedy maximal-order peeling of the abelian quotient members/N in G's
+    table, cosets named by their least member; orders come out ascending."""
+    if len(members) == len(normal):
         return [], []
-    g = int(G._element_orders().argmax())   # the least of largest order
-    m = G.element_order(g)
-    Q, pi = quotient(G, generated_subgroup(G, [g]))
-    q_orders, q_gens = _peel_abelian(Q)
-    gens = [g]
-    for mi, qg in zip(q_orders, q_gens):
-        h = pi.image_of.index(qg)
-        # adjust h by a power of g so that its order drops to mi:
-        # h^mi lies in <g>, say g^s with mi | s; then (h * g^{-s/mi})^mi = e.
-        hm = G.power(h, mi)
-        s = next(k for k in range(m) if G.power(g, k) == hm)
+    T = G.table
+    orders = _orders_mod(T, members, normal)
+    g = int(members[orders.argmax()])   # the least of largest order mod N
+    m = int(orders.max())
+    powers = [0]
+    for _ in range(m - 1):
+        powers.append(int(T[powers[-1], g]))
+    larger = np.zeros(G.order, dtype=bool)   # N<g>, the cosets N g^k
+    larger[T[np.ix_(normal, powers)]] = True
+    q_orders, q_gens = _peel(G, members, np.flatnonzero(larger))
+    power_cosets = T[np.ix_(powers, normal)].min(axis=1)
+    gens = []
+    for mi, h in zip(q_orders, q_gens):
+        # h^mi lies in N g^s with mi | s (m is the largest order), so
+        # h * g^{-s/mi} has order mi modulo N
+        s = int(np.flatnonzero(power_cosets == T[G.power(h, mi), normal].min())[0])
         if s % mi != 0:
             raise NotAbelianError("internal: maximal-order peeling failed")
-        t = (-(s // mi)) % m
-        gens.append(G.mul(h, G.power(g, t)))
-    return [m] + q_orders, gens
+        gens.append(int(T[T[h, powers[-(s // mi) % m]], normal].min()))
+    return q_orders + [m], gens + [g]
 
 
 def abelian_invariants(A: FiniteGroup) -> AbelianCoords:
     """Invariant factors of an abelian group plus an explicit isomorphism."""
     if not A.is_abelian:
         raise NotAbelianError("abelian invariants need an abelian group")
-    orders_desc, gens_desc = _peel_abelian(A)
-    orders = tuple(reversed(orders_desc))
-    gens = tuple(reversed(gens_desc))
+    orders, gens = map(tuple, _peel(A, np.arange(A.order), [0]))
     # the element of every coefficient tuple, in itertools.product order
     elems = np.zeros(1, dtype=np.int64)
     for g, n in zip(gens, orders):

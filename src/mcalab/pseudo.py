@@ -87,7 +87,7 @@ def make_frame(B: FiniteGroup, A: Subgroup, section: list[int] | None = None) ->
         raise FrameError("subgroup belongs to a different group")
     C, pi = quotient(B, A)
     if section is None:
-        sigma = np.flatnonzero(B.table[:, A.members].min(axis=1) == np.arange(B.order)).tolist()
+        sigma = np.unique(pi.image_of, return_index=True)[1].tolist()
     else:
         if len(section) != C.order:
             raise FrameError(f"section needs {C.order} entries, got {len(section)}")

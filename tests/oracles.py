@@ -10,7 +10,8 @@ validator replaces with Light's test.  ``commutator_subgroup_oracle``
 generates the subgroup from all n**2 commutators, and
 ``upper_central_series_oracle`` builds each level as the preimage of the
 centre of a quotient table, where the library reads both off the
-generating set.
+generating set.  ``abelian_invariants_oracle`` peels one generator per
+quotient table, where the library peels inside the group's own table.
 ``dual_action_oracle`` steps a character one support cell and one
 position at a time in Python integers.  ``fibre_rank_oracle``
 reads each finite difference of a fibre composite as a sum of
@@ -80,6 +81,51 @@ def commutator_subgroup_oracle(G) -> tuple[int, ...]:
     return generated_subgroup(G, sorted(comms)).members
 
 
+def power_by_steps(G, x: int, k: int) -> int:
+    """x**k for k >= 0 by k table multiplications."""
+    out = 0
+    for _ in range(k):
+        out = G.mul(out, x)
+    return out
+
+
+def _peel_by_quotients(G) -> tuple[list[int], list[int]]:
+    """Greedy maximal-order generator peeling through one quotient table per
+    generator; orders come out descending."""
+    if G.order == 1:
+        return [], []
+    orders = [next(k for k in range(1, G.order + 1) if power_by_steps(G, x, k) == 0)
+              for x in G.elements()]
+    m = max(orders)
+    g = orders.index(m)   # the least of largest order
+    Q, pi = quotient(G, generated_subgroup(G, [g]))
+    q_orders, q_gens = _peel_by_quotients(Q)
+    gens = [g]
+    for mi, qg in zip(q_orders, q_gens):
+        h = pi.image_of.index(qg)
+        # h^mi = g^s with mi | s; then (h * g^{-s/mi})^mi = e
+        hm = power_by_steps(G, h, mi)
+        s = next(k for k in range(m) if power_by_steps(G, g, k) == hm)
+        assert s % mi == 0
+        gens.append(G.mul(h, power_by_steps(G, g, (-(s // mi)) % m)))
+    return [m] + q_orders, gens
+
+
+def abelian_invariants_oracle(A) -> tuple[tuple[int, ...], tuple[int, ...],
+                                          tuple[tuple[int, ...], ...]]:
+    """``(orders, generators, to_tuple)`` of an abelian group, ascending
+    orders, each coefficient tuple's element built by table multiplication."""
+    orders_desc, gens_desc = _peel_by_quotients(A)
+    orders, gens = tuple(reversed(orders_desc)), tuple(reversed(gens_desc))
+    to_tuple = [None] * A.order
+    for coeffs in itertools.product(*[range(n) for n in orders]):
+        x = 0
+        for g, c in zip(gens, coeffs):
+            x = A.mul(x, power_by_steps(A, g, c))
+        to_tuple[x] = coeffs
+    return orders, gens, tuple(to_tuple)
+
+
 def upper_central_series_oracle(G) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Members of each Z_k and the invariants of each factor Z_k/Z_{k-1}:
     Z_{k+1} is the preimage of the centre of the quotient table G/Z_k."""
@@ -90,7 +136,7 @@ def upper_central_series_oracle(G) -> tuple[list[tuple[int, ...]], list[tuple[in
         members = tuple(x for x in G.elements() if pi(x) in zq)
         if len(members) == len(chain[-1]):
             break   # stabilized below G: not nilpotent
-        invariants.append(abelian_invariants(zq.as_group()[0]).orders)
+        invariants.append(abelian_invariants_oracle(zq.as_group()[0])[0])
         chain.append(members)
     return chain, invariants
 

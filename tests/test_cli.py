@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from mcalab import (CapExceededError, MeasureSpec, cesaro_randomization, cli,
-                    make_quaternion)
+                    groups, make_quaternion)
 from mcalab.cli import build_parser, main
 from mcalab.rules import local_table
 from mcalab.specs import load_experiment, parse_character, parse_measure
@@ -371,6 +371,20 @@ def test_group_report_on_an_order_1024_direct_sum(tmp_path):
     report = read_json(tmp_path / "group_report.json")
     assert report["order"] == 1024 and report["abelian_invariants"] == [32, 32]
     assert len(report["upper_central_series"]) == 2
+
+
+@pytest.mark.parametrize("group", [{"kind": "quaternion"},
+                                   {"kind": "direct_sum", "orders": [2] * 10}])
+def test_a_group_run_validates_one_table(tmp_path, monkeypatch, group):
+    """The series factors and the abelian invariants are read inside the
+    group's own table: no quotient table is built and validated."""
+    calls = []
+    validate = groups._validate_table
+    monkeypatch.setattr(groups, "_validate_table",
+                        lambda table: calls.append(len(table)) or validate(table))
+    cfgp = write_config(tmp_path, {"group": group})
+    assert main(["group", "--config", cfgp, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_a_table_group_without_labels_is_labelled_by_index(tmp_path):

@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcalab import (FiniteGroup, GroupMap, McaRule, SizeLimitError, Subgroup,
@@ -22,8 +22,9 @@ from mcalab import (FiniteGroup, GroupMap, McaRule, SizeLimitError, Subgroup,
                     make_quaternion, make_semidirect, nilpotent_tower, quotient,
                     serialize_group, upper_central_series)
 from conftest import KNOWN_STRUCTURE, doubling_action, traced_peak
-from oracles import (associativity_failures, commutator_subgroup_oracle,
-                     is_group_table, upper_central_series_oracle)
+from oracles import (abelian_invariants_oracle, associativity_failures,
+                     commutator_subgroup_oracle, is_group_table, power_by_steps,
+                     upper_central_series_oracle)
 
 
 def brute_endomorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -361,10 +362,59 @@ def assert_structure_matches_oracles(G: FiniteGroup) -> None:
     assert [sg.members for sg in series.chain] == chain
     assert series.factor_invariants == factors
     assert commutator_subgroup(G).members == commutator_subgroup_oracle(G)
-    orders = [next(k for k in range(1, G.order + 1) if G.power(x, k) == 0)
+    assert_element_orders_match_steps(G)
+
+
+def assert_element_orders_match_steps(G: FiniteGroup) -> None:
+    """Powers stepped by table multiplication: ``FiniteGroup.power`` reduces
+    k by the very element order under test."""
+    orders = [next(k for k in range(1, G.order + 1) if power_by_steps(G, x, k) == 0)
               for x in G.elements()]
     assert [G.element_order(x) for x in G.elements()] == orders
     assert G.exponent() == math.lcm(*orders)
+
+
+def test_the_element_order_oracle_catches_a_wrong_order():
+    """Claiming order 2 for the order-4 elements of Z/4 + Z/2 fails."""
+    G = make_direct_sum([4, 2])
+    G._orders = np.minimum(G._element_orders(), 2)
+    with pytest.raises(AssertionError):
+        assert_element_orders_match_steps(G)
+
+
+def relabelled(G: FiniteGroup, perm) -> FiniteGroup:
+    """The table of G with element perm[i] renamed i."""
+    perm = np.asarray(perm)
+    return from_table(np.argsort(perm)[G.table[np.ix_(perm, perm)]])
+
+
+@st.composite
+def abelian_groups(draw) -> FiniteGroup:
+    """A direct sum of cyclic groups of order at most 128, as built, as a
+    relabelled table copy, or as a quotient by a cyclic subgroup.  Factors
+    of prime-power order give the ranks where the peel adjusts generators."""
+    orders = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 16]),
+                           min_size=1, max_size=4)
+                  .filter(lambda o: math.prod(o) <= 128))
+    G = make_direct_sum(orders)
+    how = draw(st.sampled_from(["direct sum", "relabelled", "quotient"]))
+    if how == "relabelled":
+        return relabelled(G, draw(st.permutations(range(G.order))))
+    if how == "quotient":
+        x = draw(st.integers(0, G.order - 1))
+        return quotient(G, generated_subgroup(G, [x]))[0]
+    return G
+
+
+@given(abelian_groups())
+# relabellings where a generator adjusted below the top of the peel is not
+# the least member of its coset
+@example(relabelled(make_direct_sum([2, 4, 8]), np.random.default_rng(3).permutation(64)))
+@example(relabelled(make_direct_sum([2, 2, 4, 8]), np.random.default_rng(1).permutation(128)))
+@settings(max_examples=60, deadline=None)
+def test_abelian_invariants_match_the_quotient_oracle(A):
+    coords = abelian_invariants(A)
+    assert (coords.orders, coords.generators, coords.to_tuple) == abelian_invariants_oracle(A)
 
 
 @given(small_groups())

@@ -123,8 +123,10 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
+        """Whether the validated generators commute pairwise."""
         if self._abelian is None:
-            self._abelian = bool(np.array_equal(self.table, self.table.T))
+            products = self.table[np.ix_(self._gens, self._gens)]
+            self._abelian = bool(np.array_equal(products, products.T))
         return self._abelian
 
     def same_table(self, other: "FiniteGroup") -> bool:
@@ -506,7 +508,9 @@ def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, np.flatnonzero((G.table == G.table.T).all(axis=1)))
+    """The x with ``x s == s x`` for every validated generator s."""
+    T, S = G.table, G._gens
+    return Subgroup(G, np.flatnonzero((T[:, S] == T[S].T).all(axis=1)))
 
 
 def _commutators(G: FiniteGroup, xs: np.ndarray) -> np.ndarray:

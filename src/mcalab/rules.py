@@ -8,6 +8,8 @@ right-permutative).
 """
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -74,6 +76,7 @@ class McaRule(_Neighborhood):
     bias: int = 0
     one_sided: bool = False
     _table: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _anf: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.v_lo > self.v_hi:
@@ -232,6 +235,151 @@ def step_cells(op: LocalFamily, cells: np.ndarray, lo: int,
     out = np.empty(codes.shape, dtype=code)
     for j, table in enumerate(tables):
         out[j] = table.take(codes[j])
+    return out
+
+
+def algebraic_normal_form(rule: McaRule, cap: int = STATE_CAP) -> tuple:
+    """The local map over a group of order 2**b as b factored Boolean functions.
+
+    Element codes are b-bit numbers, so output bit k of :func:`local_table`
+    is a Boolean function of the width·b input bits: the XOR of the
+    monomials (ANDs) of its algebraic normal form, read off one Möbius
+    transform of that bit's truth table.  A monomial is a tuple of
+    (bit, cell) factors, cell 0 leftmost; the empty tuple is the constant 1.
+    Entry k groups them as ``(head, cofactors)`` pairs, each worth head ·
+    XOR(cofactors): the factor shared by the most monomials of degree ≥ 2
+    heads them while it is shared at all, and the rest sit under head None
+    (worth 1).  Cached on the rule, built under the table's cap.
+    """
+    if rule._anf is None:
+        s, width = rule.group.order, rule.width
+        bits = s.bit_length() - 1
+        if s != 1 << bits:
+            raise TableInvalidError(f"group order {s} is not a power of two")
+        table = local_table(rule, cap)
+        # bit p of a table index is bit p % b of cell width-1 - p // b
+        n = bits * width
+        anf = []
+        for k in range(bits):
+            f = ((table >> k) & 1).astype(np.uint8)
+            for p in range(n):
+                pairs = f.reshape(-1, 2, 1 << p)
+                pairs[:, 1] ^= pairs[:, 0]
+            anf.append(_factor_out_heads([
+                tuple((p % bits, width - 1 - p // bits) for p in range(n) if m >> p & 1)
+                for m in np.flatnonzero(f).tolist()]))
+        rule._anf = tuple(anf)
+    return rule._anf
+
+
+def _factor_out_heads(monomials: list[tuple]) -> tuple:
+    """``(head, cofactors)`` groups of ``monomials``, as in
+    :func:`algebraic_normal_form`: a head shared by g monomials turns their
+    g ANDs and g XORs into g - 1 XORs, one AND and one XOR."""
+    rest = [m for m in monomials if len(m) >= 2]
+    groups = []
+    while rest:
+        head, shared = Counter(f for m in rest for f in m).most_common(1)[0]
+        if shared < 2:
+            break
+        groups.append((head, tuple(tuple(f for f in m if f != head)
+                                   for m in rest if head in m)))
+        rest = [m for m in rest if head not in m]
+    return ((None, tuple(m for m in monomials if len(m) < 2) + tuple(rest)),
+            *groups)
+
+
+def plane_step_ops(rule: McaRule, cap: int = STATE_CAP) -> int:
+    """Word operations :func:`step_planes` spends per output cell and lane."""
+    ops = 0
+    for head, cofactors in itertools.chain(*algebraic_normal_form(rule, cap)):
+        if head is None:
+            ops += sum(max(len(m), 1) for m in cofactors)
+        else:
+            ops += sum(len(m) for m in cofactors) + 1
+    return ops
+
+
+def to_planes(words: np.ndarray, bits: int) -> np.ndarray:
+    """Bit-slice sample-major byte codes: (count, cells) -> (bits, cells, lanes).
+
+    ``planes[k, t]`` holds bit k of cell t of every word, sample i in bit
+    i % 64 of uint64 lane i // 64; the last lane is padded with zeros.  A
+    transposed copy puts eight samples' codes in each uint64, and one
+    multiply gathers bit k of those eight bytes into the top byte.
+    """
+    if bits > 8:
+        raise TableInvalidError(f"planes pack byte codes, not {bits}-bit ones")
+    count, cells = words.shape
+    lanes = -(-count // 64)
+    codes = np.zeros((cells, 64 * lanes), dtype=np.uint8)
+    codes[:, :count] = words.T
+    eights = codes.view("<u8")
+    planes = np.empty((bits, cells, lanes), dtype="<u8")
+    tmp = np.empty_like(eights)
+    for k in range(bits):
+        np.right_shift(eights, k, out=tmp)
+        tmp &= 0x0101010101010101
+        tmp *= 0x0102040810204080   # bit k of byte j lands on bit 56 + j
+        tmp >>= 56
+        np.copyto(planes[k].view(np.uint8), tmp, casting="unsafe")
+    return planes
+
+
+def from_planes(planes: np.ndarray, count: int) -> np.ndarray:
+    """Byte codes (count, cells) of the first ``count`` samples of ``planes``,
+    the inverse of :func:`to_planes`."""
+    bits, cells, lanes = planes.shape
+    codes = np.zeros((cells, 64 * lanes), dtype=np.uint8)
+    for k in range(bits):
+        plane = np.ascontiguousarray(planes[k], dtype="<u8").view(np.uint8)
+        codes |= np.unpackbits(plane, axis=-1, bitorder="little") << k
+    return codes[:, :count].T
+
+
+def _and_chain(planes: np.ndarray, k: int, monomial: tuple,
+               out: np.ndarray) -> np.ndarray:
+    """The AND of a monomial's k-cell slices: the slice itself for one
+    factor, else written into ``out``."""
+    (bit, cell), *rest = monomial
+    term = planes[bit, cell:cell + k]
+    for bit, cell in rest:
+        term = np.bitwise_and(term, planes[bit, cell:cell + k], out=out)
+    return term
+
+
+def step_planes(rule: McaRule, planes: np.ndarray,
+                cap: int = STATE_CAP) -> np.ndarray:
+    """One synchronous step on bit-sliced words, :func:`step_cells`'s twin.
+
+    ``planes`` is (b, cells, lanes) uint64 as :func:`to_planes` packs it,
+    over a group of order 2**b; the result holds the image cells, b planes
+    of ``cells - spread`` cells.  Each output plane is the XOR of its
+    :func:`algebraic_normal_form` groups, each monomial an AND chain of
+    shifted cell slices, so a step costs :func:`plane_step_ops` word
+    operations on 64 samples at a time.
+    """
+    anf = algebraic_normal_form(rule, cap)
+    k = planes.shape[1] - rule.spread
+    if k < 0:
+        raise WindowError(f"block of {planes.shape[1]} cells is narrower than the rule")
+    out = np.zeros((len(anf), k) + planes.shape[2:], dtype=planes.dtype)
+    prod, acc = np.empty((2,) + out.shape[1:], dtype=planes.dtype)
+    for plane, groups in zip(out, anf):
+        for head, cofactors in groups:
+            if head is None:
+                for monomial in cofactors:
+                    if monomial:
+                        plane ^= _and_chain(planes, k, monomial, prod)
+                    else:
+                        np.invert(plane, out=plane)
+                continue
+            value = _and_chain(planes, k, cofactors[0], acc)
+            for monomial in cofactors[1:]:
+                value = np.bitwise_xor(value, _and_chain(planes, k, monomial, prod),
+                                       out=acc)
+            bit, cell = head
+            plane ^= np.bitwise_and(value, planes[bit, cell:cell + k], out=acc)
     return out
 
 

@@ -26,7 +26,8 @@ from .errors import (CapExceededError, McaLabError, NotAbelianError,
 from .groups import AbelianCoords, FiniteGroup, GroupMap, abelian_invariants
 from .measures import (_CHUNK, MeasureSpec, WindowMeasure, push_forward,
                        star_product_measure)
-from .rules import McaRule, _merge_positions, step_cells
+from .rules import (McaRule, _merge_positions, from_planes, plane_step_ops,
+                    step_cells, step_planes, to_planes)
 from .util import STATE_CAP, cell_dtype, check_cap, digit_planes, is_integer
 
 __all__ = [
@@ -809,6 +810,25 @@ def _sample_words(spec_pair, frame, group: FiniteGroup, length: int,
     return words
 
 
+# A table step costs as much per 64 sample·cells as this many 64-lane word
+# operations.  Measured best of 30 with numpy 2.4 on one core of a 2-core
+# Xeon: step_cells on the Q8 width-4 rule of perfbench/configs/skew_mc.json
+# takes 1.2-1.9 ns per sample·cell in 2**16-cell blocks, 79-122 ns per 64,
+# and an np.bitwise_and or bitwise_xor of uint64 cell slices 0.30-0.35 ns
+# per word: 260-350 word operations, the low end kept.
+_GATHER_WORD_OPS = 260
+
+
+def _mc_kernel(rule: McaRule, cap: int):
+    """``step_planes`` when the rule's group has order 2**b with 1 ≤ b ≤ 8
+    (byte codes) and a bit-sliced step costs at most ``_GATHER_WORD_OPS``
+    word operations; ``step_cells`` otherwise."""
+    s = rule.group.order
+    if s & (s - 1) or not 2 <= s <= 256:
+        return step_cells
+    return step_planes if plane_step_ops(rule, cap) <= _GATHER_WORD_OPS else step_cells
+
+
 def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
              tv_cells: int, tables: list[tuple[dict[int, np.ndarray], complex]],
              samples: int, seed: int, workers: int, cap: int) -> tuple:
@@ -816,10 +836,14 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
 
     Samples are drawn in chunks of 2**14, each from its own
     ``SeedSequence(entropy=seed, spawn_key=(n, chunk))`` stream, and each
-    chunk is evolved in cell-major blocks of at most ``_CHUNK`` cells, so
-    the rows are the same for any ``workers``.  Sampling a chunk holds two
-    cell-dtype arrays of its words (λ's draws and the output) plus fixed
-    piece buffers, which took the max RSS of ``randomize`` on
+    chunk is evolved in blocks of rows that run all n steps while they stay
+    in cache, so the rows are the same for any ``workers``.  The kernel is
+    :func:`_mc_kernel`'s choice.  On ``step_planes`` a block of at most
+    ``_CHUNK // 2`` uint64 words is bit-sliced by ``to_planes``, 64 samples
+    per word, and only its output cells are unpacked; on ``step_cells`` a block
+    of at most ``_CHUNK`` cells is stepped cell-major.  Sampling a chunk
+    holds two cell-dtype arrays of its words (λ's draws and the output) plus
+    fixed piece buffers, which took the max RSS of ``randomize`` on
     ``perfbench/configs/skew_mc.json`` from 78.4 MB to 44.9 MB.
     """
     group = rule.group
@@ -831,6 +855,15 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
     # refuse a rule too wide to step before sampling, under the run's cap
     # even when the rule's table is already cached
     check_cap(s, rule.width, cap, "local rule table")
+    kernel = _mc_kernel(rule, cap)
+    bits = s.bit_length() - 1
+    if kernel is step_planes:
+        # blocks of at most _CHUNK // 2 plane words (256 KB): to_planes holds
+        # two byte copies 8/b times the planes' size, and at _CHUNK words
+        # they took the max RSS of skew_mc.json from 45.9 MB to 46.6 MB
+        rows = 64 * max(1, _CHUNK // 2 // (bits * length))
+    else:
+        rows = max(1, _CHUNK // length)
 
     def run_chunk(ci: int) -> tuple:
         lo_i = ci * chunk
@@ -838,11 +871,14 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(n, ci)))
         words = _sample_words(init, frame, group, length, rng, m)
-        # rows evolve independently, so each block of at most _CHUNK cells
-        # runs all n steps cell-major while its planes stay in cache
-        rows = max(1, _CHUNK // length)
         out = np.empty((m, out_hi - out_lo), dtype=words.dtype)
         for r in range(0, m, rows):
+            if kernel is step_planes:
+                block = to_planes(words[r:r + rows], bits)
+                for _ in range(n):
+                    block = step_planes(rule, block, cap)
+                out[r:r + rows] = from_planes(block, min(rows, m - r))
+                continue
             block = words[r:r + rows].T
             for step in range(n):
                 block = step_cells(rule, block, in_lo - step * rule.v_lo, cap)

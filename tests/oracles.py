@@ -44,7 +44,7 @@ from mcalab import (Character, Config, FibreRankCheck, GroupMap, McaLabError,
                     NotPermutativeError, RecomposeReport, Subgroup,
                     TableInvalidError, WindowError, WindowMeasure,
                     abelian_invariants, apply_window, bernoulli_fourier,
-                    center, eval_local,
+                    eval_local,
                     fibre_step_sequence, generated_subgroup, local_table,
                     make_cyclic, permutativity, quotient,
                     relative_diffusion_rank, star_compose, star_decompose)
@@ -72,6 +72,16 @@ def is_group_table(table) -> bool:
     identity = any(np.array_equal(table[e], ar) and np.array_equal(table[:, e], ar)
                    for e in range(n))
     return latin and identity and not associativity_failures(table).any()
+
+
+def center_oracle(G) -> tuple[int, ...]:
+    """Members whose table row equals their table column."""
+    return tuple(np.flatnonzero((G.table == G.table.T).all(axis=1)).tolist())
+
+
+def is_abelian_oracle(G) -> bool:
+    """Whether the whole table equals its transpose."""
+    return bool(np.array_equal(G.table, G.table.T))
 
 
 def commutator_subgroup_oracle(G) -> tuple[int, ...]:
@@ -132,7 +142,7 @@ def upper_central_series_oracle(G) -> tuple[list[tuple[int, ...]], list[tuple[in
     chain, invariants = [(0,)], []
     while len(chain[-1]) < G.order:
         Q, pi = quotient(G, Subgroup(G, chain[-1]))
-        zq = center(Q)
+        zq = Subgroup(Q, center_oracle(Q))
         members = tuple(x for x in G.elements() if pi(x) in zq)
         if len(members) == len(chain[-1]):
             break   # stabilized below G: not nilpotent

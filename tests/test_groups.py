@@ -23,8 +23,8 @@ from mcalab import (FiniteGroup, GroupMap, McaRule, SizeLimitError, Subgroup,
                     serialize_group, upper_central_series)
 from conftest import KNOWN_STRUCTURE, doubling_action, traced_peak
 from oracles import (abelian_invariants_oracle, associativity_failures,
-                     commutator_subgroup_oracle, is_group_table, power_by_steps,
-                     upper_central_series_oracle)
+                     center_oracle, commutator_subgroup_oracle, is_abelian_oracle,
+                     is_group_table, power_by_steps, upper_central_series_oracle)
 
 
 def brute_endomorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -357,6 +357,8 @@ def small_groups(draw) -> FiniteGroup:
 
 
 def assert_structure_matches_oracles(G: FiniteGroup) -> None:
+    assert center(G).members == center_oracle(G)
+    assert G.is_abelian == is_abelian_oracle(G)
     series = upper_central_series(G)
     chain, factors = upper_central_series_oracle(G)
     assert [sg.members for sg in series.chain] == chain
@@ -413,6 +415,8 @@ def abelian_groups(draw) -> FiniteGroup:
 @example(relabelled(make_direct_sum([2, 2, 4, 8]), np.random.default_rng(1).permutation(128)))
 @settings(max_examples=60, deadline=None)
 def test_abelian_invariants_match_the_quotient_oracle(A):
+    assert A.is_abelian and is_abelian_oracle(A)
+    assert center(A).members == center_oracle(A) == tuple(A.elements())
     coords = abelian_invariants(A)
     assert (coords.orders, coords.generators, coords.to_tuple) == abelian_invariants_oracle(A)
 

@@ -3,7 +3,9 @@
 Every exhaustive path (push-forward, marginal, the star product measure,
 trajectory laws, recomposition) is compared exactly with a word-by-word
 enumeration through ``eval_local``/``apply_window``/``star_compose``, on
-random rules over Q8, Z/5⋊Z/4 and S3 = Z/3⋊Z/2.  The array dual action
+random rules over Q8, Z/5⋊Z/4 and S3 = Z/3⋊Z/2; the bit-sliced kernel
+is compared with the table kernel and ``apply_window`` on 2-groups up to
+order 16.  The array dual action
 is compared bit for bit with a cell-by-cell step on abelian groups, and
 the integer fibre ranks with a ``Fraction`` finite-difference reading.
 """
@@ -28,9 +30,12 @@ from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
                     trajectory_joint_distribution,
                     trajectory_partition_entropy)
 from mcalab import measures, spectral
-from mcalab.errors import WindowError
-from mcalab.rules import step_cells
-from mcalab.util import iter_words
+from mcalab.errors import TableInvalidError, WindowError
+from mcalab.rules import (algebraic_normal_form, from_planes, step_cells,
+                          step_planes, to_planes)
+from mcalab.util import digit_planes, iter_words
+
+from conftest import dihedral, quaternion16
 
 from oracles import (dual_action_oracle, fibre_oracle, fibre_rank_oracle,
                      marginal_oracle,
@@ -201,6 +206,63 @@ def test_cell_major_step_cells_matches_apply_window(name, window, code,
     with pytest.raises(WindowError, match="narrower than the rule"):
         step_cells(op, words.T[:width - 2], lo)
     assert step_cells(op, words.T[:width - 1], lo).shape == (0, len(words))
+
+
+# 2-groups, each element a b-bit code; Q16 is built from its table
+PLANE_GROUPS = {
+    "Z/2": lambda: make_cyclic(2), "Z/4": lambda: make_cyclic(4),
+    "Z/8": lambda: make_cyclic(8), "(Z/2)^3": lambda: make_direct_sum([2, 2, 2]),
+    "Q8": make_quaternion, "D8": lambda: dihedral(4),
+    "D16": lambda: dihedral(8), "Q16": quaternion16}
+
+
+@pytest.mark.parametrize("name", sorted(PLANE_GROUPS))
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_step_planes_matches_step_cells_and_apply_window(name, width):
+    """Bit-sliced steps agree with the table kernel on every window word
+    and on sample counts around the 64-sample lane, and the first samples
+    of each chain agree with the scalar oracle; packing round-trips."""
+    G = PLANE_GROUPS[name]()
+    bits = G.order.bit_length() - 1
+    rng = np.random.default_rng(G.order * 10 + width)
+    extra = random_rule(G, -1, width - 2, rng)
+    # a product of every cell in shuffled order, then random factors
+    ident = GroupMap.identity(G)
+    op = McaRule(G, -1, width - 2,
+                 [(int(p), ident) for p in rng.permutation(range(-1, width - 1))]
+                 + list(extra.factors), extra.bias)
+    # every window word as one sample: the normal form is the local table
+    every = digit_planes(np.arange(G.order ** width), G.order, width)
+    planes = step_planes(op, to_planes(every.astype(np.uint8), bits))
+    assert planes.shape == (bits, 1, -(-len(every) // 64))
+    assert np.array_equal(from_planes(planes, len(every))[:, 0], local_table(op))
+    steps, length = 3, 3 * (width - 1) + 2
+    for count in (1, 63, 64, 65, 3000, (1 << 14) + 1500):
+        words = rng.integers(0, G.order, (count, length)).astype(np.uint8)
+        planes = to_planes(words, bits)
+        assert planes.shape == (bits, length, -(-count // 64))
+        assert np.array_equal(from_planes(planes, count), words)
+        cells = words.T
+        for _ in range(steps):
+            planes = step_planes(op, planes)
+            cells = step_cells(op, cells, 0)
+            assert planes.dtype == np.uint64 and planes.flags.c_contiguous
+            assert np.array_equal(from_planes(planes, count), cells.T)
+        for word, got in zip(words[:4].tolist(), from_planes(planes, count)):
+            config = Config(G, 0, word)
+            for _ in range(steps):
+                config = apply_window(op, config)
+            assert got.tolist() == list(config.word)
+    with pytest.raises(WindowError, match="narrower than the rule"):
+        step_planes(op, to_planes(words[:, :width - 2], bits))
+
+
+def test_planes_refuse_what_they_cannot_encode():
+    """Bit planes need a group of order 2**b and codes of at most 8 bits."""
+    with pytest.raises(TableInvalidError, match="order 6 is not a power of two"):
+        algebraic_normal_form(McaRule(make_cyclic(6), 0, 1, []))
+    with pytest.raises(TableInvalidError, match="not 9-bit ones"):
+        to_planes(np.zeros((1, 1), dtype=np.uint16), 9)
 
 
 def assert_product_matches_oracle(data, name, seed, scale=1):

@@ -1,7 +1,9 @@
 """Characters, dual actions, diffusion ranks, and Cesàro randomization."""
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from mcalab import (Character, GroupMap, LinearRuleDual, McaLabError, McaRule,
                     fibre_rank_independence, make_cyclic, make_direct_sum,
                     push_forward, relative_diffusion_rank,
                     star_product_measure)
-from mcalab import spectral
+from mcalab import CapExceededError, spectral
+from mcalab.rules import algebraic_normal_form, local_table
+from mcalab.specs import load_experiment
 from mcalab.util import STATE_CAP
 
 from conftest import traced_peak
@@ -25,6 +29,18 @@ def xor_rule():
     G = make_cyclic(2)
     ident = GroupMap.identity(G)
     return McaRule(G, 0, 1, [(0, ident), (1, ident)], one_sided=True)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(params=["table", "planes"])
+def route(request, monkeypatch):
+    """Pin the Monte-Carlo kernel: no rule's planes cost at most -1 word
+    operations, and every 2-group's cost at most infinitely many."""
+    monkeypatch.setattr(spectral, "_GATHER_WORD_OPS",
+                        -1 if request.param == "table" else math.inf)
+    return request.param
 
 
 def bern(p_num, p_den, size=2):
@@ -422,10 +438,12 @@ def test_monte_carlo_rows_are_reproducible(quat_rule3, q8_center_frame):
 
 
 @pytest.mark.parametrize("budget", [1, 10 ** 9])
+@pytest.mark.parametrize("kernel", ["table", "planes"])
 def test_monte_carlo_rows_ignore_row_blocks_and_threads(
-        monkeypatch, quat_rule3, quat_rule4, q8_center_frame, budget):
-    """A block budget of 1 cell evolves one row per block, 10**9 one block
-    per chunk; either way, serial or threaded, the rows are the default's."""
+        monkeypatch, quat_rule3, quat_rule4, q8_center_frame, budget, kernel):
+    """A block budget of 1 evolves one row (table) or one 64-sample lane
+    (planes) per block, 10**9 one block per chunk; on either kernel, serial
+    or threaded, the rows are the table kernel's at the default budget."""
     frame = q8_center_frame
     A, C = frame.a_group, frame.C
     alpha = Character.make(abelian_invariants(A), {0: (1,)})
@@ -438,10 +456,15 @@ def test_monte_carlo_rows_ignore_row_blocks_and_threads(
         (quat_rule4, (bern(7, 10), bern(4, 10, size=4)),
          dict(probes=[both], cap_states=8 ** 4, mc_samples=3000, seed=5))]
     # n_max 2: one Monte-Carlo checkpoint keeps the one-row blocks quick
+    monkeypatch.setattr(spectral, "_GATHER_WORD_OPS", -1)
     want = [cesaro_randomization(rule, init, 2, frame=frame, **kw)
             for rule, init, kw in runs]
+    monkeypatch.setattr(spectral, "_GATHER_WORD_OPS",
+                        -1 if kernel == "table" else math.inf)
     monkeypatch.setattr(spectral, "_CHUNK", budget)
     for (rule, init, kw), ref in zip(runs, want):
+        assert spectral._mc_kernel(rule, STATE_CAP).__name__ == {
+            "table": "step_cells", "planes": "step_planes"}[kernel]
         assert any(r.mode == "mc" for r in ref.probe_rows)
         for workers in (1, 2):
             got = cesaro_randomization(rule, init, 2, frame=frame,
@@ -454,6 +477,7 @@ def test_monte_carlo_steps_feed_each_output_back_uncast(monkeypatch, quat_rule4,
                                                        q8_center_frame):
     """Past a chain's first step, ``step_cells`` gets its own output back:
     C-contiguous cell planes in the code dtype, so no step casts or copies."""
+    monkeypatch.setattr(spectral, "_GATHER_WORD_OPS", -1)   # the table kernel
     step_cells, chains, last = spectral.step_cells, [], [None]
 
     def spy(rule, cells, *args):
@@ -477,6 +501,79 @@ def test_monte_carlo_steps_feed_each_output_back_uncast(monkeypatch, quat_rule4,
         assert chain == [1 + 3 * n for n in range(len(chain), 0, -1)]
     lengths = [len(chain) for chain in chains]
     assert set(lengths) == {2, 4, 8, 16} and lengths.count(16) > 1
+
+
+def test_monte_carlo_plane_steps_feed_each_output_back_uncast(
+        monkeypatch, quat_rule4, q8_center_frame):
+    """On the plane kernel each block is one chain of n ``step_planes``
+    calls, and past its first each gets the previous planes back: uint64,
+    C-contiguous, uncast and uncopied.  No table step runs."""
+    step_planes, chains, last = spectral.step_planes, [], [None]
+
+    def spy(rule, planes, *args):
+        if planes is last[0]:
+            assert np.ascontiguousarray(planes, dtype=np.uint64) is planes
+            chains[-1].append(planes.shape[1])
+        else:
+            chains.append([planes.shape[1]])
+        last[0] = step_planes(rule, planes, *args)
+        return last[0]
+
+    def no_table_step(*args):
+        pytest.fail("a table step ran on the plane kernel")
+
+    monkeypatch.setattr(spectral, "step_planes", spy)
+    monkeypatch.setattr(spectral, "step_cells", no_table_step)
+    # half of 2**13 words holds 27 lanes of the 49 cells and 3 bits at
+    # n = 16, so the 3000 samples there run in two blocks; one block at
+    # each lower n
+    monkeypatch.setattr(spectral, "_CHUNK", 1 << 13)
+    lam, nu = bern(7, 10), bern(4, 10, size=4)
+    report = cesaro_randomization(quat_rule4, (lam, nu), 16,
+                                  frame=q8_center_frame, cap_states=4096,
+                                  mc_samples=3000, seed=2026)
+    assert report.n_exact == 1
+    # axis 1 holds the 1 + 3n input cells and shrinks by the spread 3
+    for chain in chains:
+        assert chain == [1 + 3 * n for n in range(len(chain), 0, -1)]
+    assert sorted(len(chain) for chain in chains) == [2, 4, 8, 16, 16]
+
+
+def test_monte_carlo_refuses_a_rule_over_the_cap_before_sampling(
+        monkeypatch, route, quat_rule4):
+    """Caps are honoured on both kernels, with the rule's table and normal
+    form already cached under the default cap."""
+    local_table(quat_rule4)
+    algebraic_normal_form(quat_rule4)
+
+    def no_sampling(*args):
+        pytest.fail("words were sampled past the cap")
+
+    monkeypatch.setattr(spectral, "_sample_words", no_sampling)
+    with pytest.raises(CapExceededError, match="local rule table: 4096 states"):
+        cesaro_randomization(quat_rule4, MeasureSpec("uniform", 8), 4,
+                             cap_states=8 ** 4 - 1, mc_samples=100, seed=1)
+
+
+# the kernel the cost rule picks for each config that ``randomize`` reads
+# (the only command with probes): a silent fall-back fails here
+MC_KERNELS = {
+    "demos/configs/randomize_metacyclic.json": "step_cells",   # Z/5 x| Z/4
+    "demos/configs/randomize_xor.json": "step_planes",         # Z/2
+    "perfbench/configs/skew_mc.json": "step_planes",           # Q8
+}
+
+
+def test_each_randomize_config_steps_on_the_kernel_the_cost_rule_names():
+    found = {str(path.relative_to(ROOT))
+             for folder in ("demos/configs", "perfbench/configs")
+             for path in (ROOT / folder).glob("*.json")
+             if "probes" in json.loads(path.read_text())}
+    assert found == set(MC_KERNELS)
+    for path, kernel in MC_KERNELS.items():
+        cfg = load_experiment(str(ROOT / path))
+        cap = cfg.param("cap_states", STATE_CAP)
+        assert spectral._mc_kernel(cfg.rule, cap).__name__ == kernel
 
 
 def test_sampled_words_are_the_draws_of_generator_choice(q8_center_frame):

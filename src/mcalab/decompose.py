@@ -21,7 +21,7 @@ from .errors import FrameError, NotCentralError, WindowError
 from .groups import FiniteGroup, GroupMap, abelian_invariants, center
 from .pseudo import PseudoFrame, SplitEndo, make_frame, split_endo, star_decompose
 from .rules import (Config, McaRule, NhcaSequence, _local_tables,
-                    _merge_positions, local_table, step_cells)
+                    _merge_positions, _seed_table, local_table, step_cells)
 from .util import STATE_CAP, check_cap, digit_planes, index_word, iter_words
 
 __all__ = [
@@ -84,8 +84,10 @@ class SkewDecomposition:
             A = self.frame.a_group
             factors = [(pos, GroupMap(A, A, img, True, _trusted=True)) for (pos, _), img
                        in zip(rule.factors, images[:, row].tolist())]
-            self._rules[row] = McaRule(A, rule.v_lo, rule.v_hi, factors, int(bias[row]),
-                                       one_sided=rule.one_sided, _table=tables[row])
+            fibre = McaRule(A, rule.v_lo, rule.v_hi, factors, int(bias[row]),
+                            one_sided=rule.one_sided)
+            _seed_table(fibre, tables[row])
+            self._rules[row] = fibre
         return self._rules[row]
 
     def fibre_table(self) -> dict[tuple[int, ...], McaRule]:

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import McaLabError, NotPermutativeError, WindowError
 from .groups import FiniteGroup
-from .rules import Config, McaRule, NhcaSequence, is_bipermutative, step_cells
+from .rules import (Config, McaRule, NhcaSequence, code_dtype, is_bipermutative,
+                    step_buffers, step_cells)
 from .util import STATE_CAP, cell_dtype, check_cap, digit_planes, index_word
 
 __all__ = [
@@ -42,8 +43,24 @@ _CHUNK = 1 << 16
 
 
 def _weight_dtype(den: int):
-    """int64 while weights (each at most ``den``) stay below 2**62, else object."""
-    return np.int64 if den < 2 ** 62 else object
+    """Dtype of weights over ``den``: the smallest signed integer dtype whose
+    maximum is at least ``den`` (int8, int16, int32 or int64), and object
+    (Python ints) at or above 2**62.
+
+    Every weight of a law lies in [0, den], and so does every partial sum
+    or product of weights formed in this module, so nothing wraps.
+    """
+    if den >= 2 ** 62:
+        return object
+    # a signed type reaching -(den + 1) reaches +den
+    return np.min_scalar_type(-max(den, 0) - 1)
+
+
+def _holds(dtype: np.dtype, den: int) -> bool:
+    """Whether ``dtype`` may store weights over ``den`` as they are."""
+    if den >= 2 ** 62:
+        return dtype == object
+    return dtype.kind == "i" and np.iinfo(dtype).max >= den
 
 
 def _window_length(lo: int, hi: int) -> int:
@@ -68,9 +85,12 @@ class WindowMeasure:
 
     Probabilities are ``num[i] / den`` with word ``i`` in big-endian index
     order; they are exact and sum to 1.  ``num`` is a read-only integer
-    array: int64 while ``den < 2**62``, Python ints (object dtype) above.
-    ``group`` is optional — only the alphabet size matters for measure
-    arithmetic.
+    array in the narrowest dtype that holds ``den`` (:func:`_weight_dtype`:
+    int8 up to int64, Python ints at or above 2**62).  A caller's array is
+    kept as it is when nothing writable can change it and its signed
+    integer dtype already holds ``den``; anything else is copied into that
+    dtype.  ``group`` is optional — only the alphabet size matters for
+    measure arithmetic.
     """
 
     size: int
@@ -82,25 +102,31 @@ class WindowMeasure:
 
     def __post_init__(self):
         _window_length(self.lo, self.hi)
+        num, den = self.num, self.den
         # keep the caller's array only if nothing writable can change it
-        owner = self.num
+        owner = num
         while isinstance(owner, np.ndarray) and not owner.flags.writeable:
             owner = owner.base
-        try:
-            num = (np.asarray if owner is None else np.array)(
-                self.num, dtype=_weight_dtype(self.den))
-        except OverflowError:
-            raise McaLabError("weights must sum exactly to the denominator") from None
+        kept = owner is None and _holds(num.dtype, den)
+        if not kept:
+            # validated at full width, so no narrowing can wrap a weight
+            try:
+                num = np.array(num, dtype=object if den >= 2 ** 62 else np.int64)
+            except OverflowError:
+                raise McaLabError("weights must sum exactly to the denominator") from None
         if num.shape != (self.size ** self.length,):
             raise McaLabError(
                 f"need {self.size ** self.length} weights, got {num.size}")
-        if self.den <= 0 or (num < 0).any():
+        # min and max allocate no temporary as large as the weights
+        if den <= 0 or (num.size and num.min() < 0):
             raise McaLabError("weights must be nonnegative with positive denominator")
         # entries in [0, den] cannot wrap an int64 sum below 2**63 in total
-        exact = None if num.size * self.den < 2 ** 63 else object
-        if (num > self.den).any() or num.sum(dtype=exact) != self.den:
+        exact = np.int64 if num.size * den < 2 ** 63 else object
+        if (num.size and num.max() > den) or num.sum(dtype=exact) != den:
             raise McaLabError("weights must sum exactly to the denominator")
-        num.setflags(write=False)
+        if not kept:
+            num = num.astype(_weight_dtype(den), copy=False)
+            num.setflags(write=False)
         object.__setattr__(self, "num", num)
 
     @property
@@ -111,8 +137,8 @@ class WindowMeasure:
     def uniform(cls, size: int, lo: int, hi: int,
                 group: FiniteGroup | None = None) -> "WindowMeasure":
         n = size ** _window_length(lo, hi)
-        return cls(size, lo, hi,
-                   np.broadcast_to(_frozen(np.ones(1, np.int64)), (n,)), n, group)
+        return cls(size, lo, hi, np.broadcast_to(
+            _frozen(np.ones(1, _weight_dtype(n))), (n,)), n, group)
 
     def marginal(self, lo: int, hi: int) -> "WindowMeasure":
         """Restriction to a sub-window (sums out the other cells)."""
@@ -120,7 +146,9 @@ class WindowMeasure:
             raise WindowError(f"[{lo}..{hi}) is not inside [{self.lo}..{self.hi})")
         s = self.size
         keep = s ** (hi - lo)
-        num = self.num.reshape(-1, keep, s ** (self.hi - hi)).sum(axis=(0, 2))
+        # partial sums of weights stay at most den: summed in its own dtype
+        num = self.num.reshape(-1, keep, s ** (self.hi - hi)).sum(
+            axis=(0, 2), dtype=_weight_dtype(self.den))
         return WindowMeasure(s, lo, hi, _frozen(num), self.den, self.group)
 
     def entropy_bits(self) -> float:
@@ -207,10 +235,12 @@ class MeasureSpec:
         step = np.array([[int(p * d1) for p in row] for row in rows], dtype=dtype)
         for _ in range(n - 1):
             num = (num.reshape(-1, self.size, 1) * step).ravel()
-        # lowest common denominator of the word probabilities
+        # lowest common denominator of the word probabilities; a smaller
+        # one may fit a narrower dtype
         g = math.gcd(den, int(np.gcd.reduce(num)))
         if g > 1:
             num //= g
+            num = num.astype(_weight_dtype(den // g), copy=False)
         return WindowMeasure(self.size, lo, hi, _frozen(num), den // g, group)
 
     def shift_entropy_bits(self) -> float:
@@ -323,9 +353,11 @@ def _observed_weights(m: WindowMeasure, steps: Sequence, windows: Sequence,
     """Weight of every observation word, summed over the input words of m.
 
     Indexed by observation word (see :func:`_observation_keys`), exact in
-    the dtype of ``m.num``.
+    the weight dtype of ``m.den``: every entry is a partial sum of m's
+    weights, at most ``m.den``.
     """
-    acc = np.zeros(m.size ** sum(hi - lo for lo, hi in windows), dtype=m.num.dtype)
+    acc = np.zeros(m.size ** sum(hi - lo for lo, hi in windows),
+                   dtype=_weight_dtype(m.den))
     for rows, key in _observation_keys(m, steps, windows, cap):
         np.add.at(acc, key, m.num[rows])
     return acc
@@ -349,26 +381,37 @@ def _observation_keys(m: WindowMeasure, steps: Sequence, windows: Sequence,
 
     Each input word runs through ``steps``; ``windows[n] = (lo, hi)`` names
     the cells appended to its observation after n steps.  Yields the chunk
-    of input word indices and the big-endian index of each observation.
+    of input word indices and the big-endian index (intp) of each
+    observation.  Every buffer is allocated once per call, so the chunk
+    loop itself allocates nothing: the start cells, in the steps' code
+    dtype (see :func:`rules.step_cells`), one workspace per step, and the
+    key.  The key buffer is reused: a consumer must use each key before it
+    advances the iterator.
     """
     s, length = m.size, m.length
     low = _tail_cells(s, length)
-    # cell-major: tail[t] is cell t of every tail word
-    tail = np.ascontiguousarray(digit_planes(np.arange(s ** low), s, low).T,
-                                dtype=cell_dtype(s))
-    words = s ** low
-    for head in range(s ** (length - low)):
-        cells, lo = np.empty((length, words), dtype=tail.dtype), m.lo
-        cells[:length - low] = np.array(index_word(head, s, length - low))[:, None]
-        cells[length - low:] = tail
-        key = np.zeros(words, dtype=np.int64)
+    words, high = s ** low, length - low
+    cells = np.empty((length, words),
+                     dtype=code_dtype(s, steps[0].width) if steps else cell_dtype(s))
+    # cell-major: the tail cells run through every tail word in each chunk
+    cells[high:] = digit_planes(np.arange(words), s, low).T
+    works, shape = [], cells.shape
+    for st in steps:
+        works.append(step_buffers(st, shape))
+        shape = works[-1][-1].shape
+    key, digit = np.empty(words, dtype=np.intp), np.empty(words, dtype=np.intp)
+    for head in range(s ** high):
+        cells[:high] = np.array(index_word(head, s, high), dtype=cells.dtype)[:, None]
+        block, lo = cells, m.lo
+        key.fill(0)
         for n, (w_lo, w_hi) in enumerate(windows):
             if n:
-                cells = step_cells(steps[n - 1], cells, lo, cap)
+                block = step_cells(steps[n - 1], block, lo, cap, works[n - 1])
                 lo -= steps[n - 1].v_lo
             for x in range(w_lo, w_hi):
                 key *= s
-                key += cells[x - lo]
+                np.copyto(digit, block[x - lo])   # an unbuffered cast to intp
+                key += digit
         yield slice(head * words, (head + 1) * words), key
 
 

@@ -75,7 +75,8 @@ class McaRule(_Neighborhood):
     factors: tuple[tuple[int, GroupMap], ...]
     bias: int = 0
     one_sided: bool = False
-    _table: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _table: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
     _anf: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -159,19 +160,31 @@ def eval_local(rule: McaRule, word: Sequence[int]) -> int:
     return out
 
 
+def code_dtype(order: int, width: int) -> np.dtype:
+    """Smallest signed integer dtype holding every window code 0 ..
+    order**width - 1: one that reaches -(order**width) does."""
+    return np.min_scalar_type(-(order ** width))
+
+
 def local_table(rule: McaRule, cap: int = STATE_CAP) -> np.ndarray:
     """Dense lookup of the local map over all |B|**width window words.
 
     Indexed big-endian (leftmost window cell most significant).  Values are
-    in the code dtype of :func:`step_cells`, the smallest signed integer
-    type that holds every window code 0 .. |B|**width - 1, so the kernel
-    looks codes up in this one table.  Cached on the rule, read-only.
+    in the :func:`code_dtype` of the rule, so :func:`step_cells` looks its
+    window codes up in this one table.  Cached on the rule, read-only; a
+    copy made by ``dataclasses.replace`` starts with no table.
     """
     if rule._table is None:
         check_cap(rule.group.order, rule.width, cap, "local rule table")
-        rule._table = _local_tables(rule.group, rule.width, [rule.bias], [
-            (pos - rule.v_lo, [coeff.image_of]) for pos, coeff in rule.factors])[0]
+        _seed_table(rule, _local_tables(rule.group, rule.width, [rule.bias], [
+            (pos - rule.v_lo, [coeff.image_of]) for pos, coeff in rule.factors])[0])
     return rule._table
+
+
+def _seed_table(rule: McaRule, table: np.ndarray) -> None:
+    """Cache ``table``, a read-only row of :func:`_local_tables` for this
+    very rule, as its :func:`local_table`."""
+    rule._table = table
 
 
 def _local_tables(group: FiniteGroup, width: int, bias,
@@ -184,7 +197,7 @@ def _local_tables(group: FiniteGroup, width: int, bias,
     broadcast along its cell's axis of a (rules,) + (|G|,)*width array.
     """
     s, n = group.order, len(bias)
-    code = np.min_scalar_type(-(s ** width))
+    code = code_dtype(s, width)
     # an index x*s + y into the flattened table must fit as well
     idx = np.promote_types(code, np.min_scalar_type(-(s * s)))
     table = group.table.astype(idx).ravel()
@@ -199,42 +212,75 @@ def _local_tables(group: FiniteGroup, width: int, bias,
     return out
 
 
+def step_buffers(op: LocalFamily, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Workspace of :func:`step_cells` for blocks of ``shape`` cells.
+
+    Two ping-pong buffers for the window codes, in the :func:`code_dtype`;
+    the codes as table indices (intp, so no lookup converts them); and the
+    output, in the code dtype.  A caller stepping block after block of one
+    shape allocates these once and passes them to every step.
+    """
+    k = shape[0] - op.spread
+    if k < 0:
+        raise WindowError(f"block of {shape[0]} cells is narrower than the rule")
+    rest, code = tuple(shape[1:]), code_dtype(op.group.order, op.width)
+    codes = max(shape[0] - 1, 0)
+    return (np.empty((codes,) + rest, dtype=code), np.empty((codes,) + rest, dtype=code),
+            np.empty((k,) + rest, dtype=np.intp), np.empty((k,) + rest, dtype=code))
+
+
 def step_cells(op: LocalFamily, cells: np.ndarray, lo: int,
-               cap: int = STATE_CAP) -> np.ndarray:
+               cap: int = STATE_CAP, work: tuple[np.ndarray, ...] | None = None
+               ) -> np.ndarray:
     """One synchronous step on integer words, by local-table lookups.
 
     Axis 0 of ``cells`` is the cell axis: ``cells[t]`` holds cell lo+t of
-    every word, so each cell is one contiguous plane.  The result holds
-    the image cells [lo - v_lo .. lo + k - v_hi) on axis 0, other axes
-    unchanged.  Window codes and the result are in the code dtype, the
-    smallest signed integer type that holds |B|**width (int16 for Q8 at
+    every word, so each cell is one contiguous plane; every value is an
+    element index of the group.  The result holds the image cells
+    [lo - v_lo .. lo + k - v_hi) on axis 0, other axes unchanged.  Window
+    codes and the result are in the :func:`code_dtype` (int16 for Q8 at
     width 4): input of any integer dtype is converted once, and a chain of
-    steps fed its own output never casts or copies.  Codes are looked up
-    in the rule's :func:`local_table`, which is in the same dtype; a
+    steps fed its own output never casts or copies.  The codes are built by
+    in-place multiplies and adds in the buffers of ``work``
+    (:func:`step_buffers` for this shape; fresh ones when None) and looked
+    up in the rule's :func:`local_table`, which is in the same dtype; a
     nonhomogeneous family looks each output cell up in its own rule's.
+    The result is the output buffer of ``work``: the next step on the same
+    workspace overwrites it.
     """
     s, width = op.group.order, op.width
-    k = len(cells) - op.spread
-    if k < 0:
-        raise WindowError(f"block of {len(cells)} cells is narrower than the rule")
+    if work is None:
+        work = step_buffers(op, np.shape(cells))
+    *buffers, index, out = work
+    k = len(out)
+    if len(cells) != k + op.spread:
+        raise WindowError(f"block of {len(cells)} cells does not fit the "
+                          f"workspace of {k} output cells")
     rules = [op] if isinstance(op, McaRule) else [
         op.rule_at(lo - op.v_lo + j) for j in range(k)]
-    # a signed type reaching -(s**width) holds every code 0 .. s**width - 1
-    code = np.min_scalar_type(-(s ** width))
     tables = [local_table(r, cap) for r in rules]
-    cells = np.ascontiguousarray(cells, dtype=code)
-    # codes of width 2w from two of width w, then Horner for the rest
-    codes, w = cells, 1
+    cells = np.ascontiguousarray(cells, dtype=out.dtype)
+    # codes of width 2w from two of width w, then Horner for the rest, each
+    # into the buffer the codes it reads are not in
+    codes, w, turn = cells, 1, 0
     while 2 * w <= width:
-        codes = codes[:len(codes) - w] * s ** w + codes[w:]
-        w *= 2
+        n = len(codes) - w
+        dst = buffers[turn][:n]
+        np.multiply(codes[:n], s ** w, out=dst)
+        dst += codes[w:]
+        codes, w, turn = dst, 2 * w, 1 - turn
     for t in range(w, width):
-        codes = codes[:-1] * s + cells[t:t + len(codes) - 1]
+        n = len(codes) - 1
+        dst = buffers[turn][:n]
+        np.multiply(codes[:n], s, out=dst)
+        dst += cells[t:t + n]
+        codes, turn = dst, 1 - turn
+    np.copyto(index, codes)
+    # every code is a valid index: "wrap" looks up unbuffered, straight into out
     if isinstance(op, McaRule):
-        return tables[0].take(codes)
-    out = np.empty(codes.shape, dtype=code)
+        return tables[0].take(index, out=out, mode="wrap")
     for j, table in enumerate(tables):
-        out[j] = table.take(codes[j])
+        table.take(index[j:j + 1], out=out[j:j + 1], mode="wrap")
     return out
 
 

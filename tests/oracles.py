@@ -156,6 +156,15 @@ def word_index(word, base: int) -> int:
     return functools.reduce(lambda idx, w: idx * base + w, word, 0)
 
 
+def weight_dtype_oracle(den: int):
+    """Dtype a law over ``den`` stores its weights in: the first of int8,
+    int16, int32, int64 whose maximum reaches ``den``, object from 2**62."""
+    if den >= 2 ** 62:
+        return np.dtype(object)
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= den)
+
+
 def point_mass(size: int, lo: int, word, group=None) -> WindowMeasure:
     """The measure of weight 1 on ``word``, placed at cell ``lo``."""
     num = np.zeros(size ** len(word), dtype=np.int64)

@@ -42,7 +42,8 @@ from oracles import (dual_action_oracle, fibre_oracle, fibre_rank_oracle,
                      partition_entropy_oracle, probs,
                      sample_words_oracle,
                      push_forward_oracle, recompose_oracle,
-                     star_product_oracle, trajectory_oracle, word_weight)
+                     star_product_oracle, trajectory_oracle,
+                     weight_dtype_oracle, word_weight)
 
 # oracle loops stay under this many words per example
 MAX_WORDS = 8000
@@ -274,7 +275,7 @@ def assert_product_matches_oracle(data, name, seed, scale=1):
     c = random_measure(seed + 1, C, lo, length)
     star = star_product_measure(fr, a, c)
     assert (star.size, star.den, star.group) == (fr.B.order, a.den * c.den, fr.B)
-    assert star.num.dtype == (object if star.den >= 2**62 else np.int64)
+    assert star.num.dtype == weight_dtype_oracle(star.den)
     assert star.num.tolist() == star_product_oracle(fr, a, c)
 
 
@@ -422,6 +423,98 @@ def test_window_weights_match_word_weights(seed, length, markov):
     want = [word_weight(spec, word) for word in iter_words(spec.size, length)]
     assert probs(m) == want
     assert m.den == math.lcm(*(p.denominator for p in want))
+
+
+# each boundary between two weight dtypes: int8 | int16 | int32 | int64 | object
+DTYPE_BOUNDARIES = [2**7, 2**15, 2**31, 2**62]
+
+
+@st.composite
+def boundary_measures(draw, size, lo, length):
+    """A law whose denominator sits one below, at or one above a dtype
+    boundary, given as a tuple or as a read-only int64/object array (which
+    the measure keeps as it is when that dtype holds the denominator)."""
+    den = draw(st.sampled_from(DTYPE_BOUNDARIES)) + draw(st.integers(-1, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # n - 1 cuts of [0, den]: nonnegative weights summing to den
+    cuts = sorted(int(x) for x in rng.integers(0, den + 1, size ** length - 1))
+    num = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    if draw(st.booleans()):
+        num = np.array(num, dtype=object if den >= 2**62 else np.int64)
+        num.setflags(write=False)
+    m = WindowMeasure(size, lo, lo + length, num, den)
+    assert m.num.dtype == (num.dtype if isinstance(num, np.ndarray)
+                           else weight_dtype_oracle(den))
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), group_names)
+def test_products_across_weight_dtypes_match_oracle(data, name):
+    """Factors of different weight dtypes, either side of each boundary,
+    multiply into the dtype of the product's own denominator."""
+    fr = frame(name)
+    length = data.draw(st.integers(0, max_len(fr.B.order)))
+    lo = data.draw(st.integers(-2, 2))
+    a = data.draw(boundary_measures(fr.a_group.order, lo, length))
+    c = data.draw(boundary_measures(fr.C.order, lo, length))
+    star = star_product_measure(fr, a, c)
+    assert star.den == a.den * c.den
+    assert star.num.dtype == weight_dtype_oracle(star.den)
+    assert star.num.tolist() == star_product_oracle(fr, a, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), group_names)
+def test_marginal_and_push_forward_across_weight_dtypes(data, name):
+    """Sums of weights next to each dtype boundary stay exact, in the
+    dtype of the denominator they share with the input."""
+    G = group(name)
+    v_lo, v_hi = data.draw(neighborhoods(max_len(G.order)))
+    length = data.draw(st.integers(v_hi - v_lo + 1, max_len(G.order)))
+    m = data.draw(boundary_measures(G.order, 0, length))
+    lo = data.draw(st.integers(0, length))
+    hi = data.draw(st.integers(lo, length))
+    sub = m.marginal(lo, hi)
+    assert sub.den == m.den and sub.num.dtype == weight_dtype_oracle(m.den)
+    assert sub.num.tolist() == marginal_oracle(m, lo, hi)
+    op = data.draw(rules(name, v_lo, v_hi))
+    out = push_forward(op, m)
+    assert out.den == m.den and out.num.dtype == weight_dtype_oracle(m.den)
+    assert out.num.tolist() == push_forward_oracle(op, m)
+
+
+# (cell denominator d, cells n): d**n one below and at or above each boundary
+BOUNDARY_WINDOWS = [(127, 1), (2, 7), (11, 2), (12, 2), (181, 2), (8, 5),
+                    (182, 2), (46340, 2), (46341, 2), (2**31 - 1, 2), (2**31, 2)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(BOUNDARY_WINDOWS), st.integers(0, 2**32 - 1))
+def test_window_weights_across_dtype_boundaries(window, seed):
+    """A Bernoulli window over d**n stores its weights in that
+    denominator's dtype, and each is the word's exact probability."""
+    d, n = window
+    k = int(np.random.default_rng(seed).integers(1, d))
+    # k prime to d: no word weight shares a factor with all the others
+    k = k if math.gcd(k, d) == 1 else 1
+    spec = MeasureSpec("bernoulli", 2, probs=[Fraction(k, d), Fraction(d - k, d)])
+    m = spec.window_measure(0, n)
+    want = [word_weight(spec, word) for word in iter_words(2, n)]
+    assert probs(m) == want
+    assert m.den == d ** n == math.lcm(*(p.denominator for p in want))
+    assert m.num.dtype == weight_dtype_oracle(m.den)
+
+
+def test_window_weights_narrow_with_their_lowest_denominator():
+    """The lcm of the cell weights, 3·4**3 = 192, needs int16; every word
+    weight is even, so the window's denominator is 96 and fits int8."""
+    spec = MeasureSpec("markov", 2,
+                       transition=[[HALF, HALF], [QUARTER, 3 * QUARTER]],
+                       initial=[Fraction(1, 3), Fraction(2, 3)])
+    m = spec.window_measure(0, 4)
+    assert (m.den, m.num.dtype) == (96, np.int8)
+    assert probs(m) == [word_weight(spec, word) for word in iter_words(2, 4)]
 
 
 ABELIAN = {"Z4": (4,), "Z2+Z4": (2, 4), "Z3+Z3": (3, 3), "Z2+Z2+Z2": (2, 2, 2)}

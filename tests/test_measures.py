@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -224,16 +225,20 @@ def test_star_product_refuses_factors_over_the_wrong_alphabet(z20_frame, sizes):
         star_product_measure(z20_frame, a, c)
 
 
+def metacyclic_laws(frame):
+    """The metacyclic demo's λ over A and ν over C on its widest exact
+    window, 5 cells (20^5 words over B)."""
+    return (MeasureSpec("uniform", 5).window_measure(0, 5, frame.a_group),
+            MeasureSpec("bernoulli", 4, probs=[HALF, QUARTER, EIGHTH, EIGHTH]
+                        ).window_measure(0, 5, frame.C))
+
+
 def test_star_product_holds_one_full_window(z20_frame):
     """The metacyclic demo's laws on its widest exact window (20^5 words):
-    past its output the star product allocates only chunk-sized scratch
-    and the validation's masks."""
-    frame = z20_frame
-    a = MeasureSpec("uniform", 5).window_measure(0, 5, frame.a_group)
-    c = MeasureSpec("bernoulli", 4, probs=[HALF, QUARTER, EIGHTH, EIGHTH]
-                    ).window_measure(0, 5, frame.C)
-    m, peak = traced_peak(star_product_measure, frame, a, c)
-    assert (m.num.dtype, m.num.size, m.den) == (np.int64, 20 ** 5, 40 ** 5)
+    past its output the star product allocates only chunk-sized scratch.
+    Its denominator 40^5 fits int32."""
+    m, peak = traced_peak(star_product_measure, z20_frame, *metacyclic_laws(z20_frame))
+    assert (m.num.dtype, m.num.size, m.den) == (np.int32, 20 ** 5, 40 ** 5)
     assert peak <= 1.25 * m.num.nbytes
 
 
@@ -244,6 +249,39 @@ def test_bernoulli_window_holds_one_full_window(z20):
     m, peak = traced_peak(spec.window_measure, 0, 5, z20)
     assert (m.num.dtype, m.num.size, m.den) == (np.int64, 20 ** 5, 210 ** 5)
     assert peak <= 1.25 * m.num.nbytes
+
+
+def test_push_forward_chunk_loop_allocates_nothing(z20_frame, x1_rule, monkeypatch):
+    """One step over the metacyclic demo's 20^5-word law allocates its
+    output and a fixed set of chunk buffers, whatever the chunk count:
+    the traced peak grows with the chunk, not with the number of chunks,
+    and past the first chunk the loop allocates no chunk-sized array."""
+    m = star_product_measure(z20_frame, *metacyclic_laws(z20_frame))
+    keys, growth = measures._observation_keys, []
+
+    def watched(*args):
+        chunks = keys(*args)
+        yield next(chunks)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        yield from chunks
+        growth.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(measures, "_observation_keys", watched)
+    peaks = {}
+    # a chunk of 20^2 = 400 words (8000 chunks), then of 20^3 = 8000 (400)
+    for chunk, words in ((1 << 10, 20 ** 2), (1 << 16, 20 ** 3)):
+        monkeypatch.setattr(measures, "_CHUNK", chunk)
+        out, peak = traced_peak(push_forward, x1_rule, m)
+        assert (out.num.size, out.num.dtype) == (20 ** 3, np.int32)
+        # start cells, two code buffers, index, output, key, digit: under
+        # 96 bytes per chunk word, beside the output and set-up scratch
+        assert peak - out.num.nbytes <= 96 * words + (64 << 10), chunk
+        peaks[chunk] = peak
+    assert peaks[1 << 10] < peaks[1 << 16]
+    # np.add.at keeps about 5 KB of scratch; the chunk buffers come to 29 KB
+    # at 400 words, and each alone is at least 48 KB at 8000
+    assert len(growth) == 2 and max(growth) < 16 << 10, growth
 
 
 def test_partition_entropy_accepts_plain_weights():

@@ -1,5 +1,6 @@
 """Local rules: evaluation, window geometry, permutativity, filling."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mcalab import (Config, GroupMap, McaRule, NhcaSequence,
                     PermutativityFlags, TableInvalidError, WindowError,
                     apply_window, eval_local, is_bipermutative, local_table,
                     make_cyclic, permutativity)
-from mcalab.rules import step_cells
+from mcalab.rules import algebraic_normal_form, step_cells
 
 from oracles import (extract_eca_coefficients, filling_solve,
                      is_homomorphic_local)
@@ -83,6 +84,24 @@ def test_a_stepped_rule_caches_one_local_table():
     assert cached == ["_table"]
     assert local_table(rule) is rule._table
     assert rule._table.dtype == np.min_scalar_type(-(3 ** 3))
+
+
+def test_a_replaced_rule_builds_its_own_caches():
+    """``dataclasses.replace`` copies no cached table or normal form, so
+    the copy's lookups follow its own bias, not the original's."""
+    rule = linear_rule(4, [1, 1])
+    assert local_table(rule).tolist()[:4] == [0, 1, 2, 3]
+    anf = algebraic_normal_form(rule)
+    shifted = replace(rule, bias=1)
+    want = [eval_local(shifted, list(w))
+            for w in itertools.product(range(4), repeat=2)]
+    assert local_table(shifted).tolist() == want
+    assert want[:4] == [1, 2, 3, 0]
+    assert algebraic_normal_form(shifted) != anf
+    assert local_table(rule).tolist()[:4] == [0, 1, 2, 3]
+    assert algebraic_normal_form(rule) is anf
+    with pytest.raises(ValueError, match="init=False"):
+        replace(rule, _table=local_table(rule))
 
 
 def test_apply_window_geometry():

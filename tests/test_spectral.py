@@ -17,7 +17,7 @@ from mcalab import (Character, GroupMap, LinearRuleDual, McaLabError, McaRule,
                     star_product_measure)
 from mcalab import CapExceededError, spectral
 from mcalab.rules import algebraic_normal_form, local_table
-from mcalab.specs import load_experiment
+from mcalab.specs import load_experiment, parse_measure_pair, parse_probe
 from mcalab.util import STATE_CAP
 
 from conftest import traced_peak
@@ -553,6 +553,22 @@ def test_monte_carlo_refuses_a_rule_over_the_cap_before_sampling(
     with pytest.raises(CapExceededError, match="local rule table: 4096 states"):
         cesaro_randomization(quat_rule4, MeasureSpec("uniform", 8), 4,
                              cap_states=8 ** 4 - 1, mc_samples=100, seed=1)
+
+
+def test_metacyclic_exact_chain_holds_one_weight_vector():
+    """The metacyclic demo's exact chain, probes and all, on its widest
+    window of 20^5 words: its law over 40^5 is stored in int32, and the
+    whole chain peaks at 1.25 times that vector."""
+    cfg = load_experiment(str(ROOT / "demos" / "configs" / "randomize_metacyclic.json"))
+    dec = decompose_mca(cfg.rule, cfg.frame)
+    A, C = cfg.frame.a_group, dec.h_rule.group
+    init = parse_measure_pair(cfg.param("measures"), A.order, C.order)
+    probes = [parse_probe(p, "probes", A, C) for p in cfg.param("probes")]
+    report, peak = traced_peak(cesaro_randomization, cfg.rule, init,
+                               cfg.param("n_max"), probes=probes,
+                               frame=cfg.frame, dec=dec)
+    assert report.n_exact == 2   # 1 + 2·2 = 5 input cells
+    assert peak <= 1.25 * 20 ** 5 * np.dtype(np.int32).itemsize
 
 
 # the kernel the cost rule picks for each config that ``randomize`` reads

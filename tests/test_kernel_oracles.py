@@ -9,7 +9,9 @@ order 16.  The array dual action
 is compared bit for bit with a cell-by-cell step on abelian groups, and
 the integer fibre ranks with a ``Fraction`` finite-difference reading.
 """
+import itertools
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -29,7 +31,7 @@ from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
                     recompose_check, star_product_measure,
                     trajectory_joint_distribution,
                     trajectory_partition_entropy)
-from mcalab import measures, spectral
+from mcalab import McaLabError, measures, spectral
 from mcalab.errors import TableInvalidError, WindowError
 from mcalab.rules import (algebraic_normal_form, from_planes, step_cells,
                           step_planes, to_planes)
@@ -518,11 +520,14 @@ def test_window_weights_narrow_with_their_lowest_denominator():
 
 
 ABELIAN = {"Z4": (4,), "Z2+Z4": (2, 4), "Z3+Z3": (3, 3), "Z2+Z2+Z2": (2, 2, 2)}
+# elementary abelian groups, where rank series take Frobenius level blocks
+# while the position matrices commute, next to ABELIAN's other two
+RANK_GROUPS = {**ABELIAN, "Z2": (2,), "Z3": (3,), "Z5": (5,), "Z2+Z2": (2, 2)}
 
 
 @cache
 def abelian_endomorphisms(name):
-    G = make_direct_sum(list(ABELIAN[name]))
+    G = make_direct_sum(list(RANK_GROUPS[name]))
     return G, enumerate_endomorphisms(G)
 
 
@@ -596,6 +601,146 @@ def test_long_biased_chain_matches_oracle():
         assert got.phase == want.phase
         assert repr(got.phase) == repr(want.phase)
     assert max(c.rank for c in spectral._orbit(dual, chi, 200)) > 64
+
+
+def commute_mod(dual, p):
+    """Whether the position matrices commute mod p, in Python integers."""
+    mats = [m for _, m in dual.matrices]
+    d = len(dual.coords.orders)
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(d)) % p for j in range(d)]
+                for i in range(d)]
+    return all(mul(x, y) == mul(y, x) for x in mats for y in mats)
+
+
+def oracle_ranks(dual, chi, j_max):
+    ranks = [chi.rank]
+    for _ in range(j_max):
+        chi = dual_action_oracle(dual, chi)
+        ranks.append(chi.rank)
+    return ranks
+
+
+# far cells: 10**12 needs a sparse key; 2**62 - 3 beside a cell near 0
+# overflows (row, cell) keys at j ≥ 1, and 2**63 - 3 may take the chain
+# past int64, which it refuses
+FAR_CELLS = [-3, -1, 0, 1, 2, 5, 10 ** 12, 2 ** 62 - 3, 2 ** 63 - 3]
+
+
+def assert_rank_series_is_the_chains(dual, chi, j_max):
+    """``diffusion_report`` ranks equal the per-step chain's and the
+    cell-by-cell oracle's, or it raises the chain's error.  (The oracle
+    refuses only a nonzero cell past int64, the chain any step whose
+    bounds leave it.)"""
+    try:
+        want = [c.rank for c in spectral._orbit(dual, chi, j_max)]
+    except McaLabError as err:
+        with pytest.raises(McaLabError, match=re.escape(str(err))):
+            diffusion_report(dual, chi, j_max)
+        return
+    assert diffusion_report(dual, chi, j_max).ranks == want
+    assert oracle_ranks(dual, chi, j_max) == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("horizon", ["0", "1", "p-1", "p", "p^2", "100"])
+@pytest.mark.parametrize("name", sorted(RANK_GROUPS))
+def test_rank_series_matches_the_chain_on_either_route(data, name, horizon):
+    """Over Z/2, Z/3, Z/5, (Z/2)², (Z/3)² and (Z/2)³ with commuting
+    matrices the ranks come in level blocks; over Z/4, Z/2⊕Z/4 and with
+    matrices that do not commute, one step per image.  Both give the
+    chain's ranks, at the horizons around p and p², with a trivial seed
+    and far cells."""
+    G, endos = abelian_endomorphisms(name)
+    v_lo = data.draw(st.integers(-2, 0))
+    v_hi = data.draw(st.integers(v_lo, v_lo + 3))
+    factors = [(data.draw(st.integers(v_lo, v_hi)), data.draw(st.sampled_from(endos)))
+               for _ in range(data.draw(st.integers(1, 4)))]
+    rule = McaRule(G, v_lo, v_hi, factors, data.draw(st.integers(0, G.order - 1)))
+    dual = LinearRuleDual.from_rule(rule)
+    orders = dual.coords.orders
+    p = orders[0]
+    support = {}
+    for cell in data.draw(st.lists(st.sampled_from(FAR_CELLS), unique=True,
+                                   max_size=3)):
+        support[cell] = tuple(data.draw(st.integers(0, n - 1)) for n in orders)
+    chi = Character.make(dual.coords, support)
+    j_max = {"0": 0, "1": 1, "p-1": p - 1, "p": p, "p^2": p * p,
+             "100": 100}[horizon]
+    route = spectral._frobenius_route(dual, chi, j_max)
+    blocks = set(orders) == {p} and p in (2, 3, 5) and commute_mod(dual, p)
+    if not blocks:
+        assert route is None
+    elif max(map(abs, chi.cells()), default=0) < 10 ** 13:
+        assert route is not None
+    assert_rank_series_is_the_chains(dual, chi, j_max)
+
+
+@cache
+def noncommuting_pairs(name):
+    """Pairs of endomorphisms whose matrices do not commute, the first 50."""
+    G, endos = abelian_endomorphisms(name)
+    p = RANK_GROUPS[name][0]
+    pairs = []
+    for x, y in itertools.combinations(endos, 2):
+        if not commute_mod(LinearRuleDual.from_rule(
+                McaRule(G, 0, 1, [(0, x), (1, y)])), p):
+            pairs.append((x, y))
+            if len(pairs) == 50:
+                return pairs
+    return pairs
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), st.sampled_from(["Z2+Z2", "Z3+Z3"]))
+def test_noncommuting_matrices_take_the_chain(data, name):
+    G, _ = abelian_endomorphisms(name)
+    x, y = data.draw(st.sampled_from(noncommuting_pairs(name)))
+    v = data.draw(st.integers(1, 2))
+    dual = LinearRuleDual.from_rule(McaRule(G, 0, v, [(0, x), (v, y)]))
+    chi = Character.make(dual.coords, {0: (1, 0), 1: (0, 1)})
+    j_max = data.draw(st.sampled_from([1, 4, 9, 40]))
+    assert spectral._frobenius_route(dual, chi, j_max) is None
+    assert_rank_series_is_the_chains(dual, chi, j_max)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 14])
+def test_level_blocks_ignore_the_slice_size(monkeypatch, block):
+    """Slices of one entry, of a few rows, or one row past the limit, give
+    the chain's ranks: over Z/3 with three positions, and over (Z/3)²
+    (element 3a + b is (a, b)) with diagonal matrices, which commute."""
+    monkeypatch.setattr(spectral, "_BLOCK", block)
+    G, endos = abelian_endomorphisms("Z3")
+    ident = GroupMap.identity(G)
+    cases = [(McaRule(G, -1, 1, [(-1, ident), (0, endos[2]), (1, ident)], 1),
+              {0: (1,), 4: (2,)})]
+    G, _ = abelian_endomorphisms("Z3+Z3")
+
+    def diagonal(x, y):
+        return GroupMap(G, G, [3 * (x * a % 3) + y * b % 3
+                               for a in range(3) for b in range(3)], True)
+    cases.append((McaRule(G, 0, 2, [(0, diagonal(1, 1)), (1, diagonal(1, 2)),
+                                    (2, diagonal(2, 2))]),
+                  {0: (1, 2), 1: (0, 1)}))
+    for rule, support in cases:
+        dual = LinearRuleDual.from_rule(rule)
+        chi = Character.make(dual.coords, support)
+        assert spectral._frobenius_route(dual, chi, 100) is not None
+        assert_rank_series_is_the_chains(dual, chi, 100)
+
+
+def test_level_blocks_need_commuting_matrices():
+    """Forced onto level blocks, a rule whose matrices do not commute gets
+    other ranks than the chain: Frobenius needs the commuting hypothesis."""
+    G, _ = abelian_endomorphisms("Z2+Z2")
+    (x, y), *_ = noncommuting_pairs("Z2+Z2")
+    dual = LinearRuleDual.from_rule(McaRule(G, 0, 1, [(0, x), (1, y)]))
+    chi = Character.make(dual.coords, {0: (1, 0), 1: (0, 1)})
+    forced = [spectral._frobenius_ranks(dual, chi, j, 2, -1, 2 + j)[-1]
+              for j in range(1, 41)]
+    assert forced != [c.rank for c in spectral._orbit(dual, chi, 40)][1:]
 
 
 def test_chain_character_equals_its_tuple_rebuild():

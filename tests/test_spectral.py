@@ -208,7 +208,11 @@ def test_tuple_built_characters_step_without_the_support_view(monkeypatch):
 
 def test_dual_chains_call_the_module_level_dual_action_once_per_step(
         monkeypatch):
-    """perfbench's tracer times the dual chain by wrapping this one name."""
+    """perfbench's tracer times the dual chain by wrapping this one name.
+
+    A rule outside the Frobenius hypothesis (over Z/4) calls it once per
+    image.  xor over Z/2 calls it for image 1 = p − 1 alone and takes every
+    later image in level blocks, with the chain's ranks."""
     calls = []
     step = spectral.dual_action
 
@@ -217,15 +221,33 @@ def test_dual_chains_call_the_module_level_dual_action_once_per_step(
         return step(dual, chi)
 
     monkeypatch.setattr(spectral, "dual_action", counted)
+    Z4 = make_cyclic(4)
+    ident = GroupMap.identity(Z4)
+    z4 = LinearRuleDual.from_rule(McaRule(Z4, 0, 1, [(0, ident), (1, ident)]))
+    diffusion_report(z4, Character.make(abelian_invariants(Z4), {0: (1,)}), 64)
+    assert len(calls) == 64
+    calls.clear()
     rule = xor_rule()
     dual = LinearRuleDual.from_rule(rule)
     chi = Character.make(abelian_invariants(rule.group), {0: (1,)})
-    diffusion_report(dual, chi, 64)
-    assert len(calls) == 64
+    ranks = diffusion_report(dual, chi, 64).ranks
+    assert len(calls) == 1
+    assert ranks == [c.rank for c in spectral._orbit(dual, chi, 64)]
     calls.clear()
     report = cesaro_randomization(rule, bern(9, 10), 8, [Probe("x", chi)])
     assert len(calls) == 8
     assert [r.n for r in report.probe_rows] == list(range(9))
+
+
+def test_xor_rank_series_to_4096_stays_small():
+    """Level blocks keep only the rows a later block reads and step them in
+    slices of at most 2**14 entries: 16 MiB bounds the traced peak."""
+    rule = xor_rule()
+    chi = Character.make(abelian_invariants(rule.group), {0: (1,)})
+    dual = LinearRuleDual.from_rule(rule)
+    report, peak = traced_peak(diffusion_report, dual, chi, 4096)
+    assert report.ranks[4095] == 2 ** 12
+    assert peak <= 16 * 2 ** 20
 
 
 def test_diffusion_ranks_never_build_support_tuples(monkeypatch):
@@ -316,6 +338,22 @@ def test_relative_diffusion_ranks_on_the_central_split(quat_rule4,
     alpha = Character.make(coords, {0: (1,)})
     ranks = [relative_diffusion_rank(split, alpha, j) for j in range(3)]
     assert ranks == [1, 4, 4]
+
+
+def test_relative_diffusion_rank_reads_the_rank_series(
+        monkeypatch, quat_rule4, q8_center_frame):
+    """The centre of Q8 is Z/2, so the linear rule's ranks come in level
+    blocks: j = 100 takes one ``dual_action`` call and gets the chain's rank."""
+    split = central_split(quat_rule4, q8_center_frame)
+    alpha = Character.make(abelian_invariants(q8_center_frame.a_group), {0: (1,)})
+    dual = LinearRuleDual.from_rule(split.lin_rule)
+    want = [c.rank for c in spectral._orbit(dual, alpha, 100)][-1]
+    calls = []
+    step = spectral.dual_action
+    monkeypatch.setattr(spectral, "dual_action",
+                        lambda dual, chi: calls.append(chi) or step(dual, chi))
+    assert relative_diffusion_rank(split, alpha, 100) == want
+    assert len(calls) == 1
 
 
 def test_fibre_ranks_are_independent_of_the_base_word(quat_rule4,

@@ -20,8 +20,7 @@ import numpy as np
 from .errors import FrameError, NotCentralError, WindowError
 from .groups import FiniteGroup, GroupMap, abelian_invariants, center
 from .pseudo import PseudoFrame, SplitEndo, make_frame, split_endo, star_decompose
-from .rules import (Config, McaRule, NhcaSequence, _local_tables,
-                    _merge_positions, _seed_table, local_table, step_cells)
+from .rules import McaRule, _local_tables, _merge_positions, _seed_table, local_table
 from .util import STATE_CAP, check_cap, digit_planes, index_word, iter_words
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "recompose_check",
     "central_split",
     "nilpotent_tower",
-    "fibre_nhca",
-    "fibre_step_sequence",
 ]
 
 
@@ -224,36 +221,6 @@ def recompose_check(dec: SkewDecomposition, rule: McaRule | None = None) -> Reco
         return RecomposeReport(False, {"c_word": index_word(stop, C.order, width),
                                        "reason": "missing error term"})
     return RecomposeReport(True)
-
-
-def fibre_nhca(dec: SkewDecomposition, c_config: Config,
-               out_lo: int, out_hi: int) -> NhcaSequence:
-    """Fibre rules along a fixed quotient configuration, one per output cell."""
-    rule = dec.rule
-    cells = range(rule.v_lo, rule.v_hi + 1)
-    rules = {m: dec.fibre(tuple(c_config.at(m + v) for v in cells))
-             for m in range(out_lo, out_hi)}
-    return NhcaSequence(dec.frame.a_group, rule.v_lo, rule.v_hi, rules,
-                        one_sided=rule.one_sided)
-
-
-def fibre_step_sequence(dec: SkewDecomposition, c_config: Config,
-                        n_steps: int) -> list[NhcaSequence]:
-    """Time-varying fibre families driven by the evolving quotient config.
-
-    Step n uses the fibres of the n-times-evolved quotient configuration;
-    the usable cell range shrinks by the window spread each step.
-    """
-    out: list[NhcaSequence] = []
-    cur = c_config
-    for _ in range(n_steps):
-        lo, hi = cur.lo - dec.rule.v_lo, cur.hi - dec.rule.v_hi
-        if lo > hi:
-            raise WindowError("quotient configuration too narrow for the step count")
-        out.append(fibre_nhca(dec, cur, lo, hi))
-        cur = Config(cur.group, lo, step_cells(
-            dec.h_rule, np.array(cur.word, dtype=np.int64), cur.lo).tolist())
-    return out
 
 
 # -- central case ------------------------------------------------------------

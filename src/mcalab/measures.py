@@ -15,15 +15,14 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import McaLabError, NotPermutativeError, WindowError
 from .groups import FiniteGroup
-from .rules import (Config, McaRule, NhcaSequence, code_dtype, is_bipermutative,
-                    step_buffers, step_cells)
-from .util import STATE_CAP, cell_dtype, check_cap, digit_planes, index_word
+from .rules import McaRule, code_dtype, is_bipermutative, step_buffers, step_cells
+from .util import STATE_CAP, check_cap, digit_planes, index_word
 
 __all__ = [
     "WindowMeasure",
@@ -330,7 +329,7 @@ def _weights_entropy(num: np.ndarray, den: int) -> float:
     return _grouped_entropy([(w, den) for w in weights.tolist()], counts.tolist())
 
 
-def push_forward(op: Union[McaRule, NhcaSequence], m: WindowMeasure,
+def push_forward(op: McaRule, m: WindowMeasure,
                  cap: int = STATE_CAP) -> WindowMeasure:
     """Exact image of a window measure under one synchronous step.
 
@@ -344,11 +343,11 @@ def push_forward(op: Union[McaRule, NhcaSequence], m: WindowMeasure,
     if out_lo > out_hi:
         raise WindowError("window too narrow for the rule")
     check_cap(m.size, m.length, cap, "push-forward")
-    num = _observed_weights(m, [op], [(m.lo, m.lo), (out_lo, out_hi)], cap)
+    num = _observed_weights(m, op, [(m.lo, m.lo), (out_lo, out_hi)], cap)
     return WindowMeasure(m.size, out_lo, out_hi, _frozen(num), m.den, group)
 
 
-def _observed_weights(m: WindowMeasure, steps: Sequence, windows: Sequence,
+def _observed_weights(m: WindowMeasure, rule: McaRule, windows: Sequence,
                       cap: int) -> np.ndarray:
     """Weight of every observation word, summed over the input words of m.
 
@@ -358,7 +357,7 @@ def _observed_weights(m: WindowMeasure, steps: Sequence, windows: Sequence,
     """
     acc = np.zeros(m.size ** sum(hi - lo for lo, hi in windows),
                    dtype=_weight_dtype(m.den))
-    for rows, key in _observation_keys(m, steps, windows, cap):
+    for rows, key in _observation_keys(m, rule, windows, cap):
         np.add.at(acc, key, m.num[rows])
     return acc
 
@@ -375,81 +374,74 @@ def _tail_cells(size: int, length: int) -> int:
     return low
 
 
-def _observation_keys(m: WindowMeasure, steps: Sequence, windows: Sequence,
-                      cap: int) -> Iterator[tuple[slice, np.ndarray]]:
+def _observation_keys(m: WindowMeasure, rule: McaRule, windows: Sequence,
+                      cap: int, letters: np.ndarray | None = None
+                      ) -> Iterator[tuple[slice, np.ndarray]]:
     """Observation word of each input word of m, a chunk of words at a time.
 
-    Each input word runs through ``steps``; ``windows[n] = (lo, hi)`` names
-    the cells appended to its observation after n steps.  Yields the chunk
-    of input word indices and the big-endian index (intp) of each
-    observation.  Every buffer is allocated once per call, so the chunk
-    loop itself allocates nothing: the start cells, in the steps' code
-    dtype (see :func:`rules.step_cells`), one workspace per step, and the
-    key.  The key buffer is reused: a consumer must use each key before it
-    advances the iterator.
+    Each input word runs through ``len(windows) - 1`` steps of ``rule``;
+    ``windows[n] = (lo, hi)`` names the cells appended to its observation
+    after n steps.  Letter x at cell m.lo + t of an input word puts
+    ``letters[t, x]`` in that cell (x itself when None: a fibre word runs
+    as its star word over a fixed quotient word this way).  Yields the
+    chunk of input word indices and the big-endian index (intp), over the
+    rule's group, of each observation.  Every buffer is allocated once per
+    call, so the chunk loop itself allocates nothing: the start cells and
+    the cells of every chunk's leading word, in the rule's code dtype (see
+    :func:`rules.step_cells`), one workspace per step, and the key.  The
+    key buffer is reused: a consumer must use each key before it advances
+    the iterator.
     """
-    s, length = m.size, m.length
+    s, length, base = m.size, m.length, rule.group.order
+    code = code_dtype(base, rule.width)
+    letters = (np.broadcast_to(np.arange(s), (length, s)) if letters is None
+               else letters).astype(code)
     low = _tail_cells(s, length)
     words, high = s ** low, length - low
-    cells = np.empty((length, words),
-                     dtype=code_dtype(s, steps[0].width) if steps else cell_dtype(s))
+    # the cells of every tail word, one column each, and of every head word,
+    # which fixes the leading cells of one chunk
+    tail, heads = (np.take_along_axis(part, digit_planes(np.arange(s ** n), s, n).T,
+                                      axis=1)
+                   for part, n in ((letters[high:], low), (letters[:high], high)))
+    cells = np.empty((length, words), dtype=code)
     # cell-major: the tail cells run through every tail word in each chunk
-    cells[high:] = digit_planes(np.arange(words), s, low).T
+    cells[high:] = tail
     works, shape = [], cells.shape
-    for st in steps:
-        works.append(step_buffers(st, shape))
+    for _ in windows[1:]:
+        works.append(step_buffers(rule, shape))
         shape = works[-1][-1].shape
     key, digit = np.empty(words, dtype=np.intp), np.empty(words, dtype=np.intp)
     for head in range(s ** high):
-        cells[:high] = np.array(index_word(head, s, high), dtype=cells.dtype)[:, None]
+        cells[:high] = heads[:, head:head + 1]
         block, lo = cells, m.lo
         key.fill(0)
         for n, (w_lo, w_hi) in enumerate(windows):
             if n:
-                block = step_cells(steps[n - 1], block, lo, cap, works[n - 1])
-                lo -= steps[n - 1].v_lo
+                block = step_cells(rule, block, cap, works[n - 1])
+                lo -= rule.v_lo
             for x in range(w_lo, w_hi):
-                key *= s
+                key *= base
                 np.copyto(digit, block[x - lo])   # an unbuffered cast to intp
                 key += digit
         yield slice(head * words, (head + 1) * words), key
 
 
-def _step_list(op, n_steps: int) -> list:
-    if isinstance(op, (McaRule, NhcaSequence)):
-        steps = [op] * n_steps
-    else:
-        steps = list(op)
-        if len(steps) != n_steps:
-            raise McaLabError(f"need {n_steps} steps, got {len(steps)}")
-    if len({(st.v_lo, st.v_hi) for st in steps}) > 1:
-        raise WindowError("all steps must share the same neighborhood")
-    return steps
-
-
-def _trajectory_setup(op, spec: MeasureSpec, n_steps: int, cap: int):
-    """(input law on [-NL..NR), steps, observed windows) of a trajectory.
+def _trajectory_setup(rule: McaRule, spec: MeasureSpec, n_steps: int, cap: int):
+    """(input law on [-NL..NR), observed windows) of a trajectory.
 
     Cells [-L..R) are observed at times 0..N-1, time-major, so the
     observation words are as long as the input words.
     """
-    steps = _step_list(op, max(n_steps - 1, 0))
-    if steps:
-        first = steps[0]
-    elif isinstance(op, (McaRule, NhcaSequence)):
-        first = op
-    else:
-        raise McaLabError("need a rule object, not a list, when no step is applied")
-    group = first.group
+    group = rule.group
     if spec.size != group.order:
         raise McaLabError("measure alphabet does not match the rule's group")
-    L, R = first.left_overlap, first.right_overlap
+    L, R = rule.left_overlap, rule.right_overlap
     lo, hi = -n_steps * L, n_steps * R
     check_cap(group.order, hi - lo, cap, "trajectory enumeration")
-    return spec.window_measure(lo, hi, group, cap), steps, [(-L, R)] * n_steps
+    return spec.window_measure(lo, hi, group, cap), [(-L, R)] * n_steps
 
 
-def trajectory_joint_distribution(op, spec: MeasureSpec, n_steps: int,
+def trajectory_joint_distribution(op: McaRule, spec: MeasureSpec, n_steps: int,
                                   cap: int = STATE_CAP) -> dict[tuple[int, ...], Fraction]:
     """Joint law of the cells [-L..R) observed at times 0..n_steps-1.
 
@@ -457,9 +449,9 @@ def trajectory_joint_distribution(op, spec: MeasureSpec, n_steps: int,
     word-index order; enumeration runs over the generating input window
     [-nL..nR).  Words of equal weight share one ``Fraction``.
     """
-    m, steps, windows = _trajectory_setup(op, spec, n_steps, cap)
+    m, windows = _trajectory_setup(op, spec, n_steps, cap)
     s, length, den = m.size, m.length, m.den
-    num = _observed_weights(m, steps, windows, cap)
+    num = _observed_weights(m, op, windows, cap)
     del m  # only one weight array stays alive while the dict grows
     idx = np.flatnonzero(num)
     # one Fraction per distinct weight, shared by every word that has it
@@ -476,35 +468,34 @@ def trajectory_joint_distribution(op, spec: MeasureSpec, n_steps: int,
     return joint
 
 
-def trajectory_partition_entropy(op, spec: MeasureSpec, n_steps: int,
+def trajectory_partition_entropy(op: McaRule, spec: MeasureSpec, n_steps: int,
                                  cap: int = STATE_CAP) -> float:
     """Entropy in bits of the time-0..N-1 trajectory observations.
 
     For bipermutative rules this equals the entropy of the input marginal
-    on [-NL..NR) (the two partitions are equivalent).  ``op`` is a rule,
-    an NHCA or a list of ``n_steps - 1`` steps.  A uniform measure counts
-    the preimages of each outcome in numpy; when every outcome is hit once
-    the trajectory map is a bijection and the result is the closed form
-    length·log2(size).  Any other measure takes the exact joint law
+    on [-NL..NR) (the two partitions are equivalent).  A uniform measure
+    counts the preimages of each outcome in numpy; when every outcome is
+    hit once the trajectory map is a bijection and the result is the closed
+    form length·log2(size).  Any other measure takes the exact joint law
     (:func:`trajectory_joint_distribution`).  Both non-closed routes return
     the exact sum of the per-outcome terms rounded once, one term per
     distinct weight (:func:`partition_entropy`).
     """
     if spec.kind != "uniform":
         return partition_entropy(trajectory_joint_distribution(op, spec, n_steps, cap))
-    m, steps, windows = _trajectory_setup(op, spec, n_steps, cap)
+    m, windows = _trajectory_setup(op, spec, n_steps, cap)
     hits = np.zeros(len(m.num), dtype=bool)
-    for _, key in _observation_keys(m, steps, windows, cap):
+    for _, key in _observation_keys(m, op, windows, cap):
         hits[key] = True
     if hits.all():
         # trajectory map is a bijection on the generating window, so the
         # joint is uniform over all outcomes
         return m.length * math.log2(m.size)
     check_cap(m.size, m.length, 1 << 24, "non-bijective trajectory counting")
-    return _weights_entropy(_observed_weights(m, steps, windows, cap), m.den)
+    return _weights_entropy(_observed_weights(m, op, windows, cap), m.den)
 
 
-def formula_entropy(rule: Union[McaRule, NhcaSequence], spec: MeasureSpec,
+def formula_entropy(rule: McaRule, spec: MeasureSpec,
                     cap: int = STATE_CAP) -> float:
     """Closed-form entropy overlap × shift-entropy for bipermutative rules.
 
@@ -516,10 +507,9 @@ def formula_entropy(rule: Union[McaRule, NhcaSequence], spec: MeasureSpec,
     if not is_bipermutative(rule):
         raise NotPermutativeError("closed-form entropy needs a bipermutative rule")
     if spec.is_uniform():
-        if isinstance(rule, McaRule):
-            probe = spec.window_measure(0, rule.width + 1, rule.group, cap)
-            if not push_forward(rule, probe, cap).is_uniform():
-                raise McaLabError("uniform measure unexpectedly not invariant")
+        probe = spec.window_measure(0, rule.width + 1, rule.group, cap)
+        if not push_forward(rule, probe, cap).is_uniform():
+            raise McaLabError("uniform measure unexpectedly not invariant")
     else:
         warnings.warn("measure invariance under the rule is assumed, not checked",
                       stacklevel=2)
@@ -537,28 +527,37 @@ def fibre_trajectory_entropy(dec, lambda_spec: MeasureSpec,
                              cap: int = STATE_CAP) -> float:
     """Finite-horizon relative trajectory entropy, averaged over the base.
 
-    For each quotient word on the generating window, evolves the fibre
-    rule sequence along the driven quotient configuration, takes the joint
-    entropy of the fibre observations under the fibre measure, and averages
-    with the quotient weights — a finite-N stand-in for the relative
-    entropy closed form (divide by n_steps for the per-step rate).
+    For each quotient word c on the generating window, every fibre word a
+    runs as the star word a⋆c through the rule's own local table.  With c
+    fixed, the B-cells observed name the A-cells observed, so their law
+    under the fibre measure is the fibre trajectory law; its entropy (the
+    closed form length·log2|A| when a uniform law sees every word apart)
+    is averaged with the quotient weights — a finite-N stand-in for the
+    relative entropy closed form (divide by n_steps for the per-step rate).
     """
-    from .decompose import fibre_nhca, fibre_step_sequence  # avoid cycle
-
-    rule = dec.rule
-    lo, hi = -n_steps * rule.left_overlap, n_steps * rule.right_overlap
-    C = dec.frame.C
-    check_cap(dec.frame.B.order, hi - lo, cap, "fibrewise enumeration")
-    nu = nu_spec.window_measure(lo, hi, C, cap)
+    rule, fr = dec.rule, dec.frame
+    L, R = rule.left_overlap, rule.right_overlap
+    lo, hi = -n_steps * L, n_steps * R
+    check_cap(fr.B.order, hi - lo, cap, "fibrewise enumeration")
+    nu = nu_spec.window_measure(lo, hi, fr.C, cap)
+    if lambda_spec.size != fr.a_group.order:
+        raise McaLabError("measure alphabet does not match the rule's group")
+    lam = lambda_spec.window_measure(lo, hi, fr.a_group, cap)
+    windows, keys = [(-L, R)] * n_steps, np.empty(len(lam.num), dtype=np.intp)
     acc = []
     for i in np.flatnonzero(nu.num).tolist():
-        c_cfg = Config(C, lo, index_word(i, C.order, hi - lo))
-        if n_steps > 1:
-            op = fibre_step_sequence(dec, c_cfg, n_steps - 1)
+        letters = fr.b_of[:, index_word(i, fr.C.order, hi - lo)].T
+        for rows, key in _observation_keys(lam, rule, windows, cap, letters):
+            keys[rows] = key
+        seen, which = np.unique(keys, return_inverse=True)
+        if lambda_spec.kind == "uniform" and len(seen) == len(keys):
+            h = lam.length * math.log2(lam.size)
         else:
-            op = fibre_nhca(dec, c_cfg, c_cfg.lo - rule.v_lo, c_cfg.hi - rule.v_hi)
+            weights = np.zeros(len(seen), dtype=_weight_dtype(lam.den))
+            np.add.at(weights, which, lam.num)
+            h = _weights_entropy(weights, lam.den)
         p = int(nu.num[i]) / nu.den
-        acc.append(p * trajectory_partition_entropy(op, lambda_spec, n_steps, cap))
+        acc.append(p * h)
     return math.fsum(acc)
 
 

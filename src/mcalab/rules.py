@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .util import STATE_CAP, check_cap
 __all__ = [
     "McaRule",
     "Config",
-    "NhcaSequence",
     "PermutativityFlags",
     "eval_local",
     "local_table",
@@ -32,41 +31,14 @@ __all__ = [
 ]
 
 
-class _Neighborhood:
-    """Window geometry of a rule family reading cells ``v_lo..v_hi``.
-
-    One-sided overlap conventions: L and R are never negative.
-    """
-
-    @property
-    def width(self) -> int:
-        return self.v_hi - self.v_lo + 1
-
-    @property
-    def left_overlap(self) -> int:
-        return -min(self.v_lo, 0)
-
-    @property
-    def right_overlap(self) -> int:
-        return max(0, self.v_hi)
-
-    @property
-    def overlap(self) -> int:
-        """V = L + R, the per-step information width."""
-        return self.left_overlap + self.right_overlap
-
-    @property
-    def spread(self) -> int:
-        return self.v_hi - self.v_lo
-
-
 @dataclass(eq=False)
-class McaRule(_Neighborhood):
+class McaRule:
     """Local rule: bias times an ordered product of endomorphism factors.
 
     ``factors`` is an ordered list of (position, coefficient) pairs with
     positions inside [v_lo, v_hi]; coefficients are endomorphisms of the
-    group.  The same position may repeat (powers).
+    group.  The same position may repeat (powers).  The overlaps
+    L = -min(v_lo, 0) and R = max(0, v_hi) are never negative.
     """
 
     group: FiniteGroup
@@ -92,6 +64,27 @@ class McaRule(_Neighborhood):
                 raise TableInvalidError("rule coefficient acts on the wrong group")
         if not (0 <= self.bias < self.group.order):
             raise TableInvalidError(f"bias {self.bias} outside group")
+
+    @property
+    def width(self) -> int:
+        return self.v_hi - self.v_lo + 1
+
+    @property
+    def left_overlap(self) -> int:
+        return -min(self.v_lo, 0)
+
+    @property
+    def right_overlap(self) -> int:
+        return max(0, self.v_hi)
+
+    @property
+    def overlap(self) -> int:
+        """V = L + R, the per-step information width."""
+        return self.left_overlap + self.right_overlap
+
+    @property
+    def spread(self) -> int:
+        return self.v_hi - self.v_lo
 
 
 @dataclass(frozen=True)
@@ -120,33 +113,6 @@ class Config:
         if not (self.lo <= cell < self.hi):
             raise WindowError(f"cell {cell} outside [{self.lo}..{self.hi})")
         return self.word[cell - self.offset]
-
-
-@dataclass(eq=False)
-class NhcaSequence(_Neighborhood):
-    """A nonhomogeneous CA: one local rule per cell, shared window shape."""
-
-    group: FiniteGroup
-    v_lo: int
-    v_hi: int
-    rules: Mapping[int, McaRule]
-    one_sided: bool = False
-
-    def __post_init__(self):
-        for m, r in self.rules.items():
-            if (r.v_lo, r.v_hi) != (self.v_lo, self.v_hi):
-                raise WindowError(f"rule at cell {m} has mismatched window")
-            if r.group is not self.group:
-                raise TableInvalidError(f"rule at cell {m} acts on the wrong group")
-
-    def rule_at(self, m: int) -> McaRule:
-        try:
-            return self.rules[m]
-        except KeyError:
-            raise WindowError(f"no local rule defined at cell {m}")
-
-
-LocalFamily = McaRule | NhcaSequence
 
 
 def eval_local(rule: McaRule, word: Sequence[int]) -> int:
@@ -212,7 +178,7 @@ def _local_tables(group: FiniteGroup, width: int, bias,
     return out
 
 
-def step_buffers(op: LocalFamily, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+def step_buffers(op: McaRule, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Workspace of :func:`step_cells` for blocks of ``shape`` cells.
 
     Two ping-pong buffers for the window codes, in the :func:`code_dtype`;
@@ -229,22 +195,21 @@ def step_buffers(op: LocalFamily, shape: tuple[int, ...]) -> tuple[np.ndarray, .
             np.empty((k,) + rest, dtype=np.intp), np.empty((k,) + rest, dtype=code))
 
 
-def step_cells(op: LocalFamily, cells: np.ndarray, lo: int,
-               cap: int = STATE_CAP, work: tuple[np.ndarray, ...] | None = None
-               ) -> np.ndarray:
+def step_cells(op: McaRule, cells: np.ndarray, cap: int = STATE_CAP,
+               work: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """One synchronous step on integer words, by local-table lookups.
 
-    Axis 0 of ``cells`` is the cell axis: ``cells[t]`` holds cell lo+t of
-    every word, so each cell is one contiguous plane; every value is an
-    element index of the group.  The result holds the image cells
-    [lo - v_lo .. lo + k - v_hi) on axis 0, other axes unchanged.  Window
+    Axis 0 of ``cells`` is the cell axis: for a block starting at cell J,
+    ``cells[t]`` holds cell J+t of every word, so each cell is one
+    contiguous plane; every value is an element index of the group.  The
+    result holds the image cells [J - v_lo .. J + k - v_hi) on axis 0,
+    other axes unchanged.  Window
     codes and the result are in the :func:`code_dtype` (int16 for Q8 at
     width 4): input of any integer dtype is converted once, and a chain of
     steps fed its own output never casts or copies.  The codes are built by
     in-place multiplies and adds in the buffers of ``work``
     (:func:`step_buffers` for this shape; fresh ones when None) and looked
-    up in the rule's :func:`local_table`, which is in the same dtype; a
-    nonhomogeneous family looks each output cell up in its own rule's.
+    up in the rule's :func:`local_table`, which is in the same dtype.
     The result is the output buffer of ``work``: the next step on the same
     workspace overwrites it.
     """
@@ -256,9 +221,7 @@ def step_cells(op: LocalFamily, cells: np.ndarray, lo: int,
     if len(cells) != k + op.spread:
         raise WindowError(f"block of {len(cells)} cells does not fit the "
                           f"workspace of {k} output cells")
-    rules = [op] if isinstance(op, McaRule) else [
-        op.rule_at(lo - op.v_lo + j) for j in range(k)]
-    tables = [local_table(r, cap) for r in rules]
+    table = local_table(op, cap)
     cells = np.ascontiguousarray(cells, dtype=out.dtype)
     # codes of width 2w from two of width w, then Horner for the rest, each
     # into the buffer the codes it reads are not in
@@ -277,11 +240,7 @@ def step_cells(op: LocalFamily, cells: np.ndarray, lo: int,
         codes, turn = dst, 1 - turn
     np.copyto(index, codes)
     # every code is a valid index: "wrap" looks up unbuffered, straight into out
-    if isinstance(op, McaRule):
-        return tables[0].take(index, out=out, mode="wrap")
-    for j, table in enumerate(tables):
-        table.take(index[j:j + 1], out=out[j:j + 1], mode="wrap")
-    return out
+    return table.take(index, out=out, mode="wrap")
 
 
 def algebraic_normal_form(rule: McaRule, cap: int = STATE_CAP) -> tuple:
@@ -429,7 +388,7 @@ def step_planes(rule: McaRule, planes: np.ndarray,
     return out
 
 
-def apply_window(op: LocalFamily, config: Config) -> Config:
+def apply_window(op: McaRule, config: Config) -> Config:
     """One synchronous step on a finite block; the window shrinks.
 
     Input on [J..K) yields output on [J - v_lo .. K - v_hi).
@@ -438,11 +397,9 @@ def apply_window(op: LocalFamily, config: Config) -> Config:
     out_lo, out_hi = config.lo - v_lo, config.hi - v_hi
     if out_lo > out_hi:
         raise WindowError(f"block of {len(config.word)} cells is narrower than the rule")
-    word = []
-    for m in range(out_lo, out_hi):
-        rule = op if isinstance(op, McaRule) else op.rule_at(m)
-        window = config.word[m + v_lo - config.offset: m + v_hi + 1 - config.offset]
-        word.append(eval_local(rule, window))
+    word = [eval_local(op, config.word[m + v_lo - config.offset:
+                                        m + v_hi + 1 - config.offset])
+            for m in range(out_lo, out_hi)]
     return Config(config.group, out_lo, word)
 
 
@@ -480,26 +437,19 @@ def _extreme_bijective(rule: McaRule, side: str, cap: int) -> bool:
     return bool((np.sort(cols, axis=1) == np.arange(B)).all())
 
 
-def permutativity(op: LocalFamily, cap: int = STATE_CAP) -> PermutativityFlags:
+def permutativity(op: McaRule, cap: int = STATE_CAP) -> PermutativityFlags:
     """Left/right permutativity flags following the overlap convention.
 
     Left-permutativity requires L > 0 (the window genuinely reaches left of
     the output cell) plus exhaustive bijectivity in the leftmost cell, and
-    symmetrically for right.  For a nonhomogeneous sequence every per-cell
-    rule must pass.
+    symmetrically for right.
     """
-    if isinstance(op, McaRule):
-        rules: list[McaRule] = [op]
-    else:
-        rules = list(op.rules.values())
-        if not rules:
-            raise WindowError("no cells to test")
-    left = all(r.left_overlap > 0 and _extreme_bijective(r, "left", cap) for r in rules)
-    right = all(r.right_overlap > 0 and _extreme_bijective(r, "right", cap) for r in rules)
+    left = op.left_overlap > 0 and _extreme_bijective(op, "left", cap)
+    right = op.right_overlap > 0 and _extreme_bijective(op, "right", cap)
     return PermutativityFlags(left=left, right=right)
 
 
-def is_bipermutative(op: LocalFamily, cap: int = STATE_CAP) -> bool:
+def is_bipermutative(op: McaRule, cap: int = STATE_CAP) -> bool:
     """Permutative on both overlap sides (right side only for one-sided rules)."""
     flags = permutativity(op, cap)
     return flags.right if op.one_sided else (flags.left and flags.right)

@@ -311,7 +311,6 @@ def parse_probe(obj: dict, where: str,
 class ExperimentConfig:
     """One parsed config file: constructed objects plus raw parameters."""
 
-    raw: dict
     group: FiniteGroup
     rule: McaRule | None = None
     frame: PseudoFrame | None = None
@@ -373,4 +372,4 @@ def load_experiment(source) -> ExperimentConfig:
         raise SpecError("config: give either frame or tower, not both")
     params = {k: v for k, v in obj.items()
               if k not in ("group", "rule", "frame", "tower")}
-    return ExperimentConfig(obj, group, rule, frame, use_tower, params)
+    return ExperimentConfig(group, rule, frame, use_tower, params)

@@ -338,8 +338,8 @@ def dual_action(dual: LinearRuleDual, chi: Character) -> Character:
     coefficient rows keyed by their cells, with the rule's positions as
     the taps: one integer product with the weights of every position, one
     sort of the target cells, a summed add into each distinct target, one
-    reduction mod the orders.  A step whose target cells would leave int64
-    is refused.
+    reduction mod the orders.  A step that would move a nonzero image row
+    to a cell outside int64 is refused.
     """
     coords = dual.coords
     orders = coords.orders
@@ -357,7 +357,14 @@ def dual_action(dual: LinearRuleDual, chi: Character) -> Character:
     # cells ascend, so these two ends bound every target cell
     lo, hi = int(cells[0]) + int(positions.min()), int(cells[-1]) + int(positions.max())
     if lo < -2 ** 63 or hi >= 2 ** 63:
-        raise McaLabError(f"dual step moves support to cells {lo}..{hi}, outside int64")
+        # only nonzero image rows must land inside int64: a zero row adds
+        # nothing wherever its target wraps to, and _merge_taps drops it
+        live = ((coeffs @ weights) % order_arr).any(axis=2)
+        ends = [(int(cells[row][0]) + v, int(cells[row][-1]) + v)
+                for v, row in zip(positions.tolist(), live) if row.any()]
+        lo, hi = min((a for a, _ in ends), default=0), max((b for _, b in ends), default=0)
+        if lo < -2 ** 63 or hi >= 2 ** 63:
+            raise McaLabError(f"dual step moves support to cells {lo}..{hi}, outside int64")
     targets, acc = _merge_taps(cells, coeffs, positions, weights, order_arr)
     return Character._from_rows(orders, targets, acc, phase, coords)
 
@@ -639,11 +646,10 @@ def fibre_rank_independence(dec, split, alpha: Character, j: int,
         c_words = digit_planes(np.arange(start, min(start + batch, C.order ** n_in)),
                                C.order, n_in)
         # cell-major: outs[m, c, p] is cell in_lo + m of probe p over word c
-        outs, lo = frame.b_of[probes.T[:, None, :], c_words.T[:, :, None]], in_lo
+        outs = frame.b_of[probes.T[:, None, :], c_words.T[:, :, None]]
         for _ in range(j):
-            outs = step_cells(rule, outs, lo, cap)
-            lo -= rule.v_lo
-        outs = frame.a_part[outs[[k - lo for k in cells]].transpose(1, 2, 0)]
+            outs = step_cells(rule, outs, cap)
+        outs = frame.a_part[outs[[k - out_lo for k in cells]].transpose(1, 2, 0)]
         # big·alpha(y·b⁻¹) mod big at each input cell m and generator gi; it
         # is coefficient gi of (alpha ∘ composite) at m times big // n_gi
         diffs = A.table[outs[:, 1:], A.inverse[outs[:, :1]]]
@@ -1033,8 +1039,8 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
                 out[r:r + rows] = from_planes(block, min(rows, m - r))
                 continue
             block = words[r:r + rows].T
-            for step in range(n):
-                block = step_cells(rule, block, in_lo - step * rule.v_lo, cap)
+            for _ in range(n):
+                block = step_cells(rule, block, cap)
             out[r:r + rows] = block.T
         words = out
         probe_sums = []

@@ -2,8 +2,14 @@
 the functions that only tests call.
 
 Each walks the words of a window one at a time through a scalar evaluator
-(``eval_local`` / ``apply_window`` / ``star_compose`` / :func:`word_weight`),
-independently of the table-lookup kernel the library uses.
+(``eval_local`` / :func:`step_config` / ``star_compose`` /
+:func:`word_weight`), independently of the table-lookup kernel the library
+uses.  :func:`step_config` steps a rule, or a nonhomogeneous CA
+(:class:`NhcaSequence`, one rule per cell), cell by cell; ``fibre_nhca``
+and ``fibre_step_sequence`` build the fibre NHCAs a skew decomposition
+drives along a quotient configuration, and
+``fibre_trajectory_entropy_oracle`` averages the entropies of their
+trajectory laws, which the library reads off the rule's own table.
 ``is_group_table`` checks the group axioms on a table by the exhaustive
 scan over all n**3 triples (``associativity_failures``) that the library's
 validator replaces with Light's test.  ``commutator_subgroup_oracle``
@@ -16,7 +22,9 @@ quotient table, where the library peels inside the group's own table.
 position at a time in Python integers.  ``fibre_rank_oracle``
 reads each finite difference of a fibre composite as a sum of
 ``Fraction``s.  ``tower_eval``/``tower_apply`` evaluate a rule through
-its nilpotent tower level by level, one window word at a time.
+its nilpotent tower level by level, one window word at a time, and
+``tower_oracle`` rebuilds its local table from the tail rule up through
+``fibre_oracle``, with no fibre batch.
 ``fibre_oracle`` assembles one fibre rule of a skew decomposition with a
 ``GroupMap.compose`` per factor, one quotient word at a time.
 ``partition_entropy_oracle`` divides every outcome's weight by the exact
@@ -35,20 +43,19 @@ import functools
 import itertools
 import math
 from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from mcalab import (Character, Config, FibreRankCheck, GroupMap, McaLabError,
-                    McaRule, NhcaSequence, NotAbelianError,
+from mcalab import (Character, Config, FibreRankCheck, FiniteGroup, GroupMap,
+                    McaLabError, McaRule, NotAbelianError,
                     NotPermutativeError, RecomposeReport, Subgroup,
                     TableInvalidError, WindowError, WindowMeasure,
-                    abelian_invariants, apply_window, bernoulli_fourier,
-                    eval_local,
-                    fibre_step_sequence, generated_subgroup, local_table,
-                    make_cyclic, permutativity, quotient,
-                    relative_diffusion_rank, star_compose, star_decompose)
-from mcalab.rules import step_cells
+                    abelian_invariants, bernoulli_fourier, eval_local,
+                    generated_subgroup, local_table, make_cyclic,
+                    permutativity, quotient, relative_diffusion_rank,
+                    star_compose, star_decompose)
 from mcalab.util import STATE_CAP, check_cap, digit_planes, iter_words
 
 
@@ -206,6 +213,76 @@ def word_weight(spec, word) -> Fraction:
     return p
 
 
+@dataclass(eq=False)
+class NhcaSequence:
+    """A nonhomogeneous CA: one local rule per cell, shared window shape."""
+
+    group: FiniteGroup
+    v_lo: int
+    v_hi: int
+    rules: Mapping[int, McaRule]
+
+    def __post_init__(self):
+        for m, r in self.rules.items():
+            if (r.v_lo, r.v_hi) != (self.v_lo, self.v_hi):
+                raise WindowError(f"rule at cell {m} has mismatched window")
+            if r.group is not self.group:
+                raise TableInvalidError(f"rule at cell {m} acts on the wrong group")
+
+    @property
+    def left_overlap(self) -> int:
+        return -min(self.v_lo, 0)
+
+    @property
+    def right_overlap(self) -> int:
+        return max(0, self.v_hi)
+
+    def rule_at(self, m: int) -> McaRule:
+        try:
+            return self.rules[m]
+        except KeyError:
+            raise WindowError(f"no local rule defined at cell {m}")
+
+
+def step_config(op, config: Config) -> Config:
+    """One synchronous step of a rule or an NHCA on a finite block, each
+    output cell by ``eval_local`` on its own rule; the window shrinks."""
+    out_lo, out_hi = config.lo - op.v_lo, config.hi - op.v_hi
+    if out_lo > out_hi:
+        raise WindowError(f"block of {len(config.word)} cells is narrower than the rule")
+    word = [eval_local(op if isinstance(op, McaRule) else op.rule_at(m),
+                       config.word[m + op.v_lo - config.offset:
+                                   m + op.v_hi + 1 - config.offset])
+            for m in range(out_lo, out_hi)]
+    return Config(config.group, out_lo, word)
+
+
+def fibre_nhca(dec, c_config: Config, out_lo: int, out_hi: int) -> NhcaSequence:
+    """Fibre rules along a fixed quotient configuration, one per output cell."""
+    rule = dec.rule
+    cells = range(rule.v_lo, rule.v_hi + 1)
+    rules = {m: dec.fibre(tuple(c_config.at(m + v) for v in cells))
+             for m in range(out_lo, out_hi)}
+    return NhcaSequence(dec.frame.a_group, rule.v_lo, rule.v_hi, rules)
+
+
+def fibre_step_sequence(dec, c_config: Config, n_steps: int) -> list[NhcaSequence]:
+    """Time-varying fibre families driven by the evolving quotient config.
+
+    Step n uses the fibres of the n-times-evolved quotient configuration;
+    the usable cell range shrinks by the window spread each step.
+    """
+    out: list[NhcaSequence] = []
+    cur = c_config
+    for _ in range(n_steps):
+        lo, hi = cur.lo - dec.rule.v_lo, cur.hi - dec.rule.v_hi
+        if lo > hi:
+            raise WindowError("quotient configuration too narrow for the step count")
+        out.append(fibre_nhca(dec, cur, lo, hi))
+        cur = step_config(dec.h_rule, cur)
+    return out
+
+
 def push_forward_oracle(op, m) -> list[int]:
     """Numerators of the one-step image of ``m`` (same denominator)."""
     out_len = m.length - (op.v_hi - op.v_lo)
@@ -213,7 +290,7 @@ def push_forward_oracle(op, m) -> list[int]:
     for i, w in enumerate(iter_words(m.size, m.length)):
         n = int(m.num[i])
         if n:
-            img = apply_window(op, Config(op.group, m.lo, w))
+            img = step_config(op, Config(op.group, m.lo, w))
             out[word_index(img.word, m.size)] += n
     return out
 
@@ -236,25 +313,27 @@ def star_product_oracle(frame, a, c) -> list[int]:
     return num
 
 
-def trajectory_oracle(op, spec, n_steps: int) -> dict[tuple[int, ...], Fraction]:
-    """Joint law of cells [-L..R) at times 0..n_steps-1, word by word."""
-    if isinstance(op, (McaRule, NhcaSequence)):
-        steps, first = [op] * max(n_steps - 1, 0), op
-    else:
-        steps, first = list(op), op[0]
-    L, R = first.left_overlap, first.right_overlap
+def trajectory_oracle(op, spec, n_steps: int,
+                      steps=None) -> dict[tuple[int, ...], Fraction]:
+    """Joint law of cells [-L..R) at times 0..n_steps-1, word by word.
+
+    ``op``, a rule or an NHCA, gives the window and the group; step n
+    applies ``steps[n]`` (``op`` itself by default).
+    """
+    steps = steps or [op] * (n_steps - 1)
+    L, R = op.left_overlap, op.right_overlap
     lo, hi = -n_steps * L, n_steps * R
     joint: dict[tuple[int, ...], Fraction] = {}
-    for w in iter_words(first.group.order, hi - lo):
+    for w in iter_words(op.group.order, hi - lo):
         p = word_weight(spec, w)
         if not p:
             continue
-        cfg = Config(first.group, lo, w)
+        cfg = Config(op.group, lo, w)
         obs: list[int] = []
         for n in range(n_steps):
             obs.extend(cfg.word[-L - cfg.lo: R - cfg.lo])
             if n + 1 < n_steps:
-                cfg = apply_window(steps[n], cfg)
+                cfg = step_config(steps[n], cfg)
         key = tuple(obs)
         joint[key] = joint.get(key, Fraction(0)) + p
     return joint
@@ -272,6 +351,30 @@ def partition_entropy_oracle(dist) -> float:
         raise McaLabError("entropy needs positive total weight")
     probs = [float(v / total) for v in exact]
     return -math.fsum(p * math.log2(p) for p in probs if p)
+
+
+def fibre_trajectory_entropy_oracle(dec, lambda_spec, nu_spec, n_steps: int) -> float:
+    """``fibre_trajectory_entropy`` through the fibre NHCAs: for each quotient
+    word, the fibre trajectory law word by word, its entropy term by term
+    (length·log2|A| when a uniform law sees every word apart), averaged
+    with the quotient weights."""
+    rule, A, C = dec.rule, dec.frame.a_group, dec.frame.C
+    lo, hi = -n_steps * rule.left_overlap, n_steps * rule.right_overlap
+    acc = []
+    for c_word in iter_words(C.order, hi - lo):
+        q = word_weight(nu_spec, c_word)
+        if not q:
+            continue
+        c_cfg = Config(C, lo, c_word)
+        joint = trajectory_oracle(fibre_nhca(dec, c_cfg, lo - rule.v_lo, hi - rule.v_hi),
+                                  lambda_spec, n_steps,
+                                  fibre_step_sequence(dec, c_cfg, n_steps - 1))
+        if lambda_spec.kind == "uniform" and len(joint) == A.order ** (hi - lo):
+            h = (hi - lo) * math.log2(A.order)
+        else:
+            h = partition_entropy_oracle(joint)
+        acc.append(float(q) * h)
+    return math.fsum(acc)
 
 
 def fibre_oracle(dec, c_word) -> McaRule:
@@ -396,11 +499,13 @@ def fibre_rank_oracle(dec, split, alpha, j: int, cap: int = STATE_CAP):
         probes[1 + m * len(gens): 1 + (m + 1) * len(gens), m] = gens
     ranks = set()
     for w in iter_words(C.order, n_in):
-        outs, lo = probes.T, in_lo
-        for st in fibre_step_sequence(dec, Config(C, in_lo, w), j):
-            outs = step_cells(st, outs, lo)
-            lo -= st.v_lo
-        outs = outs[[k - lo for k in cells]].T.tolist()
+        steps = fibre_step_sequence(dec, Config(C, in_lo, w), j)
+        outs = []
+        for probe in probes.tolist():
+            cfg = Config(A, in_lo, probe)
+            for st in steps:
+                cfg = step_config(st, cfg)
+            outs.append([cfg.at(k) for k in cells])
         rank = 0
         for m in range(n_in):
             # coefficient tuple of (alpha ∘ composite) at input cell m, by
@@ -444,6 +549,27 @@ def tower_eval(tower, word: tuple[int, ...]) -> int:
         return star_compose(lev.frame, a_out, c_out)
 
     return level_eval(0, word)
+
+
+def tower_oracle(tower) -> list[int]:
+    """The top rule's local table, rebuilt from the tail rule upward.
+
+    Level k sends the window word a⋆c to fibre_c(a) ⋆ h(c): the fibre rule
+    from :func:`fibre_oracle`, h(c) from the table of the level above, each
+    word split and joined by ``star_decompose``/``star_compose``.
+    """
+    width, tail = tower.rule.width, tower.tail_rule
+    table = [eval_local(tail, w) for w in iter_words(tail.group.order, width)]
+    for lev in reversed(tower.levels):
+        fr, fibres, above = lev.frame, {}, table
+        table = []
+        for word in iter_words(fr.B.order, width):
+            a_word, c_word = zip(*(star_decompose(fr, b) for b in word))
+            if c_word not in fibres:
+                fibres[c_word] = fibre_oracle(lev.decomposition, c_word)
+            table.append(star_compose(fr, eval_local(fibres[c_word], a_word),
+                                      above[word_index(c_word, fr.C.order)]))
+    return table
 
 
 def tower_apply(tower, config: Config) -> Config:
@@ -543,20 +669,16 @@ def _solve_cell(rule: McaRule, window: list[int | None], free_slot: int,
     return int(hits[0])
 
 
-def filling_solve(op, target: Config, seed: Config) -> Config:
+def filling_solve(rule: McaRule, target: Config, seed: Config) -> Config:
     """Extend a seed block to the unique preimage of a target block.
 
-    For a (bi)permutative family with overlaps L, R: given the target d on
+    For a (bi)permutative rule with overlaps L, R: given the target d on
     [J..K) and a seed on [j-L .. j+R) for some j in [J..K), there is exactly
     one configuration on [J-L .. K+R) extending the seed whose image is d.
     Solving rightward pins cell m+R from d_m (right-permutativity); solving
     leftward pins cell m-L (left-permutativity, needed only when j > J).
     """
-    def rule_at(m: int) -> McaRule:
-        return op if isinstance(op, McaRule) else op.rule_at(m)
-
-    some_rule = rule_at(target.lo)
-    L, R = some_rule.left_overlap, some_rule.right_overlap
+    L, R = rule.left_overlap, rule.right_overlap
     J, K = target.lo, target.hi
     if K <= J:
         raise WindowError("target block must be nonempty")
@@ -568,28 +690,26 @@ def filling_solve(op, target: Config, seed: Config) -> Config:
     cells: list[int | None] = [None] * (hi - lo)
     for t, val in enumerate(seed.word):
         cells[seed.lo + t - lo] = val
+    flags = permutativity(rule)
     # rightward: output cell m determines input cell m+R
     for m in range(j, K):
-        rule = rule_at(m)
-        if not permutativity(rule).right:
+        if not flags.right:
             raise NotPermutativeError(f"rule at cell {m} is not right-permutative")
         window = cells[m + rule.v_lo - lo: m + rule.v_hi + 1 - lo]
         free = rule.width - 1          # cell m + v_hi = m + R
-        val = _solve_cell(rule, list(window), free, target.at(m), m + R)
-        cells[m + R - lo] = val
+        cells[m + R - lo] = _solve_cell(rule, list(window), free, target.at(m), m + R)
     # leftward: output cell m determines input cell m-L
     for m in range(j - 1, J - 1, -1):
-        rule = rule_at(m)
-        if not permutativity(rule).left:
+        if not flags.left:
             raise NotPermutativeError(f"rule at cell {m} is not left-permutative")
         window = cells[m + rule.v_lo - lo: m + rule.v_hi + 1 - lo]
-        val = _solve_cell(rule, list(window), 0, target.at(m), m - L)
-        cells[m - L - lo] = val
+        cells[m - L - lo] = _solve_cell(rule, list(window), 0, target.at(m), m - L)
     assert all(v is not None for v in cells)
     result = Config(target.group, lo, cells)
     # sanity: the filled block maps onto the target
-    block = np.array(result.word[J + op.v_lo - lo: K + op.v_hi - lo], dtype=np.int64)
-    if tuple(step_cells(op, block, J + op.v_lo).tolist()) != target.word:
+    block = Config(target.group, J + rule.v_lo,
+                   result.word[J + rule.v_lo - lo: K + rule.v_hi - lo])
+    if step_config(rule, block).word != target.word:
         raise NotPermutativeError("internal: filled block does not map to target")
     return result
 

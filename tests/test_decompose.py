@@ -13,11 +13,11 @@ import pytest
 from mcalab import decompose
 from mcalab import (Config, FrameError, GroupMap, McaRule, NotCentralError,
                     NotInvariantError, WindowError, apply_window, central_split,
-                    decompose_mca, eval_local, fibre_nhca,
-                    fibre_step_sequence, generated_subgroup, local_table,
+                    decompose_mca, eval_local, generated_subgroup, local_table,
                     make_cyclic, make_frame, nilpotent_tower, recompose_check,
                     star_compose, star_decompose)
-from oracles import tower_apply, tower_eval
+from oracles import (fibre_nhca, fibre_step_sequence, step_config, tower_apply,
+                     tower_eval)
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +180,7 @@ def test_fibre_nhca_matches_full_rule(x1_dec, x1_rule, z20_frame):
         b_word = [star_compose(frame, a, c)
                   for a, c in zip(a_word, c_cfg.word)]
         full = apply_window(x1_rule, Config(frame.B, 0, b_word))
-        fib = apply_window(nhca, Config(frame.a_group, 0, a_word))
+        fib = step_config(nhca, Config(frame.a_group, 0, a_word))
         assert fib.word == tuple(star_decompose(frame, b)[0]
                                  for b in full.word)
 

@@ -9,12 +9,14 @@ import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
-# SHA-256 of each demo's stdout; 03_exact_entropy.py (about 10 s) is left out
+# SHA-256 of each demo's stdout
 PINNED = {
     "01_quaternion_structure.py":
         "0cce61339904e7cbcc2c07184aff790afe26f7ec1e042dc8932a7997bdf91383",
     "02_skew_decomposition.py":
         "16cd729ffb604b4e4086e03ef169893e5effb516b40690e101133f1ccb155cf8",
+    "03_exact_entropy.py":
+        "2e228a97ec15aa7738304831b4798d0a0bcfec1f8ef54de4f0dd4b5724f75342",
     "04_diffusion_ranks.py":
         "775ec4abfb2dd8ebc8f94bc6de2fefd6e851372a979f91016b7580c0dee18ab4",
     "05_cesaro_randomization.py":

@@ -22,29 +22,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
-                    MeasureSpec, NhcaSequence, Subgroup, WindowMeasure,
+                    MeasureSpec, Subgroup, WindowMeasure,
                     abelian_invariants, apply_window, center, central_split,
                     decompose_mca, diffusion_report, dual_action,
                     enumerate_endomorphisms, fibre_rank_independence,
                     make_cyclic, make_direct_sum, make_frame, make_quaternion,
-                    local_table, make_semidirect, push_forward,
+                    local_table, make_semidirect, nilpotent_tower, push_forward,
                     recompose_check, star_product_measure,
                     trajectory_joint_distribution,
                     trajectory_partition_entropy)
 from mcalab import McaLabError, measures, spectral
-from mcalab.errors import TableInvalidError, WindowError
-from mcalab.rules import (algebraic_normal_form, from_planes, step_cells,
-                          step_planes, to_planes)
+from mcalab.errors import CapExceededError, TableInvalidError, WindowError
+from mcalab.rules import (algebraic_normal_form, from_planes, step_buffers,
+                          step_cells, step_planes, to_planes)
 from mcalab.util import digit_planes, iter_words
 
-from conftest import dihedral, quaternion16
+from conftest import dihedral, heisenberg, quaternion16
 
 from oracles import (dual_action_oracle, fibre_oracle, fibre_rank_oracle,
-                     marginal_oracle,
+                     fibre_trajectory_entropy_oracle, marginal_oracle,
                      partition_entropy_oracle, probs,
                      sample_words_oracle,
                      push_forward_oracle, recompose_oracle,
-                     star_product_oracle, trajectory_oracle,
+                     star_product_oracle, tower_oracle, trajectory_oracle,
                      weight_dtype_oracle, word_weight)
 
 # oracle loops stay under this many words per example
@@ -118,22 +118,15 @@ def random_measure(seed, size, lo, length, scale=1):
     return WindowMeasure(size, lo, lo + length, tuple(num), sum(num))
 
 
-def nhca(draw, name, v_lo, v_hi, cells):
-    pool = [draw(rules(name, v_lo, v_hi)) for _ in range(2)]
-    return NhcaSequence(group(name), v_lo, v_hi,
-                        {m: pool[draw(st.integers(0, 1))] for m in cells})
-
-
 @settings(max_examples=30, deadline=None)
-@given(st.data(), group_names, st.integers(0, 2**32 - 1), st.booleans())
-def test_push_forward_matches_oracle(data, name, seed, nonhomogeneous):
+@given(st.data(), group_names, st.integers(0, 2**32 - 1))
+def test_push_forward_matches_oracle(data, name, seed):
     G = group(name)
     v_lo, v_hi = data.draw(neighborhoods(max_len(G.order)))
     length = data.draw(st.integers(v_hi - v_lo + 1, max_len(G.order)))
     m = random_measure(seed, G.order, data.draw(st.integers(-2, 2)), length)
     out_cells = range(m.lo - v_lo, m.hi - v_hi)
-    op = (nhca(data.draw, name, v_lo, v_hi, out_cells) if nonhomogeneous
-          else data.draw(rules(name, v_lo, v_hi)))
+    op = data.draw(rules(name, v_lo, v_hi))
     out = push_forward(op, m)
     assert (out.lo, out.hi, out.den) == (out_cells.start, out_cells.stop, m.den)
     assert out.num.tolist() == push_forward_oracle(op, m)
@@ -147,13 +140,11 @@ def test_step_cells_matches_oracle_from_any_integer_dtype():
                                 for p in range(-2, 4)], 1)
     rule_b = McaRule(G, -2, 3, [(3, endos[1]), (-2, endos[5]), (0, endos[2])])
     words = np.random.default_rng(0).integers(0, 6, (200, 9))
-    nonhomogeneous = NhcaSequence(G, -2, 3, {m: (rule_a, rule_b)[m % 2]
-                                              for m in range(2, 6)})
-    for op in (rule_a, nonhomogeneous):
+    for op in (rule_a, rule_b):
         want = [list(apply_window(op, Config(G, 0, w)).word)
                 for w in words.tolist()]
         for cells in (words, words.astype(np.uint8)):
-            got = step_cells(op, cells.T, 0)
+            got = step_cells(op, cells.T)
             assert got.dtype == np.int32
             assert got.T.tolist() == want
 
@@ -176,19 +167,17 @@ KERNEL_CASES = [
 
 
 @pytest.mark.parametrize("name, window, code", KERNEL_CASES)
-@pytest.mark.parametrize("nonhomogeneous", [False, True])
+@pytest.mark.parametrize("caller_work", [False, True])
 def test_cell_major_step_cells_matches_apply_window(name, window, code,
-                                                    nonhomogeneous):
+                                                    caller_work):
+    """Chains of steps agree with ``apply_window``, on fresh workspaces or
+    on the caller's :func:`step_buffers`, whose output buffer is the result."""
     G = make_quaternion() if name == "Q8" else make_cyclic(int(name[2:]))
     (v_lo, v_hi), lo, steps = window, -3, 5
     rng = np.random.default_rng(G.order * 100 + v_hi - v_lo)
     width = v_hi - v_lo + 1
     words = rng.integers(0, G.order, (40, steps * (width - 1) + 2))
-    if nonhomogeneous:
-        pool = [random_rule(G, v_lo, v_hi, rng) for _ in range(3)]
-        op = NhcaSequence(G, v_lo, v_hi, {m: pool[m % 3] for m in range(-10, 40)})
-    else:
-        op = random_rule(G, v_lo, v_hi, rng)
+    op = random_rule(G, v_lo, v_hi, rng)
     chains = [Config(G, lo, w) for w in words.tolist()]
     want = []
     for _ in range(steps):
@@ -198,17 +187,17 @@ def test_cell_major_step_cells_matches_apply_window(name, window, code,
     for cells in (np.ascontiguousarray(words.T, dtype=np.uint8),
                   np.ascontiguousarray(words.T), words.T,
                   words.astype(np.uint8).T):
-        out_lo = lo
         for n in range(steps):
-            cells = step_cells(op, cells, out_lo)
-            out_lo -= v_lo
+            work = step_buffers(op, cells.shape) if caller_work else None
+            cells = step_cells(op, cells, work=work)
             assert cells.dtype == code and cells.flags.c_contiguous
             assert cells.T.tolist() == want[n]
+            assert not caller_work or cells is work[-1]
     # a 1-D block is one word
-    assert step_cells(op, words[0], lo).tolist() == want[0][0]
+    assert step_cells(op, words[0]).tolist() == want[0][0]
     with pytest.raises(WindowError, match="narrower than the rule"):
-        step_cells(op, words.T[:width - 2], lo)
-    assert step_cells(op, words.T[:width - 1], lo).shape == (0, len(words))
+        step_cells(op, words.T[:width - 2])
+    assert step_cells(op, words.T[:width - 1]).shape == (0, len(words))
 
 
 # 2-groups, each element a b-bit code; Q16 is built from its table
@@ -248,7 +237,7 @@ def test_step_planes_matches_step_cells_and_apply_window(name, width):
         cells = words.T
         for _ in range(steps):
             planes = step_planes(op, planes)
-            cells = step_cells(op, cells, 0)
+            cells = step_cells(op, cells)
             assert planes.dtype == np.uint64 and planes.flags.c_contiguous
             assert np.array_equal(from_planes(planes, count), cells.T)
         for word, got in zip(words[:4].tolist(), from_planes(planes, count)):
@@ -302,29 +291,20 @@ def test_products_match_oracle_across_chunks(chunk, data, name, seed, big):
 
 @settings(max_examples=30, deadline=None)
 @given(st.data(), group_names, st.integers(0, 2**32 - 1),
-       st.sampled_from(["rule", "nhca steps", "uniform rule"]))
+       st.sampled_from(["rule", "uniform rule"]))
 def test_trajectory_law_matches_oracle(data, name, seed, kind):
     G = group(name)
     v_lo, v_hi = data.draw(neighborhoods(3))
     overlap = -min(v_lo, 0) + max(0, v_hi)
     longest = max_len(G.order) // overlap if overlap else 3
-    lo_steps = 2 if kind == "nhca steps" else 1
-    if longest < lo_steps:
-        return
-    n_steps = data.draw(st.integers(lo_steps, min(longest, 3)))
+    n_steps = data.draw(st.integers(1, min(longest, 3)))
     if kind == "uniform rule":
         spec = MeasureSpec("uniform", G.order)
     else:
         w = random_weights(seed, G.order)
         spec = MeasureSpec("bernoulli", G.order,
                            probs=[Fraction(x, sum(w)) for x in w])
-    if kind == "nhca steps":
-        op, lo, hi = [], -n_steps * -min(v_lo, 0), n_steps * max(0, v_hi)
-        for _ in range(n_steps - 1):
-            op.append(nhca(data.draw, name, v_lo, v_hi, range(lo - v_lo, hi - v_hi)))
-            lo, hi = lo - v_lo, hi - v_hi
-    else:
-        op = data.draw(rules(name, v_lo, v_hi))
+    op = data.draw(rules(name, v_lo, v_hi))
     want = trajectory_oracle(op, spec, n_steps)
     assert trajectory_joint_distribution(op, spec, n_steps) == want
     got = trajectory_partition_entropy(op, spec, n_steps)
@@ -631,8 +611,8 @@ FAR_CELLS = [-3, -1, 0, 1, 2, 5, 10 ** 12, 2 ** 62 - 3, 2 ** 63 - 3]
 def assert_rank_series_is_the_chains(dual, chi, j_max):
     """``diffusion_report`` ranks equal the per-step chain's and the
     cell-by-cell oracle's, or it raises the chain's error.  (The oracle
-    refuses only a nonzero cell past int64, the chain any step whose
-    bounds leave it.)"""
+    refuses a nonzero cell past int64, the chain a nonzero image row past
+    it, even one that other rows cancel at its target.)"""
     try:
         want = [c.rank for c in spectral._orbit(dual, chi, j_max)]
     except McaLabError as err:
@@ -866,3 +846,68 @@ def test_sampled_star_words_match_whole_chunk_oracle(
                                count, length)
     assert got.dtype == np.uint8 and got.shape == (count, length)
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["Z5:Z4", "Q8"]),
+       window=st.sampled_from([(0, 0), (0, 1), (0, 2), (-1, 0), (-1, 1)]),
+       n_steps=st.integers(0, 3), kinds=st.tuples(KINDS, KINDS),
+       weights=st.tuples(WEIGHTS, WEIGHTS),
+       stays=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_fibre_entropy_matches_the_nhca_oracle(data, name, window, n_steps,
+                                               kinds, weights, stays):
+    """Reading fibre trajectories off the rule's own table gives, bit for
+    bit, the entropy of the fibre NHCAs stepped cell by cell: over the
+    normal Z/5 of Z/5⋊Z/4 (not central) and over the centre of Q8, under
+    uniform, Bernoulli and Markov laws, one- and two-sided windows, in one
+    chunk or in chunks of one fibre letter; past the cap, the same refusal
+    as before any step."""
+    fr = frame(name)
+    dec = decompose_mca(data.draw(rules(name, *window)), fr)
+    lam, nu = (law(kind, g.order, w, stay) for kind, g, w, stay
+               in zip(kinds, (fr.a_group, fr.C), weights, stays))
+    length = n_steps * (max(window[1], 0) - min(window[0], 0))
+    if fr.B.order ** length > MAX_WORDS:
+        with pytest.raises(CapExceededError, match="fibrewise enumeration"):
+            measures.fibre_trajectory_entropy(dec, lam, nu, n_steps, cap=MAX_WORDS)
+        return
+    want = repr(fibre_trajectory_entropy_oracle(dec, lam, nu, n_steps))
+    assert repr(measures.fibre_trajectory_entropy(dec, lam, nu, n_steps,
+                                                  cap=MAX_WORDS)) == want
+    # chunks of one fibre letter per cell: the leading cells' letters too
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_CHUNK", fr.a_group.order)
+        assert repr(measures.fibre_trajectory_entropy(dec, lam, nu, n_steps,
+                                                      cap=MAX_WORDS)) == want
+
+
+# nilpotent groups of the fixtures, and Z/5⋊Z/4, whose tower has no level
+TOWER_GROUPS = {"Q8": make_quaternion, "D8": lambda: dihedral(4),
+                "D16": lambda: dihedral(8), "Q16": quaternion16,
+                "Heisenberg mod 3": lambda: heisenberg(3),
+                "Z5:Z4": lambda: group("Z5:Z4")}
+
+
+@cache
+def tower_group(name):
+    G = TOWER_GROUPS[name]()
+    return G, [GroupMap(G, G, [G.conjugate(g, x) for x in G.elements()], True)
+               for g in G.elements()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(TOWER_GROUPS)))
+def test_tower_recomposes_to_the_local_table(data, name):
+    """Each level's fibre rules, composed map by map, and ``star_compose``
+    rebuild the top rule's table from the tail rule up, as the tower's own
+    check reads it off the fibre batch (windows of at most 4096 words)."""
+    G, conjugations = tower_group(name)
+    widths = [w for w in (2, 3, 4) if G.order ** w <= 4096]
+    width = data.draw(st.sampled_from(widths))
+    v_lo = data.draw(st.integers(1 - width, 0))
+    factors = [(data.draw(st.integers(v_lo, v_lo + width - 1)),
+                data.draw(st.sampled_from(conjugations)))
+               for _ in range(data.draw(st.integers(1, 5)))]
+    rule = McaRule(G, v_lo, v_lo + width - 1, factors,
+                   data.draw(st.integers(0, G.order - 1)))
+    assert tower_oracle(nilpotent_tower(rule)) == local_table(rule).tolist()

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcalab import (Config, GroupMap, McaLabError, McaRule, MeasureSpec,
-                    NhcaSequence, NotPermutativeError, WindowError, WindowMeasure,
+                    NotPermutativeError, WindowError, WindowMeasure,
                     decompose_mca, fibre_trajectory_entropy, formula_entropy,
                     make_cyclic, partition_entropy,
                     push_forward, skew_entropy, star_compose,
@@ -357,12 +357,10 @@ def scaled_sum_rule(G, k):
 
 
 def test_uniform_trajectory_count_is_the_oracle_sum(monkeypatch):
-    """Rules, NHCAs and step lists under a uniform law count preimages."""
+    """Rules under a uniform law count preimages."""
     z6, z9 = make_cyclic(6), make_cyclic(9)
     doubled = scaled_sum_rule(z6, 2)
-    # x_{-2} is seen only through 2·x_{-2}: not a bijection on trajectories
-    nhca = NhcaSequence(z6, -1, 1, {-1: doubled, 0: scaled_sum_rule(z6, 1)})
-    cases = [(doubled, 6), (scaled_sum_rule(z9, 3), 9), (nhca, 6), ([nhca], 6)]
+    cases = [(doubled, 6), (scaled_sum_rule(z9, 3), 9)]
     wants = [partition_entropy_oracle(trajectory_oracle(op, MeasureSpec("uniform", s), 2))
              for op, s in cases]
 

@@ -1,6 +1,7 @@
 """The package namespace: each public name is declared once, in its module,
 and each public function is reached outside the tests; the scalar evaluator
-stays inside ``rules``, and character rows inside ``spectral``."""
+stays inside ``rules``, character rows inside ``spectral``, and no module
+names a per-cell rule family."""
 import ast
 import importlib
 import inspect
@@ -46,6 +47,23 @@ def test_only_rules_names_the_scalar_evaluator():
                     else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
                     else None)
             if name in scalar:
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert not offenders
+
+
+def test_no_module_names_a_nonhomogeneous_family():
+    """Every step in the library applies one ``McaRule``: no module builds
+    or reads a per-cell family (``NhcaSequence``, ``rule_at``), which live
+    on only as test oracles."""
+    offenders = []
+    for path in sorted(Path(mcalab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, (ast.alias, ast.FunctionDef,
+                                                        ast.ClassDef))
+                    else None)
+            if name in ("NhcaSequence", "rule_at"):
                 offenders.append(f"{path.name}:{node.lineno} {name}")
     assert not offenders
 

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcalab import (Config, GroupMap, McaRule, NhcaSequence,
-                    PermutativityFlags, TableInvalidError, WindowError,
+from mcalab import (Config, GroupMap, McaRule, TableInvalidError, WindowError,
                     apply_window, eval_local, is_bipermutative, local_table,
                     make_cyclic, permutativity)
 from mcalab.rules import algebraic_normal_form, step_cells
 
-from oracles import (extract_eca_coefficients, filling_solve,
-                     is_homomorphic_local)
+from oracles import (NhcaSequence, extract_eca_coefficients, filling_solve,
+                     is_homomorphic_local, step_config)
 
 
 def linear_rule(n, coeffs, v_lo=0, bias=0, one_sided=False, G=None):
@@ -79,7 +78,7 @@ def test_a_stepped_rule_caches_one_local_table():
     """The kernel looks codes up in the rule's local table itself, which is
     built once, in the code dtype."""
     rule = linear_rule(3, [1, 2, 1], bias=1)
-    step_cells(rule, np.zeros((5, 2), dtype=np.int64), 0)
+    step_cells(rule, np.zeros((5, 2), dtype=np.int64))
     cached = [name for name, val in vars(rule).items() if isinstance(val, np.ndarray)]
     assert cached == ["_table"]
     assert local_table(rule) is rule._table
@@ -120,12 +119,13 @@ def test_apply_window_shrinks_to_empty():
 
 
 def test_nhca_per_cell_rules():
+    """The scalar NHCA stepper of the oracles reads each cell's own rule."""
     G = make_cyclic(2)
     ident = GroupMap.identity(G)
     flip = McaRule(G, 0, 0, [(0, ident)], bias=1)
     keep = McaRule(G, 0, 0, [(0, ident)])
     seq = NhcaSequence(G, 0, 0, {0: flip, 1: keep, 2: flip})
-    out = apply_window(seq, Config(G, 0, (0, 0, 0)))
+    out = step_config(seq, Config(G, 0, (0, 0, 0)))
     assert out.word == (1, 0, 1)
 
 
@@ -214,27 +214,6 @@ def test_filling_solve_unique_against_brute_force():
                  rule, Config(rule.group, 0, w)).word == (1, 0)]
     assert len(brute) == 1
     assert got.word == brute[0]
-
-
-def test_permutativity_of_a_sequence_is_the_conjunction_over_cells():
-    G = make_cyclic(5)
-    rules = {0: linear_rule(5, [1, 2, 3], v_lo=-1, G=G),
-             1: linear_rule(5, [2, 0, 4], v_lo=-1, G=G),
-             2: linear_rule(5, [3, 1, 1], v_lo=-1, G=G)}
-    seq = NhcaSequence(G, -1, 1, rules)
-    per_rule = [permutativity(r) for r in rules.values()]
-    assert permutativity(seq) == PermutativityFlags(
-        left=all(f.left for f in per_rule), right=all(f.right for f in per_rule))
-    assert is_bipermutative(seq)
-    # a zero left coefficient at one cell clears the left flag of the family
-    broken = NhcaSequence(G, -1, 1, {**rules, 3: linear_rule(5, [0, 1, 1], v_lo=-1, G=G)})
-    assert permutativity(broken) == PermutativityFlags(left=False, right=True)
-    assert not is_bipermutative(broken)
-    empty = NhcaSequence(G, -1, 1, {})
-    with pytest.raises(WindowError):
-        permutativity(empty)
-    with pytest.raises(WindowError):
-        is_bipermutative(empty)
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,8 @@ from mcalab import (Character, GroupMap, LinearRuleDual, McaLabError, McaRule,
                     MeasureSpec, Probe, WindowMeasure, abelian_invariants,
                     bernoulli_fourier, central_split, cesaro_randomization,
                     decompose_mca, diffusion_report, dual_action,
-                    fibre_rank_independence, make_cyclic, make_direct_sum,
+                    enumerate_endomorphisms, fibre_rank_independence,
+                    make_cyclic, make_direct_sum,
                     push_forward, relative_diffusion_rank,
                     star_product_measure)
 from mcalab import CapExceededError, spectral
@@ -21,7 +22,7 @@ from mcalab.specs import load_experiment, parse_measure_pair, parse_probe
 from mcalab.util import STATE_CAP
 
 from conftest import traced_peak
-from oracles import (characters_of, fourier_coefficient,
+from oracles import (characters_of, dual_action_oracle, fourier_coefficient,
                      harmonic_mixing_profile, point_mass, prob)
 
 
@@ -163,6 +164,33 @@ def test_dual_action_refuses_a_step_past_int64():
     # each rule moves the other's extreme cell back toward zero
     assert dual_action(left, top).cells() == (-1, 0, 2 ** 63 - 2, 2 ** 63 - 1)
     assert dual_action(right, bottom).cells() == (-2 ** 63, -2 ** 63 + 1, 5, 6)
+
+
+def test_dual_action_bounds_only_the_nonzero_image_rows():
+    """Over Z/2⊕Z/4, position 2 with matrix ((0, 0), (2, 0)) sends the row
+    (0, 1) to (1, 0) and (1, 0) to zero: a zero row may point past int64,
+    as in the oracle, and a nonzero one is still refused."""
+    G = make_direct_sum([2, 4])
+    coords = abelian_invariants(G)
+    shift = next(e for e in enumerate_endomorphisms(G)
+                 if LinearRuleDual.from_rule(McaRule(G, 2, 2, [(2, e)])).matrices
+                 == ((2, ((0, 0), (2, 0))),))
+    top = 2 ** 63 - 3
+    lone = LinearRuleDual.from_rule(McaRule(G, 2, 2, [(2, shift)]))
+    chi = dual_action(lone, Character.make(coords, {top: (0, 1)}))
+    assert chi.support == ((top + 2, (1, 0)),)
+    assert dual_action(lone, chi) == dual_action_oracle(lone, chi) == Character.make(coords, {})
+    # beside the identity at 0, the zero row at top + 4 is dropped, and a
+    # nonzero one there is refused, where the oracle cannot hold its cell
+    pair = LinearRuleDual.from_rule(McaRule(G, 0, 2, [(0, GroupMap.identity(G)),
+                                                      (2, shift)]))
+    assert dual_action(pair, chi) == dual_action_oracle(pair, chi) == chi
+    far = Character.make(coords, {top + 2: (0, 1)})
+    with pytest.raises(McaLabError, match=f"dual step moves support to cells "
+                                          f"{top + 2}..{top + 4}, outside int64"):
+        dual_action(pair, far)
+    with pytest.raises(McaLabError, match=f"support cell {top + 4} is outside int64"):
+        dual_action_oracle(pair, far)
 
 
 def test_tuple_built_characters_equal_their_make_twins():

@@ -6,7 +6,15 @@ Cesàro convergence of iterated measures toward the uniform measure.
 """
 from __future__ import annotations
 
+import os
+import sys
+
 __version__ = "0.1.0"
+
+# The only matrix products are spectral's int64 ``@`` (_bias_table, dual_action,
+# _merge_taps, _frobenius_route, _matrix_power_mod), never BLAS: one thread will do
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import decompose, errors, groups, measures, pseudo, rules, specs, spectral
 from .groups import *

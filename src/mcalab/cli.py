@@ -133,6 +133,7 @@ class Run:
             "cap_states": args.cap_states,
             "seed": args.seed,
             "workers": args.workers,
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "outputs": self.outputs,
             "verification": self.verification,
             **self.extra,

@@ -14,7 +14,6 @@ import cmath
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -27,7 +26,7 @@ from .groups import AbelianCoords, FiniteGroup, GroupMap, abelian_invariants
 from .measures import (_CHUNK, MeasureSpec, WindowMeasure, push_forward,
                        star_product_measure)
 from .rules import (McaRule, _merge_positions, from_planes, plane_step_ops,
-                    step_cells, step_planes, to_planes)
+                    step_buffers, step_cells, step_planes, to_planes)
 from .util import STATE_CAP, cell_dtype, check_cap, digit_planes, is_integer
 
 __all__ = [
@@ -999,11 +998,12 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
     in cache, so the rows are the same for any ``workers``.  The kernel is
     :func:`_mc_kernel`'s choice.  On ``step_planes`` a block of at most
     ``_CHUNK // 2`` uint64 words is bit-sliced by ``to_planes``, 64 samples
-    per word, and only its output cells are unpacked; on ``step_cells`` a block
-    of at most ``_CHUNK`` cells is stepped cell-major.  Sampling a chunk
-    holds two cell-dtype arrays of its words (λ's draws and the output) plus
-    fixed piece buffers, which took the max RSS of ``randomize`` on
-    ``perfbench/configs/skew_mc.json`` from 78.4 MB to 44.9 MB.
+    per word, and only its output cells are unpacked; on ``step_cells`` a
+    block of at most ``_CHUNK`` cells is stepped cell-major, in buffers made
+    once per chunk.  Sampling a chunk holds two cell-dtype arrays of its
+    words (λ's draws and the output) plus fixed piece buffers, which took
+    the max RSS of ``randomize`` on ``perfbench/configs/skew_mc.json`` from
+    78.4 MB to 44.9 MB.
     """
     group = rule.group
     s = group.order
@@ -1031,6 +1031,25 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
             np.random.SeedSequence(entropy=seed, spawn_key=(n, ci)))
         words = _sample_words(init, frame, group, length, rng, m)
         out = np.empty((m, out_hi - out_lo), dtype=words.dtype)
+        if kernel is step_cells:
+            # the first step's workspace, flat, with a second output and the
+            # input planes: step t writes output t % 2 while it reads the
+            # other, in views of the leading cells, so no block allocates
+            shape = (length, min(rows, m))
+            *codes, index, last = (b.ravel() for b in step_buffers(rule, shape))
+            outs, planes = (last, np.empty_like(last)), np.empty(math.prod(shape), last.dtype)
+
+            def views(k: int) -> tuple:
+                """The input planes and each step's workspace for k rows."""
+                works, cells = [], length
+                for t in range(n):
+                    size, image = max(cells - 1, 0), cells - rule.spread
+                    works.append(tuple(buf[:c * k].reshape(c, k) for buf, c in (
+                        (codes[0], size), (codes[1], size), (index, image),
+                        (outs[t % 2], image))))
+                    cells = image
+                return planes[:length * k].reshape(length, k), works
+            full = views(shape[1])
         for r in range(0, m, rows):
             if kernel is step_planes:
                 block = to_planes(words[r:r + rows], bits)
@@ -1038,10 +1057,12 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
                     block = step_planes(rule, block, cap)
                 out[r:r + rows] = from_planes(block, min(rows, m - r))
                 continue
-            block = words[r:r + rows].T
-            for _ in range(n):
-                block = step_cells(rule, block, cap)
-            out[r:r + rows] = block.T
+            k = min(rows, m - r)
+            block, works = full if k == shape[1] else views(k)
+            np.copyto(block, words[r:r + k].T)
+            for work in works:
+                block = step_cells(rule, block, cap, work)
+            out[r:r + k] = block.T
         words = out
         probe_sums = []
         for tabs, phase in tables:
@@ -1056,6 +1077,8 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
 
     n_chunks = (samples + chunk - 1) // chunk
     if workers > 1:
+        # imported here so a one-worker run never loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_chunk, range(n_chunks)))
     else:

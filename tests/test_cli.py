@@ -73,6 +73,20 @@ def test_group_report_on_quaternion(tmp_path, capsys):
     assert "order 8" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("threads", [None, "3"])
+def test_manifest_records_the_blas_threads_in_effect(tmp_path, monkeypatch, threads):
+    """``blas_threads`` is ``OPENBLAS_NUM_THREADS`` as the run sees it, or
+    null when it is unset."""
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    cfgp = write_config(tmp_path, {"group": {"kind": "cyclic", "n": 2}})
+    assert main(["group", "--config", cfgp, "--out", str(tmp_path)]) == 0
+    manifest = read_json(tmp_path / "manifest.json")
+    assert (manifest["workers"], manifest["blas_threads"]) == (1, threads)
+
+
 def test_group_report_on_non_nilpotent_group(tmp_path):
     cfgp = write_config(tmp_path, {
         "group": {"kind": "semidirect",

@@ -1,10 +1,13 @@
 """The package namespace: each public name is declared once, in its module,
 and each public function is reached outside the tests; the scalar evaluator
 stays inside ``rules``, character rows inside ``spectral``, and no module
-names a per-cell rule family."""
+names a per-cell rule family.  Loading the CLI starts one thread."""
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,3 +139,33 @@ def test_every_public_function_is_reached_outside_the_tests():
             reached |= bodies[name]
     unreached = sorted(public - reached)
     assert not unreached, f"only tests reach {unreached}"
+
+
+def _fresh_interpreter(code: str, **env: str) -> str:
+    """stdout of ``code`` in a new Python that finds this ``mcalab``, with
+    ``OPENBLAS_NUM_THREADS`` as ``env`` gives it or else unset (this
+    process has it set by its own import of ``mcalab``)."""
+    child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child.update(env, PYTHONPATH=str(Path(mcalab.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=child, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux procfs")
+def test_the_cli_starts_on_one_thread():
+    """Loading the CLI starts no OpenBLAS pool and no thread-pool machinery:
+    its matrix products are integer, and ``--workers`` is its only
+    parallelism."""
+    out = _fresh_interpreter(
+        "import os, sys; import mcalab.cli; "
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'], "
+        "'concurrent.futures' in sys.modules, 'logging' in sys.modules)")
+    assert out == "1 1 False False"
+
+
+def test_blas_threads_are_capped_only_when_mcalab_loads_numpy():
+    """A caller's own ``OPENBLAS_NUM_THREADS`` wins, and once numpy is
+    loaded the variable, too late to matter, is left alone."""
+    show = "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _fresh_interpreter(f"import mcalab; {show}", OPENBLAS_NUM_THREADS="2") == "2"
+    assert _fresh_interpreter(f"import numpy, mcalab; {show}") == "None"

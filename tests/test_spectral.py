@@ -2,6 +2,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -603,6 +604,50 @@ def test_monte_carlo_plane_steps_feed_each_output_back_uncast(
     for chain in chains:
         assert chain == [1 + 3 * n for n in range(len(chain), 0, -1)]
     assert sorted(len(chain) for chain in chains) == [2, 4, 8, 16, 16]
+
+
+def test_monte_carlo_table_blocks_step_in_one_workspace(monkeypatch, z20_frame, x1_rule):
+    """On the table kernel a chunk makes its step buffers once, for its first
+    step: at n = 64 the loop's traced peak is one workspace of that shape
+    (the block's cell count is fixed by ``_CHUNK``, whatever n), and the
+    later blocks, the last and shorter one included, allocate no block."""
+    n, marks, calls = 64, {}, []
+    buffers, step = spectral.step_buffers, spectral.step_cells
+
+    def watched_buffers(*args):
+        marks["start"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return buffers(*args)
+
+    def watched_step(rule, cells, *args):
+        calls.append(len(cells))
+        if len(calls) == n + 1:   # the second block's first step
+            marks["first"] = tracemalloc.get_traced_memory()[1] - marks["start"]
+            marks["later"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        out = step(rule, cells, *args)
+        if "later" in marks:
+            marks["growth"] = tracemalloc.get_traced_memory()[1] - marks["later"]
+        return out
+
+    monkeypatch.setattr(spectral, "step_buffers", watched_buffers)
+    monkeypatch.setattr(spectral, "step_cells", watched_step)
+    laws = (MeasureSpec("uniform", 5),
+            MeasureSpec("bernoulli", 4, probs=[Fraction(1, 2), Fraction(1, 4),
+                                               Fraction(1, 8), Fraction(1, 8)]))
+    report, _ = traced_peak(cesaro_randomization, x1_rule, laws, n, frame=z20_frame,
+                            cap_states=20 ** 3, mc_samples=4000, seed=3,
+                            mc_checkpoints=[n])
+    assert report.tv_rows[-1].mode == "mc"
+    # 129 input cells: 508 rows a block, so 7 full blocks and one of 444
+    rows = spectral._CHUNK // (1 + 2 * n)
+    assert len(calls) == n * 8 and calls[:n] == [1 + 2 * (n - t) for t in range(n)]
+    # two code buffers and two outputs at 2 B a cell, the index at 8 B and
+    # the input planes at 2 B: under 18 B per block cell
+    assert marks["first"] <= 18 * (1 + 2 * n) * rows + (64 << 10)
+    # casting copies of the input keep at most a few ufunc buffers; one
+    # block's step buffers alone come to over 1 MB
+    assert marks["growth"] < 64 << 10
 
 
 def test_monte_carlo_refuses_a_rule_over_the_cap_before_sampling(

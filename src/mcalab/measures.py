@@ -388,8 +388,9 @@ def _observation_keys(m: WindowMeasure, rule: McaRule, windows: Sequence,
     rule's group, of each observation.  Every buffer is allocated once per
     call, so the chunk loop itself allocates nothing: the start cells and
     the cells of every chunk's leading word, in the rule's code dtype (see
-    :func:`rules.step_cells`), one workspace per step, and the key.  The
-    key buffer is reused: a consumer must use each key before it advances
+    :func:`rules.step_cells`), one workspace that every step of the chain
+    runs in place in (none when no step runs), and the key.  The key
+    buffer is reused: a consumer must use each key before it advances
     the iterator.
     """
     s, length, base = m.size, m.length, rule.group.order
@@ -406,10 +407,7 @@ def _observation_keys(m: WindowMeasure, rule: McaRule, windows: Sequence,
     cells = np.empty((length, words), dtype=code)
     # cell-major: the tail cells run through every tail word in each chunk
     cells[high:] = tail
-    works, shape = [], cells.shape
-    for _ in windows[1:]:
-        works.append(step_buffers(rule, shape))
-        shape = works[-1][-1].shape
+    work = step_buffers(rule, cells.shape) if len(windows) > 1 else None
     key, digit = np.empty(words, dtype=np.intp), np.empty(words, dtype=np.intp)
     for head in range(s ** high):
         cells[:high] = heads[:, head:head + 1]
@@ -417,7 +415,7 @@ def _observation_keys(m: WindowMeasure, rule: McaRule, windows: Sequence,
         key.fill(0)
         for n, (w_lo, w_hi) in enumerate(windows):
             if n:
-                block = step_cells(rule, block, cap, works[n - 1])
+                block = step_cells(rule, block, cap, work)
                 lo -= rule.v_lo
             for x in range(w_lo, w_hi):
                 key *= base
@@ -570,7 +568,8 @@ def star_product_measure(frame, a: WindowMeasure, c: WindowMeasure) -> WindowMea
     star word weighs a.num times c.num of its two coordinate words.  The
     output is filled in place a chunk at a time: a chunk fixes the leading
     cells, and the coordinate-word indices of the tail words, computed
-    once, are shifted by the leading cells' offsets.
+    once, are shifted by the leading cells' offsets into buffers made
+    before the loop, so no chunk allocates.
     """
     if (a.lo, a.hi) != (c.lo, c.hi):
         raise WindowError("product factors must share the window")
@@ -585,8 +584,13 @@ def star_product_measure(frame, a: WindowMeasure, c: WindowMeasure) -> WindowMea
     head_x, head_y = frame.word_indices(n - low)
     words = B ** low
     num = np.empty(B ** n, dtype=dtype)
+    # cast once; the index sums and the C-factor gather reuse their buffers,
+    # and every index is valid, so "wrap" gathers unbuffered
+    num_a, num_c = a.num.astype(dtype, copy=False), c.num.astype(dtype, copy=False)
+    x, y, gather = np.empty_like(tail_x), np.empty_like(tail_y), np.empty(words, dtype)
     for head, (hx, hy) in enumerate(zip((head_x * A ** low).tolist(),
                                         (head_y * C ** low).tolist())):
-        np.multiply(a.num[tail_x + hx], c.num[tail_y + hy],
-                    out=num[head * words:(head + 1) * words], dtype=dtype)
+        out = num[head * words:(head + 1) * words]
+        num_a.take(np.add(tail_x, hx, out=x), out=out, mode="wrap")
+        out *= num_c.take(np.add(tail_y, hy, out=y), out=gather, mode="wrap")
     return WindowMeasure(B, a.lo, a.hi, _frozen(num), den, frame.B)

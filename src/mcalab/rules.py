@@ -179,12 +179,14 @@ def _local_tables(group: FiniteGroup, width: int, bias,
 
 
 def step_buffers(op: McaRule, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Workspace of :func:`step_cells` for blocks of ``shape`` cells.
+    """Workspace of :func:`step_cells` for blocks of at most ``shape[0]`` cells.
 
     Two ping-pong buffers for the window codes, in the :func:`code_dtype`;
     the codes as table indices (intp, so no lookup converts them); and the
-    output, in the code dtype.  A caller stepping block after block of one
-    shape allocates these once and passes them to every step.
+    output, in the code dtype, sized to the image of a ``shape`` block.
+    One workspace carries a whole chain: every step and every block with
+    ``shape``'s trailing axes and at most ``shape[0]`` cells, each step fed
+    the previous step's result in place.
     """
     k = shape[0] - op.spread
     if k < 0:
@@ -208,19 +210,23 @@ def step_cells(op: McaRule, cells: np.ndarray, cap: int = STATE_CAP,
     width 4): input of any integer dtype is converted once, and a chain of
     steps fed its own output never casts or copies.  The codes are built by
     in-place multiplies and adds in the buffers of ``work``
-    (:func:`step_buffers` for this shape; fresh ones when None) and looked
-    up in the rule's :func:`local_table`, which is in the same dtype.
-    The result is the output buffer of ``work``: the next step on the same
-    workspace overwrites it.
+    (a :func:`step_buffers` workspace the block fits; fresh ones for its
+    shape when None) and looked up in the rule's :func:`local_table`, which
+    is in the same dtype.  The result is the leading cells of the output
+    buffer of ``work``, the buffer itself on an exact fit.  The input is
+    read in full before the lookup writes, so it may be that very result:
+    a chain steps in place.
     """
-    s, width = op.group.order, op.width
+    s, width, shape = op.group.order, op.width, np.shape(cells)
     if work is None:
-        work = step_buffers(op, np.shape(cells))
+        work = step_buffers(op, shape)
     *buffers, index, out = work
-    k = len(out)
-    if len(cells) != k + op.spread:
-        raise WindowError(f"block of {len(cells)} cells does not fit the "
-                          f"workspace of {k} output cells")
+    k = shape[0] - op.spread
+    if shape[1:] != out.shape[1:] or not 0 <= k <= len(out):
+        raise WindowError(f"block of shape {shape} does not fit the "
+                          f"workspace of output shape {out.shape}")
+    if k < len(out):
+        index, out = index[:k], out[:k]
     table = local_table(op, cap)
     cells = np.ascontiguousarray(cells, dtype=out.dtype)
     # codes of width 2w from two of width w, then Horner for the rest, each

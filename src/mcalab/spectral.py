@@ -610,7 +610,8 @@ def fibre_rank_independence(dec, split, alpha: Character, j: int,
     """Exhaustively verify rank[alpha ∘ fibre^(j)_c] is the same for all c.
 
     The j-step fibre composite over a quotient word c is the A-part of j
-    steps of the rule on the star words a*c, run for batches of c at once.
+    steps of the rule on the star words a*c, run for batches of c at once,
+    each batch's j steps in place in one workspace.
     Its linear part comes from finite differences (exact group arithmetic)
     and its character ranks are compared to the linear-rule prediction.
     As in ``dual_action``, alpha is read from its integer coefficient rows,
@@ -646,8 +647,9 @@ def fibre_rank_independence(dec, split, alpha: Character, j: int,
                                C.order, n_in)
         # cell-major: outs[m, c, p] is cell in_lo + m of probe p over word c
         outs = frame.b_of[probes.T[:, None, :], c_words.T[:, :, None]]
+        work = step_buffers(rule, outs.shape) if j else None
         for _ in range(j):
-            outs = step_cells(rule, outs, cap)
+            outs = step_cells(rule, outs, cap, work)
         outs = frame.a_part[outs[[k - out_lo for k in cells]].transpose(1, 2, 0)]
         # big·alpha(y·b⁻¹) mod big at each input cell m and generator gi; it
         # is coefficient gi of (alpha ∘ composite) at m times big // n_gi
@@ -999,11 +1001,11 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
     :func:`_mc_kernel`'s choice.  On ``step_planes`` a block of at most
     ``_CHUNK // 2`` uint64 words is bit-sliced by ``to_planes``, 64 samples
     per word, and only its output cells are unpacked; on ``step_cells`` a
-    block of at most ``_CHUNK`` cells is stepped cell-major, in buffers made
-    once per chunk.  Sampling a chunk holds two cell-dtype arrays of its
-    words (λ's draws and the output) plus fixed piece buffers, which took
-    the max RSS of ``randomize`` on ``perfbench/configs/skew_mc.json`` from
-    78.4 MB to 44.9 MB.
+    block of at most ``_CHUNK`` cells is stepped cell-major, every step in
+    place in one workspace made per chunk.  Sampling a chunk holds two
+    cell-dtype arrays of its words (λ's draws and the output) plus fixed
+    piece buffers, which took the max RSS of ``randomize`` on
+    ``perfbench/configs/skew_mc.json`` from 78.4 MB to 44.9 MB.
     """
     group = rule.group
     s = group.order
@@ -1032,24 +1034,9 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
         words = _sample_words(init, frame, group, length, rng, m)
         out = np.empty((m, out_hi - out_lo), dtype=words.dtype)
         if kernel is step_cells:
-            # the first step's workspace, flat, with a second output and the
-            # input planes: step t writes output t % 2 while it reads the
-            # other, in views of the leading cells, so no block allocates
-            shape = (length, min(rows, m))
-            *codes, index, last = (b.ravel() for b in step_buffers(rule, shape))
-            outs, planes = (last, np.empty_like(last)), np.empty(math.prod(shape), last.dtype)
-
-            def views(k: int) -> tuple:
-                """The input planes and each step's workspace for k rows."""
-                works, cells = [], length
-                for t in range(n):
-                    size, image = max(cells - 1, 0), cells - rule.spread
-                    works.append(tuple(buf[:c * k].reshape(c, k) for buf, c in (
-                        (codes[0], size), (codes[1], size), (index, image),
-                        (outs[t % 2], image))))
-                    cells = image
-                return planes[:length * k].reshape(length, k), works
-            full = views(shape[1])
+            # its output holds a block's input words: every step of every
+            # block runs in place there, a last, shorter block at full width
+            work = step_buffers(rule, (length + rule.spread, min(rows, m)))
         for r in range(0, m, rows):
             if kernel is step_planes:
                 block = to_planes(words[r:r + rows], bits)
@@ -1058,11 +1045,11 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
                 out[r:r + rows] = from_planes(block, min(rows, m - r))
                 continue
             k = min(rows, m - r)
-            block, works = full if k == shape[1] else views(k)
-            np.copyto(block, words[r:r + k].T)
-            for work in works:
+            block = work[-1]
+            np.copyto(block[:, :k], words[r:r + k].T)
+            for _ in range(n):
                 block = step_cells(rule, block, cap, work)
-            out[r:r + k] = block.T
+            out[r:r + k] = block[:, :k].T
         words = out
         probe_sums = []
         for tabs, phase in tables:

@@ -167,11 +167,13 @@ KERNEL_CASES = [
 
 
 @pytest.mark.parametrize("name, window, code", KERNEL_CASES)
-@pytest.mark.parametrize("caller_work", [False, True])
+@pytest.mark.parametrize("caller_work", [False, True, "chain"])
 def test_cell_major_step_cells_matches_apply_window(name, window, code,
                                                     caller_work):
-    """Chains of steps agree with ``apply_window``, on fresh workspaces or
-    on the caller's :func:`step_buffers`, whose output buffer is the result."""
+    """Chains of steps agree with ``apply_window``: on fresh workspaces, on
+    the caller's :func:`step_buffers` for each step, whose output buffer is
+    the result, or ("chain") in place in one workspace sized for the
+    chain's first block."""
     G = make_quaternion() if name == "Q8" else make_cyclic(int(name[2:]))
     (v_lo, v_hi), lo, steps = window, -3, 5
     rng = np.random.default_rng(G.order * 100 + v_hi - v_lo)
@@ -187,17 +189,60 @@ def test_cell_major_step_cells_matches_apply_window(name, window, code,
     for cells in (np.ascontiguousarray(words.T, dtype=np.uint8),
                   np.ascontiguousarray(words.T), words.T,
                   words.astype(np.uint8).T):
+        chain = step_buffers(op, cells.shape)
         for n in range(steps):
-            work = step_buffers(op, cells.shape) if caller_work else None
+            work = (chain if caller_work == "chain" else
+                    step_buffers(op, cells.shape) if caller_work else None)
             cells = step_cells(op, cells, work=work)
             assert cells.dtype == code and cells.flags.c_contiguous
             assert cells.T.tolist() == want[n]
-            assert not caller_work or cells is work[-1]
+            assert not caller_work or np.shares_memory(cells, work[-1])
+            assert caller_work is not True or cells is work[-1]
     # a 1-D block is one word
     assert step_cells(op, words[0]).tolist() == want[0][0]
     with pytest.raises(WindowError, match="narrower than the rule"):
         step_cells(op, words.T[:width - 2])
     assert step_cells(op, words.T[:width - 1]).shape == (0, len(words))
+
+
+@pytest.mark.parametrize("name, window, code", KERNEL_CASES)
+def test_one_workspace_steps_every_block_in_place(name, window, code):
+    """One :func:`step_buffers` workspace, made for a block of 3-D trailing
+    shape, runs a 5-step chain in place and then a shorter block's chain,
+    both as ``apply_window`` does; a step fed a view of the workspace's own
+    output equals the same step on a copy; a block that does not fit is a
+    ``WindowError`` naming the workspace."""
+    G = make_quaternion() if name == "Q8" else make_cyclic(int(name[2:]))
+    (v_lo, v_hi), steps = window, 5
+    rng = np.random.default_rng(G.order * 1000 + v_hi - v_lo)
+    spread, ident = v_hi - v_lo, GroupMap.identity(G)
+    # every cell in shuffled order: no rule constant in a cell hides a clobber
+    op = McaRule(G, v_lo, v_hi, [(int(p), ident) for p in
+                                 rng.permutation(range(v_lo, v_hi + 1))],
+                 int(rng.integers(G.order)))
+    words = rng.integers(0, G.order, (12, steps * spread + 3))
+    work = step_buffers(op, (words.shape[1], 3, 4))
+    for length in (words.shape[1], words.shape[1] - 1):
+        chains = [Config(G, 0, w[:length]) for w in words.tolist()]
+        cells = words[:, :length].T.reshape(length, 3, 4)
+        for n in range(steps):
+            chains = [apply_window(op, c) for c in chains]
+            cells = step_cells(op, cells, work=work)
+            assert cells.dtype == code and np.shares_memory(cells, work[-1])
+            assert cells.reshape(len(cells), 12).T.tolist() == [
+                list(c.word) for c in chains]
+    # in place, at full width and on leading cells, as on a fresh copy
+    for length in (len(work[-1]), len(work[-1]) - 1):
+        block = work[-1][:length]
+        want = step_cells(op, block.copy())
+        assert np.array_equal(step_cells(op, block, work=work), want)
+    # other trailing axes, an image one cell too long, a block narrower
+    # than the rule
+    fits = f"does not fit the workspace of output shape {re.escape(str(work[-1].shape))}"
+    for shape in ((len(words.T), 12), (len(words.T), 4, 3),
+                  (len(work[-1]) + spread + 1, 3, 4), (spread - 1, 3, 4)):
+        with pytest.raises(WindowError, match=fits):
+            step_cells(op, np.zeros(shape, dtype=np.int64), work=work)
 
 
 # 2-groups, each element a b-bit code; Q16 is built from its table

@@ -242,6 +242,28 @@ def test_star_product_holds_one_full_window(z20_frame):
     assert peak <= 1.25 * m.num.nbytes
 
 
+def test_star_product_is_the_same_in_any_chunk(z20_frame, monkeypatch):
+    """The demo's 20^5-word law is the same in chunks of 400 words as in
+    the default ones; int64 factors whose product denominator passes 2**62
+    multiply in Python ints, exactly a.num[x] * c.num[y] of each star word."""
+    laws = metacyclic_laws(z20_frame)
+    want = star_product_measure(z20_frame, *laws)
+    monkeypatch.setattr(measures, "_CHUNK", 1 << 10)
+    got = star_product_measure(z20_frame, *laws)
+    assert got.num.dtype == want.num.dtype == np.int32
+    assert np.array_equal(got.num, want.num)
+    rng = np.random.default_rng(7)
+    a, c = (WindowMeasure(size, 0, 3, num, int(num.sum()))
+            for size in (5, 4)
+            for num in [rng.integers(2 ** 31, 2 ** 32, size ** 3)])
+    assert (a.num.dtype, c.num.dtype) == (np.int64, np.int64)
+    m = star_product_measure(z20_frame, a, c)
+    assert m.num.dtype == object and m.den == a.den * c.den >= 2 ** 62
+    x, y = z20_frame.word_indices(3)
+    assert m.num.tolist() == [int(a.num[i]) * int(c.num[j])
+                              for i, j in zip(x.tolist(), y.tolist())]
+
+
 def test_bernoulli_window_holds_one_full_window(z20):
     """A 20-symbol Bernoulli window of 5 cells: no copy of the weights is
     made to divide them by their gcd."""

@@ -54,6 +54,25 @@ def test_only_rules_names_the_scalar_evaluator():
     assert not offenders
 
 
+def test_every_library_step_passes_a_workspace():
+    """Outside ``rules`` every ``step_cells`` call passes a ``step_buffers``
+    workspace, as its fourth positional argument or as ``work=``, so no
+    stepping loop allocates fresh buffers per step."""
+    calls, offenders = 0, []
+    for path in sorted(Path(mcalab.__file__).parent.glob("*.py")):
+        if path.name == "rules.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "step_cells":
+                continue
+            calls += 1
+            work = node.args[3:4] + [k.value for k in node.keywords if k.arg == "work"]
+            if not work or (isinstance(work[0], ast.Constant) and work[0].value is None):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert calls >= 3 and not offenders
+
+
 def test_no_module_names_a_nonhomogeneous_family():
     """Every step in the library applies one ``McaRule``: no module builds
     or reads a per-cell family (``NhcaSequence``, ``rule_at``), which live

@@ -50,6 +50,7 @@ class McaRule:
     _table: np.ndarray | None = field(default=None, init=False, repr=False,
                                      compare=False)
     _anf: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _program: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.v_lo > self.v_hi:
@@ -300,40 +301,103 @@ def _factor_out_heads(monomials: list[tuple]) -> tuple:
             *groups)
 
 
+def _plane_program(rule: McaRule, cap: int = STATE_CAP) -> tuple:
+    """The straight-line program of :func:`step_planes`: ``(shared, planes)``.
+
+    An atom (symbol, cell) is that symbol's slice from the cell on; symbols
+    0..b-1 are the input bit planes.  The linear forms are each plane's and
+    each head's degree-1 (co)factors in :func:`algebraic_normal_form`.
+    While a pair shape, (A, c) and (B, c + d) in one form, occurs twice or
+    more over all forms without overlap, a shared symbol v[c] = A[c] ^
+    B[c + d], listed as (A, B, d, reach of v), takes each such pair's place
+    as (v, c): greedy XOR sharing (Paar 1997).  A plane is (atoms,
+    products, heads, constant), a head (atom, atoms, products) over two or
+    more terms.  Cached on the rule, under the table's cap.
+    """
+    if rule._program is None:
+        anf = algebraic_normal_form(rule, cap)
+        forms = [[m[0] for m in cofactors if len(m) == 1]
+                 for groups in anf for _, cofactors in groups]
+        shared, reach = [], [0] * len(anf)
+        while True:
+            roots = [_shape_roots(form) for form in forms]
+            count = Counter(shape for found in roots
+                            for shape, cells in found.items() for _ in cells)
+            shape = max(count, key=count.get, default=None)
+            if count[shape] < 2:
+                break
+            a, b, d = shape
+            reach.append(max(reach[a], reach[b] + d))
+            shared.append((*shape, reach[-1]))
+            for form, found in zip(forms, roots):
+                for c in found.get(shape, ()):
+                    form.remove((a, c))
+                    form.remove((b, c + d))
+                    form.append((len(reach) - 1, c))
+        forms, planes = iter(forms), []
+        for (_, rest), *groups in anf:
+            atoms, products, heads = next(forms), [m for m in rest if len(m) > 1], []
+            for head, cofactors in groups:
+                terms = next(forms), [m for m in cofactors if len(m) > 1]
+                if sum(map(len, terms)) == 1:
+                    products.append((head, *terms[0], *itertools.chain(*terms[1])))
+                else:
+                    heads.append((head, *terms))
+            planes.append((atoms, products, heads, () in rest))
+        rule._program = (shared, planes)
+    return rule._program
+
+
+def _shape_roots(form: list[tuple[int, int]]) -> dict[tuple, list[int]]:
+    """Each pair shape (A, B, d) in ``form``, d >= 0 and A < B at d = 0,
+    with the cells c of its occurrences, leftmost first and disjoint."""
+    roots: dict[tuple, list[int]] = {}
+    for (c, a), (e, b) in itertools.combinations(sorted((c, s) for s, c in form), 2):
+        taken = roots.setdefault((a, b, e - c), [])
+        if a != b or 2 * c - e not in taken:
+            taken.append(c)
+    return roots
+
+
 def plane_step_ops(rule: McaRule, cap: int = STATE_CAP) -> int:
-    """Word operations :func:`step_planes` spends per output cell and lane."""
-    ops = 0
-    for head, cofactors in itertools.chain(*algebraic_normal_form(rule, cap)):
-        if head is None:
-            ops += sum(max(len(m), 1) for m in cofactors)
-        else:
-            ops += sum(len(m) for m in cofactors) + 1
-    return ops
+    """Word operations :func:`step_planes` spends per output cell and lane:
+    a shared XOR, each :func:`_xor_sum`, a head's AND and XOR, a NOT."""
+    def xor_sum(atoms, products):
+        return max(len(atoms) + sum(map(len, products)) - 1, 1)
+
+    shared, planes = _plane_program(rule, cap)
+    return len(shared) + sum(
+        xor_sum(atoms, products) + constant
+        + sum(xor_sum(form, prods) + 2 for _, form, prods in heads)
+        for atoms, products, heads, constant in planes)
 
 
 def to_planes(words: np.ndarray, bits: int) -> np.ndarray:
     """Bit-slice sample-major byte codes: (count, cells) -> (bits, cells, lanes).
 
     ``planes[k, t]`` holds bit k of cell t of every word, sample i in bit
-    i % 64 of uint64 lane i // 64; the last lane is padded with zeros.  A
-    transposed copy puts eight samples' codes in each uint64, and one
-    multiply gathers bit k of those eight bytes into the top byte.
+    i % 64 of uint64 lane i // 64; the last lane is padded with zeros.
+    Slabs of at most 32 cells are transposed into one reused byte buffer,
+    eight samples' codes to each uint64, and one multiply gathers bit k of
+    those eight bytes into the top byte.
     """
     if bits > 8:
         raise TableInvalidError(f"planes pack byte codes, not {bits}-bit ones")
     count, cells = words.shape
     lanes = -(-count // 64)
-    codes = np.zeros((cells, 64 * lanes), dtype=np.uint8)
-    codes[:, :count] = words.T
-    eights = codes.view("<u8")
     planes = np.empty((bits, cells, lanes), dtype="<u8")
+    codes = np.zeros((min(cells, 32), 64 * lanes), dtype=np.uint8)
+    eights = codes.view("<u8")
     tmp = np.empty_like(eights)
-    for k in range(bits):
-        np.right_shift(eights, k, out=tmp)
-        tmp &= 0x0101010101010101
-        tmp *= 0x0102040810204080   # bit k of byte j lands on bit 56 + j
-        tmp >>= 56
-        np.copyto(planes[k].view(np.uint8), tmp, casting="unsafe")
+    for t in range(0, cells, 32):
+        n = min(32, cells - t)
+        codes[:n, :count] = words[:, t:t + n].T
+        for k in range(bits):
+            np.right_shift(eights[:n], k, out=tmp[:n])
+            tmp &= 0x0101010101010101
+            tmp *= 0x0102040810204080   # bit k of byte j lands on bit 56 + j
+            tmp >>= 56
+            np.copyto(planes[k, t:t + n].view(np.uint8), tmp[:n], casting="unsafe")
     return planes
 
 
@@ -348,15 +412,24 @@ def from_planes(planes: np.ndarray, count: int) -> np.ndarray:
     return codes[:, :count].T
 
 
-def _and_chain(planes: np.ndarray, k: int, monomial: tuple,
-               out: np.ndarray) -> np.ndarray:
-    """The AND of a monomial's k-cell slices: the slice itself for one
-    factor, else written into ``out``."""
-    (bit, cell), *rest = monomial
-    term = planes[bit, cell:cell + k]
-    for bit, cell in rest:
-        term = np.bitwise_and(term, planes[bit, cell:cell + k], out=out)
-    return term
+def _xor_sum(atoms: list, products: list, out: np.ndarray, tmp: np.ndarray) -> None:
+    """``out`` = XOR of the ``atoms`` slices and each product's AND chain,
+    the first chain (or else the first atoms) written with ``out=``."""
+    if not products:
+        if len(atoms) > 1:
+            np.bitwise_xor(atoms[0], atoms[1], out=out)
+        else:
+            np.copyto(out, atoms[0] if atoms else 0)
+        atoms = atoms[2:]
+    for i, (first, second, *rest) in enumerate(products):
+        dst = tmp if i else out
+        np.bitwise_and(first, second, out=dst)
+        for factor in rest:
+            dst &= factor
+        if i:
+            out ^= tmp
+    for atom in atoms:
+        out ^= atom
 
 
 def step_planes(rule: McaRule, planes: np.ndarray,
@@ -365,32 +438,35 @@ def step_planes(rule: McaRule, planes: np.ndarray,
 
     ``planes`` is (b, cells, lanes) uint64 as :func:`to_planes` packs it,
     over a group of order 2**b; the result holds the image cells, b planes
-    of ``cells - spread`` cells.  Each output plane is the XOR of its
-    :func:`algebraic_normal_form` groups, each monomial an AND chain of
-    shifted cell slices, so a step costs :func:`plane_step_ops` word
-    operations on 64 samples at a time.
+    of ``cells - spread`` cells.  It runs the rule's plane program: each
+    shared XOR once, then each output plane as the XOR of its atoms'
+    shifted slices and its products' AND chains, each head ANDed with its
+    own such sum, then NOT for a constant, so it costs
+    :func:`plane_step_ops` word operations on 64 samples at a time.
     """
-    anf = algebraic_normal_form(rule, cap)
-    k = planes.shape[1] - rule.spread
+    shared, program = _plane_program(rule, cap)
+    cells = planes.shape[1]
+    k = cells - rule.spread
     if k < 0:
-        raise WindowError(f"block of {planes.shape[1]} cells is narrower than the rule")
-    out = np.zeros((len(anf), k) + planes.shape[2:], dtype=planes.dtype)
-    prod, acc = np.empty((2,) + out.shape[1:], dtype=planes.dtype)
-    for plane, groups in zip(out, anf):
-        for head, cofactors in groups:
-            if head is None:
-                for monomial in cofactors:
-                    if monomial:
-                        plane ^= _and_chain(planes, k, monomial, prod)
-                    else:
-                        np.invert(plane, out=plane)
-                continue
-            value = _and_chain(planes, k, cofactors[0], acc)
-            for monomial in cofactors[1:]:
-                value = np.bitwise_xor(value, _and_chain(planes, k, monomial, prod),
-                                       out=acc)
-            bit, cell = head
-            plane ^= np.bitwise_and(value, planes[bit, cell:cell + k], out=acc)
+        raise WindowError(f"block of {cells} cells is narrower than the rule")
+    arrays = list(planes)
+    for a, b, d, reach in shared:
+        arrays.append(np.bitwise_xor(arrays[a][:cells - reach],
+                                     arrays[b][d:d + cells - reach]))
+
+    def slices(atoms):
+        return [arrays[s][c:c + k] for s, c in atoms]
+
+    out = np.empty((len(program), k) + planes.shape[2:], dtype=planes.dtype)
+    value, tmp = np.empty((2,) + out.shape[1:], dtype=planes.dtype)
+    for plane, (atoms, products, heads, constant) in zip(out, program):
+        _xor_sum(slices(atoms), [slices(m) for m in products], plane, tmp)
+        for (bit, cell), form, prods in heads:
+            _xor_sum(slices(form), [slices(m) for m in prods], value, tmp)
+            value &= arrays[bit][cell:cell + k]
+            plane ^= value
+        if constant:
+            np.invert(plane, out=plane)
     return out
 
 

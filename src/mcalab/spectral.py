@@ -898,18 +898,20 @@ def _draw(rng: np.random.Generator, p: np.ndarray,
     edge by edge in ``out``'s dtype is faster for small alphabets.  The
     draws come in cache-sized pieces of one reused buffer, and PCG64 yields
     the same stream piece by piece as in one call, so a caller may use each
-    piece before the next is drawn.
+    piece before the next is drawn.  The first edge writes the piece (all
+    zero for one symbol, whose edge is 1.0), and the rest add from a buffer.
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
     u = np.empty(min(len(out), _DRAW_PIECE))
+    hit = np.empty(len(u), dtype=bool)
     for start in range(0, len(out), _DRAW_PIECE):
         piece = slice(start, min(start + _DRAW_PIECE, len(out)))
         part = out[piece]
         draws = rng.random(out=u[:len(part)])
-        part.fill(0)
-        for edge in cdf[:-1]:   # the last edge is 1.0, above every draw
-            part += draws >= edge
+        np.greater_equal(draws, cdf[0], out=part)
+        for edge in cdf[1:-1]:   # the last edge is 1.0, above every draw
+            part += np.greater_equal(draws, edge, out=hit[:len(part)])
         yield piece
 
 
@@ -970,12 +972,12 @@ def _sample_words(spec_pair, frame, group: FiniteGroup, length: int,
     return words
 
 
-# A table step costs as much per 64 sample·cells as this many 64-lane word
-# operations.  Measured best of 30 with numpy 2.4 on one core of a 2-core
-# Xeon: step_cells on the Q8 width-4 rule of perfbench/configs/skew_mc.json
-# takes 1.2-1.9 ns per sample·cell in 2**16-cell blocks, 79-122 ns per 64,
-# and an np.bitwise_and or bitwise_xor of uint64 cell slices 0.30-0.35 ns
-# per word: 260-350 word operations, the low end kept.
+# A table step costs as much per 64 sample·cells as this many word
+# operations of plane_step_ops.  Measured on chains as _mc_step runs them
+# (16384 samples of 193 cells, 64 steps, best of 3, numpy 2.4, one core of
+# a 2-core Xeon): step_cells takes 99-119 ns per 64 sample·cells on width-4
+# rules over Q8, D16 and Q16, step_planes 0.38-0.62 ns per word operation
+# on D16 and Q16 rules of 65-196 operations: 190-294 operations, 260 kept.
 _GATHER_WORD_OPS = 260
 
 
@@ -995,17 +997,15 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
     """One Monte-Carlo checkpoint: sample, evolve n steps, measure.
 
     Samples are drawn in chunks of 2**14, each from its own
-    ``SeedSequence(entropy=seed, spawn_key=(n, chunk))`` stream, and each
-    chunk is evolved in blocks of rows that run all n steps while they stay
-    in cache, so the rows are the same for any ``workers``.  The kernel is
-    :func:`_mc_kernel`'s choice.  On ``step_planes`` a block of at most
-    ``_CHUNK // 2`` uint64 words is bit-sliced by ``to_planes``, 64 samples
-    per word, and only its output cells are unpacked; on ``step_cells`` a
-    block of at most ``_CHUNK`` cells is stepped cell-major, every step in
-    place in one workspace made per chunk.  Sampling a chunk holds two
-    cell-dtype arrays of its words (λ's draws and the output) plus fixed
-    piece buffers, which took the max RSS of ``randomize`` on
-    ``perfbench/configs/skew_mc.json`` from 78.4 MB to 44.9 MB.
+    ``SeedSequence(entropy=seed, spawn_key=(n, chunk))`` stream, so the
+    rows are the same for any ``workers``.  The kernel is
+    :func:`_mc_kernel`'s choice.  On ``step_planes`` a chunk is one block:
+    one ``to_planes``, n steps of the rule's plane program, 64 samples per
+    word, and one ``from_planes`` of the output cells.  On ``step_cells``
+    the chunk runs in blocks of at most ``_CHUNK`` cells that take all n
+    steps while they stay in cache, every step in place in one workspace
+    made per chunk.  Sampling a chunk holds two cell-dtype arrays of its
+    words (λ's draws and the output) plus fixed piece buffers.
     """
     group = rule.group
     s = group.order
@@ -1017,14 +1017,7 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
     # even when the rule's table is already cached
     check_cap(s, rule.width, cap, "local rule table")
     kernel = _mc_kernel(rule, cap)
-    bits = s.bit_length() - 1
-    if kernel is step_planes:
-        # blocks of at most _CHUNK // 2 plane words (256 KB): to_planes holds
-        # two byte copies 8/b times the planes' size, and at _CHUNK words
-        # they took the max RSS of skew_mc.json from 45.9 MB to 46.6 MB
-        rows = 64 * max(1, _CHUNK // 2 // (bits * length))
-    else:
-        rows = max(1, _CHUNK // length)
+    rows = max(1, _CHUNK // length)
 
     def run_chunk(ci: int) -> tuple:
         lo_i = ci * chunk
@@ -1032,25 +1025,25 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(n, ci)))
         words = _sample_words(init, frame, group, length, rng, m)
-        out = np.empty((m, out_hi - out_lo), dtype=words.dtype)
-        if kernel is step_cells:
+        if kernel is step_planes:
+            block = to_planes(words, s.bit_length() - 1)
+            del words   # not read again: a chunk's bytes less while stepping
+            for _ in range(n):
+                block = step_planes(rule, block, cap)
+            words = from_planes(block, m)
+        else:
+            out = np.empty((m, out_hi - out_lo), dtype=words.dtype)
             # its output holds a block's input words: every step of every
             # block runs in place there, a last, shorter block at full width
             work = step_buffers(rule, (length + rule.spread, min(rows, m)))
-        for r in range(0, m, rows):
-            if kernel is step_planes:
-                block = to_planes(words[r:r + rows], bits)
+            for r in range(0, m, rows):
+                k = min(rows, m - r)
+                block = work[-1]
+                np.copyto(block[:, :k], words[r:r + k].T)
                 for _ in range(n):
-                    block = step_planes(rule, block, cap)
-                out[r:r + rows] = from_planes(block, min(rows, m - r))
-                continue
-            k = min(rows, m - r)
-            block = work[-1]
-            np.copyto(block[:, :k], words[r:r + k].T)
-            for _ in range(n):
-                block = step_cells(rule, block, cap, work)
-            out[r:r + k] = block[:, :k].T
-        words = out
+                    block = step_cells(rule, block, cap, work)
+                out[r:r + k] = block[:, :k].T
+            words = out
         probe_sums = []
         for tabs, phase in tables:
             vals = _probe_values(tabs, phase, words, out_lo)

@@ -33,11 +33,11 @@ from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
                     trajectory_partition_entropy)
 from mcalab import McaLabError, measures, spectral
 from mcalab.errors import CapExceededError, TableInvalidError, WindowError
-from mcalab.rules import (algebraic_normal_form, from_planes, step_buffers,
-                          step_cells, step_planes, to_planes)
+from mcalab.rules import (_plane_program, algebraic_normal_form, from_planes,
+                          step_buffers, step_cells, step_planes, to_planes)
 from mcalab.util import digit_planes, iter_words
 
-from conftest import dihedral, heisenberg, quaternion16
+from conftest import dihedral, heisenberg, quaternion16, traced_peak
 
 from oracles import (dual_action_oracle, fibre_oracle, fibre_rank_oracle,
                      fibre_trajectory_entropy_oracle, marginal_oracle,
@@ -253,12 +253,14 @@ PLANE_GROUPS = {
     "D16": lambda: dihedral(8), "Q16": quaternion16}
 
 
-@pytest.mark.parametrize("name", sorted(PLANE_GROUPS))
-@pytest.mark.parametrize("width", [2, 3, 4])
+@pytest.mark.parametrize("width, name", [
+    *((w, n) for w in (2, 3, 4) for n in sorted(PLANE_GROUPS)),
+    *((w, n) for w in (5, 6) for n in ("Z/2", "Z/4"))])
 def test_step_planes_matches_step_cells_and_apply_window(name, width):
     """Bit-sliced steps agree with the table kernel on every window word
     and on sample counts around the 64-sample lane, and the first samples
-    of each chain agree with the scalar oracle; packing round-trips."""
+    of each chain agree with the scalar oracle; packing round-trips.  The
+    width-6 Z/4 rule shares an XOR that reaches more than one cell."""
     G = PLANE_GROUPS[name]()
     bits = G.order.bit_length() - 1
     rng = np.random.default_rng(G.order * 10 + width)
@@ -268,6 +270,8 @@ def test_step_planes_matches_step_cells_and_apply_window(name, width):
     op = McaRule(G, -1, width - 2,
                  [(int(p), ident) for p in rng.permutation(range(-1, width - 1))]
                  + list(extra.factors), extra.bias)
+    shared, _ = _plane_program(op)
+    assert (width, name) != (6, "Z/4") or max(reach for *_, reach in shared) > 1
     # every window word as one sample: the normal form is the local table
     every = digit_planes(np.arange(G.order ** width), G.order, width)
     planes = step_planes(op, to_planes(every.astype(np.uint8), bits))
@@ -292,6 +296,16 @@ def test_step_planes_matches_step_cells_and_apply_window(name, width):
             assert got.tolist() == list(config.word)
     with pytest.raises(WindowError, match="narrower than the rule"):
         step_planes(op, to_planes(words[:, :width - 2], bits))
+
+
+def test_to_planes_holds_its_planes_and_two_slabs():
+    """Packing one Monte-Carlo chunk of the Q8 run (16384 samples of 193
+    cells) allocates its planes and two 32-cell slabs, a byte copy and its
+    work buffer, and no full-size copy of the words."""
+    words = np.random.default_rng(7).integers(0, 8, (1 << 14, 193), dtype=np.uint8)
+    planes, peak = traced_peak(to_planes, words, 3)
+    assert np.array_equal(from_planes(planes, len(words)), words)
+    assert peak <= planes.nbytes + 2 * 32 * len(words) + (4 << 10)
 
 
 def test_planes_refuse_what_they_cannot_encode():

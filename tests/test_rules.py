@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from mcalab import (Config, GroupMap, McaRule, TableInvalidError, WindowError,
                     apply_window, eval_local, is_bipermutative, local_table,
                     make_cyclic, permutativity)
-from mcalab.rules import algebraic_normal_form, step_cells
+from mcalab.rules import (_plane_program, algebraic_normal_form, from_planes,
+                          step_cells, step_planes, to_planes)
 
 from oracles import (NhcaSequence, extract_eca_coefficients, filling_solve,
                      is_homomorphic_local, step_config)
@@ -86,19 +87,25 @@ def test_a_stepped_rule_caches_one_local_table():
 
 
 def test_a_replaced_rule_builds_its_own_caches():
-    """``dataclasses.replace`` copies no cached table or normal form, so
-    the copy's lookups follow its own bias, not the original's."""
+    """``dataclasses.replace`` copies no cached table, normal form or plane
+    program, so the copy's lookups and steps follow its own bias, not the
+    original's."""
     rule = linear_rule(4, [1, 1])
     assert local_table(rule).tolist()[:4] == [0, 1, 2, 3]
-    anf = algebraic_normal_form(rule)
+    anf, program = algebraic_normal_form(rule), _plane_program(rule)
     shifted = replace(rule, bias=1)
     want = [eval_local(shifted, list(w))
             for w in itertools.product(range(4), repeat=2)]
     assert local_table(shifted).tolist() == want
     assert want[:4] == [1, 2, 3, 0]
     assert algebraic_normal_form(shifted) != anf
+    assert _plane_program(shifted) != program
+    every = np.array(list(itertools.product(range(4), repeat=2)), dtype=np.uint8)
+    stepped = step_planes(shifted, to_planes(every, 2))
+    assert from_planes(stepped, 16)[:, 0].tolist() == want
     assert local_table(rule).tolist()[:4] == [0, 1, 2, 3]
     assert algebraic_normal_form(rule) is anf
+    assert _plane_program(rule) is program
     with pytest.raises(ValueError, match="init=False"):
         replace(rule, _table=local_table(rule))
 

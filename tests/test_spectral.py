@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 
 from mcalab import (Character, GroupMap, LinearRuleDual, McaLabError, McaRule,
-                    MeasureSpec, Probe, WindowMeasure, abelian_invariants,
+                    MeasureSpec, Probe, Subgroup, WindowMeasure,
+                    abelian_invariants,
                     bernoulli_fourier, central_split, cesaro_randomization,
                     decompose_mca, diffusion_report, dual_action,
                     enumerate_endomorphisms, fibre_rank_independence,
-                    make_cyclic, make_direct_sum,
+                    make_cyclic, make_direct_sum, make_frame,
                     push_forward, relative_diffusion_rank,
                     star_product_measure)
 from mcalab import CapExceededError, spectral
-from mcalab.rules import algebraic_normal_form, local_table
+from mcalab.rules import algebraic_normal_form, local_table, plane_step_ops
 from mcalab.specs import load_experiment, parse_measure_pair, parse_probe
 from mcalab.util import STATE_CAP
 
@@ -572,7 +573,7 @@ def test_monte_carlo_steps_feed_each_output_back_uncast(monkeypatch, quat_rule4,
 
 def test_monte_carlo_plane_steps_feed_each_output_back_uncast(
         monkeypatch, quat_rule4, q8_center_frame):
-    """On the plane kernel each block is one chain of n ``step_planes``
+    """On the plane kernel each chunk is one chain of n ``step_planes``
     calls, and past its first each gets the previous planes back: uint64,
     C-contiguous, uncast and uncopied.  No table step runs."""
     step_planes, chains, last = spectral.step_planes, [], [None]
@@ -591,19 +592,16 @@ def test_monte_carlo_plane_steps_feed_each_output_back_uncast(
 
     monkeypatch.setattr(spectral, "step_planes", spy)
     monkeypatch.setattr(spectral, "step_cells", no_table_step)
-    # half of 2**13 words holds 27 lanes of the 49 cells and 3 bits at
-    # n = 16, so the 3000 samples there run in two blocks; one block at
-    # each lower n
-    monkeypatch.setattr(spectral, "_CHUNK", 1 << 13)
     lam, nu = bern(7, 10), bern(4, 10, size=4)
     report = cesaro_randomization(quat_rule4, (lam, nu), 16,
                                   frame=q8_center_frame, cap_states=4096,
-                                  mc_samples=3000, seed=2026)
+                                  mc_samples=(1 << 14) + 1500, seed=2026)
     assert report.n_exact == 1
-    # axis 1 holds the 1 + 3n input cells and shrinks by the spread 3
+    # axis 1 holds the 1 + 3n input cells and shrinks by the spread 3;
+    # each of the two chunks is one chain at every checkpoint
     for chain in chains:
         assert chain == [1 + 3 * n for n in range(len(chain), 0, -1)]
-    assert sorted(len(chain) for chain in chains) == [2, 4, 8, 16, 16]
+    assert [len(chain) for chain in chains] == [2, 2, 4, 4, 8, 8, 16, 16]
 
 
 def test_monte_carlo_table_blocks_step_in_one_workspace(monkeypatch, z20_frame, x1_rule):
@@ -703,6 +701,17 @@ def test_each_randomize_config_steps_on_the_kernel_the_cost_rule_names():
         assert spectral._mc_kernel(cfg.rule, cap).__name__ == kernel
 
 
+def test_plane_programs_share_xor_sums():
+    """The word operations of a bit-sliced step on each plane-kernel
+    config: sharing XOR sums across output bits and cell shifts takes the
+    Q8 rule from 42 (one AND chain per monomial) to 24, and the Z/2 xor
+    rule is one XOR."""
+    ops = {path: plane_step_ops(load_experiment(str(ROOT / path)).rule)
+           for path, kernel in MC_KERNELS.items() if kernel == "step_planes"}
+    assert ops == {"demos/configs/randomize_xor.json": 1,
+                   "perfbench/configs/skew_mc.json": 24}
+
+
 def test_sampled_words_are_the_draws_of_generator_choice(q8_center_frame):
     count, length = 300, 7
 
@@ -733,6 +742,15 @@ def test_sampled_words_are_the_draws_of_generator_choice(q8_center_frame):
     a, c = choice(rng, lam), choice(rng, nu)
     assert got.dtype == np.uint8
     assert np.array_equal(got, fr.b_of[a, c])
+    # λ on a trivial A is a one-symbol law: it draws, but writes no edge
+    q8 = fr.B
+    whole = make_frame(q8, Subgroup(q8, [0]))
+    got = spectral._sample_words((MeasureSpec("uniform", 1), bern(4, 10, size=8)),
+                                 whole, q8, length, np.random.default_rng(6), count)
+    rng = np.random.default_rng(6)
+    a, c = choice(rng, MeasureSpec("uniform", 1)), choice(rng, bern(4, 10, size=8))
+    assert not a.any()
+    assert np.array_equal(got, whole.b_of[a, c])
 
 
 def test_star_word_sampling_holds_two_cell_arrays(q8_center_frame):

@@ -12,7 +12,7 @@ import sys
 __version__ = "0.1.0"
 
 # The only matrix products are spectral's int64 ``@`` (_bias_table, dual_action,
-# _merge_taps, _frobenius_route, _matrix_power_mod), never BLAS: one thread will do
+# _frobenius_route, _digit_ranks), never BLAS: one thread will do
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -333,12 +333,11 @@ def dual_action(dual: LinearRuleDual, chi: Character) -> Character:
     The convention matches <chi, push_forward(rule, m)> ==
     <dual_action(dual, chi), m>; the bias contributes one phase factor
     chi_k(bias) per support cell, folded in support order from a table
-    over all reduced rows.  The step itself is :func:`_merge_taps` on the
-    coefficient rows keyed by their cells, with the rule's positions as
-    the taps: one integer product with the weights of every position, one
-    sort of the target cells, a summed add into each distinct target, one
-    reduction mod the orders.  A step that would move a nonzero image row
-    to a cell outside int64 is refused.
+    over all reduced rows.  The step itself is one integer product of the
+    coefficient rows with the weights of every position, one sort of the
+    target cells, a summed add into each distinct target, one reduction
+    mod the orders, and zero rows dropped.  A step that would move a
+    nonzero image row to a cell outside int64 is refused.
     """
     coords = dual.coords
     orders = coords.orders
@@ -357,42 +356,26 @@ def dual_action(dual: LinearRuleDual, chi: Character) -> Character:
     lo, hi = int(cells[0]) + int(positions.min()), int(cells[-1]) + int(positions.max())
     if lo < -2 ** 63 or hi >= 2 ** 63:
         # only nonzero image rows must land inside int64: a zero row adds
-        # nothing wherever its target wraps to, and _merge_taps drops it
+        # nothing wherever its target wraps to, and is dropped below
         live = ((coeffs @ weights) % order_arr).any(axis=2)
         ends = [(int(cells[row][0]) + v, int(cells[row][-1]) + v)
                 for v, row in zip(positions.tolist(), live) if row.any()]
         lo, hi = min((a for a, _ in ends), default=0), max((b for _, b in ends), default=0)
         if lo < -2 ** 63 or hi >= 2 ** 63:
             raise McaLabError(f"dual step moves support to cells {lo}..{hi}, outside int64")
-    targets, acc = _merge_taps(cells, coeffs, positions, weights, order_arr)
-    return Character._from_rows(orders, targets, acc, phase, coords)
-
-
-def _merge_taps(keys: np.ndarray, coeffs: np.ndarray, shifts: np.ndarray,
-                weights: np.ndarray, orders: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """One dual step on a batch of at least one entry, through at least one tap.
-
-    Entry i, the coefficient row ``coeffs[i]`` at int64 key ``keys[i]``,
-    sends ``coeffs[i] @ weights[t]`` to key ``keys[i] + shifts[t]`` for each
-    tap t.  Returns (keys, rows): one row per distinct target key in
-    ascending key order, summed and reduced mod ``orders``, zero rows
-    dropped.  The caller keeps every target key inside int64.
-    """
-    d = coeffs.shape[1]
-    # tap-major: entry t·n + i is entry i moved by tap t
-    targets = (keys + shifts[:, None]).ravel()
+    # position-major: entry t·n + i is row i moved by position t
+    targets = (cells + positions[:, None]).ravel()
     adds = (coeffs @ weights).reshape(-1, d)
-    by_key = targets.argsort(kind="stable")
-    targets = targets[by_key]
+    by_cell = targets.argsort(kind="stable")
+    targets = targets[by_cell]
     first = np.empty(len(targets), dtype=bool)
     first[0] = True
     np.not_equal(targets[1:], targets[:-1], out=first[1:])
     starts = first.nonzero()[0]
-    acc = np.add.reduceat(adds[by_key], starts)
-    acc %= orders
+    acc = np.add.reduceat(adds[by_cell], starts)
+    acc %= order_arr
     keep = np.bitwise_or.reduce(acc, axis=1).nonzero()[0]
-    return targets[starts[keep]], acc[keep]
+    return Character._from_rows(orders, targets[starts[keep]], acc[keep], phase, coords)
 
 
 def _orbit(dual: LinearRuleDual, chi: Character, steps: int) -> Iterator[Character]:
@@ -404,24 +387,23 @@ def _orbit(dual: LinearRuleDual, chi: Character, steps: int) -> Iterator[Charact
 
 
 def _rank_series(dual: LinearRuleDual, chi: Character, j_max: int) -> list[int]:
-    """The ranks of chi and of its first ``j_max`` images: in Frobenius
-    level blocks where :func:`_frobenius_route` allows, else one
+    """The ranks of chi and of its first ``j_max`` images: off the base-p
+    digits of j where :func:`_frobenius_route` allows, else one
     ``dual_action`` call per image."""
-    route = _frobenius_route(dual, chi, j_max)
-    if route is None:
+    p = _frobenius_route(dual, chi, j_max)
+    if p is None:
         return [c.rank for c in _orbit(dual, chi, j_max)]
-    return _frobenius_ranks(dual, chi, j_max, *route)
+    return _digit_ranks(dual, chi, j_max, p)
 
 
-def _frobenius_route(dual: LinearRuleDual, chi: Character, j_max: int
-                     ) -> tuple[int, int, int] | None:
-    """(p, lo, span) when chi's rank series may be built in level blocks.
+def _frobenius_route(dual: LinearRuleDual, chi: Character, j_max: int) -> int | None:
+    """p when chi's rank series may be read off the base-p digits of j.
 
     That needs A = (Z/p)^d for a prime p and weight matrices that commute
-    mod p, so that (Σ_v W_v x^v)^p = Σ_v W_v^p x^(pv); and every cell of
-    every image to ``j_max`` inside [lo, lo + span) with (j_max + 1)·span
-    within int64, so the per-step chain refuses no step and each (row,
-    cell) has the int64 key row·span + cell − lo.
+    mod p, so that F^(p^i)(x) = F_i(x^(p^i)) for F = Σ_v W_v x^v and
+    F_i = Σ_v W_v^(p^i) x^v; and every cell of every image to ``j_max``
+    inside int64, so the per-step chain refuses no step, and within 2^62
+    of each other, so no cell of a :func:`_digit_ranks` state leaves int64.
     """
     orders = dual.coords.orders
     p = orders[0] if orders else 0
@@ -437,102 +419,76 @@ def _frobenius_route(dual: LinearRuleDual, chi: Character, j_max: int
     first, last = (int(cells[0]), int(cells[-1])) if len(cells) else (0, 0)
     lo = first + min(0, j_max * min(positions, default=0))
     hi = last + max(0, j_max * max(positions, default=0))
-    span = hi - lo + 1
-    if lo < -2 ** 63 or hi >= 2 ** 63 or (max(j_max, 0) + 1) * span >= 2 ** 63:
+    if lo < -2 ** 63 or hi >= 2 ** 63 or hi - lo >= 2 ** 62:
         return None
-    return p, lo, span
+    return p
 
 
-# Most entries one batched step of ``_frobenius_ranks`` reads at once,
-# unless one image alone holds more.
-_BLOCK = 1 << 14
+def _digit_ranks(dual: LinearRuleDual, chi: Character, j_max: int, p: int) -> list[int]:
+    """The rank series of :func:`_rank_series` on a route where
+    :func:`_frobenius_route` returned p, read off the base-p digits of j.
 
-
-def _frobenius_ranks(dual: LinearRuleDual, chi: Character, j_max: int,
-                     p: int, lo: int, span: int) -> list[int]:
-    """The rank series of :func:`_rank_series` on a route that
-    :func:`_frobenius_route` returned (p, lo, span) for.
-
-    Image j is row j, each of its entries keyed j·span + cell − lo.  Rows
-    0..p−1 come from ``dual_action``.  Level K = p, p², … then makes rows
-    [aK, (a+1)K) from rows [(a−1)K, aK) for a = 1..p−1, since the K-th
-    power of the rule is the tap set (K·v, W_v^K mod p): one
-    :func:`_merge_taps` step per (level, a), on row-aligned slices of at
-    most ``_BLOCK`` entries.  A row's rank is counted when it is made, and
-    the row is kept only while a later step reads it: rows ≤ j_max − K
-    within level K, rows ≤ j_max − pK past it.
+    For j = n + p·m, Q·F_i^j = (Q·F_i^n)·F_(i+1)^m(x^p), so each residue
+    class mod p of the cells of Q·F_i^n, its cells c taken to c // p, goes
+    on alone at level i + 1, and the ranks of the classes add up.  A state
+    is (level i, coefficient rows shifted so their first cell is 0); digit
+    n leads from it to the state of each nonzero class, Q·F_i^n made by
+    ``dual_action`` on the level's matrices.  Levels wrap once the tuple
+    of W_v^(p^i) mod p repeats, and states are explored only as deep as
+    ``j_max`` has digits, since nothing deeper is read.  Then R_0 is each
+    state's rank, and pass k sets R_k[:, n::p] to the sum of R_(k−1) over
+    the digit-n edges, for the states and columns that later passes read.
     """
-    head = list(_orbit(dual, chi, min(p - 1, j_max)))
-    ranks = np.zeros(max(j_max, 0) + 1, dtype=np.int64)
-    ranks[:len(head)] = [c.rank for c in head]
-    positions, taps, orders = dual._arrays
+    coords, orders = dual.coords, dual.coords.orders
+    positions, taps, _ = dual._arrays
+    levels, seen, taps = [], {}, taps % p
+    while (key := taps.tobytes()) not in seen:
+        seen[key] = len(levels)
+        levels.append(LinearRuleDual(coords, tuple(
+            (v, tuple(map(tuple, m))) for v, m in zip(positions.tolist(), taps.tolist())),
+            (0,) * len(orders)))
+        power = taps
+        for _ in range(p - 1):
+            power = power @ taps % p
+        taps = power
+    after = list(range(1, len(levels))) + [seen[taps.tobytes()]]
+    digits = next(k for k in itertools.count() if p ** k > j_max)
+    index: dict[tuple, int] = {}
+    states: list[tuple[int, Character]] = []
 
-    def joined(parts: list[tuple[np.ndarray, np.ndarray]]
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, coefficient rows) of ``parts`` end to end."""
-        return (np.concatenate([k for k, _ in parts] + [np.empty(0, np.int64)]),
-                np.concatenate([c for _, c in parts]
-                               + [np.empty((0, len(orders)), np.int64)]))
+    def state(level: int, cells: np.ndarray, coeffs: np.ndarray) -> int:
+        cells = cells - cells[:1]           # first cell 0 (none if no rows)
+        key = (level, cells.tobytes(), coeffs.tobytes())
+        if key not in index:
+            index[key] = len(states)
+            states.append((level, Character._from_rows(orders, cells, coeffs, 1.0 + 0j,
+                                                       coords)))
+        return index[key]
 
-    def upto(keys: np.ndarray, row: int) -> int:
-        """How many of the ascending ``keys`` lie in rows ≤ row."""
-        return int(np.searchsorted(keys, max(row + 1, 0) * span))
-
-    # the rows that level p reads
-    store = joined([(c._cells - lo + j * span, c._coeffs)
-                    for j, c in enumerate(head) if j <= j_max - p])
-    K = 1
-    while p * K <= j_max:
-        K *= p
-        taps = _matrix_power_mod(taps, p)
-        live = taps.any(axis=(1, 2))
-        if not live.any():      # F^K = 0: every later image is trivial
-            break
-        # K rows on and K·v cells along, in one key shift per tap
-        shifts, weights = K * positions[live] + K * span, taps[live]
-        parts, src = [store], store
-        for a in range(1, p):
-            if a * K > j_max:
-                break
-            # rows ≤ j_max − K feed step a + 1, rows ≤ j_max − pK level pK
-            last = j_max - (K if a < p - 1 else p * K)
-            made = []
-            for part in _row_slices(src[0], span):
-                keys, coeffs = _merge_taps(src[0][part], src[1][part], shifts,
-                                           weights, orders)
-                images = keys // span
-                if len(images):
-                    ranks[images[0]:images[-1] + 1] += np.bincount(images - images[0])
-                made.append((keys[:upto(keys, last)], coeffs[:upto(keys, last)]))
-            src = joined(made)
-            parts.append(src)
-        last = j_max - p * K
-        store = joined([(k[:upto(k, last)], c[:upto(k, last)]) for k, c in parts])
-    return ranks.tolist()
-
-
-def _row_slices(keys: np.ndarray, span: int) -> Iterator[slice]:
-    """Slices of the ascending ``keys`` (row = key // span) that end at a
-    row's end and hold at most ``_BLOCK`` entries, or one whole row."""
-    start = 0
-    while start < len(keys):
-        end = start + _BLOCK
-        if end < len(keys):
-            # back to the first entry of entry end's row, or on past the
-            # first row when that one row fills the slice
-            end = int(np.searchsorted(keys, keys[end] // span * span))
-            if end == start:
-                end = int(np.searchsorted(keys, (keys[start] // span + 1) * span))
-        yield slice(start, end)
-        start = end
-
-
-def _matrix_power_mod(mats: np.ndarray, p: int) -> np.ndarray:
-    """Each matrix of the stack to the p-th power, mod p."""
-    out = mats % p
-    for _ in range(p - 1):
-        out = out @ mats % p
-    return out
+    state(0, chi._cells, chi._coeffs)
+    ends, edges = [0, 1], []    # states[ends[t]:ends[t + 1]] are at depth t
+    for t in range(digits):
+        for src in range(ends[t], ends[t + 1]):
+            level, q = states[src]
+            for n in range(min(p - 1, j_max // p ** t) + 1):
+                q = dual_action(levels[level], q) if n else q
+                cells, residues = np.divmod(q._cells, p)
+                for r in np.unique(residues):
+                    cls = residues == r
+                    edges.append((n, src, state(after[level], cells[cls], q._coeffs[cls])))
+        ends.append(len(states))
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 3)
+    ranks = np.array([q.rank for _, q in states], dtype=np.int64)[:, None]
+    for k in range(1, digits + 1):
+        # states of depth ≤ digits − k, to the columns that pass k + 1 reads
+        rows = ends[digits - k + 1]
+        nxt = np.zeros((rows, p * ranks.shape[1]), dtype=np.int64)
+        read = edges[edges[:, 1] < rows]
+        for n in range(p):
+            _, src, dst = read[read[:, 0] == n].T
+            np.add.at(nxt[:, n::p], src, ranks[dst])
+        ranks = nxt[:, :j_max // p ** (digits - k) + 1]
+    return ranks[0].tolist()
 
 
 @dataclass
@@ -557,16 +513,20 @@ def diffusion_report(dual: LinearRuleDual, chi: Character, j_max: int,
                      thresholds: Sequence[int] = (2, 4, 10)) -> DiffusionReport:
     """Iterate the dual action and summarize how ranks grow.
 
-    ``ranks[j]`` is the rank of chi's j-th image.  Over A = (Z/p)^d with
-    weight matrices that commute mod p, and cells that stay inside int64,
-    the series is built in Frobenius level blocks: ``dual_action`` makes
-    images 1..p−1, and each later block of images comes from an earlier
-    one in one batched step (:func:`_frobenius_ranks`).  Any other rule
-    calls ``dual_action`` once per image, which refuses a step past int64.
+    ``ranks[j]`` is the rank of chi's j-th image, for 0 ≤ j ≤ j_max; a
+    negative ``j_max`` is refused.  Over A = (Z/p)^d with weight matrices
+    that commute mod p, and cells that stay inside int64, the ranks are
+    read off the base-p digits of j by a small digit automaton
+    (:func:`_digit_ranks`): a state is coefficient rows at a Frobenius
+    level, and digit n leads from it, through n ``dual_action`` steps, to
+    the residue classes mod p of the result.  Any other rule calls
+    ``dual_action`` once per image, which refuses a step past int64.
     ``densities[r]`` is the fraction of 1 ≤ j ≤ j_max with rank > r; the
     trail records that fraction at doubling prefixes, as evidence (never
     an assertion) of diffusion in density.
     """
+    if j_max < 0:
+        raise McaLabError(f"j_max {j_max} is negative; need 0 <= j_max")
     ranks = _rank_series(dual, chi, j_max)
     report = DiffusionReport(ranks, tuple(thresholds), {}, {})
     upto, marks = len(ranks) - 1, _doubling(j_max)

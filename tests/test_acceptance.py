@@ -174,6 +174,12 @@ def test_criterion_10_rank_density():
     assert report.densities[10] > 0.9
 
 
+def test_criterion_10_rank_oracle_far_horizon():
+    # rank(j) = 2^popcount(j) at every j < 2^16, evidence past 4096
+    report = _xor_diffusion(2 ** 16 - 1)
+    assert report.ranks == [2 ** bin(j).count("1") for j in range(2 ** 16)]
+
+
 def test_criterion_10_rank_density_observed():
     report = _xor_diffusion(512)
     assert report.densities[10] == pytest.approx(0.74609375, abs=1e-12)

@@ -286,6 +286,7 @@ MALFORMED_PARAMS = [
     ("diffuse", {"alpha": {"0": [1]}, "j_max": 4, "thresholds": ["a"]}, "config.thresholds"),
     ("diffuse", {"alpha": {"0": [1]}, "j_max": 4, "thresholds": 3}, "config.thresholds"),
     ("diffuse", {"alpha": {"0": [1]}, "j_max": True}, "config.j_max"),
+    ("diffuse", {"alpha": {"0": [1]}, "j_max": -3}, "config.j_max"),
     ("group", {"cap_states": True}, "config.cap_states"),
     ("randomize", {"n_max": 2, "probes": 5}, "config.probes"),
     ("randomize", {"n_max": 2, "probes": {}}, "config.probes"),

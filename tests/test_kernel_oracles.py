@@ -559,7 +559,7 @@ def test_window_weights_narrow_with_their_lowest_denominator():
 
 
 ABELIAN = {"Z4": (4,), "Z2+Z4": (2, 4), "Z3+Z3": (3, 3), "Z2+Z2+Z2": (2, 2, 2)}
-# elementary abelian groups, where rank series take Frobenius level blocks
+# elementary abelian groups, where rank series come off the digits of j
 # while the position matrices commute, next to ABELIAN's other two
 RANK_GROUPS = {**ABELIAN, "Z2": (2,), "Z3": (3,), "Z5": (5,), "Z2+Z2": (2, 2)}
 
@@ -661,17 +661,17 @@ def oracle_ranks(dual, chi, j_max):
     return ranks
 
 
-# far cells: 10**12 needs a sparse key; 2**62 - 3 beside a cell near 0
-# overflows (row, cell) keys at j ≥ 1, and 2**63 - 3 may take the chain
-# past int64, which it refuses
+# far cells: 10**12 beside a cell near 0 needs the depth limit; 2**62 - 3
+# beside one spreads past 2**62, so it takes the chain; and 2**63 - 3 may
+# take the chain past int64, which it refuses
 FAR_CELLS = [-3, -1, 0, 1, 2, 5, 10 ** 12, 2 ** 62 - 3, 2 ** 63 - 3]
 
 
 def assert_rank_series_is_the_chains(dual, chi, j_max):
-    """``diffusion_report`` ranks equal the per-step chain's and the
-    cell-by-cell oracle's, or it raises the chain's error.  (The oracle
-    refuses a nonzero cell past int64, the chain a nonzero image row past
-    it, even one that other rows cancel at its target.)"""
+    """``diffusion_report`` ranks equal the per-step chain's and, to
+    j = 300, the cell-by-cell oracle's, or it raises the chain's error.
+    (The oracle refuses a nonzero cell past int64, the chain a nonzero
+    image row past it, even one that other rows cancel at its target.)"""
     try:
         want = [c.rank for c in spectral._orbit(dual, chi, j_max)]
     except McaLabError as err:
@@ -679,7 +679,7 @@ def assert_rank_series_is_the_chains(dual, chi, j_max):
             diffusion_report(dual, chi, j_max)
         return
     assert diffusion_report(dual, chi, j_max).ranks == want
-    assert oracle_ranks(dual, chi, j_max) == want
+    assert oracle_ranks(dual, chi, min(j_max, 300)) == want[:301]
 
 
 @settings(max_examples=15, deadline=None)
@@ -688,7 +688,7 @@ def assert_rank_series_is_the_chains(dual, chi, j_max):
 @pytest.mark.parametrize("name", sorted(RANK_GROUPS))
 def test_rank_series_matches_the_chain_on_either_route(data, name, horizon):
     """Over Z/2, Z/3, Z/5, (Z/2)², (Z/3)² and (Z/2)³ with commuting
-    matrices the ranks come in level blocks; over Z/4, Z/2⊕Z/4 and with
+    matrices the ranks come off the digits of j; over Z/4, Z/2⊕Z/4 and with
     matrices that do not commute, one step per image.  Both give the
     chain's ranks, at the horizons around p and p², with a trivial seed
     and far cells."""
@@ -745,41 +745,69 @@ def test_noncommuting_matrices_take_the_chain(data, name):
     assert_rank_series_is_the_chains(dual, chi, j_max)
 
 
-@pytest.mark.parametrize("block", [1, 7, 1 << 14])
-def test_level_blocks_ignore_the_slice_size(monkeypatch, block):
-    """Slices of one entry, of a few rows, or one row past the limit, give
-    the chain's ranks: over Z/3 with three positions, and over (Z/3)²
-    (element 3a + b is (a, b)) with diagonal matrices, which commute."""
-    monkeypatch.setattr(spectral, "_BLOCK", block)
+def digit_cases():
+    """(rule, seed, j_max) for the digit automaton, by id: three positions
+    over Z/3 with a spread seed; diagonal matrices over (Z/3)² (element
+    3a + b is (a, b)), which commute; over (Z/2)² (element 2a + b is
+    (a, b)) the identity beside ((1, 1), (1, 0)), of order 3, so the levels
+    cycle with period 2, and beside the nilpotent ((0, 1), (0, 0)), so a
+    later level has a zero tap; and the three-position identity rule over
+    Z/5 from cells 0 and 10^12, which only the depth limit keeps small."""
     G, endos = abelian_endomorphisms("Z3")
     ident = GroupMap.identity(G)
-    cases = [(McaRule(G, -1, 1, [(-1, ident), (0, endos[2]), (1, ident)], 1),
-              {0: (1,), 4: (2,)})]
+    cases = {"Z3-spread-seed": (
+        McaRule(G, -1, 1, [(-1, ident), (0, endos[2]), (1, ident)], 1),
+        {0: (1,), 4: (2,)}, 100)}
     G, _ = abelian_endomorphisms("Z3+Z3")
 
     def diagonal(x, y):
         return GroupMap(G, G, [3 * (x * a % 3) + y * b % 3
                                for a in range(3) for b in range(3)], True)
-    cases.append((McaRule(G, 0, 2, [(0, diagonal(1, 1)), (1, diagonal(1, 2)),
-                                    (2, diagonal(2, 2))]),
-                  {0: (1, 2), 1: (0, 1)}))
-    for rule, support in cases:
-        dual = LinearRuleDual.from_rule(rule)
-        chi = Character.make(dual.coords, support)
-        assert spectral._frobenius_route(dual, chi, 100) is not None
-        assert_rank_series_is_the_chains(dual, chi, 100)
+    cases["Z3+Z3-diagonal"] = (
+        McaRule(G, 0, 2, [(0, diagonal(1, 1)), (1, diagonal(1, 2)),
+                          (2, diagonal(2, 2))]), {0: (1, 2), 1: (0, 1)}, 100)
+    G, _ = abelian_endomorphisms("Z2+Z2")
+
+    def linear(m):
+        """The endomorphism whose matrix has columns m(1, 0) and m(0, 1)."""
+        return GroupMap(G, G, [2 * ((m[0][0] * a + m[0][1] * b) % 2)
+                               + (m[1][0] * a + m[1][1] * b) % 2
+                               for a in range(2) for b in range(2)], True)
+    ident = GroupMap.identity(G)
+    cases["Z2+Z2-period-2"] = (
+        McaRule(G, 0, 1, [(0, ident), (1, linear(((1, 1), (1, 0))))]),
+        {0: (1, 0), 2: (1, 1)}, 300)
+    cases["Z2+Z2-nilpotent"] = (
+        McaRule(G, 0, 1, [(0, ident), (1, linear(((0, 1), (0, 0))))]),
+        {0: (0, 1), 1: (1, 1)}, 300)
+    G, _ = abelian_endomorphisms("Z5")
+    ident = GroupMap.identity(G)
+    cases["Z5-far-seed"] = (
+        McaRule(G, -1, 1, [(-1, ident), (0, ident), (1, ident)]),
+        {0: (1,), 10 ** 12: (2,)}, 5 ** 5 - 1)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(digit_cases()))
+def test_digit_ranks_match_the_chain(case):
+    rule, support, j_max = digit_cases()[case]
+    dual = LinearRuleDual.from_rule(rule)
+    chi = Character.make(dual.coords, support)
+    assert spectral._frobenius_route(dual, chi, j_max) is not None
+    assert_rank_series_is_the_chains(dual, chi, j_max)
 
 
 def test_level_blocks_need_commuting_matrices():
-    """Forced onto level blocks, a rule whose matrices do not commute gets
-    other ranks than the chain: Frobenius needs the commuting hypothesis."""
+    """Forced onto the digit automaton, a rule whose matrices do not
+    commute gets other ranks than the chain: Frobenius needs the
+    commuting hypothesis."""
     G, _ = abelian_endomorphisms("Z2+Z2")
     (x, y), *_ = noncommuting_pairs("Z2+Z2")
     dual = LinearRuleDual.from_rule(McaRule(G, 0, 1, [(0, x), (1, y)]))
     chi = Character.make(dual.coords, {0: (1, 0), 1: (0, 1)})
-    forced = [spectral._frobenius_ranks(dual, chi, j, 2, -1, 2 + j)[-1]
-              for j in range(1, 41)]
-    assert forced != [c.rank for c in spectral._orbit(dual, chi, 40)][1:]
+    assert spectral._frobenius_route(dual, chi, 40) is None
+    forced = spectral._digit_ranks(dual, chi, 40, 2)
+    assert forced != [c.rank for c in spectral._orbit(dual, chi, 40)]
 
 
 def test_chain_character_equals_its_tuple_rebuild():

@@ -241,8 +241,9 @@ def test_dual_chains_call_the_module_level_dual_action_once_per_step(
     """perfbench's tracer times the dual chain by wrapping this one name.
 
     A rule outside the Frobenius hypothesis (over Z/4) calls it once per
-    image.  xor over Z/2 calls it for image 1 = p − 1 alone and takes every
-    later image in level blocks, with the chain's ranks."""
+    image.  xor over Z/2 reads every rank off the digits of j from one
+    digit-automaton state, whose digit-1 edge is its one call, and gets the
+    chain's ranks."""
     calls = []
     step = spectral.dual_action
 
@@ -270,8 +271,8 @@ def test_dual_chains_call_the_module_level_dual_action_once_per_step(
 
 
 def test_xor_rank_series_to_4096_stays_small():
-    """Level blocks keep only the rows a later block reads and step them in
-    slices of at most 2**14 entries: 16 MiB bounds the traced peak."""
+    """The digit automaton keeps one row of ranks per state, and only the
+    columns a later pass reads: 16 MiB bounds the traced peak."""
     rule = xor_rule()
     chi = Character.make(abelian_invariants(rule.group), {0: (1,)})
     dual = LinearRuleDual.from_rule(rule)
@@ -307,6 +308,15 @@ def test_density_trail_matches_density_at_every_mark(j_max):
         assert [m for m, _ in report.density_trail[r]] == spectral._doubling(j_max)
         for m, value in report.density_trail[r]:
             assert repr(value) == repr(report.density(r, m))
+
+
+def test_diffusion_report_refuses_a_negative_horizon():
+    rule = xor_rule()
+    chi = Character.make(abelian_invariants(rule.group), {0: (1,)})
+    for j_max in (-1, -3):
+        with pytest.raises(McaLabError,
+                           match=rf"j_max {j_max} is negative; need 0 <= j_max"):
+            diffusion_report(LinearRuleDual.from_rule(rule), chi, j_max)
 
 
 def test_density_refuses_a_horizon_outside_the_report():
@@ -372,8 +382,9 @@ def test_relative_diffusion_ranks_on_the_central_split(quat_rule4,
 
 def test_relative_diffusion_rank_reads_the_rank_series(
         monkeypatch, quat_rule4, q8_center_frame):
-    """The centre of Q8 is Z/2, so the linear rule's ranks come in level
-    blocks: j = 100 takes one ``dual_action`` call and gets the chain's rank."""
+    """The centre of Q8 is Z/2, so the linear rule's ranks come off the
+    digits of j: j = 100 takes one ``dual_action`` call for each of the
+    three digit-automaton states, and gets the chain's rank."""
     split = central_split(quat_rule4, q8_center_frame)
     alpha = Character.make(abelian_invariants(q8_center_frame.a_group), {0: (1,)})
     dual = LinearRuleDual.from_rule(split.lin_rule)
@@ -383,7 +394,7 @@ def test_relative_diffusion_rank_reads_the_rank_series(
     monkeypatch.setattr(spectral, "dual_action",
                         lambda dual, chi: calls.append(chi) or step(dual, chi))
     assert relative_diffusion_rank(split, alpha, 100) == want
-    assert len(calls) == 1
+    assert len(calls) == 3
 
 
 def test_fibre_ranks_are_independent_of_the_base_word(quat_rule4,

@@ -747,9 +747,10 @@ def test_noncommuting_matrices_take_the_chain(data, name):
 
 def digit_cases():
     """(rule, seed, j_max) for the digit automaton, by id: three positions
-    over Z/3 with a spread seed; diagonal matrices over (Z/3)² (element
-    3a + b is (a, b)), which commute; over (Z/2)² (element 2a + b is
-    (a, b)) the identity beside ((1, 1), (1, 0)), of order 3, so the levels
+    over Z/3 with a spread seed, at j_max 100 and at 3^7 - 1, where every
+    digit of j_max is p - 1 and no pass trims its columns; diagonal
+    matrices over (Z/3)² (element 3a + b is (a, b)), which commute; over
+    (Z/2)² (element 2a + b is (a, b)) the identity beside ((1, 1), (1, 0)), of order 3, so the levels
     cycle with period 2, and beside the nilpotent ((0, 1), (0, 0)), so a
     later level has a zero tap; and the three-position identity rule over
     Z/5 from cells 0 and 10^12, which only the depth limit keeps small."""
@@ -758,6 +759,8 @@ def digit_cases():
     cases = {"Z3-spread-seed": (
         McaRule(G, -1, 1, [(-1, ident), (0, endos[2]), (1, ident)], 1),
         {0: (1,), 4: (2,)}, 100)}
+    cases["Z3-spread-seed-full-digits"] = (
+        cases["Z3-spread-seed"][0], {0: (1,), 4: (2,)}, 3 ** 7 - 1)
     G, _ = abelian_endomorphisms("Z3+Z3")
 
     def diagonal(x, y):

@@ -3,13 +3,15 @@
 Measures on length-ℓ windows are stored as integer numerators over one
 common denominator, so push-forward and marginalization are exact; only
 the final entropy evaluation leaves the rationals.  Every exhaustive path
-takes one route: digit planes of the word indices, local-table steps
-(``rules.step_cells``), then integer weights summed by image word.
+takes one route: each observed word's index is a sum of local-table terms
+over its input cells' letters (``rules.step_cells`` steps only cells
+observed after a second step), then integer weights are summed by image word.
 Bipermutative rules admit closed-form entropies (overlap × shift entropy),
 which the trajectory-enumeration functions cross-check at finite horizon.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -21,7 +23,8 @@ import numpy as np
 
 from .errors import McaLabError, NotPermutativeError, WindowError
 from .groups import FiniteGroup
-from .rules import McaRule, code_dtype, is_bipermutative, step_buffers, step_cells
+from .rules import (McaRule, code_dtype, is_bipermutative, local_table, step_buffers,
+                    step_cells)
 from .util import STATE_CAP, check_cap, digit_planes, index_word
 
 __all__ = [
@@ -385,13 +388,20 @@ def _observation_keys(m: WindowMeasure, rule: McaRule, windows: Sequence,
     ``letters[t, x]`` in that cell (x itself when None: a fibre word runs
     as its star word over a fixed quotient word this way).  Yields the
     chunk of input word indices and the big-endian index (intp), over the
-    rule's group, of each observation.  Every buffer is allocated once per
-    call, so the chunk loop itself allocates nothing: the start cells and
-    the cells of every chunk's leading word, in the rule's code dtype (see
-    :func:`rules.step_cells`), one workspace that every step of the chain
-    runs in place in (none when no step runs), and the key.  The key
-    buffer is reused: a consumer must use each key before it advances
-    the iterator.
+    rule's group, of each observation.
+
+    A step is a sliding-block code, each time-1 cell a function of the
+    ``rule.width`` cells under it, so the key of the time-0 and time-1
+    cells is a sum of one term per cell: its letter column, or the
+    :func:`rules.local_table` over its input cells' letters, times its
+    place value.  A chunk fixes the leading cells; the terms of tail cells
+    alone are summed once, and each chunk adds the others, indexed by its
+    leading letters and broadcast over the tail.  Only a window observed
+    after a second step needs cells: the time-1 cells, broadcast from the
+    same tables in the code dtype, are stepped by :func:`rules.step_cells`
+    in one workspace.  Every chunk-sized buffer is allocated once per
+    call, so the chunk loop itself allocates nothing.  The key buffer is
+    reused: a consumer must use each key before it advances the iterator.
     """
     s, length, base = m.size, m.length, rule.group.order
     code = code_dtype(base, rule.width)
@@ -399,29 +409,77 @@ def _observation_keys(m: WindowMeasure, rule: McaRule, windows: Sequence,
                else letters).astype(code)
     low = _tail_cells(s, length)
     words, high = s ** low, length - low
-    # the cells of every tail word, one column each, and of every head word,
-    # which fixes the leading cells of one chunk
-    tail, heads = (np.take_along_axis(part, digit_planes(np.arange(s ** n), s, n).T,
-                                      axis=1)
-                   for part, n in ((letters[high:], low), (letters[:high], high)))
-    cells = np.empty((length, words), dtype=code)
-    # cell-major: the tail cells run through every tail word in each chunk
-    cells[high:] = tail
-    work = step_buffers(rule, cells.shape) if len(windows) > 1 else None
-    key, digit = np.empty(words, dtype=np.intp), np.empty(words, dtype=np.intp)
-    for head in range(s ** high):
-        cells[:high] = heads[:, head:head + 1]
-        block, lo = cells, m.lo
-        key.fill(0)
-        for n, (w_lo, w_hi) in enumerate(windows):
-            if n:
+    table = local_table(rule, cap) if len(windows) > 1 else None
+
+    def image(t):
+        """The time-1 cell over input cells t .. t + width - 1, on every
+        word of their letters: shape (s,) * width, in the code dtype."""
+        codes = np.zeros((), dtype=np.intp)
+        for column in letters[t:t + rule.width]:
+            codes = codes[..., None] * base + column
+        return table.take(codes)
+
+    def placed(t, values):
+        """(t, h, values) for values over input cells t, t + 1, ...: the
+        first h axes are leading cells, indexed by a chunk's digits[t:t + h],
+        and the rest broadcast over the chunk's (s,) * low tail words."""
+        h = min(values.ndim, max(high - t, 0))
+        lead = max(t - high, 0)
+        trail = low - lead - (values.ndim - h)
+        return t, h, values.reshape(values.shape[:h] + (1,) * lead
+                                    + values.shape[h:] + (1,) * trail)
+
+    # the terms of the cells observed at times 0 and 1, in a dtype that
+    # holds their key; each later window extends it digit by digit
+    count = sum(hi - lo for lo, hi in windows[:2])
+    weight, terms = code_dtype(base, count), []
+    for n, (w_lo, w_hi) in enumerate(windows[:2]):
+        for x in range(w_lo, w_hi):
+            count -= 1
+            t = x - m.lo + n * rule.v_lo
+            terms.append(placed(t, np.multiply(image(t) if n else letters[t],
+                                               base ** count, dtype=weight)))
+    tail = np.zeros((s,) * low, dtype=np.intp)
+    for _, h, values in terms:
+        if not h:
+            tail += values
+    head = [term for term in terms if term[1]]
+    # the head terms' sum over the tail cells they reach; with no leading
+    # cells there is one chunk, whose key is the tail sum itself
+    part = np.zeros(np.broadcast_shapes((1,) * low, *(v.shape[h:] for _, h, v in head)),
+                    dtype=np.intp)
+    key = np.empty_like(tail) if high else tail
+    later = windows[2:]
+    if later:
+        cells = np.empty((length - rule.spread,) + tail.shape, dtype=code)
+        fills = [placed(t, image(t)) for t in range(len(cells))]
+        for t, h, values in fills:
+            if not h:
+                cells[t] = values
+        fills = [fill for fill in fills if fill[1]]
+        work = step_buffers(rule, (len(cells), words))
+        digit = np.empty(words, dtype=np.intp)
+    flat = key.reshape(words)
+    for chunk, digits in enumerate(itertools.product(range(s), repeat=high)):
+        if high:
+            part.fill(0)
+            for t, h, values in head:
+                part += values[digits[t:t + h]]
+            # copyto broadcasts without the buffers a ufunc would allocate
+            np.copyto(key, part)
+            key += tail
+        if later:
+            for t, h, values in fills:
+                np.copyto(cells[t, ...], values[digits[t:t + h]])
+            block, lo = cells.reshape(len(cells), words), m.lo - rule.v_lo
+            for w_lo, w_hi in later:
                 block = step_cells(rule, block, cap, work)
                 lo -= rule.v_lo
-            for x in range(w_lo, w_hi):
-                key *= base
-                np.copyto(digit, block[x - lo])   # an unbuffered cast to intp
-                key += digit
-        yield slice(head * words, (head + 1) * words), key
+                for x in range(w_lo, w_hi):
+                    flat *= base
+                    np.copyto(digit, block[x - lo])   # an unbuffered cast to intp
+                    flat += digit
+        yield slice(chunk * words, (chunk + 1) * words), flat
 
 
 def _trajectory_setup(rule: McaRule, spec: MeasureSpec, n_steps: int, cap: int):

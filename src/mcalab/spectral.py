@@ -551,6 +551,8 @@ def _doubling(n: int) -> list[int]:
 
 def relative_diffusion_rank(split, alpha: Character, j: int) -> int:
     """rank[alpha ∘ fibre^(j)] in the central case = rank[alpha ∘ lin^j]."""
+    if j < 0:
+        raise McaLabError(f"j {j} is negative; need 0 <= j")
     if not split.frame.a_is_central:
         raise NotCentralError("relative diffusion rank needs the central case")
     dual = LinearRuleDual.from_rule(split.lin_rule)
@@ -729,6 +731,8 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
     checkpoints.  Past ``n_exact`` the Cesàro columns average the rows
     present, exact and MC, not every n ≤ N (ROADMAP item 2).
     """
+    if n_max < 0:
+        raise McaLabError(f"n_max {n_max} is negative; need 0 <= n_max")
     if tv_cells < 1:
         raise McaLabError(f"tv_cells: need a positive integer, got {tv_cells}")
     group = rule.group

@@ -118,9 +118,7 @@ def random_measure(seed, size, lo, length, scale=1):
     return WindowMeasure(size, lo, lo + length, tuple(num), sum(num))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data(), group_names, st.integers(0, 2**32 - 1))
-def test_push_forward_matches_oracle(data, name, seed):
+def assert_push_forward_matches_oracle(data, name, seed):
     G = group(name)
     v_lo, v_hi = data.draw(neighborhoods(max_len(G.order)))
     length = data.draw(st.integers(v_hi - v_lo + 1, max_len(G.order)))
@@ -130,6 +128,23 @@ def test_push_forward_matches_oracle(data, name, seed):
     out = push_forward(op, m)
     assert (out.lo, out.hi, out.den) == (out_cells.start, out_cells.stop, m.den)
     assert out.num.tolist() == push_forward_oracle(op, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), group_names, st.integers(0, 2**32 - 1))
+def test_push_forward_matches_oracle(data, name, seed):
+    assert_push_forward_matches_oracle(data, name, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@settings(max_examples=20, deadline=None)
+@given(st.data(), group_names, st.integers(0, 2**32 - 1))
+def test_push_forward_matches_oracle_across_chunks(chunk, data, name, seed):
+    """A chunk of one word, or of 7, fixes leading cells inside the window
+    of some image cell, whose local-table term is then indexed by them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_CHUNK", chunk)
+        assert_push_forward_matches_oracle(data, name, seed)
 
 
 def test_step_cells_matches_oracle_from_any_integer_dtype():
@@ -348,15 +363,12 @@ def test_products_match_oracle_across_chunks(chunk, data, name, seed, big):
                                       2**62 + 2**31 + 1 if big else 1)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data(), group_names, st.integers(0, 2**32 - 1),
-       st.sampled_from(["rule", "uniform rule"]))
-def test_trajectory_law_matches_oracle(data, name, seed, kind):
+def assert_trajectory_law_matches_oracle(data, name, seed, kind):
+    """n_steps 1 to 3: with three, the time-1 cells are stepped once more."""
     G = group(name)
-    v_lo, v_hi = data.draw(neighborhoods(3))
-    overlap = -min(v_lo, 0) + max(0, v_hi)
-    longest = max_len(G.order) // overlap if overlap else 3
-    n_steps = data.draw(st.integers(1, min(longest, 3)))
+    n_steps = data.draw(st.integers(1, 3))
+    v_lo, v_hi = data.draw(neighborhoods(3).filter(
+        lambda nb: (max(nb[1], 0) - min(nb[0], 0)) * n_steps <= max_len(G.order)))
     if kind == "uniform rule":
         spec = MeasureSpec("uniform", G.order)
     else:
@@ -372,6 +384,26 @@ def test_trajectory_law_matches_oracle(data, name, seed, kind):
                             abs_tol=1e-12)
     else:
         assert repr(got) == repr(partition_entropy_oracle(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), group_names, st.integers(0, 2**32 - 1),
+       st.sampled_from(["rule", "uniform rule"]))
+def test_trajectory_law_matches_oracle(data, name, seed, kind):
+    assert_trajectory_law_matches_oracle(data, name, seed, kind)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@settings(max_examples=20, deadline=None)
+@given(st.data(), group_names, st.integers(0, 2**32 - 1),
+       st.sampled_from(["rule", "uniform rule"]))
+def test_trajectory_law_matches_oracle_across_chunks(chunk, data, name, seed, kind):
+    """Chunks of one word or of 7 split the generating window between
+    leading and tail cells inside the terms' windows, before and after
+    the stepping boundary at three time steps."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_CHUNK", chunk)
+        assert_trajectory_law_matches_oracle(data, name, seed, kind)
 
 
 @settings(max_examples=25, deadline=None)

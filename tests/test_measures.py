@@ -421,6 +421,32 @@ def test_trajectory_law_is_independent_of_the_chunk(monkeypatch, chunk):
     assert joint == want and list(joint) == list(want) == sorted(joint)
 
 
+@pytest.mark.parametrize("chunk", [1 << 16, 7])
+def test_exact_paths_step_only_past_the_first_step(monkeypatch, chunk):
+    """A push-forward and a trajectory law over up to two time steps read
+    the image off local-table terms and never call ``step_cells``; a third
+    time step steps the time-1 cells once per chunk, in one workspace."""
+    rule, spec = sum_rule(3), MeasureSpec(
+        "bernoulli", 3, probs=[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+    step, works = measures.step_cells, []
+
+    def spy(op, cells, cap, work=None):
+        works.append(work)
+        return step(op, cells, cap, work)
+
+    monkeypatch.setattr(measures, "step_cells", spy)
+    monkeypatch.setattr(measures, "_CHUNK", chunk)
+    push_forward(rule, spec.window_measure(0, 6, rule.group))
+    for n_steps in (1, 2):
+        trajectory_joint_distribution(rule, spec, n_steps)
+    assert works == []
+    # 3^3 input words: one chunk, or nine of 3 words when a chunk holds 7
+    assert trajectory_joint_distribution(rule, spec, 3) == trajectory_oracle(
+        rule, spec, 3)
+    assert len(works) == (1 if chunk > 27 else 9)
+    assert works[0] is not None and all(w is works[0] for w in works)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 8), st.booleans())
 def test_push_forward_conserves_mass(k, use_collapsing):

@@ -319,6 +319,26 @@ def test_diffusion_report_refuses_a_negative_horizon():
             diffusion_report(LinearRuleDual.from_rule(rule), chi, j_max)
 
 
+def test_relative_diffusion_rank_refuses_a_negative_horizon(quat_rule4,
+                                                            q8_center_frame):
+    split = central_split(quat_rule4, q8_center_frame)
+    dec = decompose_mca(quat_rule4, q8_center_frame)
+    alpha = Character.make(abelian_invariants(q8_center_frame.a_group), {0: (1,)})
+    for j in (-1, -3):
+        with pytest.raises(McaLabError, match=rf"j {j} is negative; need 0 <= j"):
+            relative_diffusion_rank(split, alpha, j)
+        with pytest.raises(McaLabError, match=rf"j {j} is negative; need 0 <= j"):
+            fibre_rank_independence(dec, split, alpha, j)
+
+
+def test_cesaro_randomization_refuses_a_negative_horizon():
+    chi = Character.make(abelian_invariants(xor_rule().group), {0: (1,)})
+    for n_max in (-1, -2):
+        with pytest.raises(McaLabError,
+                           match=rf"n_max {n_max} is negative; need 0 <= n_max"):
+            cesaro_randomization(xor_rule(), bern(9, 10), n_max, [Probe("x", chi)])
+
+
 def test_density_refuses_a_horizon_outside_the_report():
     rule = xor_rule()
     chi = Character.make(abelian_invariants(rule.group), {0: (1,)})
@@ -520,9 +540,11 @@ def test_monte_carlo_rows_are_reproducible(quat_rule3, q8_center_frame):
 @pytest.mark.parametrize("kernel", ["table", "planes"])
 def test_monte_carlo_rows_ignore_row_blocks_and_threads(
         monkeypatch, quat_rule3, quat_rule4, q8_center_frame, budget, kernel):
-    """A block budget of 1 evolves one row (table) or one 64-sample lane
-    (planes) per block, 10**9 one block per chunk; on either kernel, serial
-    or threaded, the rows are the table kernel's at the default budget."""
+    """On the table kernel a block budget of 1 evolves one row per block,
+    10**9 one block per chunk; the plane kernel steps one chain per chunk
+    whatever the budget, so its cases vary the threads alone.  On either
+    kernel, serial or threaded, the rows are the table kernel's at the
+    default budget."""
     frame = q8_center_frame
     A, C = frame.a_group, frame.C
     alpha = Character.make(abelian_invariants(A), {0: (1,)})

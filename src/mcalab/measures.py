@@ -1,11 +1,12 @@
 """Exact window measures, push-forwards, and partition entropies.
 
-Measures on length-ℓ windows are stored as integer numerators over one
-common denominator, so push-forward and marginalization are exact; only
-the final entropy evaluation leaves the rationals.  Every exhaustive path
-takes one route: each observed word's index is a sum of local-table terms
-over its input cells' letters (``rules.step_cells`` steps only cells
-observed after a second step), then integer weights are summed by image word.
+Measures on length-ℓ windows, trajectory laws among them (one cell per
+observation), are stored as integer numerators over one common
+denominator, so push-forward and marginalization are exact; only the final
+entropy evaluation leaves the rationals.  Every exhaustive path takes one
+route: each observed word's index is a sum of local-table terms over its
+input cells' letters (``rules.step_cells`` steps only cells observed after
+a second step), then integer weights are summed by image word.
 Bipermutative rules admit closed-form entropies (overlap × shift entropy),
 which the trajectory-enumeration functions cross-check at finite horizon.
 """
@@ -25,7 +26,7 @@ from .errors import McaLabError, NotPermutativeError, WindowError
 from .groups import FiniteGroup
 from .rules import (McaRule, code_dtype, is_bipermutative, local_table, step_buffers,
                     step_cells)
-from .util import STATE_CAP, check_cap, digit_planes, index_word
+from .util import STATE_CAP, check_cap, index_word
 
 __all__ = [
     "WindowMeasure",
@@ -70,6 +71,16 @@ def _window_length(lo: int, hi: int) -> int:
     if hi < lo:
         raise WindowError(f"bad window [{lo}..{hi})")
     return hi - lo
+
+
+def _exact_sum(num: np.ndarray, den: int) -> int:
+    """Exact sum of weights in [0, den]: int64 sums over blocks of
+    (2**63 - 1) // den weights, which cannot wrap, added as Python ints."""
+    if den >= 2 ** 62 or num.size * den < 2 ** 63:
+        # one buffered pass, with no int64 copy of narrower weights
+        return num.sum(dtype=object if den >= 2 ** 62 else np.int64)
+    starts = np.arange(0, num.size, (2 ** 63 - 1) // den)
+    return sum(np.add.reduceat(num, starts, dtype=np.int64).tolist())
 
 
 def _frozen(num: np.ndarray) -> np.ndarray:
@@ -122,9 +133,7 @@ class WindowMeasure:
         # min and max allocate no temporary as large as the weights
         if den <= 0 or (num.size and num.min() < 0):
             raise McaLabError("weights must be nonnegative with positive denominator")
-        # entries in [0, den] cannot wrap an int64 sum below 2**63 in total
-        exact = np.int64 if num.size * den < 2 ** 63 else object
-        if (num.size and num.max() > den) or num.sum(dtype=exact) != den:
+        if (num.size and num.max() > den) or _exact_sum(num, den) != den:
             raise McaLabError("weights must sum exactly to the denominator")
         if not kept:
             num = num.astype(_weight_dtype(den), copy=False)
@@ -498,30 +507,16 @@ def _trajectory_setup(rule: McaRule, spec: MeasureSpec, n_steps: int, cap: int):
 
 
 def trajectory_joint_distribution(op: McaRule, spec: MeasureSpec, n_steps: int,
-                                  cap: int = STATE_CAP) -> dict[tuple[int, ...], Fraction]:
+                                  cap: int = STATE_CAP) -> WindowMeasure:
     """Joint law of the cells [-L..R) observed at times 0..n_steps-1.
 
-    Keys are the concatenated observations (time-major), in ascending
-    word-index order; enumeration runs over the generating input window
-    [-nL..nR).  Words of equal weight share one ``Fraction``.
+    A measure on [0..N·(L+R)), one cell per observation, time-major (cell
+    n·(L+R) + i is cell i - L at time n), over the denominator of the law
+    of the generating input window [-NL..NR), which enumeration runs over.
     """
     m, windows = _trajectory_setup(op, spec, n_steps, cap)
-    s, length, den = m.size, m.length, m.den
     num = _observed_weights(m, op, windows, cap)
-    del m  # only one weight array stays alive while the dict grows
-    idx = np.flatnonzero(num)
-    # one Fraction per distinct weight, shared by every word that has it
-    weights, which = np.unique(num[idx], return_inverse=True)
-    probs = [Fraction(w, den) for w in weights.tolist()]
-    joint: dict[tuple[int, ...], Fraction] = {}
-    # a chunk of words at a time, one list per cell: zip builds each key
-    # tuple directly, and no list per word or digit plane of every word exists
-    for start in range(0, len(idx), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        cells = digit_planes(idx[part], s, length).T.tolist()
-        keys = zip(*cells) if length else [()] * len(idx[part])
-        joint.update(zip(keys, map(probs.__getitem__, which[part].tolist())))
-    return joint
+    return WindowMeasure(m.size, 0, m.length, _frozen(num), m.den, op.group)
 
 
 def trajectory_partition_entropy(op: McaRule, spec: MeasureSpec, n_steps: int,
@@ -532,10 +527,11 @@ def trajectory_partition_entropy(op: McaRule, spec: MeasureSpec, n_steps: int,
     on [-NL..NR) (the two partitions are equivalent).  A uniform measure
     counts the preimages of each outcome in numpy; when every outcome is
     hit once the trajectory map is a bijection and the result is the closed
-    form length·log2(size).  Any other measure takes the exact joint law
-    (:func:`trajectory_joint_distribution`).  Both non-closed routes return
+    form length·log2(size).  Any other measure takes the exact joint law,
+    a :class:`WindowMeasure` (:func:`trajectory_joint_distribution`).  Both
+    non-closed routes read integer weights over one denominator and return
     the exact sum of the per-outcome terms rounded once, one term per
-    distinct weight (:func:`partition_entropy`).
+    distinct weight (:func:`_weights_entropy`).
     """
     if spec.kind != "uniform":
         return partition_entropy(trajectory_joint_distribution(op, spec, n_steps, cap))

@@ -29,8 +29,9 @@ its nilpotent tower level by level, one window word at a time, and
 ``GroupMap.compose`` per factor, one quotient word at a time.
 ``partition_entropy_oracle`` divides every outcome's weight by the exact
 total and sums the terms with ``math.fsum``.  Property tests compare each
-with the library.  ``point_mass``, ``prob``, ``probs``, ``word_index`` and
-``same_distribution`` build and read window measures one word at a time.
+with the library.  ``point_mass``, ``prob``, ``probs``, ``law_items``,
+``word_index`` and ``same_distribution`` build and read window measures
+one word at a time.
 The paper's endomorphism test (``is_homomorphic_local``,
 ``extract_eca_coefficients``), ``filling_solve``, ``characters_of``, the
 window sum ``fourier_coefficient`` and ``harmonic_mixing_profile`` check
@@ -189,6 +190,14 @@ def prob(m, word_or_index) -> Fraction:
 def probs(m) -> list[Fraction]:
     """Every word's probability under ``m``, in word-index order."""
     return [Fraction(n, m.den) for n in m.num.tolist()]
+
+
+def law_items(m) -> dict[tuple[int, ...], Fraction]:
+    """The words of nonzero weight under ``m`` and their probabilities, in
+    ascending word-index order (as :func:`trajectory_oracle` keys them)."""
+    idx = np.flatnonzero(m.num).tolist()
+    words = digit_planes(np.array(idx, dtype=np.int64), m.size, m.length).tolist()
+    return {tuple(w): Fraction(int(m.num[i]), m.den) for w, i in zip(words, idx)}
 
 
 def same_distribution(m, other) -> bool:

@@ -24,7 +24,7 @@ from mcalab import (Character, GroupMap, McaRule, MeasureSpec, Probe,
                     trajectory_partition_entropy, upper_central_series)
 
 from oracles import (characters_of, fourier_coefficient,
-                     harmonic_mixing_profile, probs)
+                     harmonic_mixing_profile, law_items, probs)
 
 
 def test_criterion_01_quaternion_central_series(q8):
@@ -109,7 +109,7 @@ def test_criterion_07_trajectory_matches_input_marginal():
     spec = MeasureSpec("bernoulli", 2, probs=[Fraction(9, 10),
                                               Fraction(1, 10)])
     for n in (1, 2, 3, 4):
-        joint = trajectory_joint_distribution(rule, spec, n)
+        joint = law_items(trajectory_joint_distribution(rule, spec, n))
         marginal = spec.window_measure(0, n)  # [-nL..nR) with L=0, R=1
         assert sorted(joint.values()) == sorted(probs(marginal))
 

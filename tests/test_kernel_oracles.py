@@ -41,7 +41,7 @@ from conftest import dihedral, heisenberg, quaternion16, traced_peak
 
 from oracles import (dual_action_oracle, fibre_oracle, fibre_rank_oracle,
                      fibre_trajectory_entropy_oracle, marginal_oracle,
-                     partition_entropy_oracle, probs,
+                     law_items, partition_entropy_oracle, probs,
                      sample_words_oracle,
                      push_forward_oracle, recompose_oracle,
                      star_product_oracle, tower_oracle, trajectory_oracle,
@@ -377,7 +377,13 @@ def assert_trajectory_law_matches_oracle(data, name, seed, kind):
                            probs=[Fraction(x, sum(w)) for x in w])
     op = data.draw(rules(name, v_lo, v_hi))
     want = trajectory_oracle(op, spec, n_steps)
-    assert trajectory_joint_distribution(op, spec, n_steps) == want
+    law = trajectory_joint_distribution(op, spec, n_steps)
+    # one cell per observation, over the input law's denominator
+    assert (law.size, law.lo, law.hi, law.group) == (
+        G.order, 0, op.overlap * n_steps, op.group)
+    assert law.den == spec.window_measure(0, law.length).den
+    assert law.num.dtype == weight_dtype_oracle(law.den)
+    assert law_items(law) == want
     got = trajectory_partition_entropy(op, spec, n_steps)
     if kind == "uniform rule":
         assert math.isclose(got, partition_entropy_oracle(want), rel_tol=1e-12,

@@ -22,10 +22,11 @@ from mcalab import (Config, GroupMap, McaLabError, McaRule, MeasureSpec,
                     star_product_measure, trajectory_joint_distribution,
                     trajectory_partition_entropy)
 from mcalab import measures
+from mcalab.specs import load_experiment, parse_measure
 
 from conftest import traced_peak
-from oracles import (partition_entropy_oracle, point_mass, prob, probs,
-                     same_distribution, trajectory_oracle)
+from oracles import (law_items, partition_entropy_oracle, point_mass, prob,
+                     probs, same_distribution, trajectory_oracle)
 
 HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
 EIGHTH = Fraction(1, 8)
@@ -142,14 +143,15 @@ def test_markov_shift_entropy_is_conditional_entropy():
 
 
 def test_trajectory_joint_is_a_distribution():
-    joint = trajectory_joint_distribution(xor_rule(), bern_point_nine(), 3)
+    joint = law_items(trajectory_joint_distribution(xor_rule(), bern_point_nine(), 3))
     assert sum(joint.values()) == 1
     assert all(len(k) == 3 for k in joint)
     # a rule with no overlap observes no cell: one empty outcome
     G = make_cyclic(2)
     copy = McaRule(G, 0, 0, [(0, GroupMap.identity(G))], one_sided=True)
     for n in (0, 2):
-        assert trajectory_joint_distribution(copy, bern_point_nine(), n) == {(): 1}
+        assert law_items(trajectory_joint_distribution(copy, bern_point_nine(), n)) == {
+            (): 1}
 
 
 def test_uniform_trajectory_fast_path_agrees_with_enumeration():
@@ -395,6 +397,65 @@ def test_uniform_trajectory_count_is_the_oracle_sum(monkeypatch):
         assert repr(got) == repr(want), (op, s)
 
 
+def test_non_uniform_trajectory_entropy_reads_one_joint_law(monkeypatch):
+    """Any other law takes its entropy from exactly one joint law."""
+    rule = sum_rule(3)
+    specs = [MeasureSpec("bernoulli", 3,
+                         probs=[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]),
+             MeasureSpec("markov", 3, transition=[[HALF, HALF, 0], [0, HALF, HALF],
+                                                  [HALF, 0, HALF]],
+                         initial=[Fraction(1, 3)] * 3)]
+    joint, calls = measures.trajectory_joint_distribution, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return joint(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "trajectory_joint_distribution", spy)
+    for spec in specs:
+        calls.clear()
+        got = trajectory_partition_entropy(rule, spec, 3)
+        assert len(calls) == 1, spec.kind
+        assert repr(got) == repr(partition_entropy_oracle(
+            trajectory_oracle(rule, spec, 3))), spec.kind
+
+
+def test_metacyclic_trajectory_entropy_holds_one_weight_array():
+    """The benchmark's Z/5⋊Z/4 rule and Bernoulli law at N = 2, 20^4
+    observation words: the law and its entropy stay within a few int32
+    arrays of 20^4 weights (640 kB each)."""
+    cfg = load_experiment(str(ROOT / "perfbench" / "configs" / "entropy_metacyclic.json"))
+    spec = parse_measure(cfg.group.order, cfg.param("measure"))
+    got, peak = traced_peak(trajectory_partition_entropy, cfg.rule, spec, 2)
+    assert repr(got) == "16.683802377818676"
+    assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("den, length", [(2 ** 62 - 1, 3), (10 ** 16, 16)])
+def test_measure_sums_weights_exactly_past_int64(den, length):
+    """Past size·den = 2**63 an int64 sum of the weights can wrap; they are
+    summed exactly instead.  An exact sum is accepted, one off either way
+    is refused, and so is a sum that passes den by 2**64 with every weight
+    at most den, or one that does so through weights above den."""
+    n = 2 ** length
+    assert n * den >= 2 ** 63
+    even = np.full(n, den // n, dtype=np.int64)
+    even[-1] += den % n
+    assert WindowMeasure(2, 0, length, even, den).num.tolist() == even.tolist()
+    k, r = divmod(2 ** 64 + den, den)
+    wrapped, above = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    wrapped[:k + 1] = [den] * k + [r]
+    above[:3] = [2 ** 63 - 1, 2 ** 63 - 1, den + 2]
+    bad = [wrapped, above]
+    for delta in (-1, 1):
+        bad.append(even.copy())
+        bad[-1][n // 2] += delta
+    for num in bad:
+        assert int(num.sum()) in (den - 1, den, den + 1)   # as int64 wraps it
+        with pytest.raises(McaLabError, match="sum exactly"):
+            WindowMeasure(2, 0, length, num, den)
+
+
 def test_trajectory_law_past_int64_weights():
     """A window denominator of at least 2**62 keeps Python-int weights."""
     q = 2 ** 61 - 1
@@ -403,7 +464,9 @@ def test_trajectory_law_past_int64_weights():
                        probs=[Fraction(1, q), Fraction(5, q), Fraction(q - 6, q)])
     assert spec.window_measure(0, 3).num.dtype == object
     want = trajectory_oracle(rule, spec, 3)
-    joint = trajectory_joint_distribution(rule, spec, 3)
+    law = trajectory_joint_distribution(rule, spec, 3)
+    assert law.num.dtype == object
+    joint = law_items(law)
     assert joint == want and list(joint) == sorted(joint)
     assert repr(trajectory_partition_entropy(rule, spec, 3)) == repr(
         partition_entropy_oracle(want))
@@ -414,10 +477,10 @@ def test_trajectory_law_is_independent_of_the_chunk(monkeypatch, chunk):
     rule = sum_rule(3)
     spec = MeasureSpec("bernoulli", 3,
                        probs=[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
-    want = trajectory_joint_distribution(rule, spec, 4)   # 81 words
+    want = law_items(trajectory_joint_distribution(rule, spec, 4))   # 81 words
     assert want == trajectory_oracle(rule, spec, 4)
     monkeypatch.setattr(measures, "_CHUNK", chunk)
-    joint = trajectory_joint_distribution(rule, spec, 4)
+    joint = law_items(trajectory_joint_distribution(rule, spec, 4))
     assert joint == want and list(joint) == list(want) == sorted(joint)
 
 
@@ -441,7 +504,7 @@ def test_exact_paths_step_only_past_the_first_step(monkeypatch, chunk):
         trajectory_joint_distribution(rule, spec, n_steps)
     assert works == []
     # 3^3 input words: one chunk, or nine of 3 words when a chunk holds 7
-    assert trajectory_joint_distribution(rule, spec, 3) == trajectory_oracle(
+    assert law_items(trajectory_joint_distribution(rule, spec, 3)) == trajectory_oracle(
         rule, spec, 3)
     assert len(works) == (1 if chunk > 27 else 9)
     assert works[0] is not None and all(w is works[0] for w in works)

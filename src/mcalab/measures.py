@@ -1,14 +1,16 @@
-"""Exact window measures, push-forwards, and partition entropies.
+"""Laws, exact window measures, push-forwards, and partition entropies.
 
-Measures on length-ℓ windows, trajectory laws among them (one cell per
-observation), are stored as integer numerators over one common
-denominator, so push-forward and marginalization are exact; only the final
-entropy evaluation leaves the rationals.  Every exhaustive path takes one
-route: each observed word's index is a sum of local-table terms over its
-input cells' letters (``rules.step_cells`` steps only cells observed after
-a second step), then integer weights are summed by image word.
-Bipermutative rules admit closed-form entropies (overlap × shift entropy),
-which the trajectory-enumeration functions cross-check at finite horizon.
+A law on full sequences, a :class:`MeasureSpec` or the :class:`StarLaw`
+λ⋆ν of two through a frame, gives exact window measures and seeded draws.
+Window measures, trajectory laws among them (one cell per observation),
+are integer numerators over one common denominator, so push-forward and
+marginalization are exact; only the final entropy evaluation leaves the
+rationals.  Every exhaustive path takes one route: each observed word's
+index is a sum of local-table terms over its input cells' letters
+(``rules.step_cells`` steps only cells observed after a second step), then
+integer weights are summed by image word, or keys tabled by (quotient
+word, fibre word) for a fibre entropy.  Trajectory enumeration cross-checks
+bipermutative rules' closed-form entropies (overlap × shift entropy).
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .errors import McaLabError, NotPermutativeError, WindowError
 from .groups import FiniteGroup
 from .rules import (McaRule, code_dtype, is_bipermutative, local_table, step_buffers,
                     step_cells)
-from .util import STATE_CAP, check_cap, index_word
+from .util import STATE_CAP, check_cap
 
 __all__ = [
     "WindowMeasure",
@@ -268,6 +270,62 @@ class MeasureSpec:
             self.kind != "markov"
             or all(row == self.probs for row in self.transition))
 
+    def draws(self, rng: np.random.Generator, out: np.ndarray) -> Iterator[slice]:
+        """Fill ``out`` (count × length, C order) with words drawn from
+        ``rng``, yielding slices of its flat view once filled.  I.i.d. cells
+        are ``Generator.choice``'s draws (:func:`_draw`); a chain's later
+        columns count the cdf edges below one uniform per word."""
+        p = np.asarray([float(x) for x in self.probs])
+        p /= p.sum()
+        if self.kind != "markov":
+            yield from _draw(rng, p, out.reshape(-1))
+            return
+        for _ in _draw(rng, p, out[:, 0]):
+            pass
+        T = np.asarray([[float(x) for x in row] for row in self.transition])
+        # row k: edge k of each letter's row.  A draw above the last edge
+        # (1.0 up to rounding) is above every other, so it counts size - 1
+        edges = np.cumsum(T / T.sum(axis=1, keepdims=True), axis=1).T[:-1]
+        for prev, col in zip(out.T, out.T[1:]):
+            u = rng.random(len(out))
+            col.fill(0)
+            for row in edges:
+                col += u > row[prev]
+        for start in range(0, out.size, _DRAW_PIECE):
+            yield slice(start, min(start + _DRAW_PIECE, out.size))
+
+
+# Most uniform draws per piece of ``_draw``'s reused buffer.
+_DRAW_PIECE = 1 << 16
+
+
+def _draw(rng: np.random.Generator, p: np.ndarray,
+          out: np.ndarray) -> Iterator[slice]:
+    """Fill 1-D ``out`` with ``rng.choice(len(p), size=len(out), p=p)``'s
+    draws piece by piece, yielding each piece's slice once it is filled.
+
+    ``Generator.choice`` bins ``rng.random(count)`` against the cdf
+    ``p.cumsum() / p.cumsum()[-1]`` with ``searchsorted(side="right")``,
+    which is the number of cdf edges at or below each draw; counting them
+    edge by edge in ``out``'s dtype is faster for small alphabets.  The
+    draws come in cache-sized pieces of one reused buffer, and PCG64 yields
+    the same stream piece by piece as in one call, so a caller may use each
+    piece before the next is drawn.  The first edge writes the piece (all
+    zero for one symbol, whose edge is 1.0), and the rest add from a buffer.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = np.empty(min(len(out), _DRAW_PIECE))
+    hit = np.empty(len(u), dtype=bool)
+    for start in range(0, len(out), _DRAW_PIECE):
+        piece = slice(start, min(start + _DRAW_PIECE, len(out)))
+        part = out[piece]
+        draws = rng.random(out=u[:len(part)])
+        np.greater_equal(draws, cdf[0], out=part)
+        for edge in cdf[1:-1]:   # the last edge is 1.0, above every draw
+            part += np.greater_equal(draws, edge, out=hit[:len(part)])
+        yield piece
+
 
 def partition_entropy(dist) -> float:
     """Shannon entropy in bits of a distribution in any common shape.
@@ -387,21 +445,18 @@ def _tail_cells(size: int, length: int) -> int:
 
 
 def _observation_keys(m: WindowMeasure, rule: McaRule, windows: Sequence,
-                      cap: int, letters: np.ndarray | None = None
-                      ) -> Iterator[tuple[slice, np.ndarray]]:
+                      cap: int) -> Iterator[tuple[slice, np.ndarray]]:
     """Observation word of each input word of m, a chunk of words at a time.
 
-    Each input word runs through ``len(windows) - 1`` steps of ``rule``;
-    ``windows[n] = (lo, hi)`` names the cells appended to its observation
-    after n steps.  Letter x at cell m.lo + t of an input word puts
-    ``letters[t, x]`` in that cell (x itself when None: a fibre word runs
-    as its star word over a fixed quotient word this way).  Yields the
-    chunk of input word indices and the big-endian index (intp), over the
-    rule's group, of each observation.
+    Each input word, over the rule's group, runs through
+    ``len(windows) - 1`` steps of ``rule``; ``windows[n] = (lo, hi)`` names
+    the cells appended to its observation after n steps.  Yields the chunk
+    of input word indices and the big-endian index (intp) of each
+    observation.
 
     A step is a sliding-block code, each time-1 cell a function of the
     ``rule.width`` cells under it, so the key of the time-0 and time-1
-    cells is a sum of one term per cell: its letter column, or the
+    cells is a sum of one term per cell: its letter, or the
     :func:`rules.local_table` over its input cells' letters, times its
     place value.  A chunk fixes the leading cells; the terms of tail cells
     alone are summed once, and each chunk adds the others, indexed by its
@@ -412,21 +467,12 @@ def _observation_keys(m: WindowMeasure, rule: McaRule, windows: Sequence,
     call, so the chunk loop itself allocates nothing.  The key buffer is
     reused: a consumer must use each key before it advances the iterator.
     """
-    s, length, base = m.size, m.length, rule.group.order
-    code = code_dtype(base, rule.width)
-    letters = (np.broadcast_to(np.arange(s), (length, s)) if letters is None
-               else letters).astype(code)
+    s, length = m.size, m.length
     low = _tail_cells(s, length)
     words, high = s ** low, length - low
-    table = local_table(rule, cap) if len(windows) > 1 else None
-
-    def image(t):
-        """The time-1 cell over input cells t .. t + width - 1, on every
-        word of their letters: shape (s,) * width, in the code dtype."""
-        codes = np.zeros((), dtype=np.intp)
-        for column in letters[t:t + rule.width]:
-            codes = codes[..., None] * base + column
-        return table.take(codes)
+    # the time-1 cell over width cells, on every word of their letters
+    image = (local_table(rule, cap).reshape((s,) * rule.width)
+             if len(windows) > 1 else None)
 
     def placed(t, values):
         """(t, h, values) for values over input cells t, t + 1, ...: the
@@ -441,13 +487,13 @@ def _observation_keys(m: WindowMeasure, rule: McaRule, windows: Sequence,
     # the terms of the cells observed at times 0 and 1, in a dtype that
     # holds their key; each later window extends it digit by digit
     count = sum(hi - lo for lo, hi in windows[:2])
-    weight, terms = code_dtype(base, count), []
+    weight, terms = code_dtype(s, count), []
     for n, (w_lo, w_hi) in enumerate(windows[:2]):
         for x in range(w_lo, w_hi):
             count -= 1
             t = x - m.lo + n * rule.v_lo
-            terms.append(placed(t, np.multiply(image(t) if n else letters[t],
-                                               base ** count, dtype=weight)))
+            terms.append(placed(t, np.multiply(image if n else np.arange(s),
+                                               s ** count, dtype=weight)))
     tail = np.zeros((s,) * low, dtype=np.intp)
     for _, h, values in terms:
         if not h:
@@ -460,8 +506,8 @@ def _observation_keys(m: WindowMeasure, rule: McaRule, windows: Sequence,
     key = np.empty_like(tail) if high else tail
     later = windows[2:]
     if later:
-        cells = np.empty((length - rule.spread,) + tail.shape, dtype=code)
-        fills = [placed(t, image(t)) for t in range(len(cells))]
+        cells = np.empty((length - rule.spread,) + tail.shape, dtype=image.dtype)
+        fills = [placed(t, image) for t in range(len(cells))]
         for t, h, values in fills:
             if not h:
                 cells[t] = values
@@ -485,7 +531,7 @@ def _observation_keys(m: WindowMeasure, rule: McaRule, windows: Sequence,
                 block = step_cells(rule, block, cap, work)
                 lo -= rule.v_lo
                 for x in range(w_lo, w_hi):
-                    flat *= base
+                    flat *= s
                     np.copyto(digit, block[x - lo])   # an unbuffered cast to intp
                     flat += digit
         yield slice(chunk * words, (chunk + 1) * words), flat
@@ -556,6 +602,8 @@ def formula_entropy(rule: McaRule, spec: MeasureSpec,
     any other spec is accepted with a warning since invariance is then the
     caller's assertion.
     """
+    if spec.size != rule.group.order:
+        raise McaLabError("measure alphabet does not match the rule's group")
     if not is_bipermutative(rule):
         raise NotPermutativeError("closed-form entropy needs a bipermutative rule")
     if spec.is_uniform():
@@ -579,30 +627,39 @@ def fibre_trajectory_entropy(dec, lambda_spec: MeasureSpec,
                              cap: int = STATE_CAP) -> float:
     """Finite-horizon relative trajectory entropy, averaged over the base.
 
-    For each quotient word c on the generating window, every fibre word a
-    runs as the star word a⋆c through the rule's own local table.  With c
-    fixed, the B-cells observed name the A-cells observed, so their law
-    under the fibre measure is the fibre trajectory law; its entropy (the
-    closed form length·log2|A| when a uniform law sees every word apart)
-    is averaged with the quotient weights — a finite-N stand-in for the
-    relative entropy closed form (divide by n_steps for the per-step rate).
+    Every star word a⋆c of the generating window runs through the rule's
+    own local table in one pass over the B-words, keyed by (quotient word
+    c, fibre word a).  With c fixed, the B-cells observed name the A-cells
+    observed, so their law under the fibre measure is the fibre trajectory
+    law; its entropy (the closed form length·log2|A| when a uniform law
+    sees every word apart) is averaged with the quotient weights — a
+    finite-N stand-in for the relative entropy closed form (divide by
+    n_steps for the per-step rate).
     """
     rule, fr = dec.rule, dec.frame
+    StarLaw(fr, lambda_spec, nu_spec)   # refuses a law over the wrong alphabet
     L, R = rule.left_overlap, rule.right_overlap
     lo, hi = -n_steps * L, n_steps * R
-    check_cap(fr.B.order, hi - lo, cap, "fibrewise enumeration")
+    n = hi - lo
+    check_cap(fr.B.order, n, cap, "fibrewise enumeration")
     nu = nu_spec.window_measure(lo, hi, fr.C, cap)
-    if lambda_spec.size != fr.a_group.order:
-        raise McaLabError("measure alphabet does not match the rule's group")
     lam = lambda_spec.window_measure(lo, hi, fr.a_group, cap)
-    windows, keys = [(-L, R)] * n_steps, np.empty(len(lam.num), dtype=np.intp)
+    A, C = fr.a_group.order, fr.C.order
+    keys = np.empty((C ** n, A ** n), dtype=np.intp)
+    # a chunk is a head word times every tail word, as in star_product_measure
+    low = _tail_cells(fr.B.order, n)
+    tail_x, tail_y = fr.word_indices(low)
+    head_x, head_y = fr.word_indices(n - low)
+    place = tail_y * A ** n + tail_x
+    at = np.empty_like(place)
+    words = WindowMeasure.uniform(fr.B.order, lo, hi, fr.B)
+    chunks = _observation_keys(words, rule, [(-L, R)] * n_steps, cap)
+    for (_, key), hx, hy in zip(chunks, head_x.tolist(), head_y.tolist()):
+        keys.put(np.add(place, hy * C ** low * A ** n + hx * A ** low, out=at), key)
     acc = []
     for i in np.flatnonzero(nu.num).tolist():
-        letters = fr.b_of[:, index_word(i, fr.C.order, hi - lo)].T
-        for rows, key in _observation_keys(lam, rule, windows, cap, letters):
-            keys[rows] = key
-        seen, which = np.unique(keys, return_inverse=True)
-        if lambda_spec.kind == "uniform" and len(seen) == len(keys):
+        seen, which = np.unique(keys[i], return_inverse=True)
+        if lambda_spec.kind == "uniform" and len(seen) == len(keys[i]):
             h = lam.length * math.log2(lam.size)
         else:
             weights = np.zeros(len(seen), dtype=_weight_dtype(lam.den))
@@ -648,3 +705,49 @@ def star_product_measure(frame, a: WindowMeasure, c: WindowMeasure) -> WindowMea
         num_a.take(np.add(tail_x, hx, out=x), out=out, mode="wrap")
         out *= num_c.take(np.add(tail_y, hy, out=y), out=gather, mode="wrap")
     return WindowMeasure(B, a.lo, a.hi, _frozen(num), den, frame.B)
+
+
+class StarLaw:
+    """The star product λ⋆ν of a law λ over a frame's A and a law ν over its
+    C, read as a :class:`MeasureSpec` over B is: ``size``, exact window
+    measures and seeded draws.  Cell (x, y) is x⋆y = ``frame.b_of[x, y]``.
+    """
+
+    def __init__(self, frame, lam: MeasureSpec, nu: MeasureSpec):
+        for name, part, law, group in (("λ", "A", lam, frame.a_group),
+                                       ("ν", "C", nu, frame.C)):
+            if law.size != group.order:
+                raise McaLabError(f"star law: {name} must be over |{part}| = "
+                                  f"{group.order} symbols, got {law.size}")
+        self.frame, self.lam, self.nu = frame, lam, nu
+        self.size = frame.B.order
+
+    def window_measure(self, lo: int, hi: int, group: FiniteGroup | None = None,
+                       cap: int = STATE_CAP) -> WindowMeasure:
+        """λ⋆ν on [lo..hi) by :func:`star_product_measure`, over the frame's
+        B (the only ``group`` a caller may mean)."""
+        check_cap(self.size, _window_length(lo, hi), cap, "star product measure")
+        fr = self.frame
+        return star_product_measure(fr, self.lam.window_measure(lo, hi, fr.a_group, cap),
+                                    self.nu.window_measure(lo, hi, fr.C, cap))
+
+    def draws(self, rng: np.random.Generator, out: np.ndarray) -> Iterator[slice]:
+        """As :meth:`MeasureSpec.draws`: λ's words in full, then ν's into
+        ``out`` piece by piece, each piece mapped to B through ``b_of`` as
+        it comes, so λ's words and ``out`` are the only full-size arrays."""
+        fr = self.frame
+        a = np.empty(out.size, dtype=out.dtype)
+        for _ in self.lam.draws(rng, a.reshape(out.shape)):
+            pass
+        flat = out.reshape(-1)
+        # each piece of c looks b_of up in place at the flat index a·|C| + c;
+        # the index type also holds |C| itself, which the cell dtype misses
+        # when A is trivial and |B| is 256
+        b_flat = np.asarray(fr.b_of, dtype=out.dtype).ravel()
+        idx = np.empty(min(flat.size, _DRAW_PIECE), dtype=np.min_scalar_type(self.size))
+        for piece in self.nu.draws(rng, out):
+            part = idx[:piece.stop - piece.start]
+            np.multiply(a[piece], fr.C.order, out=part, dtype=idx.dtype)
+            part += flat[piece]
+            b_flat.take(part, out=flat[piece])
+            yield piece

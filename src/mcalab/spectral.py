@@ -6,7 +6,8 @@ groups (or abelian factors of a tower) in the coordinates provided by
 exact integer arithmetic; its correctness is pinned by the adjointness
 identity <chi, push_forward(rule, m)> == <dual_action(rule, chi), m>.
 Cesàro randomization experiments combine an exact push-forward chain on a
-shrinking window with an optional seeded Monte-Carlo extension.
+shrinking window with an optional seeded Monte-Carlo extension; both read
+one law, a ``MeasureSpec`` or a (λ, ν) pair made a ``measures.StarLaw``.
 """
 from __future__ import annotations
 
@@ -23,8 +24,7 @@ import numpy as np
 from .errors import (CapExceededError, McaLabError, NotAbelianError,
                      NotCentralError, WindowError)
 from .groups import AbelianCoords, FiniteGroup, GroupMap, abelian_invariants
-from .measures import (_CHUNK, MeasureSpec, WindowMeasure, push_forward,
-                       star_product_measure)
+from .measures import _CHUNK, MeasureSpec, StarLaw, WindowMeasure, push_forward
 from .rules import (McaRule, _merge_positions, from_planes, plane_step_ops,
                     step_buffers, step_cells, step_planes, to_planes)
 from .util import STATE_CAP, cell_dtype, check_cap, digit_planes, is_integer
@@ -722,20 +722,26 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
     """Track probe coefficients and TV-from-uniform along iterated images.
 
     ``init`` is a MeasureSpec over the rule group, or a (λ, ν) pair of
-    specs with ``frame`` giving the product measure through star
-    coordinates.  Probe rows ride the factorized dual path out to n_max
-    whenever the probe's factor is abelian and the matching initial factor
-    is i.i.d. (abelian rules; quotient probes with ``dec``); everything
-    else gets exact rows while the window fits the state cap, then
-    Monte-Carlo rows (``mc_samples`` > 0) at deterministic chunk-seeded
-    checkpoints.  Past ``n_exact`` the Cesàro columns average the rows
-    present, exact and MC, not every n ≤ N (ROADMAP item 2).
+    specs, read once as their ``measures.StarLaw`` through ``frame``.
+    Probe rows ride the factorized dual path out to n_max whenever the
+    probe's factor is abelian and the matching initial factor is i.i.d.
+    (abelian rules; quotient probes with ``dec``); everything else gets
+    exact rows while the window fits the state cap, then Monte-Carlo rows
+    (``mc_samples`` > 0) at deterministic chunk-seeded checkpoints.  Past
+    ``n_exact`` the Cesàro columns average the rows present, exact and MC,
+    not every n ≤ N (ROADMAP item 2).
     """
     if n_max < 0:
         raise McaLabError(f"n_max {n_max} is negative; need 0 <= n_max")
     if tv_cells < 1:
         raise McaLabError(f"tv_cells: need a positive integer, got {tv_cells}")
     group = rule.group
+    if not isinstance(init, MeasureSpec):
+        if frame is None:
+            raise McaLabError("a (λ, ν) pair needs a frame")
+        init = StarLaw(frame, *init)
+    if init.size != group.order:
+        raise McaLabError("initial measure alphabet mismatch")
     cells = sorted({c for p in probes for c in p.cells()} | set(range(tv_cells)))
     out_lo, out_hi = min(cells), max(cells) + 1
     spread = rule.spread
@@ -773,8 +779,7 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
             for rows, probe, path in zip(series, probes, fast) if path is None]
     in_lo = out_lo + n_exact * rule.v_lo
     in_hi = out_hi + n_exact * rule.v_hi
-    mu = _initial_measure(init, frame, group, in_lo, in_hi, cap_states)
-    cur = mu
+    cur = init.window_measure(in_lo, in_hi, group, cap_states)
     for n in range(n_exact + 1):
         for rows, (tabs, phase) in slow:
             rows.append((n, abs(_pairing(tabs, phase, cur, cap_states)),
@@ -788,7 +793,7 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
                                         else mc_checkpoints)}
         for n in sorted(m for m in checkpoints if n_exact < m <= n_max):
             probe_stats, (tv, tv_se) = _mc_step(
-                rule, init, frame, n, out_lo, out_hi, tv_cells,
+                rule, init, n, out_lo, out_hi, tv_cells,
                 [tab for _, tab in slow], mc_samples, seed or 0, workers,
                 cap_states)
             for (rows, _), (mean_abs, se) in zip(slow, probe_stats):
@@ -815,125 +820,18 @@ def _with_cesaro(series: list[tuple]) -> Iterator[tuple]:
 
 
 def _dual_fast_path(rule: McaRule, init, probe: Probe, dec):
-    """(dual, seed character, cell distribution) when factorization applies."""
+    """(dual, seed character, cell distribution) when the probe reads one
+    abelian factor under an i.i.d. law: a spec's group, or ``dec``'s C."""
     if isinstance(init, MeasureSpec):
-        if (rule.group.is_abelian and probe.phi is None
-                and probe.alpha is not None
-                and init.kind in ("uniform", "bernoulli")):
-            return (LinearRuleDual.from_rule(rule), probe.alpha,
-                    init.cell_distribution())
+        base, chi, other, spec = rule, probe.alpha, probe.phi, init
+    elif dec is not None:
+        base, chi, other, spec = dec.h_rule, probe.phi, probe.alpha, init.nu
+    else:
         return None
-    lam, nu = init
-    if (dec is not None and probe.alpha is None and probe.phi is not None
-            and dec.h_rule.group.is_abelian
-            and nu.kind in ("uniform", "bernoulli")):
-        return (LinearRuleDual.from_rule(dec.h_rule), probe.phi,
-                nu.cell_distribution())
-    return None
-
-
-def _initial_measure(init, frame, group: FiniteGroup, lo: int, hi: int,
-                     cap: int) -> WindowMeasure:
-    if isinstance(init, MeasureSpec):
-        if init.size != group.order:
-            raise McaLabError("initial measure alphabet mismatch")
-        return init.window_measure(lo, hi, group, cap)
-    lam, nu = init
-    if frame is None:
-        raise McaLabError("a (λ, ν) pair needs a frame")
-    check_cap(group.order, hi - lo, cap, "initial product measure")
-    ma = lam.window_measure(lo, hi, frame.a_group, cap)
-    mc = nu.window_measure(lo, hi, frame.C, cap)
-    return star_product_measure(frame, ma, mc)
-
-
-# Most uniform draws per piece of ``_draw``'s reused buffer.
-_DRAW_PIECE = 1 << 16
-
-
-def _draw(rng: np.random.Generator, p: np.ndarray,
-          out: np.ndarray) -> Iterator[slice]:
-    """Fill 1-D ``out`` with ``rng.choice(len(p), size=len(out), p=p)``'s
-    draws piece by piece, yielding each piece's slice once it is filled.
-
-    ``Generator.choice`` bins ``rng.random(count)`` against the cdf
-    ``p.cumsum() / p.cumsum()[-1]`` with ``searchsorted(side="right")``,
-    which is the number of cdf edges at or below each draw; counting them
-    edge by edge in ``out``'s dtype is faster for small alphabets.  The
-    draws come in cache-sized pieces of one reused buffer, and PCG64 yields
-    the same stream piece by piece as in one call, so a caller may use each
-    piece before the next is drawn.  The first edge writes the piece (all
-    zero for one symbol, whose edge is 1.0), and the rest add from a buffer.
-    """
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    u = np.empty(min(len(out), _DRAW_PIECE))
-    hit = np.empty(len(u), dtype=bool)
-    for start in range(0, len(out), _DRAW_PIECE):
-        piece = slice(start, min(start + _DRAW_PIECE, len(out)))
-        part = out[piece]
-        draws = rng.random(out=u[:len(part)])
-        np.greater_equal(draws, cdf[0], out=part)
-        for edge in cdf[1:-1]:   # the last edge is 1.0, above every draw
-            part += np.greater_equal(draws, edge, out=hit[:len(part)])
-        yield piece
-
-
-def _sample_words(spec_pair, frame, group: FiniteGroup, length: int,
-                  rng: np.random.Generator, count: int) -> np.ndarray:
-    """Sample initial words (count × length, the group's cell dtype).
-
-    A (λ, ν) pair draws λ's words in full, then ν's into the output one
-    piece at a time, mapping each piece through ``b_of`` as it comes: the
-    chunk-sized arrays are λ's words and the output, and the rest is
-    piece buffers.
-    """
-    dtype = cell_dtype(group.order)
-    words = np.empty((count, length), dtype=dtype)
-    flat = words.reshape(-1)
-
-    def fill(spec: MeasureSpec, size: int, out: np.ndarray) -> Iterator[slice]:
-        """Draw ``spec`` into ``out``, yielding flat slices once filled."""
-        if spec.size != size:
-            raise McaLabError("initial measure alphabet mismatch")
-        p = np.asarray([float(x) for x in spec.probs])
-        p /= p.sum()
-        if spec.kind in ("uniform", "bernoulli"):
-            yield from _draw(rng, p, out.reshape(-1))
-            return
-        # markov: sample column by column, then hand out the filled pieces
-        for _ in _draw(rng, p, out[:, 0]):
-            pass
-        T = np.asarray([[float(x) for x in row] for row in spec.transition])
-        T = T / T.sum(axis=1, keepdims=True)
-        for j in range(1, length):
-            u = rng.random(count)
-            cum = np.cumsum(T[out[:, j - 1]], axis=1)
-            out[:, j] = np.minimum((u[:, None] > cum).sum(axis=1), size - 1)
-        for start in range(0, out.size, _DRAW_PIECE):
-            yield slice(start, min(start + _DRAW_PIECE, out.size))
-
-    if isinstance(spec_pair, MeasureSpec):
-        for _ in fill(spec_pair, group.order, words):
-            pass
-        return words
-    lam, nu = spec_pair
-    a = np.empty_like(words)
-    for _ in fill(lam, frame.a_group.order, a):
-        pass
-    a = a.reshape(-1)
-    # each piece of c looks b_of up in place at the flat index a·|C| + c;
-    # the index type also holds |C| itself, which the cell dtype misses
-    # when A is trivial and |B| is 256
-    b_flat = np.asarray(frame.b_of, dtype=dtype).ravel()
-    idx = np.empty(min(flat.size, _DRAW_PIECE),
-                   dtype=np.min_scalar_type(group.order))
-    for piece in fill(nu, frame.C.order, words):
-        part = idx[:piece.stop - piece.start]
-        np.multiply(a[piece], frame.C.order, out=part, dtype=idx.dtype)
-        part += flat[piece]
-        b_flat.take(part, out=flat[piece])
-    return words
+    if (chi is None or other is not None or not base.group.is_abelian
+            or spec.kind not in ("uniform", "bernoulli")):
+        return None
+    return LinearRuleDual.from_rule(base), chi, spec.cell_distribution()
 
 
 # A table step costs as much per 64 sample·cells as this many word
@@ -955,7 +853,7 @@ def _mc_kernel(rule: McaRule, cap: int):
     return step_planes if plane_step_ops(rule, cap) <= _GATHER_WORD_OPS else step_cells
 
 
-def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
+def _mc_step(rule: McaRule, law, n: int, out_lo: int, out_hi: int,
              tv_cells: int, tables: list[tuple[dict[int, np.ndarray], complex]],
              samples: int, seed: int, workers: int, cap: int) -> tuple:
     """One Monte-Carlo checkpoint: sample, evolve n steps, measure.
@@ -968,14 +866,10 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
     word, and one ``from_planes`` of the output cells.  On ``step_cells``
     the chunk runs in blocks of at most ``_CHUNK`` cells that take all n
     steps while they stay in cache, every step in place in one workspace
-    made per chunk.  Sampling a chunk holds two cell-dtype arrays of its
-    words (λ's draws and the output) plus fixed piece buffers.
+    made per chunk.  The law's ``draws`` fill each chunk's words.
     """
-    group = rule.group
-    s = group.order
-    in_lo = out_lo + n * rule.v_lo
-    in_hi = out_hi + n * rule.v_hi
-    length = in_hi - in_lo
+    s = rule.group.order
+    length = out_hi - out_lo + n * rule.spread
     chunk = 1 << 14
     # refuse a rule too wide to step before sampling, under the run's cap
     # even when the rule's table is already cached
@@ -988,7 +882,9 @@ def _mc_step(rule: McaRule, init, frame, n: int, out_lo: int, out_hi: int,
         m = min(chunk, samples - lo_i)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(n, ci)))
-        words = _sample_words(init, frame, group, length, rng, m)
+        words = np.empty((m, length), dtype=cell_dtype(s))
+        for _ in law.draws(rng, words):
+            pass
         if kernel is step_planes:
             block = to_planes(words, s.bit_length() - 1)
             del words   # not read again: a chunk's bytes less while stepping

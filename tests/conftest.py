@@ -2,6 +2,7 @@
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mcalab import (GroupMap, McaRule, Subgroup, center, from_table,
@@ -23,6 +24,14 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def drawn(law, rng, count: int, length: int):
+    """``count`` × ``length`` uint8 words filled by ``law.draws``."""
+    words = np.empty((count, length), dtype=np.uint8)
+    for _ in law.draws(rng, words):
+        pass
+    return words
 
 
 def doubling_action(n: int, order: int) -> list[list[int]]:

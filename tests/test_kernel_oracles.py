@@ -32,12 +32,13 @@ from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
                     trajectory_joint_distribution,
                     trajectory_partition_entropy)
 from mcalab import McaLabError, measures, spectral
+from mcalab.measures import StarLaw
 from mcalab.errors import CapExceededError, TableInvalidError, WindowError
 from mcalab.rules import (_plane_program, algebraic_normal_form, from_planes,
                           step_buffers, step_cells, step_planes, to_planes)
 from mcalab.util import digit_planes, iter_words
 
-from conftest import dihedral, heisenberg, quaternion16, traced_peak
+from conftest import dihedral, drawn, heisenberg, quaternion16, traced_peak
 
 from oracles import (dual_action_oracle, fibre_oracle, fibre_rank_oracle,
                      fibre_trajectory_entropy_oracle, marginal_oracle,
@@ -963,13 +964,12 @@ WEIGHTS = st.lists(st.integers(0, 5), min_size=5, max_size=5)
          count=509, length=593, seed=6)
 def test_sampled_star_words_match_whole_chunk_oracle(
         request, frame_name, kinds, weights, stays, count, length, seed):
-    """The streamed pair sampler gives the whole-chunk sampler's words bit
+    """A star law's streamed draws give the whole-chunk sampler's words bit
     for bit, whatever the laws and however the pieces fall."""
     frame = request.getfixturevalue(frame_name)
     pair = tuple(law(kind, group.order, w, stay) for kind, group, w, stay
                  in zip(kinds, (frame.a_group, frame.C), weights, stays))
-    got = spectral._sample_words(pair, frame, frame.B, length,
-                                 np.random.default_rng(seed), count)
+    got = drawn(StarLaw(frame, *pair), np.random.default_rng(seed), count, length)
     want = sample_words_oracle(pair, frame, np.random.default_rng(seed),
                                count, length)
     assert got.dtype == np.uint8 and got.shape == (count, length)

@@ -184,6 +184,19 @@ def test_formula_entropy_warns_on_asserted_invariance():
     assert val == pytest.approx(h, abs=1e-12)
 
 
+@pytest.mark.parametrize("spec", [
+    MeasureSpec("uniform", 3),
+    MeasureSpec("bernoulli", 3, probs=[HALF, QUARTER, QUARTER])])
+def test_formula_entropy_refuses_a_law_over_the_wrong_alphabet(spec):
+    """Two-sided xor over Z/2 with a 3-symbol law: refused before any
+    probe or warning, whatever the kind of law."""
+    G = make_cyclic(2)
+    ident = GroupMap.identity(G)
+    rule = McaRule(G, -1, 1, [(-1, ident), (1, ident)])
+    with pytest.raises(McaLabError, match="measure alphabet does not match"):
+        formula_entropy(rule, spec)
+
+
 def test_skew_entropy_arithmetic():
     assert skew_entropy(2, 2, math.log2(5), 2.0) == pytest.approx(
         2 * math.log2(20), abs=1e-12)
@@ -206,6 +219,46 @@ def test_fibre_entropy_at_one_step_is_the_window_entropy(x1_rule, z20_frame):
     rel = fibre_trajectory_entropy(dec, lam, MeasureSpec("uniform", 4), 1)
     window = lam.window_measure(-x1_rule.left_overlap, x1_rule.right_overlap)
     assert rel == pytest.approx(window.entropy_bits(), abs=1e-9)
+
+
+@pytest.mark.parametrize("factor, sizes", [
+    ("λ", (4, 4)), ("λ", (20, 4)), ("ν", (5, 3)), ("ν", (5, 5)), ("ν", (5, 2))],
+    ids=["lambda4", "lambda20", "nu3", "nu5", "nu2"])
+def test_fibre_entropy_refuses_a_law_over_the_wrong_alphabet(factor, sizes):
+    """The metacyclic demo's decomposition (A = Z/5, C = Z/4) at N = 1
+    refuses a uniform law over the wrong alphabet on either factor, by
+    name; the right laws give 2·log2(5) bits."""
+    cfg = load_experiment(str(ROOT / "demos" / "configs" / "decompose_metacyclic.json"))
+    dec = decompose_mca(cfg.rule, cfg.frame)
+    part, order, got = ("A", 5, sizes[0]) if factor == "λ" else ("C", 4, sizes[1])
+    with pytest.raises(McaLabError, match=rf"star law: {factor} must be over "
+                                          rf"\|{part}\| = {order} symbols, got {got}$"):
+        fibre_trajectory_entropy(dec, *(MeasureSpec("uniform", n) for n in sizes), 1)
+    assert fibre_trajectory_entropy(dec, MeasureSpec("uniform", 5),
+                                    MeasureSpec("uniform", 4), 1) == 2 * math.log2(5)
+
+
+def test_fibre_entropy_keys_every_star_word_in_one_pass(q8, q8_center_frame, quat_g1,
+                                                        monkeypatch):
+    """Q8 over its centre, a two-sided width-3 rule at N = 3: one
+    ``_observation_keys`` pass over the 8^6 star words, not one per
+    quotient word (4096), held under three times its intp key table,
+    which a whole-window index array per factor would pass."""
+    ident = GroupMap.identity(q8)
+    rule = McaRule(q8, -1, 1, [(-1, ident), (0, quat_g1), (1, ident)])
+    dec = decompose_mca(rule, q8_center_frame)
+    nu = MeasureSpec("bernoulli", 4, probs=[HALF, QUARTER, EIGHTH, EIGHTH])
+    keys, passes = measures._observation_keys, []
+
+    def watched(m, *args):
+        passes.append(m.size ** m.length)
+        return keys(m, *args)
+
+    monkeypatch.setattr(measures, "_observation_keys", watched)
+    h, peak = traced_peak(fibre_trajectory_entropy, dec, MeasureSpec("uniform", 2), nu, 3)
+    assert passes == [8 ** 6]
+    assert h == 6.0
+    assert peak < 3 * 8 ** 6 * np.dtype(np.intp).itemsize
 
 
 def test_star_product_measure_lands_on_cosets(z20_frame):

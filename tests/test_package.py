@@ -118,6 +118,22 @@ def test_only_decompose_reads_the_fibre_batch():
     assert not offenders
 
 
+def test_only_measures_builds_and_draws_laws():
+    """Every law's weights and samples come from the law itself: outside
+    ``measures`` no library module calls ``star_product_measure`` or
+    ``_draw``."""
+    offenders = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "measures.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("star_product_measure", "_draw"):
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not offenders
 
 
 def _names_used(tree: ast.AST, strings: bool = False) -> set[str]:

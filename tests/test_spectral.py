@@ -18,14 +18,15 @@ from mcalab import (Character, GroupMap, LinearRuleDual, McaLabError, McaRule,
                     make_cyclic, make_direct_sum, make_frame,
                     push_forward, relative_diffusion_rank,
                     star_product_measure)
-from mcalab import CapExceededError, spectral
+from mcalab import CapExceededError, measures, spectral
+from mcalab.measures import StarLaw
 from mcalab.rules import algebraic_normal_form, local_table, plane_step_ops
 from mcalab.specs import load_experiment, parse_measure_pair, parse_probe
 from mcalab.util import STATE_CAP
 
-from conftest import traced_peak
-from oracles import (characters_of, dual_action_oracle, fourier_coefficient,
-                     harmonic_mixing_profile, point_mass, prob)
+from conftest import drawn, traced_peak
+from oracles import (_spec_words, characters_of, dual_action_oracle,
+                     fourier_coefficient, harmonic_mixing_profile, point_mass, prob)
 
 
 def xor_rule():
@@ -682,7 +683,7 @@ def test_monte_carlo_table_blocks_step_in_one_workspace(monkeypatch, z20_frame, 
 
 
 def test_monte_carlo_refuses_a_rule_over_the_cap_before_sampling(
-        monkeypatch, route, quat_rule4):
+        monkeypatch, route, quat_rule4, q8_center_frame):
     """Caps are honoured on both kernels, with the rule's table and normal
     form already cached under the default cap."""
     local_table(quat_rule4)
@@ -691,10 +692,13 @@ def test_monte_carlo_refuses_a_rule_over_the_cap_before_sampling(
     def no_sampling(*args):
         pytest.fail("words were sampled past the cap")
 
-    monkeypatch.setattr(spectral, "_sample_words", no_sampling)
-    with pytest.raises(CapExceededError, match="local rule table: 4096 states"):
-        cesaro_randomization(quat_rule4, MeasureSpec("uniform", 8), 4,
-                             cap_states=8 ** 4 - 1, mc_samples=100, seed=1)
+    monkeypatch.setattr(MeasureSpec, "draws", no_sampling)
+    monkeypatch.setattr(StarLaw, "draws", no_sampling)
+    for init, frame in ((MeasureSpec("uniform", 8), None),
+                        ((bern(1, 2, size=2), bern(1, 4, size=4)), q8_center_frame)):
+        with pytest.raises(CapExceededError, match="local rule table: 4096 states"):
+            cesaro_randomization(quat_rule4, init, 4, frame=frame,
+                                 cap_states=8 ** 4 - 1, mc_samples=100, seed=1)
 
 
 def test_metacyclic_exact_chain_holds_one_weight_vector():
@@ -758,19 +762,30 @@ def test_sampled_words_are_the_draws_of_generator_choice(q8_center_frame):
     for size, weights in laws.items():
         spec = MeasureSpec("bernoulli", size,
                            probs=[Fraction(w, sum(weights)) for w in weights])
-        got = spectral._sample_words(spec, None, make_cyclic(size), length,
-                                     np.random.default_rng(3), count)
+        got = drawn(spec, np.random.default_rng(3), count, length)
         assert got.dtype == np.uint8
         assert np.array_equal(got, choice(np.random.default_rng(3), spec))
     # more draws than one piece of the draw buffer holds
-    many = 2 * spectral._DRAW_PIECE // length + 5
-    got = spectral._sample_words(spec, None, make_cyclic(20), length,
-                                 np.random.default_rng(4), many)
+    many = 2 * measures._DRAW_PIECE // length + 5
+    got = drawn(spec, np.random.default_rng(4), many, length)
     assert np.array_equal(got, choice(np.random.default_rng(4), spec, many))
+    # Markov chains, column by column: one with a zero transition entry,
+    # one of a single symbol, and one past a piece of the draw buffer
+    half, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+    chains = [(MeasureSpec("markov", 3, transition=[[half, 0, half], [third] * 3,
+                                                    [quarter, quarter, half]],
+                           initial=[Fraction(6, 17), Fraction(3, 17), Fraction(8, 17)]),
+               count),
+              (MeasureSpec("markov", 1, transition=[[1]], initial=[1]), count),
+              (MeasureSpec("markov", 2, transition=[[quarter, 3 * quarter], [half, half]],
+                           initial=[Fraction(2, 5), Fraction(3, 5)]), many)]
+    for spec, rows in chains:
+        got = drawn(spec, np.random.default_rng(7), rows, length)
+        assert np.array_equal(got, _spec_words(spec, np.random.default_rng(7), rows,
+                                               length))
     fr = q8_center_frame
     lam, nu = bern(7, 10), bern(4, 10, size=4)
-    got = spectral._sample_words((lam, nu), fr, fr.B, length,
-                                 np.random.default_rng(5), count)
+    got = drawn(StarLaw(fr, lam, nu), np.random.default_rng(5), count, length)
     rng = np.random.default_rng(5)
     a, c = choice(rng, lam), choice(rng, nu)
     assert got.dtype == np.uint8
@@ -778,8 +793,8 @@ def test_sampled_words_are_the_draws_of_generator_choice(q8_center_frame):
     # λ on a trivial A is a one-symbol law: it draws, but writes no edge
     q8 = fr.B
     whole = make_frame(q8, Subgroup(q8, [0]))
-    got = spectral._sample_words((MeasureSpec("uniform", 1), bern(4, 10, size=8)),
-                                 whole, q8, length, np.random.default_rng(6), count)
+    got = drawn(StarLaw(whole, MeasureSpec("uniform", 1), bern(4, 10, size=8)),
+                np.random.default_rng(6), count, length)
     rng = np.random.default_rng(6)
     a, c = choice(rng, MeasureSpec("uniform", 1)), choice(rng, bern(4, 10, size=8))
     assert not a.any()
@@ -791,8 +806,8 @@ def test_star_word_sampling_holds_two_cell_arrays(q8_center_frame):
     # are the only chunk-sized arrays; the ν draws and the (a, c) -> b
     # index live in fixed piece buffers
     fr, count, length = q8_center_frame, 1 << 14, 193
-    words, peak = traced_peak(spectral._sample_words, (bern(7, 10), bern(4, 10, size=4)),
-                              fr, fr.B, length, np.random.default_rng(0), count)
+    words, peak = traced_peak(drawn, StarLaw(fr, bern(7, 10), bern(4, 10, size=4)),
+                              np.random.default_rng(0), count, length)
     assert words.shape == (count, length)
     assert peak <= 2 * words.size + 2 * 2 ** 20
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import McaLabError, NotPermutativeError, WindowError
 from .groups import FiniteGroup
-from .rules import (McaRule, code_dtype, is_bipermutative, local_table, step_buffers,
-                    step_cells)
+from .rules import (McaRule, code_dtype, is_bipermutative, local_table, map_planes,
+                    plane_map, step_buffers, step_cells)
 from .util import STATE_CAP, check_cap
 
 __all__ = [
@@ -721,6 +721,7 @@ class StarLaw:
                                   f"{group.order} symbols, got {law.size}")
         self.frame, self.lam, self.nu = frame, lam, nu
         self.size = frame.B.order
+        self._plane_map = None
 
     def window_measure(self, lo: int, hi: int, group: FiniteGroup | None = None,
                        cap: int = STATE_CAP) -> WindowMeasure:
@@ -732,22 +733,40 @@ class StarLaw:
                                     self.nu.window_measure(lo, hi, fr.C, cap))
 
     def draws(self, rng: np.random.Generator, out: np.ndarray) -> Iterator[slice]:
-        """As :meth:`MeasureSpec.draws`: λ's words in full, then ν's into
-        ``out`` piece by piece, each piece mapped to B through ``b_of`` as
-        it comes, so λ's words and ``out`` are the only full-size arrays."""
-        fr = self.frame
-        a = np.empty(out.size, dtype=out.dtype)
-        for _ in self.lam.draws(rng, a.reshape(out.shape)):
-            pass
+        """As :meth:`MeasureSpec.draws`: the star codes of :meth:`codes`,
+        each piece carried to B by one ``b_of`` take as it comes.  The
+        plane kernel of ``spectral._mc_step`` takes the codes instead and
+        carries a whole chunk at once, by :meth:`b_planes`."""
+        b_flat = np.asarray(self.frame.b_of, dtype=out.dtype).ravel()
         flat = out.reshape(-1)
-        # each piece of c looks b_of up in place at the flat index a·|C| + c;
-        # the index type also holds |C| itself, which the cell dtype misses
-        # when A is trivial and |B| is 256
-        b_flat = np.asarray(fr.b_of, dtype=out.dtype).ravel()
-        idx = np.empty(min(flat.size, _DRAW_PIECE), dtype=np.min_scalar_type(self.size))
-        for piece in self.nu.draws(rng, out):
-            part = idx[:piece.stop - piece.start]
-            np.multiply(a[piece], fr.C.order, out=part, dtype=idx.dtype)
-            part += flat[piece]
-            b_flat.take(part, out=flat[piece])
+        for piece in self.codes(rng, out):
+            # take reads its indices through an intp copy, so they may be out
+            b_flat.take(flat[piece], out=flat[piece], mode="wrap")
             yield piece
+
+    def codes(self, rng: np.random.Generator, out: np.ndarray) -> Iterator[slice]:
+        """As :meth:`draws`, with each cell (x, y) left as its star code
+        x·|C| + y, the flat index of x⋆y in ``b_of``: λ's words in full,
+        then ν's into ``out`` piece by piece, each piece coded as it comes,
+        so λ's words and ``out`` are the only full-size arrays."""
+        C = self.frame.C.order
+        a = np.empty(out.shape, dtype=out.dtype)
+        for _ in self.lam.draws(rng, a):
+            pass
+        # a·|C| < |B| fits out's dtype, but |C| itself may not: it is 256
+        # when A is trivial and |B| is 256
+        np.multiply(a, C, out=a, casting="unsafe",
+                    dtype=np.promote_types(a.dtype, np.min_scalar_type(C)))
+        flat, a = out.reshape(-1), a.reshape(-1)
+        for piece in self.nu.draws(rng, out):
+            flat[piece] += a[piece]
+            yield piece
+
+    def b_planes(self, planes: np.ndarray) -> np.ndarray:
+        """The planes of B letters ``b_of`` gives the star codes packed in
+        ``planes`` (``rules.to_planes``), B of order 2**b: ``b_of`` as b
+        Boolean functions of the code bits (``rules.plane_map``, cached on
+        the law), each output plane made once per chunk."""
+        if self._plane_map is None:   # chunk threads racing here build equal maps
+            self._plane_map = plane_map(np.asarray(self.frame.b_of).ravel())
+        return map_planes(self._plane_map, planes)

@@ -271,17 +271,21 @@ def algebraic_normal_form(rule: McaRule, cap: int = STATE_CAP) -> tuple:
         table = local_table(rule, cap)
         # bit p of a table index is bit p % b of cell width-1 - p // b
         n = bits * width
-        anf = []
-        for k in range(bits):
-            f = ((table >> k) & 1).astype(np.uint8)
-            for p in range(n):
-                pairs = f.reshape(-1, 2, 1 << p)
-                pairs[:, 1] ^= pairs[:, 0]
-            anf.append(_factor_out_heads([
-                tuple((p % bits, width - 1 - p // bits) for p in range(n) if m >> p & 1)
-                for m in np.flatnonzero(f).tolist()]))
-        rule._anf = tuple(anf)
+        rule._anf = tuple(_factor_out_heads([
+            tuple((p % bits, width - 1 - p // bits) for p in range(n) if m >> p & 1)
+            for m in _monomials(table, k)]) for k in range(bits))
     return rule._anf
+
+
+def _monomials(table: np.ndarray, k: int) -> list[int]:
+    """The algebraic normal form of bit k of a 1-D ``table`` of 2**n
+    entries, as a function of the n index bits: the index-bit masks of its
+    monomials, read off one Möbius transform of the bit's truth table."""
+    f = ((table >> k) & 1).astype(np.uint8)
+    for p in range(f.size.bit_length() - 1):
+        pairs = f.reshape(-1, 2, 1 << p)
+        pairs[:, 1] ^= pairs[:, 0]
+    return np.flatnonzero(f).tolist()
 
 
 def _factor_out_heads(monomials: list[tuple]) -> tuple:
@@ -410,6 +414,30 @@ def from_planes(planes: np.ndarray, count: int) -> np.ndarray:
         plane = np.ascontiguousarray(planes[k], dtype="<u8").view(np.uint8)
         codes |= np.unpackbits(plane, axis=-1, bitorder="little") << k
     return codes[:, :count].T
+
+
+def plane_map(table: np.ndarray) -> tuple:
+    """A byte map ``table`` of 2**b entries below 2**b as b Boolean
+    functions of the b code bits, one per output bit: the monomials of its
+    algebraic normal form (:func:`_monomials`), each a tuple of input bits,
+    the empty tuple being the constant 1."""
+    n = len(table).bit_length() - 1
+    return tuple(tuple(tuple(p for p in range(n) if m >> p & 1)
+                       for m in _monomials(table, k)) for k in range(n))
+
+
+def map_planes(form: tuple, planes: np.ndarray) -> np.ndarray:
+    """The planes of ``table[code]`` for the codes packed in ``planes`` as
+    :func:`to_planes` packs them, ``form`` being :func:`plane_map`'s: each
+    output plane is one :func:`_xor_sum` of whole input planes."""
+    out = np.empty((len(form),) + planes.shape[1:], dtype=planes.dtype)
+    tmp = np.empty_like(out[0])
+    for plane, terms in zip(out, form):
+        _xor_sum([planes[t[0]] for t in terms if len(t) == 1],
+                 [[planes[p] for p in t] for t in terms if len(t) > 1], plane, tmp)
+        if () in terms:
+            np.invert(plane, out=plane)
+    return out
 
 
 def _xor_sum(atoms: list, products: list, out: np.ndarray, tmp: np.ndarray) -> None:

@@ -866,7 +866,11 @@ def _mc_step(rule: McaRule, law, n: int, out_lo: int, out_hi: int,
     word, and one ``from_planes`` of the output cells.  On ``step_cells``
     the chunk runs in blocks of at most ``_CHUNK`` cells that take all n
     steps while they stay in cache, every step in place in one workspace
-    made per chunk.  The law's ``draws`` fill each chunk's words.
+    made per chunk.  The law's ``draws`` fill each chunk's words with B
+    letters, a ``StarLaw``'s through a ``b_of`` take per sampled cell.  On
+    ``step_planes`` a ``StarLaw``'s ``codes`` fill them instead, and its
+    ``b_planes`` carries the packed star codes to B: one Boolean map per
+    chunk, decided here and nowhere else.
     """
     s = rule.group.order
     length = out_hi - out_lo + n * rule.spread
@@ -875,6 +879,7 @@ def _mc_step(rule: McaRule, law, n: int, out_lo: int, out_hi: int,
     # even when the rule's table is already cached
     check_cap(s, rule.width, cap, "local rule table")
     kernel = _mc_kernel(rule, cap)
+    star = kernel is step_planes and isinstance(law, StarLaw)
     rows = max(1, _CHUNK // length)
 
     def run_chunk(ci: int) -> tuple:
@@ -883,11 +888,13 @@ def _mc_step(rule: McaRule, law, n: int, out_lo: int, out_hi: int,
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(n, ci)))
         words = np.empty((m, length), dtype=cell_dtype(s))
-        for _ in law.draws(rng, words):
+        for _ in (law.codes if star else law.draws)(rng, words):
             pass
         if kernel is step_planes:
             block = to_planes(words, s.bit_length() - 1)
             del words   # not read again: a chunk's bytes less while stepping
+            if star:
+                block = law.b_planes(block)
             for _ in range(n):
                 block = step_planes(rule, block, cap)
             words = from_planes(block, m)

@@ -5,7 +5,7 @@ trajectory laws, recomposition) is compared exactly with a word-by-word
 enumeration through ``eval_local``/``apply_window``/``star_compose``, on
 random rules over Q8, Z/5⋊Z/4 and S3 = Z/3⋊Z/2; the bit-sliced kernel
 is compared with the table kernel and ``apply_window`` on 2-groups up to
-order 16.  The array dual action
+order 16, and a star law's plane map with ``b_of``.  The array dual action
 is compared bit for bit with a cell-by-cell step on abelian groups, and
 the integer fibre ranks with a ``Fraction`` finite-difference reading.
 """
@@ -26,6 +26,7 @@ from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
                     abelian_invariants, apply_window, center, central_split,
                     decompose_mca, diffusion_report, dual_action,
                     enumerate_endomorphisms, fibre_rank_independence,
+                    generated_subgroup,
                     make_cyclic, make_direct_sum, make_frame, make_quaternion,
                     local_table, make_semidirect, nilpotent_tower, push_forward,
                     recompose_check, star_product_measure,
@@ -35,7 +36,8 @@ from mcalab import McaLabError, measures, spectral
 from mcalab.measures import StarLaw
 from mcalab.errors import CapExceededError, TableInvalidError, WindowError
 from mcalab.rules import (_plane_program, algebraic_normal_form, from_planes,
-                          step_buffers, step_cells, step_planes, to_planes)
+                          plane_map, step_buffers, step_cells, step_planes,
+                          to_planes)
 from mcalab.util import digit_planes, iter_words
 
 from conftest import dihedral, drawn, heisenberg, quaternion16, traced_peak
@@ -330,6 +332,45 @@ def test_planes_refuse_what_they_cannot_encode():
         algebraic_normal_form(McaRule(make_cyclic(6), 0, 1, []))
     with pytest.raises(TableInvalidError, match="not 9-bit ones"):
         to_planes(np.zeros((1, 1), dtype=np.uint16), 9)
+
+
+@pytest.mark.parametrize("name", sorted(PLANE_GROUPS))
+def test_star_codes_map_to_b_planes_as_b_of_does(name):
+    """Over every frame of a 2-group B on a normal subgroup of at most two
+    generators, and on the trivial subgroup and B itself, a star law's
+    plane map sends every star code x·|C| + y to ``b_of[x, y]``: packed as
+    cells of 1000 samples, not a multiple of 64, and unpacked again."""
+    G = PLANE_GROUPS[name]()
+    bits = G.order.bit_length() - 1
+    subgroups = {tuple(generated_subgroup(G, pair).members)
+                 for pair in itertools.combinations_with_replacement(range(G.order), 2)}
+    count, cells = 1000, 2 * G.order
+    for members in sorted(subgroups | {tuple(range(G.order))}):
+        sub = Subgroup(G, members)
+        if not sub.is_normal():
+            continue
+        fr = make_frame(G, sub)
+        law = StarLaw(fr, MeasureSpec("uniform", fr.a_group.order),
+                      MeasureSpec("uniform", fr.C.order))
+        # each cell's codes run through every code, shifted by its cell
+        codes = (np.arange(count)[:, None] + np.arange(cells)) % G.order
+        planes = to_planes(codes.astype(np.uint8), bits)
+        assert np.array_equal(from_planes(planes, count), codes)
+        got = from_planes(law.b_planes(planes), count)
+        assert np.array_equal(got, np.asarray(fr.b_of).ravel()[codes])
+        cached = law._plane_map   # built once per law
+        law.b_planes(planes)
+        assert law._plane_map is cached
+
+
+def test_q8_star_codes_map_by_a_bit_permutation_or_with_an_and():
+    """Over its centre Q8's ``b_of`` moves each code bit to one output bit;
+    over <j> (element 4) one output bit is the degree-2 x0·x2 ⊕ x1."""
+    q8 = make_quaternion()
+    form = plane_map(np.asarray(make_frame(q8, center(q8)).b_of).ravel())
+    assert sorted(form) == [((0,),), ((1,),), ((2,),)]
+    form = plane_map(np.asarray(make_frame(q8, generated_subgroup(q8, [4])).b_of).ravel())
+    assert form == (((1,), (0, 2)), ((0,),), ((2,),))
 
 
 def assert_product_matches_oracle(data, name, seed, scale=1):

@@ -15,7 +15,7 @@ from mcalab import (Character, GroupMap, LinearRuleDual, McaLabError, McaRule,
                     bernoulli_fourier, central_split, cesaro_randomization,
                     decompose_mca, diffusion_report, dual_action,
                     enumerate_endomorphisms, fibre_rank_independence,
-                    make_cyclic, make_direct_sum, make_frame,
+                    generated_subgroup, make_cyclic, make_direct_sum, make_frame,
                     push_forward, relative_diffusion_rank,
                     star_product_measure)
 from mcalab import CapExceededError, measures, spectral
@@ -26,7 +26,8 @@ from mcalab.util import STATE_CAP
 
 from conftest import drawn, traced_peak
 from oracles import (_spec_words, characters_of, dual_action_oracle,
-                     fourier_coefficient, harmonic_mixing_profile, point_mass, prob)
+                     fourier_coefficient, harmonic_mixing_profile, point_mass, prob,
+                     sample_words_oracle)
 
 
 def xor_rule():
@@ -545,22 +546,28 @@ def test_monte_carlo_rows_ignore_row_blocks_and_threads(
     10**9 one block per chunk; the plane kernel steps one chain per chunk
     whatever the budget, so its cases vary the threads alone.  On either
     kernel, serial or threaded, the rows are the table kernel's at the
-    default budget."""
+    default budget.  The last run's frame, Q8 over <j>, maps star codes to
+    B through an AND on the plane kernel."""
     frame = q8_center_frame
     A, C = frame.a_group, frame.C
     alpha = Character.make(abelian_invariants(A), {0: (1,)})
     spec = MeasureSpec("bernoulli", 8,
                        probs=[Fraction(3, 16)] * 4 + [Fraction(1, 16)] * 4)
     both = Probe("s", alpha, Character.make(abelian_invariants(C), {0: (1, 0)}))
-    runs = [  # the two-chunk Q8 case above, then a (λ, ν) pair on the frame
+    over_j = make_frame(quat_rule4.group, generated_subgroup(quat_rule4.group, [4]))
+    both_j = Probe("j", *(Character.make(abelian_invariants(G), {0: (1,)})
+                          for G in (over_j.a_group, over_j.C)))
+    runs = [  # the two-chunk Q8 case above, then (λ, ν) pairs on two frames
         (quat_rule3, spec, dict(probes=[Probe("a", alpha)], cap_states=8 ** 4,
-                                mc_samples=(1 << 14) + 1500, seed=11)),
+                                mc_samples=(1 << 14) + 1500, seed=11, frame=frame)),
         (quat_rule4, (bern(7, 10), bern(4, 10, size=4)),
-         dict(probes=[both], cap_states=8 ** 4, mc_samples=3000, seed=5))]
+         dict(probes=[both], cap_states=8 ** 4, mc_samples=3000, seed=5, frame=frame)),
+        (quat_rule4, (bern(7, 10, size=4), bern(4, 10)),
+         dict(probes=[both_j], cap_states=8 ** 4, mc_samples=(1 << 14) + 1500,
+              seed=7, frame=over_j))]
     # n_max 2: one Monte-Carlo checkpoint keeps the one-row blocks quick
     monkeypatch.setattr(spectral, "_GATHER_WORD_OPS", -1)
-    want = [cesaro_randomization(rule, init, 2, frame=frame, **kw)
-            for rule, init, kw in runs]
+    want = [cesaro_randomization(rule, init, 2, **kw) for rule, init, kw in runs]
     monkeypatch.setattr(spectral, "_GATHER_WORD_OPS",
                         -1 if kernel == "table" else math.inf)
     monkeypatch.setattr(spectral, "_CHUNK", budget)
@@ -569,8 +576,7 @@ def test_monte_carlo_rows_ignore_row_blocks_and_threads(
             "table": "step_cells", "planes": "step_planes"}[kernel]
         assert any(r.mode == "mc" for r in ref.probe_rows)
         for workers in (1, 2):
-            got = cesaro_randomization(rule, init, 2, frame=frame,
-                                       workers=workers, **kw)
+            got = cesaro_randomization(rule, init, 2, workers=workers, **kw)
             assert got.probe_rows == ref.probe_rows
             assert got.tv_rows == ref.tv_rows
 
@@ -810,6 +816,43 @@ def test_star_word_sampling_holds_two_cell_arrays(q8_center_frame):
                               np.random.default_rng(0), count, length)
     assert words.shape == (count, length)
     assert peak <= 2 * words.size + 2 * 2 ** 20
+
+
+def test_star_code_sampling_holds_two_cell_arrays(q8_center_frame):
+    # the plane kernel's chunk of the skew_mc run: star codes under the same
+    # bound, λ's words and the output the only chunk-sized arrays; the codes
+    # carry to the draws' B letters through b_of
+    fr, count, length = q8_center_frame, 1 << 14, 193
+    law = StarLaw(fr, bern(7, 10), bern(4, 10, size=4))
+
+    def coded():
+        codes = np.empty((count, length), dtype=np.uint8)
+        for _ in law.codes(np.random.default_rng(0), codes):
+            pass
+        return codes
+
+    codes, peak = traced_peak(coded)
+    assert codes.shape == (count, length)
+    assert peak <= 2 * codes.size + 2 * 2 ** 20
+    assert np.array_equal(np.asarray(fr.b_of).ravel()[codes],
+                          drawn(law, np.random.default_rng(0), count, length))
+
+
+def test_star_codes_fit_when_c_has_256_elements():
+    """Over the trivial subgroup of Z/256, |C| = 256 does not fit the uint8
+    cells; the codes are formed in a dtype that holds it, and still give the
+    streamed oracle's words over every frame of Z/256 tried."""
+    G = make_cyclic(256)
+    for members in ([0], [0, 128], range(0, 256, 2), range(256)):
+        fr = make_frame(G, Subgroup(G, list(members)))
+        pair = (MeasureSpec("uniform", fr.a_group.order), MeasureSpec("uniform", fr.C.order))
+        law = StarLaw(fr, *pair)
+        codes = np.empty((300, 7), dtype=np.uint8)
+        for _ in law.codes(np.random.default_rng(3), codes):
+            pass
+        want = sample_words_oracle(pair, fr, np.random.default_rng(3), 300, 7)
+        assert np.array_equal(np.asarray(fr.b_of).ravel()[codes], want)
+        assert np.array_equal(drawn(law, np.random.default_rng(3), 300, 7), want)
 
 
 def test_markov_monte_carlo_tv_matches_the_stationary_law():

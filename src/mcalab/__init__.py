@@ -16,6 +16,10 @@ __version__ = "0.1.0"
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+# Every module loads here, not per subcommand: ``import mcalab.cli`` must load
+# each module that perfbench/tracer.py wraps, because ``tracer.install`` lists
+# ``sys.modules`` before it imports the wrapped modules, so a module first
+# loaded there keeps the unwrapped functions it imported
 from . import decompose, errors, groups, measures, pseudo, rules, specs, spectral
 from .groups import *
 from .pseudo import *

@@ -281,7 +281,8 @@ def cmd_diffuse(cfg: ExperimentConfig, run: Run, args) -> None:
     thresholds = tuple(_int_param(cfg, "thresholds", [2, 4, 10], least=None,
                                   many=True))
     dual = LinearRuleDual.from_rule(cfg.rule)
-    rep = diffusion_report(dual, chi, j_max, thresholds=thresholds)
+    rep = diffusion_report(dual, chi, j_max, thresholds=thresholds,
+                           cap=args.cap_states)
     _write_csv(run.add("diffuse.csv"), ["j", "rank"],
                list(enumerate(rep.ranks)))
     _write_json(run.add("diffuse_report.json"), {

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +134,7 @@ def _fibre_rows(dec: SkewDecomposition):
         (pos - rule.v_lo, img) for (pos, _), img in zip(rule.factors, images)])
 
 
-@dataclass
-class RecomposeReport:
+class RecomposeReport(NamedTuple):
     ok: bool
     witness: dict | None = None
 
@@ -226,8 +226,7 @@ def recompose_check(dec: SkewDecomposition, rule: McaRule | None = None) -> Reco
 # -- central case ------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class CentralSplit:
+class CentralSplit(NamedTuple):
     """Fibres over a central subgroup: one linear rule plus a block map.
 
     Every fibre equals ``lin_rule + block_map[c_word]`` — the linear part is
@@ -272,15 +271,13 @@ def central_split(rule: McaRule, frame: PseudoFrame,
 # -- nilpotent towers --------------------------------------------------------
 
 
-@dataclass(eq=False)
-class TowerLevel:
+class TowerLevel(NamedTuple):
     frame: PseudoFrame
     decomposition: SkewDecomposition
     split: CentralSplit
 
 
-@dataclass(eq=False)
-class NilpotentTower:
+class NilpotentTower(NamedTuple):
     """Iterated central decompositions until the quotient turns abelian.
 
     ``levels[k]`` decomposes the current rule over the center of its group;

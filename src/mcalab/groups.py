@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,7 +224,6 @@ def _extend(table: np.ndarray, gens, images) -> np.ndarray | None:
 # -- maps ------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class GroupMap:
     """A total map between groups, tagged with whether it is a homomorphism.
 
@@ -235,7 +234,7 @@ class GroupMap:
     source: FiniteGroup
     target: FiniteGroup
     image_of: tuple[int, ...]
-    is_homomorphism: bool = False
+    is_homomorphism: bool
 
     def __init__(self, source, target, image_of, is_homomorphism=False, *, _trusted=False):
         self.source = source
@@ -309,7 +308,6 @@ def _elements(G: FiniteGroup, xs, what: str) -> list[int]:
     return [int(x) for x in xs]
 
 
-@dataclass(eq=False)
 class Subgroup:
     """A subgroup given by its sorted member indices inside ``parent``."""
 
@@ -590,13 +588,12 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
     return Q, GroupMap(G, Q, coset_of, True, _trusted=True)
 
 
-@dataclass
-class CharSeries:
+class CharSeries(NamedTuple):
     """An ascending central series with per-step abelian factor invariants."""
 
     group: FiniteGroup
     chain: list[Subgroup]
-    factor_invariants: list[tuple[int, ...]] = field(default_factory=list)
+    factor_invariants: list[tuple[int, ...]]
 
     @property
     def reaches_group(self) -> bool:
@@ -633,8 +630,7 @@ def is_nilpotent(G: FiniteGroup) -> bool:
 # -- abelian structure -----------------------------------------------------
 
 
-@dataclass(eq=False)
-class AbelianCoords:
+class AbelianCoords(NamedTuple):
     """Coordinates A = Z/n1 + ... + Z/nd with n1 | n2 | ... | nd.
 
     ``to_tuple[x]`` is the coefficient tuple of element x; ``index_of`` is

@@ -9,7 +9,7 @@ trivial.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class PseudoFrame:
+class PseudoFrame(NamedTuple):
     """All the bookkeeping for one factorization B = A * C.
 
     ``a_group`` is the subgroup A reindexed as its own group with
@@ -170,8 +169,7 @@ def is_polymorph(frame: PseudoFrame, cap: int = ENUMERATION_CAP) -> bool:
     return True
 
 
-@dataclass(eq=False)
-class SplitEndo:
+class SplitEndo(NamedTuple):
     """Split of an A-invariant endomorphism g through a frame.
 
     ``f`` is the restriction of g to A, ``h`` the induced map on C, and

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,19 +88,30 @@ class McaRule:
         return self.v_hi - self.v_lo
 
 
-@dataclass(frozen=True)
 class Config:
-    """A finite block of cells: ``word[t]`` is the element at cell offset+t."""
+    """A finite block of cells: ``word[t]`` is the element at cell offset+t.
 
-    group: FiniteGroup
-    offset: int
-    word: tuple[int, ...]
+    Configs compare and hash by (group, offset, word).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(int(w) for w in self.word))
+    def __init__(self, group: FiniteGroup, offset: int, word: Iterable[int]):
+        self.group = group
+        self.offset = offset
+        self.word = tuple(int(w) for w in word)
         for w in self.word:
-            if not (0 <= w < self.group.order):
+            if not (0 <= w < group.order):
                 raise TableInvalidError(f"cell value {w} outside group")
+
+    def _key(self) -> tuple:
+        return (self.group, self.offset, self.word)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def lo(self) -> int:
@@ -531,8 +542,7 @@ def _merge_positions(group: FiniteGroup, factors: Iterable[tuple[int, GroupMap]]
 # -- permutativity -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PermutativityFlags:
+class PermutativityFlags(NamedTuple):
     left: bool
     right: bool
 

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import SpecError
 from .groups import (FiniteGroup, GroupMap, Subgroup, abelian_invariants,
@@ -307,15 +306,14 @@ def parse_probe(obj: dict, where: str,
     return Probe(pid, alpha, phi)
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """One parsed config file: constructed objects plus raw parameters."""
 
     group: FiniteGroup
-    rule: McaRule | None = None
-    frame: PseudoFrame | None = None
-    use_tower: bool = False
-    params: dict = field(default_factory=dict)
+    rule: McaRule | None
+    frame: PseudoFrame | None
+    use_tower: bool
+    params: dict
 
     def param(self, key: str, default=None):
         return self.params.get(key, default)

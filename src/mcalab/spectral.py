@@ -15,9 +15,8 @@ import cmath
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -263,7 +262,6 @@ def _endo_matrix(coords: AbelianCoords, endo: GroupMap) -> tuple[tuple[int, ...]
     return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
 
 
-@dataclass(frozen=True)
 class LinearRuleDual:
     """A linear rule over an abelian group, in dual (coefficient) form.
 
@@ -273,9 +271,12 @@ class LinearRuleDual:
     coefficient tuples.
     """
 
-    coords: AbelianCoords
-    matrices: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
-    bias_coords: tuple[int, ...]
+    def __init__(self, coords: AbelianCoords,
+                 matrices: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...],
+                 bias_coords: tuple[int, ...]):
+        self.coords = coords
+        self.matrices = matrices
+        self.bias_coords = bias_coords
 
     @classmethod
     def from_rule(cls, rule: McaRule) -> "LinearRuleDual":
@@ -473,7 +474,7 @@ def _digit_ranks(dual: LinearRuleDual, chi: Character, j_max: int, p: int) -> li
             for n in range(min(p - 1, j_max // p ** t) + 1):
                 q = dual_action(levels[level], q) if n else q
                 cells, residues = np.divmod(q._cells, p)
-                for r in np.unique(residues):
+                for r in np.flatnonzero(np.bincount(residues)):
                     cls = residues == r
                     edges.append((n, src, state(after[level], cells[cls], q._coeffs[cls])))
         ends.append(len(states))
@@ -491,8 +492,7 @@ def _digit_ranks(dual: LinearRuleDual, chi: Character, j_max: int, p: int) -> li
     return ranks[0].tolist()
 
 
-@dataclass
-class DiffusionReport:
+class DiffusionReport(NamedTuple):
     """Rank trajectory of a character under iterated dual action."""
 
     ranks: list[int]
@@ -510,11 +510,13 @@ class DiffusionReport:
 
 
 def diffusion_report(dual: LinearRuleDual, chi: Character, j_max: int,
-                     thresholds: Sequence[int] = (2, 4, 10)) -> DiffusionReport:
+                     thresholds: Sequence[int] = (2, 4, 10),
+                     cap: int = STATE_CAP) -> DiffusionReport:
     """Iterate the dual action and summarize how ranks grow.
 
     ``ranks[j]`` is the rank of chi's j-th image, for 0 ≤ j ≤ j_max; a
-    negative ``j_max`` is refused.  Over A = (Z/p)^d with weight matrices
+    negative ``j_max`` is refused, and so are more than ``cap`` ranks,
+    before any is computed.  Over A = (Z/p)^d with weight matrices
     that commute mod p, and cells that stay inside int64, the ranks are
     read off the base-p digits of j by a small digit automaton
     (:func:`_digit_ranks`): a state is coefficient rows at a Frobenius
@@ -527,6 +529,8 @@ def diffusion_report(dual: LinearRuleDual, chi: Character, j_max: int,
     """
     if j_max < 0:
         raise McaLabError(f"j_max {j_max} is negative; need 0 <= j_max")
+    if j_max + 1 > cap:
+        raise CapExceededError(f"diffusion report: {j_max + 1} ranks exceed cap {cap}")
     ranks = _rank_series(dual, chi, j_max)
     report = DiffusionReport(ranks, tuple(thresholds), {}, {})
     upto, marks = len(ranks) - 1, _doubling(j_max)
@@ -559,8 +563,7 @@ def relative_diffusion_rank(split, alpha: Character, j: int) -> int:
     return _rank_series(dual, alpha, j)[-1]
 
 
-@dataclass
-class FibreRankCheck:
+class FibreRankCheck(NamedTuple):
     rank: int
     linear_rank: int
     all_equal: bool
@@ -632,8 +635,7 @@ def fibre_rank_independence(dec, split, alpha: Character, j: int,
 # -- Cesàro randomization experiments -----------------------------------------
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(NamedTuple):
     """A product character probe against a (possibly skew) alphabet.
 
     For an abelian rule group, set only ``alpha`` (over the group itself).
@@ -668,8 +670,7 @@ class Probe:
         return tables, complex(phase)
 
 
-@dataclass
-class ProbeRow:
+class ProbeRow(NamedTuple):
     n: int
     probe_id: str
     coef_abs: float
@@ -679,8 +680,7 @@ class ProbeRow:
     stderr: float
 
 
-@dataclass
-class TvRow:
+class TvRow(NamedTuple):
     n: int
     tv_distance: float
     cesaro_tv: float
@@ -689,8 +689,7 @@ class TvRow:
     stderr: float
 
 
-@dataclass
-class RandomizationReport:
+class RandomizationReport(NamedTuple):
     probe_rows: list[ProbeRow]
     tv_rows: list[TvRow]
     n_exact: int

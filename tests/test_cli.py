@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -272,7 +273,8 @@ def test_cap_states_config_field_honored_unless_flag_given(tmp_path):
     assert read_json(out2 / "manifest.json")["n_exact"] == 6
 
 
-# (command, config keys beside XOR_CONFIG, the field named in the error)
+# (command, config keys beside XOR_CONFIG, the field named in the error, or
+# the start of the line for an error raised past config loading)
 MALFORMED_PARAMS = [
     ("randomize", {"n_max": 2, "tv_cells": "x"}, "config.tv_cells"),
     ("randomize", {"n_max": 2, "tv_cells": 0}, "config.tv_cells"),
@@ -287,6 +289,7 @@ MALFORMED_PARAMS = [
     ("diffuse", {"alpha": {"0": [1]}, "j_max": 4, "thresholds": 3}, "config.thresholds"),
     ("diffuse", {"alpha": {"0": [1]}, "j_max": True}, "config.j_max"),
     ("diffuse", {"alpha": {"0": [1]}, "j_max": -3}, "config.j_max"),
+    ("diffuse", {"alpha": {"0": [1]}, "j_max": 10 ** 18}, "error: diffusion report: "),
     ("group", {"cap_states": True}, "config.cap_states"),
     ("randomize", {"n_max": 2, "probes": 5}, "config.probes"),
     ("randomize", {"n_max": 2, "probes": {}}, "config.probes"),
@@ -332,7 +335,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
         cfgp = write_config(tmp_path, {**XOR_CONFIG, **params})
         assert main([command, "--config", cfgp, "--out", str(tmp_path)]) == 2, params
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {where}: ") and err.count("\n") == 1, err
+        start = where if where.startswith("error: ") else f"config error: {where}: "
+        assert err.startswith(start) and err.count("\n") == 1, err
     cfgp = write_config(tmp_path, {**XOR_CONFIG, "n_max": 2, "mc_samples": 4})
     assert main(["randomize", "--config", cfgp, "--out", str(tmp_path),
                  "--seed", "-3"]) == 2
@@ -666,6 +670,26 @@ def test_a_failed_run_leaves_a_manifest_naming_its_error(tmp_path, capsys):
     manifest = read_json(tmp_path / "manifest.json")
     assert (code, manifest["status"]) == (0, "ok")
     assert "error" not in manifest
+
+
+def test_a_diffuse_horizon_past_the_cap_is_refused_at_once(tmp_path, capsys):
+    """More than ``cap_states`` ranks (j_max + 1) exit 2 before any rank is
+    computed, with one error line that the manifest records."""
+    cfg = {**read_json(ROOT / "demos" / "configs" / "diffuse_xor.json"), "j_max": 10 ** 18}
+    start = time.perf_counter()
+    code, err = assert_ends_in_one_line(tmp_path, capsys, "diffuse", cfg, "j_max 10**18")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (
+        2, "error: diffusion report: 1000000000000000001 ranks exceed cap 10000000\n")
+    manifest = read_json(tmp_path / "manifest.json")
+    assert (manifest["status"], manifest["error"]) == ("error", err.rstrip("\n"))
+    # 513 ranks fit a cap of 513, and not one of 512
+    cfg["j_max"] = 512
+    assert assert_ends_in_one_line(tmp_path, capsys, "diffuse",
+                                   {**cfg, "cap_states": 513}, "cap 513")[0] == 0
+    code, err = assert_ends_in_one_line(tmp_path, capsys, "diffuse",
+                                        {**cfg, "cap_states": 512}, "cap 512")
+    assert (code, err) == (2, "error: diffusion report: 513 ranks exceed cap 512\n")
 
 
 HUGE = 10 ** 30

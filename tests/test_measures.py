@@ -603,3 +603,27 @@ def test_entropy_routes_leave_numpy_ma_unimported():
     # bijective closed form (4 bits)
     assert out[0] == "3.0" and float(out[1]) < 3.5
     assert out[2] == "False"
+
+
+def test_digit_automaton_diffusion_leaves_numpy_ma_unimported(tmp_path):
+    """A ``diffuse`` run on the digit-automaton route (xor to j = 4096) does
+    not import ``numpy.ma`` either: ``spectral._digit_ranks`` finds the
+    nonempty residue classes with ``np.bincount``, not a bare ``np.unique``."""
+    config = json.loads((ROOT / "demos" / "configs" / "diffuse_xor.json").read_text())
+    path = tmp_path / "diffuse.json"
+    path.write_text(json.dumps({**config, "j_max": 4096}))
+    code = textwrap.dedent(f"""
+        import sys
+        from mcalab import cli, spectral
+        routed = []
+        digit_ranks = spectral._digit_ranks
+        spectral._digit_ranks = lambda *args: routed.append(args[3]) or digit_ranks(*args)
+        status = cli.main(["diffuse", "--config", {str(path)!r}, "--out", {str(tmp_path)!r}])
+        print(status, routed, "numpy.ma" in sys.modules)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(measures.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[-1] == "0 [2] False"
+    # rank 2^popcount(j) at j = 4096
+    assert (tmp_path / "diffuse.csv").read_text().splitlines()[-1] == "4096,2"

@@ -3,6 +3,7 @@ and each public function is reached outside the tests; the scalar evaluator
 stays inside ``rules``, character rows inside ``spectral``, and no module
 names a per-cell rule family.  Loading the CLI starts one thread."""
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -29,6 +30,22 @@ def test_package_exports_exactly_the_modules_public_names():
     assert set(namespace) - {"__builtins__"} == union
     with pytest.raises(mcalab.InvalidOrderError):
         mcalab.make_cyclic(0)
+
+
+def test_only_three_classes_are_dataclasses():
+    """``McaRule`` and ``SkewDecomposition`` stay dataclasses because callers
+    copy them with ``dataclasses.replace``, and ``WindowMeasure`` because the
+    benchmark's tracer wraps its ``__post_init__`` by name.  Every other
+    record is a ``NamedTuple`` or a plain class: generating dataclass methods
+    for 23 classes took a third or more of the time ``import mcalab.cli``
+    spends after numpy, and every CLI run pays it."""
+    importlib.import_module("mcalab.cli")
+    found = {name for mod_name, mod in sys.modules.items()
+             if mod_name.startswith("mcalab.")
+             for name, obj in vars(mod).items()
+             if isinstance(obj, type) and obj.__module__ == mod_name
+             and dataclasses.is_dataclass(obj)}
+    assert found == {"McaRule", "SkewDecomposition", "WindowMeasure"}
 
 
 def test_every_group_table_is_validated():

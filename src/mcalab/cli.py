@@ -373,20 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mcalab",
         description="Multiplicative cellular automata experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    env_workers = os.environ.get("MCA_LAB_WORKERS")
-    try:
-        workers = int(env_workers) if env_workers else 1
-    except ValueError:
-        raise SpecError(f"MCA_LAB_WORKERS: need an integer, "
-                        f"got {env_workers!r}") from None
-    if workers < 1:
-        raise SpecError(f"MCA_LAB_WORKERS: need a positive integer, "
-                        f"got {env_workers!r}")
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=workers)
+        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--cap-states", dest="cap_states", type=int,
                        default=None)
@@ -404,6 +395,8 @@ def main(argv=None) -> int:
                 raise SpecError("--seed: need a non-negative integer")
             if args.workers < 1:
                 raise SpecError("--workers: need a positive integer")
+            if args.cap_states is not None and args.cap_states < 1:
+                raise SpecError("--cap-states: need a positive integer")
             config = read_config(args.config)  # read once: parsed and hashed
             cfg = load_experiment(config)
             if args.cap_states is None:  # flag beats config beats default

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import FrameError, NotCentralError, WindowError
 from .groups import FiniteGroup, GroupMap, abelian_invariants, center
 from .pseudo import PseudoFrame, SplitEndo, make_frame, split_endo, star_decompose
-from .rules import McaRule, _local_tables, _merge_positions, _seed_table, local_table
+from .rules import McaRule, _local_tables, _merge_positions, local_table
 from .util import STATE_CAP, check_cap, digit_planes, index_word, iter_words
 
 __all__ = [
@@ -84,7 +84,7 @@ class SkewDecomposition:
                        in zip(rule.factors, images[:, row].tolist())]
             fibre = McaRule(A, rule.v_lo, rule.v_hi, factors, int(bias[row]),
                             one_sided=rule.one_sided)
-            _seed_table(fibre, tables[row])
+            fibre._table = tables[row]   # its local_table: a read-only batch row
             self._rules[row] = fibre
         return self._rules[row]
 

@@ -118,9 +118,6 @@ class FiniteGroup:
     def element_order(self, a: int) -> int:
         return int(self._element_orders()[a])
 
-    def exponent(self) -> int:
-        return int(np.lcm.reduce(self._element_orders()))
-
     @property
     def is_abelian(self) -> bool:
         """Whether the validated generators commute pairwise."""
@@ -355,15 +352,6 @@ class Subgroup:
         table = back[self.parent.table[np.ix_(embed, embed)]]
         return FiniteGroup(table, [self.parent.label(p) for p in embed]), embed
 
-    def _escapes(self) -> np.ndarray:
-        """``[g, i]`` is True where g * members[i] * g^-1 leaves the subgroup."""
-        G = self.parent
-        conj = G.table[G.table[:, self.members], G.inverse[:, None]]
-        return ~self._mask[conj]
-
-    def is_normal(self) -> bool:
-        return not self._escapes().any()
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subgroup) and other.parent is self.parent
                 and other.members == self.members)
@@ -576,7 +564,8 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
     """
     if N.parent is not G:
         raise NotNormalError("subgroup belongs to a different group")
-    escapes = N._escapes()
+    # [g, i] is True where g * members[i] * g^-1 leaves N
+    escapes = ~N._mask[G.table[G.table[:, N.members], G.inverse[:, None]]]
     if escapes.any():
         g, i = np.argwhere(escapes)[0]
         raise NotNormalError(f"subgroup is not normal: witness {(int(g), N.members[i])}")
@@ -642,10 +631,6 @@ class AbelianCoords(NamedTuple):
     generators: tuple[int, ...]
     to_tuple: tuple[tuple[int, ...], ...]
     index_of: dict[tuple[int, ...], int]
-
-    @property
-    def rank(self) -> int:
-        return len(self.orders)
 
 
 def _peel(G: FiniteGroup, members: np.ndarray, normal) -> tuple[list[int], list[int]]:

@@ -26,9 +26,9 @@ import numpy as np
 
 from .errors import McaLabError, NotPermutativeError, WindowError
 from .groups import FiniteGroup
-from .rules import (McaRule, code_dtype, is_bipermutative, local_table, map_planes,
-                    plane_map, step_buffers, step_cells)
-from .util import STATE_CAP, check_cap
+from .rules import (McaRule, _compile, _run_program, _table_anf, code_dtype,
+                    is_bipermutative, local_table, step_buffers, step_cells)
+from .util import STATE_CAP, check_cap, fitting_cells
 
 __all__ = [
     "WindowMeasure",
@@ -438,10 +438,21 @@ def _tail_cells(size: int, length: int) -> int:
     A chunk of a ``length``-cell window fixes the other, leading cells and
     runs through every word of these tail cells.
     """
-    low = 0
-    while low < length and size ** (low + 1) <= _CHUNK:
-        low += 1
-    return low
+    return fitting_cells(size, _CHUNK, length)
+
+
+def _star_chunks(frame, length: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Indices (x, y) of the A-word and of the C-word behind each star word
+    of a ``length``-cell window, in chunks laid out as :func:`_observation_keys`
+    lays out its own: the tail words' indices, computed once, shifted by each
+    chunk's leading cells into two buffers, which the next chunk overwrites."""
+    A, C = frame.a_group.order, frame.C.order
+    low = _tail_cells(frame.B.order, length)
+    tail_x, tail_y = frame.word_indices(low)
+    head_x, head_y = frame.word_indices(length - low)
+    x, y = np.empty_like(tail_x), np.empty_like(tail_y)
+    for hx, hy in zip((head_x * A ** low).tolist(), (head_y * C ** low).tolist()):
+        yield np.add(tail_x, hx, out=x), np.add(tail_y, hy, out=y)
 
 
 def _observation_keys(m: WindowMeasure, rule: McaRule, windows: Sequence,
@@ -646,16 +657,11 @@ def fibre_trajectory_entropy(dec, lambda_spec: MeasureSpec,
     lam = lambda_spec.window_measure(lo, hi, fr.a_group, cap)
     A, C = fr.a_group.order, fr.C.order
     keys = np.empty((C ** n, A ** n), dtype=np.intp)
-    # a chunk is a head word times every tail word, as in star_product_measure
-    low = _tail_cells(fr.B.order, n)
-    tail_x, tail_y = fr.word_indices(low)
-    head_x, head_y = fr.word_indices(n - low)
-    place = tail_y * A ** n + tail_x
-    at = np.empty_like(place)
     words = WindowMeasure.uniform(fr.B.order, lo, hi, fr.B)
     chunks = _observation_keys(words, rule, [(-L, R)] * n_steps, cap)
-    for (_, key), hx, hy in zip(chunks, head_x.tolist(), head_y.tolist()):
-        keys.put(np.add(place, hy * C ** low * A ** n + hx * A ** low, out=at), key)
+    for (_, key), (x, y) in zip(chunks, _star_chunks(fr, n)):
+        y *= A ** n   # the flat (C-word, A-word) index, in the chunk's buffer
+        keys.put(np.add(y, x, out=y), key)
     acc = []
     for i in np.flatnonzero(nu.num).tolist():
         seen, which = np.unique(keys[i], return_inverse=True)
@@ -677,10 +683,8 @@ def star_product_measure(frame, a: WindowMeasure, c: WindowMeasure) -> WindowMea
     ``c`` over its C.  Cellwise, the pair (x, y) becomes the group element
     x⋆y = ``frame.b_of[x, y]``, giving a measure on words over B; exact.  A
     star word weighs a.num times c.num of its two coordinate words.  The
-    output is filled in place a chunk at a time: a chunk fixes the leading
-    cells, and the coordinate-word indices of the tail words, computed
-    once, are shifted by the leading cells' offsets into buffers made
-    before the loop, so no chunk allocates.
+    output is filled in place a chunk of :func:`_star_chunks` at a time,
+    into buffers made before the loop, so no chunk allocates.
     """
     if (a.lo, a.hi) != (c.lo, c.hi):
         raise WindowError("product factors must share the window")
@@ -690,20 +694,16 @@ def star_product_measure(frame, a: WindowMeasure, c: WindowMeasure) -> WindowMea
                           f"|C| = {C}, got sizes {a.size} and {c.size}")
     n, den = a.length, a.den * c.den
     dtype = _weight_dtype(den)
-    low = _tail_cells(B, n)
-    tail_x, tail_y = frame.word_indices(low)
-    head_x, head_y = frame.word_indices(n - low)
-    words = B ** low
+    words = B ** _tail_cells(B, n)
     num = np.empty(B ** n, dtype=dtype)
-    # cast once; the index sums and the C-factor gather reuse their buffers,
-    # and every index is valid, so "wrap" gathers unbuffered
+    # cast once; the C-factor gather reuses its buffer, and every index is
+    # valid, so "wrap" gathers unbuffered
     num_a, num_c = a.num.astype(dtype, copy=False), c.num.astype(dtype, copy=False)
-    x, y, gather = np.empty_like(tail_x), np.empty_like(tail_y), np.empty(words, dtype)
-    for head, (hx, hy) in enumerate(zip((head_x * A ** low).tolist(),
-                                        (head_y * C ** low).tolist())):
+    gather = np.empty(words, dtype)
+    for head, (x, y) in enumerate(_star_chunks(frame, n)):
         out = num[head * words:(head + 1) * words]
-        num_a.take(np.add(tail_x, hx, out=x), out=out, mode="wrap")
-        out *= num_c.take(np.add(tail_y, hy, out=y), out=gather, mode="wrap")
+        num_a.take(x, out=out, mode="wrap")
+        out *= num_c.take(y, out=gather, mode="wrap")
     return WindowMeasure(B, a.lo, a.hi, _frozen(num), den, frame.B)
 
 
@@ -721,7 +721,7 @@ class StarLaw:
                                   f"{group.order} symbols, got {law.size}")
         self.frame, self.lam, self.nu = frame, lam, nu
         self.size = frame.B.order
-        self._plane_map = None
+        self._program = None
 
     def window_measure(self, lo: int, hi: int, group: FiniteGroup | None = None,
                        cap: int = STATE_CAP) -> WindowMeasure:
@@ -764,9 +764,10 @@ class StarLaw:
 
     def b_planes(self, planes: np.ndarray) -> np.ndarray:
         """The planes of B letters ``b_of`` gives the star codes packed in
-        ``planes`` (``rules.to_planes``), B of order 2**b: ``b_of`` as b
-        Boolean functions of the code bits (``rules.plane_map``, cached on
-        the law), each output plane made once per chunk."""
-        if self._plane_map is None:   # chunk threads racing here build equal maps
-            self._plane_map = plane_map(np.asarray(self.frame.b_of).ravel())
-        return map_planes(self._plane_map, planes)
+        ``planes`` (``rules.to_planes``), B of order 2**b: ``b_of`` compiled
+        once per law as a width-1 map of b-bit codes, into the plane program
+        a rule's ``step_planes`` runs, and run by the same evaluator."""
+        if self._program is None:   # chunk threads racing here build equal programs
+            b_of = np.asarray(self.frame.b_of).ravel()
+            self._program = _compile(_table_anf(b_of, len(b_of).bit_length() - 1, 1))
+        return _run_program(self._program, planes, 0)

@@ -154,15 +154,9 @@ def local_table(rule: McaRule, cap: int = STATE_CAP) -> np.ndarray:
     """
     if rule._table is None:
         check_cap(rule.group.order, rule.width, cap, "local rule table")
-        _seed_table(rule, _local_tables(rule.group, rule.width, [rule.bias], [
-            (pos - rule.v_lo, [coeff.image_of]) for pos, coeff in rule.factors])[0])
+        rule._table = _local_tables(rule.group, rule.width, [rule.bias], [
+            (pos - rule.v_lo, [coeff.image_of]) for pos, coeff in rule.factors])[0]
     return rule._table
-
-
-def _seed_table(rule: McaRule, table: np.ndarray) -> None:
-    """Cache ``table``, a read-only row of :func:`_local_tables` for this
-    very rule, as its :func:`local_table`."""
-    rule._table = table
 
 
 def _local_tables(group: FiniteGroup, width: int, bias,
@@ -262,46 +256,47 @@ def step_cells(op: McaRule, cells: np.ndarray, cap: int = STATE_CAP,
 
 
 def algebraic_normal_form(rule: McaRule, cap: int = STATE_CAP) -> tuple:
-    """The local map over a group of order 2**b as b factored Boolean functions.
-
-    Element codes are b-bit numbers, so output bit k of :func:`local_table`
-    is a Boolean function of the width·b input bits: the XOR of the
-    monomials (ANDs) of its algebraic normal form, read off one Möbius
-    transform of that bit's truth table.  A monomial is a tuple of
-    (bit, cell) factors, cell 0 leftmost; the empty tuple is the constant 1.
-    Entry k groups them as ``(head, cofactors)`` pairs, each worth head ·
-    XOR(cofactors): the factor shared by the most monomials of degree ≥ 2
-    heads them while it is shared at all, and the rest sit under head None
-    (worth 1).  Cached on the rule, built under the table's cap.
-    """
+    """The local map over a group of order 2**b as b factored Boolean
+    functions of the width·b input bits (:func:`_table_anf` of its
+    :func:`local_table`).  Cached on the rule, built under the table's cap."""
     if rule._anf is None:
-        s, width = rule.group.order, rule.width
-        bits = s.bit_length() - 1
-        if s != 1 << bits:
+        s = rule.group.order
+        if s & (s - 1):
             raise TableInvalidError(f"group order {s} is not a power of two")
-        table = local_table(rule, cap)
-        # bit p of a table index is bit p % b of cell width-1 - p // b
-        n = bits * width
-        rule._anf = tuple(_factor_out_heads([
-            tuple((p % bits, width - 1 - p // bits) for p in range(n) if m >> p & 1)
-            for m in _monomials(table, k)]) for k in range(bits))
+        rule._anf = _table_anf(local_table(rule, cap), s.bit_length() - 1, rule.width)
     return rule._anf
 
 
-def _monomials(table: np.ndarray, k: int) -> list[int]:
-    """The algebraic normal form of bit k of a 1-D ``table`` of 2**n
-    entries, as a function of the n index bits: the index-bit masks of its
-    monomials, read off one Möbius transform of the bit's truth table."""
-    f = ((table >> k) & 1).astype(np.uint8)
-    for p in range(f.size.bit_length() - 1):
-        pairs = f.reshape(-1, 2, 1 << p)
-        pairs[:, 1] ^= pairs[:, 0]
-    return np.flatnonzero(f).tolist()
+def _table_anf(table: np.ndarray, bits: int, width: int) -> tuple:
+    """A map of ``width`` b-bit codes to one, ``table`` indexed big-endian
+    by 2**(width·b) input codes, as b factored Boolean functions.
+
+    Output bit k of ``table`` is a Boolean function of the width·b input
+    bits: the XOR of the monomials (ANDs) of its algebraic normal form,
+    read off one Möbius transform of that bit's truth table.  A monomial is
+    a tuple of (bit, cell) factors, cell 0 leftmost; the empty tuple is the
+    constant 1.  Entry k groups them as ``(head, cofactors)`` pairs, each
+    worth head · XOR(cofactors): the factor shared by the most monomials of
+    degree ≥ 2 heads them while it is shared at all, and the rest sit under
+    head None (worth 1).
+    """
+    n, anf = bits * width, []
+    for k in range(bits):
+        f = ((table >> k) & 1).astype(np.uint8)
+        for p in range(n):
+            pairs = f.reshape(-1, 2, 1 << p)
+            pairs[:, 1] ^= pairs[:, 0]
+        # f is now 1 at the index-bit masks m of the monomials; bit p of a
+        # table index is bit p % b of cell width-1 - p // b
+        anf.append(_factor_out_heads([
+            tuple((p % bits, width - 1 - p // bits) for p in range(n) if m >> p & 1)
+            for m in np.flatnonzero(f).tolist()]))
+    return tuple(anf)
 
 
 def _factor_out_heads(monomials: list[tuple]) -> tuple:
     """``(head, cofactors)`` groups of ``monomials``, as in
-    :func:`algebraic_normal_form`: a head shared by g monomials turns their
+    :func:`_table_anf`: a head shared by g monomials turns their
     g ANDs and g XORs into g - 1 XORs, one AND and one XOR."""
     rest = [m for m in monomials if len(m) >= 2]
     groups = []
@@ -317,50 +312,55 @@ def _factor_out_heads(monomials: list[tuple]) -> tuple:
 
 
 def _plane_program(rule: McaRule, cap: int = STATE_CAP) -> tuple:
-    """The straight-line program of :func:`step_planes`: ``(shared, planes)``.
+    """The program :func:`step_planes` runs: :func:`_compile` of the rule's
+    :func:`algebraic_normal_form`.  Cached on the rule, under the table's cap."""
+    if rule._program is None:
+        rule._program = _compile(algebraic_normal_form(rule, cap))
+    return rule._program
+
+
+def _compile(anf: tuple) -> tuple:
+    """The straight-line program ``(shared, planes)`` of a factored normal
+    form (:func:`_table_anf`), which :func:`_run_program` runs.
 
     An atom (symbol, cell) is that symbol's slice from the cell on; symbols
     0..b-1 are the input bit planes.  The linear forms are each plane's and
-    each head's degree-1 (co)factors in :func:`algebraic_normal_form`.
-    While a pair shape, (A, c) and (B, c + d) in one form, occurs twice or
-    more over all forms without overlap, a shared symbol v[c] = A[c] ^
-    B[c + d], listed as (A, B, d, reach of v), takes each such pair's place
-    as (v, c): greedy XOR sharing (Paar 1997).  A plane is (atoms,
-    products, heads, constant), a head (atom, atoms, products) over two or
-    more terms.  Cached on the rule, under the table's cap.
+    each head's degree-1 (co)factors.  While a pair shape, (A, c) and (B, c
+    + d) in one form, occurs twice or more over all forms without overlap,
+    a shared symbol v[c] = A[c] ^ B[c + d], listed as (A, B, d, reach of
+    v), takes each such pair's place as (v, c): greedy XOR sharing (Paar
+    1997).  A plane is (atoms, products, heads, constant), a head (atom,
+    atoms, products) over two or more terms.
     """
-    if rule._program is None:
-        anf = algebraic_normal_form(rule, cap)
-        forms = [[m[0] for m in cofactors if len(m) == 1]
-                 for groups in anf for _, cofactors in groups]
-        shared, reach = [], [0] * len(anf)
-        while True:
-            roots = [_shape_roots(form) for form in forms]
-            count = Counter(shape for found in roots
-                            for shape, cells in found.items() for _ in cells)
-            shape = max(count, key=count.get, default=None)
-            if count[shape] < 2:
-                break
-            a, b, d = shape
-            reach.append(max(reach[a], reach[b] + d))
-            shared.append((*shape, reach[-1]))
-            for form, found in zip(forms, roots):
-                for c in found.get(shape, ()):
-                    form.remove((a, c))
-                    form.remove((b, c + d))
-                    form.append((len(reach) - 1, c))
-        forms, planes = iter(forms), []
-        for (_, rest), *groups in anf:
-            atoms, products, heads = next(forms), [m for m in rest if len(m) > 1], []
-            for head, cofactors in groups:
-                terms = next(forms), [m for m in cofactors if len(m) > 1]
-                if sum(map(len, terms)) == 1:
-                    products.append((head, *terms[0], *itertools.chain(*terms[1])))
-                else:
-                    heads.append((head, *terms))
-            planes.append((atoms, products, heads, () in rest))
-        rule._program = (shared, planes)
-    return rule._program
+    forms = [[m[0] for m in cofactors if len(m) == 1]
+             for groups in anf for _, cofactors in groups]
+    shared, reach = [], [0] * len(anf)
+    while True:
+        roots = [_shape_roots(form) for form in forms]
+        count = Counter(shape for found in roots
+                        for shape, cells in found.items() for _ in cells)
+        shape = max(count, key=count.get, default=None)
+        if count[shape] < 2:
+            break
+        a, b, d = shape
+        reach.append(max(reach[a], reach[b] + d))
+        shared.append((*shape, reach[-1]))
+        for form, found in zip(forms, roots):
+            for c in found.get(shape, ()):
+                form.remove((a, c))
+                form.remove((b, c + d))
+                form.append((len(reach) - 1, c))
+    forms, planes = iter(forms), []
+    for (_, rest), *groups in anf:
+        atoms, products, heads = next(forms), [m for m in rest if len(m) > 1], []
+        for head, cofactors in groups:
+            terms = next(forms), [m for m in cofactors if len(m) > 1]
+            if sum(map(len, terms)) == 1:
+                products.append((head, *terms[0], *itertools.chain(*terms[1])))
+            else:
+                heads.append((head, *terms))
+        planes.append((atoms, products, heads, () in rest))
+    return shared, planes
 
 
 def _shape_roots(form: list[tuple[int, int]]) -> dict[tuple, list[int]]:
@@ -427,30 +427,6 @@ def from_planes(planes: np.ndarray, count: int) -> np.ndarray:
     return codes[:, :count].T
 
 
-def plane_map(table: np.ndarray) -> tuple:
-    """A byte map ``table`` of 2**b entries below 2**b as b Boolean
-    functions of the b code bits, one per output bit: the monomials of its
-    algebraic normal form (:func:`_monomials`), each a tuple of input bits,
-    the empty tuple being the constant 1."""
-    n = len(table).bit_length() - 1
-    return tuple(tuple(tuple(p for p in range(n) if m >> p & 1)
-                       for m in _monomials(table, k)) for k in range(n))
-
-
-def map_planes(form: tuple, planes: np.ndarray) -> np.ndarray:
-    """The planes of ``table[code]`` for the codes packed in ``planes`` as
-    :func:`to_planes` packs them, ``form`` being :func:`plane_map`'s: each
-    output plane is one :func:`_xor_sum` of whole input planes."""
-    out = np.empty((len(form),) + planes.shape[1:], dtype=planes.dtype)
-    tmp = np.empty_like(out[0])
-    for plane, terms in zip(out, form):
-        _xor_sum([planes[t[0]] for t in terms if len(t) == 1],
-                 [[planes[p] for p in t] for t in terms if len(t) > 1], plane, tmp)
-        if () in terms:
-            np.invert(plane, out=plane)
-    return out
-
-
 def _xor_sum(atoms: list, products: list, out: np.ndarray, tmp: np.ndarray) -> None:
     """``out`` = XOR of the ``atoms`` slices and each product's AND chain,
     the first chain (or else the first atoms) written with ``out=``."""
@@ -473,19 +449,23 @@ def _xor_sum(atoms: list, products: list, out: np.ndarray, tmp: np.ndarray) -> N
 
 def step_planes(rule: McaRule, planes: np.ndarray,
                 cap: int = STATE_CAP) -> np.ndarray:
-    """One synchronous step on bit-sliced words, :func:`step_cells`'s twin.
-
+    """One synchronous step on bit-sliced words, :func:`step_cells`'s twin:
     ``planes`` is (b, cells, lanes) uint64 as :func:`to_planes` packs it,
-    over a group of order 2**b; the result holds the image cells, b planes
-    of ``cells - spread`` cells.  It runs the rule's plane program: each
-    shared XOR once, then each output plane as the XOR of its atoms'
-    shifted slices and its products' AND chains, each head ANDed with its
-    own such sum, then NOT for a constant, so it costs
-    :func:`plane_step_ops` word operations on 64 samples at a time.
-    """
-    shared, program = _plane_program(rule, cap)
+    over a group of order 2**b, and the result the image cells' b planes, by
+    :func:`_run_program` of the rule's :func:`_plane_program` in
+    :func:`plane_step_ops` word operations on 64 samples at a time."""
+    return _run_program(_plane_program(rule, cap), planes, rule.spread)
+
+
+def _run_program(program: tuple, planes: np.ndarray, spread: int) -> np.ndarray:
+    """The output planes of a map of ``spread + 1`` cells, compiled by
+    :func:`_compile`, on the input ``planes``: each shared XOR once, then
+    each output plane as the XOR of its atoms' shifted slices and its
+    products' AND chains, each head ANDed with its own such sum, then NOT
+    for a constant."""
+    shared, program = program
     cells = planes.shape[1]
-    k = cells - rule.spread
+    k = cells - spread
     if k < 0:
         raise WindowError(f"block of {cells} cells is narrower than the rule")
     arrays = list(planes)

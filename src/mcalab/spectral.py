@@ -26,7 +26,8 @@ from .groups import AbelianCoords, FiniteGroup, GroupMap, abelian_invariants
 from .measures import _CHUNK, MeasureSpec, StarLaw, WindowMeasure, push_forward
 from .rules import (McaRule, _merge_positions, from_planes, plane_step_ops,
                     step_buffers, step_cells, step_planes, to_planes)
-from .util import STATE_CAP, cell_dtype, check_cap, digit_planes, is_integer
+from .util import (STATE_CAP, WORK_CAP, cell_dtype, check_cap, digit_planes,
+                   fitting_cells, is_integer)
 
 __all__ = [
     "Character",
@@ -157,9 +158,6 @@ class Character:
 
     def cells(self) -> tuple[int, ...]:
         return tuple(self._cells.tolist())
-
-    def is_trivial(self) -> bool:
-        return self.rank == 0
 
     def cell_values(self, coords: AbelianCoords | None = None
                     ) -> dict[int, np.ndarray]:
@@ -500,14 +498,6 @@ class DiffusionReport(NamedTuple):
     densities: dict[int, float]
     density_trail: dict[int, list[tuple[int, float]]]
 
-    def density(self, threshold: int, j_up: int | None = None) -> float:
-        j_max = len(self.ranks) - 1
-        upto = j_max if j_up is None else j_up
-        if not 0 <= upto <= j_max:
-            raise McaLabError(f"j_up {upto} outside 0..{j_max}")
-        hits = sum(1 for j in range(1, upto + 1) if self.ranks[j] > threshold)
-        return hits / upto if upto else 0.0
-
 
 def diffusion_report(dual: LinearRuleDual, chi: Character, j_max: int,
                      thresholds: Sequence[int] = (2, 4, 10),
@@ -535,8 +525,7 @@ def diffusion_report(dual: LinearRuleDual, chi: Character, j_max: int,
     report = DiffusionReport(ranks, tuple(thresholds), {}, {})
     upto, marks = len(ranks) - 1, _doubling(j_max)
     for r in report.thresholds:
-        # hits[m] counts 1 ≤ j ≤ m with rank > r; each density is the same
-        # int / int division as ``DiffusionReport.density``
+        # hits[m] counts 1 ≤ j ≤ m with rank > r
         hits = list(itertools.accumulate((rank > r for rank in ranks[1:]),
                                          initial=0))
         report.densities[r] = hits[upto] / upto if upto else 0.0
@@ -728,7 +717,8 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
     exact rows while the window fits the state cap, then Monte-Carlo rows
     (``mc_samples`` > 0) at deterministic chunk-seeded checkpoints.  Past
     ``n_exact`` the Cesàro columns average the rows present, exact and MC,
-    not every n ≤ N (ROADMAP item 2).
+    not every n ≤ N (ROADMAP item 2).  MC checkpoints costing more than
+    ``util.WORK_CAP`` cell-steps in all are refused before any work starts.
     """
     if n_max < 0:
         raise McaLabError(f"n_max {n_max} is negative; need 0 <= n_max")
@@ -745,15 +735,17 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
     out_lo, out_hi = min(cells), max(cells) + 1
     spread = rule.spread
     check_cap(group.order, out_hi - out_lo, cap_states, "randomization output window")
-    # exact horizon: largest n whose input window enumeration fits the cap
-    n_exact = -1
-    for n in range(n_max + 1):
-        try:
-            check_cap(group.order, (out_hi - out_lo) + n * spread, cap_states,
-                      "exact horizon")
-        except CapExceededError:
-            break
-        n_exact = n
+    n_exact = _exact_horizon(group.order, out_hi - out_lo, spread, n_max, cap_states)
+    asked = _doubling(n_max) if mc_checkpoints is None else mc_checkpoints
+    checkpoints = sorted({m for m in map(int, asked) if n_exact < m <= n_max}
+                         if mc_samples > 0 else ())
+    if checkpoints:
+        # before any sample: a rule too wide to step, under the run's cap even
+        # when its table is cached, then too many cell-steps in all
+        check_cap(group.order, rule.width, cap_states, "local rule table")
+        work = mc_samples * sum((out_hi - out_lo + n * spread) * n for n in checkpoints)
+        if work > WORK_CAP:
+            raise CapExceededError(f"Monte Carlo: {work} cell-steps exceed cap {WORK_CAP}")
     exps = _exponent_sums(rule)
     coprime = None
     if exps is not None:
@@ -787,23 +779,27 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
         tv_series.append((n, tv, "exact", 0, 0.0))
         if n < n_exact:
             cur = push_forward(rule, cur, cap_states)
-    if mc_samples > 0:
-        checkpoints = {int(m) for m in (_doubling(n_max) if mc_checkpoints is None
-                                        else mc_checkpoints)}
-        for n in sorted(m for m in checkpoints if n_exact < m <= n_max):
-            probe_stats, (tv, tv_se) = _mc_step(
-                rule, init, n, out_lo, out_hi, tv_cells,
-                [tab for _, tab in slow], mc_samples, seed or 0, workers,
-                cap_states)
-            for (rows, _), (mean_abs, se) in zip(slow, probe_stats):
-                rows.append((n, mean_abs, "mc", mc_samples, se))
-            tv_series.append((n, tv, "mc", mc_samples, tv_se))
+    for n in checkpoints:
+        probe_stats, (tv, tv_se) = _mc_step(
+            rule, init, n, out_lo, out_hi, tv_cells,
+            [tab for _, tab in slow], mc_samples, seed or 0, workers,
+            cap_states)
+        for (rows, _), (mean_abs, se) in zip(slow, probe_stats):
+            rows.append((n, mean_abs, "mc", mc_samples, se))
+        tv_series.append((n, tv, "mc", mc_samples, tv_se))
     probe_rows = [ProbeRow(n, probe.probe_id, *rest)
                   for probe, rows in zip(probes, series)
                   for n, *rest in _with_cesaro(rows)]
     probe_rows.sort(key=lambda r: (r.n, r.probe_id))
     tv_rows = [TvRow(*row) for row in _with_cesaro(tv_series)]
     return RandomizationReport(probe_rows, tv_rows, n_exact, coprime, seed)
+
+
+def _exact_horizon(order: int, width: int, spread: int, n_max: int, cap: int) -> int:
+    """The largest n ≤ n_max whose input window of ``width + n·spread``
+    cells has at most ``cap`` words, ``width`` cells fitting already."""
+    fit = fitting_cells(order, cap, width + n_max * spread)
+    return (fit - width) // spread if spread else n_max
 
 
 def _with_cesaro(series: list[tuple]) -> Iterator[tuple]:
@@ -874,9 +870,6 @@ def _mc_step(rule: McaRule, law, n: int, out_lo: int, out_hi: int,
     s = rule.group.order
     length = out_hi - out_lo + n * rule.spread
     chunk = 1 << 14
-    # refuse a rule too wide to step before sampling, under the run's cap
-    # even when the rule's table is already cached
-    check_cap(s, rule.width, cap, "local rule table")
     kernel = _mc_kernel(rule, cap)
     star = kernel is step_planes and isinstance(law, StarLaw)
     rows = max(1, _CHUNK // length)

@@ -14,6 +14,8 @@ import numpy as np
 
 # Default cap on exhaustive state spaces (|B|**cells style enumerations).
 STATE_CAP = 10**7
+# Cap on Monte-Carlo cell-steps (samples × cells × steps) a run may ask for.
+WORK_CAP = 10**11
 # Default cap on group order for exhaustive endomorphism enumeration.
 ENUMERATION_CAP = 64
 
@@ -68,3 +70,14 @@ def check_cap(base: int, length: int, cap: int, what: str) -> None:
     size = base ** length
     if size > cap:
         raise CapExceededError(f"{what}: {size} states exceed cap {cap}")
+
+
+def fitting_cells(base: int, cap: int, limit: int) -> int:
+    """The most cells, at most ``limit``, whose ``base ** cells`` words fit
+    in a ``cap`` of at least 1: ``limit`` itself for a one-letter alphabet."""
+    if base == 1:
+        return limit
+    cells = 0
+    while cells < limit and base ** (cells + 1) <= cap:
+        cells += 1
+    return cells

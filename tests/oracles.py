@@ -38,6 +38,11 @@ window sum ``fourier_coefficient`` and ``harmonic_mixing_profile`` check
 the library's permutativity, dual action and ``bernoulli_fourier``.
 ``sample_words_oracle`` draws a Monte-Carlo chunk of star words with
 whole-chunk ``Generator.choice`` draws and one ``b_of[a, c]`` gather.
+``exact_horizon_oracle`` scans n = 0, 1, … with ``check_cap`` for the
+exact horizon of a randomization, and ``tail_cells_oracle`` counts up the
+tail cells of a chunk.  ``exponent``, ``is_normal``,
+``abelian_rank``, ``is_trivial`` and ``density`` read a group, subgroup,
+coordinates, character or diffusion report that the library builds.
 """
 import cmath
 import functools
@@ -49,8 +54,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from mcalab import (Character, Config, FibreRankCheck, FiniteGroup, GroupMap,
-                    McaLabError, McaRule, NotAbelianError,
+from mcalab import (CapExceededError, Character, Config, FibreRankCheck,
+                    FiniteGroup, GroupMap, McaLabError, McaRule, NotAbelianError,
                     NotPermutativeError, RecomposeReport, Subgroup,
                     TableInvalidError, WindowError, WindowMeasure,
                     abelian_invariants, bernoulli_fourier, eval_local,
@@ -97,6 +102,23 @@ def commutator_subgroup_oracle(G) -> tuple[int, ...]:
     comms = {G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
              for a in G.elements() for b in G.elements()}
     return generated_subgroup(G, sorted(comms)).members
+
+
+def exponent(G) -> int:
+    """The least common multiple of the element orders."""
+    return math.lcm(*(G.element_order(a) for a in G.elements()))
+
+
+def is_normal(sub) -> bool:
+    """Whether every conjugate g·m·g⁻¹ of a member m is a member."""
+    G, members = sub.parent, set(sub.members)
+    return all(G.mul(G.mul(g, m), G.inv(g)) in members
+               for g in G.elements() for m in members)
+
+
+def abelian_rank(coords) -> int:
+    """The number of cyclic factors of abelian coordinates."""
+    return len(coords.orders)
 
 
 def power_by_steps(G, x: int, k: int) -> int:
@@ -835,3 +857,42 @@ def sample_words_oracle(spec_pair, frame, rng: np.random.Generator,
     a = _spec_words(lam, rng, count, length)
     c = _spec_words(nu, rng, count, length)
     return np.asarray(frame.b_of)[a, c]
+
+
+def exact_horizon_oracle(order: int, width: int, spread: int, n_max: int,
+                         cap: int) -> int:
+    """The largest n ≤ n_max whose ``width + n·spread`` cells pass
+    ``check_cap``, scanned n = 0, 1, … until one is refused; -1 if none."""
+    n_exact = -1
+    for n in range(n_max + 1):
+        try:
+            check_cap(order, width + n * spread, cap, "exact horizon")
+        except CapExceededError:
+            break
+        n_exact = n
+    return n_exact
+
+
+def tail_cells_oracle(size: int, length: int, chunk: int) -> int:
+    """The most trailing cells, at most ``length``, whose words fit in a
+    chunk of ``chunk`` words, counted up one cell at a time."""
+    low = 0
+    while low < length and size ** (low + 1) <= chunk:
+        low += 1
+    return low
+
+
+def is_trivial(chi) -> bool:
+    """Whether a character has empty support."""
+    return chi.rank == 0
+
+
+def density(report, threshold: int, j_up: int | None = None) -> float:
+    """The fraction of 1 ≤ j ≤ j_up (default j_max) whose rank in a
+    diffusion report exceeds ``threshold``."""
+    j_max = len(report.ranks) - 1
+    upto = j_max if j_up is None else j_up
+    if not 0 <= upto <= j_max:
+        raise McaLabError(f"j_up {upto} outside 0..{j_max}")
+    hits = sum(1 for j in range(1, upto + 1) if report.ranks[j] > threshold)
+    return hits / upto if upto else 0.0

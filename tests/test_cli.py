@@ -12,11 +12,12 @@ import pytest
 
 from mcalab import (CapExceededError, MeasureSpec, cesaro_randomization, cli,
                     groups, make_quaternion)
-from mcalab.cli import build_parser, main
+from mcalab.cli import main
 from mcalab.rules import local_table
 from mcalab.specs import load_experiment, parse_character, parse_measure
+from mcalab.util import WORK_CAP
 
-from oracles import fourier_coefficient
+from oracles import exact_horizon_oracle, fourier_coefficient
 
 ROOT = Path(__file__).resolve().parent.parent
 DOUBLING_MOD7 = [[(pow(2, c, 7) * a) % 7 for a in range(7)] for c in range(3)]
@@ -290,6 +291,8 @@ MALFORMED_PARAMS = [
     ("diffuse", {"alpha": {"0": [1]}, "j_max": True}, "config.j_max"),
     ("diffuse", {"alpha": {"0": [1]}, "j_max": -3}, "config.j_max"),
     ("diffuse", {"alpha": {"0": [1]}, "j_max": 10 ** 18}, "error: diffusion report: "),
+    ("randomize", {**read_json(ROOT / "perfbench" / "configs" / "skew_mc.json"),
+                   "n_max": 10 ** 7, "mc_samples": 10}, "error: Monte Carlo: "),
     ("group", {"cap_states": True}, "config.cap_states"),
     ("randomize", {"n_max": 2, "probes": 5}, "config.probes"),
     ("randomize", {"n_max": 2, "probes": {}}, "config.probes"),
@@ -432,35 +435,18 @@ def test_absent_or_null_measure_means_uniform(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_workers_default_comes_from_environment(monkeypatch):
-    monkeypatch.setenv("MCA_LAB_WORKERS", "3")
-    args = build_parser().parse_args(["group", "--config", "x"])
-    assert args.workers == 3
-    monkeypatch.delenv("MCA_LAB_WORKERS")
-    args = build_parser().parse_args(["group", "--config", "x"])
-    assert args.workers == 1
-
-
-def test_workers_environment_must_be_an_integer(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MCA_LAB_WORKERS", "abc")
-    cfgp = write_config(tmp_path, {"group": {"kind": "quaternion"}})
-    assert main(["group", "--config", cfgp, "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "MCA_LAB_WORKERS" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("env, flag, name", [
+@pytest.mark.parametrize("cap_states, flag, name", [
     (None, "0", "--workers"), (None, "-3", "--workers"),
-    ("0", None, "MCA_LAB_WORKERS"), ("-2", None, "MCA_LAB_WORKERS")])
-def test_workers_below_one_are_refused(tmp_path, monkeypatch, capsys, env, flag, name):
-    if env is None:
-        monkeypatch.delenv("MCA_LAB_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("MCA_LAB_WORKERS", env)
-    cfgp = write_config(tmp_path, {"group": {"kind": "quaternion"}})
-    extra = [] if flag is None else ["--workers", flag]
-    assert main(["group", "--config", cfgp, "--out", str(tmp_path), *extra]) == 2
+    (None, "0", "--cap-states"), (None, "-1", "--cap-states"),
+    (64, "0", "--cap-states")])
+def test_workers_below_one_are_refused(tmp_path, capsys, cap_states, flag, name):
+    """Worker counts below one are refused, and so is a ``--cap-states``
+    below one, even beside a valid config field ``cap_states`` (None: absent)."""
+    cfg = {"group": {"kind": "quaternion"}}
+    if cap_states is not None:
+        cfg["cap_states"] = cap_states
+    cfgp = write_config(tmp_path, cfg)
+    assert main(["group", "--config", cfgp, "--out", str(tmp_path), name, flag]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {name}: need a positive integer")
     assert err.count("\n") == 1
@@ -540,9 +526,8 @@ def output_digests(out):
             for p in sorted(out.iterdir()) if p.name != "manifest.json"}
 
 
-def test_readme_examples_match_pinned_digests(tmp_path, monkeypatch):
+def test_readme_examples_match_pinned_digests(tmp_path):
     """Every README example writes byte-identical outputs (manifest aside)."""
-    monkeypatch.delenv("MCA_LAB_WORKERS", raising=False)
     pins = pinned_digests()
     for key, command, config, extra in README_EXAMPLES:
         out = tmp_path / key.replace("/", "_")
@@ -690,6 +675,58 @@ def test_a_diffuse_horizon_past_the_cap_is_refused_at_once(tmp_path, capsys):
     code, err = assert_ends_in_one_line(tmp_path, capsys, "diffuse",
                                         {**cfg, "cap_states": 512}, "cap 512")
     assert (code, err) == (2, "error: diffusion report: 513 ranks exceed cap 512\n")
+
+
+def test_a_monte_carlo_horizon_past_the_work_cap_is_refused_at_once(tmp_path, capsys):
+    """Monte-Carlo checkpoints of more than ``WORK_CAP`` cell-steps in all
+    (samples × Σ (k + n·spread)·n) exit 2 before any sample is drawn, with
+    one error line that the manifest records."""
+    cfg = {**read_json(ROOT / "perfbench" / "configs" / "skew_mc.json"),
+           "n_max": 10 ** 7, "mc_samples": 10}
+    start = time.perf_counter()
+    code, err = assert_ends_in_one_line(tmp_path, capsys, "randomize", cfg, "n_max 10**7")
+    assert time.perf_counter() - start < 1.0
+    # n_exact is 1; the checkpoints are 2, 4, …, 2**23 and n_max itself
+    steps = 10 * sum((1 + 3 * n) * n for n in [*(2 ** k for k in range(1, 24)), 10 ** 7])
+    assert (code, err) == (
+        2, f"error: Monte Carlo: {steps} cell-steps exceed cap {WORK_CAP}\n")
+    manifest = read_json(tmp_path / "manifest.json")
+    assert (manifest["status"], manifest["error"]) == ("error", err.rstrip("\n"))
+
+
+# every shipped randomize run: the README's, and the benchmark's with no flag
+SHIPPED_RANDOMIZE = [
+    *[(ROOT / "demos" / "configs" / config, extra)
+      for _, command, config, extra in README_EXAMPLES if command == "randomize"],
+    (ROOT / "demos" / "configs" / "randomize_metacyclic.json", []),
+    (ROOT / "perfbench" / "configs" / "skew_mc.json", []),
+]
+
+
+def test_shipped_randomize_runs_keep_their_horizon_under_the_work_cap(tmp_path,
+                                                                     monkeypatch):
+    """On every shipped run, ``n_exact`` is the horizon the ``check_cap``
+    scan finds, and its Monte-Carlo rows cost at most a hundredth of
+    ``WORK_CAP`` cell-steps."""
+    calls = []
+
+    def recorded(rule, init, n_max, **kw):
+        calls.append((rule, n_max, kw, real(rule, init, n_max, **kw)))
+        return calls[-1][-1]
+
+    real = cli.cesaro_randomization
+    monkeypatch.setattr(cli, "cesaro_randomization", recorded)
+    for path, extra in SHIPPED_RANDOMIZE:
+        assert main(["randomize", "--config", str(path), "--out", str(tmp_path),
+                     *extra]) == 0, path
+        rule, n_max, kw, report = calls.pop()
+        cells = {c for p in kw["probes"] for c in p.cells()} | set(range(kw["tv_cells"]))
+        width = max(cells) - min(cells) + 1
+        assert report.n_exact == exact_horizon_oracle(
+            rule.group.order, width, rule.spread, n_max, kw["cap_states"]), path
+        steps = sum((width + row.n * rule.spread) * row.n
+                    for row in report.tv_rows if row.mode == "mc")
+        assert 100 * kw["mc_samples"] * steps <= WORK_CAP, path
 
 
 HUGE = 10 ** 30

@@ -22,9 +22,10 @@ from mcalab import (FiniteGroup, GroupMap, McaRule, SizeLimitError, Subgroup,
                     make_quaternion, make_semidirect, nilpotent_tower, quotient,
                     serialize_group, upper_central_series)
 from conftest import KNOWN_STRUCTURE, doubling_action, traced_peak
-from oracles import (abelian_invariants_oracle, associativity_failures,
-                     center_oracle, commutator_subgroup_oracle, is_abelian_oracle,
-                     is_group_table, power_by_steps, upper_central_series_oracle)
+from oracles import (abelian_invariants_oracle, abelian_rank, associativity_failures,
+                     center_oracle, commutator_subgroup_oracle, exponent,
+                     is_abelian_oracle, is_group_table, is_normal, power_by_steps,
+                     upper_central_series_oracle)
 
 
 def brute_endomorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -47,7 +48,7 @@ def test_cyclic_orders():
     G = make_cyclic(12)
     assert G.element_order(1) == 12
     assert G.element_order(4) == 3
-    assert G.exponent() == 12
+    assert exponent(G) == 12
 
 
 def test_cyclic_order_past_the_table_limit_is_refused():
@@ -158,7 +159,7 @@ def test_direct_sum_layout():
 def test_quaternion_structure(q8):
     assert q8.order == 8
     assert not q8.is_abelian
-    assert q8.exponent() == 4
+    assert exponent(q8) == 4
     Z = center(q8)
     assert sorted(q8.labels[m] for m in Z.members) == ["-1", "1"]
     K = commutator_subgroup(q8)
@@ -257,7 +258,7 @@ def test_axis_subgroup_not_fully_characteristic(q8, q8_labels):
     # <i> is normal but automorphisms rotate the axes right out of it
     A = generated_subgroup(q8, [q8_labels["i"]])
     assert A.order == 4
-    assert A.is_normal()
+    assert is_normal(A)
     assert not is_fully_characteristic(q8, A)
 
 
@@ -271,6 +272,7 @@ def test_abelian_invariants_divisibility_chain():
     G = make_direct_sum([4, 6])
     inv = tuple(abelian_invariants(G).orders)
     assert inv == (2, 12)
+    assert abelian_rank(abelian_invariants(G)) == 2
     for a, b in zip(inv, inv[1:]):
         assert b % a == 0
 
@@ -373,7 +375,7 @@ def assert_element_orders_match_steps(G: FiniteGroup) -> None:
     orders = [next(k for k in range(1, G.order + 1) if power_by_steps(G, x, k) == 0)
               for x in G.elements()]
     assert [G.element_order(x) for x in G.elements()] == orders
-    assert G.exponent() == math.lcm(*orders)
+    assert exponent(G) == math.lcm(*orders)
 
 
 def test_the_element_order_oracle_catches_a_wrong_order():

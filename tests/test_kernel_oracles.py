@@ -36,14 +36,13 @@ from mcalab import McaLabError, measures, spectral
 from mcalab.measures import StarLaw
 from mcalab.errors import CapExceededError, TableInvalidError, WindowError
 from mcalab.rules import (_plane_program, algebraic_normal_form, from_planes,
-                          plane_map, step_buffers, step_cells, step_planes,
-                          to_planes)
+                          step_buffers, step_cells, step_planes, to_planes)
 from mcalab.util import digit_planes, iter_words
 
 from conftest import dihedral, drawn, heisenberg, quaternion16, traced_peak
 
 from oracles import (dual_action_oracle, fibre_oracle, fibre_rank_oracle,
-                     fibre_trajectory_entropy_oracle, marginal_oracle,
+                     fibre_trajectory_entropy_oracle, is_normal, marginal_oracle,
                      law_items, partition_entropy_oracle, probs,
                      sample_words_oracle,
                      push_forward_oracle, recompose_oracle,
@@ -347,7 +346,7 @@ def test_star_codes_map_to_b_planes_as_b_of_does(name):
     count, cells = 1000, 2 * G.order
     for members in sorted(subgroups | {tuple(range(G.order))}):
         sub = Subgroup(G, members)
-        if not sub.is_normal():
+        if not is_normal(sub):
             continue
         fr = make_frame(G, sub)
         law = StarLaw(fr, MeasureSpec("uniform", fr.a_group.order),
@@ -358,19 +357,32 @@ def test_star_codes_map_to_b_planes_as_b_of_does(name):
         assert np.array_equal(from_planes(planes, count), codes)
         got = from_planes(law.b_planes(planes), count)
         assert np.array_equal(got, np.asarray(fr.b_of).ravel()[codes])
-        cached = law._plane_map   # built once per law
+        cached = law._program   # built once per law
         law.b_planes(planes)
-        assert law._plane_map is cached
+        assert law._program is cached
 
 
 def test_q8_star_codes_map_by_a_bit_permutation_or_with_an_and():
     """Over its centre Q8's ``b_of`` moves each code bit to one output bit;
-    over <j> (element 4) one output bit is the degree-2 x0·x2 ⊕ x1."""
+    over <j> (element 4) one output bit is the degree-2 x0·x2 ⊕ x1.  Both
+    read off the compiled width-1 program of a star law: a plane is (atoms,
+    products, heads, constant), an atom (bit, cell 0)."""
     q8 = make_quaternion()
-    form = plane_map(np.asarray(make_frame(q8, center(q8)).b_of).ravel())
-    assert sorted(form) == [((0,),), ((1,),), ((2,),)]
-    form = plane_map(np.asarray(make_frame(q8, generated_subgroup(q8, [4])).b_of).ravel())
-    assert form == (((1,), (0, 2)), ((0,),), ((2,),))
+
+    def program(sub):
+        fr = make_frame(q8, sub)
+        law = StarLaw(fr, MeasureSpec("uniform", fr.a_group.order),
+                      MeasureSpec("uniform", fr.C.order))
+        law.b_planes(to_planes(np.zeros((1, 1), dtype=np.uint8), 3))
+        return law._program
+
+    shared, planes = program(center(q8))
+    assert not shared
+    assert sorted(planes) == [([(k, 0)], [], [], False) for k in range(3)]
+    shared, planes = program(generated_subgroup(q8, [4]))
+    assert not shared
+    assert planes == [([(1, 0)], [((0, 0), (2, 0))], [], False),
+                      ([(0, 0)], [], [], False), ([(2, 0)], [], [], False)]
 
 
 def assert_product_matches_oracle(data, name, seed, scale=1):

@@ -26,7 +26,7 @@ from mcalab.specs import load_experiment, parse_measure
 
 from conftest import traced_peak
 from oracles import (law_items, partition_entropy_oracle, point_mass, prob,
-                     probs, same_distribution, trajectory_oracle)
+                     probs, same_distribution, tail_cells_oracle, trajectory_oracle)
 
 HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
 EIGHTH = Fraction(1, 8)
@@ -627,3 +627,13 @@ def test_digit_automaton_diffusion_leaves_numpy_ma_unimported(tmp_path):
     assert out[-1] == "0 [2] False"
     # rank 2^popcount(j) at j = 4096
     assert (tmp_path / "diffuse.csv").read_text().splitlines()[-1] == "4096,2"
+
+
+def test_tail_cells_count_the_cells_a_chunk_holds():
+    """A chunk's tail cells are those the one-cell-at-a-time count finds,
+    and an order-1 alphabet's chunk holds the whole window, however long."""
+    for size in (1, 2, 3, 5, 8, 20, 255, 256, 257, 1 << 16, (1 << 16) + 1):
+        for length in (*range(0, 40), 100, 1000):
+            assert measures._tail_cells(size, length) == tail_cells_oracle(
+                size, length, measures._CHUNK), (size, length)
+    assert measures._tail_cells(1, 10 ** 6) == 10 ** 6

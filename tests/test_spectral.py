@@ -25,9 +25,9 @@ from mcalab.specs import load_experiment, parse_measure_pair, parse_probe
 from mcalab.util import STATE_CAP
 
 from conftest import drawn, traced_peak
-from oracles import (_spec_words, characters_of, dual_action_oracle,
-                     fourier_coefficient, harmonic_mixing_profile, point_mass, prob,
-                     sample_words_oracle)
+from oracles import (_spec_words, characters_of, density, dual_action_oracle,
+                     exact_horizon_oracle, fourier_coefficient, harmonic_mixing_profile, is_trivial,
+                     point_mass, prob, sample_words_oracle)
 
 
 def xor_rule():
@@ -58,14 +58,14 @@ def test_character_count_matches_dual_group():
     G = make_cyclic(4)
     chars = list(characters_of(G, 0, 2))
     assert len(chars) == 4 ** 2
-    assert sum(1 for c in chars if c.is_trivial()) == 1
+    assert sum(1 for c in chars if is_trivial(c)) == 1
 
 
 def test_nontrivial_characters_vanish_on_haar():
     G = make_cyclic(4)
     uniform = WindowMeasure.uniform(4, 0, 2, G)
     for chi in characters_of(G, 0, 2):
-        want = 1.0 if chi.is_trivial() else 0.0
+        want = 1.0 if is_trivial(chi) else 0.0
         assert abs(fourier_coefficient(chi, uniform)) == pytest.approx(
             want, abs=1e-12)
 
@@ -300,16 +300,16 @@ def test_diffusion_ranks_never_build_support_tuples(monkeypatch):
 
 @pytest.mark.parametrize("j_max", [0, 1, 300])
 def test_density_trail_matches_density_at_every_mark(j_max):
-    """The one-pass counts give the bits ``DiffusionReport.density`` does."""
+    """The one-pass counts give the bits the ``density`` oracle does."""
     rule = xor_rule()
     chi = Character.make(abelian_invariants(rule.group), {0: (1,)})
     report = diffusion_report(LinearRuleDual.from_rule(rule), chi, j_max,
                               thresholds=(0, 2, 4, 10))
     for r in report.thresholds:
-        assert repr(report.densities[r]) == repr(report.density(r))
+        assert repr(report.densities[r]) == repr(density(report, r))
         assert [m for m, _ in report.density_trail[r]] == spectral._doubling(j_max)
         for m, value in report.density_trail[r]:
-            assert repr(value) == repr(report.density(r, m))
+            assert repr(value) == repr(density(report, r, m))
 
 
 def test_diffusion_report_refuses_a_negative_horizon():
@@ -341,15 +341,29 @@ def test_cesaro_randomization_refuses_a_negative_horizon():
             cesaro_randomization(xor_rule(), bern(9, 10), n_max, [Probe("x", chi)])
 
 
+def test_exact_horizon_matches_the_check_cap_scan():
+    """``n_exact`` comes from one count of the cells that fit the cap, not
+    a ``check_cap`` per n; it is what the scan finds wherever the output
+    window fits, which ``cesaro_randomization`` checks first."""
+    caps = (1, 2, 3, 7, 8, 9, 63, 64, 65, 400, 4096, 65536, 10 ** 5, 10 ** 7 - 1, 10 ** 7)
+    for order, width, spread, cap in itertools.product((1, 2, 5, 8, 20), (1, 2, 3, 5),
+                                                      (0, 1, 3), caps):
+        for n_max in (0, 1, 2, 9, 40, 300):
+            want = exact_horizon_oracle(order, width, spread, n_max, cap)
+            if want >= 0:
+                assert spectral._exact_horizon(order, width, spread, n_max, cap) == want, (
+                    order, width, spread, n_max, cap)
+
+
 def test_density_refuses_a_horizon_outside_the_report():
     rule = xor_rule()
     chi = Character.make(abelian_invariants(rule.group), {0: (1,)})
     report = diffusion_report(LinearRuleDual.from_rule(rule), chi, 16)
-    assert report.density(2, 16) == report.density(2)
-    assert report.density(2, 0) == 0.0
+    assert density(report, 2, 16) == density(report, 2)
+    assert density(report, 2, 0) == 0.0
     for j_up in (17, -3):
         with pytest.raises(McaLabError, match=rf"j_up {j_up} outside 0\.\.16"):
-            report.density(2, j_up)
+            density(report, 2, j_up)
 
 
 def digit_sum(j):
@@ -389,7 +403,7 @@ def test_density_trail_doubles_then_ends_at_j_max(j_max, points):
     chi = Character.make(abelian_invariants(rule.group), {0: (1,)})
     report = diffusion_report(dual, chi, j_max, thresholds=(2, 4))
     for r in (2, 4):
-        assert report.density_trail[r] == [(m, report.density(r, m))
+        assert report.density_trail[r] == [(m, density(report, r, m))
                                            for m in points]
 
 

@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import McaLabError, NotPermutativeError, WindowError
-from .groups import FiniteGroup
 from .rules import (McaRule, _compile, _run_program, _table_anf, code_dtype,
                     is_bipermutative, local_table, step_buffers, step_cells)
 from .util import STATE_CAP, check_cap, fitting_cells
@@ -104,8 +103,7 @@ class WindowMeasure:
     int8 up to int64, Python ints at or above 2**62).  A caller's array is
     kept as it is when nothing writable can change it and its signed
     integer dtype already holds ``den``; anything else is copied into that
-    dtype.  ``group`` is optional — only the alphabet size matters for
-    measure arithmetic.
+    dtype.
     """
 
     size: int
@@ -113,7 +111,6 @@ class WindowMeasure:
     hi: int
     num: np.ndarray
     den: int
-    group: FiniteGroup | None = None
 
     def __post_init__(self):
         _window_length(self.lo, self.hi)
@@ -147,11 +144,10 @@ class WindowMeasure:
         return self.hi - self.lo
 
     @classmethod
-    def uniform(cls, size: int, lo: int, hi: int,
-                group: FiniteGroup | None = None) -> "WindowMeasure":
+    def uniform(cls, size: int, lo: int, hi: int) -> "WindowMeasure":
         n = size ** _window_length(lo, hi)
         return cls(size, lo, hi, np.broadcast_to(
-            _frozen(np.ones(1, _weight_dtype(n))), (n,)), n, group)
+            _frozen(np.ones(1, _weight_dtype(n))), (n,)), n)
 
     def marginal(self, lo: int, hi: int) -> "WindowMeasure":
         """Restriction to a sub-window (sums out the other cells)."""
@@ -162,7 +158,7 @@ class WindowMeasure:
         # partial sums of weights stay at most den: summed in its own dtype
         num = self.num.reshape(-1, keep, s ** (self.hi - hi)).sum(
             axis=(0, 2), dtype=_weight_dtype(self.den))
-        return WindowMeasure(s, lo, hi, _frozen(num), self.den, self.group)
+        return WindowMeasure(s, lo, hi, _frozen(num), self.den)
 
     def entropy_bits(self) -> float:
         """Shannon entropy in bits (0·log 0 = 0), from exact weights."""
@@ -229,13 +225,11 @@ class MeasureSpec:
     def cell_distribution(self) -> tuple[Fraction, ...]:
         return self.probs
 
-    def window_measure(self, lo: int, hi: int,
-                       group: FiniteGroup | None = None,
-                       cap: int = STATE_CAP) -> WindowMeasure:
+    def window_measure(self, lo: int, hi: int, cap: int = STATE_CAP) -> WindowMeasure:
         n = _window_length(lo, hi)
         check_cap(self.size, n, cap, "window measure")
         if self.kind == "uniform":
-            return WindowMeasure.uniform(self.size, lo, hi, group)
+            return WindowMeasure.uniform(self.size, lo, hi)
         # integer cell weights, one digit plane at a time; a Bernoulli cell
         # is a chain whose transition rows all equal its distribution
         rows = (self.transition if self.kind == "markov"
@@ -254,7 +248,7 @@ class MeasureSpec:
         if g > 1:
             num //= g
             num = num.astype(_weight_dtype(den // g), copy=False)
-        return WindowMeasure(self.size, lo, hi, _frozen(num), den // g, group)
+        return WindowMeasure(self.size, lo, hi, _frozen(num), den // g)
 
     def shift_entropy_bits(self) -> float:
         """Entropy rate of the shift in bits per cell, in closed form."""
@@ -406,15 +400,14 @@ def push_forward(op: McaRule, m: WindowMeasure,
     The output lives on the shrunken window; every input word's weight is
     added to the weight of its image word.
     """
-    group = op.group
-    if m.size != group.order:
+    if m.size != op.group.order:
         raise McaLabError("measure alphabet does not match the rule's group")
     out_lo, out_hi = m.lo - op.v_lo, m.hi - op.v_hi
     if out_lo > out_hi:
         raise WindowError("window too narrow for the rule")
     check_cap(m.size, m.length, cap, "push-forward")
     num = _observed_weights(m, op, [(m.lo, m.lo), (out_lo, out_hi)], cap)
-    return WindowMeasure(m.size, out_lo, out_hi, _frozen(num), m.den, group)
+    return WindowMeasure(m.size, out_lo, out_hi, _frozen(num), m.den)
 
 
 def _observed_weights(m: WindowMeasure, rule: McaRule, windows: Sequence,
@@ -554,13 +547,12 @@ def _trajectory_setup(rule: McaRule, spec: MeasureSpec, n_steps: int, cap: int):
     Cells [-L..R) are observed at times 0..N-1, time-major, so the
     observation words are as long as the input words.
     """
-    group = rule.group
-    if spec.size != group.order:
+    if spec.size != rule.group.order:
         raise McaLabError("measure alphabet does not match the rule's group")
     L, R = rule.left_overlap, rule.right_overlap
     lo, hi = -n_steps * L, n_steps * R
-    check_cap(group.order, hi - lo, cap, "trajectory enumeration")
-    return spec.window_measure(lo, hi, group, cap), [(-L, R)] * n_steps
+    check_cap(spec.size, hi - lo, cap, "trajectory enumeration")
+    return spec.window_measure(lo, hi, cap), [(-L, R)] * n_steps
 
 
 def trajectory_joint_distribution(op: McaRule, spec: MeasureSpec, n_steps: int,
@@ -573,7 +565,7 @@ def trajectory_joint_distribution(op: McaRule, spec: MeasureSpec, n_steps: int,
     """
     m, windows = _trajectory_setup(op, spec, n_steps, cap)
     num = _observed_weights(m, op, windows, cap)
-    return WindowMeasure(m.size, 0, m.length, _frozen(num), m.den, op.group)
+    return WindowMeasure(m.size, 0, m.length, _frozen(num), m.den)
 
 
 def trajectory_partition_entropy(op: McaRule, spec: MeasureSpec, n_steps: int,
@@ -600,7 +592,6 @@ def trajectory_partition_entropy(op: McaRule, spec: MeasureSpec, n_steps: int,
         # trajectory map is a bijection on the generating window, so the
         # joint is uniform over all outcomes
         return m.length * math.log2(m.size)
-    check_cap(m.size, m.length, 1 << 24, "non-bijective trajectory counting")
     return _weights_entropy(_observed_weights(m, op, windows, cap), m.den)
 
 
@@ -618,7 +609,7 @@ def formula_entropy(rule: McaRule, spec: MeasureSpec,
     if not is_bipermutative(rule):
         raise NotPermutativeError("closed-form entropy needs a bipermutative rule")
     if spec.is_uniform():
-        probe = spec.window_measure(0, rule.width + 1, rule.group, cap)
+        probe = spec.window_measure(0, rule.width + 1, cap)
         if not push_forward(rule, probe, cap).is_uniform():
             raise McaLabError("uniform measure unexpectedly not invariant")
     else:
@@ -653,11 +644,11 @@ def fibre_trajectory_entropy(dec, lambda_spec: MeasureSpec,
     lo, hi = -n_steps * L, n_steps * R
     n = hi - lo
     check_cap(fr.B.order, n, cap, "fibrewise enumeration")
-    nu = nu_spec.window_measure(lo, hi, fr.C, cap)
-    lam = lambda_spec.window_measure(lo, hi, fr.a_group, cap)
+    nu = nu_spec.window_measure(lo, hi, cap)
+    lam = lambda_spec.window_measure(lo, hi, cap)
     A, C = fr.a_group.order, fr.C.order
     keys = np.empty((C ** n, A ** n), dtype=np.intp)
-    words = WindowMeasure.uniform(fr.B.order, lo, hi, fr.B)
+    words = WindowMeasure.uniform(fr.B.order, lo, hi)
     chunks = _observation_keys(words, rule, [(-L, R)] * n_steps, cap)
     for (_, key), (x, y) in zip(chunks, _star_chunks(fr, n)):
         y *= A ** n   # the flat (C-word, A-word) index, in the chunk's buffer
@@ -704,7 +695,7 @@ def star_product_measure(frame, a: WindowMeasure, c: WindowMeasure) -> WindowMea
         out = num[head * words:(head + 1) * words]
         num_a.take(x, out=out, mode="wrap")
         out *= num_c.take(y, out=gather, mode="wrap")
-    return WindowMeasure(B, a.lo, a.hi, _frozen(num), den, frame.B)
+    return WindowMeasure(B, a.lo, a.hi, _frozen(num), den)
 
 
 class StarLaw:
@@ -723,14 +714,11 @@ class StarLaw:
         self.size = frame.B.order
         self._program = None
 
-    def window_measure(self, lo: int, hi: int, group: FiniteGroup | None = None,
-                       cap: int = STATE_CAP) -> WindowMeasure:
-        """λ⋆ν on [lo..hi) by :func:`star_product_measure`, over the frame's
-        B (the only ``group`` a caller may mean)."""
+    def window_measure(self, lo: int, hi: int, cap: int = STATE_CAP) -> WindowMeasure:
+        """λ⋆ν on [lo..hi) over the frame's B, by :func:`star_product_measure`."""
         check_cap(self.size, _window_length(lo, hi), cap, "star product measure")
-        fr = self.frame
-        return star_product_measure(fr, self.lam.window_measure(lo, hi, fr.a_group, cap),
-                                    self.nu.window_measure(lo, hi, fr.C, cap))
+        return star_product_measure(self.frame, self.lam.window_measure(lo, hi, cap),
+                                    self.nu.window_measure(lo, hi, cap))
 
     def draws(self, rng: np.random.Generator, out: np.ndarray) -> Iterator[slice]:
         """As :meth:`MeasureSpec.draws`: the star codes of :meth:`codes`,

@@ -49,7 +49,6 @@ class McaRule:
     one_sided: bool = False
     _table: np.ndarray | None = field(default=None, init=False, repr=False,
                                      compare=False)
-    _anf: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _program: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -255,18 +254,6 @@ def step_cells(op: McaRule, cells: np.ndarray, cap: int = STATE_CAP,
     return table.take(index, out=out, mode="wrap")
 
 
-def algebraic_normal_form(rule: McaRule, cap: int = STATE_CAP) -> tuple:
-    """The local map over a group of order 2**b as b factored Boolean
-    functions of the width·b input bits (:func:`_table_anf` of its
-    :func:`local_table`).  Cached on the rule, built under the table's cap."""
-    if rule._anf is None:
-        s = rule.group.order
-        if s & (s - 1):
-            raise TableInvalidError(f"group order {s} is not a power of two")
-        rule._anf = _table_anf(local_table(rule, cap), s.bit_length() - 1, rule.width)
-    return rule._anf
-
-
 def _table_anf(table: np.ndarray, bits: int, width: int) -> tuple:
     """A map of ``width`` b-bit codes to one, ``table`` indexed big-endian
     by 2**(width·b) input codes, as b factored Boolean functions.
@@ -312,10 +299,15 @@ def _factor_out_heads(monomials: list[tuple]) -> tuple:
 
 
 def _plane_program(rule: McaRule, cap: int = STATE_CAP) -> tuple:
-    """The program :func:`step_planes` runs: :func:`_compile` of the rule's
-    :func:`algebraic_normal_form`.  Cached on the rule, under the table's cap."""
+    """The program :func:`step_planes` runs over a group of order 2**b:
+    :func:`_compile` of the :func:`_table_anf` of the rule's
+    :func:`local_table`.  Cached on the rule, built under the table's cap."""
     if rule._program is None:
-        rule._program = _compile(algebraic_normal_form(rule, cap))
+        s = rule.group.order
+        if s & (s - 1):
+            raise TableInvalidError(f"group order {s} is not a power of two")
+        rule._program = _compile(_table_anf(local_table(rule, cap),
+                                            s.bit_length() - 1, rule.width))
     return rule._program
 
 

@@ -21,9 +21,9 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (CapExceededError, McaLabError, NotAbelianError,
-                     NotCentralError, WindowError)
+                     NotCentralError)
 from .groups import AbelianCoords, FiniteGroup, GroupMap, abelian_invariants
-from .measures import _CHUNK, MeasureSpec, StarLaw, WindowMeasure, push_forward
+from .measures import _CHUNK, MeasureSpec, StarLaw, push_forward
 from .rules import (McaRule, _merge_positions, from_planes, plane_step_ops,
                     step_buffers, step_cells, step_planes, to_planes)
 from .util import (STATE_CAP, WORK_CAP, cell_dtype, check_cap, digit_planes,
@@ -191,38 +191,10 @@ def _value_table(coords: AbelianCoords, coeff: tuple[int, ...]) -> np.ndarray:
     return vals
 
 
-def _pairing(tabs: dict[int, np.ndarray], phase: complex, m: WindowMeasure,
-             cap: int) -> complex:
-    """Σ_w m[w]·phase·Π_cell tabs[cell][w_cell], summed in word-index order.
-
-    ``tabs`` maps a cell to its complex values over the alphabet; each
-    weight is the correctly rounded float of num/den.  The cells of every
-    word are held in the cell dtype, and the weights multiply the probe
-    values in place before the one sum.
-    """
-    for cell in tabs:
-        if not (m.lo <= cell < m.hi):
-            raise WindowError(f"support cell {cell} outside [{m.lo}..{m.hi})")
-    check_cap(m.size, m.length, cap, "fourier sum")
-    s, length = m.size, m.length
-    # digits[w_0, …, w_{ℓ-1}, t] = w_t: cell t's digit runs along axis t
-    digits = np.empty((s,) * length + (length,), dtype=cell_dtype(s))
-    for t in range(length):
-        digits[..., t] = np.arange(s, dtype=digits.dtype).reshape(
-            [-1 if u == t else 1 for u in range(length)])
-    vals = _probe_values(tabs, phase, digits.reshape(s ** length, length), m.lo)
-    # one float division rounds correctly only while num and den are exact
-    # in binary64; past 2**53 divide the Python ints instead
-    weights = (m.num / m.den if m.den <= 2 ** 53
-               else np.array([n / m.den for n in m.num.tolist()], dtype=np.float64))
-    vals *= weights
-    return complex(vals.sum())
-
-
 def _probe_values(tabs: dict[int, np.ndarray], phase: complex, words: np.ndarray,
                   lo: int) -> np.ndarray:
     """phase·Π_cell tabs[cell][word's cell] for each row of ``words``, whose
-    column t holds cell lo + t."""
+    column t holds cell lo + t: every exact and sampled probe row's values."""
     vals = np.full(len(words), phase, dtype=np.complex128)
     for cell, tab in tabs.items():
         vals *= tab[words[:, cell - lo]]
@@ -234,11 +206,15 @@ def bernoulli_fourier(chi: Character, cell_dist: Sequence,
     """<chi, μ> for an i.i.d. product measure, via per-cell factorization.
 
     ``cell_dist`` is the single-cell distribution over group-element
-    indices.  Equals the window sum Σ_w μ[w]·chi(w) on any window that
-    contains the support.  Each distinct coefficient tuple is paired with
-    ``cell_dist`` once; the factors are folded in support order.
+    indices, one weight per element or refused.  Equals the window sum
+    Σ_w μ[w]·chi(w) on any window that contains the support.  Each distinct
+    coefficient tuple is paired with ``cell_dist`` once; the factors are
+    folded in support order.
     """
     coords = chi._checked_coords(coords)
+    if len(cell_dist) != coords.group.order:
+        raise McaLabError(f"cell law over {len(cell_dist)} symbols; the character's "
+                          f"group has {coords.group.order}")
     probs = [float(p) for p in cell_dist]
     factors: dict[tuple[int, ...], complex] = {}
     val = chi.phase
@@ -710,11 +686,13 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
     """Track probe coefficients and TV-from-uniform along iterated images.
 
     ``init`` is a MeasureSpec over the rule group, or a (λ, ν) pair of
-    specs, read once as their ``measures.StarLaw`` through ``frame``.
-    Probe rows ride the factorized dual path out to n_max whenever the
-    probe's factor is abelian and the matching initial factor is i.i.d.
-    (abelian rules; quotient probes with ``dec``); everything else gets
-    exact rows while the window fits the state cap, then Monte-Carlo rows
+    specs, read once as their ``measures.StarLaw`` through ``frame``;
+    ``dec`` must split this ``rule`` through this ``frame``.  Probe rows
+    ride the factorized dual path out to n_max, at most ``cap_states``
+    rows, whenever the probe's factor is abelian and the matching initial
+    factor is i.i.d. (abelian rules; quotient probes with ``dec``);
+    everything else gets exact rows, read on the output window, while the
+    input window fits the state cap, then Monte-Carlo rows
     (``mc_samples`` > 0) at deterministic chunk-seeded checkpoints.  Past
     ``n_exact`` the Cesàro columns average the rows present, exact and MC,
     not every n ≤ N (ROADMAP item 2).  MC checkpoints costing more than
@@ -731,11 +709,13 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
         init = StarLaw(frame, *init)
     if init.size != group.order:
         raise McaLabError("initial measure alphabet mismatch")
+    if dec is not None and (dec.rule is not rule or dec.frame is not frame):
+        raise McaLabError("dec is not a decomposition of the rule through the frame")
     cells = sorted({c for p in probes for c in p.cells()} | set(range(tv_cells)))
     out_lo, out_hi = min(cells), max(cells) + 1
-    spread = rule.spread
-    check_cap(group.order, out_hi - out_lo, cap_states, "randomization output window")
-    n_exact = _exact_horizon(group.order, out_hi - out_lo, spread, n_max, cap_states)
+    width, spread = out_hi - out_lo, rule.spread
+    check_cap(group.order, width, cap_states, "randomization output window")
+    n_exact = _exact_horizon(group.order, width, spread, n_max, cap_states)
     asked = _doubling(n_max) if mc_checkpoints is None else mc_checkpoints
     checkpoints = sorted({m for m in map(int, asked) if n_exact < m <= n_max}
                          if mc_samples > 0 else ())
@@ -743,7 +723,7 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
         # before any sample: a rule too wide to step, under the run's cap even
         # when its table is cached, then too many cell-steps in all
         check_cap(group.order, rule.width, cap_states, "local rule table")
-        work = mc_samples * sum((out_hi - out_lo + n * spread) * n for n in checkpoints)
+        work = mc_samples * sum((width + n * spread) * n for n in checkpoints)
         if work > WORK_CAP:
             raise CapExceededError(f"Monte Carlo: {work} cell-steps exceed cap {WORK_CAP}")
     exps = _exponent_sums(rule)
@@ -755,6 +735,8 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
                           "order; the density-one randomization hypothesis "
                           "fails", stacklevel=2)
     fast = [_dual_fast_path(rule, init, probe, dec) for probe in probes]
+    if any(fast) and n_max + 1 > cap_states:
+        raise CapExceededError(f"dual probe rows: {n_max + 1} rows exceed cap {cap_states}")
     # one series of (n, value, mode, samples, stderr) per probe, one for TV
     series: list[list[tuple]] = [[] for _ in probes]
     tv_series: list[tuple] = []
@@ -765,17 +747,27 @@ def cesaro_randomization(rule: McaRule, init, n_max: int,
         dual, chi, dist = path
         for n, cur_chi in enumerate(_orbit(dual, chi, n_max)):
             rows.append((n, abs(bernoulli_fourier(cur_chi, dist)), "exact", 0, 0.0))
-    # exact measure chain: TV always, probes without a dual path
+    # exact measure chain, each law read on the output window: TV always,
+    # probes without a dual path
     slow = [(rows, probe.value_tables(group, frame))
             for rows, probe, path in zip(series, probes, fast) if path is None]
     in_lo = out_lo + n_exact * rule.v_lo
     in_hi = out_hi + n_exact * rule.v_hi
-    cur = init.window_measure(in_lo, in_hi, group, cap_states)
+    cur = init.window_measure(in_lo, in_hi, cap_states)
+    # words[i, t] is cell out_lo + t of output word i
+    words = np.indices((group.order,) * width, dtype=cell_dtype(group.order)
+                       ).reshape(width, -1).T
     for n in range(n_exact + 1):
+        out = cur.marginal(out_lo, out_hi)
+        # one float division rounds correctly only while num and den are
+        # exact in binary64; past 2**53 divide the Python ints instead
+        weights = (out.num / out.den if out.den <= 2 ** 53 else
+                   np.array([w / out.den for w in out.num.tolist()], dtype=np.float64))
         for rows, (tabs, phase) in slow:
-            rows.append((n, abs(_pairing(tabs, phase, cur, cap_states)),
-                         "exact", 0, 0.0))
-        tv = float(cur.marginal(out_lo, out_lo + tv_cells).tv_from_uniform())
+            vals = _probe_values(tabs, phase, words, out_lo)
+            vals *= weights
+            rows.append((n, abs(complex(vals.sum())), "exact", 0, 0.0))
+        tv = float(out.marginal(out_lo, out_lo + tv_cells).tv_from_uniform())
         tv_series.append((n, tv, "exact", 0, 0.0))
         if n < n_exact:
             cur = push_forward(rule, cur, cap_states)

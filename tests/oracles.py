@@ -195,11 +195,11 @@ def weight_dtype_oracle(den: int):
                 if np.iinfo(t).max >= den)
 
 
-def point_mass(size: int, lo: int, word, group=None) -> WindowMeasure:
+def point_mass(size: int, lo: int, word) -> WindowMeasure:
     """The measure of weight 1 on ``word``, placed at cell ``lo``."""
     num = np.zeros(size ** len(word), dtype=np.int64)
     num[word_index(word, size)] = 1
-    return WindowMeasure(size, lo, lo + len(word), num, 1, group)
+    return WindowMeasure(size, lo, lo + len(word), num, 1)
 
 
 def prob(m, word_or_index) -> Fraction:
@@ -772,9 +772,6 @@ def fourier_coefficient(chi: Character, m: WindowMeasure, coords=None,
     """<chi, m> = Σ_w m[w]·chi(w) over every word of the window, which must
     hold the support; each weight is the correctly rounded float of its
     ``Fraction``."""
-    coords = coords or chi.coords
-    if coords is None and m.group is not None:
-        coords = abelian_invariants(m.group)
     tabs = chi.cell_values(coords) if chi.support else {}
     for cell in tabs:
         if not (m.lo <= cell < m.hi):

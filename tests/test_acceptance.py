@@ -123,7 +123,7 @@ def test_criterion_08_haar_invariance(quat_rule3, x1_rule, x2_rule, z20):
     for rule, length in cases:
         B = rule.group
         assert B.order ** length <= 10 ** 6
-        m = WindowMeasure.uniform(B.order, 0, length, B)
+        m = WindowMeasure.uniform(B.order, 0, length)
         assert push_forward(rule, m).is_uniform()
 
 
@@ -140,7 +140,7 @@ def test_criterion_09_duality_identity():
         G = rule.group
         s = G.order
         probs = [Fraction(2, s + 1)] + [Fraction(1, s + 1)] * (s - 1)
-        m = MeasureSpec("bernoulli", s, probs=probs).window_measure(0, 4, G)
+        m = MeasureSpec("bernoulli", s, probs=probs).window_measure(0, 4)
         pushed = push_forward(rule, m)
         dual = LinearRuleDual.from_rule(rule)
         for chi in characters_of(G, 0, 3):
@@ -226,7 +226,7 @@ def test_criterion_11a_fast_path_crosscheck():
     for row in report.probe_rows:
         if row.n > 6:
             continue
-        m = spec.window_measure(0, 1 + row.n, rule.group)
+        m = spec.window_measure(0, 1 + row.n)
         for _ in range(row.n):
             m = push_forward(rule, m)
         assert row.coef_abs == pytest.approx(

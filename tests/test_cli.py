@@ -240,7 +240,7 @@ def test_randomize_alpha_probe_on_a_frame_off_the_first_indices(tmp_path):
                 if r[:2] == ["0", "a"])
     A = load_experiment(cfgp).frame.a_group
     alpha = parse_character(A, {"0": [1]}, "alpha")
-    m = parse_measure(A.order, lam, "lambda").window_measure(0, 1, A)
+    m = parse_measure(A.order, lam, "lambda").window_measure(0, 1)
     assert float(row0[2]) == pytest.approx(abs(fourier_coefficient(alpha, m)),
                                            abs=1e-12)
 
@@ -293,6 +293,8 @@ MALFORMED_PARAMS = [
     ("diffuse", {"alpha": {"0": [1]}, "j_max": 10 ** 18}, "error: diffusion report: "),
     ("randomize", {**read_json(ROOT / "perfbench" / "configs" / "skew_mc.json"),
                    "n_max": 10 ** 7, "mc_samples": 10}, "error: Monte Carlo: "),
+    ("randomize", {**read_json(ROOT / "demos" / "configs" / "randomize_xor.json"),
+                   "n_max": 10 ** 18, "mc_samples": 0}, "error: dual probe rows: "),
     ("group", {"cap_states": True}, "config.cap_states"),
     ("randomize", {"n_max": 2, "probes": 5}, "config.probes"),
     ("randomize", {"n_max": 2, "probes": {}}, "config.probes"),
@@ -694,6 +696,21 @@ def test_a_monte_carlo_horizon_past_the_work_cap_is_refused_at_once(tmp_path, ca
     assert (manifest["status"], manifest["error"]) == ("error", err.rstrip("\n"))
 
 
+def test_a_dual_probe_series_past_the_cap_is_refused_at_once(tmp_path, capsys):
+    """A probe on the dual route with more than ``cap_states`` rows
+    (n_max + 1) exits 2 before any dual step, with one error line that the
+    manifest records."""
+    cfg = {**read_json(ROOT / "demos" / "configs" / "randomize_xor.json"),
+           "n_max": 10 ** 18, "mc_samples": 0}
+    start = time.perf_counter()
+    code, err = assert_ends_in_one_line(tmp_path, capsys, "randomize", cfg, "n_max 10**18")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (
+        2, "error: dual probe rows: 1000000000000000001 rows exceed cap 65536\n")
+    manifest = read_json(tmp_path / "manifest.json")
+    assert (manifest["status"], manifest["error"]) == ("error", err.rstrip("\n"))
+
+
 # every shipped randomize run: the README's, and the benchmark's with no flag
 SHIPPED_RANDOMIZE = [
     *[(ROOT / "demos" / "configs" / config, extra)
@@ -706,8 +723,8 @@ SHIPPED_RANDOMIZE = [
 def test_shipped_randomize_runs_keep_their_horizon_under_the_work_cap(tmp_path,
                                                                      monkeypatch):
     """On every shipped run, ``n_exact`` is the horizon the ``check_cap``
-    scan finds, and its Monte-Carlo rows cost at most a hundredth of
-    ``WORK_CAP`` cell-steps."""
+    scan finds, its n_max + 1 dual probe rows fit ``cap_states``, and its
+    Monte-Carlo rows cost at most a hundredth of ``WORK_CAP`` cell-steps."""
     calls = []
 
     def recorded(rule, init, n_max, **kw):
@@ -720,6 +737,7 @@ def test_shipped_randomize_runs_keep_their_horizon_under_the_work_cap(tmp_path,
         assert main(["randomize", "--config", str(path), "--out", str(tmp_path),
                      *extra]) == 0, path
         rule, n_max, kw, report = calls.pop()
+        assert n_max + 1 <= kw["cap_states"], path
         cells = {c for p in kw["probes"] for c in p.cells()} | set(range(kw["tv_cells"]))
         width = max(cells) - min(cells) + 1
         assert report.n_exact == exact_horizon_oracle(

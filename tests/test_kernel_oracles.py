@@ -35,8 +35,8 @@ from mcalab import (Character, Config, GroupMap, LinearRuleDual, McaRule,
 from mcalab import McaLabError, measures, spectral
 from mcalab.measures import StarLaw
 from mcalab.errors import CapExceededError, TableInvalidError, WindowError
-from mcalab.rules import (_plane_program, algebraic_normal_form, from_planes,
-                          step_buffers, step_cells, step_planes, to_planes)
+from mcalab.rules import (_plane_program, from_planes, step_buffers, step_cells,
+                          step_planes, to_planes)
 from mcalab.util import digit_planes, iter_words
 
 from conftest import dihedral, drawn, heisenberg, quaternion16, traced_peak
@@ -328,7 +328,7 @@ def test_to_planes_holds_its_planes_and_two_slabs():
 def test_planes_refuse_what_they_cannot_encode():
     """Bit planes need a group of order 2**b and codes of at most 8 bits."""
     with pytest.raises(TableInvalidError, match="order 6 is not a power of two"):
-        algebraic_normal_form(McaRule(make_cyclic(6), 0, 1, []))
+        _plane_program(McaRule(make_cyclic(6), 0, 1, []))
     with pytest.raises(TableInvalidError, match="not 9-bit ones"):
         to_planes(np.zeros((1, 1), dtype=np.uint16), 9)
 
@@ -393,7 +393,7 @@ def assert_product_matches_oracle(data, name, seed, scale=1):
     a = random_measure(seed, A, lo, length, scale)
     c = random_measure(seed + 1, C, lo, length)
     star = star_product_measure(fr, a, c)
-    assert (star.size, star.den, star.group) == (fr.B.order, a.den * c.den, fr.B)
+    assert (star.size, star.den) == (fr.B.order, a.den * c.den)
     assert star.num.dtype == weight_dtype_oracle(star.den)
     assert star.num.tolist() == star_product_oracle(fr, a, c)
 
@@ -433,8 +433,7 @@ def assert_trajectory_law_matches_oracle(data, name, seed, kind):
     want = trajectory_oracle(op, spec, n_steps)
     law = trajectory_joint_distribution(op, spec, n_steps)
     # one cell per observation, over the input law's denominator
-    assert (law.size, law.lo, law.hi, law.group) == (
-        G.order, 0, op.overlap * n_steps, op.group)
+    assert (law.size, law.lo, law.hi) == (G.order, 0, op.overlap * n_steps)
     assert law.den == spec.window_measure(0, law.length).den
     assert law.num.dtype == weight_dtype_oracle(law.den)
     assert law_items(law) == want

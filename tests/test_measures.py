@@ -112,7 +112,7 @@ def test_push_forward_window_geometry():
     G = make_cyclic(3)
     ident = GroupMap.identity(G)
     rule = McaRule(G, -1, 1, [(-1, ident), (1, ident)])
-    m = WindowMeasure.uniform(3, -2, 3, G)
+    m = WindowMeasure.uniform(3, -2, 3)
     out = push_forward(rule, m)
     assert (out.lo, out.hi) == (-1, 2)
     assert out.is_uniform()
@@ -123,7 +123,7 @@ def test_push_forward_rejects_narrow_window():
     ident = GroupMap.identity(G)
     centered = McaRule(G, -1, 1, [(-1, ident), (1, ident)])
     with pytest.raises(WindowError):
-        push_forward(centered, WindowMeasure.uniform(3, 0, 1, G))
+        push_forward(centered, WindowMeasure.uniform(3, 0, 1))
 
 
 def test_markov_requires_stationary_initial():
@@ -263,8 +263,8 @@ def test_fibre_entropy_keys_every_star_word_in_one_pass(q8, q8_center_frame, qua
 
 def test_star_product_measure_lands_on_cosets(z20_frame):
     frame = z20_frame
-    a = point_mass(5, 0, [2], frame.a_group)
-    c = WindowMeasure.uniform(4, 0, 1, frame.C)
+    a = point_mass(5, 0, [2])
+    c = WindowMeasure.uniform(4, 0, 1)
     m = star_product_measure(frame, a, c)
     assert m.size == frame.B.order
     for cc in range(4):
@@ -283,9 +283,9 @@ def test_star_product_refuses_factors_over_the_wrong_alphabet(z20_frame, sizes):
 def metacyclic_laws(frame):
     """The metacyclic demo's λ over A and ν over C on its widest exact
     window, 5 cells (20^5 words over B)."""
-    return (MeasureSpec("uniform", 5).window_measure(0, 5, frame.a_group),
+    return (MeasureSpec("uniform", 5).window_measure(0, 5),
             MeasureSpec("bernoulli", 4, probs=[HALF, QUARTER, EIGHTH, EIGHTH]
-                        ).window_measure(0, 5, frame.C))
+                        ).window_measure(0, 5))
 
 
 def test_star_product_holds_one_full_window(z20_frame):
@@ -319,11 +319,11 @@ def test_star_product_is_the_same_in_any_chunk(z20_frame, monkeypatch):
                               for i, j in zip(x.tolist(), y.tolist())]
 
 
-def test_bernoulli_window_holds_one_full_window(z20):
+def test_bernoulli_window_holds_one_full_window():
     """A 20-symbol Bernoulli window of 5 cells: no copy of the weights is
     made to divide them by their gcd."""
     spec = MeasureSpec("bernoulli", 20, probs=[Fraction(k, 210) for k in range(1, 21)])
-    m, peak = traced_peak(spec.window_measure, 0, 5, z20)
+    m, peak = traced_peak(spec.window_measure, 0, 5)
     assert (m.num.dtype, m.num.size, m.den) == (np.int64, 20 ** 5, 210 ** 5)
     assert peak <= 1.25 * m.num.nbytes
 
@@ -552,7 +552,7 @@ def test_exact_paths_step_only_past_the_first_step(monkeypatch, chunk):
 
     monkeypatch.setattr(measures, "step_cells", spy)
     monkeypatch.setattr(measures, "_CHUNK", chunk)
-    push_forward(rule, spec.window_measure(0, 6, rule.group))
+    push_forward(rule, spec.window_measure(0, 6))
     for n_steps in (1, 2):
         trajectory_joint_distribution(rule, spec, n_steps)
     assert works == []
@@ -572,7 +572,7 @@ def test_push_forward_conserves_mass(k, use_collapsing):
     rule = McaRule(G, 0, 1, [(0, ident), (1, double if use_collapsing else ident)])
     cells = [Fraction(k, 16), Fraction(8 - k, 16), Fraction(3, 16),
              Fraction(5, 16)]
-    m = MeasureSpec("bernoulli", 4, probs=cells).window_measure(0, 3, G)
+    m = MeasureSpec("bernoulli", 4, probs=cells).window_measure(0, 3)
     out = push_forward(rule, m)
     assert sum(probs(out)) == 1
 

@@ -20,7 +20,7 @@ from mcalab import (Character, GroupMap, LinearRuleDual, McaLabError, McaRule,
                     star_product_measure)
 from mcalab import CapExceededError, measures, spectral
 from mcalab.measures import StarLaw
-from mcalab.rules import algebraic_normal_form, local_table, plane_step_ops
+from mcalab.rules import _plane_program, local_table, plane_step_ops
 from mcalab.specs import load_experiment, parse_measure_pair, parse_probe
 from mcalab.util import STATE_CAP
 
@@ -63,7 +63,7 @@ def test_character_count_matches_dual_group():
 
 def test_nontrivial_characters_vanish_on_haar():
     G = make_cyclic(4)
-    uniform = WindowMeasure.uniform(4, 0, 2, G)
+    uniform = WindowMeasure.uniform(4, 0, 2)
     for chi in characters_of(G, 0, 2):
         want = 1.0 if is_trivial(chi) else 0.0
         assert abs(fourier_coefficient(chi, uniform)) == pytest.approx(
@@ -72,7 +72,7 @@ def test_nontrivial_characters_vanish_on_haar():
 
 def test_characters_have_modulus_one_on_point_masses():
     G = make_cyclic(3)
-    m = point_mass(3, 0, [2, 1], G)
+    m = point_mass(3, 0, [2, 1])
     for chi in characters_of(G, 0, 2):
         assert abs(fourier_coefficient(chi, m)) == pytest.approx(1.0, abs=1e-12)
 
@@ -90,13 +90,22 @@ def test_bernoulli_fourier_factorizes_the_window_sum():
             direct, abs=1e-14)
 
 
+def test_bernoulli_fourier_refuses_a_law_over_another_alphabet():
+    """A Z/4 character against a law over 2 or 8 symbols is refused, not
+    paired with the first symbols or padded with zeros."""
+    chi = Character.make(abelian_invariants(make_cyclic(4)), {0: (1,)})
+    for size in (2, 8):
+        with pytest.raises(McaLabError, match=f"cell law over {size} symbols"):
+            bernoulli_fourier(chi, [Fraction(1, size)] * size)
+
+
 def test_dual_action_satisfies_the_pairing_identity():
     G = make_cyclic(4)
     ident = GroupMap.identity(G)
     double = GroupMap(G, G, [G.power(x, 2) for x in G.elements()], True)
     rule = McaRule(G, 0, 1, [(0, ident), (1, double)])
     dual = LinearRuleDual.from_rule(rule)
-    m = bern(3, 8, 4).window_measure(0, 3, G)
+    m = bern(3, 8, 4).window_measure(0, 3)
     pushed = push_forward(rule, m)
     coords = abelian_invariants(G)
     for supp in [{0: (1,)}, {1: (2,)}, {0: (3,), 1: (1,)}]:
@@ -508,7 +517,7 @@ def test_fast_dual_rows_match_push_forward_pairing():
     chi = probe.alpha
     for row in report.probe_rows:
         # independent chain: push the window measure forward row.n times
-        m = spec.window_measure(0, 1 + row.n, rule.group)
+        m = spec.window_measure(0, 1 + row.n)
         for _ in range(row.n):
             m = push_forward(rule, m)
         assert row.coef_abs == pytest.approx(
@@ -704,10 +713,10 @@ def test_monte_carlo_table_blocks_step_in_one_workspace(monkeypatch, z20_frame, 
 
 def test_monte_carlo_refuses_a_rule_over_the_cap_before_sampling(
         monkeypatch, route, quat_rule4, q8_center_frame):
-    """Caps are honoured on both kernels, with the rule's table and normal
-    form already cached under the default cap."""
+    """Caps are honoured on both kernels, with the rule's table and plane
+    program already cached under the default cap."""
     local_table(quat_rule4)
-    algebraic_normal_form(quat_rule4)
+    _plane_program(quat_rule4)
 
     def no_sampling(*args):
         pytest.fail("words were sampled past the cap")
@@ -719,6 +728,20 @@ def test_monte_carlo_refuses_a_rule_over_the_cap_before_sampling(
         with pytest.raises(CapExceededError, match="local rule table: 4096 states"):
             cesaro_randomization(quat_rule4, init, 4, frame=frame,
                                  cap_states=8 ** 4 - 1, mc_samples=100, seed=1)
+
+
+def test_randomization_refuses_a_decomposition_of_another_rule_or_frame(
+        quat_rule3, quat_rule4):
+    """ν drives the quotient rule of ``dec``, so ``dec`` must split ``rule``
+    through ``frame``: Q8's split over <i> beside the frame over <j> (both
+    quotients of order 2), or beside another rule, is refused."""
+    q8 = quat_rule4.group
+    over_i, over_j = (make_frame(q8, generated_subgroup(q8, [g])) for g in (2, 4))
+    dec = decompose_mca(quat_rule4, over_i)
+    for rule, frame in ((quat_rule4, over_j), (quat_rule3, over_i)):
+        with pytest.raises(McaLabError, match="not a decomposition of the rule"):
+            cesaro_randomization(rule, (bern(7, 10, size=4), bern(4, 10)), 2,
+                                 frame=frame, dec=dec)
 
 
 def test_metacyclic_exact_chain_holds_one_weight_vector():
@@ -948,10 +971,10 @@ def test_product_probe_composes_fibre_and_base_decay(quat_rule4,
     gaps = []
     for j in range(3):
         lo, hi = j * rule.v_lo, 1 + j * rule.v_hi
-        mu = star_product_measure(frame, lam.window_measure(lo, hi, A),
-                                  nu.window_measure(lo, hi, C))
-        ref = star_product_measure(frame, haar_a.window_measure(lo, hi, A),
-                                   nu.window_measure(lo, hi, C))
+        mu = star_product_measure(frame, lam.window_measure(lo, hi),
+                                  nu.window_measure(lo, hi))
+        ref = star_product_measure(frame, haar_a.window_measure(lo, hi),
+                                   nu.window_measure(lo, hi))
         for _ in range(j):
             mu = push_forward(rule, mu)
             ref = push_forward(rule, ref)
@@ -963,20 +986,27 @@ def test_product_probe_composes_fibre_and_base_decay(quat_rule4,
     assert gaps[2] <= gaps[1]
 
 
-def test_pairing_holds_cell_digits(z20, z20_frame):
-    """A probe on two cells against a product law on the metacyclic demo's
-    widest exact window (20^5 words): the digits of every word take the
-    cell dtype and the weights multiply the values in place, so the traced
-    peak stays under 150 MB, and the sum keeps every bit."""
-    frame = z20_frame
+def test_exact_probe_rows_pair_on_the_output_window():
+    """A two-cell α⊗φ probe, which no dual path serves, on the metacyclic
+    demo's rule and frame under Bernoulli halves: at every n ≤ n_exact the
+    row read on the output window equals the sum over every word of the
+    chain's pushed-forward star law, and the chain peaks no higher than the
+    demo's own (1.25 times its 20^5 int32 weights)."""
+    cfg = load_experiment(str(ROOT / "demos" / "configs" / "randomize_metacyclic.json"))
+    frame, rule = cfg.frame, cfg.rule
     halves = [Fraction(1, 2 ** k) for k in (1, 2, 3, 4, 4)]
-    lam = MeasureSpec("bernoulli", 5, probs=halves)
-    nu = MeasureSpec("bernoulli", 4, probs=halves[:2] + [Fraction(1, 8)] * 2)
-    m = star_product_measure(frame, lam.window_measure(0, 5, frame.a_group),
-                             nu.window_measure(0, 5, frame.C))
+    laws = (MeasureSpec("bernoulli", 5, probs=halves),
+            MeasureSpec("bernoulli", 4, probs=halves[:2] + [Fraction(1, 8)] * 2))
     alpha = Character.make(abelian_invariants(frame.a_group), {0: (1,)})
     phi = Character.make(abelian_invariants(frame.C), {1: (1,)})
-    tabs, phase = Probe("s", alpha, phi).value_tables(z20, frame)
-    value, peak = traced_peak(spectral._pairing, tabs, phase, m, STATE_CAP)
-    assert peak <= 150 * 2 ** 20
-    assert repr(value) == "(0.13994646222712306+0.13625701868971637j)"
+    probe = Probe("s", alpha, phi)
+    report, peak = traced_peak(cesaro_randomization, rule, laws, 8, [probe],
+                               frame=frame, dec=decompose_mca(rule, frame))
+    assert peak <= 1.25 * 20 ** 5 * np.dtype(np.int32).itemsize
+    assert report.n_exact == 1   # 2 + 2·1 = 4 input cells
+    assert [(r.n, r.mode) for r in report.probe_rows] == [(0, "exact"), (1, "exact")]
+    m = StarLaw(frame, *laws).window_measure(0, 4)
+    for row in report.probe_rows:
+        assert row.coef_abs == pytest.approx(
+            abs(probe_pairing(probe, frame, rule.group, m)), abs=1e-12)
+        m = push_forward(rule, m)
